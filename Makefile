@@ -3,6 +3,7 @@
 #   make test    tier-1 verification (unit + property + integration + benchmarks)
 #   make bench   benchmark suite with timing tables + the BENCH_PR9.json baseline
 #   make bench-diff  regenerate the baseline and diff it against the prior PR's
+#   make bench-e2e  the BENCHMARK.json end-to-end benchmark, all four workloads
 #   make cov     tests with line coverage + the CI floor (needs pytest-cov)
 #   make docs    docs link + snippet import check, run every runnable doc surface
 #   make workload  demo the batch-serving layer (cold vs warm)
@@ -20,7 +21,7 @@ BENCH_JSON ?= BENCH_PR9.json
 #: The prior baseline `make bench-diff` compares against.
 BENCH_PRIOR ?= BENCH_PR6.json
 
-.PHONY: test bench bench-diff cov docs workload scenarios
+.PHONY: test bench bench-diff bench-e2e cov docs workload scenarios
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -31,6 +32,9 @@ bench:
 
 bench-diff:
 	$(PYTHON) scripts/bench_summary.py --output $(BENCH_JSON) --diff $(BENCH_PRIOR)
+
+bench-e2e:
+	python3 bench/run.py --seed 42 --repeats 1 --out bench/out/result.json
 
 cov:
 	$(PYTHON) -m pytest tests -q --cov=repro \

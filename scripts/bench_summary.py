@@ -4,8 +4,9 @@
 ``make bench`` invokes this after the pytest benchmark suite to write
 ``BENCH_PR9.json``: warm serving throughput (qps, latency percentiles)
 for every executor × shard-count × cache-capacity combination on the
-diverse medium-profile workload — including the cost-based
-``executor="auto"`` mode — plus the whole-answer result-cache hit path,
+diverse medium-profile workload — including ``executor="auto"`` (block
+wherever the backend has id columns) — plus the whole-answer
+result-cache hit path,
 the worker-model dimension (4 threads vs 4 mmap-attached processes,
 with peak combined Pss and cold-attach latency per cell), and the
 headline speed-up ratios.  Future PRs diff their numbers against
@@ -15,12 +16,11 @@ messages; ``--diff PRIOR.json`` renders that comparison directly.
 Methodology: every cell primes once (catalog warm-up plus one untimed
 batch, so list caches reach their steady state) and then keeps the best
 of ``--repeats`` timed batches — single-run numbers on shared hardware
-are noise, and the cost rule's margins (is auto >= the better pinned
-executor?) are exactly where noise bites.  Within each shards ×
-cache-capacity group the three executors' timed batches are
-*interleaved* (tuple, block, auto, tuple, block, auto, ...) rather than
-run back to back, so machine-load drift hits all three equally and the
-auto-vs-pinned ratios compare like with like.  The executor matrix runs with
+are noise.  Within each shards × cache-capacity group the three
+executors' timed batches are *interleaved* (tuple, block, auto, tuple,
+block, auto, ...) rather than run back to back, so machine-load drift
+hits all three equally and the block-over-tuple ratios compare like
+with like.  The executor matrix runs with
 the result cache *disabled* so it measures execution strategy, not
 whole-answer reuse; the result cache gets its own section.  Equivalence
 across executors is asserted here too and is always blocking — a
@@ -121,22 +121,16 @@ def run_matrix(workload: Workload, batch, repeats: int) -> tuple[list, dict]:
                     "p99_ms": round(report.latency_percentile(99) * 1e3, 3),
                     "wall_s": round(report.wall_seconds, 3),
                 }
-                if executor == "auto":
-                    row["auto_executor_mix"] = report.extras[
-                        "auto_executor_mix"
-                    ]
                 runs.append(row)
                 outcomes_by_key[(shards, cache_capacity, executor)] = [
                     (o.n_answers, o.top_score) for o in report.outcomes
                 ]
-                mix = row.get("auto_executor_mix", "")
                 print(
                     f"shards={shards} cache={cache_capacity:<4d} "
                     f"executor={executor:<5s} "
                     f"{report.queries_per_second:9.1f} qps  "
                     f"p50 {report.latency_percentile(50) * 1e3:7.3f} ms  "
                     f"p99 {report.latency_percentile(99) * 1e3:7.3f} ms"
-                    + (f"  mix={mix}" if mix else "")
                 )
 
     # Executors must agree before the numbers mean anything (blocking).
@@ -179,18 +173,6 @@ def run_matrix(workload: Workload, batch, repeats: int) -> tuple[list, dict]:
             qps(4, BOUNDED_CACHE, "block") / qps(1, BOUNDED_CACHE, "block"), 2
         ),
     }
-    # The cost rule's acceptance: auto keeps the better pinned pipeline
-    # in every cell (>= 1.0 means it never picked itself into a loss).
-    for shards in (1, 4):
-        for cache_capacity in (BOUNDED_CACHE, FULL_CACHE):
-            best_pinned = max(
-                qps(shards, cache_capacity, "tuple"),
-                qps(shards, cache_capacity, "block"),
-            )
-            speedups[
-                f"auto_over_best_pinned_{shards}shard_"
-                f"{'bounded' if cache_capacity == BOUNDED_CACHE else 'full'}_cache"
-            ] = round(qps(shards, cache_capacity, "auto") / best_pinned, 2)
     return runs, speedups
 
 

@@ -20,16 +20,12 @@ from repro.core.estimator import ExpectedScoreEstimator
 from repro.core.executor import (
     EXECUTOR_MODES,
     ExecutionResult,
+    ExecutorChoice,
     ExecutorMode,
     PlanExecutor,
 )
 from repro.core.plan import QueryPlan
-from repro.core.planner import (
-    ExecutorChoice,
-    PlannerDecision,
-    SpecQPPlanner,
-    choose_executor,
-)
+from repro.core.planner import PlannerDecision, SpecQPPlanner
 from repro.errors import ExecutionError
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.index import MatchListCacheHook
@@ -115,15 +111,14 @@ class SpecQPEngine:
         ``"tuple"`` (the paper's pull-based object pipeline, default),
         ``"block"`` — the vectorized block-at-a-time engine that
         exchanges batches of dictionary-encoded id arrays and decodes
-        only at the top-k sink — or ``"auto"``, which picks tuple vs
-        block *per query* with the catalog-driven cost rule
-        (:func:`~repro.core.planner.choose_executor`: cache-resident
-        short lists → tuple, cold or long rebuilds → block).  Answers
-        and scores are byte-identical under all three; ``"block"`` is
-        the warm-throughput choice on columnar, sharded and live
-        backends and silently falls back to the tuple pipeline where it
-        cannot run (object-graph backend, chain relaxations), while
-        ``"auto"`` keeps the better pipeline everywhere.  See
+        only at the top-k sink — or ``"auto"``: block wherever the
+        backend has id columns, tuple otherwise.  Answers and scores
+        are byte-identical under all three.  ``"block"`` is the serving
+        pipeline on columnar, sharded and live backends and silently
+        falls back to the tuple pipeline where it cannot run
+        (object-graph backend, chain relaxations); ``"auto"`` is the
+        same choice made explicit (:meth:`resolve_executor` reports it);
+        ``"tuple"`` is the paper-faithful reference.  See
         :mod:`repro.operators.block`.
     encoded_cache_capacity:
         Entry bound of the block executor's encoded match-list store
@@ -193,9 +188,8 @@ class SpecQPEngine:
             rules,
             self.config.max_relaxations_per_pattern,
             chain_rules=chain_rules,
-            # "auto" resolves per query; the underlying executor carries
-            # both pipelines, so its configured kind only names the
-            # default when no per-call override is passed.
+            # The executor carries both pipelines and falls back to tuple
+            # where blocks cannot run, which is what "auto" means.
             executor="block" if executor == "auto" else executor,
             **executor_kwargs,  # type: ignore[arg-type]
         )
@@ -206,28 +200,18 @@ class SpecQPEngine:
         return self._executor_mode
 
     def resolve_executor(self, query: TriplePatternQuery) -> ExecutorChoice:
-        """The concrete pipeline that will serve *query* right now.
+        """The concrete pipeline that will serve *query*, and why.
 
-        In ``"auto"`` mode this runs the catalog cost rule
-        (:func:`~repro.core.planner.choose_executor`) against the graph's
-        attached match-list cache; pinned modes return a trivial choice.
+        Block wherever it can run unless the engine is pinned to
+        ``"tuple"``; the same for every query of one engine.
         """
-        if self._executor_mode != "auto":
-            kind = self._executor_mode
-            if kind == "block" and not self.executor.can_execute_block():
-                kind = "tuple"
-            return ExecutorChoice(
-                executor=kind,  # type: ignore[arg-type]
-                reason="pinned",
-                resident_patterns=0,
-                total_patterns=len(query.patterns),
-                missing_rows=None,
-            )
-        return choose_executor(
-            query,
-            self.catalog,
-            cache=self.graph.match_list_cache,
-            block_available=self.executor.can_execute_block(),
+        mode = self._executor_mode
+        available = self.executor.can_execute_block()
+        kind = "block" if mode != "tuple" and available else "tuple"
+        if mode != "auto":
+            return ExecutorChoice(kind, "pinned")
+        return ExecutorChoice(
+            kind, "block-available" if available else "block-unavailable"
         )
 
     # ------------------------------------------------------------------

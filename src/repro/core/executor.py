@@ -50,12 +50,22 @@ ExecutorKind = Literal["tuple", "block"]
 
 EXECUTOR_KINDS: tuple[str, ...] = ("tuple", "block")
 
-#: What callers may *request*: a concrete strategy, or ``"auto"`` — the
-#: cost-based mode where the engine picks tuple vs block per query from
-#: the statistics catalog (see :func:`repro.core.planner.choose_executor`).
+#: What callers may *request*: a concrete strategy, or ``"auto"`` — block
+#: wherever the backend has id columns (:meth:`PlanExecutor.can_execute_block`),
+#: tuple otherwise.
 ExecutorMode = Literal["tuple", "block", "auto"]
 
 EXECUTOR_MODES: tuple[str, ...] = EXECUTOR_KINDS + ("auto",)
+
+
+@dataclass(frozen=True)
+class ExecutorChoice:
+    """Which pipeline serves a query, and why: ``"pinned"`` (the mode
+    names it), or under ``"auto"`` ``"block-available"`` /
+    ``"block-unavailable"`` (object graph, chain rules)."""
+
+    executor: ExecutorKind
+    reason: str
 
 #: Entry bound of the per-executor encoded match-list cache.
 DEFAULT_ENCODED_CACHE_CAPACITY = 512
@@ -117,8 +127,11 @@ class PlanExecutor:
         self._max_relaxations = max_relaxations_per_pattern
         self._chain_rules = chain_rules
         self._executor: ExecutorKind = executor
-        self._encoded_store = encoded_store or EncodedListStore(
-            encoded_cache_capacity
+        # ``is None``, not truthiness: an empty store has length 0.
+        self._encoded_store = (
+            EncodedListStore(encoded_cache_capacity)
+            if encoded_store is None
+            else encoded_store
         )
 
     @property
@@ -128,8 +141,7 @@ class PlanExecutor:
     def can_execute_block(self) -> bool:
         """Whether the block pipeline is available at all on this executor
         (columnar-backed graph, no chain relaxations) — independent of the
-        configured strategy.  The cost-based ``"auto"`` mode consults this
-        before it even scores a query."""
+        configured strategy.  It is all ``"auto"`` decides on."""
         return self._chain_rules is None and supports_block_execution(self._graph)
 
     def uses_block_path(self, executor: ExecutorKind | None = None) -> bool:
@@ -143,10 +155,10 @@ class PlanExecutor:
     ) -> ExecutionResult:
         """Run *plan*, returning the top-k distinct answers by score.
 
-        *executor* overrides the configured strategy for this call only —
-        the hook the cost-based ``"auto"`` mode uses to route individual
-        queries through either pipeline without rebuilding executors.
-        Answers are byte-identical either way.
+        *executor* overrides the configured strategy for this call only:
+        one executor carries both pipelines, so ``"auto"`` engines, the
+        tuple reference and the block path share it.  Answers are
+        byte-identical either way.
         """
         if executor is not None and executor not in EXECUTOR_KINDS:
             raise ExecutionError(
@@ -187,6 +199,15 @@ class PlanExecutor:
             # terms.
             encoded_lists=lambda pattern: self._encoded_store.get_or_build(
                 self._graph, pattern, expect_codec=codec
+            ),
+            # A relaxed pattern's merged list depends, beyond the pattern
+            # and the graph version the store tracks, on exactly these.
+            merged_lists=lambda pattern, merge: self._encoded_store.get_or_merge(
+                self._graph,
+                pattern,
+                (self._max_relaxations, self._rules, self._rules.version),
+                merge,
+                expect_codec=codec,
             ),
         )
         projection = tuple(v.name for v in plan.query.projection)

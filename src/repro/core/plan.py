@@ -37,7 +37,11 @@ from repro.operators.memory import ExecutionContext
 from repro.operators.rank_join import RankJoin
 from repro.operators.shard_merge import build_leaf_scan
 from repro.operators.vector_join import VectorRankJoin
-from repro.operators.vector_scan import VectorIncrementalMerge, VectorScan
+from repro.operators.vector_scan import (
+    VectorIncrementalMerge,
+    VectorScan,
+    merge_encoded_lists,
+)
 from repro.query.query import TriplePatternQuery
 from repro.relax.chains import ChainRuleSet
 from repro.relax.rules import RuleSet
@@ -161,6 +165,10 @@ class QueryPlan:
         codec: TermCodec,
         max_relaxations_per_pattern: int | None = None,
         encoded_lists: "Callable[[TriplePattern], EncodedMatchList] | None" = None,
+        merged_lists: (
+            "Callable[[TriplePattern, Callable[[], EncodedMatchList]], "
+            "EncodedMatchList] | None"
+        ) = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
     ) -> BlockOperator:
         """Materialise the plan as a block-at-a-time operator tree.
@@ -176,12 +184,28 @@ class QueryPlan:
 
         *encoded_lists* optionally serves (cached) encoded match lists;
         by default each leaf builds its own from *graph* via *codec*.
+        *merged_lists* ``(pattern, merge)`` optionally serves a relaxed
+        pattern's pre-merged relaxation list, calling *merge* only when
+        it holds none (:meth:`~repro.operators.block.EncodedListStore.get_or_merge`):
+        the singleton is then a plain scan over that list, and a held
+        list costs neither the rule lookup nor its 10–15 input lists.
+        Without it each singleton is a :class:`VectorIncrementalMerge`
+        that merges on first pull — the same rows and counters.
         Chain relaxations have no block implementation — the executor
         falls back to the tuple tree when chain rules are configured.
         """
         provider = encoded_lists or (
             lambda pattern: build_encoded_match_list(graph, pattern, codec)
         )
+
+        def merge_inputs(pattern: TriplePattern) -> list[tuple[EncodedMatchList, float]]:
+            applicable = rules.for_pattern(pattern)
+            if max_relaxations_per_pattern is not None:
+                applicable = applicable[:max_relaxations_per_pattern]
+            return [(provider(pattern), 1.0)] + [
+                (provider(rule.range), rule.weight) for rule in applicable
+            ]
+
         group_ops: list[BlockOperator] = [
             VectorScan(
                 provider(self.query.patterns[i]), i, context, block_size=block_size
@@ -191,16 +215,20 @@ class QueryPlan:
         merge_ops: list[BlockOperator] = []
         for i in self.singletons:
             pattern = self.query.patterns[i]
-            inputs: list[tuple[EncodedMatchList, float]] = [(provider(pattern), 1.0)]
-            applicable = rules.for_pattern(pattern)
-            if max_relaxations_per_pattern is not None:
-                applicable = applicable[:max_relaxations_per_pattern]
-            inputs.extend(
-                (provider(rule.range), rule.weight) for rule in applicable
+            if merged_lists is None:
+                merge_ops.append(
+                    VectorIncrementalMerge(
+                        merge_inputs(pattern), i, context, codec, block_size=block_size
+                    )
+                )
+                continue
+            # *merge* runs, if at all, inside this call.
+            merged = merged_lists(
+                pattern, lambda: merge_encoded_lists(merge_inputs(pattern), codec)
             )
             merge_ops.append(
-                VectorIncrementalMerge(
-                    inputs, i, context, codec, block_size=block_size
+                VectorScan(
+                    merged, i, context, block_size=block_size, whole_list_pulled=True
                 )
             )
         operands: list[BlockOperator] = group_ops + merge_ops

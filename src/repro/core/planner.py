@@ -17,17 +17,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Container
 
 from repro.core.estimator import ExpectedScoreEstimator
-from repro.core.executor import ExecutorKind
 from repro.core.plan import QueryPlan
 from repro.errors import PlanError
 from repro.kg.pattern import TriplePattern
 from repro.query.query import TriplePatternQuery
 from repro.query.rewrite import top_weighted_relaxation
 from repro.relax.rules import RelaxationRule, RuleSet
-from repro.stats.catalog import StatisticsCatalog
 
 
 @dataclass(frozen=True)
@@ -136,102 +133,3 @@ class SpecQPPlanner:
             per_pattern=tuple(decisions),
             planning_seconds=elapsed,
         )
-
-
-# ----------------------------------------------------------------------
-# Cost-based executor selection (the ``executor="auto"`` mode)
-# ----------------------------------------------------------------------
-
-#: When the match lists a query still has to (re)build total at most this
-#: many rows, the tuple pipeline's rebuild is cheaper than the block
-#: pipeline's per-query setup (encoded-store lookups, codec pinning,
-#: block assembly).  Beyond it, vectorized sorting wins.
-DEFAULT_TUPLE_REBUILD_ROWS = 256
-
-
-@dataclass(frozen=True)
-class ExecutorChoice:
-    """One cost-rule decision: which pipeline serves this query, and why."""
-
-    executor: ExecutorKind
-    reason: str
-    resident_patterns: int
-    total_patterns: int
-    missing_rows: int | None
-
-    @property
-    def cache_resident(self) -> bool:
-        return self.resident_patterns == self.total_patterns
-
-
-def choose_executor(
-    query: TriplePatternQuery,
-    catalog: StatisticsCatalog,
-    cache: Container | None = None,
-    block_available: bool = True,
-    tuple_rebuild_rows: int = DEFAULT_TUPLE_REBUILD_ROWS,
-) -> ExecutorChoice:
-    """Pick tuple vs block for one query from catalog statistics.
-
-    The rule mirrors where each pipeline's cost actually goes:
-
-    * every match list the query needs is **resident** in the shared
-      string-list cache (*cache*, keyed by
-      :meth:`~repro.kg.pattern.TriplePattern.key`) → ``"tuple"``: the
-      pull-based pipeline streams straight off the cached sorted lists
-      with top-k early termination and pays no per-query block setup;
-    * some list is cold but the catalog's estimated lengths say the
-      rebuild totals at most *tuple_rebuild_rows* rows → ``"tuple"``:
-      sorting a handful of rows is cheaper than assembling blocks;
-    * otherwise → ``"block"``: the rebuild dominates and the vectorized
-      mask + lexsort over encoded id columns wins by a multiple.  A
-      pattern with **no** catalog statistics counts as an unbounded
-      rebuild (unmeasured means nothing about it is warm).
-
-    ``block_available=False`` (object-graph backend, chain relaxations)
-    forces ``"tuple"`` regardless.  Answers are byte-identical either
-    way, so the rule only ever trades speed, never correctness.
-    """
-    total = len(query.patterns)
-    if not block_available:
-        return ExecutorChoice(
-            executor="tuple",
-            reason="block-unavailable",
-            resident_patterns=0,
-            total_patterns=total,
-            missing_rows=None,
-        )
-    resident = 0
-    missing_rows: int | None = 0
-    for pattern in query.patterns:
-        if cache is not None and pattern.key() in cache:
-            resident += 1
-            continue
-        length = catalog.cached_match_count(pattern)
-        if length is None:
-            missing_rows = None  # unmeasured: assume the worst
-        elif missing_rows is not None:
-            missing_rows += length
-    if resident == total:
-        return ExecutorChoice(
-            executor="tuple",
-            reason="cache-resident",
-            resident_patterns=resident,
-            total_patterns=total,
-            missing_rows=0,
-        )
-    if missing_rows is not None and missing_rows <= tuple_rebuild_rows:
-        return ExecutorChoice(
-            executor="tuple",
-            reason="short-rebuild",
-            resident_patterns=resident,
-            total_patterns=total,
-            missing_rows=missing_rows,
-        )
-    return ExecutorChoice(
-        executor="block",
-        reason="unmeasured-lists" if missing_rows is None else "long-rebuild",
-        resident_patterns=resident,
-        total_patterns=total,
-        missing_rows=missing_rows,
-    )

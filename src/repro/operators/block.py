@@ -40,7 +40,7 @@ import abc
 import threading
 import weakref
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -345,6 +345,14 @@ class EncodedListStore:
     serving a different graph raises — call :meth:`release` first when
     the served graph is legitimately replaced (the runner does on its
     frozen → live wrap).
+
+    Beside the per-pattern lists the store keeps **pre-merged relaxation
+    lists** (:meth:`get_or_merge`): the deduplicated union of a relaxed
+    pattern's own list and its weighted relaxations' lists, which is what
+    a relaxed pattern's operator actually streams.  They are entries of
+    the same LRU — counted against the same capacity, evicted by the same
+    recency, dropped by the same codec refresh — so a resident relaxed
+    request pays for joins and the top-k sink only.
     """
 
     def __init__(self, capacity: int = 512) -> None:
@@ -355,9 +363,11 @@ class EncodedListStore:
         self._owner: "object | None" = None  # weakref.ref to the bound graph
         self._codec: TermCodec | None = None
         self._version = -1
+        #: Keyed by pattern, or by ``(pattern, variant)`` for merged lists.
         self._lists: "OrderedDict[object, EncodedMatchList]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
+        self._counts = dict.fromkeys(
+            ("hits", "misses", "merged_hits", "merged_misses"), 0
+        )
         self._evictions = 0
 
     @property
@@ -426,6 +436,47 @@ class EncodedListStore:
         match-list cache.  Two threads may race to build the same
         pattern; the first insert wins and the loser's copy is dropped.
         """
+        return self._cached(
+            graph,
+            pattern,
+            lambda codec: build_encoded_match_list(graph, pattern, codec),
+            expect_codec,
+            "",
+        )
+
+    def get_or_merge(
+        self,
+        graph,
+        pattern: "TriplePattern",
+        variant: object,
+        merge: "Callable[[], EncodedMatchList]",
+        expect_codec: TermCodec | None = None,
+    ) -> EncodedMatchList:
+        """The pre-merged relaxation list of *pattern*, merged at most
+        once per graph version and *variant*.
+
+        *variant* is everything besides the pattern and the graph version
+        that the merge depends on — the relaxation cap and the rule set's
+        identity and version — as one hashable; *merge* builds the list
+        on a miss (typically :func:`~repro.operators.vector_scan.merge_encoded_lists`
+        over :meth:`get_or_build` inputs).  Same lock, same
+        build-outside-the-lock race, same *expect_codec* check and same
+        LRU as :meth:`get_or_build`; a hit touches neither the rule set
+        nor the input lists.
+        """
+        return self._cached(
+            graph, (pattern, variant), lambda codec: merge(), expect_codec, "merged_"
+        )
+
+    def _cached(
+        self,
+        graph,
+        key: object,
+        build: "Callable[[TermCodec], EncodedMatchList]",
+        expect_codec: TermCodec | None,
+        counter: str,
+    ) -> EncodedMatchList:
+        counts = self._counts
         with self._lock:
             codec = self._refresh_locked(graph)
             if expect_codec is not None and codec is not expect_codec:
@@ -435,13 +486,13 @@ class EncodedListStore:
                     "captured one — do not mutate the graph (or swap its "
                     "backing store) while a query is in flight"
                 )
-            cached = self._lists.get(pattern)
+            cached = self._lists.get(key)
             if cached is not None:
-                self._lists.move_to_end(pattern)
-                self._hits += 1
+                self._lists.move_to_end(key)
+                counts[counter + "hits"] += 1
                 return cached
             version = self._version
-        built = build_encoded_match_list(graph, pattern, codec)
+        built = build(codec)
         with self._lock:
             if self._codec is not codec or self._version != version:
                 # The store moved on (mutation between batches, another
@@ -449,14 +500,14 @@ class EncodedListStore:
                 # must not be cached — hand it back for this query only,
                 # where its ids are consistent with the codec captured
                 # by the caller.
-                self._misses += 1
+                counts[counter + "misses"] += 1
                 return built
-            cached = self._lists.get(pattern)
+            cached = self._lists.get(key)
             if cached is not None:
-                self._hits += 1
+                counts[counter + "hits"] += 1
                 return cached
-            self._misses += 1
-            self._lists[pattern] = built
+            counts[counter + "misses"] += 1
+            self._lists[key] = built
             while len(self._lists) > self._capacity:
                 self._lists.popitem(last=False)
                 self._evictions += 1
@@ -478,13 +529,18 @@ class EncodedListStore:
                 self._lists.clear()
 
     def stats(self) -> dict[str, int]:
-        """Hit/miss/eviction counters plus current shape."""
+        """Hit/miss/eviction counters plus current shape.
+
+        ``hits``/``misses`` count per-pattern lists, ``merged_*`` the
+        pre-merged relaxation lists; ``size`` (and ``evictions``) cover
+        both kinds, ``merged_size`` of them are merged lists.
+        """
         with self._lock:
             return {
-                "hits": self._hits,
-                "misses": self._misses,
+                **self._counts,
                 "evictions": self._evictions,
                 "size": len(self._lists),
+                "merged_size": sum(type(key) is tuple for key in self._lists),
                 "capacity": self._capacity,
                 "version": self._version,
             }

@@ -11,12 +11,17 @@ bitwise-equal to the tuple scan's per-row ``weight * normalized(i)``.
 :class:`VectorIncrementalMerge` is the block twin of
 :class:`~repro.operators.incremental_merge.IncrementalMerge`: one
 operator serving a pattern *and all its relaxations*.  Instead of a lazy
-heap it concatenates the weighted inputs once on first pull, sorts by
-score descending with one stable ``argsort``, and drops duplicate
-bindings past their first (= maximum-score, Definition 8) occurrence
-with one ``np.unique`` — the surviving ``(binding, score)`` multiset is
-exactly the tuple operator's, because dedup-keep-first over a
-score-descending stream is order-independent among equal keys.
+heap it merges the weighted inputs once on first pull with
+:func:`merge_encoded_lists`: concatenate, sort by score descending with
+one stable ``argsort``, and drop duplicate bindings past their first
+(= maximum-score, Definition 8) occurrence with one ``np.unique`` — the
+surviving ``(binding, score)`` multiset is exactly the tuple operator's,
+because dedup-keep-first over a score-descending stream is
+order-independent among equal keys.
+
+The merged list is a pure function of its inputs, so the executor keeps
+it in the :class:`~repro.operators.block.EncodedListStore` and serves a
+relaxed pattern as a plain ``VectorScan(merged, whole_list_pulled=True)``.
 """
 
 from __future__ import annotations
@@ -48,7 +53,11 @@ class VectorScan(BlockOperator):
     list's normalized scores, *pattern_index* the query slot this stream
     fills.  ``tuples_pulled`` and the answer-object counter advance by
     the number of rows sliced (the block engine's rows are its answer
-    objects — see :mod:`repro.operators.block`).
+    objects — see :mod:`repro.operators.block`) — or, with
+    *whole_list_pulled*, by the whole list on the first pull: the
+    accounting of :class:`VectorIncrementalMerge`, whose merge touches
+    every row before the first block leaves, kept when the scan serves
+    that merge's stored output.
     """
 
     def __init__(
@@ -58,6 +67,7 @@ class VectorScan(BlockOperator):
         context: ExecutionContext,
         weight: float = 1.0,
         block_size: int = DEFAULT_BLOCK_SIZE,
+        whole_list_pulled: bool = False,
     ) -> None:
         if not 0.0 < weight <= 1.0:
             raise ExecutionError(f"scan weight must be in (0,1], got {weight}")
@@ -69,6 +79,7 @@ class VectorScan(BlockOperator):
         self._covered = frozenset({pattern_index})
         self._block_size = block_size
         self._position = 0
+        self._whole_list_pulled = whole_list_pulled
 
     @property
     def patterns_covered(self) -> frozenset[int]:
@@ -89,7 +100,10 @@ class VectorScan(BlockOperator):
             return None
         stop = min(start + self._block_size, n)
         self._position = stop
-        pulled = stop - start
+        if self._whole_list_pulled:
+            pulled = n if start == 0 else 0
+        else:
+            pulled = stop - start
         self._context.tuples_pulled += pulled
         self._context.factory.objects_created += pulled
         window = slice(start, stop)
@@ -109,6 +123,43 @@ class VectorScan(BlockOperator):
             f"VectorScan(vars={self._encoded.var_names}, "
             f"rows={len(self._encoded)}, w={self._weight:.3f})"
         )
+
+
+def merge_encoded_lists(
+    inputs: Sequence[tuple[EncodedMatchList, float]], codec: TermCodec
+) -> EncodedMatchList:
+    """The deduplicated, score-descending union of weighted match lists.
+
+    *inputs* are ``(encoded_list, weight)`` pairs binding the same
+    variable names; columns are aligned by name to the first input's
+    order, scores are ``weight * normalized`` elementwise, and of rows
+    with equal bindings only the best-scored survives (Definition 8).
+    A pure function of *inputs* — *codec* only bounds the ids for key
+    packing — so the result may be stored for as long as they are valid.
+    Its scores are final (weights applied), hence ``max_score=1.0``.
+    """
+    var_names = inputs[0][0].var_names
+    scores = np.concatenate([weight * encoded.scores for encoded, weight in inputs])
+    columns = tuple(
+        np.concatenate(
+            [encoded.columns[encoded.var_names.index(name)] for encoded, _ in inputs]
+        )
+        for name in var_names
+    )
+    # Stable sort: equal scores keep input order, like the heap's
+    # prime order — irrelevant for correctness (dedup-keep-first is
+    # order-independent among equal keys) but deterministic.
+    order = np.argsort(-scores, kind="stable")
+    scores = scores[order]
+    columns = tuple(column[order] for column in columns)
+    if len(scores):
+        packed = pack_columns(columns, codec.n_ids, n_rows=len(scores))
+        if packed is None:
+            packed, _ = joint_group_ids(columns, tuple(c[:0] for c in columns))
+        keep = first_occurrence_keep(packed)
+        scores = scores[keep]
+        columns = tuple(column[keep] for column in columns)
+    return EncodedMatchList(var_names, columns, scores, max_score=1.0)
 
 
 class VectorIncrementalMerge(BlockOperator):
@@ -168,39 +219,12 @@ class VectorIncrementalMerge(BlockOperator):
     def n_inputs(self) -> int:
         return len(self._inputs)
 
-    # ------------------------------------------------------------------
-    def _column_of(self, encoded: EncodedMatchList, name: str) -> np.ndarray:
-        return encoded.columns[encoded.var_names.index(name)]
-
     def _prime(self) -> None:
-        scores = np.concatenate(
-            [weight * encoded.scores for encoded, weight in self._inputs]
-        )
-        columns = tuple(
-            np.concatenate(
-                [self._column_of(encoded, name) for encoded, _ in self._inputs]
-            )
-            for name in self._var_names
-        )
-        # Stable sort: equal scores keep input order, like the heap's
-        # prime order — irrelevant for correctness (dedup-keep-first is
-        # order-independent among equal keys) but deterministic.
-        order = np.argsort(-scores, kind="stable")
-        scores = scores[order]
-        columns = tuple(column[order] for column in columns)
-        if len(scores):
-            packed = pack_columns(columns, self._codec.n_ids, n_rows=len(scores))
-            if packed is None:
-                packed, _ = joint_group_ids(
-                    columns, tuple(c[:0] for c in columns)
-                )
-            keep = first_occurrence_keep(packed)
-            scores = scores[keep]
-            columns = tuple(column[keep] for column in columns)
-        self._scores = scores
-        self._columns = columns
-        self._context.tuples_pulled += int(len(scores))
-        self._context.factory.objects_created += int(len(scores))
+        merged = merge_encoded_lists(self._inputs, self._codec)
+        self._scores = merged.scores
+        self._columns = merged.columns
+        self._context.tuples_pulled += len(merged)
+        self._context.factory.objects_created += len(merged)
 
     def next_block(self) -> Block | None:
         if self._scores is None:

@@ -65,17 +65,28 @@ class RelaxationRule:
         return f"({self.domain}  ~>  {self.range}, w={self.weight:.3f})"
 
 
+#: Patterns :meth:`RuleSet.for_pattern` memoises before it starts over.
+_MEMO_LIMIT = 4096
+
+
 class RuleSet:
     """A collection of relaxation rules indexed by domain-pattern key.
 
     Lookups are variable-name agnostic: a rule stored for
     ``?x rdf:type singer`` applies to ``?s rdf:type singer`` (with its
     range renamed accordingly).
+
+    :attr:`version` counts the mutations: anything derived from the
+    set's content (the :meth:`for_pattern` memo here, the block
+    executor's pre-merged relaxation lists) is keyed on it, so a rule
+    added later can never be answered from a stale derivation.
     """
 
     def __init__(self, rules: Iterable[RelaxationRule] | None = None) -> None:
         self._by_key: dict[tuple[str | None, str | None, str | None], list[RelaxationRule]] = {}
         self._count = 0
+        self.version = 0
+        self._renamed: dict[TriplePattern, tuple[RelaxationRule, ...]] = {}
         if rules is not None:
             for rule in rules:
                 self.add(rule)
@@ -86,10 +97,16 @@ class RuleSet:
         for i, existing in enumerate(bucket):
             if existing.range.key() == rule.range.key():
                 bucket[i] = rule
-                return
-        bucket.append(rule)
+                break
+        else:
+            bucket.append(rule)
+            self._count += 1
+        # A replacement can move the rule's rank too: re-sort either way.
         bucket.sort(key=lambda r: (-r.weight, r.range.key()))
-        self._count += 1
+        self.version += 1
+        # A fresh dict, not clear(): a reader racing this add then fills
+        # the dict it started with, which nobody reads again.
+        self._renamed = {}
 
     def add_all(self, rules: Iterable[RelaxationRule]) -> None:
         for rule in rules:
@@ -97,9 +114,18 @@ class RuleSet:
 
     def for_pattern(self, pattern: TriplePattern) -> list[RelaxationRule]:
         """Rules applicable to *pattern*, best weight first, retargeted to
-        *pattern*'s variable names."""
-        stored = self._by_key.get(pattern.key(), [])
-        return [rule.rename_to(pattern) for rule in stored]
+        *pattern*'s variable names (memoised per pattern until the next
+        :meth:`add`; the returned list is the caller's own)."""
+        renamed = self._renamed
+        rules = renamed.get(pattern)
+        if rules is None:
+            if len(renamed) >= _MEMO_LIMIT:  # fresh variable names forever
+                renamed = self._renamed = {}
+            rules = renamed[pattern] = tuple(
+                rule.rename_to(pattern)
+                for rule in self._by_key.get(pattern.key(), ())
+            )
+        return list(rules)
 
     def has_rules_for(self, pattern: TriplePattern) -> bool:
         return bool(self._by_key.get(pattern.key()))

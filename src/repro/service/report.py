@@ -216,12 +216,12 @@ class WorkloadReport:
                 f"{self.extras['result_cache_misses']} misses "
                 f"({self.extras['result_cache_size']} answers cached)"
             )
-        if "auto_executor_mix" in self.extras:
-            mix = self.extras["auto_executor_mix"]
+        if "merged_list_hits" in self.extras:
             lines.append(
-                f"{'auto executor mix':<{width}} "
-                f"tuple={mix['tuple']} block={mix['block']} "
-                f"cached={mix['cached']}"
+                f"{'merged relaxation lists':<{width}} "
+                f"{self.extras['merged_list_hits']} hits / "
+                f"{self.extras['merged_list_misses']} misses "
+                f"({self.extras['merged_list_size']} held)"
             )
         if "updates_applied" in self.extras:
             lines.append(

@@ -39,10 +39,10 @@ from repro.core.config import EngineConfig
 from repro.core.engine import QueryResult, SpecQPEngine
 from repro.core.executor import (
     EXECUTOR_MODES,
-    ExecutorKind,
     ExecutorMode,
     supports_block_execution,
 )
+from repro.core.plan import QueryPlan
 from repro.datasets.workload import Workload
 from repro.errors import ExperimentError
 from repro.kg.delta import GraphUpdate, LiveGraph
@@ -177,11 +177,10 @@ class WorkloadRunner:
         ``"tuple"``, ``"block"`` or ``"auto"`` — the execution strategy
         every worker engine uses (see
         :class:`~repro.core.engine.SpecQPEngine`).  ``"block"`` is the
-        warm-throughput choice on columnar/sharded backends; ``"auto"``
-        resolves tuple vs block *per query* with the catalog cost rule
-        (:func:`~repro.core.planner.choose_executor`) — cache-resident
-        short lists stream through the tuple pipeline, cold or long
-        rebuilds vectorize — and records the mix in the report extras.
+        serving pipeline on columnar/sharded/live backends, ``"auto"``
+        is block wherever the backend has id columns and tuple
+        otherwise (each report row names the pipeline that served it),
+        ``"tuple"`` the paper-faithful reference.
         Answers are byte-identical under all three.  The attribute is
         settable on a live runner (worker engines are rebuilt, and the
         plan cache keys on the executor kind, so toggling never replays
@@ -303,7 +302,7 @@ class WorkloadRunner:
         #: engine: one bounded store of encoded (id-column) match lists,
         #: so a pattern is encoded once per graph version per runner.
         self.encoded_store = EncodedListStore(cache_capacity)
-        self._plans: OrderedDict[object, object] = OrderedDict()
+        self._plans: OrderedDict[object, QueryPlan] = OrderedDict()
         self._plan_hits = 0
         self._plan_lock = threading.Lock()
         self._catalog: StatisticsCatalog | None = None
@@ -439,9 +438,10 @@ class WorkloadRunner:
         Gated on the *effective* executor: a runner pinned to
         ``"tuple"`` never touches the block pipeline, so pre-encoding
         would only inflate ``warmup_seconds`` for lists no query reads.
-        ``"block"`` and ``"auto"`` (which may route any query through
-        the block pipeline) pre-encode whenever the backend supports
-        block execution at all.
+        ``"block"`` and ``"auto"`` pre-encode whenever the backend
+        supports block execution at all.  Only the patterns' own lists:
+        which of them PLANGEN relaxes, and so which merged relaxation
+        lists are worth holding, is known once queries are planned.
         """
         return self._executor in ("block", "auto") and supports_block_execution(
             self.graph
@@ -522,15 +522,6 @@ class WorkloadRunner:
             "plan_cache_hits": self._plan_hits - plan_hits_before,
             "plan_cache_size": len(self._plans),
         }
-        if self._executor == "auto":
-            # Per-query cost-rule decisions, recounted from the outcomes
-            # themselves (each row records which pipeline served it), so
-            # the mix needs no extra locking on the hot path.
-            mix = {"tuple": 0, "block": 0, "cached": 0}
-            for outcome in outcomes:
-                if outcome.executor in mix:
-                    mix[outcome.executor] += 1
-            extras["auto_executor_mix"] = mix
         if result_before is not None:
             result_delta = self.result_cache.stats().since(result_before)
             extras["result_cache_hits"] = result_delta.hits
@@ -544,6 +535,13 @@ class WorkloadRunner:
             extras["encoded_list_misses"] = (
                 encoded_after["misses"] - encoded_before["misses"]
             )
+            extras["merged_list_hits"] = (
+                encoded_after["merged_hits"] - encoded_before["merged_hits"]
+            )
+            extras["merged_list_misses"] = (
+                encoded_after["merged_misses"] - encoded_before["merged_misses"]
+            )
+            extras["merged_list_size"] = encoded_after["merged_size"]
         if self._updates["update_batches"]:
             extras.update(self.update_stats)
             extras["graph_version"] = self.graph.version
@@ -788,12 +786,6 @@ class WorkloadRunner:
             "process_attach_seconds": sum(r.attach_seconds for r in chunk_results),
             "plan_cache_hits": sum(r.plan_hits for r in chunk_results),
         }
-        if self._executor == "auto":
-            mix = {"tuple": 0, "block": 0, "cached": 0}
-            for outcome in outcomes:
-                if outcome is not None and outcome.executor in mix:
-                    mix[outcome.executor] += 1
-            extras["auto_executor_mix"] = mix
         if result_before is not None:
             result_delta = self.result_cache.stats().since(result_before)
             extras["result_cache_hits"] = result_delta.hits
@@ -938,11 +930,8 @@ class WorkloadRunner:
         queries have set semantics — share one PLANGEN decision; the
         cached plan carries its own query object with the same patterns
         and projection, so execution is unaffected), then execution
-        through the executor the runner is pinned to — or, in ``"auto"``
-        mode, the one the cost rule picked when the plan-cache entry was
-        built (resolution rides the plan cache, so a steady-state repeat
-        pays nothing for the choice; every invalidation that clears the
-        plan cache re-runs the rule against the new cache state).
+        through the pipeline the engine resolves the runner's executor
+        mode to.
         """
         engine = self._worker_engine()
         started = time.perf_counter()
@@ -972,28 +961,22 @@ class WorkloadRunner:
                 )
                 return outcome, cached.answers
         plan = None
-        kind: ExecutorKind | None = None
+        kind = engine.resolve_executor(query).executor
         if self.plan_cache:
-            # The executor *mode* is part of the key: plans are built per
-            # strategy, so toggling ``executor=`` on a shared runner can
-            # never replay a plan cached for the other pipeline.  The
-            # entry carries the resolved concrete kind alongside the
-            # plan: in ``"auto"`` mode the cost rule runs once per entry
-            # (per plan-cache generation — updates clear it), so steady
-            # state repeats pay nothing for the per-query choice.
+            # The executor *mode* is part of the key, so toggling
+            # ``executor=`` on a shared runner can never replay a plan
+            # cached under the other mode.
             key = (frozenset(query.patterns), query.projection, k, self._executor)
             with self._plan_lock:
-                entry = self._plans.get(key)
-                if entry is not None:
-                    plan, kind = entry
+                plan = self._plans.get(key)
+                if plan is not None:
                     self._plans.move_to_end(key)
                     self._plan_hits += 1
         if plan is None:
-            kind = engine.resolve_executor(query).executor
             plan = engine.planner.plan(query, k).plan
             if self.plan_cache:
                 with self._plan_lock:
-                    self._plans[key] = (plan, kind)
+                    self._plans[key] = plan
                     self._plans.move_to_end(key)
                     while len(self._plans) > self.cache.capacity:
                         self._plans.popitem(last=False)
@@ -1004,9 +987,9 @@ class WorkloadRunner:
                 version,
                 CachedResult(
                     answers=execution.answers,
-                    n_relaxed=plan.n_relaxed,  # type: ignore[union-attr]
-                    plan=plan.describe(),  # type: ignore[union-attr]
-                    executor=str(kind),
+                    n_relaxed=plan.n_relaxed,
+                    plan=plan.describe(),
+                    executor=kind,
                 ),
             )
         seconds = time.perf_counter() - started
@@ -1016,10 +999,10 @@ class WorkloadRunner:
             n_patterns=len(query),
             seconds=seconds,
             n_answers=len(execution.answers),
-            n_relaxed=plan.n_relaxed,  # type: ignore[union-attr]
-            plan=plan.describe(),  # type: ignore[union-attr]
+            n_relaxed=plan.n_relaxed,
+            plan=plan.describe(),
             top_score=execution.answers[0].score if execution.answers else 0.0,
-            executor=str(kind),
+            executor=kind,
         )
         return outcome, execution.answers
 

@@ -103,29 +103,6 @@ class StatisticsCatalog:
         """``m_i`` for *pattern*."""
         return self.pattern_stats(pattern).m
 
-    def cached_match_count(self, pattern: TriplePattern) -> int | None:
-        """``m_i`` if already computed, else ``None`` — never builds.
-
-        :meth:`match_count` materialises (and sorts) the pattern's match
-        list on a cache miss, which is exactly the work a *cost rule*
-        wants to predict, not perform.  This read-only variant lets the
-        cost-based executor chooser treat "no statistics yet" as its own
-        signal (an unmeasured pattern is a cold one) at dict-lookup cost.
-        """
-        cached = self._stats.get(pattern.key())
-        return cached.m if cached is not None else None
-
-    def estimated_match_lengths(
-        self, query: TriplePatternQuery
-    ) -> tuple[int | None, ...]:
-        """Per-pattern cached ``m_i`` of *query* (``None`` = not measured).
-
-        The executor cost rule's main input: after the workload warm-up
-        precompute these are all cached, so the whole tuple costs a few
-        dict lookups.
-        """
-        return tuple(self.cached_match_count(p) for p in query.patterns)
-
     def cardinality(self, query: TriplePatternQuery) -> int:
         """(Estimated) answer count of *query*."""
         return self.cardinalities.cardinality(query)

@@ -1,5 +1,5 @@
 """Tests for the relax-all-when-insufficient planner extension and the
-catalog-driven executor cost rule.
+``executor="auto"`` resolution.
 
 Algorithm 1 tests one relaxation at a time: when the true top-k needs
 *simultaneous* relaxations of several patterns (every single-relaxed
@@ -7,28 +7,25 @@ query is empty), the paper-faithful planner prunes all relaxations and
 misses the answers.  The extension keeps every relaxable pattern whenever
 the original query cannot fill the top-k.
 
-The cost-rule tests pin :func:`~repro.core.planner.choose_executor`'s
-economics: hot (cache-resident) short-list workloads stream through the
-tuple pipeline, cold long-list workloads vectorize through the block
-pipeline — and because both pipelines are byte-identical, either forced
-choice yields the same answers the rule's pick does.
+The resolution tests pin what ``"auto"`` means since the tuple-vs-block
+cost rule was retired: block wherever the backend has id columns
+(``block-available``), tuple only where blocks cannot run
+(``block-unavailable``: object graph, chain rules) — whatever is or is
+not cached — and because both pipelines are byte-identical, either
+forced choice yields the same answers auto's pick does.
 """
 
 import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import SpecQPEngine
-from repro.core.planner import (
-    DEFAULT_TUPLE_REBUILD_ROWS,
-    choose_executor,
-)
 from repro.kg.columnar import ColumnarGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
 from repro.query.query import TriplePatternQuery
+from repro.relax.chains import ChainRelaxationRule, ChainRuleSet
 from repro.relax.rules import RelaxationRule, RuleSet
 from repro.service import MatchListCache
-from repro.stats.catalog import StatisticsCatalog
 
 
 def tp(name):
@@ -111,9 +108,8 @@ class TestExtension:
         assert config.with_k(20).relax_all_when_insufficient is True
 
 
-def long_list_graph(rows_per_type: int = 2 * DEFAULT_TUPLE_REBUILD_ROWS):
-    """A columnar graph whose every type has far more rows than the
-    tuple-rebuild threshold."""
+def long_list_graph(rows_per_type: int = 512):
+    """A columnar graph with long match lists."""
     kg = KnowledgeGraph()
     for type_name in ("a", "b"):
         for i in range(rows_per_type):
@@ -121,83 +117,64 @@ def long_list_graph(rows_per_type: int = 2 * DEFAULT_TUPLE_REBUILD_ROWS):
     return ColumnarGraph.from_graph(kg, name="long")
 
 
-class TestExecutorCostRule:
-    """The regression net for :func:`choose_executor`'s economics."""
+class TestAutoExecutorResolution:
+    """``auto`` = block where the backend has id columns, tuple otherwise."""
 
-    def test_hot_short_list_workload_picks_tuple(self, music_graph):
-        """Every match list resident in the shared cache → tuple: the
-        pull pipeline streams off the warm lists with no block setup."""
+    def test_hot_short_lists_pick_block(self, music_graph):
+        """Every match list resident in the shared cache — the retired
+        rule's ``tuple`` case — is served by the block pipeline."""
         graph = ColumnarGraph.from_graph(music_graph, name="hot")
         cache = MatchListCache(capacity=64)
-        graph.attach_match_list_cache(cache)
         query = TriplePatternQuery((tp("singer"), tp("lyricist")))
+        engine = SpecQPEngine(
+            graph, RuleSet(), executor="auto", match_list_cache=cache
+        )
         for pattern in query.patterns:
             graph.match_list(pattern)  # warm the cache
-        catalog = StatisticsCatalog(graph)
-        catalog.precompute(queries=[query])
-        choice = choose_executor(query, catalog, cache=cache)
-        assert choice.executor == "tuple"
-        assert choice.reason == "cache-resident"
-        assert choice.cache_resident
-        assert choice.missing_rows == 0
-
-    def test_cold_long_list_workload_picks_block(self):
-        """Nothing resident and the measured rebuild is large → block:
-        the vectorized mask + lexsort amortises the per-query setup."""
-        graph = long_list_graph()
-        query = TriplePatternQuery((tp("a"), tp("b")))
-        catalog = StatisticsCatalog(graph)
-        catalog.precompute(queries=[query])
-        choice = choose_executor(query, catalog, cache=MatchListCache(8))
+        engine.catalog.precompute(queries=[query])
+        choice = engine.resolve_executor(query)
         assert choice.executor == "block"
-        assert choice.reason == "long-rebuild"
-        assert choice.resident_patterns == 0
-        assert choice.missing_rows == 4 * DEFAULT_TUPLE_REBUILD_ROWS
+        assert choice.reason == "block-available"
 
-    def test_unmeasured_patterns_count_as_cold(self):
-        """No catalog statistics at all → assume the worst → block."""
-        graph = long_list_graph()
-        catalog = StatisticsCatalog(graph)  # nothing precomputed
-        query = TriplePatternQuery((tp("a"), tp("b")))
-        choice = choose_executor(query, catalog)
-        assert choice.executor == "block"
-        assert choice.reason == "unmeasured-lists"
-        assert choice.missing_rows is None
+    def test_cold_lists_pick_block_measured_or_not(self, music_graph):
+        """Nothing resident: long lists, short lists (the retired
+        rule's other ``tuple`` case) and unmeasured ones all vectorize."""
+        long_query = TriplePatternQuery((tp("a"), tp("b")))
+        short_query = TriplePatternQuery((tp("singer"), tp("lyricist")))
+        cases = [
+            (long_list_graph(), long_query, True),
+            (long_list_graph(), long_query, False),
+            (ColumnarGraph.from_graph(music_graph, name="short"), short_query, True),
+        ]
+        for graph, query, measured in cases:
+            engine = SpecQPEngine(graph, RuleSet(), executor="auto")
+            if measured:
+                engine.catalog.precompute(queries=[query])
+                graph.invalidate_caches()
+            choice = engine.resolve_executor(query)
+            assert (choice.executor, choice.reason) == ("block", "block-available")
 
-    def test_short_cold_rebuild_still_picks_tuple(self, music_graph):
-        """Cold but tiny lists → tuple: sorting a handful of rows is
-        cheaper than assembling blocks."""
-        graph = ColumnarGraph.from_graph(music_graph, name="short")
-        query = TriplePatternQuery((tp("singer"), tp("lyricist")))
-        catalog = StatisticsCatalog(graph)
-        catalog.precompute(queries=[query])
-        choice = choose_executor(query, catalog, cache=MatchListCache(8))
+    def test_object_graph_forces_tuple(self, music_graph):
+        query = TriplePatternQuery((tp("singer"),))
+        engine = SpecQPEngine(music_graph, RuleSet(), executor="auto")
+        choice = engine.resolve_executor(query)
         assert choice.executor == "tuple"
-        assert choice.reason == "short-rebuild"
-        assert 0 < choice.missing_rows <= DEFAULT_TUPLE_REBUILD_ROWS
+        assert choice.reason == "block-unavailable"
 
-    def test_partial_residency_counts_only_missing_rows(self, music_graph):
-        graph = ColumnarGraph.from_graph(music_graph, name="partial")
-        singer, lyricist = tp("singer"), tp("lyricist")
-        query = TriplePatternQuery((singer, lyricist))
-        catalog = StatisticsCatalog(graph)
-        # Precompute before attaching the cache: building stats
-        # materialises match lists, which would warm every pattern.
-        catalog.precompute(queries=[query])
-        graph.invalidate_caches()
-        cache = MatchListCache(capacity=64)
-        graph.attach_match_list_cache(cache)
-        graph.match_list(singer)  # only one of the two is resident
-        choice = choose_executor(query, catalog, cache=cache)
-        assert choice.resident_patterns == 1
-        assert choice.total_patterns == 2
-        assert choice.missing_rows == catalog.match_count(lyricist)
-
-    def test_block_unavailable_forces_tuple(self):
-        graph = long_list_graph()
-        catalog = StatisticsCatalog(graph)
-        query = TriplePatternQuery((tp("a"),))
-        choice = choose_executor(query, catalog, block_available=False)
+    def test_chain_rules_force_tuple(self, music_graph):
+        graph = ColumnarGraph.from_graph(music_graph, name="chains")
+        chain = ChainRelaxationRule(
+            TriplePattern(var("s"), "rdf:type", "singer"),
+            (
+                TriplePattern(var("s"), "memberOf", var("band")),
+                TriplePattern(var("band"), "rdf:type", "band"),
+            ),
+            0.5,
+        )
+        engine = SpecQPEngine(
+            graph, RuleSet(), executor="auto", chain_rules=ChainRuleSet([chain])
+        )
+        choice = engine.resolve_executor(TriplePatternQuery((tp("singer"),)))
         assert choice.executor == "tuple"
         assert choice.reason == "block-unavailable"
 
@@ -217,9 +194,9 @@ class TestExecutorCostRule:
         assert downgraded.executor == "tuple"
         assert downgraded.reason == "pinned"
 
-    def test_either_forced_executor_matches_the_rules_pick(self, music_graph):
-        """The rule only ever trades speed: forcing tuple, forcing block
-        and letting auto decide all return identical answers."""
+    def test_either_forced_executor_matches_autos_pick(self, music_graph):
+        """The choice only ever trades speed: forcing tuple, forcing
+        block and letting auto decide all return identical answers."""
         hot = ColumnarGraph.from_graph(music_graph, name="force-hot")
         cold = long_list_graph()
         cases = [

@@ -75,6 +75,42 @@ class TestRuleSet:
         assert len(rules) == 1
         assert rules[0].weight == 0.7
 
+    def test_replacement_keeps_best_weight_first(self):
+        """Re-adding a (domain, range) pair with another weight moves its
+        rank too: a truncation to the best rules must not keep it."""
+        rs = RuleSet()
+        rs.add(RelaxationRule(tp("a"), tp("b"), 0.9))
+        rs.add(RelaxationRule(tp("a"), tp("c"), 0.5))
+        rs.add(RelaxationRule(tp("a"), tp("b"), 0.1))
+        rules = rs.for_pattern(tp("a"))
+        assert [(r.range, r.weight) for r in rules] == [(tp("c"), 0.5), (tp("b"), 0.1)]
+        assert len(rs) == 2
+
+    def test_version_counts_every_mutation(self):
+        rs = RuleSet()
+        assert rs.version == 0
+        rs.add(RelaxationRule(tp("a"), tp("b"), 0.5))
+        rs.add(RelaxationRule(tp("a"), tp("b"), 0.6))  # a replacement too
+        assert rs.version == 2
+        rs.add_all([RelaxationRule(tp("a"), tp("c"), 0.4)])
+        assert rs.version == 3
+        assert RuleSet(rs).version == 2  # a copy counts its own adds
+
+    def test_for_pattern_memo_follows_adds_and_stays_private(self):
+        rs = RuleSet([RelaxationRule(tp("a"), tp("b"), 0.5)])
+        first = rs.for_pattern(tp("a", "x"))
+        again = rs.for_pattern(tp("a", "x"))
+        assert first == again and first is not again
+        assert first[0] is again[0]  # renamed once, served twice
+        first.clear()  # the caller's list, not the memo
+        assert len(rs.for_pattern(tp("a", "x"))) == 1
+        assert rs.for_pattern(tp("a", "y"))[0].range == tp("b", "y")
+        rs.add(RelaxationRule(tp("a"), tp("c"), 0.9))
+        assert [r.range for r in rs.for_pattern(tp("a", "x"))] == [
+            tp("c", "x"),
+            tp("b", "x"),
+        ]
+
     def test_n_rules_for(self):
         rs = RuleSet()
         rs.add(RelaxationRule(tp("a"), tp("b"), 0.5))

@@ -309,3 +309,39 @@ def test_apply_updates_waits_for_inflight_batches(music_graph, music_rules):
     batch_thread.join(timeout=5)
     update_thread.join(timeout=5)
     assert ("x", "rdf:type", "singer") in runner.graph
+
+
+def test_auto_serves_blocks_from_merged_lists_where_it_can(tiny_xkg_workload):
+    """``auto`` is block on a backend with id columns — resident lists or
+    not — and a repeated batch is served from pre-merged relaxation
+    lists; on the object graph it is tuple.  Answers never differ."""
+    from repro.datasets.workload import Workload
+    from repro.kg.columnar import ColumnarGraph
+
+    columnar = Workload(
+        "auto-columnar",
+        ColumnarGraph.from_graph(tiny_xkg_workload.graph, name="auto"),
+        tiny_xkg_workload.rules,
+        tiny_xkg_workload.queries,
+    )
+    reference = WorkloadRunner(
+        columnar, executor="tuple", result_cache_capacity=0
+    ).run(k=5)
+    runner = WorkloadRunner(columnar, executor="auto", result_cache_capacity=0)
+    first, second = runner.run(k=5), runner.run(k=5)
+    for report in (first, second):
+        assert {o.executor for o in report.outcomes} == {"block"}
+        assert outcome_signature(report) == outcome_signature(reference)
+    relaxed = sum(o.n_relaxed for o in first.outcomes)
+    assert relaxed > 0
+    assert first.extras["merged_list_misses"] > 0
+    assert second.extras["merged_list_misses"] == 0
+    assert second.extras["merged_list_hits"] == relaxed
+    assert 0 < second.extras["merged_list_size"] <= first.extras["merged_list_misses"]
+    assert "merged relaxation lists" in second.render()
+
+    object_report = WorkloadRunner(
+        tiny_xkg_workload, executor="auto", result_cache_capacity=0
+    ).run(k=5)
+    assert {o.executor for o in object_report.outcomes} == {"tuple"}
+    assert outcome_signature(object_report) == outcome_signature(reference)

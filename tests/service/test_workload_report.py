@@ -103,6 +103,15 @@ def test_render_mentions_everything(report):
     assert "hit rate 75.0%" in text
 
 
+def test_render_reports_merged_relaxation_lists(report):
+    assert "merged relaxation lists" not in report.render()
+    report.extras.update(
+        merged_list_hits=7, merged_list_misses=2, merged_list_size=2
+    )
+    assert "merged relaxation lists 7 hits / 2 misses (2 held)" in report.render()
+    assert report.as_dict()["merged_list_hits"] == 7
+
+
 def test_cache_stats_hit_rate_zero_when_untouched():
     stats = CacheStats(
         hits=0, misses=0, evictions=0, invalidations=0, size=0, capacity=4
