@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from repro.core.config import EngineConfig
 from repro.core.estimator import ExpectedScoreEstimator
 from repro.core.executor import (
+    DEFAULT_ENCODED_CACHE_CAPACITY,
     EXECUTOR_MODES,
     ExecutionResult,
     ExecutorChoice,
@@ -121,10 +122,11 @@ class SpecQPEngine:
         ``"tuple"`` is the paper-faithful reference.  See
         :mod:`repro.operators.block`.
     encoded_cache_capacity:
-        Entry bound of the block executor's encoded match-list store
-        (``None`` = the executor default).  The service layer passes its
-        match-list cache capacity so both executors hold comparable
-        list budgets.
+        Entry bound of the engine's encoded match-list store (``None`` =
+        the executor default), which the block executor serves from and
+        a catalog the engine builds itself counts join cardinalities
+        over.  The service layer passes its match-list cache capacity so
+        both executors hold comparable list budgets.
     encoded_store:
         Optionally share one :class:`~repro.operators.block.EncodedListStore`
         across engines (the block twin of *match_list_cache*); overrides
@@ -163,12 +165,20 @@ class SpecQPEngine:
                     "share one cache across engines or detach the old one first"
                 )
             graph.attach_match_list_cache(match_list_cache)
+        if encoded_store is None:
+            encoded_store = EncodedListStore(
+                DEFAULT_ENCODED_CACHE_CAPACITY
+                if encoded_cache_capacity is None
+                else encoded_cache_capacity
+            )
         self.catalog = catalog or StatisticsCatalog(
             graph,
             mass_fraction=self.config.mass_fraction,
             histogram_kind=self.config.histogram_kind,  # type: ignore[arg-type]
             n_buckets=self.config.n_buckets,
             selectivity_mode=self.config.selectivity_mode,  # type: ignore[arg-type]
+            # Planning then warms the lists execution reads next.
+            encoded_store=encoded_store,
         )
         self.estimator = ExpectedScoreEstimator(self.catalog)
         self.planner = SpecQPPlanner(
@@ -178,11 +188,6 @@ class SpecQPEngine:
         )
         self.chain_rules = chain_rules
         self._executor_mode: ExecutorMode = executor
-        executor_kwargs: dict[str, object] = {}
-        if encoded_cache_capacity is not None:
-            executor_kwargs["encoded_cache_capacity"] = encoded_cache_capacity
-        if encoded_store is not None:
-            executor_kwargs["encoded_store"] = encoded_store
         self.executor = PlanExecutor(
             graph,
             rules,
@@ -191,7 +196,7 @@ class SpecQPEngine:
             # The executor carries both pipelines and falls back to tuple
             # where blocks cannot run, which is what "auto" means.
             executor="block" if executor == "auto" else executor,
-            **executor_kwargs,  # type: ignore[arg-type]
+            encoded_store=encoded_store,
         )
 
     @property

@@ -34,7 +34,7 @@ import numpy as np
 from repro.errors import KnowledgeGraphError
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.index import MatchList, PatternIndex, PatternKey
-from repro.kg.pattern import TriplePattern, Variable
+from repro.kg.pattern import TriplePattern
 from repro.kg.triple import Triple
 
 #: Dtype of the three id columns.  int32 caps the dictionary at ~2.1e9
@@ -709,15 +709,9 @@ class ColumnarPatternIndex(PatternIndex):
     ) -> np.ndarray:
         """Keep only rows where repeated variables bind consistently
         (e.g. ``(?x, p, ?x)`` keeps the diagonal), vectorised."""
-        positions_by_name: dict[str, list[int]] = {}
-        for position, term in enumerate(pattern.terms):
-            if isinstance(term, Variable):
-                positions_by_name.setdefault(term.name, []).append(position)
         columns = (store.subjects, store.predicates, store.objects)
-        for positions in positions_by_name.values():
-            first = positions[0]
-            for other in positions[1:]:
-                rows = rows[columns[first][rows] == columns[other][rows]]
+        for first, other in pattern.repeated_positions:
+            rows = rows[columns[first][rows] == columns[other][rows]]
         return rows
 
     def stats(self) -> dict[str, int]:

@@ -19,6 +19,11 @@ the classic LSM split — an **immutable base** (any
   :func:`~repro.kg.index.merge_match_lists` that reassembles shard
   slices, so overlay reads are bit-for-bit equal to a from-scratch
   rebuild of the final triple set;
+* the block pipeline and the join-cardinality counts never see those
+  string lists: over a store-backed base, :meth:`LiveGraph.overlay_rows`
+  hands :class:`~repro.operators.block.EncodedMatchList` the same view as
+  surviving base-store rows plus the delta's few adds and their splice
+  positions, all from id columns;
 * :meth:`LiveGraph.compact` folds the delta into a fresh immutable base
   (vectorised through :meth:`~repro.kg.columnar.ColumnarStore.with_updates`,
   snapshot-compatible) once it crosses ``compact_threshold`` — the
@@ -48,6 +53,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+import numpy as np
+
 from repro.errors import KnowledgeGraphError
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.index import MatchList, PatternIndex, PatternKey, merge_match_lists
@@ -55,7 +62,7 @@ from repro.kg.pattern import TriplePattern
 from repro.kg.triple import Triple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.kg.columnar import ColumnarGraph
+    from repro.kg.columnar import ColumnarGraph, ColumnarStore
     from repro.kg.sharding import ShardedGraph, ShardLeafInput
 
 #: A fully-bound triple key.
@@ -442,6 +449,9 @@ class LiveGraph(KnowledgeGraph):
                 self._base = ColumnarGraph(new_store, name=base.name)
         else:
             self._base = KnowledgeGraph(self.triples(), name=base.name)
+        # Whoever still holds the superseded base (the caller's original
+        # graph, typically) should not hold its decoded lists with it.
+        base.invalidate_caches()
         self._reset_delta()
         self._version += 1
         self._compactions += 1
@@ -609,7 +619,6 @@ class LiveGraph(KnowledgeGraph):
         if self.delta_size == 0:
             return base.shard_leaf_inputs(pattern)
         key = pattern.key()
-        superseded = self._superseded()
         global_max = 0.0
         inputs: list[ShardLeafInput] = []
         assert self._shard_adds is not None
@@ -622,7 +631,7 @@ class LiveGraph(KnowledgeGraph):
                 n_matches, local_max = len(live_list), live_list.max_score
                 match_list = live_list if n_matches else None
             else:
-                n_base, base_max = self._filtered_peek(shard, pattern, superseded)
+                n_base, base_max = self._filtered_peek(shard, pattern)
                 n_delta = len(delta_list) if delta_list is not None else 0
                 delta_max = delta_list.max_score if delta_list is not None else 0.0
                 n_matches = n_base + n_delta
@@ -638,7 +647,7 @@ class LiveGraph(KnowledgeGraph):
         return global_max, inputs
 
     def _filtered_peek(
-        self, shard: "ColumnarGraph", pattern: TriplePattern, superseded: frozenset[Spo]
+        self, shard: "ColumnarGraph", pattern: TriplePattern
     ) -> tuple[int, float]:
         """``(n_matches, max raw score)`` of a shard's *surviving* base rows.
 
@@ -646,22 +655,81 @@ class LiveGraph(KnowledgeGraph):
         :meth:`~repro.kg.columnar.ColumnarPatternIndex.peek`: one mask,
         one key-exclusion, one max — no decode, no sort.
         """
+        rows = self._surviving_rows(shard.store, pattern)
+        if len(rows) == 0:
+            return 0, 0.0
+        return len(rows), float(shard.store.scores[rows].max())
+
+    def _surviving_rows(
+        self, store: "ColumnarStore", pattern: TriplePattern
+    ) -> np.ndarray:
+        """Rows of *store* (the base's, or one of its shards') that match
+        *pattern* and are not superseded by the delta; unordered."""
         from repro.kg.columnar import ColumnarPatternIndex
 
-        store = shard.store
         rows = store.rows_matching(pattern.key())
         rows = ColumnarPatternIndex._filter_repeated_variables(pattern, rows, store)
+        superseded = self._superseded()
         if superseded and len(rows):
-            # Shard stores share one term dictionary, so the superseded
-            # keys pack once per delta state and mask every shard.
+            # The base store and its shard stores share one term
+            # dictionary, so the superseded keys pack once per delta
+            # state and mask every one of them.
             if self._superseded_packed is None:
                 self._superseded_packed = (store.pack_keys(superseded),)
             rows = store.exclude_keys(
                 rows, superseded, packed_keys=self._superseded_packed[0]
             )
-        if len(rows) == 0:
-            return 0, 0.0
-        return len(rows), float(store.scores[rows].max())
+        return rows
+
+    def overlay_rows(
+        self, pattern: TriplePattern
+    ) -> tuple[np.ndarray, list[tuple[Spo, float]], np.ndarray]:
+        """The live match list of *pattern* as base-store rows plus adds.
+
+        Only over a base with a column store.  Returns ``(rows, adds,
+        slots)``: the surviving rows of the base's store in Definition-5
+        order, the delta's matching ``(spo, raw score)`` adds in
+        Definition-5 order, and for each add the index in *rows* it goes
+        in front of — ``np.insert(rows_column, slots, adds_column)`` is
+        the merged list.  No triple is decoded: positions come from the
+        base's scores, and only where an add ties a run of base rows on
+        score is that run bisected by ``(s, p, o)`` strings.
+        """
+        store: "ColumnarStore" = self._base.store  # type: ignore[attr-defined]
+        rows = store.score_order(self._surviving_rows(store, pattern))
+        bound = [(i, term) for i, term in enumerate(pattern.key()) if term is not None]
+        repeated = pattern.repeated_positions
+        adds = sorted(
+            (
+                (spo, score)
+                for spo, score in self._adds._scores.items()
+                if all(spo[i] == term for i, term in bound)
+                and all(spo[i] == spo[j] for i, j in repeated)
+            ),
+            key=lambda add: (-add[1], add[0]),
+        )
+        if not adds or len(rows) == 0:
+            return rows, adds, np.zeros(len(adds), dtype=np.int64)
+        descending = -store.scores[rows]
+        add_keys = np.array([-score for _, score in adds])
+        slots = np.searchsorted(descending, add_keys, side="left")
+        tie_ends = np.searchsorted(descending, add_keys, side="right")
+        terms = store.term_list()
+        for index in np.nonzero(slots < tie_ends)[0].tolist():
+            spo, lo, hi = adds[index][0], int(slots[index]), int(tie_ends[index])
+            while lo < hi:
+                middle = (lo + hi) // 2
+                row = rows[middle]
+                if (
+                    terms[store.subjects[row]],
+                    terms[store.predicates[row]],
+                    terms[store.objects[row]],
+                ) < spo:
+                    lo = middle + 1
+                else:
+                    hi = middle
+            slots[index] = lo
+        return rows, adds, slots
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -23,6 +23,7 @@ also precomputes the summary statistics the two-bucket histograms need.
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
@@ -161,11 +162,20 @@ class PatternIndex:
     """
 
     def __init__(self, graph: "KnowledgeGraph") -> None:
-        self._graph = graph
+        # Weak: the graph owns its index, and a strong reference back
+        # would leave every dropped graph — its store and decoded match
+        # lists with it — to the cyclic collector instead of refcounting.
+        self._graph_ref = weakref.ref(graph)
         self._built_version = -1
         self._shape_indexes: dict[KeyShape, dict[tuple[str, ...], list[Triple]]] = {}
         self._match_lists: dict[PatternKey, MatchList] = {}
         self._external_cache: MatchListCacheHook | None = None
+
+    @property
+    def _graph(self) -> "KnowledgeGraph":
+        graph = self._graph_ref()
+        assert graph is not None  # only the graph itself holds its index
+        return graph
 
     # ------------------------------------------------------------------
     # Cache hooks

@@ -94,6 +94,19 @@ class TriplePattern:
     def variable_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
+    @property
+    def repeated_positions(self) -> tuple[tuple[int, int], ...]:
+        """``(first, later)`` position pairs that hold the same variable
+        and so must bind equally; empty unless a variable repeats."""
+        first: dict[str, int] = {}
+        pairs = []
+        for position, term in enumerate(self.terms):
+            if isinstance(term, Variable):
+                earlier = first.setdefault(term.name, position)
+                if earlier != position:
+                    pairs.append((earlier, position))
+        return tuple(pairs)
+
     def key(self) -> tuple[str | None, str | None, str | None]:
         """Constants with variables wildcarded — the index lookup key."""
         return tuple(

@@ -169,6 +169,20 @@ def joint_group_ids(
     return inverse[:n_a], inverse[n_a:]
 
 
+def expand_matches(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row pairs of a probe into a sorted key run.
+
+    Probe row ``i`` matches the run's positions ``lo[i] .. lo[i] +
+    counts[i]``.  Returns, one entry per match, the probe row's index and
+    the matched position in the run.
+    """
+    probe_rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    offsets = np.arange(len(probe_rows), dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    return probe_rows, np.repeat(lo, counts) + offsets
+
+
 def first_occurrence_keep(packed: np.ndarray) -> np.ndarray:
     """Indices of the first occurrence of every distinct value, ascending.
 
@@ -178,6 +192,20 @@ def first_occurrence_keep(packed: np.ndarray) -> np.ndarray:
     """
     _, first = np.unique(packed, return_index=True)
     return np.sort(first)
+
+
+def _variable_positions(
+    pattern: "TriplePattern",
+) -> tuple[tuple[str, ...], list[int]]:
+    """The distinct variable names of *pattern* in S-P-O order, and the
+    first position each one occupies."""
+    from repro.kg.pattern import Variable
+
+    first_position: dict[str, int] = {}
+    for position, term in enumerate(pattern.terms):
+        if isinstance(term, Variable):
+            first_position.setdefault(term.name, position)
+    return tuple(first_position), list(first_position.values())
 
 
 class EncodedMatchList:
@@ -215,6 +243,45 @@ class EncodedMatchList:
 
     # ------------------------------------------------------------------
     @classmethod
+    def _from_rows(
+        cls,
+        store: "ColumnarStore",
+        pattern: "TriplePattern",
+        rows: np.ndarray,
+        adds: "Sequence[tuple[tuple[str, str, str], float]]" = (),
+        slots: "np.ndarray | None" = None,
+        codec: "TermCodec | None" = None,
+    ) -> "EncodedMatchList":
+        """*rows* of *store*, already in Definition-5 order, as a list.
+
+        *adds* — ``(spo, raw score)`` rows from outside the store, in
+        Definition-5 order — are encoded through *codec* and inserted in
+        front of ``rows[slots]``.
+        """
+        var_names, positions = _variable_positions(pattern)
+        store_columns = (store.subjects, store.predicates, store.objects)
+        columns = tuple(
+            store_columns[position][rows].astype(np.int64) for position in positions
+        )
+        raw = store.scores[rows]
+        if adds:
+            assert codec is not None and slots is not None
+            encode = codec.encode
+            columns = tuple(
+                np.insert(column, slots, [encode(spo[position]) for spo, _ in adds])
+                for column, position in zip(columns, positions)
+            )
+            raw = np.insert(raw, slots, [score for _, score in adds])
+        if len(raw) == 0:
+            return cls(var_names, columns, np.empty(0, dtype=np.float64), 0.0)
+        max_score = float(raw[0])
+        if max_score > 0:
+            normalized = raw / max_score
+        else:
+            normalized = np.zeros(len(raw), dtype=np.float64)
+        return cls(var_names, columns, normalized, max_score)
+
+    @classmethod
     def from_store(
         cls, store: "ColumnarStore", pattern: "TriplePattern"
     ) -> "EncodedMatchList":
@@ -227,30 +294,29 @@ class EncodedMatchList:
         store-backed :class:`TermCodec` hands out for the same terms.
         """
         from repro.kg.columnar import ColumnarPatternIndex
-        from repro.kg.pattern import Variable
 
         rows = store.rows_matching(pattern.key())
         rows = ColumnarPatternIndex._filter_repeated_variables(pattern, rows, store)
-        rows = store.score_order(rows)
-        store_columns = (store.subjects, store.predicates, store.objects)
-        first_position: dict[str, int] = {}
-        for position, term in enumerate(pattern.terms):
-            if isinstance(term, Variable):
-                first_position.setdefault(term.name, position)
-        var_names = tuple(v.name for v in pattern.variables)
-        columns = tuple(
-            store_columns[first_position[name]][rows].astype(np.int64)
-            for name in var_names
-        )
-        if len(rows) == 0:
-            return cls(var_names, columns, np.empty(0, dtype=np.float64), 0.0)
-        raw = store.scores[rows]
-        max_score = float(raw[0])
-        if max_score > 0:
-            normalized = raw / max_score
-        else:
-            normalized = np.zeros(len(rows), dtype=np.float64)
-        return cls(var_names, columns, normalized, max_score)
+        return cls._from_rows(store, pattern, store.score_order(rows))
+
+    @classmethod
+    def from_live(
+        cls, live, pattern: "TriplePattern", codec: TermCodec
+    ) -> "EncodedMatchList":
+        """The list of a :class:`~repro.kg.delta.LiveGraph` over a
+        store-backed base, sliced from the base's columns.
+
+        The base rows come out of the store as in :meth:`from_store`,
+        minus the rows the delta supersedes; the delta's few matching
+        adds are encoded through *codec* (their terms may be outside the
+        store dictionary) and spliced in at the slots
+        :meth:`~repro.kg.delta.LiveGraph.overlay_rows` computed.  The
+        result is what :meth:`from_match_list` makes of
+        ``live.match_list(pattern)`` — ids, order, scores — without a
+        triple or a string list in between.
+        """
+        rows, adds, slots = live.overlay_rows(pattern)
+        return cls._from_rows(live.base.store, pattern, rows, adds, slots, codec)
 
     @classmethod
     def from_match_list(
@@ -275,24 +341,15 @@ class EncodedMatchList:
         this is the same defense — inconsistent rows are dropped, scores
         of the surviving rows kept verbatim.
         """
-        from repro.kg.pattern import Variable
-
-        positions_by_name: dict[str, list[int]] = {}
-        for position, term in enumerate(pattern.terms):
-            if isinstance(term, Variable):
-                positions_by_name.setdefault(term.name, []).append(position)
-        var_names = tuple(v.name for v in pattern.variables)
-        positions = [positions_by_name[name][0] for name in var_names]
-        repeated = [p for p in positions_by_name.values() if len(p) > 1]
+        var_names, positions = _variable_positions(pattern)
+        repeated = pattern.repeated_positions
         triples = match_list.triples
         normalized = match_list.normalized_scores
         if repeated:
             keep = [
                 row
                 for row, triple in enumerate(triples)
-                if all(
-                    len({triple.spo[p] for p in group}) == 1 for group in repeated
-                )
+                if all(triple.spo[i] == triple.spo[j] for i, j in repeated)
             ]
             triples = tuple(triples[row] for row in keep)
             normalized = tuple(normalized[row] for row in keep)
@@ -315,13 +372,16 @@ def build_encoded_match_list(
     Backends exposing a :class:`~repro.kg.columnar.ColumnarStore` that
     matches the codec's dictionary (columnar and sharded graphs — a
     sharded graph's full store produces exactly the merged Definition-5
-    list) are sliced without decoding; everything else (live overlays,
-    object graphs) goes through the graph's ordinary — and cached —
+    list) are sliced without decoding, and so are live overlays whose
+    base is such a backend; everything else (object graphs, live
+    overlays over them) goes through the graph's ordinary — and cached —
     string match list plus the codec.
     """
-    store = getattr(graph, "store", None)
-    if store is not None and codec.store is store:
-        return EncodedMatchList.from_store(store, pattern)
+    if codec.store is not None:
+        if getattr(graph, "store", None) is codec.store:
+            return EncodedMatchList.from_store(codec.store, pattern)
+        if getattr(getattr(graph, "base", None), "store", None) is codec.store:
+            return EncodedMatchList.from_live(graph, pattern, codec)
     return EncodedMatchList.from_match_list(graph.match_list(pattern), pattern, codec)
 
 

@@ -41,6 +41,7 @@ from repro.operators.block import (
     Block,
     BlockOperator,
     TermCodec,
+    expand_matches,
     joint_group_ids,
     pack_columns,
 )
@@ -251,12 +252,8 @@ class VectorRankJoin(BlockOperator):
         if total == 0:
             return
         self._context.joins_matched += int(np.count_nonzero(counts))
-        probe_rows = np.repeat(np.arange(len(block), dtype=np.int64), counts)
-        starts = np.repeat(lo, counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        stored_rows = order[starts + offsets]
+        probe_rows, positions = expand_matches(lo, counts)
+        stored_rows = order[positions]
         joined_scores = block.scores[probe_rows] + scores[stored_rows]
         own_names = set(own.op.var_names)
         joined_columns = tuple(

@@ -229,7 +229,9 @@ class WorkloadReport:
                 f"{self.extras['updates_applied']} applied in "
                 f"{self.extras['update_batches']} batches, "
                 f"{self.extras['update_compactions']} compactions "
-                f"(graph v{self.extras['graph_version']})"
+                f"(graph v{self.extras['graph_version']}); statistics "
+                f"{self.extras['update_stats_dropped']} dropped, "
+                f"{self.extras['update_stats_kept']} kept"
             )
         if "shards" in self.extras:
             shard_line = (

@@ -37,11 +37,7 @@ from typing import Iterable, Literal, Sequence
 
 from repro.core.config import EngineConfig
 from repro.core.engine import QueryResult, SpecQPEngine
-from repro.core.executor import (
-    EXECUTOR_MODES,
-    ExecutorMode,
-    supports_block_execution,
-)
+from repro.core.executor import EXECUTOR_MODES, ExecutorMode
 from repro.core.plan import QueryPlan
 from repro.datasets.workload import Workload
 from repro.errors import ExperimentError
@@ -332,6 +328,8 @@ class WorkloadRunner:
             "update_compactions": 0,
             "update_cache_purged": 0,
             "update_results_purged": 0,
+            "update_stats_dropped": 0,
+            "update_stats_kept": 0,
             "update_seconds": 0.0,
         }
 
@@ -418,34 +416,16 @@ class WorkloadRunner:
             histogram_kind=self.config.histogram_kind,  # type: ignore[arg-type]
             n_buckets=self.config.n_buckets,
             selectivity_mode=self.config.selectivity_mode,  # type: ignore[arg-type]
+            # Join cardinalities are counted over the lists of the store
+            # the block pipeline serves from, so this precompute leaves
+            # every workload pattern encoded for the first batch.
+            encoded_store=self.encoded_store,
         )
         self._catalog.precompute(queries=queries)
-        if self._pre_encodes_blocks():
-            # The block twin of the precompute above: encode the
-            # workload's patterns into the shared store up front, so the
-            # first measured batch starts as warm as the tuple path
-            # (whose string lists the catalog precompute just built).
-            for pattern in {p for query in queries for p in query.patterns}:
-                self.encoded_store.get_or_build(self.graph, pattern)
         self._catalog_version = self.graph.version
         self._plans.clear()
         self._local = threading.local()  # engines built on the old catalog die
         return time.perf_counter() - started
-
-    def _pre_encodes_blocks(self) -> bool:
-        """Whether warm-up should pre-encode the workload's patterns.
-
-        Gated on the *effective* executor: a runner pinned to
-        ``"tuple"`` never touches the block pipeline, so pre-encoding
-        would only inflate ``warmup_seconds`` for lists no query reads.
-        ``"block"`` and ``"auto"`` pre-encode whenever the backend
-        supports block execution at all.  Only the patterns' own lists:
-        which of them PLANGEN relaxes, and so which merged relaxation
-        lists are worth holding, is known once queries are planned.
-        """
-        return self._executor in ("block", "auto") and supports_block_execution(
-            self.graph
-        )
 
     def _worker_engine(self) -> SpecQPEngine:
         """The calling thread's engine over the shared catalog and cache."""
@@ -1038,8 +1018,9 @@ class WorkloadRunner:
         bump: the shared match-list cache is eagerly swept
         (:meth:`~repro.service.cache.MatchListCache.purge_stale`), the
         plan cache is cleared, and the statistics catalog is refreshed
-        incrementally (:meth:`~repro.stats.catalog.StatisticsCatalog.refresh`)
-        instead of rebuilt.  Pass ``compact=True`` to fold the delta into
+        incrementally (:meth:`~repro.stats.catalog.StatisticsCatalog.refresh`:
+        ``stats_dropped`` / ``stats_kept`` pattern entries) instead of
+        rebuilt.  Pass ``compact=True`` to fold the delta into
         a fresh base afterwards (the runner's ``compact_threshold`` also
         triggers this automatically).
 
@@ -1084,8 +1065,9 @@ class WorkloadRunner:
             )
             with self._plan_lock:
                 self._plans.clear()
+            refreshed = {"dropped": 0, "kept": 0}
             if self._catalog is not None:
-                self._catalog.refresh()
+                refreshed = self._catalog.refresh()
                 self._catalog_version = live.version
             seconds = time.perf_counter() - started
             result: dict[str, object] = {
@@ -1093,6 +1075,8 @@ class WorkloadRunner:
                 "compacted": live.compactions > compactions_before,
                 "cache_purged": purged,
                 "result_cache_purged": results_purged,
+                "stats_dropped": refreshed["dropped"],
+                "stats_kept": refreshed["kept"],
                 "seconds": seconds,
                 "graph_version": live.version,
             }
@@ -1102,6 +1086,8 @@ class WorkloadRunner:
             self._updates["update_compactions"] = live.compactions
             self._updates["update_cache_purged"] += purged
             self._updates["update_results_purged"] += results_purged
+            self._updates["update_stats_dropped"] += refreshed["dropped"]
+            self._updates["update_stats_kept"] = refreshed["kept"]
             self._updates["update_seconds"] += seconds
             if self.worker_model == "process":
                 # Versioned delta shipping: the next batch stamps its

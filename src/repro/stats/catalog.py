@@ -9,11 +9,13 @@ only reads from it at plan time.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Literal, Sequence
 
 from repro.errors import StatisticsError
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern
+from repro.operators.block import EncodedListStore
 from repro.query.query import TriplePatternQuery
 from repro.stats.histogram import (
     DEFAULT_MASS_FRACTION,
@@ -42,6 +44,12 @@ class StatisticsCatalog:
         §4.5.2 multi-bucket ablation.
     selectivity_mode:
         ``"exact"`` (paper's footnote 3) or ``"independence"``.
+    encoded_store:
+        The :class:`~repro.operators.block.EncodedListStore` join
+        cardinalities read their id-column match lists from.  Hand in
+        the store the block executor serves from and planning warms
+        exactly the lists execution reads next; by default the catalog
+        keeps a private bounded store.
     """
 
     def __init__(
@@ -51,6 +59,7 @@ class StatisticsCatalog:
         histogram_kind: HistogramKind = "two-bucket",
         n_buckets: int = 4,
         selectivity_mode: SelectivityMode = "exact",
+        encoded_store: EncodedListStore | None = None,
     ) -> None:
         if histogram_kind not in ("two-bucket", "n-bucket"):
             raise StatisticsError(f"unknown histogram kind {histogram_kind!r}")
@@ -58,7 +67,9 @@ class StatisticsCatalog:
         self.mass_fraction = mass_fraction
         self.histogram_kind = histogram_kind
         self.n_buckets = n_buckets
-        self.cardinalities = JoinCardinalityEstimator(graph, selectivity_mode)
+        self.cardinalities = JoinCardinalityEstimator(
+            graph, selectivity_mode, encoded_store
+        )
         self._stats: dict[tuple[str | None, str | None, str | None], PatternStats] = {}
         self._histograms: dict[
             tuple[str | None, str | None, str | None],
@@ -133,22 +144,19 @@ class StatisticsCatalog:
         """Drop all cached statistics (after graph mutation)."""
         self._stats.clear()
         self._histograms.clear()
-        self.cardinalities = JoinCardinalityEstimator(
-            self._graph, self.cardinalities.mode
-        )
+        self.cardinalities.clear()
 
     def refresh(self) -> dict[str, int]:
         """Incrementally drop only the statistics a live delta invalidated.
 
         A graph with a delta overlay (:class:`repro.kg.delta.LiveGraph`)
         journals the triple keys it mutated; refreshing drains that
-        journal and drops exactly the cached pattern entries a mutated
-        key can match — every untouched pattern keeps its stats and
-        histogram, which on a small delta is almost all of them.  The
-        dropped entries rebuild lazily from the live match lists (which
-        themselves reuse the cached immutable base lists), so a refresh
-        never triggers a full recompute.  Join-cardinality caches mix
-        patterns, so they are rebuilt whenever anything was touched.
+        journal and drops exactly the cached entries a mutated key can
+        match — every untouched pattern keeps its stats and histogram,
+        and every join cardinality over untouched patterns its count,
+        which on a small delta is almost all of them.  The dropped
+        entries rebuild lazily from the live match lists, so a refresh
+        never triggers a full recompute.
 
         Graphs without a delta journal fall back to :meth:`invalidate`.
         Returns ``{"dropped": ..., "kept": ...}`` over the histogram
@@ -164,17 +172,18 @@ class StatisticsCatalog:
             return {"dropped": dropped, "kept": 0}
         dropped = 0
         if touched:
-            for key in list(self._stats.keys() | self._histograms.keys()):
-                if any(
-                    all(bound is None or bound == term for bound, term in zip(key, spo))
-                    for spo in touched
-                ):
-                    self._stats.pop(key, None)
-                    self._histograms.pop(key, None)
-                    dropped += 1
-            self.cardinalities = JoinCardinalityEstimator(
-                self._graph, self.cardinalities.mode
-            )
+            # A pattern key matches a triple iff it equals the triple with
+            # some of its positions wildcarded: eight keys per touched triple.
+            touched_keys = {
+                tuple(term if keep else None for term, keep in zip(spo, mask))
+                for spo in touched
+                for mask in product((True, False), repeat=3)
+            }
+            for key in (self._stats.keys() | self._histograms.keys()) & touched_keys:
+                self._stats.pop(key, None)
+                self._histograms.pop(key, None)
+                dropped += 1
+            self.cardinalities.drop_matching(touched_keys)
         return {"dropped": dropped, "kept": len(self._histograms)}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -336,6 +336,34 @@ class TestCompaction:
             t.spo == ("hot", "p", "w") for t in live.base.shards[0].triples()
         )
 
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_compact_frees_the_old_base_by_refcount(self, sharded):
+        """The superseded base — store, pattern index, decoded lists —
+        must go at the swap, not whenever the cyclic collector next runs;
+        a caller still holding the base keeps the graph, not its lists."""
+        import gc
+        import weakref
+
+        store = ColumnarStore.from_triples(base_triples())
+        base = ShardedGraph(store, 2) if sharded else ColumnarGraph(store)
+        live = LiveGraph(base)
+        gc.collect()
+        gc.disable()
+        try:
+            live.add("e", "p", "x", score=8.0)
+            live.match_list(P_OPEN)  # decodes the base's list on the way
+            first_list = weakref.ref(base.match_list(P_OPEN))
+            live.compact()
+            assert first_list() is None  # though this test still holds *base*
+            second_base = weakref.ref(live.base)
+            live.add("f", "p", "x", score=7.0)
+            live.match_list(P_OPEN)
+            second_list = weakref.ref(live.base.match_list(P_OPEN))
+            live.compact()
+            assert second_base() is None and second_list() is None
+        finally:
+            gc.enable()
+
     def test_auto_compaction_threshold(self):
         live = LiveGraph(columnar_base(), compact_threshold=3)
         live.add("e1", "p", "w", score=1.0)

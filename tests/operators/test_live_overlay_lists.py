@@ -1,0 +1,233 @@
+"""The column-sliced encoded list of a live overlay is, byte for byte,
+``from_match_list(live.match_list(pattern))`` — ids, order, normalised
+scores, ``max_score`` — and is built without a string list."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.kg.columnar import ColumnarGraph, ColumnarStore
+from repro.kg.delta import GraphUpdate, LiveGraph, LivePatternIndex
+from repro.kg.graph import KnowledgeGraph
+from repro.kg.pattern import TriplePattern, var
+from repro.kg.sharding import ShardedGraph
+from repro.kg.triple import Triple
+from repro.operators.block import (
+    EncodedListStore,
+    EncodedMatchList,
+    TermCodec,
+    build_encoded_match_list,
+)
+
+S_P_O = TriplePattern(var("s"), "p", var("o"))
+S_P_X = TriplePattern(var("s"), "p", "x")
+ALL = TriplePattern(var("s"), var("r"), var("o"))
+DIAGONAL = TriplePattern(var("n"), "p", var("n"))
+PATTERNS = (S_P_O, S_P_X, ALL, DIAGONAL, TriplePattern("b", "p", var("o")))
+
+
+def base_triples() -> list[Triple]:
+    return [
+        Triple("b", "p", "x", 5.0),
+        Triple("d", "p", "x", 5.0),
+        Triple("a", "p", "y", 3.0),
+        Triple("c", "p", "c", 3.0),
+        Triple("e", "p", "x", 1.0),
+        Triple("b", "q", "y", 4.0),
+    ]
+
+
+def live_over(kind: str) -> LiveGraph:
+    store = ColumnarStore.from_triples(base_triples())
+    if kind == "columnar":
+        return LiveGraph(ColumnarGraph(store, name="base"))
+    return LiveGraph(ShardedGraph(store, 3, strategy=kind, name="base"))
+
+
+BASES = ("columnar", "hash-subject", "score-range")
+
+
+def assert_sliced_is_encoded_string_list(live: LiveGraph, pattern, monkeypatch=None):
+    codec = TermCodec(live.base.store)
+    # String lists are cached by pattern key, under which (?n p ?n) and
+    # (?s p ?o) collide: build the reference from a cold cache.
+    live.invalidate_caches()
+    reference = EncodedMatchList.from_match_list(
+        live.match_list(pattern), pattern, codec
+    )
+    if monkeypatch is not None:
+        # The sliced build may not fall back on the string overlay.
+        monkeypatch.setattr(
+            LivePatternIndex,
+            "_build_match_list",
+            lambda *args: pytest.fail("string overlay built"),
+        )
+        live.invalidate_caches()
+    sliced = build_encoded_match_list(live, pattern, codec)
+    assert sliced.var_names == reference.var_names
+    assert len(sliced.columns) == len(reference.columns)
+    for column, expected in zip(sliced.columns, reference.columns):
+        assert column.dtype == expected.dtype == np.int64
+        assert column.tobytes() == expected.tobytes()
+    assert sliced.scores.dtype == np.float64
+    assert sliced.scores.tobytes() == reference.scores.tobytes()
+    assert sliced.max_score == reference.max_score
+    return sliced, codec
+
+
+@pytest.mark.parametrize("kind", BASES)
+class TestColumnSlicedOverlay:
+    def test_clean_overlay_is_the_base_slice(self, kind, monkeypatch):
+        live = live_over(kind)
+        for pattern in PATTERNS:
+            assert_sliced_is_encoded_string_list(live, pattern)
+        assert_sliced_is_encoded_string_list(live, S_P_O, monkeypatch)
+
+    def test_add_tying_base_rows_on_both_sides(self, kind, monkeypatch):
+        # (c, p, x) ties b and d at 5.0 and sorts between them; a..
+        # sorts in front of the run, z.. behind it.
+        live = live_over(kind)
+        live.apply_updates(
+            [
+                GraphUpdate.add("c", "p", "x", 5.0),
+                GraphUpdate.add("a", "p", "x", 5.0),
+                GraphUpdate.add("z", "p", "x", 5.0),
+                GraphUpdate.add("bb", "p", "a", 3.0),
+            ]
+        )
+        for pattern in PATTERNS:
+            assert_sliced_is_encoded_string_list(live, pattern)
+        sliced, codec = assert_sliced_is_encoded_string_list(live, S_P_X, monkeypatch)
+        assert [codec.decode(i) for i in sliced.columns[0].tolist()] == [
+            "a", "b", "c", "d", "z", "e",
+        ]
+
+    def test_fresh_terms_outside_the_dictionary(self, kind, monkeypatch):
+        live = live_over(kind)
+        live.apply_updates(
+            [
+                GraphUpdate.add("fresh-subject", "p", "x", 4.5),
+                GraphUpdate.add("b", "p", "fresh-object", 0.5),
+                GraphUpdate.add("fresh-subject", "fresh-predicate", "y", 7.0),
+            ]
+        )
+        assert live.base.store.term_id("fresh-subject") is None
+        for pattern in PATTERNS:
+            assert_sliced_is_encoded_string_list(live, pattern)
+        sliced, codec = assert_sliced_is_encoded_string_list(live, ALL, monkeypatch)
+        side = [i for i in sliced.columns[0].tolist() if i >= codec.n_base]
+        assert {codec.decode(i) for i in side} == {"fresh-subject"}
+
+    def test_tombstones_and_overwrites(self, kind, monkeypatch):
+        live = live_over(kind)
+        live.apply_updates(
+            [
+                GraphUpdate.remove("d", "p", "x"),
+                GraphUpdate.add("e", "p", "x", 4.0),  # overwrite, moves up
+                GraphUpdate.add("b", "p", "x", 0.25),  # overwrite, moves down
+                GraphUpdate.remove("c", "p", "c"),
+            ]
+        )
+        for pattern in PATTERNS:
+            assert_sliced_is_encoded_string_list(live, pattern)
+        sliced, codec = assert_sliced_is_encoded_string_list(live, S_P_X, monkeypatch)
+        assert [codec.decode(i) for i in sliced.columns[0].tolist()] == ["e", "b"]
+        assert sliced.max_score == 4.0
+
+    def test_rescored_row_becomes_the_maximum(self, kind, monkeypatch):
+        live = live_over(kind)
+        live.apply_updates([GraphUpdate.add("e", "p", "x", 40.0)])
+        for pattern in PATTERNS:
+            assert_sliced_is_encoded_string_list(live, pattern)
+        sliced, _ = assert_sliced_is_encoded_string_list(live, S_P_O, monkeypatch)
+        assert sliced.max_score == 40.0
+        assert sliced.scores.tolist()[:2] == [1.0, 5.0 / 40.0]
+
+    def test_empty_lists(self, kind, monkeypatch):
+        live = live_over(kind)
+        live.apply_updates(
+            [GraphUpdate.remove("b", "q", "y"), GraphUpdate.add("k", "p", "x", 2.0)]
+        )
+        everything_tombstoned = TriplePattern(var("s"), "q", var("o"))
+        never_matched = TriplePattern(var("s"), "no-such-predicate", var("o"))
+        for pattern in (everything_tombstoned, never_matched):
+            sliced, _ = assert_sliced_is_encoded_string_list(live, pattern)
+            assert len(sliced) == 0 and sliced.max_score == 0.0
+        assert_sliced_is_encoded_string_list(live, never_matched, monkeypatch)
+
+    def test_repeated_variable_delta_rows(self, kind, monkeypatch):
+        live = live_over(kind)
+        live.apply_updates(
+            [GraphUpdate.add("m", "p", "m", 3.0), GraphUpdate.add("m", "p", "n", 9.0)]
+        )
+        sliced, codec = assert_sliced_is_encoded_string_list(live, DIAGONAL, monkeypatch)
+        assert [codec.decode(i) for i in sliced.columns[0].tolist()] == ["c", "m"]
+
+    def test_after_compaction(self, kind, monkeypatch):
+        live = live_over(kind)
+        live.apply_updates(
+            [GraphUpdate.add("fresh", "p", "x", 5.0), GraphUpdate.remove("a", "p", "y")]
+        )
+        live.compact()
+        live.apply_updates([GraphUpdate.add("fresher", "p", "x", 5.0)])
+        for pattern in PATTERNS:
+            assert_sliced_is_encoded_string_list(live, pattern)
+        assert_sliced_is_encoded_string_list(live, S_P_X, monkeypatch)
+
+
+def test_store_serves_the_sliced_list_and_object_bases_keep_the_string_path():
+    live = live_over("columnar")
+    live.apply_updates([GraphUpdate.add("fresh", "p", "x", 6.0)])
+    store = EncodedListStore()
+    served = store.get_or_build(live, S_P_X)
+    assert live.index_stats()["match_lists"] == 0  # nothing decoded on the way
+    reference = EncodedMatchList.from_match_list(
+        live.match_list(S_P_X), S_P_X, store.codec(live)
+    )
+    assert served.columns[0].tolist() == reference.columns[0].tolist()
+
+    over_objects = LiveGraph(KnowledgeGraph(base_triples()))
+    over_objects.apply_updates([GraphUpdate.add("fresh", "p", "x", 6.0)])
+    EncodedListStore().get_or_build(over_objects, S_P_X)
+    assert over_objects.index_stats()["match_lists"] == 1
+
+
+TERMS = ("a", "b", "c", "x", "y")
+keys = st.tuples(
+    st.sampled_from(TERMS + ("new",)),
+    st.sampled_from(("p", "q")),
+    st.sampled_from(TERMS + ("new",)),
+)
+# Few distinct scores, so ties — between base rows, between delta rows and
+# across the two — are the common case.
+scores = st.sampled_from((1.0, 2.0, 2.0, 7.0))
+updates = st.lists(
+    st.one_of(
+        st.builds(lambda key, score: GraphUpdate.add(*key, score), keys, scores),
+        st.builds(lambda key: GraphUpdate.remove(*key), keys),
+    ),
+    max_size=8,
+)
+terms = st.one_of(st.sampled_from(TERMS + ("new", "p", "q")), st.sampled_from("uv").map(var))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.dictionaries(keys, scores, min_size=1, max_size=12),
+    batch=updates,
+    pattern=st.builds(TriplePattern, terms, terms, terms),
+    shards=st.sampled_from((1, 2)),
+)
+def test_sliced_overlay_matches_the_string_overlay(seed, batch, pattern, shards):
+    store = ColumnarStore.from_triples(Triple(*k, s) for k, s in seed.items())
+    base = (
+        ColumnarGraph(store)
+        if shards == 1
+        else ShardedGraph(store, shards, strategy="score-range")
+    )
+    live = LiveGraph(base)
+    live.apply_updates(batch)
+    assert_sliced_is_encoded_string_list(live, pattern)

@@ -215,42 +215,33 @@ class TestRunnerIntegration:
         assert again.extras["result_cache_hits"] == len(queries)
 
 
-class TestWarmUpPreEncodingGate:
-    """warm_up only pre-encodes block lists when the block pipeline can
-    actually serve: pinned-tuple runners must not pay for (or hold) lists
-    no query will ever read."""
+class TestWarmUpEncodesThroughPlanning:
+    """warm_up counts join cardinalities over the runner's shared encoded
+    store, so it leaves every workload pattern encoded exactly once —
+    whatever the executor or backend, with no separate pre-encoding pass."""
 
-    def _columnar_workload(self, tiny_xkg_workload, name):
-        return Workload(
-            name,
-            ColumnarGraph.from_graph(tiny_xkg_workload.graph, name=name),
+    @pytest.mark.parametrize("mode", ["tuple", "block", "auto"])
+    def test_columnar_runner_holds_every_pattern(self, tiny_xkg_workload, mode):
+        workload = Workload(
+            f"warm-{mode}",
+            ColumnarGraph.from_graph(tiny_xkg_workload.graph, name=f"warm-{mode}"),
             tiny_xkg_workload.rules,
             tiny_xkg_workload.queries,
         )
-
-    def test_tuple_runner_skips_pre_encoding(self, tiny_xkg_workload):
-        workload = self._columnar_workload(tiny_xkg_workload, "gate-tuple")
-        runner = WorkloadRunner(workload, executor="tuple")
-        assert not runner._pre_encodes_blocks()
-        runner.warm_up()
-        assert len(runner.encoded_store) == 0
-
-    @pytest.mark.parametrize("mode", ["block", "auto"])
-    def test_block_and_auto_runners_pre_encode(self, tiny_xkg_workload, mode):
-        workload = self._columnar_workload(tiny_xkg_workload, f"gate-{mode}")
         runner = WorkloadRunner(workload, executor=mode)
-        assert runner._pre_encodes_blocks()
         runner.warm_up()
         patterns = {p for q in workload.queries for p in q.patterns}
-        assert len(runner.encoded_store) == len(patterns)
+        stats = runner.encoded_store.stats()
+        assert stats["size"] == stats["misses"] == len(patterns)
 
-    def test_object_backend_never_pre_encodes(self, tiny_xkg_workload):
-        # The object graph cannot execute blocks at all; "block" falls
-        # back to tuple and pre-encoding would build unusable lists.
+    def test_object_backend_encodes_through_the_side_table(self, tiny_xkg_workload):
+        # No id columns to slice: the codec interns every term, and the
+        # counts still come from the shared store.
         runner = WorkloadRunner(tiny_xkg_workload, executor="block")
-        assert not runner._pre_encodes_blocks()
         runner.warm_up()
-        assert len(runner.encoded_store) == 0
+        patterns = {p for q in tiny_xkg_workload.queries for p in q.patterns}
+        assert len(runner.encoded_store) == len(patterns)
+        assert runner.catalog.cardinalities._lists is runner.encoded_store
 
 
 class TestConcurrencyNeverServesStale:

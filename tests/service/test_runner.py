@@ -181,11 +181,22 @@ def test_apply_updates_wraps_serves_and_invalidates(music_graph, music_rules):
     # The workload's original graph object was never mutated.
     assert ("megastar", "rdf:type", "singer") not in music_graph
 
-    # Subsequent updates purge the entries the last batch populated.
+    # The wrap discarded the catalog with the frozen graph: nothing to refresh.
+    assert result["stats_dropped"] == result["stats_kept"] == 0
+
+    # Subsequent updates purge the entries the last batch populated, and
+    # refresh the catalog: only what a singer triple can match goes.
+    patterns = len({p.key() for q in runner.workload.queries for p in q.patterns})
     result2 = runner.apply_updates(
         [GraphUpdate.add("anotherstar", "rdf:type", "singer", 2000.0)]
     )
     assert result2["cache_purged"] >= 1
+    assert result2["stats_dropped"] == 1
+    assert result2["stats_kept"] == len(runner.catalog._histograms) >= patterns - 1
+    report = runner.run(k=3)
+    assert report.extras["update_stats_dropped"] == 1
+    assert report.extras["update_stats_kept"] == result2["stats_kept"]
+    assert "statistics 1 dropped" in report.render()
 
 
 def test_apply_updates_answers_match_fresh_runner(music_graph, music_rules):

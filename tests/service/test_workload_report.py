@@ -112,6 +112,22 @@ def test_render_reports_merged_relaxation_lists(report):
     assert report.as_dict()["merged_list_hits"] == 7
 
 
+def test_render_reports_live_updates_and_refreshed_statistics(report):
+    assert "live updates" not in report.render()
+    report.extras.update(
+        updates_applied=16,
+        update_batches=2,
+        update_compactions=1,
+        graph_version=9,
+        update_stats_dropped=5,
+        update_stats_kept=120,
+    )
+    assert (
+        "16 applied in 2 batches, 1 compactions (graph v9); "
+        "statistics 5 dropped, 120 kept" in report.render()
+    )
+
+
 def test_cache_stats_hit_rate_zero_when_untouched():
     stats = CacheStats(
         hits=0, misses=0, evictions=0, invalidations=0, size=0, capacity=4

@@ -85,3 +85,85 @@ class TestCardinalityAndPrecompute:
         catalog.invalidate()
         graph.add("new", "rdf:type", "t1", score=500)
         assert catalog.match_count(tp("t1")) == 8
+
+
+class TestTargetedRefresh:
+    """refresh() after a write leaves the catalog answering like a fresh
+    one, having dropped only what the batch could have changed."""
+
+    TYPES = tuple(f"t{i}" for i in range(6))
+
+    def _live(self, rng):
+        from repro.kg.columnar import ColumnarGraph
+        from repro.kg.delta import LiveGraph
+
+        kg = KnowledgeGraph()
+        for entity in range(40):
+            for type_name in rng.sample(self.TYPES, 3):
+                kg.add(f"e{entity}", "rdf:type", type_name, score=rng.randint(1, 9))
+        return LiveGraph(ColumnarGraph.from_graph(kg), compact_threshold=10)
+
+    def _queries(self):
+        types = self.TYPES
+        return [
+            TriplePatternQuery((tp(a), tp(b), tp(c)))
+            for a, b, c in zip(types, types[1:], types[2:])
+        ] + [TriplePatternQuery((tp("t0", "s"), tp("t5", "other")))]
+
+    @pytest.mark.parametrize("mode", ["exact", "independence"])
+    def test_random_batches_against_a_fresh_catalog(self, mode):
+        import random
+
+        from repro.kg.delta import GraphUpdate
+
+        rng = random.Random(11)
+        live = self._live(rng)
+        queries = self._queries()
+        catalog = StatisticsCatalog(live, selectivity_mode=mode)
+        catalog.precompute(queries=queries)
+        kept_some = False
+        for _ in range(12):
+            touched_types = rng.sample(self.TYPES, 2)
+            batch = [
+                GraphUpdate.add(f"e{rng.randrange(50)}", "rdf:type", t, rng.randint(1, 9))
+                for t in touched_types
+            ] + [GraphUpdate.remove(f"e{rng.randrange(40)}", "rdf:type", touched_types[0])]
+            live.apply_updates(batch)
+            before = dict(catalog.cardinalities._exact_cache)
+            catalog.refresh()
+            survivors = catalog.cardinalities._exact_cache
+            untouched = {
+                patterns
+                for patterns in before
+                if not any(p.object in touched_types for p in patterns)
+            }
+            assert untouched <= set(survivors)
+            kept_some = kept_some or bool(untouched)
+            fresh = StatisticsCatalog(live.thaw(), selectivity_mode=mode)
+            for patterns, count in survivors.items():
+                assert count == fresh.cardinality(TriplePatternQuery(tuple(patterns)))
+            for query in queries:
+                assert catalog.cardinalities.prefix_cardinalities(
+                    query
+                ) == fresh.cardinalities.prefix_cardinalities(query)
+                for pattern in query.patterns:
+                    assert catalog.pattern_stats(pattern) == fresh.pattern_stats(pattern)
+        assert live.compactions >= 1
+        assert kept_some or mode == "independence"
+
+    def test_journal_overflow_drops_every_count(self, monkeypatch):
+        import random
+
+        from repro.kg import delta
+        from repro.kg.delta import GraphUpdate
+
+        live = self._live(random.Random(3))
+        catalog = StatisticsCatalog(live)
+        catalog.precompute(queries=self._queries())
+        assert catalog.cardinalities.cache_size
+        monkeypatch.setattr(delta, "MAX_TOUCHED_JOURNAL", 1)
+        live.apply_updates(
+            [GraphUpdate.add("x", "rdf:type", "t0"), GraphUpdate.add("y", "rdf:type", "t1")]
+        )
+        assert catalog.refresh()["kept"] == 0
+        assert catalog.cardinalities.cache_size == 0
