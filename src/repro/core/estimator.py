@@ -4,7 +4,8 @@ Given the statistics catalog, the estimator builds the score distribution
 of a query's answers by repeatedly convolving per-pattern densities
 (§3.1.2) and refitting a two-bucket histogram after each step, then reads
 expected scores at ranks off the final distribution using the
-order-statistics rule (§3.1.3).
+order-statistics rule (§3.1.3).  The answer count is read first: a rank
+the query cannot fill scores 0.0 without any density being convolved.
 
 Relaxations enter through :meth:`query_distribution`'s ``replace``
 argument: the planner substitutes one pattern's histogram with the
@@ -15,13 +16,14 @@ scores are ``w · S(t|q')``, so the support contracts by ``w``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import EstimationError
 from repro.kg.pattern import TriplePattern
 from repro.query.query import TriplePatternQuery
 from repro.stats.catalog import StatisticsCatalog
 from repro.stats.histogram import NBucketHistogram, TwoBucketHistogram
-from repro.stats.order_statistics import expected_kth_score, expected_top_score
+from repro.stats.order_statistics import expected_kth_score
 from repro.stats.piecewise import PiecewiseConstantDensity, convolve
 
 
@@ -29,24 +31,40 @@ from repro.stats.piecewise import PiecewiseConstantDensity, convolve
 class QueryDistribution:
     """The estimated score distribution of a query's answer set.
 
-    ``density`` is normalised (total mass 1); ``count`` is the estimated
-    number of answers.  ``count == 0`` means the estimator believes the
-    query has no answers at all, and every expected score is 0.
+    ``count`` is the estimated number of answers; ``count == 0`` means
+    the estimator believes the query has no answers at all, and every
+    expected score is 0.  ``histograms`` holds one (weight-scaled)
+    histogram per pattern slot; ``density`` — their repeated
+    convolve→refit, total mass 1 — is computed when first read, which
+    :meth:`expected_score_at` does only for a rank the query can fill.
     """
 
-    density: PiecewiseConstantDensity | None
+    histograms: tuple[TwoBucketHistogram | NBucketHistogram, ...]
     count: int
+    mass_fraction: float
+
+    @cached_property
+    def density(self) -> PiecewiseConstantDensity | None:
+        if self.count <= 0:
+            return None
+        current = self.histograms[0].to_density().normalized()
+        for histogram in self.histograms[1:]:
+            current = TwoBucketHistogram.refit(
+                convolve(current, histogram.to_density()),
+                count=self.count,
+                mass_fraction=self.mass_fraction,
+            ).to_density()
+        return current
 
     def expected_score_at(self, rank: int) -> float:
         """Expected score of the answer at *rank* (1 = best)."""
-        if self.count <= 0 or self.density is None:
+        if self.count <= 0 or self.count < rank:
+            # Order statistics give 0.0 whatever the density is.
             return 0.0
         return expected_kth_score(self.density, rank, self.count)
 
     def expected_top(self) -> float:
-        if self.count <= 0 or self.density is None:
-            return 0.0
-        return expected_top_score(self.density, self.count)
+        return self.expected_score_at(1)
 
 
 class ExpectedScoreEstimator:
@@ -91,46 +109,24 @@ class ExpectedScoreEstimator:
         effective_patterns: list[TriplePattern] = []
         histograms: list[TwoBucketHistogram | NBucketHistogram] = []
         for pattern in query.patterns:
-            if pattern in replace:
-                relaxed, weight = replace[pattern]
-                effective_patterns.append(relaxed)
-                histograms.append(self.pattern_histogram(relaxed, weight))
-            else:
-                effective_patterns.append(pattern)
-                histograms.append(self.pattern_histogram(pattern))
+            relaxed, weight = replace.get(pattern, (pattern, 1.0))
+            effective_patterns.append(relaxed)
+            histograms.append(self.pattern_histogram(relaxed, weight))
 
         if any(h.is_degenerate for h in histograms):
             # Some pattern has no matches: the whole query is empty.
-            return QueryDistribution(density=None, count=0)
+            return QueryDistribution((), 0, self._catalog.mass_fraction)
 
-        # Cardinality of each slot prefix.  Two slots may hold the same
-        # pattern (a relaxation may collide with another slot's pattern);
-        # duplicates do not change the answer set, so they are dropped for
-        # counting while still contributing their histogram to the sum.
-        prefix_counts: list[int] = []
-        for end in range(1, len(effective_patterns) + 1):
-            distinct: list[TriplePattern] = []
-            for candidate in effective_patterns[:end]:
-                if candidate not in distinct:
-                    distinct.append(candidate)
-            prefix_counts.append(
-                self._catalog.cardinalities.cardinality(
-                    TriplePatternQuery(tuple(distinct))
-                )
-            )
-        if prefix_counts[-1] <= 0:
-            return QueryDistribution(density=None, count=0)
-
-        current = histograms[0].to_density().normalized()
-        for histogram, count in zip(histograms[1:], prefix_counts[1:]):
-            convolved = convolve(current, histogram.to_density().normalized())
-            refit = TwoBucketHistogram.refit(
-                convolved,
-                count=max(count, 1),
-                mass_fraction=self._catalog.mass_fraction,
-            )
-            current = refit.to_density().normalized()
-        return QueryDistribution(density=current, count=prefix_counts[-1])
+        # Two slots may hold the same pattern (a relaxation may collide
+        # with another slot's pattern); duplicates do not change the
+        # answer set, so they are dropped for counting while still
+        # contributing their histogram to the sum.
+        count = self._catalog.cardinality(
+            TriplePatternQuery(tuple(dict.fromkeys(effective_patterns)))
+        )
+        return QueryDistribution(
+            tuple(histograms), count, self._catalog.mass_fraction
+        )
 
     # ------------------------------------------------------------------
     def expected_kth(self, query: TriplePatternQuery, k: int) -> float:

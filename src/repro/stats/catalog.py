@@ -124,7 +124,8 @@ class StatisticsCatalog:
         patterns: Sequence[TriplePattern] = (),
         queries: Sequence[TriplePatternQuery] = (),
     ) -> dict[str, int]:
-        """Warm all caches for a workload (the offline phase).
+        """Warm what PLANGEN reads for a workload (the offline phase):
+        the histogram of every pattern and each query's answer count.
 
         Returns a small summary dict for logging/tests.
         """

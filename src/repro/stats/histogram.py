@@ -19,8 +19,8 @@ quantile buckets — the "multi-bucket histograms" the paper suggests in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from repro.errors import HistogramError
@@ -180,45 +180,38 @@ class TwoBucketHistogram:
             raise HistogramError(
                 f"mass_fraction must be in (0,1), got {mass_fraction}"
             )
-        normalized = density.normalized()
-        lo, hi = normalized.support
+        if isinstance(density, PiecewiseConstantDensity):
+            density = density.to_linear()
+        lo, hi = density.support
         if hi <= 0:
             return cls(sigma=0.0, high=1.0, beta=0.0, count=count)
-        total_score_mass = normalized.partial_expectation(max(lo, 0.0))
+        # σ is a ratio of score masses, so the density's scale drops out:
+        # nothing is normalised here.
+        total_score_mass = density.partial_expectation(max(lo, 0.0))
         if total_score_mass <= 0:
             return cls(sigma=0.0, high=hi, beta=0.0, count=count)
-        target = mass_fraction * total_score_mass
-
-        # partial_expectation(c) decreases monotonically in c: bisect.
-        # 48 halvings give ~3e-15 relative precision — well below any
-        # score granularity the estimator can observe.
-        lo_c, hi_c = max(lo, 0.0), hi
-        for _ in range(48):
-            mid = (lo_c + hi_c) / 2.0
-            if normalized.partial_expectation(mid) >= target:
-                lo_c = mid
-            else:
-                hi_c = mid
-        sigma = (lo_c + hi_c) / 2.0
+        sigma = density.inverse_partial_expectation(mass_fraction * total_score_mass)
         sigma = min(max(sigma, 0.0), hi * (1.0 - _MIN_REL_WIDTH))
         return cls(sigma=sigma, high=hi, beta=mass_fraction, count=count)
 
     # ------------------------------------------------------------------
     # Density view
     # ------------------------------------------------------------------
-    def to_density(self) -> PiecewiseConstantDensity:
-        """The pdf of §3.1.1 as a piecewise-constant density."""
+    @cached_property
+    def _density(self) -> PiecewiseConstantDensity:
         sigma = min(max(self.sigma, self.high * _MIN_REL_WIDTH),
                     self.high * (1.0 - _MIN_REL_WIDTH))
-        low_mass = max(1.0 - self.beta, 0.0)
-        high_mass = self.beta
-        buckets = []
-        if low_mass > 0:
-            buckets.append(Bucket(0.0, sigma, low_mass))
-        else:
-            buckets.append(Bucket(0.0, sigma, 0.0))
-        buckets.append(Bucket(sigma, self.high, high_mass))
-        return PiecewiseConstantDensity(buckets)
+        return PiecewiseConstantDensity(
+            [
+                Bucket(0.0, sigma, max(1.0 - self.beta, 0.0)),
+                Bucket(sigma, self.high, self.beta),
+            ]
+        )
+
+    def to_density(self) -> PiecewiseConstantDensity:
+        """The pdf of §3.1.1 as a piecewise-constant density (built and
+        validated once per histogram)."""
+        return self._density
 
     def scaled(self, weight: float) -> "TwoBucketHistogram":
         """Apply a relaxation weight: scores scale by ``w``, so the whole
@@ -345,28 +338,27 @@ class NBucketHistogram:
             count=m,
         )
 
-    def to_density(self) -> PiecewiseConstantDensity:
-        edges = [0.0, *sorted(self.boundaries), self.high]
-        # Deduplicate equal edges while keeping masses aligned by merging.
-        buckets: list[Bucket] = []
-        masses = list(self.masses)
-        cleaned_edges: list[float] = [edges[0]]
-        cleaned_masses: list[float] = []
+    @cached_property
+    def _density(self) -> PiecewiseConstantDensity:
+        # Equal edges are merged, their masses pooled into one bucket.
+        edges = [0.0]
+        masses: list[float] = []
         pending = 0.0
-        for i in range(len(masses)):
-            lo, hi = edges[i], edges[i + 1]
-            pending += masses[i]
-            if hi - cleaned_edges[-1] > 1e-12:
-                cleaned_edges.append(hi)
-                cleaned_masses.append(pending)
+        for hi, mass in zip((*sorted(self.boundaries), self.high), self.masses):
+            pending += mass
+            if hi - edges[-1] > 1e-12:
+                edges.append(hi)
+                masses.append(pending)
                 pending = 0.0
-        if pending > 0 and cleaned_masses:
-            cleaned_masses[-1] += pending
-        if not cleaned_masses:
+        if not masses:
             return PiecewiseConstantDensity([Bucket(0.0, self.high, 1.0)])
-        for i, mass in enumerate(cleaned_masses):
-            buckets.append(Bucket(cleaned_edges[i], cleaned_edges[i + 1], mass))
-        return PiecewiseConstantDensity(buckets)
+        masses[-1] += pending
+        return PiecewiseConstantDensity(
+            [Bucket(lo, hi, mass) for lo, hi, mass in zip(edges, edges[1:], masses)]
+        )
+
+    def to_density(self) -> PiecewiseConstantDensity:
+        return self._density
 
     def scaled(self, weight: float) -> "NBucketHistogram":
         if not 0.0 < weight <= 1.0:

@@ -14,7 +14,8 @@ Both density classes share the operations the estimator needs:
 ``inverse_cdf(p)`` quantile function (used by the order-statistics rule)
 ``mean()``        expectation
 ``partial_expectation(c)``  ``∫_c^∞ t·f(t) dt`` — the *score mass* above
-                  ``c``, which drives the two-bucket refit
+                  ``c``, which drives the two-bucket refit (the linear
+                  density also inverts it: ``inverse_partial_expectation``)
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 from repro.errors import HistogramError
@@ -55,6 +57,13 @@ class Bucket:
         if self.width <= _EPS:
             return math.inf if self.mass > 0 else 0.0
         return self.mass / self.width
+
+    @property
+    def sliver_hi(self) -> float:
+        """``hi`` — or, for a point-mass-like bucket, ``lo + _EPS``: as a
+        sliver it is a proper (if extremely tall) uniform piece, and the
+        widening shifts means by at most ``_EPS / 2``."""
+        return self.hi if self.width > _EPS else self.lo + _EPS
 
 
 class PiecewiseConstantDensity:
@@ -173,18 +182,12 @@ class PiecewiseConstantDensity:
         return total
 
     def to_linear(self) -> "PiecewiseLinearDensity":
+        """The same density as flat linear pieces (a point-mass-like
+        bucket as a sliver of its mass)."""
         segments = []
         for bucket in self.buckets:
-            if bucket.width <= _EPS:
-                continue
-            segments.append(
-                Segment(bucket.lo, bucket.hi, bucket.density, bucket.density)
-            )
-        if not segments:
-            # All point masses; widen minimally so downstream code works.
-            lo = self.buckets[0].lo
-            total = self.mass()
-            segments = [Segment(lo, lo + _EPS, total / _EPS, total / _EPS)]
+            height = bucket.mass / (bucket.sliver_hi - bucket.lo)
+            segments.append(Segment(bucket.lo, bucket.sliver_hi, height, height))
         return PiecewiseLinearDensity(segments)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -222,7 +225,7 @@ class Segment:
         return (self.y_lo + self.y_hi) / 2.0 * self.width
 
     def value_at(self, x: float) -> float:
-        return self.y_lo + self.slope * (x - self.lo)
+        return self.y_lo + (self.y_hi - self.y_lo) * (x - self.lo) / (self.hi - self.lo)
 
     def mass_up_to(self, x: float) -> float:
         """``∫_lo^x f`` for ``x`` within the segment."""
@@ -230,15 +233,18 @@ class Segment:
         return self.y_lo * dx + self.slope * dx * dx / 2.0
 
     def score_mass_from(self, c: float) -> float:
-        """``∫_max(c,lo)^hi t f(t) dt`` with ``f(t) = α + β t``."""
-        lo = max(c, self.lo)
-        if lo >= self.hi:
+        """``∫_max(c,lo)^hi t f(t) dt``.
+
+        With ``f`` linear from ``y`` at ``x = max(c, lo)`` to ``y_hi`` at
+        ``hi`` this is ``(hi - x)·(y·(2x + hi) + y_hi·(x + 2hi)) / 6`` —
+        a sum of same-signed terms for ``x >= 0``, so nothing cancels
+        however thin the slice.
+        """
+        if c >= self.hi:
             return 0.0
-        beta = self.slope
-        alpha = self.y_lo - beta * self.lo
-        upper = alpha * self.hi**2 / 2.0 + beta * self.hi**3 / 3.0
-        lower = alpha * lo**2 / 2.0 + beta * lo**3 / 3.0
-        return upper - lower
+        x, y = (self.lo, self.y_lo) if c <= self.lo else (c, self.value_at(c))
+        hi, y_hi = self.hi, self.y_hi
+        return (hi - x) * (y * (2.0 * x + hi) + y_hi * (x + 2.0 * hi)) / 6.0
 
 
 class PiecewiseLinearDensity:
@@ -332,6 +338,42 @@ class PiecewiseLinearDensity:
     def partial_expectation(self, c: float) -> float:
         return sum(segment.score_mass_from(c) for segment in self.segments)
 
+    def inverse_partial_expectation(self, target: float) -> float:
+        """The ``c >= max(lo, 0)`` with ``partial_expectation(c) = target``
+        (clamped to the non-negative support) — what the refit asks for.
+
+        Score mass accumulates segment by segment from the top, each
+        term in closed form, and the one segment where the running sum
+        crosses *target* is the only one solved: inside it
+        ``∫_c^hi t·f`` is a cubic in ``c`` that falls monotonically for
+        ``c >= 0`` (its derivative is ``-c·f(c)``), so Newton steps kept
+        inside a shrinking bracket converge in a handful of iterations,
+        and a step that leaves the bracket (flat density) bisects.
+        """
+        floor = max(self.support[0], 0.0)
+        above = 0.0
+        for segment in reversed(self.segments):
+            inside = segment.score_mass_from(floor)
+            if above + inside >= target or segment.lo <= floor:
+                break
+            above += inside
+        lo, hi = max(segment.lo, floor), segment.hi
+        c = (lo + hi) / 2.0
+        for _ in range(64):
+            excess = above + segment.score_mass_from(c) - target
+            if excess >= 0.0:
+                lo = c
+            else:
+                hi = c
+            descent = c * segment.value_at(c)
+            step = c + excess / descent if descent > 0.0 else math.inf
+            if not lo <= step <= hi:
+                step = (lo + hi) / 2.0
+            if abs(step - c) <= 4e-16 * hi:
+                break
+            c = step
+        return c
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         lo, hi = self.support
         return (
@@ -343,97 +385,50 @@ class PiecewiseLinearDensity:
 # ----------------------------------------------------------------------
 # Convolution
 # ----------------------------------------------------------------------
-def _trapezoid_breaks(b1: Bucket, b2: Bucket) -> tuple[float, float, float, float, float]:
-    """Breakpoints (lo, p1, p2, hi) and peak height of the convolution of
-    two unit-mass uniforms (scaled later by the bucket masses)."""
-    lo = b1.lo + b2.lo
-    hi = b1.hi + b2.hi
-    w_min = min(b1.width, b2.width)
-    w_max = max(b1.width, b2.width)
-    p1 = lo + w_min
-    p2 = hi - w_min
-    peak = 1.0 / w_max if w_max > _EPS else 0.0
-    return lo, p1, p2, hi, peak
-
-
-def _trapezoid_value(z: float, b1: Bucket, b2: Bucket) -> float:
-    """Density of (U1 + U2) at z for unit masses, times the bucket masses."""
-    mass = b1.mass * b2.mass
-    if mass <= 0:
-        return 0.0
-    w1, w2 = b1.width, b2.width
-    if w1 <= _EPS and w2 <= _EPS:
-        return 0.0  # point mass handled separately
-    if w1 <= _EPS:
-        return mass / w2 if b1.lo + b2.lo <= z <= b1.lo + b2.hi else 0.0
-    if w2 <= _EPS:
-        return mass / w1 if b1.lo + b2.lo <= z <= b1.hi + b2.lo else 0.0
-    lo, p1, p2, hi, peak = _trapezoid_breaks(b1, b2)
-    if z <= lo or z >= hi:
-        return 0.0
-    if z < p1:
-        return mass * peak * (z - lo) / (p1 - lo)
-    if z <= p2:
-        return mass * peak
-    return mass * peak * (hi - z) / (hi - p2)
-
-
 def convolve(
     d1: PiecewiseConstantDensity, d2: PiecewiseConstantDensity
 ) -> PiecewiseLinearDensity:
     """Exact convolution of two piecewise-constant densities.
 
-    Each pair of buckets contributes a trapezoid; their sum is piecewise
-    linear with breakpoints at every trapezoid corner.  The result is
-    normalised to total mass ``d1.mass() * d2.mass()``.
+    Each pair of buckets contributes a trapezoid.  Their sum is
+    *continuous* and linear between trapezoid corners, so its values at
+    the corners determine it: one evaluation per breakpoint, each segment
+    taking its ends from its two breakpoints.  A trapezoid is compared
+    with its own corners as floats, never re-derived from a ratio: on a
+    ramp 1e-9 wide one ulp of ``x`` is 2e-7 of the height, so corners are
+    neither merged by a tolerance nor recomputed.  The result has total
+    mass ``d1.mass() * d2.mass()``.
     """
-    def _widened(bucket: Bucket) -> Bucket:
-        # A point-mass-like bucket is widened to a sliver so every pair
-        # contributes a proper (if extremely tall) trapezoid; the widening
-        # shifts means by at most _EPS/2.
-        if bucket.width <= _EPS and bucket.mass > 0:
-            return Bucket(bucket.lo, bucket.lo + _EPS, bucket.mass)
-        return bucket
-
-    breaks: set[float] = set()
-    pairs: list[tuple[Bucket, Bucket]] = []
-    for b1 in map(_widened, d1.buckets):
-        for b2 in map(_widened, d2.buckets):
-            if b1.mass <= 0 or b2.mass <= 0:
-                continue
-            pairs.append((b1, b2))
-            lo, p1, p2, hi, _ = _trapezoid_breaks(b1, b2)
-            breaks.update((lo, p1, p2, hi))
-    if not pairs:
+    # (lo, p1, p2, hi, peak): the density of a sum of two uniforms rises
+    # over the narrower width, is flat until p2, falls over the narrower
+    # width again.  The peak is the one that gives the trapezoid over its
+    # *rounded* corners the pair's mass (mass / wider width, to rounding),
+    # so every pair keeps its share however thin its ramps.
+    trapezoids: list[tuple[float, float, float, float, float]] = []
+    for b1, b2 in product(d1.buckets, d2.buckets):
+        hi1, hi2 = b1.sliver_hi, b2.sliver_hi
+        lo, hi = b1.lo + b2.lo, hi1 + hi2
+        ramp = min(hi1 - b1.lo, hi2 - b2.lo)
+        # Equal widths make a triangle: keep p1 <= p2 to the last ulp.
+        p1 = lo + ramp
+        p2 = max(p1, hi - ramp)
+        if b1.mass * b2.mass > 0 and lo < p1 and p2 < hi:
+            peak = 2.0 * b1.mass * b2.mass / ((hi - lo) + (p2 - p1))
+            trapezoids.append((lo, p1, p2, hi, peak))
+    if not trapezoids:
         raise HistogramError("cannot convolve zero-mass densities")
 
-    xs = sorted(breaks)
-    merged: list[float] = []
-    for x in xs:
-        if not merged or x - merged[-1] > 1e-12:
-            merged.append(x)
-    if len(merged) < 2:
-        merged.append(merged[0] + _EPS)
-
-    segments: list[Segment] = []
-    for lo, hi in zip(merged, merged[1:]):
-        mid_lo = lo + (hi - lo) * 1e-9
-        mid_hi = hi - (hi - lo) * 1e-9
-        y_lo = sum(_trapezoid_value(mid_lo, b1, b2) for b1, b2 in pairs)
-        y_hi = sum(_trapezoid_value(mid_hi, b1, b2) for b1, b2 in pairs)
-        segments.append(Segment(lo, hi, max(y_lo, 0.0), max(y_hi, 0.0)))
-
-    result = PiecewiseLinearDensity(segments)
-    target_mass = d1.mass() * d2.mass()
-    actual = result.mass()
-    if actual <= 0:
-        raise HistogramError("convolution produced a zero-mass density")
-    if abs(actual - target_mass) > 1e-9:
-        factor = target_mass / actual
-        result = PiecewiseLinearDensity(
-            [
-                Segment(s.lo, s.hi, s.y_lo * factor, s.y_hi * factor)
-                for s in result.segments
-            ]
-        )
-    return result
+    xs = sorted({x for trapezoid in trapezoids for x in trapezoid[:4]})
+    ys = [0.0] * len(xs)
+    for lo, p1, p2, hi, peak in trapezoids:
+        for i, x in enumerate(xs):
+            if lo < x < hi:
+                if x < p1:
+                    ys[i] += peak * (x - lo) / (p1 - lo)
+                elif x <= p2:
+                    ys[i] += peak
+                else:
+                    ys[i] += peak * (hi - x) / (hi - p2)
+    return PiecewiseLinearDensity(
+        [Segment(*piece) for piece in zip(xs, xs[1:], ys, ys[1:])]
+    )

@@ -76,14 +76,6 @@ class JoinCardinalityEstimator:
             return self._exact_cardinality(query.patterns)
         return self._independence_cardinality(query.patterns)
 
-    def prefix_cardinalities(self, query: TriplePatternQuery) -> list[int]:
-        """Cardinalities of the prefixes ``{q1}, {q1,q2}, ...`` — the
-        stepwise counts the estimator's repeated convolution needs."""
-        return [
-            self.cardinality(query.subquery(query.patterns[: i + 1]))
-            for i in range(len(query))
-        ]
-
     def selectivity(
         self, left: Sequence[TriplePattern], right: TriplePattern
     ) -> float:
@@ -97,10 +89,11 @@ class JoinCardinalityEstimator:
         return self.cardinality(joint_q) / denom
 
     def precompute(self, queries: Sequence[TriplePatternQuery]) -> int:
-        """Warm the exact cache for all prefixes of *queries* (the offline
-        phase); returns the number of cache entries afterwards."""
+        """Warm the exact cache with the answer count of each of *queries*
+        (the offline phase) — the one join count PLANGEN reads of a query;
+        returns the number of cache entries afterwards."""
         for query in queries:
-            self.prefix_cardinalities(query)
+            self.cardinality(query)
         return len(self._exact_cache)
 
     @property

@@ -8,6 +8,7 @@ from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
 from repro.query.query import TriplePatternQuery
 from repro.stats.catalog import StatisticsCatalog
+from repro.stats.histogram import TwoBucketHistogram
 
 
 def tp(name, v="s"):
@@ -119,3 +120,38 @@ class TestExpectedScores:
         top = dist.expected_top()
         lo, hi = dist.density.support
         assert lo <= top <= hi
+
+
+class TestCountIsReadFirst:
+    """A rank the query cannot fill scores 0.0 whatever the density is, so
+    none is built: no convolution, no refit, no histogram density."""
+
+    @pytest.fixture
+    def no_densities(self, monkeypatch):
+        def touched(*args, **kwargs):
+            raise AssertionError("a density was built")
+
+        monkeypatch.setattr("repro.core.estimator.convolve", touched)
+        monkeypatch.setattr(TwoBucketHistogram, "refit", touched)
+        monkeypatch.setattr(TwoBucketHistogram, "to_density", touched)
+
+    def test_rank_beyond_count_is_exactly_zero(self, estimator, no_densities):
+        q = TriplePatternQuery((tp("t1"), tp("t2")))  # 6 answers
+        assert estimator.expected_kth(q, 7) == 0.0
+        assert estimator.query_distribution(q).expected_score_at(100) == 0.0
+
+    def test_empty_relaxed_query_is_exactly_zero(self, estimator, no_densities):
+        q = TriplePatternQuery((tp("t1"), tp("t2")))
+        assert estimator.expected_top_of_relaxed(q, tp("t2"), tp("missing"), 0.5) == 0.0
+        dist = estimator.query_distribution(q, replace={tp("t2"): (tp("missing"), 0.5)})
+        assert (dist.count, dist.density) == (0, None)
+
+    def test_fillable_rank_does_build_one(self, estimator, no_densities):
+        q = TriplePatternQuery((tp("t1"), tp("t2")))
+        with pytest.raises(AssertionError, match="a density was built"):
+            estimator.expected_kth(q, 6)
+
+    def test_only_the_full_query_join_is_counted(self, estimator):
+        q = TriplePatternQuery((tp("t1"), tp("t2"), tp("broad")))
+        estimator.expected_kth(q, 1)
+        assert estimator.catalog.cardinalities.cache_size == 1

@@ -132,6 +132,28 @@ class TestRefit:
         refit = TwoBucketHistogram.refit(convolved, count=10)
         assert refit.high == pytest.approx(2.0)
 
+    def test_refit_of_a_constant_density(self):
+        # U(0,1): ∫_c^1 t dt = (1 - c²)/2 = 0.8 · 1/2  →  c = √0.2.
+        uniform = TwoBucketHistogram(sigma=0.5, high=1.0, beta=0.5, count=1)
+        refit = TwoBucketHistogram.refit(uniform.to_density(), count=3)
+        assert refit.sigma == pytest.approx(0.2**0.5, abs=1e-15)
+        assert (refit.high, refit.beta, refit.count) == (1.0, 0.8, 3)
+
+    def test_refit_ignores_the_density_scale(self):
+        base = TwoBucketHistogram(sigma=0.5, high=1.0, beta=0.8, count=100)
+        convolved = convolve(base.to_density(), base.to_density())
+        assert TwoBucketHistogram.refit(convolved.normalized(), count=1) == (
+            TwoBucketHistogram.refit(convolved, count=1)
+        )
+
+    def test_density_is_built_once_per_histogram(self):
+        two = TwoBucketHistogram(sigma=0.6, high=1.0, beta=0.8, count=50)
+        assert two.to_density() is two.to_density()
+        assert two.scaled(0.5).to_density() is not two.to_density()
+        many = NBucketHistogram.from_scores([1.0, 0.8, 0.5, 0.3, 0.2, 0.1], n_buckets=3)
+        assert many.to_density() is many.to_density()
+        assert two == TwoBucketHistogram(sigma=0.6, high=1.0, beta=0.8, count=50)
+
     def test_refit_bad_fraction(self):
         base = TwoBucketHistogram(sigma=0.5, high=1.0, beta=0.8, count=100)
         convolved = convolve(base.to_density(), base.to_density())

@@ -1,6 +1,7 @@
 """Unit tests for piecewise densities and exact convolution."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -169,3 +170,88 @@ class TestConvolution:
         spike = PiecewiseConstantDensity([Bucket(0.5, 0.5 + 1e-9, 1.0)])
         result = convolve(uniform(), spike)
         assert result.mean() == pytest.approx(1.0, abs=1e-6)
+
+    def test_zero_width_bucket_is_a_shift(self):
+        # A true point mass is widened to a 1e-12 sliver, no further.
+        point = PiecewiseConstantDensity([Bucket(0.5, 0.5, 1.0)])
+        result = convolve(uniform(), point)
+        assert result.mass() == pytest.approx(1.0, abs=1e-12)
+        assert result.mean() == pytest.approx(1.0, abs=2e-12)
+        lo, hi = result.support
+        assert (lo, hi) == (0.5, pytest.approx(1.5, abs=3e-12))
+
+    def test_two_point_masses(self):
+        point = PiecewiseConstantDensity([Bucket(0.25, 0.25, 1.0)])
+        result = convolve(point, point)
+        assert result.mass() == pytest.approx(1.0, abs=1e-12)
+        assert result.mean() == pytest.approx(0.5, abs=4e-12)
+
+    def test_corners_an_ulp_apart_are_not_merged(self):
+        # 0.4 + (1 - 1e-9) and (1 + (1 - 1e-9)) - 0.6 are the same corner
+        # along two float paths.  On the 1e-9-wide ramp beside it one ulp
+        # is 2e-7 of the height, so merging the two (or evaluating the
+        # ramp at the wrong one) costs 1e-9 of the mean; kept apart the
+        # sum is exact to rounding.
+        thin_top = PiecewiseConstantDensity(
+            [Bucket(0.0, 1.0 - 1e-9, 1 / 7), Bucket(1.0 - 1e-9, 1.0, 6 / 7)]
+        )
+        other = uniform(0.4, 1.0)
+        result = convolve(thin_top, other)
+        assert result.mass() == pytest.approx(1.0, abs=1e-14)
+        assert result.mean() == pytest.approx(thin_top.mean() + other.mean(), abs=1e-14)
+
+    def test_zero_mass_rejected(self):
+        empty = PiecewiseConstantDensity([Bucket(0.0, 1.0, 0.0)])
+        with pytest.raises(HistogramError):
+            convolve(empty, uniform())
+
+
+class TestInversePartialExpectation:
+    def test_triangle_closed_form(self):
+        # U(0,1)+U(0,1): ∫_c^2 t f = 1 - c³/3 for c <= 1.
+        triangle = convolve(uniform(), uniform())
+        for c in (0.2, 0.5, 0.9, 1.0):
+            assert triangle.inverse_partial_expectation(1 - c**3 / 3) == pytest.approx(
+                c, abs=1e-14
+            )
+        # At c = 0 the score mass is flat to third order: any c with c³/3
+        # below an ulp is a solution.
+        assert triangle.inverse_partial_expectation(1.0) < 1e-5
+
+    def test_round_trip_through_every_segment(self):
+        d1 = PiecewiseConstantDensity([Bucket(0, 0.5, 0.2), Bucket(0.5, 1.0, 0.8)])
+        d2 = PiecewiseConstantDensity([Bucket(0, 0.3, 0.5), Bucket(0.3, 1.0, 0.5)])
+        density = convolve(d1, d2)
+        total = density.partial_expectation(0.0)
+        for i in range(1, 100):
+            c = density.inverse_partial_expectation(total * i / 100)
+            assert density.partial_expectation(c) == pytest.approx(
+                total * i / 100, rel=1e-14
+            )
+
+    def test_gap_of_zero_density_bisects(self):
+        # Newton has no slope inside the gap; the bracket still closes.
+        density = PiecewiseLinearDensity(
+            [Segment(0.0, 1.0, 0.5, 0.5), Segment(1.0, 2.0, 0.0, 0.0),
+             Segment(2.0, 3.0, 0.5, 0.5)]
+        )
+        above_gap = density.partial_expectation(2.0)
+        c = density.inverse_partial_expectation(above_gap * 0.5)
+        assert 2.0 < c < 3.0
+        assert density.partial_expectation(c) == pytest.approx(above_gap * 0.5, rel=1e-14)
+        c = density.inverse_partial_expectation(above_gap + 0.1)
+        assert 0.0 < c < 1.0
+        assert density.partial_expectation(c) == pytest.approx(above_gap + 0.1, rel=1e-14)
+
+    def test_negative_support_is_clamped_at_zero(self):
+        density = PiecewiseLinearDensity([Segment(-1.0, 1.0, 0.5, 0.5)])
+        assert density.inverse_partial_expectation(10.0) == pytest.approx(0.0, abs=1e-15)
+
+    def test_thin_slice_does_not_cancel(self):
+        # hi³ - c³ would lose nine digits here; the product form loses none.
+        segment = Segment(0.0, 2.0, 0.25, 0.75)
+        c = 2.0 - 1e-9
+        lo, hi, y_lo, y_hi, x = map(Fraction, (0.0, 2.0, 0.25, 0.75, c))
+        slope = (y_hi - y_lo) / (hi - lo)
+        exact = y_lo * (hi**2 - x**2) / 2 + slope * (hi**3 - x**3) / 3
+        assert segment.score_mass_from(c) == pytest.approx(float(exact), rel=1e-15)

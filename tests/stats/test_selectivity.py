@@ -70,10 +70,11 @@ class TestExactMode:
         q = TriplePatternQuery((tp("t1", "s"), tp("t2", "other")))
         assert est.cardinality(q) == 9
 
-    def test_prefix_cardinalities(self, graph):
+    def test_cardinalities_of_growing_subqueries(self, graph):
         est = JoinCardinalityEstimator(graph, "exact")
         q = TriplePatternQuery((tp("t1"), tp("t2"), tp("t3")))
-        assert est.prefix_cardinalities(q) == [3, 2, 1]
+        counts = [est.cardinality(q.subquery(q.patterns[:n])) for n in (1, 2, 3)]
+        assert counts == [3, 2, 1]
 
     def test_cache_grows_and_hits(self, graph):
         est = JoinCardinalityEstimator(graph, "exact")
@@ -83,11 +84,12 @@ class TestExactMode:
         est.cardinality(q)
         assert est.cache_size == size
 
-    def test_precompute(self, graph):
+    def test_precompute_warms_the_full_query_count_only(self, graph):
         est = JoinCardinalityEstimator(graph, "exact")
         q = TriplePatternQuery((tp("t1"), tp("t2"), tp("t3")))
-        entries = est.precompute([q])
-        assert entries >= 3
+        assert est.precompute([q]) == 1
+        assert est.cardinality(q) == 1
+        assert est.cache_size == 1
 
     def test_selectivity_definition(self, graph):
         est = JoinCardinalityEstimator(graph, "exact")
@@ -315,8 +317,13 @@ class TestVectorisedCountCorners:
 
     def test_drop_matching_is_targeted(self, graph):
         estimator = JoinCardinalityEstimator(graph, "exact")
-        estimator.precompute([TriplePatternQuery((tp("t1"), tp("t2"), tp("t3")))])
-        estimator.cardinality(TriplePatternQuery((tp("t3"),)))
+        for patterns in (
+            (tp("t1"),),
+            (tp("t1"), tp("t2")),
+            (tp("t1"), tp("t2"), tp("t3")),
+            (tp("t3"),),
+        ):
+            estimator.cardinality(TriplePatternQuery(patterns))
         estimator.drop_matching({tp("t2").key()})
         assert set(estimator._exact_cache) == {
             frozenset((tp("t1"),)),
