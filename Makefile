@@ -4,6 +4,7 @@
 #   make bench   benchmark suite with timing tables + the BENCH_PR9.json baseline
 #   make bench-diff  regenerate the baseline and diff it against the prior PR's
 #   make bench-e2e  the BENCHMARK.json end-to-end benchmark, all four workloads
+#   make bench-compare A=a.json B=b.json  verdict per workload and metric, B against A
 #   make cov     tests with line coverage + the CI floor (needs pytest-cov)
 #   make docs    docs link + snippet import check, run every runnable doc surface
 #   make workload  demo the batch-serving layer (cold vs warm)
@@ -21,7 +22,7 @@ BENCH_JSON ?= BENCH_PR9.json
 #: The prior baseline `make bench-diff` compares against.
 BENCH_PRIOR ?= BENCH_PR6.json
 
-.PHONY: test bench bench-diff bench-e2e cov docs workload scenarios
+.PHONY: test bench bench-diff bench-e2e bench-compare cov docs workload scenarios
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -34,7 +35,11 @@ bench-diff:
 	$(PYTHON) scripts/bench_summary.py --output $(BENCH_JSON) --diff $(BENCH_PRIOR)
 
 bench-e2e:
-	python3 bench/run.py --seed 42 --repeats 1 --out bench/out/result.json
+	python3 bench/run.py --seed 42 --repeats 3 --out bench/out/result.json
+
+bench-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=parent.json B=change.json"; exit 2; }
+	python3 bench/run.py --compare $(A) $(B)
 
 cov:
 	$(PYTHON) -m pytest tests -q --cov=repro \

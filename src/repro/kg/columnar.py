@@ -14,9 +14,18 @@ counterpart, the extensional-database layout classic OBDA systems use:
 :class:`ColumnarGraph` wraps the columns behind the exact
 :class:`~repro.kg.graph.KnowledgeGraph` interface, so engines, statistics
 catalogs, operators and the service-layer caches run on it unchanged.
-Match lists (Definition 5) are built *vectorised*: candidate rows come
-from boolean masks over the id columns and the score-descending order
-from one ``numpy.lexsort`` — no per-triple Python comparisons.
+Match lists (Definition 5) are *opened, not computed* — the sorted
+access the paper's top-k operators presuppose.  The store has one read
+primitive, :meth:`ColumnarStore.ordered_rows`: the rows agreeing with a
+pattern key, already in Definition-5 order, as a slice of a lazily built
+per-shape **permutation index** (the packed bound ids of every row,
+stably sorted over the rows taken in Definition-5 order; a lookup is two
+``searchsorted`` and a slice).  "Rows in Definition-5 order" costs
+nothing where the columns are stored that way — every ``.kg2`` attach,
+every shard cut from one, every compacted base — which one vectorised
+adjacent-row check establishes; only a store interned in arrival order
+pays one sort of all its rows (:meth:`ColumnarStore.score_order`), once.
+The indexes are plain attributes of the immutable store and die with it.
 
 The column layout is also the on-disk **snapshot** layout: see
 :func:`repro.kg.storage.save_snapshot` / ``load_snapshot``, which persist
@@ -27,7 +36,7 @@ format.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -63,7 +72,8 @@ class ColumnarStore:
 
     The store is an immutable value object: four parallel arrays plus the
     id → term dictionary, with lazily built lookup structures (term → id
-    map, lexicographic term ranks, row index).  Build one with
+    map, lexicographic term ranks, the score-ordered permutation indexes
+    behind :meth:`ordered_rows`).  Build one with
     :meth:`from_triples` (interns as it streams) or :meth:`from_arrays`
     (validates pre-encoded columns, e.g. from a snapshot or a generator).
 
@@ -87,8 +97,8 @@ class ColumnarStore:
         "_term_list",
         "_term_ids",
         "_term_rank",
-        "_row_index",
-        "_packed_sorted",
+        "_score_perm",
+        "_shape_indexes",
         "_lexicon_parent",
     )
 
@@ -118,8 +128,11 @@ class ColumnarStore:
         self._term_list: list[str] | None = None
         self._term_ids: dict[str, int] | None = None
         self._term_rank: np.ndarray | None = None
-        self._row_index: dict[tuple[int, int, int], int] | None = None
-        self._packed_sorted: np.ndarray | None = None
+        #: 1-tuple once decided: the Definition-5 permutation of all rows,
+        #: or ``None`` inside when the stored row order already is it.
+        self._score_perm: tuple[np.ndarray | None] | None = None
+        #: Per key shape: (sorted packed bound ids, their rows).
+        self._shape_indexes: dict[tuple[bool, ...], tuple[np.ndarray, np.ndarray]] = {}
         self._lexicon_parent: "ColumnarStore | None" = None
 
     # ------------------------------------------------------------------
@@ -338,76 +351,131 @@ class ColumnarStore:
         return self._term_rank
 
     def row_of(self, subject: str, predicate: str, object_: str) -> int | None:
-        """Row index of a fully-bound triple, or ``None`` (lazy hash index)."""
-        sid, pid, oid = (
-            self.term_id(subject),
-            self.term_id(predicate),
-            self.term_id(object_),
-        )
-        if sid is None or pid is None or oid is None:
-            return None
-        if self._row_index is None:
-            self._row_index = {
-                row: index
-                for index, row in enumerate(
-                    zip(
-                        self.subjects.tolist(),
-                        self.predicates.tolist(),
-                        self.objects.tolist(),
-                    )
-                )
-            }
-        return self._row_index.get((sid, pid, oid))
+        """Row index of a fully-bound triple, or ``None``."""
+        rows = self.ordered_rows((subject, predicate, object_))
+        return int(rows[0]) if len(rows) else None
 
     def has_row(self, subject: str, predicate: str, object_: str) -> bool:
-        """Whether a fully-bound triple is present — without a row index.
+        """Whether a fully-bound triple is present.
 
         Membership probes (the live-update write path checks every
-        mutated key against the base) binary-search a lazily sorted
-        packed-row array: one vectorised sort to build, ``O(log n)`` per
-        probe, no 100k-entry Python dict.  Falls back to :meth:`row_of`
-        for dictionaries too large to pack into int64.
+        mutated key against the base) are one :meth:`ordered_rows`
+        lookup like :meth:`row_of`: ``O(log n)`` per probe, no Python
+        row dict.
         """
-        sid, pid, oid = (
-            self.term_id(subject),
-            self.term_id(predicate),
-            self.term_id(object_),
-        )
-        if sid is None or pid is None or oid is None:
+        return self.row_of(subject, predicate, object_) is not None
+
+    # ------------------------------------------------------------------
+    # Sorted access
+    # ------------------------------------------------------------------
+    def _is_score_ordered(self) -> bool:
+        """Whether the rows are stored in Definition-5 order already.
+
+        One vectorised adjacent-row check: scores must not increase, and
+        rows tying on score must not decrease in ``(s, p, o)`` rank.
+        """
+        scores = self.scores
+        if not (scores[:-1] >= scores[1:]).all():  # also rejects NaN
             return False
-        n = self.n_terms
-        if n**3 >= 2**63:
-            return self.row_of(subject, predicate, object_) is not None
-        if self._packed_sorted is None:
-            self._packed_sorted = np.sort(self._packed_rows())
-        packed = (sid * n + pid) * n + oid
-        index = int(np.searchsorted(self._packed_sorted, packed))
-        return (
-            index < len(self._packed_sorted)
-            and int(self._packed_sorted[index]) == packed
-        )
+        ties = np.nonzero(scores[:-1] == scores[1:])[0]
+        if len(ties) == 0:
+            return True
+        ranks = self._ranks()
+        for column in (self.subjects, self.predicates, self.objects):
+            earlier, later = ranks[column[ties]], ranks[column[ties + 1]]
+            if (earlier > later).any():
+                return False
+            ties = ties[earlier == later]
+            if len(ties) == 0:
+                break
+        return True
 
-    # ------------------------------------------------------------------
-    # Vectorised access
-    # ------------------------------------------------------------------
-    def rows_matching(self, key: PatternKey) -> np.ndarray:
-        """Row indices agreeing with the bound positions of *key*.
+    def _score_rows(self) -> np.ndarray | None:
+        """All rows in Definition-5 order; ``None`` stands for the
+        identity, i.e. the store is already ordered (every ``.kg2``
+        attach, every shard cut from one, every :meth:`with_updates`
+        output) and nothing is sorted or kept."""
+        if self._score_perm is None:
+            if self._is_score_ordered():
+                self._score_perm = (None,)
+            else:
+                order = self.score_order().astype(ID_DTYPE)
+                order.flags.writeable = False
+                self._score_perm = (order,)
+        return self._score_perm[0]
 
-        A term absent from the dictionary matches nothing; a fully
-        unbound key matches every row.
+    def _shape_index(self, shape: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The permutation index of one key shape (one or two bound
+        positions): the packed bound ids of every row, sorted, and the
+        rows they belong to — rows of equal key in Definition-5 order,
+        because the sort is stable over rows taken in that order."""
+        index = self._shape_indexes.get(shape)
+        if index is None:
+            bound = [
+                column
+                for column, is_bound in zip(
+                    (self.subjects, self.predicates, self.objects), shape
+                )
+                if is_bound
+            ]
+            keys = np.asarray(bound[0])
+            if len(bound) == 2:
+                # Two ids pack into ID_DTYPE while n_terms² fits it, and
+                # always into int64 (ids are int32).
+                fits = self.n_terms**2 <= np.iinfo(ID_DTYPE).max
+                keys = keys.astype(ID_DTYPE if fits else np.int64)  # a copy
+                keys *= self.n_terms
+                keys += bound[1]
+            perm = self._score_rows()
+            if perm is not None:
+                keys = keys[perm]
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            rows = order.astype(ID_DTYPE) if perm is None else perm[order]
+            keys.flags.writeable = rows.flags.writeable = False  # lookups hand out views
+            index = self._shape_indexes[shape] = (keys, rows)
+        return index
+
+    def ordered_rows(self, key: PatternKey) -> np.ndarray:
+        """Row indices agreeing with the bound positions of *key*, in
+        Definition-5 order (raw score descending, ties by ``(s, p, o)``).
+
+        The store's one read primitive — sorted access: a lookup is two
+        ``searchsorted`` into the key shape's lazily built permutation
+        index and a read-only slice of it.  A term
+        absent from the dictionary matches nothing; a fully unbound key
+        matches every row; a fully bound one reads the ``(s, p)`` index
+        and filters on the object.
         """
-        mask: np.ndarray | None = None
-        for term, column in zip(key, (self.subjects, self.predicates, self.objects)):
-            if term is None:
-                continue
-            term_id = self.term_id(term)
-            if term_id is None:
-                return np.empty(0, dtype=np.int64)
-            condition = column == ID_DTYPE(term_id)
-            mask = condition if mask is None else (mask & condition)
-        if mask is None:
-            return np.arange(self.n_triples, dtype=np.int64)
-        return np.nonzero(mask)[0]
+        ids = []
+        for term in key:
+            if term is not None:
+                term_id = self.term_id(term)
+                if term_id is None:
+                    return np.empty(0, dtype=ID_DTYPE)
+                ids.append(term_id)
+        if not ids:
+            perm = self._score_rows()
+            return np.arange(self.n_triples, dtype=ID_DTYPE) if perm is None else perm
+        fully_bound = len(ids) == 3
+        keys, rows = self._shape_index(
+            (True, True, False) if fully_bound else tuple(term is not None for term in key)
+        )
+        packed = ids[0] if len(ids) == 1 else ids[0] * self.n_terms + ids[1]
+        packed = keys.dtype.type(packed)  # a mismatched dtype would cast *keys*
+        rows = rows[keys.searchsorted(packed, "left") : keys.searchsorted(packed, "right")]
+        return rows[self.objects[rows] == ids[2]] if fully_bound else rows
+
+    def match_rows(self, pattern: TriplePattern) -> np.ndarray:
+        """The rows of *pattern*'s match list, in Definition-5 order:
+        :meth:`ordered_rows` of its key, minus rows where a repeated
+        variable would bind inconsistently (``(?x, p, ?x)`` keeps the
+        diagonal) — an order-preserving mask."""
+        rows = self.ordered_rows(pattern.key())
+        columns = (self.subjects, self.predicates, self.objects)
+        for first, other in pattern.repeated_positions:
+            rows = rows[columns[first][rows] == columns[other][rows]]
+        return rows
 
     def _encode_keys(
         self, keys: Iterable[tuple[str, str, str]]
@@ -498,28 +566,64 @@ class ColumnarStore:
         ]
         return np.asarray(keep, dtype=np.int64)
 
+    def insertion_slots(
+        self, rows: np.ndarray, adds: Sequence[tuple[tuple[str, str, str], float]]
+    ) -> np.ndarray:
+        """Where *adds* go among *rows* to keep Definition-5 order.
+
+        *rows* are rows of this store in Definition-5 order, *adds* are
+        ``(spo, raw score)`` rows from outside it, in the same order;
+        ``np.insert(column[rows], slots, add_column)`` is then the merged
+        column.  No row is decoded: positions come from the scores, and
+        only where an add ties a run of rows on score is that run
+        bisected by ``(s, p, o)`` strings.
+        """
+        if not adds or len(rows) == 0:
+            return np.zeros(len(adds), dtype=np.int64)
+        descending = -self.scores[rows]
+        add_keys = np.array([-score for _, score in adds])
+        slots = np.searchsorted(descending, add_keys, side="left")
+        tie_ends = np.searchsorted(descending, add_keys, side="right")
+        terms = self.term_list()
+        for index in np.nonzero(slots < tie_ends)[0].tolist():
+            spo, lo, hi = adds[index][0], int(slots[index]), int(tie_ends[index])
+            while lo < hi:
+                middle = (lo + hi) // 2
+                row = rows[middle]
+                if (
+                    terms[self.subjects[row]],
+                    terms[self.predicates[row]],
+                    terms[self.objects[row]],
+                ) < spo:
+                    lo = middle + 1
+                else:
+                    hi = middle
+            slots[index] = lo
+        return slots
+
     def with_updates(
         self,
         adds: Mapping[tuple[str, str, str], float],
         drops: AbstractSet[tuple[str, str, str]] = frozenset(),
     ) -> "ColumnarStore":
-        """A fresh store with *drops* rows removed and *adds* appended.
+        """A fresh store with *drops* rows removed and *adds* merged in,
+        its rows in Definition-5 order.
 
         The compaction step of the live-update overlay: base rows named
         by an add key are dropped too (the add's score wins), mirroring
         :meth:`KnowledgeGraph.add_triple` overwrite semantics, so the
         result holds exactly the overlay's merged triple set.  The base
-        side is vectorised (one key-exclusion mask, column slices);
-        only the (small) delta is interned in Python.  New terms extend
-        the dictionary in first-seen order, keeping the store snapshot-
-        compatible.
+        side is vectorised (one key-exclusion mask over the rows in
+        Definition-5 order, column slices); only the (small) delta is
+        interned and placed (:meth:`insertion_slots`) in Python, so the
+        next read sorts nothing.  New terms extend the dictionary in
+        first-seen order — which leaves the relative rank of every
+        existing term alone — keeping the store snapshot-compatible.
         """
         if not adds and not drops:
             return self
         drop_keys = set(drops) | set(adds)
-        keep_rows = self.exclude_keys(
-            np.arange(self.n_triples, dtype=np.int64), drop_keys
-        )
+        keep_rows = self.exclude_keys(self.ordered_rows((None, None, None)), drop_keys)
         term_ids = (
             dict(self._term_ids)
             if self._term_ids is not None
@@ -539,58 +643,50 @@ class ColumnarStore:
                 new_terms.append(term)
             return term_id
 
-        if adds:
-            ids = np.fromiter(
-                (intern(term) for key in adds for term in key),
-                dtype=np.int64,
-                count=3 * len(adds),
-            ).reshape(-1, 3)
-            add_columns = (ids[:, 0], ids[:, 1], ids[:, 2])
-            add_scores = np.fromiter(adds.values(), dtype=np.float64, count=len(adds))
-        else:
-            add_columns = (np.empty(0, dtype=np.int64),) * 3
-            add_scores = np.empty(0, dtype=np.float64)
-
+        ordered_adds = sorted(adds.items(), key=lambda add: (-add[1], add[0]))
+        slots = self.insertion_slots(keep_rows, ordered_adds)
+        ids = np.fromiter(
+            (intern(term) for spo, _ in ordered_adds for term in spo),
+            dtype=ID_DTYPE,
+            count=3 * len(ordered_adds),
+        ).reshape(-1, 3)
         terms = self.terms
         if new_terms:
             appended = np.array(new_terms, dtype=str)
             terms = np.concatenate([terms, appended]) if terms.size else appended
         columns = [
-            np.concatenate([column[keep_rows], extra.astype(ID_DTYPE)])
-            for column, extra in zip(
-                (self.subjects, self.predicates, self.objects), add_columns
+            np.insert(column[keep_rows], slots, ids[:, position])
+            for position, column in enumerate(
+                (self.subjects, self.predicates, self.objects)
             )
         ]
-        scores = np.concatenate([self.scores[keep_rows], add_scores])
+        scores = np.insert(
+            self.scores[keep_rows], slots, [score for _, score in ordered_adds]
+        )
         store = ColumnarStore(terms, *columns, scores)
         store._term_ids = term_ids
         return store
 
-    def score_order(self, rows: np.ndarray) -> np.ndarray:
-        """*rows* reordered by raw score descending, ties by ``(s, p, o)``.
+    def score_order(self) -> np.ndarray:
+        """All rows by raw score descending, ties by ``(s, p, o)``.
 
         Exactly the Definition-5 order the Python backend produces with
-        ``sorted(key=lambda t: (-t.score, t.spo))``.
+        ``sorted(key=lambda t: (-t.score, t.spo))``: a stable sort on
+        the scores over :meth:`spo_order`.
         """
-        if len(rows) == 0:
-            return rows
-        ranks = self._ranks()
-        order = np.lexsort(
-            (
-                ranks[self.objects[rows]],
-                ranks[self.predicates[rows]],
-                ranks[self.subjects[rows]],
-                -self.scores[rows],
-            )
-        )
-        return rows[order]
+        by_terms = self.spo_order()
+        return by_terms[np.argsort(-self.scores[by_terms], kind="stable")]
 
     def spo_order(self) -> np.ndarray:
         """All rows in lexicographic ``(s, p, o)`` order (the TSV order)."""
         ranks = self._ranks()
-        return np.lexsort(
-            (ranks[self.objects], ranks[self.predicates], ranks[self.subjects])
-        )
+        s, p, o = ranks[self.subjects], ranks[self.predicates], ranks[self.objects]
+        n = self.n_terms
+        if n**3 < 2**63:
+            # Rows are distinct, so the three ranks pack into one
+            # collision-free key and a single unstable sort orders them.
+            return np.argsort((s * n + p) * n + o)
+        return np.lexsort((o, p, s))
 
     def decode_rows(self, rows: np.ndarray) -> list[Triple]:
         """Materialise :class:`Triple` objects for *rows*, in order."""
@@ -654,8 +750,8 @@ class ColumnarStore:
 class ColumnarPatternIndex(PatternIndex):
     """A :class:`PatternIndex` that answers from columns, not hash maps.
 
-    Candidate retrieval is a boolean mask over the id columns and match
-    lists are ordered by one ``lexsort`` over (score, term-rank) keys —
+    Candidates and match lists are slices of the store's score-ordered
+    permutation indexes (:meth:`ColumnarStore.ordered_rows`) —
     :meth:`PatternIndex.match_list`'s caching (internal dict or the
     attached external :class:`~repro.service.MatchListCache`) is
     inherited untouched, so the service layer cannot tell the backends
@@ -663,35 +759,32 @@ class ColumnarPatternIndex(PatternIndex):
     """
 
     def candidates(self, key: PatternKey) -> list[Triple]:
-        """Triples agreeing with the bound positions of *key* (unsorted)."""
+        """Triples agreeing with the bound positions of *key*."""
         self._invalidate_if_stale()
         store = self._store()
-        return store.decode_rows(store.rows_matching(key))
+        return store.decode_rows(store.ordered_rows(key))
 
     def peek(self, pattern: TriplePattern) -> tuple[int, float]:
         """``(n_matches, max raw score)`` for *pattern* — columns only.
 
-        The cheap prefix of :meth:`match_list`: one boolean mask and one
-        ``max``, no decoding and no sorting.  Sharded execution uses it
-        to bound a shard's contribution before (possibly instead of)
-        building the shard's match list.
+        The cheap prefix of :meth:`match_list`: one index slice, its
+        length and its first row's score, no decoding.  Sharded
+        execution uses it to bound a shard's contribution before
+        (possibly instead of) building the shard's match list.
         """
         self._invalidate_if_stale()
         store = self._store()
-        rows = store.rows_matching(pattern.key())
-        rows = self._filter_repeated_variables(pattern, rows, store)
+        rows = store.match_rows(pattern)
         if len(rows) == 0:
             return 0, 0.0
-        return len(rows), float(store.scores[rows].max())
+        return len(rows), float(store.scores[rows[0]])
 
     def _store(self) -> ColumnarStore:
         return self._graph.store  # type: ignore[attr-defined]
 
     def _build_match_list(self, pattern: TriplePattern, key: PatternKey) -> MatchList:
         store = self._store()
-        rows = store.rows_matching(key)
-        rows = self._filter_repeated_variables(pattern, rows, store)
-        rows = store.score_order(rows)
+        rows = store.match_rows(pattern)
         triples = tuple(store.decode_rows(rows))
         if not triples:
             return MatchList(key, (), 0.0, ())
@@ -702,17 +795,6 @@ class ColumnarPatternIndex(PatternIndex):
         else:
             normalized = tuple(0.0 for _ in triples)
         return MatchList(key, triples, max_score, normalized)
-
-    @staticmethod
-    def _filter_repeated_variables(
-        pattern: TriplePattern, rows: np.ndarray, store: ColumnarStore
-    ) -> np.ndarray:
-        """Keep only rows where repeated variables bind consistently
-        (e.g. ``(?x, p, ?x)`` keeps the diagonal), vectorised."""
-        columns = (store.subjects, store.predicates, store.objects)
-        for first, other in pattern.repeated_positions:
-            rows = rows[columns[first][rows] == columns[other][rows]]
-        return rows
 
     def stats(self) -> dict[str, int]:
         """Diagnostics; columnar indexes keep no shape hash maps."""

@@ -170,7 +170,7 @@ class _LiveShardSlice:
     :class:`~repro.operators.shard_merge.ShardScan` pulls on first build
     (``match_list``); the shard's own bounded cache still serves the
     base part, so repeated queries over a dirty pattern re-filter a warm
-    list instead of re-sorting columns.
+    list instead of re-decoding columns.
     """
 
     __slots__ = ("_live", "_shard_id")
@@ -625,7 +625,7 @@ class LiveGraph(KnowledgeGraph):
         for shard_id, (shard, cache) in enumerate(zip(base.shards, base.shard_caches)):
             shard_delta = self._shard_adds[shard_id]
             delta_list = shard_delta.match_list(pattern) if shard_delta.size else None
-            cached = cache.get(key, shard.version)
+            cached = cache.get(pattern.list_key(), shard.version)
             if cached is not None:
                 live_list = self._overlay(key, cached, delta_list)
                 n_matches, local_max = len(live_list), live_list.max_score
@@ -652,23 +652,22 @@ class LiveGraph(KnowledgeGraph):
         """``(n_matches, max raw score)`` of a shard's *surviving* base rows.
 
         The tombstone-aware twin of
-        :meth:`~repro.kg.columnar.ColumnarPatternIndex.peek`: one mask,
-        one key-exclusion, one max — no decode, no sort.
+        :meth:`~repro.kg.columnar.ColumnarPatternIndex.peek`: one index
+        slice, one key-exclusion, the first survivor's score — no
+        decode, no sort.
         """
         rows = self._surviving_rows(shard.store, pattern)
         if len(rows) == 0:
             return 0, 0.0
-        return len(rows), float(shard.store.scores[rows].max())
+        return len(rows), float(shard.store.scores[rows[0]])
 
     def _surviving_rows(
         self, store: "ColumnarStore", pattern: TriplePattern
     ) -> np.ndarray:
         """Rows of *store* (the base's, or one of its shards') that match
-        *pattern* and are not superseded by the delta; unordered."""
-        from repro.kg.columnar import ColumnarPatternIndex
-
-        rows = store.rows_matching(pattern.key())
-        rows = ColumnarPatternIndex._filter_repeated_variables(pattern, rows, store)
+        *pattern* and are not superseded by the delta, in Definition-5
+        order (the exclusion is an order-preserving mask)."""
+        rows = store.match_rows(pattern)
         superseded = self._superseded()
         if superseded and len(rows):
             # The base store and its shard stores share one term
@@ -690,13 +689,12 @@ class LiveGraph(KnowledgeGraph):
         slots)``: the surviving rows of the base's store in Definition-5
         order, the delta's matching ``(spo, raw score)`` adds in
         Definition-5 order, and for each add the index in *rows* it goes
-        in front of — ``np.insert(rows_column, slots, adds_column)`` is
-        the merged list.  No triple is decoded: positions come from the
-        base's scores, and only where an add ties a run of base rows on
-        score is that run bisected by ``(s, p, o)`` strings.
+        in front of (:meth:`~repro.kg.columnar.ColumnarStore.insertion_slots`)
+        — ``np.insert(rows_column, slots, adds_column)`` is the merged
+        list.  No triple is decoded and nothing is sorted but the adds.
         """
         store: "ColumnarStore" = self._base.store  # type: ignore[attr-defined]
-        rows = store.score_order(self._surviving_rows(store, pattern))
+        rows = self._surviving_rows(store, pattern)
         bound = [(i, term) for i, term in enumerate(pattern.key()) if term is not None]
         repeated = pattern.repeated_positions
         adds = sorted(
@@ -708,28 +706,7 @@ class LiveGraph(KnowledgeGraph):
             ),
             key=lambda add: (-add[1], add[0]),
         )
-        if not adds or len(rows) == 0:
-            return rows, adds, np.zeros(len(adds), dtype=np.int64)
-        descending = -store.scores[rows]
-        add_keys = np.array([-score for _, score in adds])
-        slots = np.searchsorted(descending, add_keys, side="left")
-        tie_ends = np.searchsorted(descending, add_keys, side="right")
-        terms = store.term_list()
-        for index in np.nonzero(slots < tie_ends)[0].tolist():
-            spo, lo, hi = adds[index][0], int(slots[index]), int(tie_ends[index])
-            while lo < hi:
-                middle = (lo + hi) // 2
-                row = rows[middle]
-                if (
-                    terms[store.subjects[row]],
-                    terms[store.predicates[row]],
-                    terms[store.objects[row]],
-                ) < spo:
-                    lo = middle + 1
-                else:
-                    hi = middle
-            slots[index] = lo
-        return rows, adds, slots
+        return rows, adds, store.insertion_slots(rows, adds)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

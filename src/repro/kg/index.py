@@ -40,6 +40,11 @@ KeyShape = tuple[bool, bool, bool]
 #: A concrete pattern key: ``(s, p, o)`` with ``None`` at variable positions.
 PatternKey = tuple[str | None, str | None, str | None]
 
+#: What match lists are cached under
+#: (:meth:`~repro.kg.pattern.TriplePattern.list_key`): the pattern key,
+#: extended by the repeated positions when a variable repeats.
+ListKey = tuple
+
 
 class MatchListCacheHook(Protocol):
     """What :class:`PatternIndex` needs from an external match-list cache.
@@ -51,9 +56,9 @@ class MatchListCacheHook(Protocol):
     object with these two methods works.
     """
 
-    def get(self, key: PatternKey, version: int) -> "MatchList | None": ...
+    def get(self, key: ListKey, version: int) -> "MatchList | None": ...
 
-    def put(self, key: PatternKey, version: int, match_list: "MatchList") -> None: ...
+    def put(self, key: ListKey, version: int, match_list: "MatchList") -> None: ...
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,7 @@ class PatternIndex:
         self._graph_ref = weakref.ref(graph)
         self._built_version = -1
         self._shape_indexes: dict[KeyShape, dict[tuple[str, ...], list[Triple]]] = {}
-        self._match_lists: dict[PatternKey, MatchList] = {}
+        self._match_lists: dict[ListKey, MatchList] = {}
         self._external_cache: MatchListCacheHook | None = None
 
     @property
@@ -269,24 +274,26 @@ class PatternIndex:
         return index.get(bound, [])
 
     def match_list(self, pattern: TriplePattern) -> MatchList:
-        """Score-sorted match list for *pattern*, cached by key.
+        """Score-sorted match list for *pattern*, cached by its
+        :meth:`~repro.kg.pattern.TriplePattern.list_key` (the key, told
+        apart from a repeated-variable twin's).
 
         With an attached external cache the lookup goes through it
         (version-tagged, so stale entries miss); otherwise the internal
         per-index dict serves repeats until the graph mutates.
         """
         self._invalidate_if_stale()
-        key = pattern.key()
+        list_key = pattern.list_key()
         if self._external_cache is not None:
-            cached = self._external_cache.get(key, self._built_version)
+            cached = self._external_cache.get(list_key, self._built_version)
             if cached is None:
-                cached = self._build_match_list(pattern, key)
-                self._external_cache.put(key, self._built_version, cached)
+                cached = self._build_match_list(pattern, pattern.key())
+                self._external_cache.put(list_key, self._built_version, cached)
             return cached
-        cached = self._match_lists.get(key)
+        cached = self._match_lists.get(list_key)
         if cached is None:
-            cached = self._build_match_list(pattern, key)
-            self._match_lists[key] = cached
+            cached = self._build_match_list(pattern, pattern.key())
+            self._match_lists[list_key] = cached
         return cached
 
     def peek_match_list(self, pattern: TriplePattern) -> MatchList | None:
@@ -298,14 +305,14 @@ class PatternIndex:
         a peek does not register as a statistical miss.
         """
         self._invalidate_if_stale()
-        key = pattern.key()
+        list_key = pattern.list_key()
         cache = self._external_cache
         if cache is not None:
             contains = getattr(type(cache), "__contains__", None)
-            if contains is not None and key not in cache:  # type: ignore[operator]
+            if contains is not None and list_key not in cache:  # type: ignore[operator]
                 return None
-            return cache.get(key, self._built_version)
-        return self._match_lists.get(key)
+            return cache.get(list_key, self._built_version)
+        return self._match_lists.get(list_key)
 
     def _build_match_list(self, pattern: TriplePattern, key: PatternKey) -> MatchList:
         if len(set(pattern.variable_names)) != len(

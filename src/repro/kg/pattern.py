@@ -54,9 +54,11 @@ class TriplePattern:
     """An ``⟨S P O⟩`` pattern over constants and variables.
 
     The pattern's :meth:`key` — the three positions with every variable
-    replaced by ``None`` — identifies its *match list* in the KG index:
-    two patterns with the same key match exactly the same triples, even if
-    their variables are named differently.
+    replaced by ``None`` — names its candidates in the KG index: two
+    patterns with the same key and no repeated variable match exactly
+    the same triples, even if their variables are named differently.
+    Match lists are cached under :meth:`list_key`, which also tells a
+    repeated-variable pattern from its unconstrained twin.
     """
 
     subject: Term
@@ -112,6 +114,19 @@ class TriplePattern:
         return tuple(
             None if isinstance(term, Variable) else term for term in self.terms
         )  # type: ignore[return-value]
+
+    def list_key(self) -> tuple:
+        """What identifies this pattern's *match list*: :meth:`key`, plus
+        the repeated positions when a variable repeats — ``(?x p ?x)``
+        matches only the diagonal of what ``(?x p ?y)`` matches, so the
+        two must not share a cache entry.  ``list_key()[:3]`` is always
+        :meth:`key`, and for every pattern without a repeated variable
+        the two are equal."""
+        key = self.key()
+        if key.count(None) < 2:  # a variable needs two positions to repeat
+            return key
+        repeated = self.repeated_positions
+        return key + (repeated,) if repeated else key
 
     def matches(self, triple: Triple) -> bool:
         """True iff *triple* agrees with this pattern's constant positions

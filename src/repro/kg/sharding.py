@@ -176,7 +176,7 @@ class ShardedPatternIndex(ColumnarPatternIndex):
     """Serves the *merged* global match list, built shard by shard.
 
     Candidate retrieval is inherited from the full store (identical
-    semantics, one mask instead of N).  Match-list construction asks each
+    semantics, one index slice instead of N).  Match-list construction asks each
     shard graph for its list — through the per-shard caches — and merges;
     the merged list is then cached by the inherited machinery (internal
     dict or the attached external cache), so the service layer sees one
@@ -283,10 +283,10 @@ class ShardedGraph(ColumnarGraph):
         For each shard: the cached match list when present, otherwise a
         vectorised peek at ``(n_matches, max raw score)`` — so the caller
         can defer (possibly forever, via threshold early termination)
-        the expensive decode-and-sort of cold shards.  The returned
+        the expensive decode of cold shards.  The returned
         global maximum is exactly :meth:`match_list`'s normaliser.
         """
-        key = pattern.key()
+        key = pattern.list_key()
         inputs: list[ShardLeafInput] = []
         global_max = 0.0
         for shard, cache in zip(self.shards, self.shard_caches):

@@ -394,7 +394,7 @@ def save_snapshot_v2(graph: KnowledgeGraph, path: str | Path) -> int:
 
     store = _columnar_store_of(graph)
     store.validate()
-    order = store.score_order(np.arange(store.n_triples, dtype=np.int64))
+    order = store.ordered_rows((None, None, None))
     term_width = store.terms.dtype.itemsize // 4 if store.terms.size else 1
     arrays = {
         "terms": np.ascontiguousarray(store.terms, dtype=f"<U{term_width}"),

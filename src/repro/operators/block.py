@@ -187,11 +187,28 @@ def first_occurrence_keep(packed: np.ndarray) -> np.ndarray:
     """Indices of the first occurrence of every distinct value, ascending.
 
     Dedup-max over a score-descending array: keeping each key's first
-    occurrence keeps its maximum score (Definition 8), and re-sorting the
-    kept indices preserves the global score order.
+    occurrence keeps its maximum score (Definition 8), and ascending
+    indices preserve the global score order.
+
+    When the key domain is small against the row count (single-variable
+    lists: the keys are term ids) nothing is sorted: a scatter-min
+    writes each key's first index into a table over the domain, and a
+    row is kept iff it is the one its key points back to.  Domains too
+    large to address fall back to ``np.unique``.
     """
-    _, first = np.unique(packed, return_index=True)
-    return np.sort(first)
+    n = len(packed)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    low = int(packed.min())
+    span = int(packed.max()) - low + 1
+    if span > 16 * n:
+        _, first = np.unique(packed, return_index=True)
+        return np.sort(first)
+    slots = packed - low
+    index = np.arange(n)
+    first = np.full(span, n)
+    np.minimum.at(first, slots, index)
+    return np.nonzero(first[slots] == index)[0]
 
 
 def _variable_positions(
@@ -287,17 +304,14 @@ class EncodedMatchList:
     ) -> "EncodedMatchList":
         """Slice the list straight out of dictionary-encoded columns.
 
-        No row is ever decoded to strings: candidate rows come from the
-        store's id masks, the order from ``score_order`` (the same
-        lexsort the string match list uses), and the variable columns
-        are plain slices.  Ids are store dictionary ids, which is what a
-        store-backed :class:`TermCodec` hands out for the same terms.
+        No row is ever decoded to strings and nothing is sorted: the
+        rows come in Definition-5 order from the store's permutation
+        index (:meth:`~repro.kg.columnar.ColumnarStore.match_rows`) and
+        the variable columns are plain slices.  Ids are store dictionary
+        ids, which is what a store-backed :class:`TermCodec` hands out
+        for the same terms.
         """
-        from repro.kg.columnar import ColumnarPatternIndex
-
-        rows = store.rows_matching(pattern.key())
-        rows = ColumnarPatternIndex._filter_repeated_variables(pattern, rows, store)
-        return cls._from_rows(store, pattern, store.score_order(rows))
+        return cls._from_rows(store, pattern, store.match_rows(pattern))
 
     @classmethod
     def from_live(
@@ -331,28 +345,12 @@ class EncodedMatchList:
         base∪delta lists whose delta terms may be outside the store
         dictionary, so each binding is interned (store id when known,
         side id otherwise).  Order and normalized scores are taken from
-        the list verbatim.
-
-        Patterns with repeated variables re-check each row's binding
-        consistency: match lists are cached by *key*, which conflates
-        ``(?x, p, ?x)`` with ``(?x, p, ?y)``, so a cache-served list may
-        hold off-diagonal rows.  The tuple scan defends with a per-row
-        ``pattern.bind`` check (:class:`~repro.operators.scan.SortedScan`);
-        this is the same defense — inconsistent rows are dropped, scores
-        of the surviving rows kept verbatim.
+        the list verbatim — *match_list* must be *pattern*'s own list
+        (``graph.match_list(pattern)``, which tells a repeated-variable
+        pattern from its unconstrained twin).
         """
         var_names, positions = _variable_positions(pattern)
-        repeated = pattern.repeated_positions
         triples = match_list.triples
-        normalized = match_list.normalized_scores
-        if repeated:
-            keep = [
-                row
-                for row, triple in enumerate(triples)
-                if all(triple.spo[i] == triple.spo[j] for i, j in repeated)
-            ]
-            triples = tuple(triples[row] for row in keep)
-            normalized = tuple(normalized[row] for row in keep)
         n = len(triples)
         columns = tuple(np.empty(n, dtype=np.int64) for _ in var_names)
         encode = codec.encode
@@ -360,7 +358,7 @@ class EncodedMatchList:
             spo = triple.spo
             for column, position in zip(columns, positions):
                 column[row] = encode(spo[position])
-        scores = np.asarray(normalized, dtype=np.float64)
+        scores = np.asarray(match_list.normalized_scores, dtype=np.float64)
         return cls(var_names, columns, scores, match_list.max_score)
 
 

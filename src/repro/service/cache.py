@@ -26,7 +26,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.errors import KnowledgeGraphError
-from repro.kg.index import MatchList, PatternKey
+from repro.kg.index import ListKey, MatchList
 
 DEFAULT_CAPACITY = 2048
 
@@ -81,7 +81,8 @@ class CacheStats:
 
 
 class MatchListCache:
-    """Thread-safe LRU over score-sorted match lists, keyed by pattern key.
+    """Thread-safe LRU over score-sorted match lists, keyed by the
+    pattern's :meth:`~repro.kg.pattern.TriplePattern.list_key`.
 
     Parameters
     ----------
@@ -98,7 +99,7 @@ class MatchListCache:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: OrderedDict[PatternKey, tuple[int, MatchList]] = OrderedDict()
+        self._entries: OrderedDict[ListKey, tuple[int, MatchList]] = OrderedDict()
         self._owner: "weakref.ref[object] | None" = None
         self._latest_version: int | None = None
         self._hits = 0
@@ -110,7 +111,7 @@ class MatchListCache:
     def bind(self, owner: object) -> None:
         """Tie this cache to one graph (called on attach).
 
-        Entries are keyed by pattern key and graph version only, so one
+        Entries are keyed by list key and graph version only, so one
         cache serving two graphs would hand one graph's triples to the
         other.  Binding rejects that outright; if the previous owner has
         been garbage collected the cache is cleared and rebound.
@@ -151,7 +152,7 @@ class MatchListCache:
     # ------------------------------------------------------------------
     # MatchListCacheHook protocol
     # ------------------------------------------------------------------
-    def get(self, key: PatternKey, version: int) -> MatchList | None:
+    def get(self, key: ListKey, version: int) -> MatchList | None:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -168,7 +169,7 @@ class MatchListCache:
             self._hits += 1
             return match_list
 
-    def put(self, key: PatternKey, version: int, match_list: MatchList) -> None:
+    def put(self, key: ListKey, version: int, match_list: MatchList) -> None:
         with self._lock:
             if self._latest_version is None or version > self._latest_version:
                 # First put at a newer graph version: eagerly sweep every

@@ -70,11 +70,10 @@ class StatisticsCatalog:
         self.cardinalities = JoinCardinalityEstimator(
             graph, selectivity_mode, encoded_store
         )
-        self._stats: dict[tuple[str | None, str | None, str | None], PatternStats] = {}
-        self._histograms: dict[
-            tuple[str | None, str | None, str | None],
-            TwoBucketHistogram | NBucketHistogram,
-        ] = {}
+        #: Both keyed by ``pattern.list_key()``, like the match lists
+        #: they summarise.
+        self._stats: dict[tuple, PatternStats] = {}
+        self._histograms: dict[tuple, TwoBucketHistogram | NBucketHistogram] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -83,7 +82,7 @@ class StatisticsCatalog:
 
     def pattern_stats(self, pattern: TriplePattern) -> PatternStats:
         """The four stored values (m, σ_r, S_r, S_m) for *pattern*."""
-        key = pattern.key()
+        key = pattern.list_key()
         cached = self._stats.get(key)
         if cached is None:
             match_list = self._graph.match_list(pattern)
@@ -97,7 +96,7 @@ class StatisticsCatalog:
         self, pattern: TriplePattern
     ) -> TwoBucketHistogram | NBucketHistogram:
         """The fitted score-distribution histogram for *pattern*."""
-        key = pattern.key()
+        key = pattern.list_key()
         cached = self._histograms.get(key)
         if cached is None:
             match_list = self._graph.match_list(pattern)
@@ -180,7 +179,13 @@ class StatisticsCatalog:
                 for spo in touched
                 for mask in product((True, False), repeat=3)
             }
-            for key in (self._stats.keys() | self._histograms.keys()) & touched_keys:
+            # Entries sit under list keys, whose first three slots are the
+            # pattern key (a repeated-variable pattern adds a fourth).
+            for key in [
+                key
+                for key in self._stats.keys() | self._histograms.keys()
+                if key[:3] in touched_keys
+            ]:
                 self._stats.pop(key, None)
                 self._histograms.pop(key, None)
                 dropped += 1

@@ -28,6 +28,7 @@ PATTERNS = [
     TriplePattern(VAR_S, "rdf:type", VAR_O),
     TriplePattern("dylan", "likes", VAR_O),
     TriplePattern(VAR_S, Variable("p"), VAR_O),
+    TriplePattern(VAR_S, "likes", VAR_O),  # ... and its off-diagonal twin first
     TriplePattern(VAR_S, "likes", VAR_S),  # repeated variable: diagonal only
     TriplePattern("shakira", "rdf:type", "singer"),  # fully bound
     TriplePattern("nobody", "rdf:type", "singer"),  # unknown term
@@ -55,7 +56,7 @@ class TestColumnarStore:
         store = ColumnarStore.from_triples([])
         assert store.n_triples == 0 and store.n_terms == 0
         assert list(store.iter_triples()) == []
-        assert len(store.rows_matching((None, None, None))) == 0
+        assert len(store.ordered_rows((None, None, None))) == 0
 
     def test_from_arrays_validates_id_range(self):
         with pytest.raises(KnowledgeGraphError, match="out of range"):

@@ -254,7 +254,10 @@ class TestLiveMatchLists:
         live.add("c", "p", "c", score=5.0)
         live.add("c", "p", "d", score=8.0)
         diagonal = TriplePattern(VAR_S, "p", VAR_S)
+        open_twin = TriplePattern(VAR_S, "p", VAR_O)
+        assert len(live.match_list(open_twin)) == 4  # same key, cached first
         assert [t.subject for t in live.match_list(diagonal).triples] == ["c", "a"]
+        assert len(live.match_list(open_twin)) == 4
 
 
 class TestVersionedInvalidation:

@@ -56,6 +56,55 @@ class TestMatchListCaching:
         assert len(after) == len(before) + 1
 
 
+def _knows_triples():
+    return [
+        Triple("a", "knows", "a", 2.0),
+        Triple("a", "knows", "b", 5.0),
+        Triple("b", "knows", "b", 5.0),
+        Triple("c", "knows", "a", 1.0),
+    ]
+
+
+def _object(tmp_path):
+    return KnowledgeGraph(_knows_triples())
+
+
+def _columnar(tmp_path):
+    from repro.kg.columnar import ColumnarGraph
+
+    return ColumnarGraph.from_triples(_knows_triples())
+
+
+def _mmap(tmp_path):
+    from repro.kg.storage import load_snapshot_v2, save_snapshot_v2
+
+    save_snapshot_v2(_columnar(tmp_path), tmp_path / "knows.kg2")
+    return load_snapshot_v2(tmp_path / "knows.kg2", mmap=True)
+
+
+def _sharded(tmp_path):
+    from repro.kg.sharding import ShardedGraph
+
+    return ShardedGraph.from_graph(_object(tmp_path), 2, strategy="score-range")
+
+
+def _live(make_base):
+    def make(tmp_path):
+        from repro.kg.delta import LiveGraph
+
+        live = LiveGraph(make_base(tmp_path))
+        live.remove("c", "knows", "a")
+        live.add("c", "knows", "a", score=1.0)  # dirty delta, same triples
+        return live
+
+    make.__name__ = f"_live{make_base.__name__}"
+    return make
+
+
+BACKENDS = [_object, _columnar, _mmap, _sharded]
+BACKENDS += [_live(make_base) for make_base in tuple(BACKENDS)]
+
+
 class TestRepeatedVariables:
     def test_diagonal_only(self):
         kg = KnowledgeGraph()
@@ -63,6 +112,45 @@ class TestRepeatedVariables:
         kg.add("a", "knows", "b", score=5.0)
         ml = kg.match_list(TriplePattern(var("x"), "knows", var("x")))
         assert [t.spo for t in ml.triples] == [("a", "knows", "a")]
+
+    @pytest.mark.parametrize("shared_cache", [False, True], ids=["own", "shared"])
+    @pytest.mark.parametrize("diagonal_first", [False, True])
+    @pytest.mark.parametrize("make_graph", BACKENDS, ids=lambda make: make.__name__)
+    def test_diagonal_and_open_twin_on_one_graph(
+        self, make_graph, diagonal_first, shared_cache, tmp_path
+    ):
+        """(?x knows ?x) and (?x knows ?y) share an index key; one graph
+        must serve each its own list, whichever is asked for first and
+        whichever cache holds them (ROADMAP 1(a))."""
+        from repro.service.cache import MatchListCache
+
+        graph = make_graph(tmp_path)
+        if shared_cache:
+            graph.attach_match_list_cache(MatchListCache(capacity=8))
+        twins = [
+            TriplePattern(var("x"), "knows", var("y")),
+            TriplePattern(var("x"), "knows", var("x")),
+        ]
+        if diagonal_first:
+            twins.reverse()
+        for pattern in twins * 2:  # second round: served from the cache
+            expected = MatchList.from_triples(
+                pattern.key(), [t for t in _knows_triples() if pattern.matches(t)]
+            )
+            assert graph.match_list(pattern) == expected, pattern
+            peeked = graph._index.peek_match_list(pattern)
+            assert peeked == expected, pattern
+
+    def test_statistics_tell_the_twins_apart(self):
+        from repro.stats.catalog import StatisticsCatalog
+
+        catalog = StatisticsCatalog(KnowledgeGraph(_knows_triples()))
+        open_twin = TriplePattern(var("x"), "knows", var("y"))
+        diagonal = TriplePattern(var("x"), "knows", var("x"))
+        assert catalog.pattern_stats(open_twin).m == 4
+        assert catalog.pattern_stats(diagonal).m == 2
+        assert catalog.histogram(diagonal) is not catalog.histogram(open_twin)
+        assert catalog.match_count(open_twin) == 4
 
 
 class TestMatchListFromTriples:

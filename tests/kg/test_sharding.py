@@ -161,6 +161,30 @@ class TestMergeMatchLists:
         assert sharded.triples == plain.triples
         assert [t.subject for t in sharded.triples] == ["a", "b"]
 
+    def test_shard_leaf_inputs_tell_a_diagonal_from_its_open_twin(self):
+        """The per-shard caches are keyed by list key too: a warm open
+        list is not handed to the diagonal pattern's leaf scan."""
+        store = ColumnarStore.from_triples(
+            [
+                Triple("a", "p", "a", 3.0),
+                Triple("a", "p", "b", 9.0),
+                Triple("b", "p", "b", 2.0),
+            ]
+        )
+        graph = ShardedGraph(store, 2, strategy="hash-subject")
+        open_twin = TriplePattern(VAR_S, "p", VAR_O)
+        diagonal = TriplePattern(VAR_S, "p", VAR_S)
+        assert len(graph.match_list(open_twin)) == 3  # warms every shard cache
+        global_max, inputs = graph.shard_leaf_inputs(diagonal)
+        assert global_max == 3.0
+        assert all(leaf.match_list is None for leaf in inputs)  # cold, peeked
+        assert sum(leaf.n_matches for leaf in inputs) == 2
+        assert len(graph.match_list(diagonal)) == 2
+        _, warm = graph.shard_leaf_inputs(diagonal)
+        assert sorted(
+            t.subject for leaf in warm if leaf.match_list for t in leaf.match_list.triples
+        ) == ["a", "b"]
+
 
 class TestShardedGraph:
     def test_graph_interface(self):

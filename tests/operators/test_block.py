@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
 from repro.kg.columnar import ColumnarGraph
@@ -147,9 +149,42 @@ class TestJointGroupIds:
 
 
 class TestFirstOccurrenceKeep:
+    @staticmethod
+    def reference(packed: np.ndarray) -> np.ndarray:
+        _, first = np.unique(packed, return_index=True)
+        return np.sort(first)
+
     def test_keeps_first_in_order(self):
         packed = np.array([7, 3, 7, 3, 9], dtype=np.int64)
         assert first_occurrence_keep(packed).tolist() == [0, 1, 4]
+
+    def test_empty(self):
+        assert first_occurrence_keep(np.empty(0, dtype=np.int64)).tolist() == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        # Term ids (scatter-min table), packed pairs and int64 extremes
+        # (np.unique), and domains straddling the switch between them.
+        low=st.sampled_from([0, -5, 8_413, 2**40, -(2**62)]),
+        width=st.sampled_from([1, 2, 50, 3_000, 3_300, 10**6, 2**61]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_the_unique_reference_on_any_key_domain(self, n, low, width, seed):
+        rng = np.random.default_rng(seed)
+        packed = low + rng.integers(0, width, size=n, dtype=np.int64)
+        keep = first_occurrence_keep(packed)
+        np.testing.assert_array_equal(keep, self.reference(packed))
+
+    @pytest.mark.parametrize("n", [1, 7, 5_000])
+    def test_all_equal_and_all_distinct_keys(self, n):
+        same = np.full(n, 42, dtype=np.int64)
+        assert first_occurrence_keep(same).tolist() == [0]
+        for distinct in (
+            np.arange(n, dtype=np.int64)[::-1].copy(),  # dense: table
+            np.arange(n, dtype=np.int64) * 10**9,  # sparse: np.unique
+        ):
+            assert first_occurrence_keep(distinct).tolist() == list(range(n))
 
 
 class TestEncodedMatchList:
@@ -193,11 +228,10 @@ class TestEncodedMatchList:
         assert len(encoded) == 1
         assert encoded.var_names == ("x",)
 
-    def test_from_match_list_filters_key_conflated_repeated_variables(self):
-        """Regression: match lists are cached by *key*, which conflates
-        (?x, p, ?x) with (?x, p, ?y) — encoding a cache-served list for
-        the repeated-variable pattern must drop off-diagonal rows, like
-        the tuple scan's per-row bind check does."""
+    def test_repeated_variable_list_is_not_served_its_open_twins(self):
+        """Regression (ROADMAP 1(a)): (?x, p, ?x) and (?x, p, ?y) share
+        an index key but not a match list — whichever is built first,
+        each is served its own, so the encoded list needs no re-filter."""
         kg = KnowledgeGraph()
         for s, p, o, score in [
             ("a", "p", "a", 4.0), ("a", "p", "b", 3.0), ("b", "p", "b", 5.0),
@@ -205,16 +239,13 @@ class TestEncodedMatchList:
             kg.add(s, p, o, score=score)
         open_pattern = TriplePattern(var("x"), "p", var("y"))
         diagonal = TriplePattern(var("x"), "p", var("x"))
-        # The polluted list: built for the open pattern, same index key.
-        polluted = kg.match_list(open_pattern)
+        assert len(kg.match_list(open_pattern)) == 3  # built and cached first
         codec = TermCodec(None)
-        encoded = EncodedMatchList.from_match_list(polluted, diagonal, codec)
-        assert len(encoded) == 2  # only (b,p,b) and (a,p,a) survive
+        encoded = build_encoded_match_list(kg, diagonal, codec)
         decoded = [codec.decode(i) for i in encoded.columns[0].tolist()]
-        assert decoded == ["b", "a"]
-        # Scores stay verbatim from the polluted list (the tuple scan's
-        # behaviour): normalised by the list's global max.
+        assert decoded == ["b", "a"]  # only (b,p,b) and (a,p,a)
         assert encoded.scores.tolist() == [1.0, 0.8]
+        assert len(kg.match_list(open_pattern)) == 3
 
     def test_build_helper_prefers_store(self, columnar):
         codec = TermCodec(columnar.store)

@@ -52,9 +52,6 @@ BASES = ("columnar", "hash-subject", "score-range")
 
 def assert_sliced_is_encoded_string_list(live: LiveGraph, pattern, monkeypatch=None):
     codec = TermCodec(live.base.store)
-    # String lists are cached by pattern key, under which (?n p ?n) and
-    # (?s p ?o) collide: build the reference from a cold cache.
-    live.invalidate_caches()
     reference = EncodedMatchList.from_match_list(
         live.match_list(pattern), pattern, codec
     )

@@ -4,7 +4,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.estimator import ExpectedScoreEstimator
@@ -204,13 +204,6 @@ def exact_count(graph, patterns) -> int:
 def test_vectorised_count_is_the_brute_force_count_on_every_backend(
     seed, updates, patterns
 ):
-    # String match lists are cached by pattern *key*, under which
-    # (?x p ?x) and (?x p ?y) collide; the object backend (and only it)
-    # encodes from those lists, so one graph cannot serve both shapes.
-    assume(
-        len({(p.key(), p.repeated_positions) for p in patterns})
-        == len({p.key() for p in patterns})
-    )
     reference = KnowledgeGraph(Triple(*spo, score) for spo, score in seed.items())
     expected = brute_force_count(reference, patterns)
     columnar = ColumnarGraph.from_graph(reference)
