@@ -5,6 +5,9 @@
 #   make bench-diff  regenerate the baseline and diff it against the prior PR's
 #   make bench-e2e  the BENCHMARK.json end-to-end benchmark, all four workloads
 #   make bench-compare A=a.json B=b.json  verdict per workload and metric, B against A
+#   make bench-pairs PARENT=<checkout> W=<workload> N=10 SEED=42 [CLAIM=qps]
+#                alternating parent/change runs of one workload: medians,
+#                quartiles, wins/ties, the claim rule and the --compare verdict
 #   make cov     tests with line coverage + the CI floor (needs pytest-cov)
 #   make docs    docs link + snippet import check, run every runnable doc surface
 #   make workload  demo the batch-serving layer (cold vs warm)
@@ -22,7 +25,7 @@ BENCH_JSON ?= BENCH_PR9.json
 #: The prior baseline `make bench-diff` compares against.
 BENCH_PRIOR ?= BENCH_PR6.json
 
-.PHONY: test bench bench-diff bench-e2e bench-compare cov docs workload scenarios
+.PHONY: test bench bench-diff bench-e2e bench-compare bench-pairs cov docs workload scenarios
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -40,6 +43,14 @@ bench-e2e:
 bench-compare:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=parent.json B=change.json"; exit 2; }
 	python3 bench/run.py --compare $(A) $(B)
+
+W ?= xkg_relax_resident
+N ?= 10
+SEED ?= 42
+
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<checkout of the parent commit> [W=$(W)] [N=$(N)] [SEED=$(SEED)] [CLAIM=qps]"; exit 2; }
+	python3 scripts/bench_pairs.py --parent $(PARENT) --workload $(W) --pairs $(N) --seed $(SEED) $(if $(CLAIM),--claim $(CLAIM))
 
 cov:
 	$(PYTHON) -m pytest tests -q --cov=repro \

@@ -145,14 +145,9 @@ class QueryPlan:
             )
             for i in self.singletons
         ]
-        operands = group_ops + merge_ops
-        if not operands:
-            raise PlanError("plan has no operands")
-        tree = operands.pop(0)
-        while operands:
-            pick = self._pick_connected(tree, operands)
-            tree = RankJoin(tree, operands.pop(pick), context)
-        return tree
+        return self._join_left_deep(
+            group_ops + merge_ops, lambda left, right: RankJoin(left, right, context)
+        )
 
     # ------------------------------------------------------------------
     # Block operator-tree construction (the vectorized executor)
@@ -231,31 +226,38 @@ class QueryPlan:
                     merged, i, context, block_size=block_size, whole_list_pulled=True
                 )
             )
-        operands: list[BlockOperator] = group_ops + merge_ops
+        return self._join_left_deep(
+            group_ops + merge_ops,
+            lambda left, right: VectorRankJoin(
+                left, right, context, codec, block_size=block_size
+            ),
+        )
+
+    def _join_left_deep(self, operands: list, join: Callable):
+        """Fold *operands* (either pipeline's) into one left-deep tree of
+        ``join(tree, operand)``: starting from the first, always the first
+        remaining operand sharing a variable with the tree so far, else
+        the first remaining."""
         if not operands:
             raise PlanError("plan has no operands")
-        tree = operands.pop(0)
-        while operands:
-            pick = self._pick_connected(tree, operands)
-            tree = VectorRankJoin(
-                tree, operands.pop(pick), context, codec, block_size=block_size
+        # Each pattern's variable names once per tree, not once per step.
+        of_pattern = [frozenset(p.variable_names) for p in self.query.patterns]
+        pending = [
+            (
+                operand,
+                frozenset().union(*(of_pattern[i] for i in operand.patterns_covered)),
             )
+            for operand in operands
+        ]
+        tree, tree_vars = pending.pop(0)
+        while pending:
+            pick = next(
+                (at for at, (_, names) in enumerate(pending) if tree_vars & names), 0
+            )
+            operand, variables = pending.pop(pick)
+            tree = join(tree, operand)
+            tree_vars |= variables
         return tree
-
-    def _pick_connected(
-        self, tree: "Operator | BlockOperator", operands: list
-    ) -> int:
-        """Index of the first operand sharing a variable with *tree*."""
-        tree_vars: set[str] = set()
-        for index in tree.patterns_covered:
-            tree_vars.update(self.query.patterns[index].variable_names)
-        for position, operand in enumerate(operands):
-            operand_vars: set[str] = set()
-            for index in operand.patterns_covered:
-                operand_vars.update(self.query.patterns[index].variable_names)
-            if tree_vars & operand_vars:
-                return position
-        return 0
 
     def _build_incremental_merge(
         self,

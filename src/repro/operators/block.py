@@ -53,10 +53,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kg.index import MatchList
     from repro.kg.pattern import TriplePattern
 
-#: Rows per emitted block.  Large enough to amortise per-block Python
-#: overhead, small enough that top-k early termination rarely touches a
-#: second block on selective queries.
-DEFAULT_BLOCK_SIZE = 1024
+#: Rows per emitted block.  A match list that fits is handed out whole,
+#: so its stored join-key order serves every probe (see
+#: :meth:`EncodedMatchList.key_order`).  Measured on the benchmark's
+#: resident relaxed traffic at 1 024 rows: HRJN's corner bound does not
+#: fall below the k-th result before the inputs run dry, so 99.6 % of all
+#: list rows were pulled anyway, in 6.2 probes a read, and smaller blocks
+#: only added probes (256 rows read 0.73x, 32 rows 0.16x of the qps).
+#: Leaf lists there are 103-2 954 rows, so 4 096 is on that traffic the
+#: same as unbounded while still bounding a block over a pathological list.
+DEFAULT_BLOCK_SIZE = 4096
+
+#: A row set's join keys in key order: the packed keys ascending, the row
+#: each came from (equal keys in row order), and whether no key repeats.
+KeyOrder = tuple[np.ndarray, np.ndarray, bool]
 
 
 class TermCodec:
@@ -169,6 +179,20 @@ def joint_group_ids(
     return inverse[:n_a], inverse[n_a:]
 
 
+def sorted_key_order(
+    columns: Sequence[np.ndarray], n_ids: int, n_rows: int
+) -> KeyOrder | None:
+    """The :data:`KeyOrder` of the rows keyed by the parallel id *columns*
+    (one stable ``argsort`` of :func:`pack_columns`), or ``None`` when
+    the keys cannot be packed."""
+    packed = pack_columns(columns, n_ids, n_rows=n_rows)
+    if packed is None:
+        return None
+    order = np.argsort(packed, kind="stable")
+    keys = packed[order]
+    return keys, order, bool((keys[1:] != keys[:-1]).all())
+
+
 def expand_matches(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The row pairs of a probe into a sorted key run.
 
@@ -235,9 +259,16 @@ class EncodedMatchList:
     them (raw score descending, ties by ``spo``), so a scan over this
     list emits the same stream as a
     :class:`~repro.operators.scan.SortedScan` minus the objects.
+
+    The arrays are read-only from construction: scans hand them out to
+    operators as they are (a list that fits one block) or as views, so no
+    operator can corrupt a stored list.  The list also carries its
+    **join-key orders** (:meth:`key_order`), built on first use — views of
+    the list that live and die with it in the
+    :class:`EncodedListStore`.
     """
 
-    __slots__ = ("var_names", "columns", "scores", "max_score")
+    __slots__ = ("var_names", "columns", "scores", "max_score", "_key_orders")
 
     def __init__(
         self,
@@ -246,17 +277,45 @@ class EncodedMatchList:
         scores: np.ndarray,
         max_score: float,
     ) -> None:
+        for array in (*columns, scores):
+            array.flags.writeable = False
         self.var_names = var_names
         self.columns = columns
         self.scores = scores
         self.max_score = max_score
+        #: ``join_vars -> (packing base, KeyOrder | None)``.
+        self._key_orders: dict[tuple[str, ...], tuple[int, KeyOrder | None]] = {}
 
     def __len__(self) -> int:
         return len(self.scores)
 
-    def nbytes(self) -> int:
-        """Approximate memory footprint (cache budget accounting)."""
-        return int(self.scores.nbytes + sum(c.nbytes for c in self.columns))
+    def key_order(self, join_vars: tuple[str, ...], n_ids: int) -> KeyOrder | None:
+        """The list's rows in the order of their *join_vars* key, packed
+        base *n_ids* (``None`` when that overflows).
+
+        Built once per list and key — one ``argsort`` — and shared by
+        every join that scans the whole list afterwards; the permutation
+        is kept as int32, all arrays read-only.  Racing first builds
+        compute the same arrays and either assignment may stand.
+        """
+        # One column packs to itself whatever the id domain; a wider key
+        # is only good for the base it was packed with (side-table ids
+        # can grow the domain between two queries of one graph version).
+        base = n_ids if len(join_vars) > 1 else 0
+        held = self._key_orders.get(join_vars)
+        if held is None or held[0] != base:
+            built = sorted_key_order(
+                tuple(self.columns[self.var_names.index(name)] for name in join_vars),
+                n_ids,
+                len(self),
+            )
+            if built is not None:
+                keys, order, distinct = built
+                order = order.astype(np.int32)
+                keys.flags.writeable = order.flags.writeable = False
+                built = (keys, order, distinct)
+            held = self._key_orders[join_vars] = (base, built)
+        return held[1]
 
     # ------------------------------------------------------------------
     @classmethod
@@ -619,15 +678,21 @@ class EncodedListStore:
 
 
 class Block:
-    """One batch of answers: parallel id columns + non-increasing scores."""
+    """One batch of answers: parallel id columns + non-increasing scores.
 
-    __slots__ = ("var_names", "columns", "scores")
+    *source* is set when the columns are a whole stored list's own
+    arrays, so a join can take the rows' key order from the list
+    (:meth:`EncodedMatchList.key_order`) instead of sorting them.
+    """
+
+    __slots__ = ("var_names", "columns", "scores", "source")
 
     def __init__(
         self,
         var_names: tuple[str, ...],
         columns: tuple[np.ndarray, ...],
         scores: np.ndarray,
+        source: EncodedMatchList | None = None,
     ) -> None:
         if len(var_names) != len(columns):
             raise ExecutionError(
@@ -636,6 +701,7 @@ class Block:
         self.var_names = var_names
         self.columns = columns
         self.scores = scores
+        self.source = source
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -732,7 +798,7 @@ class BlockTopK:
         k = self._k
         # The sink usually needs only ~k of a block's rows, so columns
         # are materialised to Python lists chunk by chunk — converting a
-        # whole 1024-row block to visit 10 rows would dominate warm
+        # whole block of thousands of rows to visit 10 would dominate warm
         # single-pattern queries.
         chunk = max(32, 2 * k)
         collected: list[tuple[float, tuple[int, ...]]] = []

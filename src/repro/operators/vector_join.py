@@ -6,11 +6,17 @@
 
 * inputs are pulled **one block at a time**, round-robin, preferring a
   non-exhausted side;
-* each side accumulates its pulled rows as consolidated id/score arrays;
-  a freshly pulled block probes the opposite side with two
-  ``np.searchsorted`` calls over that side's join keys (packed into one
-  int64 per row) and a vectorized range expansion — no per-row Python,
-  no string hashing;
+* each side accumulates its pulled rows as consolidated id/score arrays
+  with their **key order** — the join keys (packed into one int64 per
+  row) ascending, and the row each came from.  A side that holds a whole
+  stored list adopts the order the list keeps
+  (:meth:`~repro.operators.block.EncodedMatchList.key_order`); join
+  outputs and list prefixes sort each block once and weave it in;
+* a freshly pulled block probes the opposite side with its needles *in
+  key order* — sorted into sorted: one ``np.searchsorted`` and an
+  equality test when the stored keys are distinct, else the
+  ``left``/``right`` pair and a vectorized range expansion — no per-row
+  Python, no string hashing;
 * join results collect in a score-sorted buffer, and a buffered row is
   released only when its score is at least the HRJN threshold
 
@@ -20,7 +26,7 @@
   any join result not yet in the buffer, whatever the pull granularity:
   it only reads the inputs' upper bounds, which are valid for every
   not-yet-pulled row regardless of whether rows arrive one at a time or
-  1024 at a time.  Emitted blocks are therefore globally score-sorted,
+  a whole list at a time.  Emitted blocks are therefore globally score-sorted,
   and the join enumerates exactly the result multiset the tuple operator
   enumerates — which is why the two executors agree byte-for-byte after
   the shared canonical top-k cut (see ``docs/architecture.md``).
@@ -40,10 +46,11 @@ from repro.operators.block import (
     DEFAULT_BLOCK_SIZE,
     Block,
     BlockOperator,
+    KeyOrder,
     TermCodec,
     expand_matches,
     joint_group_ids,
-    pack_columns,
+    sorted_key_order,
 )
 from repro.operators.memory import ExecutionContext
 
@@ -66,10 +73,22 @@ def _weave_mask(old_keys: np.ndarray, new_keys: np.ndarray) -> np.ndarray:
 
 def _weave(old: np.ndarray, new: np.ndarray, new_mask: np.ndarray) -> np.ndarray:
     """Scatter two payload runs into one merged array per *new_mask*."""
-    merged = np.empty(len(old) + len(new), dtype=old.dtype)
+    merged = np.empty(len(new_mask), dtype=np.promote_types(old.dtype, new.dtype))
     merged[new_mask] = new
     merged[~new_mask] = old
     return merged
+
+
+def _block_key_order(
+    block: Block, join_vars: tuple[str, ...], pack_base: int
+) -> KeyOrder | None:
+    """The rows of *block* in join-key order: its list's stored order
+    when the block is a whole stored list, else one argsort of its keys."""
+    if block.source is not None:
+        return block.source.key_order(join_vars, pack_base)
+    return sorted_key_order(
+        tuple(block.column(name) for name in join_vars), pack_base, len(block)
+    )
 
 
 class _Side:
@@ -79,95 +98,96 @@ class _Side:
         "op",
         "join_vars",
         "top",
-        "_chunks",
+        "_pending",
         "_n",
         "_columns",
         "_scores",
-        "_key_columns",
-        "_order",
-        "_packed_sorted",
-        "_dirty",
+        "_key_order",
     )
 
     def __init__(self, op: BlockOperator, join_vars: tuple[str, ...]) -> None:
         self.op = op
         self.join_vars = join_vars
         self.top: float | None = None  # first score seen (HRJN's "top")
-        self._chunks: list[Block] = []
+        #: Blocks not yet consolidated, each with its key order if known.
+        self._pending: list[tuple[Block, KeyOrder | None]] = []
         self._n = 0
         self._columns: dict[str, np.ndarray] = {}
         self._scores = np.empty(0, dtype=np.float64)
-        self._key_columns: tuple[np.ndarray, ...] = ()
-        self._order = np.empty(0, dtype=np.int64)
-        self._packed_sorted: np.ndarray | None = None
-        self._dirty = False
+        self._key_order: KeyOrder | None = None
 
     @property
     def n_rows(self) -> int:
         return self._n
 
-    def insert(self, block: Block) -> None:
+    def insert(self, block: Block, key_order: KeyOrder | None = None) -> None:
+        """Add a pulled *block*; *key_order* is the block's own, when the
+        probe it just made already derived it."""
         if self.top is None and len(block):
             self.top = float(block.scores[0])
-        self._chunks.append(block)
+        self._pending.append((block, key_order))
         self._n += len(block)
-        self._dirty = True
 
     def _consolidate(self, pack_base: int) -> None:
         names = self.op.var_names
+        pending, self._pending = self._pending, []
         n_old = len(self._scores)
-        if self._chunks:
+        if n_old == 0 and len(pending) == 1:
+            # A side that is one block so far — every whole stored list —
+            # is that block's arrays, and its key order the block's.
+            block = pending[0][0]
+            self._columns = {name: block.column(name) for name in names}
+            self._scores = block.scores
+        else:
+            blocks = [block for block, _ in pending]
             self._columns = {
                 name: np.concatenate(
-                    ([self._columns[name]] if self._columns else [])
-                    + [chunk.column(name) for chunk in self._chunks]
+                    ([self._columns[name]] if n_old else [])
+                    + [block.column(name) for block in blocks]
                 )
                 for name in names
             }
             self._scores = np.concatenate(
-                ([self._scores] if len(self._scores) else [])
-                + [chunk.scores for chunk in self._chunks]
+                ([self._scores] if n_old else []) + [block.scores for block in blocks]
             )
-            self._chunks = []
-        self._key_columns = tuple(self._columns[name] for name in self.join_vars)
-        new_keys = pack_columns(
-            tuple(column[n_old:] for column in self._key_columns),
-            pack_base,
-            n_rows=self._n - n_old,
-        )
-        if new_keys is None:
-            self._packed_sorted = None
-            self._dirty = False
-            return
-        # Incremental merge: sort only the freshly pulled rows and weave
-        # them into the existing sorted run — O(n + B) per block instead
-        # of a full O(n log n) re-argsort of everything pulled so far.
-        new_order = np.argsort(new_keys, kind="stable") + n_old
-        new_sorted = new_keys[new_order - n_old]
-        if self._packed_sorted is None or n_old == 0:
-            self._packed_sorted = new_sorted
-            self._order = new_order
-        else:
-            new_mask = _weave_mask(self._packed_sorted, new_sorted)
-            self._order = _weave(self._order, new_order, new_mask)
-            self._packed_sorted = _weave(self._packed_sorted, new_sorted, new_mask)
-        self._dirty = False
+        # Incremental merge: each block's sorted run is woven into the
+        # existing one — O(n + B) per block instead of a full O(n log n)
+        # re-argsort of everything pulled so far.
+        for block, key_order in pending:
+            if key_order is None:
+                key_order = _block_key_order(block, self.join_vars, pack_base)
+            if key_order is None:
+                self._key_order = None  # unpackable keys, on every block
+                return
+            if n_old == 0:
+                self._key_order = key_order
+            else:
+                assert self._key_order is not None
+                old_keys, old_order, old_distinct = self._key_order
+                new_keys, new_order, new_distinct = key_order
+                new_mask = _weave_mask(old_keys, new_keys)
+                keys = _weave(old_keys, new_keys, new_mask)
+                self._key_order = (
+                    keys,
+                    _weave(old_order, new_order + n_old, new_mask),
+                    old_distinct
+                    and new_distinct
+                    and bool((keys[1:] != keys[:-1]).all()),
+                )
+            n_old += len(block)
 
     def probe_arrays(
         self, pack_base: int
-    ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray | None, np.ndarray]:
-        """``(columns, scores, packed_sorted, order)`` over all pulled rows.
+    ) -> tuple[dict[str, np.ndarray], np.ndarray, KeyOrder | None]:
+        """``(columns, scores, key_order)`` over all pulled rows.
 
-        ``packed_sorted`` is ``None`` when the key domain could not be
+        ``key_order`` is ``None`` when the key domain could not be
         packed into int64; the caller then uses :func:`joint_group_ids`
         per probe.
         """
-        if self._dirty:
+        if self._pending:
             self._consolidate(pack_base)
-        return self._columns, self._scores, self._packed_sorted, self._order
-
-    def key_columns(self) -> tuple[np.ndarray, ...]:
-        return self._key_columns
+        return self._columns, self._scores, self._key_order
 
 
 class VectorRankJoin(BlockOperator):
@@ -222,38 +242,63 @@ class VectorRankJoin(BlockOperator):
         return self._join_vars
 
     # ------------------------------------------------------------------
-    def _probe(self, block: Block, own: _Side, other: _Side) -> None:
-        """Join *block* (just pulled into *own*) against *other*'s rows."""
+    def _probe(self, block: Block, own: _Side, other: _Side) -> KeyOrder | None:
+        """Join *block* (just pulled from *own*) against *other*'s rows.
+
+        Returns the block's key order when the probe derived one, for
+        *own* to keep.
+        """
         self._context.joins_attempted += len(block)
         if other.n_rows == 0 or len(block) == 0:
-            return
+            return None
         if self._pack_base is None:
             # All encoding happened while the leaves were built, so the
             # codec's id domain is final by the first pull.
             self._pack_base = max(self._codec.n_ids, 1)
-        columns, scores, packed_sorted, order = other.probe_arrays(self._pack_base)
-        block_keys = tuple(block.column(name) for name in self._join_vars)
-        if packed_sorted is not None:
-            probe_packed = pack_columns(
-                block_keys, self._pack_base, n_rows=len(block)
-            )
+        columns, scores, stored = other.probe_arrays(self._pack_base)
+        # Needles are searched in key order: sorted into sorted walks
+        # the stored run once instead of bisecting it afresh per needle.
+        if stored is not None:
+            needles = _block_key_order(block, self._join_vars, self._pack_base)
+            assert needles is not None  # same columns, same base as *stored*
+            stored_keys, stored_order, distinct = stored
+            probe_keys, probe_order, _ = needles
         else:
             # Exact slow path: joint group ids over both row sets.
+            needles = None
             stored_ids, probe_ids = joint_group_ids(
-                other.key_columns(), block_keys
+                tuple(columns[name] for name in self._join_vars),
+                tuple(block.column(name) for name in self._join_vars),
             )
-            order = np.argsort(stored_ids, kind="stable")
-            packed_sorted = stored_ids[order]
-            probe_packed = probe_ids
-        lo = np.searchsorted(packed_sorted, probe_packed, side="left")
-        hi = np.searchsorted(packed_sorted, probe_packed, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            return
-        self._context.joins_matched += int(np.count_nonzero(counts))
-        probe_rows, positions = expand_matches(lo, counts)
-        stored_rows = order[positions]
+            stored_order = np.argsort(stored_ids, kind="stable")
+            stored_keys = stored_ids[stored_order]
+            probe_order = np.argsort(probe_ids, kind="stable")
+            probe_keys = probe_ids[probe_order]
+            distinct = False
+        if distinct:
+            # No stored key repeats: a needle matches the one row at its
+            # insertion point or nothing.
+            slots = np.searchsorted(stored_keys, probe_keys)
+            hits = np.nonzero(
+                stored_keys[np.minimum(slots, len(stored_keys) - 1)] == probe_keys
+            )[0]
+            total = matched = len(hits)
+            if total == 0:
+                return needles
+            probe_rows = probe_order[hits]
+            stored_rows = stored_order[slots[hits]]
+        else:
+            lo = np.searchsorted(stored_keys, probe_keys, side="left")
+            hi = np.searchsorted(stored_keys, probe_keys, side="right")
+            counts = hi - lo
+            total = int(counts.sum())
+            if total == 0:
+                return needles
+            matched = int(np.count_nonzero(counts))
+            needle_slots, positions = expand_matches(lo, counts)
+            probe_rows = probe_order[needle_slots]
+            stored_rows = stored_order[positions]
+        self._context.joins_matched += matched
         joined_scores = block.scores[probe_rows] + scores[stored_rows]
         own_names = set(own.op.var_names)
         joined_columns = tuple(
@@ -264,6 +309,7 @@ class VectorRankJoin(BlockOperator):
         )
         self._context.factory.objects_created += total
         self._buffer_insert(joined_columns, joined_scores)
+        return needles
 
     def _buffer_insert(
         self, columns: tuple[np.ndarray, ...], scores: np.ndarray
@@ -320,8 +366,7 @@ class VectorRankJoin(BlockOperator):
                 self._left.op.upper_bound() != EXHAUSTED_BOUND
                 or self._right.op.upper_bound() != EXHAUSTED_BOUND
             )
-        self._probe(block, own, other)
-        own.insert(block)
+        own.insert(block, self._probe(block, own, other))
         return True
 
     def _threshold(self) -> float:
@@ -359,10 +404,15 @@ class VectorRankJoin(BlockOperator):
             buffered = len(self._buf_scores) - position
             if buffered and float(self._buf_scores[position]) >= threshold:
                 # Rows with score >= threshold form a prefix of the
-                # sorted buffer; release it (capped at the block size).
-                eligible = int(
-                    np.searchsorted(
-                        -self._buf_scores[position:], -threshold, side="right"
+                # sorted buffer — all of it once the inputs have run dry;
+                # release it (capped at the block size).
+                eligible = (
+                    buffered
+                    if threshold == EXHAUSTED_BOUND
+                    else int(
+                        np.searchsorted(
+                            -self._buf_scores[position:], -threshold, side="right"
+                        )
                     )
                 )
                 return self._emit(position + eligible)

@@ -5,8 +5,9 @@
 out of an :class:`~repro.operators.block.EncodedMatchList` — id columns
 and normalized scores that came straight off the columnar store — so a
 "pull" is two array slices and one elementwise multiply instead of a
-Python object per row.  Scores are ``weight * normalized`` elementwise,
-bitwise-equal to the tuple scan's per-row ``weight * normalized(i)``.
+Python object per row, and a list that fits one block is handed out as
+it is.  Scores are ``weight * normalized`` elementwise, bitwise-equal to
+the tuple scan's per-row ``weight * normalized(i)``.
 
 :class:`VectorIncrementalMerge` is the block twin of
 :class:`~repro.operators.incremental_merge.IncrementalMerge`: one
@@ -94,8 +95,9 @@ class VectorScan(BlockOperator):
         return self._weight
 
     def next_block(self) -> Block | None:
+        encoded = self._encoded
         start = self._position
-        n = len(self._encoded)
+        n = len(encoded)
         if start >= n:
             return None
         stop = min(start + self._block_size, n)
@@ -106,11 +108,17 @@ class VectorScan(BlockOperator):
             pulled = stop - start
         self._context.tuples_pulled += pulled
         self._context.factory.objects_created += pulled
+        weight = self._weight
+        if stop - start == n:
+            # The list is one block: its own (read-only) arrays, tagged
+            # with the list so that joins probe in its stored key order.
+            scores = encoded.scores if weight == 1.0 else weight * encoded.scores
+            return Block(encoded.var_names, encoded.columns, scores, source=encoded)
         window = slice(start, stop)
         return Block(
-            self._encoded.var_names,
-            tuple(column[window] for column in self._encoded.columns),
-            self._weight * self._encoded.scores[window],
+            encoded.var_names,
+            tuple(column[window] for column in encoded.columns),
+            weight * encoded.scores[window],
         )
 
     def upper_bound(self) -> float:
