@@ -35,7 +35,6 @@ from repro.operators.block import EncodedListStore
 from repro.query.answer import Answer
 from repro.query.query import TriplePatternQuery
 from repro.query.sparql import parse_sparql
-from repro.relax.chains import ChainRuleSet
 from repro.relax.rules import RuleSet
 from repro.stats.catalog import StatisticsCatalog
 
@@ -85,9 +84,6 @@ class SpecQPEngine:
         Optionally share a prebuilt :class:`StatisticsCatalog` (e.g. one
         warmed offline for a whole workload); by default the engine builds
         its own from *config*.
-    chain_rules:
-        Optional chain relaxations (§6 future-work extension); processed
-        as extra Incremental Merge inputs whenever a pattern is relaxed.
     match_list_cache:
         Optionally route the graph's match-list lookups through a shared
         external cache (see :class:`repro.service.MatchListCache`); the
@@ -116,8 +112,8 @@ class SpecQPEngine:
         backend has id columns, tuple otherwise.  Answers and scores
         are byte-identical under all three.  ``"block"`` is the serving
         pipeline on columnar, sharded and live backends and silently
-        falls back to the tuple pipeline where it cannot run
-        (object-graph backend, chain relaxations); ``"auto"`` is the
+        falls back to the tuple pipeline where it cannot run (the
+        object-graph backend); ``"auto"`` is the
         same choice made explicit (:meth:`resolve_executor` reports it);
         ``"tuple"`` is the paper-faithful reference.  See
         :mod:`repro.operators.block`.
@@ -139,7 +135,6 @@ class SpecQPEngine:
         rules: RuleSet,
         config: EngineConfig | None = None,
         catalog: StatisticsCatalog | None = None,
-        chain_rules: "ChainRuleSet | None" = None,
         match_list_cache: MatchListCacheHook | None = None,
         shards: int | None = None,
         shard_strategy: ShardStrategy = "hash-subject",
@@ -186,13 +181,11 @@ class SpecQPEngine:
             rules,
             relax_all_when_insufficient=self.config.relax_all_when_insufficient,
         )
-        self.chain_rules = chain_rules
         self._executor_mode: ExecutorMode = executor
         self.executor = PlanExecutor(
             graph,
             rules,
             self.config.max_relaxations_per_pattern,
-            chain_rules=chain_rules,
             # The executor carries both pipelines and falls back to tuple
             # where blocks cannot run, which is what "auto" means.
             executor="block" if executor == "auto" else executor,

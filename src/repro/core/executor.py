@@ -15,9 +15,8 @@ Two interchangeable execution strategies produce byte-identical answers:
     exchange score-sorted blocks of dictionary-encoded id arrays and
     decode to strings only at the top-k sink.  Available whenever the
     graph is backed by encoded columns — columnar, sharded, or a live
-    overlay over either — and no chain relaxations are configured; other
-    configurations silently fall back to the tuple pipeline (the
-    object-graph backend has no id columns to slice).
+    overlay over either; the plain object graph silently falls back to
+    the tuple pipeline (it has no id columns to slice).
 
 For the block path the executor reads encoded match lists (and the term
 codec) from an :class:`~repro.operators.block.EncodedListStore` — a
@@ -42,7 +41,6 @@ from repro.operators.block import BlockTopK, EncodedListStore
 from repro.operators.memory import ExecutionContext
 from repro.operators.topk import TopK
 from repro.query.answer import Answer
-from repro.relax.chains import ChainRuleSet
 from repro.relax.rules import RuleSet
 
 #: The two concrete execution strategies.
@@ -62,7 +60,7 @@ EXECUTOR_MODES: tuple[str, ...] = EXECUTOR_KINDS + ("auto",)
 class ExecutorChoice:
     """Which pipeline serves a query, and why: ``"pinned"`` (the mode
     names it), or under ``"auto"`` ``"block-available"`` /
-    ``"block-unavailable"`` (object graph, chain rules)."""
+    ``"block-unavailable"`` (object graph)."""
 
     executor: ExecutorKind
     reason: str
@@ -109,7 +107,6 @@ class PlanExecutor:
         graph: KnowledgeGraph,
         rules: RuleSet,
         max_relaxations_per_pattern: int | None = None,
-        chain_rules: ChainRuleSet | None = None,
         executor: ExecutorKind = "tuple",
         encoded_cache_capacity: int = DEFAULT_ENCODED_CACHE_CAPACITY,
         encoded_store: EncodedListStore | None = None,
@@ -125,7 +122,6 @@ class PlanExecutor:
         self._graph = graph
         self._rules = rules
         self._max_relaxations = max_relaxations_per_pattern
-        self._chain_rules = chain_rules
         self._executor: ExecutorKind = executor
         # ``is None``, not truthiness: an empty store has length 0.
         self._encoded_store = (
@@ -140,9 +136,9 @@ class PlanExecutor:
 
     def can_execute_block(self) -> bool:
         """Whether the block pipeline is available at all on this executor
-        (columnar-backed graph, no chain relaxations) — independent of the
-        configured strategy.  It is all ``"auto"`` decides on."""
-        return self._chain_rules is None and supports_block_execution(self._graph)
+        (columnar-backed graph) — independent of the configured strategy.
+        It is all ``"auto"`` decides on."""
+        return supports_block_execution(self._graph)
 
     def uses_block_path(self, executor: ExecutorKind | None = None) -> bool:
         """Whether :meth:`execute` will take the vectorized pipeline
@@ -177,7 +173,6 @@ class PlanExecutor:
             self._rules,
             context,
             max_relaxations_per_pattern=self._max_relaxations,
-            chain_rules=self._chain_rules,
         )
         projection = tuple(v.name for v in plan.query.projection)
         answers = TopK(tree, k, projection).run()

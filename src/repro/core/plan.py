@@ -29,21 +29,15 @@ from repro.operators.block import (
     BlockOperator,
     EncodedMatchList,
     TermCodec,
-    build_encoded_match_list,
+    build_merged_match_list,
 )
-from repro.operators.chain_scan import ChainScan
 from repro.operators.incremental_merge import IncrementalMerge, WeightedInput
 from repro.operators.memory import ExecutionContext
 from repro.operators.rank_join import RankJoin
 from repro.operators.shard_merge import build_leaf_scan
 from repro.operators.vector_join import VectorRankJoin
-from repro.operators.vector_scan import (
-    VectorIncrementalMerge,
-    VectorScan,
-    merge_encoded_lists,
-)
+from repro.operators.vector_scan import VectorScan
 from repro.query.query import TriplePatternQuery
-from repro.relax.chains import ChainRuleSet
 from repro.relax.rules import RuleSet
 
 
@@ -121,7 +115,6 @@ class QueryPlan:
         rules: RuleSet,
         context: ExecutionContext,
         max_relaxations_per_pattern: int | None = None,
-        chain_rules: ChainRuleSet | None = None,
     ) -> Operator:
         """Materialise the plan as a pull-based operator tree.
 
@@ -130,9 +123,6 @@ class QueryPlan:
         then each singleton's Incremental Merge is joined in.  Within each
         stage, variable-connected operands are preferred to avoid
         accidental cartesian products.
-
-        ``chain_rules`` optionally adds chain relaxations (§6 future work)
-        as extra Incremental Merge inputs for relaxed patterns.
         """
         group_ops: list[Operator] = [
             build_leaf_scan(graph, self.query.patterns[i], i, context)
@@ -140,8 +130,7 @@ class QueryPlan:
         ]
         merge_ops: list[Operator] = [
             self._build_incremental_merge(
-                graph, rules, context, i, max_relaxations_per_pattern,
-                chain_rules,
+                graph, rules, context, i, max_relaxations_per_pattern
             )
             for i in self.singletons
         ]
@@ -158,12 +147,12 @@ class QueryPlan:
         rules: RuleSet,
         context: ExecutionContext,
         codec: TermCodec,
+        *,
+        encoded_lists: Callable[[TriplePattern], EncodedMatchList],
+        merged_lists: Callable[
+            [TriplePattern, Callable[[], EncodedMatchList]], EncodedMatchList
+        ],
         max_relaxations_per_pattern: int | None = None,
-        encoded_lists: "Callable[[TriplePattern], EncodedMatchList] | None" = None,
-        merged_lists: (
-            "Callable[[TriplePattern, Callable[[], EncodedMatchList]], "
-            "EncodedMatchList] | None"
-        ) = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
     ) -> BlockOperator:
         """Materialise the plan as a block-at-a-time operator tree.
@@ -177,49 +166,32 @@ class QueryPlan:
         columns instead of :class:`~repro.query.answer.PartialAnswer`
         objects.
 
-        *encoded_lists* optionally serves (cached) encoded match lists;
-        by default each leaf builds its own from *graph* via *codec*.
-        *merged_lists* ``(pattern, merge)`` optionally serves a relaxed
-        pattern's pre-merged relaxation list, calling *merge* only when
-        it holds none (:meth:`~repro.operators.block.EncodedListStore.get_or_merge`):
+        *encoded_lists* serves a join-group pattern's (cached) encoded
+        match list.  *merged_lists* ``(pattern, merge)`` serves a relaxed
+        pattern's pre-merged relaxation list, calling *merge* — one
+        :func:`~repro.operators.block.build_merged_match_list` over the
+        pattern and its rules' range patterns — only when it holds none
+        (:meth:`~repro.operators.block.EncodedListStore.get_or_merge`):
         the singleton is then a plain scan over that list, and a held
-        list costs neither the rule lookup nor its 10–15 input lists.
-        Without it each singleton is a :class:`VectorIncrementalMerge`
-        that merges on first pull — the same rows and counters.
-        Chain relaxations have no block implementation — the executor
-        falls back to the tuple tree when chain rules are configured.
+        list costs neither the rule lookup nor a read of the graph.
         """
-        provider = encoded_lists or (
-            lambda pattern: build_encoded_match_list(graph, pattern, codec)
-        )
-
-        def merge_inputs(pattern: TriplePattern) -> list[tuple[EncodedMatchList, float]]:
-            applicable = rules.for_pattern(pattern)
-            if max_relaxations_per_pattern is not None:
-                applicable = applicable[:max_relaxations_per_pattern]
-            return [(provider(pattern), 1.0)] + [
-                (provider(rule.range), rule.weight) for rule in applicable
-            ]
-
         group_ops: list[BlockOperator] = [
             VectorScan(
-                provider(self.query.patterns[i]), i, context, block_size=block_size
+                encoded_lists(self.query.patterns[i]), i, context, block_size=block_size
             )
             for i in sorted(self.join_group)
         ]
         merge_ops: list[BlockOperator] = []
         for i in self.singletons:
             pattern = self.query.patterns[i]
-            if merged_lists is None:
-                merge_ops.append(
-                    VectorIncrementalMerge(
-                        merge_inputs(pattern), i, context, codec, block_size=block_size
-                    )
-                )
-                continue
             # *merge* runs, if at all, inside this call.
             merged = merged_lists(
-                pattern, lambda: merge_encoded_lists(merge_inputs(pattern), codec)
+                pattern,
+                lambda: build_merged_match_list(
+                    graph,
+                    relaxation_inputs(pattern, rules, max_relaxations_per_pattern),
+                    codec,
+                ),
             )
             merge_ops.append(
                 VectorScan(
@@ -266,39 +238,35 @@ class QueryPlan:
         context: ExecutionContext,
         pattern_index: int,
         max_relaxations: int | None,
-        chain_rules: ChainRuleSet | None = None,
     ) -> Operator:
         pattern = self.query.patterns[pattern_index]
-        inputs = [
-            WeightedInput(
-                scan=build_leaf_scan(graph, pattern, pattern_index, context),
-                weight=1.0,
-                label="original",
-            )
-        ]
-        applicable = rules.for_pattern(pattern)
-        if max_relaxations is not None:
-            applicable = applicable[:max_relaxations]
-        for rule in applicable:
-            inputs.append(
+        return IncrementalMerge(
+            [
                 WeightedInput(
                     scan=build_leaf_scan(
-                        graph, rule.range, pattern_index, context, weight=rule.weight
+                        graph, source, pattern_index, context, weight=weight
                     ),
-                    weight=rule.weight,
-                    label=str(rule.range),
+                    weight=weight,
+                    label=str(source) if at else "original",
                 )
-            )
-        if chain_rules is not None:
-            for chain_rule in chain_rules.for_pattern(pattern):
-                inputs.append(
-                    WeightedInput(
-                        scan=ChainScan(graph, chain_rule, pattern_index, context),
-                        weight=chain_rule.weight,
-                        label=str(chain_rule),
-                    )
+                for at, (source, weight) in enumerate(
+                    relaxation_inputs(pattern, rules, max_relaxations)
                 )
-        return IncrementalMerge(inputs, context)
+            ],
+            context,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"QueryPlan({self.describe()})"
+
+
+def relaxation_inputs(
+    pattern: TriplePattern, rules: RuleSet, max_relaxations: int | None
+) -> list[tuple[TriplePattern, float]]:
+    """The weighted inputs of *pattern*'s Incremental Merge: the pattern
+    itself at weight 1.0, then each applicable rule's range pattern (the
+    first *max_relaxations* of them when capped)."""
+    applicable = rules.for_pattern(pattern)
+    if max_relaxations is not None:
+        applicable = applicable[:max_relaxations]
+    return [(pattern, 1.0)] + [(rule.range, rule.weight) for rule in applicable]

@@ -536,35 +536,45 @@ class ColumnarStore:
         *packed_keys* (from :meth:`pack_keys` against a store sharing
         this term dictionary) to skip re-encoding *keys* per call.
         """
+        keep = self.kept_rows_mask(rows, keys, packed_keys)
+        return rows if keep is None else rows[keep]
+
+    def kept_rows_mask(
+        self,
+        rows: np.ndarray,
+        keys: AbstractSet[tuple[str, str, str]],
+        packed_keys: np.ndarray | None = None,
+    ) -> np.ndarray | None:
+        """The boolean mask :meth:`exclude_keys` applies to *rows*, or
+        ``None`` when it keeps every row."""
         if len(rows) == 0 or not keys:
-            return rows
+            return None
         n = self.n_terms
         if packed_keys is None and n**3 < 2**63:
             packed_keys = self.pack_keys(keys)
         if packed_keys is not None:
             if len(packed_keys) == 0:
-                return rows
+                return None
             packed = (
                 self.subjects[rows].astype(np.int64) * n + self.predicates[rows]
             ) * n + self.objects[rows]
-            return rows[~np.isin(packed, packed_keys)]
+            return ~np.isin(packed, packed_keys)
         encoded = self._encode_keys(keys)
         if not encoded:
-            return rows
+            return None
         drop = set(encoded)
-        keep = [
-            row
-            for row, ids in zip(
-                rows.tolist(),
-                zip(
+        return np.fromiter(
+            (
+                ids not in drop
+                for ids in zip(
                     self.subjects[rows].tolist(),
                     self.predicates[rows].tolist(),
                     self.objects[rows].tolist(),
-                ),
-            )
-            if ids not in drop
-        ]
-        return np.asarray(keep, dtype=np.int64)
+                )
+            ),
+            dtype=bool,
+            count=len(rows),
+        )
 
     def insertion_slots(
         self, rows: np.ndarray, adds: Sequence[tuple[tuple[str, str, str], float]]

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -668,45 +668,70 @@ class LiveGraph(KnowledgeGraph):
         *pattern* and are not superseded by the delta, in Definition-5
         order (the exclusion is an order-preserving mask)."""
         rows = store.match_rows(pattern)
+        keep = self._kept_base_rows(store, rows)
+        return rows if keep is None else rows[keep]
+
+    def _kept_base_rows(
+        self, store: "ColumnarStore", rows: np.ndarray
+    ) -> np.ndarray | None:
+        """The mask of *rows* the delta does not supersede (``None``: all)."""
         superseded = self._superseded()
-        if superseded and len(rows):
-            # The base store and its shard stores share one term
-            # dictionary, so the superseded keys pack once per delta
-            # state and mask every one of them.
-            if self._superseded_packed is None:
-                self._superseded_packed = (store.pack_keys(superseded),)
-            rows = store.exclude_keys(
-                rows, superseded, packed_keys=self._superseded_packed[0]
-            )
-        return rows
+        if not superseded or len(rows) == 0:
+            return None
+        # The base store and its shard stores share one term dictionary,
+        # so the superseded keys pack once per delta state and mask every
+        # one of them.
+        if self._superseded_packed is None:
+            self._superseded_packed = (store.pack_keys(superseded),)
+        return store.kept_rows_mask(
+            rows, superseded, packed_keys=self._superseded_packed[0]
+        )
 
     def overlay_rows(
-        self, pattern: TriplePattern
-    ) -> tuple[np.ndarray, list[tuple[Spo, float]], np.ndarray]:
-        """The live match list of *pattern* as base-store rows plus adds.
+        self, patterns: Sequence[TriplePattern]
+    ) -> tuple[list[np.ndarray], list[list[tuple[Spo, float]]], list[np.ndarray]]:
+        """The live match lists of *patterns* as base-store rows plus adds.
 
-        Only over a base with a column store.  Returns ``(rows, adds,
-        slots)``: the surviving rows of the base's store in Definition-5
-        order, the delta's matching ``(spo, raw score)`` adds in
-        Definition-5 order, and for each add the index in *rows* it goes
-        in front of (:meth:`~repro.kg.columnar.ColumnarStore.insertion_slots`)
-        — ``np.insert(rows_column, slots, adds_column)`` is the merged
-        list.  No triple is decoded and nothing is sorted but the adds.
+        Only over a base with a column store.  Returns, per pattern,
+        ``rows``, ``adds`` and ``slots``: the surviving rows of the
+        base's store in Definition-5 order, the delta's matching
+        ``(spo, raw score)`` adds in Definition-5 order, and for each add
+        the index in *rows* it goes in front of
+        (:meth:`~repro.kg.columnar.ColumnarStore.insertion_slots`) —
+        ``np.insert(rows_column, slots, adds_column)`` is the merged
+        list.  The superseded rows of all the patterns are masked by one
+        key exclusion over their concatenated candidates; no triple is
+        decoded and nothing is sorted but the adds.
         """
         store: "ColumnarStore" = self._base.store  # type: ignore[attr-defined]
-        rows = self._surviving_rows(store, pattern)
-        bound = [(i, term) for i, term in enumerate(pattern.key()) if term is not None]
-        repeated = pattern.repeated_positions
-        adds = sorted(
-            (
-                (spo, score)
-                for spo, score in self._adds._scores.items()
-                if all(spo[i] == term for i, term in bound)
-                and all(spo[i] == spo[j] for i, j in repeated)
-            ),
-            key=lambda add: (-add[1], add[0]),
-        )
-        return rows, adds, store.insertion_slots(rows, adds)
+        matched = [store.match_rows(pattern) for pattern in patterns]
+        candidates = matched[0] if len(matched) == 1 else np.concatenate(matched)
+        keep = self._kept_base_rows(store, candidates)
+        if keep is not None:
+            # Survivors before each pattern's end split the kept rows back.
+            survivors = np.concatenate(([0], np.cumsum(keep)))
+            ends = np.cumsum([len(rows) for rows in matched])
+            matched = np.split(candidates[keep], survivors[ends[:-1]])
+        overlay: tuple[list, list, list] = ([], [], [])
+        for pattern, rows in zip(patterns, matched):
+            bound = [
+                (i, term) for i, term in enumerate(pattern.key()) if term is not None
+            ]
+            repeated = pattern.repeated_positions
+            adds = sorted(
+                (
+                    (spo, score)
+                    for spo, score in self._adds._scores.items()
+                    if all(spo[i] == term for i, term in bound)
+                    and all(spo[i] == spo[j] for i, j in repeated)
+                ),
+                key=lambda add: (-add[1], add[0]),
+            )
+            for part, value in zip(
+                overlay, (rows, adds, store.insertion_slots(rows, adds))
+            ):
+                part.append(value)
+        return overlay
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

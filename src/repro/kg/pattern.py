@@ -74,10 +74,6 @@ class TriplePattern:
                     f"pattern position {position} must be a Variable or a "
                     f"non-empty string, got {value!r}"
                 )
-        if not self.variables and len(set(self.terms)) != 3:
-            # A fully-constant pattern is legal (an "ask" pattern) but a
-            # degenerate all-equal one is almost certainly a typo.
-            pass
 
     @property
     def terms(self) -> tuple[Term, Term, Term]:

@@ -21,9 +21,9 @@ The block-at-a-time vectorized twins (same upper-bound contract, batches
 of dictionary-encoded id columns instead of answer objects — see
 :mod:`repro.operators.block`):
 
-* :class:`~repro.operators.vector_scan.VectorScan` /
-  :class:`~repro.operators.vector_scan.VectorIncrementalMerge` — leaf
-  scans and relaxation merges over encoded match lists.
+* :class:`~repro.operators.vector_scan.VectorScan` — leaf scans over
+  encoded match lists, including a relaxed pattern's pre-merged list
+  (:func:`~repro.operators.block.build_merged_match_list`).
 * :class:`~repro.operators.vector_join.VectorRankJoin` — block HRJN rank
   join probing int64 id columns.
 * :class:`~repro.operators.block.BlockTopK` — the decoding top-k sink.
@@ -37,6 +37,7 @@ from repro.operators.block import (
     EncodedMatchList,
     TermCodec,
     build_encoded_match_list,
+    build_merged_match_list,
 )
 from repro.operators.incremental_merge import IncrementalMerge, WeightedInput
 from repro.operators.memory import ExecutionContext
@@ -45,7 +46,7 @@ from repro.operators.scan import SortedScan
 from repro.operators.shard_merge import ShardMerge, ShardScan, build_leaf_scan
 from repro.operators.topk import TopK
 from repro.operators.vector_join import VectorRankJoin
-from repro.operators.vector_scan import VectorIncrementalMerge, VectorScan
+from repro.operators.vector_scan import VectorScan
 
 __all__ = [
     "Block",
@@ -61,10 +62,10 @@ __all__ = [
     "SortedScan",
     "TermCodec",
     "TopK",
-    "VectorIncrementalMerge",
     "VectorRankJoin",
     "VectorScan",
     "WeightedInput",
     "build_encoded_match_list",
+    "build_merged_match_list",
     "build_leaf_scan",
 ]

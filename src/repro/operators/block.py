@@ -249,6 +249,81 @@ def _variable_positions(
     return tuple(first_position), list(first_position.values())
 
 
+def _gather_rows(
+    store: "ColumnarStore",
+    var_names: tuple[str, ...],
+    patterns: "Sequence[TriplePattern]",
+    row_sets: Sequence[np.ndarray],
+    adds: "Sequence[Sequence[tuple[tuple[str, str, str], float]]]",
+    slots: "Sequence[np.ndarray | None]",
+    codec: "TermCodec | None",
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """Several match lists of *store*, gathered back to back.
+
+    ``row_sets[i]`` are the rows of ``patterns[i]``'s list in Definition-5
+    order; ``adds[i]`` — ``(spo, raw score)`` rows from outside the store,
+    in Definition-5 order — are encoded through *codec* and inserted in
+    front of ``row_sets[i][slots[i]]``.  Column ``j`` binds
+    ``var_names[j]`` in every list, whichever position the variable holds
+    in that list's pattern.  Each list is normalized by its own first —
+    maximum — raw score (Definition 5), all-zero when that is not
+    positive.  Returns the columns, the normalized scores, and each
+    list's length and maximum raw score.
+    """
+    lengths = np.array([len(rows) for rows in row_sets], dtype=np.int64)
+    rows = row_sets[0] if len(row_sets) == 1 else np.concatenate(row_sets)
+    position_of = [dict(zip(*_variable_positions(pattern))) for pattern in patterns]
+    store_columns = (store.subjects, store.predicates, store.objects)
+    columns = []
+    for name in var_names:
+        positions = [of[name] for of in position_of]
+        if len(set(positions)) == 1:
+            column = store_columns[positions[0]][rows].astype(np.int64)
+        else:  # a rule moved the variable: one gather per position it holds
+            per_row = np.repeat(positions, lengths)
+            column = np.empty(len(rows), dtype=np.int64)
+            for position in set(positions):
+                at = per_row == position
+                column[at] = store_columns[position][rows[at]]
+        columns.append(column)
+    raw = store.scores[rows]
+    if any(adds):
+        assert codec is not None
+        encode = codec.encode
+        offsets = np.cumsum(lengths) - lengths
+        at_slots = np.concatenate(
+            [
+                np.asarray(list_slots, dtype=np.int64) + offset
+                for list_slots, list_adds, offset in zip(slots, adds, offsets)
+                if list_adds
+            ]
+        )
+        columns = [
+            np.insert(
+                column,
+                at_slots,
+                [
+                    encode(spo[of[name]])
+                    for of, list_adds in zip(position_of, adds)
+                    for spo, _ in list_adds
+                ],
+            )
+            for column, name in zip(columns, var_names)
+        ]
+        raw = np.insert(
+            raw, at_slots, [score for list_adds in adds for _, score in list_adds]
+        )
+        lengths = lengths + [len(list_adds) for list_adds in adds]
+    maxima = np.zeros(len(lengths), dtype=np.float64)
+    filled = lengths > 0
+    maxima[filled] = raw[(np.cumsum(lengths) - lengths)[filled]]
+    positive = maxima > 0
+    normalized = raw / np.repeat(np.where(positive, maxima, 1.0), lengths)
+    if not positive[filled].all():
+        normalized[np.repeat(~positive, lengths)] = 0.0
+    return tuple(columns), normalized, lengths, maxima
+
+
 class EncodedMatchList:
     """A pattern's Definition-5 match list as id columns + scores.
 
@@ -319,45 +394,6 @@ class EncodedMatchList:
 
     # ------------------------------------------------------------------
     @classmethod
-    def _from_rows(
-        cls,
-        store: "ColumnarStore",
-        pattern: "TriplePattern",
-        rows: np.ndarray,
-        adds: "Sequence[tuple[tuple[str, str, str], float]]" = (),
-        slots: "np.ndarray | None" = None,
-        codec: "TermCodec | None" = None,
-    ) -> "EncodedMatchList":
-        """*rows* of *store*, already in Definition-5 order, as a list.
-
-        *adds* — ``(spo, raw score)`` rows from outside the store, in
-        Definition-5 order — are encoded through *codec* and inserted in
-        front of ``rows[slots]``.
-        """
-        var_names, positions = _variable_positions(pattern)
-        store_columns = (store.subjects, store.predicates, store.objects)
-        columns = tuple(
-            store_columns[position][rows].astype(np.int64) for position in positions
-        )
-        raw = store.scores[rows]
-        if adds:
-            assert codec is not None and slots is not None
-            encode = codec.encode
-            columns = tuple(
-                np.insert(column, slots, [encode(spo[position]) for spo, _ in adds])
-                for column, position in zip(columns, positions)
-            )
-            raw = np.insert(raw, slots, [score for _, score in adds])
-        if len(raw) == 0:
-            return cls(var_names, columns, np.empty(0, dtype=np.float64), 0.0)
-        max_score = float(raw[0])
-        if max_score > 0:
-            normalized = raw / max_score
-        else:
-            normalized = np.zeros(len(raw), dtype=np.float64)
-        return cls(var_names, columns, normalized, max_score)
-
-    @classmethod
     def from_store(
         cls, store: "ColumnarStore", pattern: "TriplePattern"
     ) -> "EncodedMatchList":
@@ -388,8 +424,26 @@ class EncodedMatchList:
         ``live.match_list(pattern)`` — ids, order, scores — without a
         triple or a string list in between.
         """
-        rows, adds, slots = live.overlay_rows(pattern)
+        (rows,), (adds,), (slots,) = live.overlay_rows((pattern,))
         return cls._from_rows(live.base.store, pattern, rows, adds, slots, codec)
+
+    @classmethod
+    def _from_rows(
+        cls,
+        store: "ColumnarStore",
+        pattern: "TriplePattern",
+        rows: np.ndarray,
+        adds: "Sequence[tuple[tuple[str, str, str], float]]" = (),
+        slots: "np.ndarray | None" = None,
+        codec: "TermCodec | None" = None,
+    ) -> "EncodedMatchList":
+        """*rows* of *store*, already in Definition-5 order, as a list,
+        with *adds* spliced in at *slots* (see :func:`_gather_rows`)."""
+        var_names = _variable_positions(pattern)[0]
+        columns, scores, _, maxima = _gather_rows(
+            store, var_names, (pattern,), [rows], [adds], [slots], codec
+        )
+        return cls(var_names, columns, scores, float(maxima[0]))
 
     @classmethod
     def from_match_list(
@@ -442,6 +496,77 @@ def build_encoded_match_list(
     return EncodedMatchList.from_match_list(graph.match_list(pattern), pattern, codec)
 
 
+def build_merged_match_list(
+    graph,
+    inputs: "Sequence[tuple[TriplePattern, float]]",
+    codec: TermCodec,
+) -> EncodedMatchList:
+    """A relaxed pattern's pre-merged relaxation list: the deduplicated,
+    score-descending union of its weighted inputs' lists (Definition 8).
+
+    *inputs* are ``(pattern, weight)`` pairs — the relaxed pattern itself
+    (weight 1.0), then each applicable rule's range pattern — binding the
+    same variables, though a rule may move one to another position.  No
+    per-input list is built: on the backends
+    :func:`build_encoded_match_list` slices, every input's rows are
+    gathered from the store's id columns in one pass (over a live
+    overlay after **one** tombstone exclusion across all inputs, each
+    input's adds spliced in at its own slots) and normalized per input;
+    other graphs concatenate the inputs'
+    :meth:`EncodedMatchList.from_match_list` columns.  Scores become
+    ``weight * normalized``, one stable ``argsort`` orders them and
+    :func:`first_occurrence_keep` keeps each binding's first — maximum —
+    score.  The scores are final (weights applied), hence
+    ``max_score=1.0``; equal scores keep input order.
+    """
+    patterns = [pattern for pattern, _ in inputs]
+    var_names = _variable_positions(patterns[0])[0]
+    for pattern in patterns[1:]:
+        if set(pattern.variable_names) != set(var_names):
+            raise ExecutionError(
+                "all inputs of a relaxation merge must bind the same "
+                f"variables: {sorted(var_names)} vs {sorted(pattern.variable_names)}"
+            )
+    store = codec.store
+    if store is not None and getattr(graph, "store", None) is store:
+        row_sets = [store.match_rows(pattern) for pattern in patterns]
+        columns, normalized, lengths, _ = _gather_rows(
+            store, var_names, patterns, row_sets, [()] * len(patterns),
+            [None] * len(patterns), codec,
+        )
+    elif store is not None and getattr(getattr(graph, "base", None), "store", None) is store:
+        columns, normalized, lengths, _ = _gather_rows(
+            store, var_names, patterns, *graph.overlay_rows(patterns), codec
+        )
+    else:
+        lists = [
+            EncodedMatchList.from_match_list(graph.match_list(pattern), pattern, codec)
+            for pattern in patterns
+        ]
+        columns = tuple(
+            np.concatenate([part.columns[part.var_names.index(name)] for part in lists])
+            for name in var_names
+        )
+        normalized = np.concatenate([part.scores for part in lists])
+        lengths = np.array([len(part) for part in lists], dtype=np.int64)
+    scores = np.repeat([weight for _, weight in inputs], lengths) * normalized
+    # Stable sort: equal scores keep input order — irrelevant for the
+    # surviving (binding, score) multiset, which dedup-keep-first fixes
+    # whatever the order among equal keys, but deterministic.
+    order = np.argsort(-scores, kind="stable")
+    scores = scores[order]
+    columns = tuple(column[order] for column in columns)
+    if len(scores):
+        # Every input is encoded, so the id domain is final.
+        packed = pack_columns(columns, codec.n_ids, n_rows=len(scores))
+        if packed is None:
+            packed, _ = joint_group_ids(columns, tuple(c[:0] for c in columns))
+        keep = first_occurrence_keep(packed)
+        scores = scores[keep]
+        columns = tuple(column[keep] for column in columns)
+    return EncodedMatchList(var_names, columns, scores, max_score=1.0)
+
+
 class EncodedListStore:
     """Shared, bounded, thread-safe store of encoded match lists.
 
@@ -469,7 +594,9 @@ class EncodedListStore:
     a relaxed pattern's operator actually streams.  They are entries of
     the same LRU — counted against the same capacity, evicted by the same
     recency, dropped by the same codec refresh — so a resident relaxed
-    request pays for joins and the top-k sink only.
+    request pays for joins and the top-k sink only.  The per-rule input
+    lists of a merge are never entries: a miss gathers them straight
+    from the graph (:func:`build_merged_match_list`).
     """
 
     def __init__(self, capacity: int = 512) -> None:
@@ -575,11 +702,10 @@ class EncodedListStore:
         *variant* is everything besides the pattern and the graph version
         that the merge depends on — the relaxation cap and the rule set's
         identity and version — as one hashable; *merge* builds the list
-        on a miss (typically :func:`~repro.operators.vector_scan.merge_encoded_lists`
-        over :meth:`get_or_build` inputs).  Same lock, same
-        build-outside-the-lock race, same *expect_codec* check and same
-        LRU as :meth:`get_or_build`; a hit touches neither the rule set
-        nor the input lists.
+        on a miss (:func:`build_merged_match_list`, which reads no entry
+        of this store).  Same lock, same build-outside-the-lock race,
+        same *expect_codec* check and same LRU as :meth:`get_or_build`; a
+        hit touches neither the rule set nor the graph.
         """
         return self._cached(
             graph, (pattern, variant), lambda codec: merge(), expect_codec, "merged_"

@@ -31,9 +31,7 @@ from repro.query.answer import PartialAnswer
 class WeightedInput:
     """One input stream of an incremental merge: a scan plus its weight.
 
-    The scan (a :class:`~repro.operators.scan.SortedScan`, or a
-    :class:`~repro.operators.chain_scan.ChainScan` for chain relaxations)
-    already applies the weight to the scores it emits; the weight is kept
+    The scan (a :class:`~repro.operators.scan.SortedScan`) already applies the weight to the scores it emits; the weight is kept
     here for introspection and plan explanation.
     """
 

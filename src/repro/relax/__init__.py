@@ -9,7 +9,6 @@
 * :mod:`~repro.relax.space` — statistics over a query's relaxation space.
 """
 
-from repro.relax.chains import ChainRelaxationRule, ChainRuleSet
 from repro.relax.rules import RelaxationRule, RuleSet
 
-__all__ = ["ChainRelaxationRule", "ChainRuleSet", "RelaxationRule", "RuleSet"]
+__all__ = ["RelaxationRule", "RuleSet"]

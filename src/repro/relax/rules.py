@@ -102,7 +102,13 @@ class RuleSet:
             bucket.append(rule)
             self._count += 1
         # A replacement can move the rule's rank too: re-sort either way.
-        bucket.sort(key=lambda r: (-r.weight, r.range.key()))
+        # Ties on weight order by range key, a variable after any term.
+        bucket.sort(
+            key=lambda r: (
+                -r.weight,
+                tuple((term is None, term or "") for term in r.range.key()),
+            )
+        )
         self.version += 1
         # A fresh dict, not clear(): a reader racing this add then fills
         # the dict it started with, which nobody reads again.

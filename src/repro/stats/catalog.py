@@ -5,12 +5,20 @@ irrelevant) the catalog stores the paper's four values and the fitted
 histogram.  It also owns the join-cardinality estimator.  Building the
 catalog is the "offline" phase; :class:`repro.core.planner.SpecQPPlanner`
 only reads from it at plan time.
+
+Both kinds of statistic are computed from a pattern's normalized score
+column, read from the same :class:`~repro.operators.block.EncodedListStore`
+the join counts read their id columns from — so a store-backed graph
+never builds a string match list for planning, and the lists a refresh
+rebuilds are the ones execution reads next.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from typing import Literal, Sequence
+
+import numpy as np
 
 from repro.errors import StatisticsError
 from repro.kg.graph import KnowledgeGraph
@@ -45,11 +53,11 @@ class StatisticsCatalog:
     selectivity_mode:
         ``"exact"`` (paper's footnote 3) or ``"independence"``.
     encoded_store:
-        The :class:`~repro.operators.block.EncodedListStore` join
-        cardinalities read their id-column match lists from.  Hand in
-        the store the block executor serves from and planning warms
-        exactly the lists execution reads next; by default the catalog
-        keeps a private bounded store.
+        The :class:`~repro.operators.block.EncodedListStore` the score
+        statistics and join cardinalities read their match lists from.
+        Hand in the store the block executor serves from and planning
+        warms exactly the lists execution reads next; by default the
+        catalog keeps a private bounded store.
     """
 
     def __init__(
@@ -67,8 +75,10 @@ class StatisticsCatalog:
         self.mass_fraction = mass_fraction
         self.histogram_kind = histogram_kind
         self.n_buckets = n_buckets
+        # ``is None``, not truthiness: an empty store has length 0.
+        self._lists = EncodedListStore() if encoded_store is None else encoded_store
         self.cardinalities = JoinCardinalityEstimator(
-            graph, selectivity_mode, encoded_store
+            graph, selectivity_mode, self._lists
         )
         #: Both keyed by ``pattern.list_key()``, like the match lists
         #: they summarise.
@@ -85,10 +95,7 @@ class StatisticsCatalog:
         key = pattern.list_key()
         cached = self._stats.get(key)
         if cached is None:
-            match_list = self._graph.match_list(pattern)
-            cached = stats_from_scores(
-                match_list.normalized_scores, self.mass_fraction
-            )
+            cached = stats_from_scores(self._scores(pattern), self.mass_fraction)
             self._stats[key] = cached
         return cached
 
@@ -99,15 +106,18 @@ class StatisticsCatalog:
         key = pattern.list_key()
         cached = self._histograms.get(key)
         if cached is None:
-            match_list = self._graph.match_list(pattern)
             if self.histogram_kind == "two-bucket":
                 cached = TwoBucketHistogram.from_stats(self.pattern_stats(pattern))
             else:
                 cached = NBucketHistogram.from_scores(
-                    match_list.normalized_scores, self.n_buckets
+                    self._scores(pattern), self.n_buckets
                 )
             self._histograms[key] = cached
         return cached
+
+    def _scores(self, pattern: TriplePattern) -> np.ndarray:
+        """*pattern*'s normalized scores, descending (its list's score column)."""
+        return self._lists.get_or_build(self._graph, pattern).scores
 
     def match_count(self, pattern: TriplePattern) -> int:
         """``m_i`` for *pattern*."""

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 from repro.errors import HistogramError
 from repro.stats.piecewise import (
     Bucket,
@@ -72,29 +74,27 @@ def stats_from_scores(
 
     ``r`` is the smallest rank whose cumulative score reaches
     ``mass_fraction`` of the total; ``σ_r`` is the score at that rank.
+    Every sum is a prefix of one left-to-right ``np.cumsum``, so the
+    statistics are the same bits whatever order the interpreter's
+    ``sum()`` adds floats in.
     """
     if not 0.0 < mass_fraction < 1.0:
         raise HistogramError(f"mass_fraction must be in (0,1), got {mass_fraction}")
-    scores = list(normalized_scores)
-    if any(s < -1e-12 or s > 1.0 + 1e-9 for s in scores):
+    scores = np.asarray(normalized_scores, dtype=np.float64)
+    if ((scores < -1e-12) | (scores > 1.0 + 1e-9)).any():
         raise HistogramError("normalised scores must lie in [0, 1]")
-    if any(a < b - 1e-9 for a, b in zip(scores, scores[1:])):
+    if (scores[:-1] < scores[1:] - 1e-9).any():
         raise HistogramError("scores must be sorted in descending order")
     m = len(scores)
     if m == 0:
         return PatternStats(m=0, sigma_r=0.0, s_r=0.0, s_m=0.0, r=0)
-    total = float(sum(scores))
+    running = np.cumsum(scores)
+    total = float(running[-1])
     if total <= 0.0:
         return PatternStats(m=m, sigma_r=0.0, s_r=0.0, s_m=0.0, r=m)
-    threshold = mass_fraction * total
-    running = 0.0
-    boundary_rank = m
-    for rank, score in enumerate(scores, start=1):
-        running += score
-        if running >= threshold - 1e-12:
-            boundary_rank = rank
-            break
-    s_r = float(sum(scores[:boundary_rank]))
+    reached = running >= mass_fraction * total - 1e-12
+    boundary_rank = int(reached.argmax()) + 1 if reached.any() else m
+    s_r = float(running[boundary_rank - 1])
     return PatternStats(
         m=m,
         sigma_r=float(scores[boundary_rank - 1]),
@@ -290,7 +290,9 @@ class NBucketHistogram:
         """Build with bucket boundaries at equal score-mass quantiles."""
         if n_buckets < 2:
             raise HistogramError(f"need >= 2 buckets, got {n_buckets}")
-        scores = list(normalized_scores)
+        # Plain floats from an array or a list alike: ``sum`` may add
+        # ``float`` and ``np.float64`` items in different ways.
+        scores = np.asarray(normalized_scores, dtype=np.float64).tolist()
         m = len(scores)
         if m == 0 or sum(scores) <= 0:
             return cls(

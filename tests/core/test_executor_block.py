@@ -12,7 +12,6 @@ from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
 from repro.query.query import TriplePatternQuery
-from repro.relax.chains import ChainRelaxationRule, ChainRuleSet
 from repro.relax.rules import RuleSet
 
 
@@ -50,25 +49,6 @@ class TestExecutorSelection:
         assert supports_block_execution(live)
         engine = SpecQPEngine(live, music_rules, executor="block")
         assert engine.executor.uses_block_path()
-
-    def test_chain_rules_force_tuple_fallback(self, music_graph, music_rules):
-        frozen = ColumnarGraph.from_graph(music_graph)
-        chains = ChainRuleSet(
-            [
-                ChainRelaxationRule(
-                    tp("singer"),
-                    (
-                        TriplePattern(var("s"), "memberOf", var("band")),
-                        TriplePattern(var("band"), "rdf:type", "group"),
-                    ),
-                    0.5,
-                )
-            ]
-        )
-        engine = SpecQPEngine(
-            frozen, music_rules, chain_rules=chains, executor="block"
-        )
-        assert not engine.executor.uses_block_path()
 
 
 class TestBlockEngineEquivalence:

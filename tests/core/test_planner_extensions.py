@@ -10,7 +10,7 @@ the original query cannot fill the top-k.
 The resolution tests pin what ``"auto"`` means since the tuple-vs-block
 cost rule was retired: block wherever the backend has id columns
 (``block-available``), tuple only where blocks cannot run
-(``block-unavailable``: object graph, chain rules) — whatever is or is
+(``block-unavailable``: the object graph) — whatever is or is
 not cached — and because both pipelines are byte-identical, either
 forced choice yields the same answers auto's pick does.
 """
@@ -23,7 +23,6 @@ from repro.kg.columnar import ColumnarGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
 from repro.query.query import TriplePatternQuery
-from repro.relax.chains import ChainRelaxationRule, ChainRuleSet
 from repro.relax.rules import RelaxationRule, RuleSet
 from repro.service import MatchListCache
 
@@ -158,23 +157,6 @@ class TestAutoExecutorResolution:
         query = TriplePatternQuery((tp("singer"),))
         engine = SpecQPEngine(music_graph, RuleSet(), executor="auto")
         choice = engine.resolve_executor(query)
-        assert choice.executor == "tuple"
-        assert choice.reason == "block-unavailable"
-
-    def test_chain_rules_force_tuple(self, music_graph):
-        graph = ColumnarGraph.from_graph(music_graph, name="chains")
-        chain = ChainRelaxationRule(
-            TriplePattern(var("s"), "rdf:type", "singer"),
-            (
-                TriplePattern(var("s"), "memberOf", var("band")),
-                TriplePattern(var("band"), "rdf:type", "band"),
-            ),
-            0.5,
-        )
-        engine = SpecQPEngine(
-            graph, RuleSet(), executor="auto", chain_rules=ChainRuleSet([chain])
-        )
-        choice = engine.resolve_executor(TriplePatternQuery((tp("singer"),)))
         assert choice.executor == "tuple"
         assert choice.reason == "block-unavailable"
 

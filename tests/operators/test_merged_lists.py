@@ -1,6 +1,7 @@
-"""Pre-merged relaxation lists: a scan over the stored merge is the
-vectorized Incremental Merge is the tuple Incremental Merge, on every
-backend and across the graph's and the rule set's lifecycle."""
+"""Pre-merged relaxation lists: a scan over the stored merge streams the
+Definition-8 merge of the per-input lists and the tuple Incremental
+Merge's rows, on every backend and across the graph's and the rule set's
+lifecycle."""
 
 from __future__ import annotations
 
@@ -12,17 +13,19 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import SpecQPEngine
-from repro.core.plan import QueryPlan
+from repro.core.plan import QueryPlan, relaxation_inputs
 from repro.errors import ExecutionError
 from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.pattern import TriplePattern, var
 from repro.kg.storage import load_snapshot_v2, save_snapshot_v2
-from repro.operators.block import BlockTopK, EncodedListStore
+from repro.operators.block import EncodedListStore, build_merged_match_list
 from repro.operators.memory import ExecutionContext
-from repro.operators.vector_scan import VectorScan, merge_encoded_lists
+from repro.operators.vector_scan import VectorScan
 from repro.query.query import TriplePatternQuery
 from repro.relax.rules import RelaxationRule, RuleSet
+
+from merge_reference import definition8_merge
 
 BACKENDS = ("columnar", "mmap", "live")
 
@@ -60,7 +63,7 @@ def tuple_stream(graph, rules, pattern):
     return sorted(((a.identity(), a.score) for a in tree), key=lambda r: (-r[1], r[0]))
 
 
-def block_stream(graph, rules, pattern, store, merged: bool, first_block_only=False):
+def block_stream(graph, rules, pattern, store, first_block_only=False):
     """One relaxed pattern through the block tree: decoded rows in
     emission order and the efficiency counters."""
     plan = QueryPlan.trinit(TriplePatternQuery((pattern,)))
@@ -73,14 +76,10 @@ def block_stream(graph, rules, pattern, store, merged: bool, first_block_only=Fa
         context,
         codec,
         encoded_lists=lambda p: store.get_or_build(graph, p, expect_codec=codec),
-        merged_lists=(
-            (lambda p, merge: store.get_or_merge(graph, p, variant, merge, codec))
-            if merged
-            else None
-        ),
+        merged_lists=lambda p, merge: store.get_or_merge(graph, p, variant, merge, codec),
         block_size=7,  # several blocks per list, so first-pull accounting shows
     )
-    assert isinstance(tree, VectorScan) == merged
+    assert isinstance(tree, VectorScan)
     rows = []
     for block in tree:
         names = sorted(block.var_names)
@@ -94,24 +93,37 @@ def block_stream(graph, rules, pattern, store, merged: bool, first_block_only=Fa
     return rows, (context.tuples_pulled, context.answer_objects_created)
 
 
+def reference_stream(graph, rules, pattern, store):
+    """The Definition-8 merge of the pattern's inputs, decoded like
+    :func:`block_stream`'s rows."""
+    codec = store.codec(graph)
+    var_names, merged = definition8_merge(
+        graph, relaxation_inputs(pattern, rules, None), codec
+    )
+    names = sorted(var_names)
+    return [
+        (
+            tuple((n, codec.decode(ids[var_names.index(n)])) for n in names),
+            score,
+        )
+        for ids, score in merged
+    ]
+
+
 def assert_streams_agree(graph, workload, store):
     checked = 0
     for pattern in relaxed_patterns(workload):
-        reference, counters = block_stream(graph, workload.rules, pattern, store, False)
+        reference = reference_stream(graph, workload.rules, pattern, store)
         for _ in range(2):  # a miss, then a hit
-            rows, merged_counters = block_stream(
-                graph, workload.rules, pattern, store, True
-            )
+            rows, counters = block_stream(graph, workload.rules, pattern, store)
             assert rows == reference  # same rows, same order, bitwise scores
-            assert merged_counters == counters
+            assert counters == (len(reference), len(reference))
         assert sorted(rows, key=lambda r: (-r[1], r[0])) == tuple_stream(
             graph, workload.rules, pattern
         )
         # The whole merged list is accounted for on the first pull.
-        assert (
-            block_stream(graph, workload.rules, pattern, store, True, True)[1]
-            == block_stream(graph, workload.rules, pattern, store, False, True)[1]
-            == (len(reference), len(reference))
+        assert block_stream(graph, workload.rules, pattern, store, True)[1] == (
+            len(reference), len(reference)
         )
         checked += len(reference) > 7
     assert checked  # some list spans several blocks
@@ -134,7 +146,7 @@ def update_batch(workload) -> list[GraphUpdate]:
 
 class TestStreamEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_premerged_scan_is_both_incremental_merges(
+    def test_premerged_scan_is_the_definition8_merge(
         self, backend, tiny_xkg_workload, tmp_path
     ):
         workload = tiny_xkg_workload
@@ -157,8 +169,8 @@ class TestStreamEquivalence:
     def test_engine_answers_and_counters(
         self, backend, max_relaxations, tiny_xkg_workload, tmp_path
     ):
-        """Whole queries: miss, hit and the store-less vectorized merge
-        return the tuple pipeline's answers and count the same work."""
+        """Whole queries: a merge miss and a hit return the tuple
+        pipeline's answers and count the same work."""
         workload = tiny_xkg_workload
         config = EngineConfig(k=5, max_relaxations_per_pattern=max_relaxations)
 
@@ -170,24 +182,15 @@ class TestStreamEquivalence:
             for query in workload.queries:
                 plan = QueryPlan.trinit(query)
                 expected = oracle.executor.execute(plan, 5).answers
-                context = ExecutionContext()
-                codec = block.executor.encoded_store.codec(graph)
-                tree = plan.build_block_operator_tree(
-                    graph, workload.rules, context, codec,
-                    max_relaxations_per_pattern=max_relaxations,
-                )
-                projection = tuple(v.name for v in query.projection)
-                assert tuple(BlockTopK(tree, 5, codec, projection).run()) == expected
-                for _ in range(2):
-                    result = block.executor.execute(plan, 5)
+                block.executor.encoded_store.clear()  # the first run misses
+                results = [block.executor.execute(plan, 5) for _ in range(2)]
+                for result in results:
                     assert [(a.bindings, a.score) for a in result.answers] == [
                         (a.bindings, a.score) for a in expected
                     ]
-                    assert result.tuples_pulled == context.tuples_pulled
-                    assert (
-                        result.answer_objects_created
-                        == context.answer_objects_created
-                    )
+                miss, hit = results
+                assert miss.tuples_pulled == hit.tuples_pulled
+                assert miss.answer_objects_created == hit.answer_objects_created
 
             stats = block.executor.encoded_store.stats()
             assert stats["merged_hits"] >= stats["merged_misses"] > 0
@@ -211,11 +214,8 @@ class TestMergedListLifecycle:
     @staticmethod
     def merge_of(store, graph, rules, pattern):
         codec = store.codec(graph)
-        inputs = [(store.get_or_build(graph, pattern), 1.0)] + [
-            (store.get_or_build(graph, rule.range), rule.weight)
-            for rule in rules.for_pattern(pattern)
-        ]
-        return lambda: merge_encoded_lists(inputs, codec)
+        inputs = relaxation_inputs(pattern, rules, None)
+        return lambda: build_merged_match_list(graph, inputs, codec)
 
     def test_hit_miss_accounting_beside_the_list_counters(
         self, columnar, music_rules
@@ -229,10 +229,9 @@ class TestMergedListLifecycle:
         assert store.get_or_merge(columnar, pattern, "w", merge) is not first
         stats = store.stats()
         assert (stats["merged_hits"], stats["merged_misses"]) == (1, 2)
-        assert stats["merged_size"] == 2
-        assert stats["size"] == 3 + 2  # singer, vocalist, musician + 2 merges
-        # The per-pattern counters saw the three input builds only.
-        assert (stats["hits"], stats["misses"]) == (before["hits"], 3)
+        assert stats["merged_size"] == stats["size"] == 2
+        # The merges read their inputs from the graph, not the store.
+        assert (stats["hits"], stats["misses"]) == (before["hits"], before["misses"])
         assert set(before) == set(stats) >= {
             "hits", "misses", "evictions", "size", "capacity", "version",
         }
@@ -333,13 +332,16 @@ class TestMergedListLifecycle:
 
         # A merge the graph outruns is handed to its own query only: the
         # next request merges again, at the version it then finds.
+        refreshed = self.merge_of(store, music_graph, music_rules, pattern)
+
         def mutate_then_merge():
             music_graph.add("sia", "rdf:type", "singer", score=1.0)
-            return merge()
+            return refreshed()
 
-        assert len(store.get_or_merge(music_graph, pattern, "v", mutate_then_merge)) == before
+        outrun = store.get_or_merge(music_graph, pattern, "v", mutate_then_merge)
+        assert len(outrun) == before + 2
         fresh = self.merge_of(store, music_graph, music_rules, pattern)
-        assert len(store.get_or_merge(music_graph, pattern, "v", fresh)) == before + 2
+        assert store.get_or_merge(music_graph, pattern, "v", fresh) is not outrun
 
     def test_racing_builders_agree_on_one_merged_list(self, tiny_xkg_workload):
         workload = tiny_xkg_workload

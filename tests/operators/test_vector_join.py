@@ -1,4 +1,4 @@
-"""Unit tests for the block HRJN rank join and block Incremental Merge."""
+"""Unit tests for the block HRJN rank join and the merged relaxation list."""
 
 from __future__ import annotations
 
@@ -9,14 +9,19 @@ from repro.errors import ExecutionError
 from repro.kg.columnar import ColumnarGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
-from repro.operators.block import BlockTopK, EncodedMatchList, TermCodec
+from repro.operators.block import (
+    BlockTopK,
+    EncodedMatchList,
+    TermCodec,
+    build_merged_match_list,
+)
 from repro.operators.incremental_merge import IncrementalMerge, WeightedInput
 from repro.operators.memory import ExecutionContext
 from repro.operators.rank_join import RankJoin
 from repro.operators.scan import SortedScan
 from repro.operators.topk import TopK
 from repro.operators.vector_join import VectorRankJoin
-from repro.operators.vector_scan import VectorIncrementalMerge, VectorScan
+from repro.operators.vector_scan import VectorScan
 
 
 def tp(type_name: str, v: str = "s") -> TriplePattern:
@@ -203,15 +208,7 @@ class TestUnpackableKeyFallback:
         knows, likes = self._patterns()
         context = ExecutionContext()
         codec = _UnpackableCodec(edge_graph.store)
-        merge = VectorIncrementalMerge(
-            [
-                (EncodedMatchList.from_store(edge_graph.store, knows), 1.0),
-                (EncodedMatchList.from_store(edge_graph.store, likes), 0.5),
-            ],
-            0,
-            context,
-            codec,
-        )
+        merge = merged_scan(edge_graph, [(knows, 1.0), (likes, 0.5)], codec, context)
         reference = IncrementalMerge(
             [
                 WeightedInput(
@@ -241,20 +238,17 @@ class TestUnpackableKeyFallback:
         assert sorted(actual, key=lambda r: (-r[1], r[0])) == expected
 
 
-class TestVectorIncrementalMerge:
-    def _inputs(self, columnar, specs):
-        return [
-            (EncodedMatchList.from_store(columnar.store, pattern), weight)
-            for pattern, weight in specs
-        ]
+def merged_scan(graph, specs, codec, context, block_size=1024):
+    merged = build_merged_match_list(graph, specs, codec)
+    return VectorScan(merged, 0, context, block_size=block_size, whole_list_pulled=True)
 
+
+class TestMergedMatchList:
     def test_matches_tuple_merge(self, columnar):
         specs = [(tp("singer"), 1.0), (tp("vocalist"), 0.8), (tp("musician"), 0.5)]
         context = ExecutionContext()
         codec = TermCodec(columnar.store)
-        merge = VectorIncrementalMerge(
-            self._inputs(columnar, specs), 0, context, codec, block_size=2
-        )
+        merge = merged_scan(columnar, specs, codec, context, block_size=2)
         reference = IncrementalMerge(
             [
                 WeightedInput(
@@ -276,46 +270,20 @@ class TestVectorIncrementalMerge:
             expected, key=lambda r: (-r[1], r[0])
         )
         assert len(actual) == len(expected)
+        # A merge reads every input row before its first block leaves.
+        assert context.tuples_pulled == len(actual)
 
     def test_dedup_keeps_maximum_score(self, columnar):
         # shakira appears as singer (1.0 weighted) and vocalist (0.8
-        # weighted); the merged stream must keep only the higher score.
+        # weighted); the merged list must keep only the higher score.
         specs = [(tp("singer"), 1.0), (tp("vocalist"), 0.8)]
-        context = ExecutionContext()
-        codec = TermCodec(columnar.store)
-        merge = VectorIncrementalMerge(
-            self._inputs(columnar, specs), 0, context, codec
-        )
+        merged = build_merged_match_list(columnar, specs, TermCodec(columnar.store))
         terms = columnar.store.term_list()
-        seen: dict[str, float] = {}
-        for block in merge:
-            for row in range(len(block)):
-                name = terms[int(block.column("s")[row])]
-                assert name not in seen
-                seen[name] = float(block.scores[row])
-        assert seen["shakira"] == 1.0  # singer list top, not 0.8 * vocalist
-
-    def test_upper_bound_before_and_after_prime(self, columnar):
-        specs = [(tp("singer"), 1.0), (tp("musician"), 0.5)]
-        context = ExecutionContext()
-        codec = TermCodec(columnar.store)
-        merge = VectorIncrementalMerge(
-            self._inputs(columnar, specs), 0, context, codec, block_size=1
-        )
-        assert merge.upper_bound() == 1.0  # singer top, normalized
-        block = merge.next_block()
-        assert block is not None
-        assert merge.upper_bound() <= 1.0
+        names = [terms[int(i)] for i in merged.columns[0]]
+        assert len(set(names)) == len(names)
+        assert merged.scores[names.index("shakira")] == 1.0  # not 0.8 * vocalist
 
     def test_mismatched_variables_rejected(self, columnar):
         specs = [(tp("singer", "s"), 1.0), (tp("vocalist", "other"), 0.8)]
-        context = ExecutionContext()
-        codec = TermCodec(columnar.store)
         with pytest.raises(ExecutionError):
-            VectorIncrementalMerge(
-                self._inputs(columnar, specs), 0, context, codec
-            )
-
-    def test_empty_inputs_rejected(self, columnar):
-        with pytest.raises(ExecutionError):
-            VectorIncrementalMerge([], 0, ExecutionContext(), TermCodec(None))
+            build_merged_match_list(columnar, specs, TermCodec(columnar.store))

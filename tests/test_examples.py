@@ -30,7 +30,6 @@ class TestExamplesExist:
             "music_exploration",
             "twitter_trends",
             "planner_ablation",
-            "chain_relaxations",
         ],
     )
     def test_example_file_present(self, name):
@@ -53,24 +52,3 @@ class TestQuickstart:
         assert kg.size > 30
         assert len(rules) == 7  # Table 1 has 7 relaxations
 
-
-class TestChainRelaxations:
-    def test_runs_to_completion(self, capsys):
-        module = load_example("chain_relaxations")
-        module.main()
-        output = capsys.readouterr().out
-        assert "kylian" in output
-        assert "chain" in output.lower()
-
-    def test_chain_changes_results(self):
-        module = load_example("chain_relaxations")
-        from repro import RuleSet, SpecQPEngine
-        from repro.relax.chains import ChainRuleSet
-
-        kg = module.build_graph()
-        plain = SpecQPEngine(kg, RuleSet())
-        result = plain.query_trinit(
-            "SELECT ?s WHERE { ?s <bornIn> <paris> }", k=10
-        )
-        names = {a.as_dict()["s"] for a in result.answers}
-        assert "kylian" not in names  # only reachable via the chain
