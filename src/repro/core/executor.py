@@ -22,10 +22,10 @@ For the block path the executor reads encoded match lists (and the term
 codec) from an :class:`~repro.operators.block.EncodedListStore` — a
 private one by default, or a shared one injected by the service layer so
 every worker engine of a batch encodes each pattern at most once.  The
-store is version- and store-identity-aware, so stale ids can never leak
-across mutations or compactions; a graph that changes *mid-query* makes
-the affected query raise :class:`~repro.errors.ExecutionError` instead
-of silently decoding wrong terms.
+store drops what a write touched, so stale ids can never leak across
+mutations or compactions; a graph that changes *mid-query* makes the
+affected query raise :class:`~repro.errors.ExecutionError` instead of
+silently decoding wrong terms.
 """
 
 from __future__ import annotations
@@ -181,28 +181,28 @@ class PlanExecutor:
     def _execute_block(self, plan: QueryPlan, k: int) -> ExecutionResult:
         context = ExecutionContext()
         started = time.perf_counter()
-        codec = self._encoded_store.codec(self._graph)
+        codec, version = self._encoded_store.pin(self._graph)
         tree = plan.build_block_operator_tree(
             self._graph,
             self._rules,
             context,
             codec,
             max_relaxations_per_pattern=self._max_relaxations,
-            # Pin every leaf to the codec captured above: the sink decodes
-            # with it, so a leaf encoded under a refreshed codec (graph
-            # mutated mid-query) must fail loudly instead of binding wrong
-            # terms.
+            # Pin every leaf to the codec and version captured above: a leaf
+            # served after the graph moved (mutated mid-query) must fail
+            # loudly instead of binding wrong terms or mixing versions.
             encoded_lists=lambda pattern: self._encoded_store.get_or_build(
-                self._graph, pattern, expect_codec=codec
+                self._graph, pattern, expect_codec=codec, expect_version=version
             ),
             # A relaxed pattern's merged list depends, beyond the pattern
-            # and the graph version the store tracks, on exactly these.
+            # and the graph the store tracks, on exactly these.
             merged_lists=lambda pattern, merge: self._encoded_store.get_or_merge(
                 self._graph,
                 pattern,
                 (self._max_relaxations, self._rules, self._rules.version),
                 merge,
                 expect_codec=codec,
+                expect_version=version,
             ),
         )
         projection = tuple(v.name for v in plan.query.projection)

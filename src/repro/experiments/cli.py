@@ -8,8 +8,9 @@ Examples::
     spec-qp workload --min-queries 200 --workers 4 --mode both
     spec-qp workload --shards 4 --shard-strategy score-range
     spec-qp workload --scenario adversarial-ties --executor auto
-    spec-qp convert --input graph.tsv --output graph.npz
-    spec-qp update --input graph.npz --updates edits.tsv --output graph2.npz
+    spec-qp convert --input graph.tsv --output graph.kg2
+    spec-qp convert --input old.npz --output graph.kg2
+    spec-qp update --input graph.kg2 --updates edits.tsv --output graph2.kg2
     spec-qp update --scenario social-update-heavy
 """
 
@@ -112,51 +113,58 @@ def run_experiment(
     raise ExperimentError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
 
 
-def _storage_format(path: str) -> str:
-    """``'snapshot'``, ``'snapshot-v2'`` or ``'tsv'`` from a file name, or raise."""
+def _storage_format(path: str, writing: bool = False) -> str:
+    """``'snapshot-v1'``, ``'snapshot-v2'`` or ``'tsv'`` from a file name,
+    or raise — also when *writing* a v1 ``.npz``, which is import-only."""
     lowered = path.lower()
     if lowered.endswith(".npz"):
-        return "snapshot"
+        if writing:
+            raise ExperimentError(
+                f"cannot write {path!r}: v1 .npz snapshots are import-only; "
+                "write .kg2 (or .tsv)"
+            )
+        return "snapshot-v1"
     if lowered.endswith(".kg2"):
         return "snapshot-v2"
     if lowered.endswith((".tsv", ".tsv.gz")):
         return "tsv"
     raise ExperimentError(
         f"cannot infer storage format of {path!r}: "
-        "use .tsv / .tsv.gz (scored TSV), .npz (v1 snapshot) or "
-        ".kg2 (v2 packed snapshot, mmap-attachable)"
+        "use .tsv / .tsv.gz (scored TSV), .kg2 (packed snapshot, "
+        "mmap-attachable) or, as convert input only, .npz (v1 snapshot)"
     )
 
 
+def _save_graph(graph, path: str) -> int:
+    from repro.kg import storage
+
+    if _storage_format(path, writing=True) == "snapshot-v2":
+        return storage.save_snapshot_v2(graph, path)
+    return storage.save_tsv(graph, path)
+
+
 def run_convert(args: "argparse.Namespace") -> int:
-    """The ``convert`` subcommand: TSV ⇄ binary snapshot (v1 ⇄ v2).
+    """The ``convert`` subcommand: TSV ⇄ packed snapshot, and the v1 import.
 
     Formats are inferred from the file suffixes: ``.tsv``/``.tsv.gz``
-    (scored TSV), ``.npz`` (v1 snapshot), ``.kg2`` (v2 packed snapshot —
-    mmap-attachable in O(ms)).  Any input format converts to any output
-    format.  TSV input streams straight into the columnar backend
-    (interned once, never an object-per-triple dict), so converting a
-    large graph to a snapshot is a one-time cost that every later load
-    skips.
+    (scored TSV), ``.kg2`` (packed snapshot — mmap-attachable in O(ms))
+    and, as input only, ``.npz`` (v1 snapshot, imported one way).  TSV
+    input streams straight into the columnar backend (interned once,
+    never an object-per-triple dict), so converting a large graph to a
+    snapshot is a one-time cost that every later load skips.
     """
     import time
 
     from repro.errors import KnowledgeGraphError
-    from repro.kg import storage
 
     if not args.input or not args.output:
         raise ExperimentError("convert requires --input and --output")
     in_format = _storage_format(args.input)
-    out_format = _storage_format(args.output)
+    out_format = _storage_format(args.output, writing=True)
     started = time.perf_counter()
     try:
-        graph = _load_graph(args.input, args.graph_name)
-        if out_format == "snapshot":
-            count = storage.save_snapshot(graph, args.output)
-        elif out_format == "snapshot-v2":
-            count = storage.save_snapshot_v2(graph, args.output)
-        else:
-            count = storage.save_tsv(graph, args.output)
+        graph = _load_graph(args.input, args.graph_name, import_v1=True)
+        count = _save_graph(graph, args.output)
     except (KnowledgeGraphError, OSError) as error:
         raise ExperimentError(f"convert failed: {error}") from None
     seconds = time.perf_counter() - started
@@ -167,8 +175,9 @@ def run_convert(args: "argparse.Namespace") -> int:
     return 0
 
 
-def _load_graph(path: str, name: str | None):
-    """Load a TSV or snapshot graph straight into the columnar backend."""
+def _load_graph(path: str, name: str | None, import_v1: bool = False):
+    """Load a TSV or packed-snapshot graph — or, for ``convert`` only, a
+    v1 ``.npz`` import — straight into the columnar backend."""
     from pathlib import Path
 
     from repro.kg import storage
@@ -177,22 +186,29 @@ def _load_graph(path: str, name: str | None):
     fmt = _storage_format(path)
     if fmt == "snapshot-v2":
         return storage.load_snapshot_v2(path, name=name)
-    if fmt == "snapshot":
-        # content-dispatches, so a v2 file renamed .npz still loads
-        return storage.load_snapshot(path, name=name)
+    if fmt == "snapshot-v1":
+        if import_v1:
+            return storage._load_snapshot_v1(path, name)
+        raise ExperimentError(
+            f"{path!r} is a v1 .npz snapshot: import it with "
+            "`convert --input ... --output graph.kg2` first"
+        )
     return ColumnarGraph.from_triples(
         storage.iter_tsv(path), name=name or Path(path).stem
     )
 
 
 def run_update(args: "argparse.Namespace") -> int:
-    """The ``update`` subcommand: apply a mutation TSV through the delta path.
+    """The ``update`` subcommand: apply mutations through the delta path.
 
-    Loads the base graph (TSV or snapshot), overlays a
-    :class:`~repro.kg.delta.LiveGraph` with the requested
-    ``--compact-threshold``, streams the ``+``/``-`` mutations through
-    it, compacts whatever delta remains (the written graph is always a
-    plain columnar store) and saves the result — never a full
+    Loads the base graph (TSV or snapshot) and its ``--updates`` mutation
+    TSV — or, with ``--scenario``, the pack's graph and its own generated
+    update stream (seed-deterministic, so a reproducible end-to-end smoke
+    of the write path).  Overlays a :class:`~repro.kg.delta.LiveGraph`
+    with the requested ``--compact-threshold``, streams the ``+``/``-``
+    mutations through it, compacts whatever delta remains (the written
+    graph is always a plain columnar store) and saves the result to
+    ``--output`` (optional with ``--scenario``) — never a full
     object-graph rebuild.
     """
     import time
@@ -201,84 +217,40 @@ def run_update(args: "argparse.Namespace") -> int:
     from repro.kg import storage
     from repro.kg.delta import LiveGraph
 
-    if args.scenario:
-        return _run_scenario_update(args)
-    if not args.input or not args.updates or not args.output:
-        raise ExperimentError(
-            "update requires --input, --updates and --output (or --scenario)"
-        )
-    out_format = _storage_format(args.output)
-    started = time.perf_counter()
-    try:
-        base = _load_graph(args.input, args.graph_name)
-        live = LiveGraph(base, compact_threshold=args.compact_threshold)
-        counts = live.apply_updates(storage.iter_update_tsv(args.updates))
-        live.compact()
-        result = live.base  # the folded columnar graph, snapshot-ready
-        if out_format == "snapshot":
-            storage.save_snapshot(result, args.output)
-        elif out_format == "snapshot-v2":
-            storage.save_snapshot_v2(result, args.output)
-        else:
-            storage.save_tsv(result, args.output)
-    except (KnowledgeGraphError, OSError) as error:
-        raise ExperimentError(f"update failed: {error}") from None
-    seconds = time.perf_counter() - started
-    print(
-        f"applied {counts['adds']} adds / {counts['removes']} removes "
-        f"({counts['absent_removes']} absent) from {args.updates} to {args.input}: "
-        f"{result.size} triples, {live.compactions} compactions, "
-        f"wrote {args.output} ({out_format}), {seconds:.2f}s"
-    )
-    return 0
-
-
-def _run_scenario_update(args: "argparse.Namespace") -> int:
-    """``update --scenario NAME``: drive the pack's own update stream.
-
-    Streams the pack's generated mutations over its graph through the
-    same :class:`~repro.kg.delta.LiveGraph` path the file-based update
-    command uses, then compacts; ``--output`` optionally persists the
-    post-update graph.  The pack's graph and stream are seed-deterministic,
-    so this is a reproducible end-to-end smoke of the write path.
-    """
-    import time
-
-    from repro.errors import KnowledgeGraphError
-    from repro.kg import storage
-    from repro.kg.delta import LiveGraph
-
-    pack = build_scenario(args.scenario, seed=args.seed)
-    if not pack.updates:
+    pack = build_scenario(args.scenario, seed=args.seed) if args.scenario else None
+    if pack is not None and not pack.updates:
         raise ExperimentError(
             f"scenario {pack.name!r} ships no update stream; "
             "choose an update-carrying pack (e.g. social-update-heavy)"
         )
+    if pack is None and not (args.input and args.updates and args.output):
+        raise ExperimentError(
+            "update requires --input, --updates and --output (or --scenario)"
+        )
+    out_format = _storage_format(args.output, writing=True) if args.output else None
     started = time.perf_counter()
     try:
-        live = LiveGraph(
-            pack.workload.graph, compact_threshold=args.compact_threshold
-        )
-        counts = live.apply_updates(pack.updates)
+        if pack is not None:
+            base, updates = pack.workload.graph, pack.updates
+        else:
+            base = _load_graph(args.input, args.graph_name)
+            updates = storage.iter_update_tsv(args.updates)
+        live = LiveGraph(base, compact_threshold=args.compact_threshold)
+        counts = live.apply_updates(updates)
         live.compact()
-        result = live.base
+        result = live.base  # the folded columnar graph, snapshot-ready
         if args.output:
-            fmt = _storage_format(args.output)
-            if fmt == "snapshot":
-                storage.save_snapshot(result, args.output)
-            elif fmt == "snapshot-v2":
-                storage.save_snapshot_v2(result, args.output)
-            else:
-                storage.save_tsv(result, args.output)
+            _save_graph(result, args.output)
     except (KnowledgeGraphError, OSError) as error:
         raise ExperimentError(f"update failed: {error}") from None
     seconds = time.perf_counter() - started
-    wrote = f", wrote {args.output}" if args.output else ""
+    source = f" from {args.updates} to {args.input}" if pack is None else ""
+    wrote = f", wrote {args.output} ({out_format})" if args.output else ""
     print(
-        f"scenario {pack.name} (seed {pack.seed}): applied {counts['adds']} adds "
-        f"/ {counts['removes']} removes ({counts['absent_removes']} absent): "
-        f"{result.size} triples, {live.compactions} compactions{wrote}, "
-        f"{seconds:.2f}s"
+        (f"scenario {pack.name} (seed {pack.seed}): " if pack is not None else "")
+        + f"applied {counts['adds']} adds / {counts['removes']} removes "
+        f"({counts['absent_removes']} absent){source}: {result.size} triples, "
+        f"{live.compactions} compactions{wrote}, {seconds:.2f}s"
     )
     return 0
 
@@ -446,8 +418,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     convert.add_argument(
         "--input", default=None, metavar="PATH",
-        help="source graph: .tsv / .tsv.gz (scored TSV), .npz (v1 snapshot) "
-        "or .kg2 (v2 packed snapshot)",
+        help="source graph: .tsv / .tsv.gz (scored TSV) or .kg2 (packed "
+        "snapshot); convert also imports .npz (v1 snapshot)",
     )
     convert.add_argument(
         "--output", default=None, metavar="PATH",

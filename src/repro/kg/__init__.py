@@ -20,8 +20,8 @@ Public surface:
   — the delta-overlay write path over the immutable backends (adds +
   tombstones, versioned invalidation, LSM-style compaction).
 * :mod:`~repro.kg.storage` — scored-TSV / N-triples text formats, the
-  mutation TSV (``iter_update_tsv``) and the binary ``.npz`` snapshot
-  format (``save_snapshot`` / ``load_snapshot``).
+  mutation TSV (``iter_update_tsv``) and the packed ``.kg2`` snapshot
+  format (``save_snapshot_v2`` / ``load_snapshot_v2``).
 """
 
 from repro.kg.delta import GraphUpdate, LiveGraph

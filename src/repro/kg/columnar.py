@@ -28,8 +28,8 @@ pays one sort of all its rows (:meth:`ColumnarStore.score_order`), once.
 The indexes are plain attributes of the immutable store and die with it.
 
 The column layout is also the on-disk **snapshot** layout: see
-:func:`repro.kg.storage.save_snapshot` / ``load_snapshot``, which persist
-a store to a versioned ``.npz`` container and bring it back without
+:func:`repro.kg.storage.save_snapshot_v2` / ``load_snapshot_v2``, which
+persist a store to a packed ``.kg2`` file and attach it back without
 reparsing text or re-interning terms.  ``docs/storage.md`` specifies the
 format.
 """

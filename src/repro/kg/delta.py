@@ -33,8 +33,9 @@ the classic LSM split — an **immutable base** (any
 Versioning spans base swaps: the overlay's :attr:`~LiveGraph.version`
 counter is monotone across every mutation *and* every compaction, so the
 version-aware caches (:class:`~repro.service.cache.MatchListCache`, the
-plan cache, the statistics catalog) invalidate exactly as they do for a
-mutated object graph — no new coherence protocol.
+plan and result caches) invalidate exactly as they do for a mutated
+object graph; the encoded list store and the statistics catalog drop
+only what :meth:`LiveGraph.touched_since` says a write touched.
 
 Sharded bases keep their lazy execution: writes are routed to the owning
 shard's delta (stable subject hash, or the score-range bin whose floor
@@ -50,7 +51,9 @@ treats it as frozen (columnar and sharded bases enforce that themselves).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -68,10 +71,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: A fully-bound triple key.
 Spo = tuple[str, str, str]
 
-#: Journal bound: past this many distinct touched keys the journal
-#: collapses to "everything touched" (statistics refresh then falls back
-#: to a full invalidation) so a consumer that never drains — or a huge
-#: mutation stream — cannot grow memory without bound.
+#: Journal bound: touched keys kept over all retained version steps.
+#: Past it the oldest steps go and :meth:`LiveGraph.touched_since`
+#: answers ``None`` for the versions before them — a full purge for a
+#: lagging consumer instead of unbounded memory.
 MAX_TOUCHED_JOURNAL = 65536
 
 
@@ -244,13 +247,17 @@ class LiveGraph(KnowledgeGraph):
         self._base = base
         self._tombstones: set[Spo] = set()
         self._overwrites: set[Spo] = set()
-        #: None = overflowed ("everything touched"); see drain_touched.
-        self._touched_log: set[Spo] | None = set()
         self._superseded_cache: frozenset[Spo] | None = None
         #: Packed int64 twin of the superseded set (1-tuple when built;
         #: holds None inside when the base dictionary cannot pack).
         self._superseded_packed: tuple | None = None
         self._version = base.version
+        #: Keys touched since the last step, then ``(version, keys the step
+        #: to it touched)`` oldest first, answerable from ``_journal_floor``.
+        self._touched: set[Spo] = set()
+        self._journal: deque[tuple[int, frozenset[Spo]]] = deque()
+        self._journal_size = 0
+        self._journal_floor = self._version
         self._compactions = 0
         self._index = LivePatternIndex(self)
         self._reset_delta()
@@ -282,7 +289,7 @@ class LiveGraph(KnowledgeGraph):
         if not isinstance(triple, Triple):
             raise KnowledgeGraphError(f"expected Triple, got {type(triple).__name__}")
         self._apply_add(triple)
-        self._version += 1
+        self._bump_version()
         self._maybe_compact()
 
     def add_triples(self, triples: Iterable[Triple]) -> int:
@@ -301,7 +308,7 @@ class LiveGraph(KnowledgeGraph):
             # triples landed, and version-tagged caches would otherwise
             # serve the pre-mutation view forever.
             if count:
-                self._version += 1
+                self._bump_version()
         if count:
             self._maybe_compact()
         return count
@@ -309,7 +316,7 @@ class LiveGraph(KnowledgeGraph):
     def remove(self, subject: str, predicate: str, obj: str) -> bool:
         removed = self._apply_remove((subject, predicate, obj))
         if removed:
-            self._version += 1
+            self._bump_version()
             self._maybe_compact()
         return removed
 
@@ -342,7 +349,7 @@ class LiveGraph(KnowledgeGraph):
             # earlier updates landed, and stale version tags would pin
             # every cache to the pre-mutation view.
             if adds or removes:
-                self._version += 1
+                self._bump_version()
         return {"adds": adds, "removes": removes, "absent_removes": absent}
 
     def _apply_add(self, triple: Triple) -> None:
@@ -359,15 +366,19 @@ class LiveGraph(KnowledgeGraph):
         self._adds.add_triple(triple)
         if spo in self._base:
             self._overwrites.add(spo)
-        self._journal(spo)
+        self._touched.add(spo)
         self._superseded_cache = None
         self._superseded_packed = None
 
-    def _journal(self, spo: Spo) -> None:
-        if self._touched_log is not None:
-            self._touched_log.add(spo)
-            if len(self._touched_log) > MAX_TOUCHED_JOURNAL:
-                self._touched_log = None  # overflow: everything touched
+    def _bump_version(self) -> None:
+        """One version step, journaling the keys it touched."""
+        self._version += 1
+        self._journal.append((self._version, frozenset(self._touched)))
+        self._journal_size += len(self._touched)
+        self._touched = set()
+        while self._journal_size > MAX_TOUCHED_JOURNAL:
+            self._journal_floor, keys = self._journal.popleft()
+            self._journal_size -= len(keys)
 
     def _apply_remove(self, spo: Spo) -> bool:
         removed = False
@@ -381,7 +392,7 @@ class LiveGraph(KnowledgeGraph):
             self._tombstones.add(spo)
             removed = True
         if removed:
-            self._journal(spo)
+            self._touched.add(spo)
             self._superseded_cache = None
             self._superseded_packed = None
         return removed
@@ -423,11 +434,13 @@ class LiveGraph(KnowledgeGraph):
         snapshot-compatible; a sharded base is re-partitioned from
         scratch, which re-bins ``score-range`` shards around the new
         score distribution.  The version counter keeps climbing across
-        the swap, so every version-tagged cache entry goes stale at once.
+        the swap, so every version-tagged cache entry goes stale at once;
+        the step journals every delta add it folds.
         """
         folded = self.delta_size
         if folded == 0:
             return 0
+        self._touched.update(self._adds._scores)
         base = self._base
         store = getattr(base, "store", None)
         if store is not None:
@@ -453,7 +466,7 @@ class LiveGraph(KnowledgeGraph):
         # graph, typically) should not hold its decoded lists with it.
         base.invalidate_caches()
         self._reset_delta()
-        self._version += 1
+        self._bump_version()
         self._compactions += 1
         return folded
 
@@ -497,22 +510,20 @@ class LiveGraph(KnowledgeGraph):
             self._superseded_cache = cached
         return cached
 
-    def drain_touched(self) -> frozenset[Spo] | None:
-        """Triple keys mutated since the last drain; draining clears the log.
+    def touched_since(self, version: int) -> frozenset[Spo] | None:
+        """The triple keys written between *version* and :attr:`version`.
 
-        The incremental-invalidation feed for
-        :meth:`repro.stats.catalog.StatisticsCatalog.refresh` — it
-        survives compaction (which clears the delta but not the log), so
-        a refresh after an auto-compact still sees what changed.  Returns
-        ``None`` when the journal overflowed its bound
-        (:data:`MAX_TOUCHED_JOURNAL`) since the last drain — "everything
-        touched", so consumers must invalidate fully.
+        Read-only, so every consumer — the encoded list store, the
+        statistics catalog — asks from the version it holds; a compaction
+        step lists the delta adds it folds.  ``None`` means unknown:
+        *version* is not this graph's, or older than the bounded journal
+        (:data:`MAX_TOUCHED_JOURNAL`) still holds, so the caller must
+        purge everything.
         """
-        touched = (
-            frozenset(self._touched_log) if self._touched_log is not None else None
-        )
-        self._touched_log = set()
-        return touched
+        if not self._journal_floor <= version <= self._version:
+            return None
+        recent = takewhile(lambda step: step[0] > version, reversed(self._journal))
+        return frozenset().union(*(keys for _, keys in recent))
 
     def __contains__(self, item: object) -> bool:
         if isinstance(item, Triple):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import weakref
 from dataclasses import dataclass
+from itertools import product
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 from repro.errors import KnowledgeGraphError
@@ -44,6 +45,17 @@ PatternKey = tuple[str | None, str | None, str | None]
 #: (:meth:`~repro.kg.pattern.TriplePattern.list_key`): the pattern key,
 #: extended by the repeated positions when a variable repeats.
 ListKey = tuple
+
+
+def touched_pattern_keys(touched: Iterable[tuple[str, str, str]]) -> set[PatternKey]:
+    """Every pattern key whose match list a write of *touched* can change:
+    each triple's eight wildcardings, since a pattern key matches a triple
+    iff it equals the triple with some positions wildcarded."""
+    return {
+        tuple(term if keep else None for term, keep in zip(spo, mask))
+        for spo in touched
+        for mask in product((True, False), repeat=3)
+    }
 
 
 class MatchListCacheHook(Protocol):

@@ -4,10 +4,12 @@ Three formats:
 
 * **Scored TSV** — ``subject<TAB>predicate<TAB>object<TAB>score`` per line,
   the native text format of this repo (lossless, trivially diffable).
-* **Binary snapshot** — a versioned ``.npz`` container holding the
-  dictionary-encoded columns of :class:`~repro.kg.columnar.ColumnarStore`;
-  loads an order of magnitude faster than TSV at scale because nothing is
-  reparsed or re-interned.  Format spec: ``docs/storage.md``.
+* **Packed snapshot** (``.kg2``) — the dictionary-encoded columns of
+  :class:`~repro.kg.columnar.ColumnarStore` as raw sections plus a JSON
+  manifest, attached by ``mmap`` in O(ms) because nothing is reparsed,
+  re-interned or copied.  Format spec: ``docs/storage.md``.  The older
+  ``.npz`` snapshot (v1) is read only by the one-way import in the
+  ``convert`` CLI subcommand.
 * **N-triples-ish** — ``<s> <p> <o> .`` lines without scores, for
   interoperability with standard RDF tooling; scores default to 1.0 on
   load and are dropped on save.
@@ -41,10 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kg.columnar import ColumnarGraph, ColumnarStore
     from repro.kg.delta import GraphUpdate
 
-#: Magic string identifying a snapshot ``.npz`` as ours.
+#: Magic string identifying a snapshot (either version) as ours.
 SNAPSHOT_FORMAT = "spec-qp/kg-snapshot"
 
-#: Highest ``.npz`` container version this reader understands.
+#: The ``.npz`` container version the v1 import understands.
 SNAPSHOT_VERSION = 1
 
 #: Format version of the v2 packed snapshot (``.kg2``).
@@ -66,8 +68,8 @@ _V2_ALIGN = 64
 _V2_SECTIONS = ("terms", "term_rank", "subjects", "predicates", "objects", "scores")
 
 _V2_HINT = (
-    "expected a v2 packed snapshot (magic %r); v1 snapshots are .npz "
-    "containers readable by load_snapshot — see docs/storage.md" % SNAPSHOT_V2_MAGIC
+    "expected a v2 packed snapshot (magic %r); v1 .npz snapshots import "
+    "with `spec-qp convert` — see docs/storage.md" % SNAPSHOT_V2_MAGIC
 )
 
 
@@ -204,7 +206,7 @@ def iter_update_tsv(path: str | Path) -> "Iterator[GraphUpdate]":
 
 
 # ----------------------------------------------------------------------
-# Binary snapshots (columnar .npz)
+# Binary snapshots: the v1 (.npz) import and v2 packed snapshots (.kg2)
 # ----------------------------------------------------------------------
 def _columnar_store_of(graph: KnowledgeGraph) -> "ColumnarStore":
     """The graph's columnar store, interning on the fly if needed.
@@ -247,55 +249,11 @@ class _AtomicBinaryWriter:
                 pass
 
 
-def save_snapshot(graph: KnowledgeGraph, path: str | Path) -> int:
-    """Persist *graph* as a versioned binary snapshot; returns triple count.
-
-    The snapshot is a compressed ``.npz`` holding the graph's
-    dictionary-encoded columns plus a header (format magic, version,
-    graph name) — see ``docs/storage.md`` for the exact layout.  Any
-    graph can be saved; non-columnar graphs are interned on the fly.
-    Loading with :func:`load_snapshot` skips parsing and interning
-    entirely, which is the whole point of the format.
-    """
-    import numpy as np
-
-    store = _columnar_store_of(graph)
-    # Refuse to write a file load_snapshot would reject (e.g. a NaN score
-    # smuggled past Triple's `score < 0` check): fail at save time.
-    store.validate()
-    path = Path(path)
-    with _AtomicBinaryWriter(path) as handle:
-        np.savez_compressed(
-            handle,
-            format=np.array(SNAPSHOT_FORMAT),
-            version=np.array(SNAPSHOT_VERSION, dtype=np.int64),
-            name=np.array(graph.name),
-            terms=store.terms,
-            subjects=store.subjects,
-            predicates=store.predicates,
-            objects=store.objects,
-            scores=store.scores,
-        )
-    return store.n_triples
-
-
-def load_snapshot(
-    path: str | Path,
-    name: str | None = None,
-    mutable: bool = False,
-) -> KnowledgeGraph:
-    """Load a binary snapshot written by :func:`save_snapshot`.
-
-    Returns a read-only :class:`~repro.kg.columnar.ColumnarGraph` by
-    default (columns are adopted as-is after validation — no per-triple
-    work).  Pass ``mutable=True`` to decode into an ordinary object-backed
-    :class:`KnowledgeGraph` instead.  A file that is not a snapshot, or a
-    snapshot from a newer format version, raises
-    :class:`~repro.errors.KnowledgeGraphError`.
-
-    Dispatches on content, not suffix: a v2 packed snapshot (see
-    :func:`save_snapshot_v2`) is recognised by its magic bytes and
-    attached via :func:`load_snapshot_v2` (memory-mapped, O(ms)).
+def _load_snapshot_v1(path: str | Path, name: str | None = None) -> "ColumnarGraph":
+    """Read a v1 ``.npz`` snapshot — header plus dictionary-encoded columns,
+    see ``docs/storage.md`` — as a validated read-only
+    :class:`~repro.kg.columnar.ColumnarGraph`: the one-way import behind
+    ``convert``.  Anything else raises :class:`KnowledgeGraphError`.
     """
     import zipfile
 
@@ -304,64 +262,33 @@ def load_snapshot(
     from repro.kg.columnar import ColumnarGraph, ColumnarStore
 
     path = Path(path)
-    if _sniff_v2(path):
-        return load_snapshot_v2(path, name=name, mutable=mutable)
+    columns = ("terms", "subjects", "predicates", "objects", "scores")
     try:
         with np.load(path, allow_pickle=False) as data:
-            try:
-                magic = str(data["format"][()])
-                version = int(data["version"][()])
-                stored_name = str(data["name"][()])
-                arrays = {
-                    key: data[key]
-                    for key in ("terms", "subjects", "predicates", "objects", "scores")
-                }
-            except KeyError as missing:
-                raise KnowledgeGraphError(
-                    f"{path}: not a knowledge-graph snapshot "
-                    f"(missing member {missing}; a v1 .npz snapshot carries "
-                    f"format/version/name/terms/columns — see docs/storage.md)"
-                ) from None
+            magic = str(data["format"][()])
+            version = int(data["version"][()])
+            stored_name = str(data["name"][()])
+            arrays = [data[key] for key in columns]
+    except KeyError as missing:
+        raise KnowledgeGraphError(
+            f"{path}: not a knowledge-graph snapshot (missing member {missing}; "
+            "a v1 .npz snapshot carries format/version/name/terms/columns)"
+        ) from None
     except (zipfile.BadZipFile, ValueError, OSError) as error:
         raise KnowledgeGraphError(
-            f"{path}: cannot read snapshot: {error} "
-            f"(v1 snapshots are .npz containers, v2 packed snapshots start "
-            f"with the {SNAPSHOT_V2_MAGIC!r} magic — see docs/storage.md)"
+            f"{path}: cannot read snapshot: {error} (v1 snapshots are .npz "
+            "containers — see docs/storage.md)"
         ) from None
-    if magic != SNAPSHOT_FORMAT:
+    if (magic, version) != (SNAPSHOT_FORMAT, SNAPSHOT_VERSION):
         raise KnowledgeGraphError(
-            f"{path}: bad snapshot magic {magic!r} (expected {SNAPSHOT_FORMAT!r})"
-        )
-    if not 1 <= version <= SNAPSHOT_VERSION:
-        raise KnowledgeGraphError(
-            f"{path}: snapshot version {version} unsupported "
-            f"(this reader handles 1..{SNAPSHOT_VERSION})"
+            f"{path}: bad snapshot magic or version {magic!r} v{version} "
+            f"(the import reads {SNAPSHOT_FORMAT!r} v{SNAPSHOT_VERSION})"
         )
     try:
-        store = ColumnarStore.from_arrays(
-            arrays["terms"],
-            arrays["subjects"],
-            arrays["predicates"],
-            arrays["objects"],
-            arrays["scores"],
-            validate=True,
-        )
+        store = ColumnarStore.from_arrays(*arrays, validate=True)
     except KnowledgeGraphError as error:
         raise KnowledgeGraphError(f"{path}: corrupt snapshot: {error}") from None
-    graph = ColumnarGraph(store, name=name or stored_name or path.stem)
-    return graph.thaw() if mutable else graph
-
-
-# ----------------------------------------------------------------------
-# v2 packed snapshots (.kg2): mmap-attachable raw columns + JSON manifest
-# ----------------------------------------------------------------------
-def _sniff_v2(path: Path) -> bool:
-    """Whether *path* starts with the v2 packed-snapshot magic."""
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(SNAPSHOT_V2_MAGIC)) == SNAPSHOT_V2_MAGIC
-    except OSError:
-        return False
+    return ColumnarGraph(store, name=name or stored_name or path.stem)
 
 
 def _v2_error(path: str | Path, why: str) -> KnowledgeGraphError:
@@ -459,7 +386,7 @@ def read_snapshot_v2_manifest(path: str | Path) -> dict:
                     raise _v2_error(
                         path,
                         "this is a zip container — likely a v1 .npz snapshot; "
-                        "use load_snapshot",
+                        "import it with `spec-qp convert`",
                     )
                 raise _v2_error(path, f"bad magic {head!r}")
             handle.seek(0, os.SEEK_END)

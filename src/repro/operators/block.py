@@ -39,12 +39,13 @@ from __future__ import annotations
 import abc
 import threading
 import weakref
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import ExecutionError
+from repro.kg.index import touched_pattern_keys
 from repro.operators.topk import finalize_canonical
 from repro.query.answer import Answer
 
@@ -78,9 +79,9 @@ class TermCodec:
     know — live-delta adds, or every term when there is no store — get
     side-table ids ``n_base, n_base + 1, ...`` in first-seen order.
 
-    A codec is only valid for one store object: compaction swaps the
-    store (and may renumber its dictionary), so the executor rebuilds the
-    codec whenever the backing store identity changes.
+    A codec is only valid for one store object.  A compaction's new store
+    extends the old dictionary, so store ids carry over but side ids do
+    not: :class:`EncodedListStore` keeps only lists without side ids.
 
     Interning is thread-safe: one codec is shared by every worker engine
     of a :class:`~repro.service.WorkloadRunner`, and
@@ -341,9 +342,16 @@ class EncodedMatchList:
     **join-key orders** (:meth:`key_order`), built on first use — views of
     the list that live and die with it in the
     :class:`EncodedListStore`.
+
+    ``reads`` are the patterns the list was built from (its own, or every
+    input of a merged relaxation list; ``None``: unknown) — a write that
+    touches none of their keys leaves the list exact.
     """
 
-    __slots__ = ("var_names", "columns", "scores", "max_score", "_key_orders")
+    __slots__ = (
+        "var_names", "columns", "scores", "max_score", "reads", "_read_keys",
+        "_key_orders",
+    )
 
     def __init__(
         self,
@@ -351,6 +359,7 @@ class EncodedMatchList:
         columns: tuple[np.ndarray, ...],
         scores: np.ndarray,
         max_score: float,
+        reads: "tuple[TriplePattern, ...] | None" = None,
     ) -> None:
         for array in (*columns, scores):
             array.flags.writeable = False
@@ -358,11 +367,20 @@ class EncodedMatchList:
         self.columns = columns
         self.scores = scores
         self.max_score = max_score
+        self.reads = reads
+        self._read_keys: frozenset | None = None
         #: ``join_vars -> (packing base, KeyOrder | None)``.
         self._key_orders: dict[tuple[str, ...], tuple[int, KeyOrder | None]] = {}
 
     def __len__(self) -> int:
         return len(self.scores)
+
+    def read_keys(self) -> frozenset:
+        """The pattern keys of :attr:`reads` (``{None}``: unknown), computed once."""
+        if self._read_keys is None:
+            keys = (None,) if self.reads is None else (p.key() for p in self.reads)
+            self._read_keys = frozenset(keys)
+        return self._read_keys
 
     def key_order(self, join_vars: tuple[str, ...], n_ids: int) -> KeyOrder | None:
         """The list's rows in the order of their *join_vars* key, packed
@@ -443,7 +461,7 @@ class EncodedMatchList:
         columns, scores, _, maxima = _gather_rows(
             store, var_names, (pattern,), [rows], [adds], [slots], codec
         )
-        return cls(var_names, columns, scores, float(maxima[0]))
+        return cls(var_names, columns, scores, float(maxima[0]), (pattern,))
 
     @classmethod
     def from_match_list(
@@ -472,7 +490,7 @@ class EncodedMatchList:
             for column, position in zip(columns, positions):
                 column[row] = encode(spo[position])
         scores = np.asarray(match_list.normalized_scores, dtype=np.float64)
-        return cls(var_names, columns, scores, match_list.max_score)
+        return cls(var_names, columns, scores, match_list.max_score, (pattern,))
 
 
 def build_encoded_match_list(
@@ -564,7 +582,7 @@ def build_merged_match_list(
         keep = first_occurrence_keep(packed)
         scores = scores[keep]
         columns = tuple(column[keep] for column in columns)
-    return EncodedMatchList(var_names, columns, scores, max_score=1.0)
+    return EncodedMatchList(var_names, columns, scores, 1.0, tuple(patterns))
 
 
 class EncodedListStore:
@@ -573,11 +591,16 @@ class EncodedListStore:
     The block executor's twin of :class:`repro.service.MatchListCache`:
     one store per engine — or one shared across every worker engine of a
     :class:`~repro.service.WorkloadRunner`, so a pattern is encoded once
-    per graph version no matter which thread first needs it.  The store
-    owns the :class:`TermCodec` too, because cached id columns are only
-    meaningful under the codec that produced them: whenever the graph
-    version or its backing store identity changes (mutations,
-    compaction), codec and cache are dropped together.
+    no matter which thread first needs it.  The store owns the
+    :class:`TermCodec` too, because cached id columns are only
+    meaningful under the codec that produced them.
+
+    When the graph version moves, the store drops only the lists whose
+    :attr:`EncodedMatchList.reads` a write touched
+    (:meth:`~repro.kg.delta.LiveGraph.touched_since`, in O(touched) through
+    an index by pattern key).  The rest stay, key orders included, under
+    the same codec, or a fresh one after a compaction; no answer from the
+    journal costs a full purge.
 
     Like :class:`~repro.service.MatchListCache`, a store serves exactly
     **one graph**: the single codec/version slot cannot express two
@@ -593,8 +616,8 @@ class EncodedListStore:
     pattern's own list and its weighted relaxations' lists, which is what
     a relaxed pattern's operator actually streams.  They are entries of
     the same LRU — counted against the same capacity, evicted by the same
-    recency, dropped by the same codec refresh — so a resident relaxed
-    request pays for joins and the top-k sink only.  The per-rule input
+    recency, dropped when a write touches an input — so a resident
+    relaxed request pays for joins and the top-k sink only.  The per-rule input
     lists of a merge are never entries: a miss gathers them straight
     from the graph (:func:`build_merged_match_list`).
     """
@@ -609,6 +632,9 @@ class EncodedListStore:
         self._version = -1
         #: Keyed by pattern, or by ``(pattern, variant)`` for merged lists.
         self._lists: "OrderedDict[object, EncodedMatchList]" = OrderedDict()
+        #: Pattern key read -> keys of the entries that read it (``None``:
+        #: unknown); built at the first write, so read-only serving pays nothing.
+        self._readers: "defaultdict[object, set[object]] | None" = None
         self._counts = dict.fromkeys(
             ("hits", "misses", "merged_hits", "merged_misses"), 0
         )
@@ -621,14 +647,12 @@ class EncodedListStore:
     @staticmethod
     def _backing_store(graph) -> "ColumnarStore | None":
         store = getattr(graph, "store", None)
-        if store is not None:
-            return store
-        base = getattr(graph, "base", None)
-        if base is not None:
-            return getattr(base, "store", None)
-        return None
+        return store if store is not None else getattr(
+            getattr(graph, "base", None), "store", None
+        )
 
-    def _refresh_locked(self, graph) -> TermCodec:
+    def _sync_locked(self, graph) -> int:
+        """Bring the store to *graph*'s version; returns the lists dropped."""
         owner = self._owner() if self._owner is not None else None
         if owner is None:
             self._owner = weakref.ref(graph)
@@ -640,39 +664,83 @@ class EncodedListStore:
                 "graph — release() it first or give each graph its own store"
             )
         store = self._backing_store(graph)
-        version = graph.version
-        if (
-            self._codec is None
-            or self._codec.store is not store
-            or self._version != version
-        ):
+        codec, held, version = self._codec, self._version, graph.version
+        if codec is not None and codec.store is store and held == version:
+            return 0
+        touched_since = getattr(graph, "touched_since", None)
+        touched = touched_since(held) if codec is not None and touched_since else None
+        if touched is None:
+            dropped = len(self._lists)
+            self._clear_locked()
+        else:
+            if self._readers is None:
+                self._readers = defaultdict(set)
+                for key, held_list in self._lists.items():
+                    self._index_locked(key, held_list)
+            dropped = 0
+            for read in (*touched_pattern_keys(touched), None):
+                for key in self._readers.pop(read, ()):
+                    if key in self._lists:
+                        self._index_locked(key, self._lists.pop(key), add=False)
+                        dropped += 1
+        if self._codec is None or codec.store is not store:
+            # After a compaction store ids carry over, and every list that
+            # held a side id read a folded add, so it is gone.
             self._codec = TermCodec(store)
-            self._version = version
-            self._lists.clear()
-        return self._codec
+        # Version read first: a write racing this sync shows next time.
+        self._version = version
+        return dropped
+
+    def _clear_locked(self) -> None:
+        self._lists.clear()
+        self._readers = None
+        self._codec = None
+        self._version = -1
+
+    def _index_locked(self, key: object, held: EncodedMatchList, add=True) -> None:
+        """File (or unfile) *key* under every pattern key *held* read, once
+        the first write has started the index."""
+        if self._readers is None:
+            return
+        for read in held.read_keys():
+            if add:
+                self._readers[read].add(key)
+            else:
+                self._readers[read].discard(key)
 
     def codec(self, graph) -> TermCodec:
         """The codec valid for *graph* right now (refreshing on staleness)."""
+        return self.pin(graph)[0]
+
+    def pin(self, graph) -> tuple[TermCodec, int]:
+        """The codec and graph version a query captures at its start and
+        hands back as ``expect_codec`` / ``expect_version``."""
         with self._lock:
-            return self._refresh_locked(graph)
+            self._sync_locked(graph)
+            return self._codec, self._version
+
+    def refresh(self, graph) -> dict[str, int]:
+        """Sync to *graph*'s version now; returns ``{"dropped", "kept"}`` lists."""
+        with self._lock:
+            dropped = self._sync_locked(graph)
+            return {"dropped": dropped, "kept": len(self._lists)}
 
     def get_or_build(
         self,
         graph,
         pattern: "TriplePattern",
         expect_codec: TermCodec | None = None,
+        expect_version: int | None = None,
     ) -> EncodedMatchList:
-        """The encoded match list of *pattern*, built at most once per
-        graph version.  The cache key is the (hashable) pattern itself,
+        """The encoded match list of *pattern*, built at most once until a
+        write touches it.  The cache key is the (hashable) pattern itself,
         not its index key: two patterns with one index key can differ in
         variable structure (repeated variables, repeated names).
 
-        *expect_codec* pins the call to one codec generation: a query
-        captures the codec once at its start and decodes with it at the
-        sink, so a leaf served under any *other* codec (the graph
-        version or backing store moved between query start and this
-        build) would silently bind wrong ids.  Passing the captured
-        codec turns that into a clean :class:`~repro.errors.ExecutionError`.
+        *expect_codec* and *expect_version* pin the call to what a query
+        captured at its start (:meth:`pin`): a leaf served after the graph
+        moved would bind wrong ids or mix versions, so a pinned call
+        raises a clean :class:`~repro.errors.ExecutionError` instead.
 
         Building happens **outside** the lock (it may sort a cold match
         list), so concurrent workers miss-build in parallel instead of
@@ -684,7 +752,7 @@ class EncodedListStore:
             graph,
             pattern,
             lambda codec: build_encoded_match_list(graph, pattern, codec),
-            expect_codec,
+            (expect_codec, expect_version),
             "",
         )
 
@@ -695,20 +763,22 @@ class EncodedListStore:
         variant: object,
         merge: "Callable[[], EncodedMatchList]",
         expect_codec: TermCodec | None = None,
+        expect_version: int | None = None,
     ) -> EncodedMatchList:
         """The pre-merged relaxation list of *pattern*, merged at most
-        once per graph version and *variant*.
+        once per *variant* until a write touches one of its inputs.
 
-        *variant* is everything besides the pattern and the graph version
-        that the merge depends on — the relaxation cap and the rule set's
+        *variant* is everything besides the pattern and the graph that
+        the merge depends on — the relaxation cap and the rule set's
         identity and version — as one hashable; *merge* builds the list
         on a miss (:func:`build_merged_match_list`, which reads no entry
-        of this store).  Same lock, same build-outside-the-lock race,
-        same *expect_codec* check and same LRU as :meth:`get_or_build`; a
-        hit touches neither the rule set nor the graph.
+        of this store and records its inputs in ``reads``).  Same lock,
+        race, pins and LRU as :meth:`get_or_build`; a hit touches neither
+        the rule set nor the graph.
         """
         return self._cached(
-            graph, (pattern, variant), lambda codec: merge(), expect_codec, "merged_"
+            graph, (pattern, variant), lambda codec: merge(),
+            (expect_codec, expect_version), "merged_",
         )
 
     def _cached(
@@ -716,33 +786,31 @@ class EncodedListStore:
         graph,
         key: object,
         build: "Callable[[TermCodec], EncodedMatchList]",
-        expect_codec: TermCodec | None,
+        pinned: tuple[TermCodec | None, int | None],
         counter: str,
     ) -> EncodedMatchList:
         counts = self._counts
         with self._lock:
-            codec = self._refresh_locked(graph)
-            if expect_codec is not None and codec is not expect_codec:
+            self._sync_locked(graph)
+            codec, version = self._codec, self._version
+            if pinned[0] not in (None, codec) or pinned[1] not in (None, version):
                 raise ExecutionError(
                     "graph changed during block execution: the encoded "
-                    "match-list store refreshed its codec after this query "
-                    "captured one — do not mutate the graph (or swap its "
-                    "backing store) while a query is in flight"
+                    "match-list store moved to another graph version after "
+                    "this query pinned one — do not mutate the graph (or "
+                    "swap its backing store) while a query is in flight"
                 )
             cached = self._lists.get(key)
             if cached is not None:
                 self._lists.move_to_end(key)
                 counts[counter + "hits"] += 1
                 return cached
-            version = self._version
         built = build(codec)
         with self._lock:
-            if self._codec is not codec or self._version != version:
-                # The store moved on (mutation between batches, another
-                # graph generation): our build used a stale codec, so it
-                # must not be cached — hand it back for this query only,
-                # where its ids are consistent with the codec captured
-                # by the caller.
+            if (self._codec, self._version, graph.version) != (codec, version, version):
+                # The graph moved on during the build, so the list may mix
+                # versions: hand it back uncached for this query only, whose
+                # captured codec its ids are consistent with.
                 counts[counter + "misses"] += 1
                 return built
             cached = self._lists.get(key)
@@ -751,8 +819,9 @@ class EncodedListStore:
                 return cached
             counts[counter + "misses"] += 1
             self._lists[key] = built
+            self._index_locked(key, built)
             while len(self._lists) > self._capacity:
-                self._lists.popitem(last=False)
+                self._index_locked(*self._lists.popitem(last=False), add=False)
                 self._evictions += 1
             return built
 
@@ -767,9 +836,7 @@ class EncodedListStore:
             owner = self._owner() if self._owner is not None else None
             if owner is None or owner is graph:
                 self._owner = None
-                self._codec = None
-                self._version = -1
-                self._lists.clear()
+                self._clear_locked()
 
     def stats(self) -> dict[str, int]:
         """Hit/miss/eviction counters plus current shape.
@@ -791,9 +858,7 @@ class EncodedListStore:
     def clear(self) -> None:
         """Drop every cached list (codec is rebuilt on next use)."""
         with self._lock:
-            self._lists.clear()
-            self._codec = None
-            self._version = -1
+            self._clear_locked()
 
     def __len__(self) -> int:
         with self._lock:

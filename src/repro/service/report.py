@@ -231,7 +231,9 @@ class WorkloadReport:
                 f"{self.extras['update_compactions']} compactions "
                 f"(graph v{self.extras['graph_version']}); statistics "
                 f"{self.extras['update_stats_dropped']} dropped, "
-                f"{self.extras['update_stats_kept']} kept"
+                f"{self.extras['update_stats_kept']} kept; lists "
+                f"{self.extras['update_lists_dropped']} dropped, "
+                f"{self.extras['update_lists_kept']} kept"
             )
         if "shards" in self.extras:
             shard_line = (

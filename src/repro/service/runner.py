@@ -7,7 +7,7 @@ those structures must be built once and shared.  :class:`WorkloadRunner`
 owns that sharing:
 
 * one :class:`~repro.stats.catalog.StatisticsCatalog`, built (and
-  precomputed over the workload's patterns) once per graph version;
+  precomputed over the workload's patterns) once, refreshed as the graph moves;
 * one :class:`~repro.service.cache.MatchListCache` attached to the graph,
   so identical triple patterns across queries never re-sort;
 * one plan cache: PLANGEN is deterministic given the catalog, so repeated
@@ -218,10 +218,10 @@ class WorkloadRunner:
     through a reader-writer gate, so in-flight queries finish on the old
     graph version before the write lands and the version bump drives
     every invalidation (match-list cache sweep, plan cache clear,
-    incremental catalog refresh).  External mutations between batches
-    are still picked up automatically: the match-list cache is
-    version-aware, and the catalog and plan cache are rebuilt when the
-    graph version they were built against no longer matches.  Sharded
+    targeted list-store and catalog refresh).  External mutations
+    between batches are still picked up automatically: the caches are
+    version-aware, plans are cached per graph version, and the catalog
+    refreshes itself whenever the graph version moved.  Sharded
     runners snapshot the graph at construction time, so they serve the
     triples the workload held when the runner was built.
     """
@@ -296,13 +296,12 @@ class WorkloadRunner:
         )
         #: The block twin of :attr:`cache`, shared by every worker
         #: engine: one bounded store of encoded (id-column) match lists,
-        #: so a pattern is encoded once per graph version per runner.
+        #: so a pattern is encoded once per runner until a write touches it.
         self.encoded_store = EncodedListStore(cache_capacity)
         self._plans: OrderedDict[object, QueryPlan] = OrderedDict()
         self._plan_hits = 0
         self._plan_lock = threading.Lock()
         self._catalog: StatisticsCatalog | None = None
-        self._catalog_version = -1
         self._local = threading.local()
         self._gate = _BatchGate()
         #: Process-model state (worker_model="process"): the fleet is a
@@ -330,6 +329,8 @@ class WorkloadRunner:
             "update_results_purged": 0,
             "update_stats_dropped": 0,
             "update_stats_kept": 0,
+            "update_lists_dropped": 0,
+            "update_lists_kept": 0,
             "update_seconds": 0.0,
         }
 
@@ -395,8 +396,8 @@ class WorkloadRunner:
 
     @property
     def catalog(self) -> StatisticsCatalog:
-        """The shared catalog, (re)built lazily per graph version."""
-        if self._catalog is None or self._catalog_version != self.graph.version:
+        """The shared catalog, built lazily once per served graph object."""
+        if self._catalog is None:
             self.warm_up()
         assert self._catalog is not None
         return self._catalog
@@ -422,10 +423,16 @@ class WorkloadRunner:
             encoded_store=self.encoded_store,
         )
         self._catalog.precompute(queries=queries)
-        self._catalog_version = self.graph.version
         self._plans.clear()
         self._local = threading.local()  # engines built on the old catalog die
         return time.perf_counter() - started
+
+    def _prepare(self, queries: Sequence[TriplePatternQuery] | None = None) -> float:
+        """Warm up on first use (returns its seconds), else re-attach the cache."""
+        if self._catalog is None:
+            return self.warm_up(queries)
+        self.graph.attach_match_list_cache(self.cache)
+        return 0.0
 
     def _worker_engine(self) -> SpecQPEngine:
         """The calling thread's engine over the shared catalog and cache."""
@@ -470,11 +477,7 @@ class WorkloadRunner:
     ) -> WorkloadReport:
         if self.worker_model == "process":
             return self._run_warm_process(queries, k)
-        warmup_seconds = 0.0
-        if self._catalog is None or self._catalog_version != self.graph.version:
-            warmup_seconds = self.warm_up(queries)
-        else:
-            self.graph.attach_match_list_cache(self.cache)
+        warmup_seconds = self._prepare(queries)
         stats_before = self.cache.stats()
         plan_hits_before = self._plan_hits
         result_before = (
@@ -811,10 +814,7 @@ class WorkloadRunner:
         """Warm-path single query without the gate — the process-worker
         hot path (a worker's runner is single-owner, so the batch gate
         and the reader lock are the master's concern, not the worker's)."""
-        if self._catalog is None or self._catalog_version != self.graph.version:
-            self.warm_up()
-        else:
-            self.graph.attach_match_list_cache(self.cache)
+        self._prepare()
         return self._serve_warm(query, k)
 
     def close(self) -> None:
@@ -852,10 +852,7 @@ class WorkloadRunner:
         with self._gate.reader():
             if self.worker_model == "process":
                 return self._execute_query_process(query, k)
-            if self._catalog is None or self._catalog_version != self.graph.version:
-                self.warm_up()
-            else:
-                self.graph.attach_match_list_cache(self.cache)
+            self._prepare()
             return self._serve_warm(query, k)[1]
 
     def _execute_query_process(
@@ -916,14 +913,13 @@ class WorkloadRunner:
         engine = self._worker_engine()
         started = time.perf_counter()
         rkey = None
-        version = 0
+        # Capture the version BEFORE doing any work: if a writer lands
+        # mid-flight (impossible through apply_updates, which waits out
+        # the batch, but possible for external mutators), the puts below
+        # tag their entries with the superseded version and the next
+        # lookup misses them — stale answers and plans cannot stick.
+        version = self.graph.version
         if self.result_cache is not None:
-            # Capture the version BEFORE doing any work: if a writer
-            # lands mid-flight (impossible through apply_updates, which
-            # waits out the batch, but possible for external mutators),
-            # the put below tags the entry with the superseded version
-            # and the next get discards it — stale answers cannot stick.
-            version = self.graph.version
             rkey = result_key(query, k, self._plan_signature)
             cached = self.result_cache.get(rkey, version)
             if cached is not None:
@@ -945,8 +941,10 @@ class WorkloadRunner:
         if self.plan_cache:
             # The executor *mode* is part of the key, so toggling
             # ``executor=`` on a shared runner can never replay a plan
-            # cached under the other mode.
-            key = (frozenset(query.patterns), query.projection, k, self._executor)
+            # cached under the other mode; so is the graph version.
+            key = (
+                frozenset(query.patterns), query.projection, k, self._executor, version
+            )
             with self._plan_lock:
                 plan = self._plans.get(key)
                 if plan is not None:
@@ -1017,10 +1015,13 @@ class WorkloadRunner:
         batch, and drives every invalidation off the resulting version
         bump: the shared match-list cache is eagerly swept
         (:meth:`~repro.service.cache.MatchListCache.purge_stale`), the
-        plan cache is cleared, and the statistics catalog is refreshed
-        incrementally (:meth:`~repro.stats.catalog.StatisticsCatalog.refresh`:
+        plan and result caches are purged, and the encoded list store
+        and the statistics catalog drop only what the batch touched
+        (:meth:`~repro.operators.block.EncodedListStore.refresh`:
+        ``lists_dropped`` / ``lists_kept``;
+        :meth:`~repro.stats.catalog.StatisticsCatalog.refresh`:
         ``stats_dropped`` / ``stats_kept`` pattern entries) instead of
-        rebuilt.  Pass ``compact=True`` to fold the delta into
+        rebuilding.  Pass ``compact=True`` to fold the delta into
         a fresh base afterwards (the runner's ``compact_threshold`` also
         triggers this automatically).
 
@@ -1050,7 +1051,6 @@ class WorkloadRunner:
                 # Catalog and engines were built over the frozen graph
                 # object; the next batch warms up over the live wrapper.
                 self._catalog = None
-                self._catalog_version = -1
                 self._local = threading.local()
             live = self._graph
             compactions_before = live.compactions
@@ -1065,10 +1065,10 @@ class WorkloadRunner:
             )
             with self._plan_lock:
                 self._plans.clear()
+            lists = self.encoded_store.refresh(live)
             refreshed = {"dropped": 0, "kept": 0}
             if self._catalog is not None:
                 refreshed = self._catalog.refresh()
-                self._catalog_version = live.version
             seconds = time.perf_counter() - started
             result: dict[str, object] = {
                 **counts,
@@ -1077,6 +1077,8 @@ class WorkloadRunner:
                 "result_cache_purged": results_purged,
                 "stats_dropped": refreshed["dropped"],
                 "stats_kept": refreshed["kept"],
+                "lists_dropped": lists["dropped"],
+                "lists_kept": lists["kept"],
                 "seconds": seconds,
                 "graph_version": live.version,
             }
@@ -1088,6 +1090,8 @@ class WorkloadRunner:
             self._updates["update_results_purged"] += results_purged
             self._updates["update_stats_dropped"] += refreshed["dropped"]
             self._updates["update_stats_kept"] = refreshed["kept"]
+            self._updates["update_lists_dropped"] += lists["dropped"]
+            self._updates["update_lists_kept"] = lists["kept"]
             self._updates["update_seconds"] += seconds
             if self.worker_model == "process":
                 # Versioned delta shipping: the next batch stamps its

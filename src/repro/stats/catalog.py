@@ -15,13 +15,14 @@ rebuilds are the ones execution reads next.
 
 from __future__ import annotations
 
-from itertools import product
+import threading
 from typing import Literal, Sequence
 
 import numpy as np
 
 from repro.errors import StatisticsError
 from repro.kg.graph import KnowledgeGraph
+from repro.kg.index import touched_pattern_keys
 from repro.kg.pattern import TriplePattern
 from repro.operators.block import EncodedListStore
 from repro.query.query import TriplePatternQuery
@@ -84,14 +85,23 @@ class StatisticsCatalog:
         #: they summarise.
         self._stats: dict[tuple, PatternStats] = {}
         self._histograms: dict[tuple, TwoBucketHistogram | NBucketHistogram] = {}
+        #: The graph version every cached entry describes.
+        self._version = graph.version
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @property
     def graph(self) -> KnowledgeGraph:
         return self._graph
 
+    def _current(self) -> None:
+        """Refresh first if the graph moved since the last read."""
+        if self._graph.version != self._version:
+            self.refresh()
+
     def pattern_stats(self, pattern: TriplePattern) -> PatternStats:
         """The four stored values (m, σ_r, S_r, S_m) for *pattern*."""
+        self._current()
         key = pattern.list_key()
         cached = self._stats.get(key)
         if cached is None:
@@ -103,6 +113,7 @@ class StatisticsCatalog:
         self, pattern: TriplePattern
     ) -> TwoBucketHistogram | NBucketHistogram:
         """The fitted score-distribution histogram for *pattern*."""
+        self._current()
         key = pattern.list_key()
         cached = self._histograms.get(key)
         if cached is None:
@@ -125,6 +136,7 @@ class StatisticsCatalog:
 
     def cardinality(self, query: TriplePatternQuery) -> int:
         """(Estimated) answer count of *query*."""
+        self._current()
         return self.cardinalities.cardinality(query)
 
     # ------------------------------------------------------------------
@@ -157,50 +169,39 @@ class StatisticsCatalog:
         self.cardinalities.clear()
 
     def refresh(self) -> dict[str, int]:
-        """Incrementally drop only the statistics a live delta invalidated.
+        """Drop only the statistics a write since the last refresh changed.
 
-        A graph with a delta overlay (:class:`repro.kg.delta.LiveGraph`)
-        journals the triple keys it mutated; refreshing drains that
-        journal and drops exactly the cached entries a mutated key can
-        match — every untouched pattern keeps its stats and histogram,
-        and every join cardinality over untouched patterns its count,
-        which on a small delta is almost all of them.  The dropped
-        entries rebuild lazily from the live match lists, so a refresh
-        never triggers a full recompute.
-
-        Graphs without a delta journal fall back to :meth:`invalidate`.
-        Returns ``{"dropped": ..., "kept": ...}`` over the histogram
-        cache for logging/tests.
+        Every read calls this first when the graph version moved, so a
+        catalog never plans from an older version's statistics.  Over a
+        :class:`repro.kg.delta.LiveGraph`, the triple keys written since
+        the version the catalog holds
+        (:meth:`~repro.kg.delta.LiveGraph.touched_since`) drop exactly the
+        stats, histograms and join cardinalities that read a pattern they
+        match; the rest — almost all, for a small delta — stay, and the
+        dropped ones rebuild lazily from the live match lists.  Graphs
+        without a journal, or a journal that cannot answer, fall back to
+        :meth:`invalidate`.  Returns ``{"dropped": ..., "kept": ...}``
+        over the histogram cache for logging/tests.
         """
-        drain = getattr(self._graph, "drain_touched", None)
-        touched = drain() if drain is not None else None
-        if touched is None:
-            # No journal, or the journal overflowed: everything may have
-            # changed, so the only safe move is a full invalidation.
-            dropped = len(self._stats.keys() | self._histograms.keys())
-            self.invalidate()
-            return {"dropped": dropped, "kept": 0}
-        dropped = 0
-        if touched:
-            # A pattern key matches a triple iff it equals the triple with
-            # some of its positions wildcarded: eight keys per touched triple.
-            touched_keys = {
-                tuple(term if keep else None for term, keep in zip(spo, mask))
-                for spo in touched
-                for mask in product((True, False), repeat=3)
-            }
+        with self._lock:
+            # Version first: a write racing this refresh shows next time.
+            version = self._graph.version
+            touched_since = getattr(self._graph, "touched_since", None)
+            touched = touched_since(self._version) if touched_since else None
+            self._version = version
+            held = self._stats.keys() | self._histograms.keys()
+            if touched is None:
+                self.invalidate()
+                return {"dropped": len(held), "kept": 0}
+            touched_keys = touched_pattern_keys(touched)
             # Entries sit under list keys, whose first three slots are the
             # pattern key (a repeated-variable pattern adds a fourth).
-            for key in [
-                key
-                for key in self._stats.keys() | self._histograms.keys()
-                if key[:3] in touched_keys
-            ]:
+            stale = [key for key in held if key[:3] in touched_keys]
+            for key in stale:
                 self._stats.pop(key, None)
                 self._histograms.pop(key, None)
-                dropped += 1
             self.cardinalities.drop_matching(touched_keys)
-        return {"dropped": dropped, "kept": len(self._histograms)}
+            return {"dropped": len(stale), "kept": len(self._histograms)}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

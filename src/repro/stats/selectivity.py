@@ -32,7 +32,6 @@ from repro.kg.pattern import TriplePattern
 from repro.operators.block import (
     EncodedListStore,
     EncodedMatchList,
-    TermCodec,
     expand_matches,
     joint_group_ids,
     pack_columns,
@@ -121,10 +120,8 @@ class JoinCardinalityEstimator:
         for entry in [entry for entry in self._distinct_cache if entry[0] in touched]:
             del self._distinct_cache[entry]
 
-    def _encoded(
-        self, pattern: TriplePattern, codec: TermCodec | None = None
-    ) -> EncodedMatchList:
-        return self._lists.get_or_build(self._graph, pattern, expect_codec=codec)
+    def _encoded(self, pattern: TriplePattern) -> EncodedMatchList:
+        return self._lists.get_or_build(self._graph, pattern)
 
     # ------------------------------------------------------------------
     # Exact counting (joins over encoded id columns)
@@ -144,10 +141,13 @@ class JoinCardinalityEstimator:
         every join below maps distinct rows to distinct rows, so the
         count is the final row count — nothing is deduplicated.
         """
-        # One codec for the whole count: the ids of two lists compare
-        # only under the same side table.
-        codec = self._lists.codec(self._graph)
-        lists = [self._encoded(pattern, codec) for pattern in dict.fromkeys(patterns)]
+        # One codec and one graph version for the whole count: the ids of
+        # two lists compare only under the same side table.
+        codec, version = self._lists.pin(self._graph)
+        lists = [
+            self._lists.get_or_build(self._graph, pattern, codec, version)
+            for pattern in dict.fromkeys(patterns)
+        ]
         # Every list is built, so the id domain is final.
         n_ids = codec.n_ids
         # Start from the smallest match list for speed, then join the rest

@@ -96,7 +96,7 @@ class TestConvert:
         return path
 
     def test_tsv_to_snapshot_and_back(self, tsv_path, tmp_path, capsys):
-        snapshot = tmp_path / "mini.npz"
+        snapshot = tmp_path / "mini.kg2"
         assert main(["convert", "--input", str(tsv_path), "--output", str(snapshot)]) == 0
         assert "2 triples" in capsys.readouterr().out
         assert snapshot.exists()
@@ -108,7 +108,7 @@ class TestConvert:
     def test_graph_name_override(self, tsv_path, tmp_path):
         from repro.kg import storage
 
-        snapshot = tmp_path / "named.npz"
+        snapshot = tmp_path / "named.kg2"
         code = main(
             [
                 "convert",
@@ -118,7 +118,45 @@ class TestConvert:
             ]
         )
         assert code == 0
-        assert storage.load_snapshot(snapshot).name == "renamed"
+        assert storage.load_snapshot_v2(snapshot).name == "renamed"
+
+    def test_v1_snapshot_imports_one_way(self, tsv_path, tmp_path, capsys):
+        import numpy as np
+
+        from repro.kg import storage
+        from repro.kg.columnar import ColumnarStore
+
+        store = ColumnarStore.from_triples(storage.iter_tsv(tsv_path))
+        v1 = tmp_path / "old.npz"
+        with open(v1, "wb") as handle:
+            np.savez(
+                handle,
+                format=np.array(storage.SNAPSHOT_FORMAT),
+                version=np.array(storage.SNAPSHOT_VERSION),
+                name=np.array("old"),
+                terms=store.terms,
+                subjects=store.subjects,
+                predicates=store.predicates,
+                objects=store.objects,
+                scores=store.scores,
+            )
+        packed, back = tmp_path / "new.kg2", tmp_path / "back.tsv"
+        assert main(["convert", "--input", str(v1), "--output", str(packed)]) == 0
+        assert "(snapshot-v1) -> " in capsys.readouterr().out
+        assert storage.load_snapshot_v2(packed).name == "old"
+        assert main(["convert", "--input", str(packed), "--output", str(back)]) == 0
+        assert back.read_bytes() == tsv_path.read_bytes()
+        # One way only: nothing writes v1, and only convert reads it.
+        assert main(["convert", "--input", str(packed), "--output", str(v1)]) == 2
+        assert "import-only" in capsys.readouterr().err
+        updates = tmp_path / "edits.tsv"
+        updates.write_text("+\tx\tp\ty\t1\n")
+        code = main(
+            ["update", "--input", str(v1), "--updates", str(updates),
+             "--output", str(tmp_path / "u.kg2")]
+        )
+        assert code == 2
+        assert "import it with `convert" in capsys.readouterr().err
 
     def test_missing_arguments_fail(self, capsys):
         assert main(["convert"]) == 2
@@ -132,7 +170,7 @@ class TestConvert:
     def test_bad_tsv_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("a\tp\tb\tinf\n")
-        code = main(["convert", "--input", str(bad), "--output", str(tmp_path / "o.npz")])
+        code = main(["convert", "--input", str(bad), "--output", str(tmp_path / "o.kg2")])
         assert code == 2
         assert "non-finite score" in capsys.readouterr().err
 
@@ -141,7 +179,7 @@ class TestConvert:
             [
                 "convert",
                 "--input", str(tmp_path / "absent.tsv"),
-                "--output", str(tmp_path / "o.npz"),
+                "--output", str(tmp_path / "o.kg2"),
             ]
         )
         assert code == 2
@@ -171,7 +209,7 @@ class TestUpdate:
     def test_update_tsv_to_snapshot(self, tsv_path, updates_path, tmp_path, capsys):
         from repro.kg import storage
 
-        out = tmp_path / "updated.npz"
+        out = tmp_path / "updated.kg2"
         code = main(
             [
                 "update",
@@ -183,7 +221,7 @@ class TestUpdate:
         assert code == 0
         printed = capsys.readouterr().out
         assert "3 adds / 1 removes (1 absent)" in printed
-        graph = storage.load_snapshot(out)
+        graph = storage.load_snapshot_v2(out)
         rows = {t.spo: t.score for t in graph.triples()}
         assert rows == {
             ("a", "p", "b"): 7.0,
@@ -219,7 +257,7 @@ class TestUpdate:
                 "update",
                 "--input", str(tsv_path),
                 "--updates", str(bad),
-                "--output", str(tmp_path / "o.npz"),
+                "--output", str(tmp_path / "o.kg2"),
             ]
         )
         assert code == 2
@@ -270,7 +308,7 @@ class TestScenarioFlag:
         assert "--scenario" in capsys.readouterr().err
 
     def test_update_replays_the_packs_stream(self, tmp_path, capsys):
-        out = tmp_path / "post-update.npz"
+        out = tmp_path / "post-update.kg2"
         code = main(
             ["update", "--scenario", "social-update-heavy",
              "--output", str(out)]

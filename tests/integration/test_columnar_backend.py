@@ -26,9 +26,9 @@ def workload(request, tiny_xkg_workload, tiny_twitter_workload):
 @pytest.fixture(scope="module")
 def columnar_graph(workload, tmp_path_factory):
     """The workload graph, frozen and round-tripped through a snapshot."""
-    path = tmp_path_factory.mktemp("backend") / f"{workload.name}.npz"
-    storage.save_snapshot(workload.graph, path)
-    return storage.load_snapshot(path)
+    path = tmp_path_factory.mktemp("backend") / f"{workload.name}.kg2"
+    storage.save_snapshot_v2(workload.graph, path)
+    return storage.load_snapshot_v2(path, mmap=False)
 
 
 class TestEngineAnswersAcrossBackends:

@@ -3,13 +3,13 @@
 A graph attached from a packed v2 snapshot (``ColumnarStore.open_mmap``,
 memory-mapped columns, persisted dictionary ranks, score-ordered rows)
 must be indistinguishable — byte-identical answers — from the same graph
-served off the v1 ``.npz`` snapshot or the object backend, across every
+served off in-memory columns or the object backend, across every
 executor, sharded and unsharded, before and after live updates.
 """
 
 import pytest
 
-from repro.kg import storage
+from repro.kg import ColumnarGraph, storage
 from repro.kg.delta import GraphUpdate
 from repro.service import WorkloadRunner
 
@@ -26,7 +26,6 @@ def workload(tiny_xkg_workload):
 @pytest.fixture(scope="module")
 def snapshot_dir(workload, tmp_path_factory):
     root = tmp_path_factory.mktemp("mmap-backend")
-    storage.save_snapshot(workload.graph, root / "g.npz")
     storage.save_snapshot_v2(workload.graph, root / "g.kg2")
     return root
 
@@ -46,15 +45,15 @@ def _runner(workload, graph, *, executor="tuple", shards=1, **kwargs):
 class TestAnswersAcrossBackends:
     @pytest.mark.parametrize("executor", ["tuple", "block", "auto"])
     @pytest.mark.parametrize("shards", [1, 4])
-    def test_mmap_matches_npz_and_object(
+    def test_mmap_matches_columnar_and_object(
         self, workload, snapshot_dir, executor, shards
     ):
         object_runner = _runner(
             workload, workload.graph, executor=executor, shards=shards
         )
-        npz_runner = _runner(
+        columnar_runner = _runner(
             workload,
-            storage.load_snapshot(snapshot_dir / "g.npz"),
+            ColumnarGraph.from_graph(workload.graph),
             executor=executor,
             shards=shards,
         )
@@ -67,8 +66,8 @@ class TestAnswersAcrossBackends:
         for query in workload.queries:
             expected = _answer_rows(object_runner.execute_query(query, 5))
             assert (
-                _answer_rows(npz_runner.execute_query(query, 5)) == expected
-            ), (query.name, "npz")
+                _answer_rows(columnar_runner.execute_query(query, 5)) == expected
+            ), (query.name, "columnar")
             assert (
                 _answer_rows(mmap_runner.execute_query(query, 5)) == expected
             ), (query.name, "mmap")
@@ -77,12 +76,10 @@ class TestAnswersAcrossBackends:
         mmap_runner = _runner(
             workload, storage.load_snapshot_v2(snapshot_dir / "g.kg2")
         )
-        npz_runner = _runner(
-            workload, storage.load_snapshot(snapshot_dir / "g.npz")
-        )
+        columnar_runner = _runner(workload, ColumnarGraph.from_graph(workload.graph))
         mmap_report = mmap_runner.run(workload.queries, k=5)
-        npz_report = npz_runner.run(workload.queries, k=5)
-        for ours, theirs in zip(mmap_report.outcomes, npz_report.outcomes):
+        columnar_report = columnar_runner.run(workload.queries, k=5)
+        for ours, theirs in zip(mmap_report.outcomes, columnar_report.outcomes):
             assert ours.n_answers == theirs.n_answers
             assert ours.top_score == theirs.top_score
             assert ours.plan == theirs.plan

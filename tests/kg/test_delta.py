@@ -448,33 +448,60 @@ class TestShardRouting:
         assert not hasattr(plain, "shard_leaf_inputs")
 
 
-class TestDrainTouched:
-    def test_journal_accumulates_and_drains(self):
+class TestTouchedSince:
+    def test_every_reader_asks_from_its_own_version(self):
+        """The journal is read-only: two readers at different versions
+        each see what moved since theirs, as often as they ask."""
+        live = LiveGraph(columnar_base())
+        start = live.version
+        live.add("e", "p", "w", score=1.0)
+        middle = live.version
+        live.remove("a", "p", "x")
+        live.remove("nobody", "p", "x")  # absent: no step, nothing touched
+        both = {("e", "p", "w"), ("a", "p", "x")}
+        assert live.touched_since(start) == both
+        assert live.touched_since(start) == both
+        assert live.touched_since(middle) == {("a", "p", "x")}
+        assert live.touched_since(live.version) == frozenset()
+
+    def test_versions_it_cannot_answer_are_unknown(self):
+        live = LiveGraph(columnar_base())
+        live.add("e", "p", "w", score=1.0)
+        assert live.touched_since(-1) is None
+        assert live.touched_since(live.version + 1) is None
+
+    def test_compaction_journals_the_adds_it_folds(self):
         live = LiveGraph(columnar_base())
         live.add("e", "p", "w", score=1.0)
         live.remove("a", "p", "x")
-        touched = live.drain_touched()
-        assert touched == {("e", "p", "w"), ("a", "p", "x")}
-        assert live.drain_touched() == frozenset()
+        before = live.version
+        live.compact()
+        assert live.version == before + 1
+        # The folded add, not the tombstone: only an add can carry a term
+        # from outside the old dictionary.
+        assert live.touched_since(before) == {("e", "p", "w")}
 
-    def test_journal_survives_compaction(self):
-        live = LiveGraph(columnar_base(), compact_threshold=1)
-        live.add("e", "p", "w", score=1.0)  # triggers auto-compact
-        assert live.compactions == 1
-        assert ("e", "p", "w") in live.drain_touched()
-
-    def test_journal_overflow_collapses_to_everything(self, monkeypatch):
-        """Past the bound the journal reports None ('everything touched')
-        instead of growing without limit, and recovers after a drain."""
+    def test_overflow_forgets_the_oldest_steps(self, monkeypatch):
+        """Past the bound the oldest steps go and older versions read as
+        unknown (None) instead of the journal growing without limit."""
         from repro.kg import delta as delta_module
 
         monkeypatch.setattr(delta_module, "MAX_TOUCHED_JOURNAL", 4)
-        live = LiveGraph(columnar_base(), compact_threshold=3)
+        live = LiveGraph(columnar_base())
+        start = live.version
         for i in range(8):
             live.add(f"n{i}", "p", "w", score=float(i + 1))
-        assert live.drain_touched() is None
-        live.add("after", "p", "w", score=1.0)
-        assert live.drain_touched() == {("after", "p", "w")}
+        assert live.touched_since(start) is None
+        assert live.touched_since(live.version - 4) == {
+            (f"n{i}", "p", "w") for i in range(4, 8)
+        }
+        # One batch over the bound leaves nothing answerable before it.
+        recent = live.version
+        live.apply_updates(
+            [GraphUpdate.add(f"m{i}", "p", "w", 1.0) for i in range(5)]
+        )
+        assert live.touched_since(recent) is None
+        assert live.touched_since(live.version) == frozenset()
 
     def test_catalog_refresh_handles_overflow(self, monkeypatch):
         from repro.kg import delta as delta_module

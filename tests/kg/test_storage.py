@@ -91,46 +91,52 @@ class TestNTriples:
             storage.load_ntriples(path)
 
 
+def write_v1_snapshot(graph, path):
+    """A v1 ``.npz`` snapshot, as the removed v1 writer laid it out."""
+    import numpy as np
+
+    from repro.kg.columnar import ColumnarStore
+
+    store = ColumnarStore.from_triples(graph.triples())
+    with open(path, "wb") as handle:
+        np.savez_compressed(
+            handle,
+            format=np.array(storage.SNAPSHOT_FORMAT),
+            version=np.array(storage.SNAPSHOT_VERSION, dtype=np.int64),
+            name=np.array(graph.name),
+            terms=store.terms,
+            subjects=store.subjects,
+            predicates=store.predicates,
+            objects=store.objects,
+            scores=store.scores,
+        )
+
+
 class TestSnapshots:
+    """The v1 ``.npz`` reader behind the one-way ``convert`` import."""
+
     def test_round_trip_is_columnar(self, graph, tmp_path):
         path = tmp_path / "kg.npz"
-        written = storage.save_snapshot(graph, path)
-        assert written == 3
-        loaded = storage.load_snapshot(path)
+        write_v1_snapshot(graph, path)
+        loaded = storage._load_snapshot_v1(path)
         from repro.kg import ColumnarGraph
 
         assert isinstance(loaded, ColumnarGraph)
         assert set(loaded.triples()) == set(graph.triples())
         assert loaded.score_of("a", "type", "t1") == 10.0
 
-    def test_mutable_round_trip(self, graph, tmp_path):
-        path = tmp_path / "kg.npz"
-        storage.save_snapshot(graph, path)
-        loaded = storage.load_snapshot(path, mutable=True)
-        assert type(loaded) is KnowledgeGraph
-        loaded.add("x", "y", "z")
-        assert loaded.size == 4
-
     def test_name_stored_and_overridable(self, graph, tmp_path):
         path = tmp_path / "kg.npz"
         graph.name = "the-graph"
-        storage.save_snapshot(graph, path)
-        assert storage.load_snapshot(path).name == "the-graph"
-        assert storage.load_snapshot(path, name="other").name == "other"
-
-    def test_columnar_graph_saved_without_reinterning(self, graph, tmp_path):
-        from repro.kg import ColumnarGraph
-
-        columnar = ColumnarGraph.from_graph(graph)
-        path = tmp_path / "kg.npz"
-        assert storage.save_snapshot(columnar, path) == 3
-        assert set(storage.load_snapshot(path).triples()) == set(graph.triples())
+        write_v1_snapshot(graph, path)
+        assert storage._load_snapshot_v1(path).name == "the-graph"
+        assert storage._load_snapshot_v1(path, name="other").name == "other"
 
     def test_not_a_zip_raises(self, tmp_path):
         path = tmp_path / "kg.npz"
         path.write_bytes(b"definitely not a zip archive")
         with pytest.raises(KnowledgeGraphError, match="cannot read snapshot"):
-            storage.load_snapshot(path)
+            storage._load_snapshot_v1(path)
 
     def test_npz_without_header_raises(self, tmp_path):
         import numpy as np
@@ -139,7 +145,7 @@ class TestSnapshots:
         with open(path, "wb") as handle:
             np.savez(handle, unrelated=np.array([1, 2, 3]))
         with pytest.raises(KnowledgeGraphError, match="not a knowledge-graph snapshot"):
-            storage.load_snapshot(path)
+            storage._load_snapshot_v1(path)
 
     def test_wrong_magic_raises(self, tmp_path):
         import numpy as np
@@ -158,41 +164,41 @@ class TestSnapshots:
                 scores=np.empty(0),
             )
         with pytest.raises(KnowledgeGraphError, match="bad snapshot magic"):
-            storage.load_snapshot(path)
+            storage._load_snapshot_v1(path)
 
     def test_future_version_raises(self, graph, tmp_path):
         import numpy as np
 
         path = tmp_path / "kg.npz"
-        storage.save_snapshot(graph, path)
+        write_v1_snapshot(graph, path)
         with np.load(path, allow_pickle=False) as data:
             arrays = dict(data.items())
         arrays["version"] = np.array(storage.SNAPSHOT_VERSION + 1)
         with open(path, "wb") as handle:
             np.savez(handle, **arrays)
         with pytest.raises(KnowledgeGraphError, match="version"):
-            storage.load_snapshot(path)
+            storage._load_snapshot_v1(path)
 
     def test_corrupt_columns_raise(self, graph, tmp_path):
         import numpy as np
 
         path = tmp_path / "kg.npz"
-        storage.save_snapshot(graph, path)
+        write_v1_snapshot(graph, path)
         with np.load(path, allow_pickle=False) as data:
             arrays = dict(data.items())
         arrays["scores"] = np.full_like(arrays["scores"], np.nan)
         with open(path, "wb") as handle:
             np.savez(handle, **arrays)
         with pytest.raises(KnowledgeGraphError, match="corrupt snapshot"):
-            storage.load_snapshot(path)
+            storage._load_snapshot_v1(path)
 
     def test_tsv_and_snapshot_agree(self, graph, tmp_path):
         tsv_path = tmp_path / "kg.tsv"
         npz_path = tmp_path / "kg.npz"
         storage.save_tsv(graph, tsv_path)
-        storage.save_snapshot(graph, npz_path)
+        write_v1_snapshot(graph, npz_path)
         from_tsv = storage.load_tsv(tsv_path)
-        from_npz = storage.load_snapshot(npz_path)
+        from_npz = storage._load_snapshot_v1(npz_path)
         assert set(from_tsv.triples()) == set(from_npz.triples())
         round_trip = tmp_path / "round.tsv"
         storage.save_tsv(from_npz, round_trip)
@@ -211,15 +217,6 @@ class TestFromTuples:
 
 
 class TestSnapshotSaveValidation:
-    def test_nan_score_rejected_at_save_time(self, tmp_path):
-        # Triple's `score < 0` check lets NaN through; the snapshot
-        # writer must refuse rather than produce an unloadable file.
-        kg = KnowledgeGraph()
-        kg.add("a", "p", "b", score=float("nan"))
-        with pytest.raises(KnowledgeGraphError, match="finite"):
-            storage.save_snapshot(kg, tmp_path / "kg.npz")
-        assert not (tmp_path / "kg.npz").exists()  # validation precedes writing
-
     def test_save_tsv_ignores_unrelated_store_attribute(self, graph, tmp_path):
         graph.store = object()  # duck-typed attr that is not a ColumnarStore
         path = tmp_path / "kg.tsv"
@@ -285,21 +282,14 @@ class TestSnapshotV2:
         assert loaded.score_of("a", "type", "t1") == 10.0
 
     def test_byte_identical_to_npz_backend(self, graph, tmp_path):
-        """Same TSV export from the v1 and v2 snapshot backends."""
-        storage.save_snapshot(graph, tmp_path / "kg.npz")
+        """Same TSV export from the v1 import and the v2 snapshot."""
+        write_v1_snapshot(graph, tmp_path / "kg.npz")
         storage.save_snapshot_v2(graph, tmp_path / "kg.kg2")
-        from_npz = storage.load_snapshot(tmp_path / "kg.npz")
+        from_npz = storage._load_snapshot_v1(tmp_path / "kg.npz")
         from_kg2 = storage.load_snapshot_v2(tmp_path / "kg.kg2")
         storage.save_tsv(from_npz, tmp_path / "v1.tsv")
         storage.save_tsv(from_kg2, tmp_path / "v2.tsv")
         assert (tmp_path / "v1.tsv").read_bytes() == (tmp_path / "v2.tsv").read_bytes()
-
-    def test_load_snapshot_dispatches_on_content(self, graph, tmp_path):
-        """load_snapshot recognises the v2 magic regardless of suffix."""
-        path = tmp_path / "kg.npz"  # misleading suffix on purpose
-        storage.save_snapshot_v2(graph, path)
-        loaded = storage.load_snapshot(path)
-        assert set(loaded.triples()) == set(graph.triples())
 
     def test_columns_are_memory_mapped(self, graph, tmp_path):
         import numpy as np
@@ -392,10 +382,10 @@ class TestSnapshotV2Errors:
         with pytest.raises(KnowledgeGraphError, match=r"kg\.kg2.*bad magic"):
             storage.load_snapshot_v2(path)
 
-    def test_v1_npz_given_to_v2_reader_hints_at_load_snapshot(self, graph, tmp_path):
+    def test_v1_npz_given_to_v2_reader_hints_at_convert(self, graph, tmp_path):
         path = tmp_path / "kg.npz"
-        storage.save_snapshot(graph, path)
-        with pytest.raises(KnowledgeGraphError, match="zip container.*load_snapshot"):
+        write_v1_snapshot(graph, path)
+        with pytest.raises(KnowledgeGraphError, match="zip container.*spec-qp convert"):
             storage.load_snapshot_v2(path)
 
     def test_garbage_manifest_tail(self, graph, tmp_path):
@@ -506,24 +496,22 @@ class TestAtomicSnapshotWrites:
         graph.store = CrashingStore()
         return graph
 
-    @pytest.mark.parametrize("saver", ["save_snapshot", "save_snapshot_v2"])
-    def test_failed_write_leaves_no_file(self, tmp_path, saver):
+    def test_failed_write_leaves_no_file(self, tmp_path):
         bad = KnowledgeGraph()
         bad.add("a", "p", "b", score=float("nan"))  # crashes validation
         target = tmp_path / "kg.bin"
         with pytest.raises(KnowledgeGraphError):
-            getattr(storage, saver)(bad, target)
+            storage.save_snapshot_v2(bad, target)
         assert list(tmp_path.iterdir()) == []  # no target, no temp litter
 
-    @pytest.mark.parametrize("saver", ["save_snapshot", "save_snapshot_v2"])
-    def test_failed_write_preserves_previous_snapshot(self, graph, tmp_path, saver):
+    def test_failed_write_preserves_previous_snapshot(self, graph, tmp_path):
         target = tmp_path / "kg.bin"
-        getattr(storage, saver)(graph, target)
+        storage.save_snapshot_v2(graph, target)
         before = target.read_bytes()
         bad = KnowledgeGraph()
         bad.add("x", "p", "y", score=float("nan"))
         with pytest.raises(KnowledgeGraphError):
-            getattr(storage, saver)(bad, target)
+            storage.save_snapshot_v2(bad, target)
         assert target.read_bytes() == before  # old snapshot intact
         assert list(tmp_path.iterdir()) == [target]
 

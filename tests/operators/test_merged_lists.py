@@ -236,7 +236,7 @@ class TestMergedListLifecycle:
             "hits", "misses", "evictions", "size", "capacity", "version",
         }
 
-    def test_version_bump_and_release_drop_merged_entries(
+    def test_write_drops_the_merged_entries_it_touched_and_release_all(
         self, music_graph, music_rules
     ):
         live = LiveGraph(ColumnarGraph.from_graph(music_graph))
@@ -245,9 +245,13 @@ class TestMergedListLifecycle:
         query = TriplePatternQuery((tp("singer"), tp("lyricist")))
         engine.query_trinit(query, k=3)
         assert store.stats()["merged_size"] == 2
+        variant = (engine.config.max_relaxations_per_pattern, music_rules, music_rules.version)
+        lyricist = store.get_or_merge(live, tp("lyricist"), variant, pytest.fail)
+        # A vocalist is an input of the singer merge only.
         live.apply_updates([GraphUpdate.add("adele", "rdf:type", "vocalist", 500.0)])
-        store.codec(live)  # the next use notices the version
-        assert store.stats()["merged_size"] == store.stats()["size"] == 0
+        assert store.refresh(live) == {"dropped": 1, "kept": 1}
+        assert store.stats()["merged_size"] == 1
+        assert store.get_or_merge(live, tp("lyricist"), variant, pytest.fail) is lyricist
         served = engine.query_trinit(query, k=3).answers
         oracle = SpecQPEngine(live, music_rules, executor="tuple")
         assert served == oracle.query_trinit(query, k=3).answers

@@ -54,9 +54,9 @@ def test_tsv_snapshot_load_round_trip(rows, tmp_path_factory):
     from_tsv = storage.load_tsv(tsv_path)
     assert _contents(from_tsv) == _contents(graph)
 
-    snapshot_path = root / "graph.npz"
-    storage.save_snapshot(from_tsv, snapshot_path)
-    from_snapshot = storage.load_snapshot(snapshot_path)
+    snapshot_path = root / "graph.kg2"
+    storage.save_snapshot_v2(from_tsv, snapshot_path)
+    from_snapshot = storage.load_snapshot_v2(snapshot_path)
     assert isinstance(from_snapshot, ColumnarGraph)
     assert _contents(from_snapshot) == _contents(graph)
     assert from_snapshot.size == graph.size
@@ -67,9 +67,9 @@ def test_tsv_snapshot_load_round_trip(rows, tmp_path_factory):
 def test_backends_answer_queries_identically(rows, tmp_path_factory):
     graph = _graph_from(rows)
     root = tmp_path_factory.mktemp("answers")
-    snapshot_path = root / "graph.npz"
-    storage.save_snapshot(graph, snapshot_path)
-    columnar = storage.load_snapshot(snapshot_path)
+    snapshot_path = root / "graph.kg2"
+    storage.save_snapshot_v2(graph, snapshot_path)
+    columnar = storage.load_snapshot_v2(snapshot_path, mmap=False)
 
     patterns = [TriplePattern(Variable("s"), Variable("p"), Variable("o"))]
     for predicate in sorted(graph.predicates()):
@@ -100,14 +100,11 @@ def test_v2_snapshot_round_trip(rows, tmp_path_factory):
     assert isinstance(attached, ColumnarGraph)
     assert _contents(attached) == _contents(graph)
 
-    # The two snapshot formats are observationally identical backends.
-    npz = root / "graph.npz"
-    storage.save_snapshot(graph, npz)
-    from_npz = storage.load_snapshot(npz)
-    v1_tsv, v2_tsv = root / "v1.tsv", root / "v2.tsv"
-    storage.save_tsv(from_npz, v1_tsv)
+    # The attached snapshot exports the TSV the object graph does.
+    object_tsv, v2_tsv = root / "object.tsv", root / "v2.tsv"
+    storage.save_tsv(graph, object_tsv)
     storage.save_tsv(attached, v2_tsv)
-    assert v1_tsv.read_bytes() == v2_tsv.read_bytes()
+    assert object_tsv.read_bytes() == v2_tsv.read_bytes()
 
     pattern = TriplePattern(Variable("s"), Variable("p"), Variable("o"))
     assert attached.match_list(pattern).triples == graph.match_list(pattern).triples
