@@ -12,6 +12,7 @@
 #   make docs    docs link + snippet import check, run every runnable doc surface
 #   make workload  demo the batch-serving layer (cold vs warm)
 #   make scenarios  build + validate every scenario pack, run the slow matrix
+#   make loc     src/ line count, measured the way the ROADMAP standing rule does
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -25,7 +26,7 @@ BENCH_JSON ?= BENCH_PR9.json
 #: The prior baseline `make bench-diff` compares against.
 BENCH_PRIOR ?= BENCH_PR6.json
 
-.PHONY: test bench bench-diff bench-e2e bench-compare bench-pairs cov docs workload scenarios
+.PHONY: test bench bench-diff bench-e2e bench-compare bench-pairs cov docs workload scenarios loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -72,3 +73,6 @@ workload:
 scenarios:
 	$(PYTHON) scripts/validate_scenarios.py
 	$(PYTHON) -m pytest tests -q -m slow_scenario
+
+loc:
+	@find src -name '*.py' | xargs wc -l | tail -1

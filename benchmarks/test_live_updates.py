@@ -9,7 +9,7 @@ Two claims pin the live-update subsystem's performance:
   touches only the mutated keys while the rebuild touches every row.
 * **Read parity after compaction** — once the delta is folded into a
   fresh base, warm serving throughput over the live wrapper must be
-  within **10%** of the static sharded backend: the overlay's empty-delta
+  within **10%** of the static columnar backend: the overlay's empty-delta
   fast paths delegate straight to the base, so steady-state reads pay
   (almost) nothing for writability.
 """
@@ -25,12 +25,10 @@ from repro.datasets.workload import Workload
 from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.pattern import TriplePattern, Variable
-from repro.kg.sharding import ShardedGraph
 from repro.query.query import TriplePatternQuery
 from repro.relax.rules import RuleSet
 from repro.service import WorkloadRunner
 
-N_SHARDS = 4
 CACHE_CAPACITY = 8
 BATCH = 120
 K = 10
@@ -130,22 +128,18 @@ def warm_runner(graph, queries) -> tuple[WorkloadRunner, list[TriplePatternQuery
     )
 
 
-def test_compacted_live_reads_match_static_sharded(benchmark, medium_graph):
+def test_compacted_live_reads_match_static_columnar(benchmark, medium_graph):
     queries = diverse_queries()
-    static = ShardedGraph(medium_graph.store, N_SHARDS, strategy="score-range")
+    static = ColumnarGraph(medium_graph.store)
 
-    live = LiveGraph(
-        ShardedGraph(medium_graph.store, N_SHARDS, strategy="score-range")
-    )
+    live = LiveGraph(ColumnarGraph(medium_graph.store))
     live.apply_updates(one_percent_batch(medium_graph))
     live.compact()
     assert live.delta_size == 0
 
     # Blocking whatever the machine is doing: the compacted overlay serves
-    # what a static sharded graph over the same triples serves.
-    rebuilt, _ = warm_runner(
-        ShardedGraph(live.base.store, N_SHARDS, strategy="score-range"), queries
-    )
+    # what a static columnar graph over the same triples serves.
+    rebuilt, _ = warm_runner(ColumnarGraph(live.base.store), queries)
     checked, _ = warm_runner(live, queries)
     for query in queries:
         assert checked.execute_query(query, K) == rebuilt.execute_query(query, K)
@@ -171,10 +165,10 @@ def test_compacted_live_reads_match_static_sharded(benchmark, medium_graph):
     ratio = live_qps / static_qps
     print(
         f"\nwarm read qps (best of {len(pairs)} interleaved pairs): "
-        f"static sharded {static_qps:.1f}, compacted live {live_qps:.1f} "
+        f"static columnar {static_qps:.1f}, compacted live {live_qps:.1f} "
         f"({ratio:.2f}x)"
     )
     assert ratio >= 0.9, (
         f"compacted live serving should stay within 10% of the static "
-        f"sharded backend: static {static_qps:.1f} qps, live {live_qps:.1f} qps"
+        f"columnar backend: static {static_qps:.1f} qps, live {live_qps:.1f} qps"
     )

@@ -3,7 +3,7 @@
 
 ``make bench`` invokes this after the pytest benchmark suite to write
 ``BENCH_PR9.json``: warm serving throughput (qps, latency percentiles)
-for every executor × shard-count × cache-capacity combination on the
+for every executor × cache-capacity combination on the
 diverse medium-profile workload — including ``executor="auto"`` (block
 wherever the backend has id columns) — plus the whole-answer
 result-cache hit path,
@@ -16,7 +16,7 @@ messages; ``--diff PRIOR.json`` renders that comparison directly.
 Methodology: every cell primes once (catalog warm-up plus one untimed
 batch, so list caches reach their steady state) and then keeps the best
 of ``--repeats`` timed batches — single-run numbers on shared hardware
-are noise.  Within each shards × cache-capacity group the three
+are noise.  Within each cache-capacity group the three
 executors' timed batches are *interleaved* (tuple, block, auto, tuple,
 block, auto, ...) rather than run back to back, so machine-load drift
 hits all three equally and the block-over-tuple ratios compare like
@@ -82,95 +82,73 @@ def best_timed_run(runner: WorkloadRunner, batch, repeats: int):
 def run_matrix(workload: Workload, batch, repeats: int) -> tuple[list, dict]:
     runs: list[dict] = []
     outcomes_by_key: dict[tuple, list] = {}
-    for shards in (1, 4):
-        for cache_capacity in (BOUNDED_CACHE, FULL_CACHE):
-            # Prime all three executors' runners first, then interleave
-            # their timed batches: load drift between back-to-back cells
-            # would otherwise masquerade as an executor effect.
-            runners = {}
+    for cache_capacity in (BOUNDED_CACHE, FULL_CACHE):
+        # Prime all three executors' runners first, then interleave
+        # their timed batches: load drift between back-to-back cells
+        # would otherwise masquerade as an executor effect.
+        runners = {}
+        for executor in EXECUTORS:
+            runners[executor] = WorkloadRunner(
+                workload,
+                cache_capacity=cache_capacity,
+                executor=executor,
+                result_cache_capacity=0,  # measure strategy, not reuse
+            )
+            runners[executor].run(batch, k=K, mode="warm")  # untimed
+        best: dict[str, object] = {}
+        for _ in range(repeats):
             for executor in EXECUTORS:
-                runners[executor] = WorkloadRunner(
-                    workload,
-                    cache_capacity=cache_capacity,
-                    shards=shards,
-                    shard_strategy="score-range",
-                    executor=executor,
-                    result_cache_capacity=0,  # measure strategy, not reuse
-                )
-                runners[executor].run(batch, k=K, mode="warm")  # untimed
-            best: dict[str, object] = {}
-            for _ in range(repeats):
-                for executor in EXECUTORS:
-                    report = runners[executor].run(batch, k=K, mode="warm")
-                    prior = best.get(executor)
-                    if (
-                        prior is None
-                        or report.queries_per_second
-                        > prior.queries_per_second
-                    ):
-                        best[executor] = report
-            for executor in EXECUTORS:
-                report = best[executor]
-                row = {
-                    "executor": executor,
-                    "shards": shards,
-                    "cache_capacity": cache_capacity,
-                    "qps": round(report.queries_per_second, 1),
-                    "mean_ms": round(report.mean_latency * 1e3, 3),
-                    "p50_ms": round(report.latency_percentile(50) * 1e3, 3),
-                    "p99_ms": round(report.latency_percentile(99) * 1e3, 3),
-                    "wall_s": round(report.wall_seconds, 3),
-                }
-                runs.append(row)
-                outcomes_by_key[(shards, cache_capacity, executor)] = [
-                    (o.n_answers, o.top_score) for o in report.outcomes
-                ]
-                print(
-                    f"shards={shards} cache={cache_capacity:<4d} "
-                    f"executor={executor:<5s} "
-                    f"{report.queries_per_second:9.1f} qps  "
-                    f"p50 {report.latency_percentile(50) * 1e3:7.3f} ms  "
-                    f"p99 {report.latency_percentile(99) * 1e3:7.3f} ms"
-                )
+                report = runners[executor].run(batch, k=K, mode="warm")
+                prior = best.get(executor)
+                if prior is None or report.queries_per_second > prior.queries_per_second:
+                    best[executor] = report
+        for executor in EXECUTORS:
+            report = best[executor]
+            row = {
+                "executor": executor,
+                # Kept so --diff still matches the cells of older baselines.
+                "shards": 1,
+                "cache_capacity": cache_capacity,
+                "qps": round(report.queries_per_second, 1),
+                "mean_ms": round(report.mean_latency * 1e3, 3),
+                "p50_ms": round(report.latency_percentile(50) * 1e3, 3),
+                "p99_ms": round(report.latency_percentile(99) * 1e3, 3),
+                "wall_s": round(report.wall_seconds, 3),
+            }
+            runs.append(row)
+            outcomes_by_key[(cache_capacity, executor)] = [
+                (o.n_answers, o.top_score) for o in report.outcomes
+            ]
+            print(
+                f"cache={cache_capacity:<4d} "
+                f"executor={executor:<5s} "
+                f"{report.queries_per_second:9.1f} qps  "
+                f"p50 {report.latency_percentile(50) * 1e3:7.3f} ms  "
+                f"p99 {report.latency_percentile(99) * 1e3:7.3f} ms"
+            )
 
     # Executors must agree before the numbers mean anything (blocking).
-    for shards in (1, 4):
-        for cache_capacity in (BOUNDED_CACHE, FULL_CACHE):
-            tuple_rows = outcomes_by_key[(shards, cache_capacity, "tuple")]
-            for executor in ("block", "auto"):
-                other = outcomes_by_key[(shards, cache_capacity, executor)]
-                if other != tuple_rows:
-                    raise SystemExit(
-                        f"executor outcomes diverge ({executor} vs tuple) at "
-                        f"shards={shards}, cache={cache_capacity} — "
-                        "baseline aborted"
-                    )
+    for cache_capacity in (BOUNDED_CACHE, FULL_CACHE):
+        tuple_rows = outcomes_by_key[(cache_capacity, "tuple")]
+        for executor in ("block", "auto"):
+            if outcomes_by_key[(cache_capacity, executor)] != tuple_rows:
+                raise SystemExit(
+                    f"executor outcomes diverge ({executor} vs tuple) at "
+                    f"cache={cache_capacity} — baseline aborted"
+                )
 
-    def qps(shards: int, cache_capacity: int, executor: str) -> float:
+    def qps(cache_capacity: int, executor: str) -> float:
         for run in runs:
-            if (
-                run["shards"] == shards
-                and run["cache_capacity"] == cache_capacity
-                and run["executor"] == executor
-            ):
+            if run["cache_capacity"] == cache_capacity and run["executor"] == executor:
                 return run["qps"]
-        raise KeyError((shards, cache_capacity, executor))
+        raise KeyError((cache_capacity, executor))
 
     speedups = {
         "block_over_tuple_1shard_bounded_cache": round(
-            qps(1, BOUNDED_CACHE, "block") / qps(1, BOUNDED_CACHE, "tuple"), 2
-        ),
-        "block_over_tuple_4shard_bounded_cache": round(
-            qps(4, BOUNDED_CACHE, "block") / qps(4, BOUNDED_CACHE, "tuple"), 2
+            qps(BOUNDED_CACHE, "block") / qps(BOUNDED_CACHE, "tuple"), 2
         ),
         "block_over_tuple_1shard_full_cache": round(
-            qps(1, FULL_CACHE, "block") / qps(1, FULL_CACHE, "tuple"), 2
-        ),
-        "sharded4_over_1shard_tuple_bounded_cache": round(
-            qps(4, BOUNDED_CACHE, "tuple") / qps(1, BOUNDED_CACHE, "tuple"), 2
-        ),
-        "sharded4_over_1shard_block_bounded_cache": round(
-            qps(4, BOUNDED_CACHE, "block") / qps(1, BOUNDED_CACHE, "block"), 2
+            qps(FULL_CACHE, "block") / qps(FULL_CACHE, "tuple"), 2
         ),
     }
     return runs, speedups

@@ -30,7 +30,6 @@ from repro.core.planner import PlannerDecision, SpecQPPlanner
 from repro.errors import ExecutionError
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.index import MatchListCacheHook
-from repro.kg.sharding import ShardedGraph, ShardStrategy
 from repro.operators.block import EncodedListStore
 from repro.query.answer import Answer
 from repro.query.query import TriplePatternQuery
@@ -94,16 +93,6 @@ class SpecQPEngine:
         already on the graph raises, because it would silently reroute
         every other engine's lookups; engines built without this
         argument simply use whatever the graph already has attached.
-    shards:
-        When >= 2, partition the graph into that many shards (see
-        :class:`repro.kg.sharding.ShardedGraph`) and execute every leaf
-        scan as a lazy per-shard merge with threshold early termination.
-        Answers and scores are identical to unsharded execution; what
-        changes is that cold shards' match lists are often never built.
-        Graphs that are already sharded are used as-is.
-    shard_strategy:
-        ``"hash-subject"`` or ``"score-range"`` (only read when *shards*
-        triggers partitioning).
     executor:
         ``"tuple"`` (the paper's pull-based object pipeline, default),
         ``"block"`` — the vectorized block-at-a-time engine that
@@ -111,7 +100,7 @@ class SpecQPEngine:
         only at the top-k sink — or ``"auto"``: block wherever the
         backend has id columns, tuple otherwise.  Answers and scores
         are byte-identical under all three.  ``"block"`` is the serving
-        pipeline on columnar, sharded and live backends and silently
+        pipeline on columnar and live backends and silently
         falls back to the tuple pipeline where it cannot run (the
         object-graph backend); ``"auto"`` is the
         same choice made explicit (:meth:`resolve_executor` reports it);
@@ -136,8 +125,6 @@ class SpecQPEngine:
         config: EngineConfig | None = None,
         catalog: StatisticsCatalog | None = None,
         match_list_cache: MatchListCacheHook | None = None,
-        shards: int | None = None,
-        shard_strategy: ShardStrategy = "hash-subject",
         executor: ExecutorMode = "tuple",
         encoded_cache_capacity: int | None = None,
         encoded_store: "EncodedListStore | None" = None,
@@ -147,8 +134,6 @@ class SpecQPEngine:
                 f"unknown executor {executor!r}; choose from {EXECUTOR_MODES}"
             )
         self.config = config or EngineConfig()
-        if shards is not None and shards > 1 and not isinstance(graph, ShardedGraph):
-            graph = ShardedGraph.from_graph(graph, shards, strategy=shard_strategy)
         self.graph = graph
         self.rules = rules
         self.match_list_cache = match_list_cache

@@ -14,8 +14,8 @@ Two interchangeable execution strategies produce byte-identical answers:
     The vectorized pipeline (:mod:`repro.operators.block`): operators
     exchange score-sorted blocks of dictionary-encoded id arrays and
     decode to strings only at the top-k sink.  Available whenever the
-    graph is backed by encoded columns — columnar, sharded, or a live
-    overlay over either; the plain object graph silently falls back to
+    graph is backed by encoded columns — columnar, or a live overlay
+    over it; the plain object graph silently falls back to
     the tuple pipeline (it has no id columns to slice).
 
 For the block path the executor reads encoded match lists (and the term
@@ -89,7 +89,7 @@ def supports_block_execution(graph: KnowledgeGraph) -> bool:
     """Whether the block pipeline can run over *graph*.
 
     True for every backend with encoded columns in reach — columnar,
-    sharded, and live overlays (even over an object base: the codec then
+    and live overlays (even over an object base: the codec then
     interns every term into its side table).  False only for the plain
     object graph, which the block planner has nothing to slice from.
     """

@@ -34,7 +34,7 @@ from repro.operators.block import (
 from repro.operators.incremental_merge import IncrementalMerge, WeightedInput
 from repro.operators.memory import ExecutionContext
 from repro.operators.rank_join import RankJoin
-from repro.operators.shard_merge import build_leaf_scan
+from repro.operators.scan import SortedScan
 from repro.operators.vector_join import VectorRankJoin
 from repro.operators.vector_scan import VectorScan
 from repro.query.query import TriplePatternQuery
@@ -125,7 +125,7 @@ class QueryPlan:
         accidental cartesian products.
         """
         group_ops: list[Operator] = [
-            build_leaf_scan(graph, self.query.patterns[i], i, context)
+            SortedScan(graph, self.query.patterns[i], i, context)
             for i in sorted(self.join_group)
         ]
         merge_ops: list[Operator] = [
@@ -243,7 +243,7 @@ class QueryPlan:
         return IncrementalMerge(
             [
                 WeightedInput(
-                    scan=build_leaf_scan(
+                    scan=SortedScan(
                         graph, source, pattern_index, context, weight=weight
                     ),
                     weight=weight,

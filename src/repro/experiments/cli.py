@@ -6,7 +6,6 @@ Examples::
     spec-qp all --dataset twitter --scale small
     spec-qp fig7 --dataset xkg --ks 10 20
     spec-qp workload --min-queries 200 --workers 4 --mode both
-    spec-qp workload --shards 4 --shard-strategy score-range
     spec-qp workload --scenario adversarial-ties --executor auto
     spec-qp convert --input graph.tsv --output graph.kg2
     spec-qp convert --input old.npz --output graph.kg2
@@ -256,7 +255,15 @@ def run_update(args: "argparse.Namespace") -> int:
 
 
 def run_workload(args: "argparse.Namespace") -> int:
-    """The ``workload`` subcommand: batch serving through the service layer."""
+    """The ``workload`` subcommand: batch serving through the service layer.
+
+    The generated graph is frozen into columns before serving — nothing
+    here mutates it outside :meth:`~repro.service.WorkloadRunner.apply_updates`,
+    which overlays it — so ``--executor block|auto`` runs vectorised.
+    """
+    from dataclasses import replace
+
+    from repro.kg.columnar import ColumnarGraph
     from repro.service import WorkloadRunner
 
     pack = None
@@ -266,6 +273,7 @@ def run_workload(args: "argparse.Namespace") -> int:
         print(f"# scenario: {pack.name} (seed {pack.seed}) — {pack.description}")
     else:
         workload = build_workload(args.dataset, args.scale, args.seed)
+    workload = replace(workload, graph=ColumnarGraph.from_graph(workload.graph))
     if args.k is None:
         args.k = pack.k if pack else 10
     queries = workload.stretched(max(args.min_queries, len(workload.queries)))
@@ -276,8 +284,6 @@ def run_workload(args: "argparse.Namespace") -> int:
         workload,
         n_workers=args.workers,
         worker_model=args.worker_model,
-        shards=args.shards,
-        shard_strategy=args.shard_strategy,
         executor=args.executor,
         **runner_kwargs,
     )
@@ -286,20 +292,6 @@ def run_workload(args: "argparse.Namespace") -> int:
         f"# batch: {len(queries)} queries, k={args.k}, mode={args.mode}, "
         f"executor={args.executor}, worker-model={args.worker_model}"
     )
-    if args.executor in ("block", "auto") and args.shards == 1 and not hasattr(
-        runner.graph, "store"
-    ):
-        print(
-            "# note: the workload graph is object-backed; the block "
-            "executor falls back to the tuple pipeline (convert to the "
-            "columnar backend or pass --shards >= 2 to vectorize)"
-        )
-    if args.shards > 1:
-        sizes = runner.graph.shard_sizes()
-        print(
-            f"# sharding: {args.shards} shards ({args.shard_strategy}), "
-            f"sizes={list(sizes)}"
-        )
 
     try:
         if args.mode == "both":
@@ -389,17 +381,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     service.add_argument(
         "--mode", choices=("warm", "cold", "both"), default="warm",
         help="shared caches (warm), per-query rebuild (cold), or both",
-    )
-    service.add_argument(
-        "--shards", type=int, default=1,
-        help="partition the graph into N shards with lazy per-shard "
-        "top-k merging (default 1 = unsharded)",
-    )
-    service.add_argument(
-        "--shard-strategy", choices=("hash-subject", "score-range"),
-        default="score-range",
-        help="row partitioning: stable subject hash, or contiguous "
-        "score ranges (default; hottest triples in shard 0)",
     )
     service.add_argument(
         "--executor", choices=("tuple", "block", "auto"), default="tuple",

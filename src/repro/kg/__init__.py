@@ -34,9 +34,6 @@ from repro.kg.namespace import Namespace, RDF_TYPE
 #: the object backend).
 _COLUMNAR_EXPORTS = ("ColumnarGraph", "ColumnarStore", "ColumnarPatternIndex")
 
-#: Names served lazily from repro.kg.sharding (NumPy-backed as well).
-_SHARDING_EXPORTS = ("ShardedGraph", "ShardedPatternIndex")
-
 __all__ = [
     "ColumnarGraph",
     "ColumnarPatternIndex",
@@ -46,8 +43,6 @@ __all__ = [
     "LiveGraph",
     "Namespace",
     "RDF_TYPE",
-    "ShardedGraph",
-    "ShardedPatternIndex",
     "Triple",
     "TriplePattern",
     "Variable",
@@ -56,13 +51,9 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """Lazily resolve the columnar and sharding exports on first access."""
+    """Lazily resolve the columnar exports on first access."""
     if name in _COLUMNAR_EXPORTS:
         from repro.kg import columnar
 
         return getattr(columnar, name)
-    if name in _SHARDING_EXPORTS:
-        from repro.kg import sharding
-
-        return getattr(sharding, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,7 @@ per-shape **permutation index** (the packed bound ids of every row,
 stably sorted over the rows taken in Definition-5 order; a lookup is two
 ``searchsorted`` and a slice).  "Rows in Definition-5 order" costs
 nothing where the columns are stored that way — every ``.kg2`` attach,
-every shard cut from one, every compacted base — which one vectorised
+every compacted base — which one vectorised
 adjacent-row check establishes; only a store interned in arrival order
 pays one sort of all its rows (:meth:`ColumnarStore.score_order`), once.
 The indexes are plain attributes of the immutable store and die with it.
@@ -99,7 +99,6 @@ class ColumnarStore:
         "_term_rank",
         "_score_perm",
         "_shape_indexes",
-        "_lexicon_parent",
     )
 
     def __init__(
@@ -133,7 +132,6 @@ class ColumnarStore:
         self._score_perm: tuple[np.ndarray | None] | None = None
         #: Per key shape: (sorted packed bound ids, their rows).
         self._shape_indexes: dict[tuple[bool, ...], tuple[np.ndarray, np.ndarray]] = {}
-        self._lexicon_parent: "ColumnarStore | None" = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -301,38 +299,16 @@ class ColumnarStore:
     # ------------------------------------------------------------------
     # Lazy lookup structures
     # ------------------------------------------------------------------
-    def share_lexicon_from(self, parent: "ColumnarStore") -> None:
-        """Delegate dictionary lookups to *parent* (which must hold the
-        *same* ``terms`` array, e.g. shard slices over one dictionary).
-
-        Keeps laziness intact: nothing is built at call time, and when a
-        shard later needs the term → id map or the ranks, all siblings
-        resolve to the single structure built on the parent — one decode
-        of the dictionary per process instead of one per shard.
-        """
-        if parent.terms is not self.terms:
-            raise KnowledgeGraphError(
-                "share_lexicon_from requires an identical terms array"
-            )
-        self._lexicon_parent = parent
-
     def term_list(self) -> list[str]:
         """The dictionary as plain Python strings (id → term), built lazily."""
         if self._term_list is None:
-            if self._lexicon_parent is not None:
-                self._term_list = self._lexicon_parent.term_list()
-            else:
-                self._term_list = self.terms.tolist()
+            self._term_list = self.terms.tolist()
         return self._term_list
 
     def term_id(self, term: str) -> int | None:
         """Id of *term*, or ``None`` if it is not in the dictionary."""
         if self._term_ids is None:
-            if self._lexicon_parent is not None:
-                self._lexicon_parent.term_id("")  # force the parent's map
-                self._term_ids = self._lexicon_parent._term_ids
-            else:
-                self._term_ids = {t: i for i, t in enumerate(self.term_list())}
+            self._term_ids = {t: i for i, t in enumerate(self.term_list())}
         return self._term_ids.get(term)
 
     def _ranks(self) -> np.ndarray:
@@ -341,13 +317,10 @@ class ColumnarStore:
         Memory-mapped stores carry the ranks as a snapshot section, so
         attaching never argsorts the dictionary."""
         if self._term_rank is None:
-            if self._lexicon_parent is not None:
-                self._term_rank = self._lexicon_parent._ranks()
-            else:
-                order = np.argsort(self.terms, kind="stable")
-                rank = np.empty(len(order), dtype=np.int64)
-                rank[order] = np.arange(len(order))
-                self._term_rank = rank
+            order = np.argsort(self.terms, kind="stable")
+            rank = np.empty(len(order), dtype=np.int64)
+            rank[order] = np.arange(len(order))
+            self._term_rank = rank
         return self._term_rank
 
     def row_of(self, subject: str, predicate: str, object_: str) -> int | None:
@@ -393,8 +366,8 @@ class ColumnarStore:
     def _score_rows(self) -> np.ndarray | None:
         """All rows in Definition-5 order; ``None`` stands for the
         identity, i.e. the store is already ordered (every ``.kg2``
-        attach, every shard cut from one, every :meth:`with_updates`
-        output) and nothing is sorted or kept."""
+        attach, every :meth:`with_updates` output) and nothing is sorted
+        or kept."""
         if self._score_perm is None:
             if self._is_score_ordered():
                 self._score_perm = (None,)
@@ -508,8 +481,7 @@ class ColumnarStore:
         Returns ``None`` when the dictionary is too large to pack into
         int64 — callers must fall back to :meth:`exclude_keys` without a
         precomputed array.  Lets a caller encode a key set once and mask
-        many row sets (e.g. one superseded-key set against every shard
-        sharing this term dictionary).
+        many row sets (e.g. one superseded-key set per delta state).
         """
         n = self.n_terms
         if n**3 >= 2**63:
@@ -533,8 +505,8 @@ class ColumnarStore:
         (:mod:`repro.kg.delta`): vectorised via the same packed-row
         encoding the uniqueness check uses, so masking a match list's
         candidate rows costs one ``isin`` — no decoding.  Pass
-        *packed_keys* (from :meth:`pack_keys` against a store sharing
-        this term dictionary) to skip re-encoding *keys* per call.
+        *packed_keys* (from :meth:`pack_keys` on this store) to skip
+        re-encoding *keys* per call.
         """
         keep = self.kept_rows_mask(rows, keys, packed_keys)
         return rows if keep is None else rows[keep]
@@ -774,21 +746,6 @@ class ColumnarPatternIndex(PatternIndex):
         store = self._store()
         return store.decode_rows(store.ordered_rows(key))
 
-    def peek(self, pattern: TriplePattern) -> tuple[int, float]:
-        """``(n_matches, max raw score)`` for *pattern* — columns only.
-
-        The cheap prefix of :meth:`match_list`: one index slice, its
-        length and its first row's score, no decoding.  Sharded
-        execution uses it to bound a shard's contribution before
-        (possibly instead of) building the shard's match list.
-        """
-        self._invalidate_if_stale()
-        store = self._store()
-        rows = store.match_rows(pattern)
-        if len(rows) == 0:
-            return 0, 0.0
-        return len(rows), float(store.scores[rows[0]])
-
     def _store(self) -> ColumnarStore:
         return self._graph.store  # type: ignore[attr-defined]
 
@@ -863,10 +820,6 @@ class ColumnarGraph(KnowledgeGraph):
     def store(self) -> ColumnarStore:
         """The underlying dictionary-encoded columns."""
         return self._store
-
-    def peek_match(self, pattern: TriplePattern) -> tuple[int, float]:
-        """``(n_matches, max raw score)`` without building the match list."""
-        return self._index.peek(pattern)
 
     # ------------------------------------------------------------------
     # Mutation: refused (freeze-thaw model)

@@ -1,13 +1,12 @@
 """Delta-overlay live updates over the immutable storage backends.
 
-The columnar and sharded backends trade mutability for scale: their
-stores are frozen at construction, so before this module, absorbing a
-single new triple meant ``thaw()`` plus a full rebuild of columns, match
+The columnar backend trades mutability for scale: its stores are
+frozen at construction, so before this module, absorbing a single new
+triple meant ``thaw()`` plus a full rebuild of columns, match
 lists and statistics.  :class:`LiveGraph` restores the write path with
 the classic LSM split — an **immutable base** (any
 :class:`~repro.kg.graph.KnowledgeGraph`, typically a
-:class:`~repro.kg.columnar.ColumnarGraph` or
-:class:`~repro.kg.sharding.ShardedGraph`) under a **mutable delta**:
+:class:`~repro.kg.columnar.ColumnarGraph`) under a **mutable delta**:
 
 * *adds/overwrites* live in a small object-backed graph of their own, so
   per-pattern sorted delta match lists come from the ordinary
@@ -15,10 +14,9 @@ the classic LSM split — an **immutable base** (any
 * *removes* become **tombstones**, keys masked out of every base read;
 * reads serve the exact Definition-5 view by filtering superseded rows
   out of the (cached, immutable) base match list and k-way merging the
-  delta's sorted adds back in — the same
-  :func:`~repro.kg.index.merge_match_lists` that reassembles shard
-  slices, so overlay reads are bit-for-bit equal to a from-scratch
-  rebuild of the final triple set;
+  delta's sorted adds back in with
+  :func:`~repro.kg.index.merge_match_lists`, so overlay reads are
+  bit-for-bit equal to a from-scratch rebuild of the final triple set;
 * the block pipeline and the join-cardinality counts never see those
   string lists: over a store-backed base, :meth:`LiveGraph.overlay_rows`
   hands :class:`~repro.operators.block.EncodedMatchList` the same view as
@@ -27,8 +25,7 @@ the classic LSM split — an **immutable base** (any
 * :meth:`LiveGraph.compact` folds the delta into a fresh immutable base
   (vectorised through :meth:`~repro.kg.columnar.ColumnarStore.with_updates`,
   snapshot-compatible) once it crosses ``compact_threshold`` — the
-  LSM merge step.  Range-partitioned bases re-bin on compaction because
-  the new base re-partitions from scratch.
+  LSM merge step.
 
 Versioning spans base swaps: the overlay's :attr:`~LiveGraph.version`
 counter is monotone across every mutation *and* every compaction, so the
@@ -37,15 +34,8 @@ plan and result caches) invalidate exactly as they do for a mutated
 object graph; the encoded list store and the statistics catalog drop
 only what :meth:`LiveGraph.touched_since` says a write touched.
 
-Sharded bases keep their lazy execution: writes are routed to the owning
-shard's delta (stable subject hash, or the score-range bin whose floor
-the new score clears), and :meth:`LiveGraph.shard_leaf_inputs` serves
-per-shard live slices — filtered base list merged with that shard's
-delta — so :func:`repro.operators.shard_merge.build_leaf_scan` keeps
-threshold early termination over the overlay.
-
 The base must not be mutated behind the overlay's back; ``LiveGraph``
-treats it as frozen (columnar and sharded bases enforce that themselves).
+treats it as frozen (columnar bases enforce that themselves).
 """
 
 from __future__ import annotations
@@ -65,8 +55,7 @@ from repro.kg.pattern import TriplePattern
 from repro.kg.triple import Triple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.kg.columnar import ColumnarGraph, ColumnarStore
-    from repro.kg.sharding import ShardedGraph, ShardLeafInput
+    from repro.kg.columnar import ColumnarStore
 
 #: A fully-bound triple key.
 Spo = tuple[str, str, str]
@@ -165,38 +154,6 @@ class LivePatternIndex(PatternIndex):
         return base
 
 
-class _LiveShardSlice:
-    """One shard's live view: base slice minus superseded rows, plus the
-    delta adds routed to that shard.
-
-    Implements exactly the surface a lazy
-    :class:`~repro.operators.shard_merge.ShardScan` pulls on first build
-    (``match_list``); the shard's own bounded cache still serves the
-    base part, so repeated queries over a dirty pattern re-filter a warm
-    list instead of re-decoding columns.
-    """
-
-    __slots__ = ("_live", "_shard_id")
-
-    def __init__(self, live: "LiveGraph", shard_id: int) -> None:
-        self._live = live
-        self._shard_id = shard_id
-
-    @property
-    def name(self) -> str:
-        return f"{self._live.name}#s{self._shard_id}+delta"
-
-    def match_list(self, pattern: TriplePattern) -> MatchList:
-        live = self._live
-        shard = live.base.shards[self._shard_id]
-        delta_graph = live._shard_adds[self._shard_id]
-        delta_list = delta_graph.match_list(pattern) if delta_graph.size else None
-        return live._overlay(pattern.key(), shard.match_list(pattern), delta_list)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"_LiveShardSlice({self.name})"
-
-
 class LiveGraph(KnowledgeGraph):
     """A mutable delta overlay over an immutable base graph.
 
@@ -211,9 +168,8 @@ class LiveGraph(KnowledgeGraph):
     Parameters
     ----------
     base:
-        The frozen graph to overlay.  Sharded bases keep lazy per-shard
-        execution (see :meth:`shard_leaf_inputs`); object-backed bases
-        work too but must not be mutated directly afterwards.
+        The frozen graph to overlay.  Object-backed bases work too but
+        must not be mutated directly afterwards.
     compact_threshold:
         Auto-compact once ``delta_size`` (adds + tombstones) reaches this
         bound; ``None`` (default) compacts only on explicit
@@ -269,18 +225,6 @@ class LiveGraph(KnowledgeGraph):
         self._overwrites.clear()
         self._superseded_cache = None
         self._superseded_packed = None
-        self._shard_adds: list[KnowledgeGraph] | None = None
-        self._delta_shard: dict[Spo, int] = {}
-        self._score_floors: tuple[float | None, ...] | None = None
-        if getattr(self._base, "shards", None) is not None:
-            self._shard_adds = [
-                KnowledgeGraph(name=f"{self.name}#delta-s{i}")
-                for i in range(self._base.n_shards)  # type: ignore[attr-defined]
-            ]
-            # Presence of this attribute is what routes leaf construction
-            # through the lazy per-shard merge (build_leaf_scan probes it),
-            # so only sharded bases expose it.
-            self.shard_leaf_inputs = self._live_shard_leaf_inputs
 
     # ------------------------------------------------------------------
     # Mutation (the write path)
@@ -355,14 +299,6 @@ class LiveGraph(KnowledgeGraph):
     def _apply_add(self, triple: Triple) -> None:
         spo = triple.spo
         self._tombstones.discard(spo)
-        if self._shard_adds is not None:
-            # Re-route: an overwrite may change the score-range bin.
-            previous = self._delta_shard.pop(spo, None)
-            if previous is not None:
-                self._shard_adds[previous].remove(*spo)
-            shard = self._route(triple)
-            self._shard_adds[shard].add_triple(triple)
-            self._delta_shard[spo] = shard
         self._adds.add_triple(triple)
         if spo in self._base:
             self._overwrites.add(spo)
@@ -385,8 +321,6 @@ class LiveGraph(KnowledgeGraph):
         if spo in self._adds:
             self._adds.remove(*spo)
             self._overwrites.discard(spo)
-            if self._shard_adds is not None:
-                self._shard_adds[self._delta_shard.pop(spo)].remove(*spo)
             removed = True
         if spo in self._base and spo not in self._tombstones:
             self._tombstones.add(spo)
@@ -396,25 +330,6 @@ class LiveGraph(KnowledgeGraph):
             self._superseded_cache = None
             self._superseded_packed = None
         return removed
-
-    def _route(self, triple: Triple) -> int:
-        """The shard that owns *triple* under the base's strategy."""
-        base: "ShardedGraph" = self._base  # type: ignore[assignment]
-        if base.strategy == "hash-subject":
-            from repro.kg.sharding import shard_of_subject
-
-            return shard_of_subject(triple.subject, base.n_shards)
-        # score-range: the hottest shard whose base score floor the new
-        # score clears; colder than every floor lands in the last shard.
-        if self._score_floors is None:
-            self._score_floors = tuple(
-                float(shard.store.scores.min()) if shard.size else None
-                for shard in base.shards
-            )
-        for shard_id, floor in enumerate(self._score_floors):
-            if floor is not None and triple.score >= floor:
-                return shard_id
-        return base.n_shards - 1
 
     def _maybe_compact(self) -> None:
         if (
@@ -429,11 +344,9 @@ class LiveGraph(KnowledgeGraph):
     def compact(self) -> int:
         """Fold the delta into a fresh immutable base; returns rows folded.
 
-        Columnar and sharded bases fold vectorised
+        Columnar bases fold vectorised
         (:meth:`~repro.kg.columnar.ColumnarStore.with_updates`) and stay
-        snapshot-compatible; a sharded base is re-partitioned from
-        scratch, which re-bins ``score-range`` shards around the new
-        score distribution.  The version counter keeps climbing across
+        snapshot-compatible.  The version counter keeps climbing across
         the swap, so every version-tagged cache entry goes stale at once;
         the step journals every delta add it folds.
         """
@@ -444,22 +357,12 @@ class LiveGraph(KnowledgeGraph):
         base = self._base
         store = getattr(base, "store", None)
         if store is not None:
+            from repro.kg.columnar import ColumnarGraph
+
             adds = {t.spo: t.score for t in self._adds.triples()}
-            new_store = store.with_updates(adds, self._superseded())
-            if getattr(base, "shards", None) is not None:
-                from repro.kg.sharding import ShardedGraph
-
-                self._base = ShardedGraph(
-                    new_store,
-                    base.n_shards,  # type: ignore[attr-defined]
-                    strategy=base.strategy,  # type: ignore[attr-defined]
-                    name=base.name,
-                    shard_cache_capacity=base.shard_caches[0].capacity,  # type: ignore[attr-defined]
-                )
-            else:
-                from repro.kg.columnar import ColumnarGraph
-
-                self._base = ColumnarGraph(new_store, name=base.name)
+            self._base = ColumnarGraph(
+                store.with_updates(adds, self._superseded()), name=base.name
+            )
         else:
             self._base = KnowledgeGraph(self.triples(), name=base.name)
         # Whoever still holds the superseded base (the caller's original
@@ -570,28 +473,11 @@ class LiveGraph(KnowledgeGraph):
         """A mutable object-backed copy of the live view."""
         return KnowledgeGraph(self.triples(), name=self.name)
 
-    def shard_sizes(self) -> tuple[int, ...]:
-        """Base triples per shard (sharded bases only; excludes the delta)."""
-        return self._sharded_base().shard_sizes()
-
-    def shard_cache_stats(self):
-        """Aggregated per-shard cache counters of the sharded base."""
-        return self._sharded_base().shard_cache_stats()
-
-    def _sharded_base(self) -> "ShardedGraph":
-        if getattr(self._base, "shards", None) is None:
-            raise KnowledgeGraphError(
-                f"base graph {type(self._base).__name__} is not sharded"
-            )
-        return self._base  # type: ignore[return-value]
-
     def invalidate_caches(self) -> None:
         """Cold-start: drop overlay, base and delta caches alike."""
         super().invalidate_caches()
         self._base.invalidate_caches()
         self._adds.invalidate_caches()
-        for shard_delta in self._shard_adds or ():
-            shard_delta.invalidate_caches()
 
     # ------------------------------------------------------------------
     # Overlay reads
@@ -611,77 +497,6 @@ class LiveGraph(KnowledgeGraph):
             return MatchList(key, (), 0.0, ())
         return merge_match_lists(key, parts)
 
-    def _live_shard_leaf_inputs(
-        self, pattern: TriplePattern
-    ) -> tuple[float, list["ShardLeafInput"]]:
-        """Per-shard live leaf inputs plus the exact global normaliser.
-
-        With an empty delta this is the base's lazy peek, untouched.
-        With a dirty delta each shard contributes its live slice: a warm
-        base list is filtered and merged eagerly (no sort, no decode), a
-        cold one is bounded by a vectorised tombstone-aware peek plus the
-        shard's delta maximum — still exact, so
-        :class:`~repro.operators.shard_merge.ShardMerge` keeps threshold
-        early termination over the overlay.
-        """
-        from repro.kg.sharding import ShardLeafInput
-
-        base: "ShardedGraph" = self._base  # type: ignore[assignment]
-        if self.delta_size == 0:
-            return base.shard_leaf_inputs(pattern)
-        key = pattern.key()
-        global_max = 0.0
-        inputs: list[ShardLeafInput] = []
-        assert self._shard_adds is not None
-        for shard_id, (shard, cache) in enumerate(zip(base.shards, base.shard_caches)):
-            shard_delta = self._shard_adds[shard_id]
-            delta_list = shard_delta.match_list(pattern) if shard_delta.size else None
-            cached = cache.get(pattern.list_key(), shard.version)
-            if cached is not None:
-                live_list = self._overlay(key, cached, delta_list)
-                n_matches, local_max = len(live_list), live_list.max_score
-                match_list = live_list if n_matches else None
-            else:
-                n_base, base_max = self._filtered_peek(shard, pattern)
-                n_delta = len(delta_list) if delta_list is not None else 0
-                delta_max = delta_list.max_score if delta_list is not None else 0.0
-                n_matches = n_base + n_delta
-                local_max = max(base_max, delta_max)
-                match_list = None
-            inputs.append(
-                ShardLeafInput(
-                    _LiveShardSlice(self, shard_id), n_matches, local_max, match_list
-                )
-            )
-            if local_max > global_max:
-                global_max = local_max
-        return global_max, inputs
-
-    def _filtered_peek(
-        self, shard: "ColumnarGraph", pattern: TriplePattern
-    ) -> tuple[int, float]:
-        """``(n_matches, max raw score)`` of a shard's *surviving* base rows.
-
-        The tombstone-aware twin of
-        :meth:`~repro.kg.columnar.ColumnarPatternIndex.peek`: one index
-        slice, one key-exclusion, the first survivor's score — no
-        decode, no sort.
-        """
-        rows = self._surviving_rows(shard.store, pattern)
-        if len(rows) == 0:
-            return 0, 0.0
-        return len(rows), float(shard.store.scores[rows[0]])
-
-    def _surviving_rows(
-        self, store: "ColumnarStore", pattern: TriplePattern
-    ) -> np.ndarray:
-        """Rows of *store* (the base's, or one of its shards') that match
-        *pattern* and are not superseded by the delta, in Definition-5
-        order (the exclusion is an order-preserving mask)."""
-        rows = store.match_rows(pattern)
-        keep = self._kept_base_rows(store, rows)
-        return rows if keep is None else rows[keep]
-
     def _kept_base_rows(
         self, store: "ColumnarStore", rows: np.ndarray
     ) -> np.ndarray | None:
@@ -689,9 +504,7 @@ class LiveGraph(KnowledgeGraph):
         superseded = self._superseded()
         if not superseded or len(rows) == 0:
             return None
-        # The base store and its shard stores share one term dictionary,
-        # so the superseded keys pack once per delta state and mask every
-        # one of them.
+        # The superseded keys pack once per delta state.
         if self._superseded_packed is None:
             self._superseded_packed = (store.pack_keys(superseded),)
         return store.kept_rows_mask(

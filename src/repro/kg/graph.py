@@ -144,15 +144,6 @@ class KnowledgeGraph:
         """
         return self._index.match_list(pattern)
 
-    def peek_match_list(self, pattern: TriplePattern) -> MatchList | None:
-        """The already-cached match list of *pattern*, or ``None``.
-
-        Never triggers construction — the fast path sharded leaf scans
-        probe before deciding whether lazy per-shard streaming is worth
-        the merge overhead.
-        """
-        return self._index.peek_match_list(pattern)
-
     # ------------------------------------------------------------------
     # Cache management
     # ------------------------------------------------------------------

@@ -147,8 +147,9 @@ def merge_match_lists(key: PatternKey, parts: Sequence[MatchList]) -> MatchList:
 
     Each part must be sorted by ``(-raw score, spo)`` — which every
     backend in this package guarantees — and the parts must cover
-    disjoint triple sets (shard slices of one partition, or a filtered
-    base list plus a delta overlay).  The merged list is then bit-for-bit
+    disjoint triple sets.  Its one use is
+    :meth:`~repro.kg.delta.LiveGraph._overlay`, which merges a filtered
+    base list with the delta's adds.  The merged list is then bit-for-bit
     the list an unpartitioned backend builds: same triple order (the sort
     key is a total order because ``spo`` is unique) and the same
     normaliser (the global maximum raw score).
@@ -307,24 +308,6 @@ class PatternIndex:
             cached = self._build_match_list(pattern, pattern.key())
             self._match_lists[list_key] = cached
         return cached
-
-    def peek_match_list(self, pattern: TriplePattern) -> MatchList | None:
-        """The cached match list for *pattern*, or ``None`` — never builds.
-
-        Lets callers (the sharded leaf builder) take a cached-list fast
-        path without forcing construction on a miss.  With an external
-        cache, membership is probed first (when the hook supports it) so
-        a peek does not register as a statistical miss.
-        """
-        self._invalidate_if_stale()
-        list_key = pattern.list_key()
-        cache = self._external_cache
-        if cache is not None:
-            contains = getattr(type(cache), "__contains__", None)
-            if contains is not None and list_key not in cache:  # type: ignore[operator]
-                return None
-            return cache.get(list_key, self._built_version)
-        return self._match_lists.get(list_key)
 
     def _build_match_list(self, pattern: TriplePattern, key: PatternKey) -> MatchList:
         if len(set(pattern.variable_names)) != len(

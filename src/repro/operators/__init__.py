@@ -10,9 +10,6 @@ to merge a pattern's relaxation lists lazily.
 * :class:`~repro.operators.incremental_merge.IncrementalMerge` — merge the
   original pattern's list with its relaxations' lists (weighted).
 * :class:`~repro.operators.rank_join.RankJoin` — HRJN-style binary join.
-* :class:`~repro.operators.shard_merge.ShardMerge` /
-  :class:`~repro.operators.shard_merge.ShardScan` — lazy top-k merge of
-  per-shard answer streams with threshold early termination.
 * :class:`~repro.operators.topk.TopK` — dedup + collect the final top-k.
 * :class:`~repro.operators.memory.ExecutionContext` — answer-object
   accounting (the paper's memory metric) and pull statistics.
@@ -43,7 +40,6 @@ from repro.operators.incremental_merge import IncrementalMerge, WeightedInput
 from repro.operators.memory import ExecutionContext
 from repro.operators.rank_join import RankJoin
 from repro.operators.scan import SortedScan
-from repro.operators.shard_merge import ShardMerge, ShardScan, build_leaf_scan
 from repro.operators.topk import TopK
 from repro.operators.vector_join import VectorRankJoin
 from repro.operators.vector_scan import VectorScan
@@ -57,8 +53,6 @@ __all__ = [
     "IncrementalMerge",
     "Operator",
     "RankJoin",
-    "ShardMerge",
-    "ShardScan",
     "SortedScan",
     "TermCodec",
     "TopK",
@@ -67,5 +61,4 @@ __all__ = [
     "WeightedInput",
     "build_encoded_match_list",
     "build_merged_match_list",
-    "build_leaf_scan",
 ]

@@ -499,11 +499,9 @@ def build_encoded_match_list(
     """The encoded match list of *pattern* over *graph*.
 
     Backends exposing a :class:`~repro.kg.columnar.ColumnarStore` that
-    matches the codec's dictionary (columnar and sharded graphs — a
-    sharded graph's full store produces exactly the merged Definition-5
-    list) are sliced without decoding, and so are live overlays whose
-    base is such a backend; everything else (object graphs, live
-    overlays over them) goes through the graph's ordinary — and cached —
+    matches the codec's dictionary (columnar graphs) are sliced without
+    decoding, and so are live overlays whose base is such a backend;
+    everything else (object graphs, live overlays over them) goes through the graph's ordinary — and cached —
     string match list plus the codec.
     """
     if codec.store is not None:

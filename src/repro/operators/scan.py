@@ -38,11 +38,6 @@ class SortedScan(Operator):
     weight:
         Relaxation discount in (0, 1]; emitted scores are
         ``weight * S(t|pattern)``.
-    match_list:
-        Stream this list instead of asking *graph* for one.  Sharded
-        leaf scans use it to feed a shard's slice of a match list whose
-        normaliser is the *global* maximum (see
-        :mod:`repro.operators.shard_merge`).
     """
 
     def __init__(
@@ -52,7 +47,6 @@ class SortedScan(Operator):
         pattern_index: int,
         context: ExecutionContext,
         weight: float = 1.0,
-        match_list: MatchList | None = None,
     ) -> None:
         if not 0.0 < weight <= 1.0:
             raise ExecutionError(f"scan weight must be in (0,1], got {weight}")
@@ -60,9 +54,7 @@ class SortedScan(Operator):
         self._weight = weight
         self._context = context
         self._covered = frozenset({pattern_index})
-        self._match_list: MatchList = (
-            match_list if match_list is not None else graph.match_list(pattern)
-        )
+        self._match_list: MatchList = graph.match_list(pattern)
         self._position = 0
 
     @property

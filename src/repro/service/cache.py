@@ -68,7 +68,7 @@ class CacheStats:
         Size and capacity are point-in-time readings, so they come from
         ``self``; the monotone counters are differenced.  This is how
         :class:`~repro.service.runner.WorkloadRunner` attributes cache
-        activity (match-list, result, shard caches alike) to one batch.
+        activity (match-list and result caches alike) to one batch.
         """
         return CacheStats(
             hits=self.hits - before.hits,

@@ -61,8 +61,6 @@ class WorkerSpec:
     config: EngineConfig
     cache_capacity: int
     plan_cache: bool
-    shards: int
-    shard_strategy: str
     executor: str
     warm_queries: tuple[TriplePatternQuery, ...]
 
@@ -141,8 +139,6 @@ def _ensure_runner(generation: int, snapshot_path: str):
         n_workers=1,
         cache_capacity=spec.cache_capacity,
         plan_cache=spec.plan_cache,
-        shards=spec.shards,
-        shard_strategy=spec.shard_strategy,  # type: ignore[arg-type]
         executor=spec.executor,  # type: ignore[arg-type]
         # The master's result cache fronts the pool; a second level here
         # would only hide worker execution from benchmarks.

@@ -235,19 +235,6 @@ class WorkloadReport:
                 f"{self.extras['update_lists_dropped']} dropped, "
                 f"{self.extras['update_lists_kept']} kept"
             )
-        if "shards" in self.extras:
-            shard_line = (
-                f"{'shards':<{width}} "
-                f"{self.extras['shards']} ({self.extras['shard_strategy']})"
-            )
-            # Per-shard caches live in the workers under the process
-            # model, so their traffic is absent from master reports.
-            if "shard_cache_hits" in self.extras:
-                shard_line += (
-                    f", shard caches {self.extras['shard_cache_hits']} hits /"
-                    f" {self.extras['shard_cache_misses']} misses"
-                )
-            lines.append(shard_line)
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

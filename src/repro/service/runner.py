@@ -42,7 +42,6 @@ from repro.core.plan import QueryPlan
 from repro.datasets.workload import Workload
 from repro.errors import ExperimentError
 from repro.kg.delta import GraphUpdate, LiveGraph
-from repro.kg.sharding import ShardedGraph, ShardStrategy
 from repro.operators.block import EncodedListStore
 from repro.query.answer import Answer
 from repro.query.query import TriplePatternQuery
@@ -151,19 +150,9 @@ class WorkloadRunner:
         catalog; disable to force a fresh PLANGEN run per query.  Bounded
         to ``cache_capacity`` entries (LRU), like the match-list cache.
     shards:
-        When >= 2, serve the workload from a
-        :class:`~repro.kg.sharding.ShardedGraph` built over the
-        workload's graph: every leaf scan becomes a lazy per-shard merge
-        with threshold early termination, and each shard gets its own
-        PR-1 match-list cache of ``cache_capacity // shards`` entries —
-        *on top of* the shared merged-list cache, which keeps the full
-        *cache_capacity*, so a sharded runner retains up to twice the
-        budget in match lists.  Answers are identical to unsharded
-        serving.
-    shard_strategy:
-        ``"hash-subject"`` or ``"score-range"``; ``"score-range"`` is
-        the throughput choice for top-k workloads (cold shards are
-        rarely materialised).
+        Accepts only ``1``; any other value raises.  It stays only for
+        ``bench/bench_serve.py``, which passes ``shards=1``, until ROADMAP
+        item 3 re-points that harness and drops it there.
     compact_threshold:
         Passed to the :class:`~repro.kg.delta.LiveGraph` the first
         :meth:`apply_updates` call wraps the served graph in: the delta
@@ -173,7 +162,7 @@ class WorkloadRunner:
         ``"tuple"``, ``"block"`` or ``"auto"`` — the execution strategy
         every worker engine uses (see
         :class:`~repro.core.engine.SpecQPEngine`).  ``"block"`` is the
-        serving pipeline on columnar/sharded/live backends, ``"auto"``
+        serving pipeline on columnar/live backends, ``"auto"``
         is block wherever the backend has id columns and tuple
         otherwise (each report row names the pipeline that served it),
         ``"tuple"`` the paper-faithful reference.
@@ -221,9 +210,7 @@ class WorkloadRunner:
     targeted list-store and catalog refresh).  External mutations
     between batches are still picked up automatically: the caches are
     version-aware, plans are cached per graph version, and the catalog
-    refreshes itself whenever the graph version moved.  Sharded
-    runners snapshot the graph at construction time, so they serve the
-    triples the workload held when the runner was built.
+    refreshes itself whenever the graph version moved.
     """
 
     def __init__(
@@ -234,7 +221,6 @@ class WorkloadRunner:
         cache_capacity: int = DEFAULT_CAPACITY,
         plan_cache: bool = True,
         shards: int = 1,
-        shard_strategy: ShardStrategy = "score-range",
         compact_threshold: int | None = None,
         executor: ExecutorMode = "tuple",
         result_cache_capacity: int = DEFAULT_RESULT_CAPACITY,
@@ -243,8 +229,8 @@ class WorkloadRunner:
     ) -> None:
         if n_workers < 1:
             raise ExperimentError(f"n_workers must be >= 1, got {n_workers}")
-        if shards < 1:
-            raise ExperimentError(f"shards must be >= 1, got {shards}")
+        if shards != 1:
+            raise ExperimentError(f"shards must be 1, got {shards}")
         if executor not in EXECUTOR_MODES:
             raise ExperimentError(
                 f"unknown executor {executor!r}; choose from {EXECUTOR_MODES}"
@@ -261,17 +247,7 @@ class WorkloadRunner:
         self.workload = workload
         self.config = config or EngineConfig()
         self.n_workers = n_workers
-        self.shards = shards
-        self.shard_strategy = shard_strategy
-        if shards > 1:
-            self._graph = ShardedGraph.from_graph(
-                workload.graph,
-                shards,
-                strategy=shard_strategy,
-                shard_cache_capacity=max(1, cache_capacity // shards),
-            )
-        else:
-            self._graph = workload.graph
+        self._graph = workload.graph
         self.cache = MatchListCache(cache_capacity)
         self.plan_cache = plan_cache
         self.compact_threshold = compact_threshold
@@ -361,7 +337,7 @@ class WorkloadRunner:
     # ------------------------------------------------------------------
     @property
     def graph(self):
-        """The served graph — the workload's, or its sharded snapshot."""
+        """The served graph — the workload's, or its live overlay."""
         return self._graph
 
     @property
@@ -488,9 +464,6 @@ class WorkloadRunner:
             if self._executor in ("block", "auto")
             else None
         )
-        shard_stats_before = (
-            self.graph.shard_cache_stats() if self.shards > 1 else None
-        )
 
         started = time.perf_counter()
         if self.n_workers == 1:
@@ -528,14 +501,6 @@ class WorkloadRunner:
         if self._updates["update_batches"]:
             extras.update(self.update_stats)
             extras["graph_version"] = self.graph.version
-        if shard_stats_before is not None:
-            shard_delta = self._stats_delta(
-                shard_stats_before, self.graph.shard_cache_stats()
-            )
-            extras["shards"] = self.shards
-            extras["shard_strategy"] = self.shard_strategy
-            extras["shard_cache_hits"] = shard_delta.hits
-            extras["shard_cache_misses"] = shard_delta.misses
 
         return WorkloadReport(
             outcomes=tuple(outcomes),
@@ -625,8 +590,6 @@ class WorkloadRunner:
                 config=self.config,
                 cache_capacity=self.cache.capacity,
                 plan_cache=self.plan_cache,
-                shards=self.shards,
-                shard_strategy=self.shard_strategy,
                 executor=self._executor,
                 warm_queries=tuple(self.workload.queries),
             )
@@ -777,9 +740,6 @@ class WorkloadRunner:
         if self._updates["update_batches"]:
             extras.update(self.update_stats)
             extras["graph_version"] = self.graph.version
-        if self.shards > 1:
-            extras["shards"] = self.shards
-            extras["shard_strategy"] = self.shard_strategy
 
         return WorkloadReport(
             outcomes=tuple(outcomes),  # type: ignore[arg-type]
@@ -996,7 +956,7 @@ class WorkloadRunner:
             n_relaxed=result.plan.n_relaxed,
             plan=result.plan.describe(),
             top_score=result.answers[0].score if result.answers else 0.0,
-            executor=str(engine.executor_kind),
+            executor=engine.resolve_executor(query).executor,
         )
 
     # ------------------------------------------------------------------
@@ -1133,13 +1093,8 @@ class WorkloadRunner:
         return after.since(before)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        sharding = (
-            f", shards={self.shards} ({self.shard_strategy})"
-            if self.shards > 1
-            else ""
-        )
         return (
             f"WorkloadRunner({self.workload.name!r}, "
-            f"n_workers={self.n_workers}{sharding}, "
+            f"n_workers={self.n_workers}, "
             f"executor={self._executor!r}, cache={self.cache!r})"
         )

@@ -87,6 +87,30 @@ class TestMain:
         assert "Figure 8" in output
         assert "█" in output  # chart bars rendered
 
+    def test_workload_auto_rows_read_block(self, capsys, monkeypatch):
+        """Generated data is served from columns, so ``--executor auto``
+        runs the block pipeline on every row, cold and warm."""
+        from repro.service import WorkloadRunner
+
+        reports = []
+        run = WorkloadRunner.run
+
+        def recording_run(self, *args, **kwargs):
+            reports.append(run(self, *args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(WorkloadRunner, "run", recording_run)
+        code = main(
+            ["workload", "--dataset", "xkg", "--scale", "small",
+             "--min-queries", "0", "--executor", "auto", "--mode", "both",
+             "--result-cache", "0"]
+        )
+        assert code == 0
+        assert "falls back" not in capsys.readouterr().out
+        assert [report.mode for report in reports] == ["cold", "warm"]
+        for report in reports:
+            assert {o.executor for o in report.outcomes} == {"block"}, report.mode
+
 
 class TestConvert:
     @pytest.fixture

@@ -112,23 +112,21 @@ class TestTwitterGoldens:
         assert table4.render(twitter_session) == TWITTER_TABLE4
 
 
-class TestGoldensHoldUnderSharding:
-    """The sharded substrate must reproduce the frozen numbers exactly."""
+class TestGoldensHoldOnColumns:
+    """The columnar backend must reproduce the frozen numbers exactly."""
 
-    def test_xkg_tables_identical_when_sharded(self, tiny_xkg_workload):
+    def test_xkg_tables_identical_on_columns(self, tiny_xkg_workload):
         from repro.datasets.workload import Workload
-        from repro.kg.sharding import ShardedGraph
+        from repro.kg.columnar import ColumnarGraph
 
-        sharded = Workload(
+        columnar = Workload(
             tiny_xkg_workload.name,
-            ShardedGraph.from_graph(
-                tiny_xkg_workload.graph, 3, strategy="score-range"
-            ),
+            ColumnarGraph.from_graph(tiny_xkg_workload.graph),
             tiny_xkg_workload.rules,
             list(tiny_xkg_workload.queries),
         )
         session = ExperimentSession(
-            sharded, ks=(3, 5), protocol=TimingProtocol(n_runs=1, n_keep=1)
+            columnar, ks=(3, 5), protocol=TimingProtocol(n_runs=1, n_keep=1)
         )
         assert table2.render(session) == XKG_TABLE2
         assert table3.render(session) == XKG_TABLE3

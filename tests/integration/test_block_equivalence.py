@@ -1,15 +1,16 @@
-"""Equivalence suite: block executor × backends × shards × live updates.
+"""Equivalence suite: block executor × backends × live updates.
 
 The acceptance bar for the vectorized engine: for every backend the
-block path runs on — columnar, sharded (1 and 4 shards), and live
-overlays over each, before and after compaction — ``executor="block"``
+block path runs on — in-memory columns, columns attached from a
+``.kg2``, and live overlays over each, before and after compaction —
+``executor="block"``
 returns byte-identical ``(bindings, score)`` sequences to
 ``executor="tuple"``, on a real generated workload with mined rules.
 
 The scenario-matrix section below makes the same claim on generated
 coverage traffic: the adversarial packs (boundary-tie runs straddling
 k, k > result-count, empty match lists, unselective joins) run in the
-default suite across tuple/block/auto × object/columnar/sharded, and
+default suite across tuple/block/auto × object/columnar, and
 the full every-pack sweep — including each pack's update stream — runs
 under the ``slow_scenario`` marker (``make scenarios``).
 """
@@ -26,10 +27,10 @@ from repro.datasets.workload import Workload
 from repro.errors import ExperimentError
 from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import GraphUpdate, LiveGraph
-from repro.kg.sharding import ShardedGraph
+from repro.kg.storage import load_snapshot_v2, save_snapshot_v2
 from repro.service import WorkloadRunner
 
-SHARD_COUNTS = (1, 4)
+BASE_KINDS = ("columnar", "kg2")
 
 
 def answer_rows(result):
@@ -39,6 +40,20 @@ def answer_rows(result):
 @pytest.fixture(scope="module")
 def store_graph(tiny_xkg_workload):
     return ColumnarGraph.from_graph(tiny_xkg_workload.graph)
+
+
+@pytest.fixture(scope="module")
+def kg2_path(store_graph, tmp_path_factory):
+    path = tmp_path_factory.mktemp("block-eq") / "eq.kg2"
+    save_snapshot_v2(store_graph, path)
+    return path
+
+
+def _base(kind, store_graph, kg2_path):
+    """A fresh static base of one kind over the same triples."""
+    if kind == "kg2":
+        return load_snapshot_v2(kg2_path, name="eq", mmap=True)
+    return ColumnarGraph(store_graph.store, name="eq")
 
 
 def _updates(graph):
@@ -56,25 +71,11 @@ def _updates(graph):
     return updates
 
 
-def _backends(store_graph):
-    """Every backend family the block engine claims to cover."""
-    backends = {"columnar": ColumnarGraph(store_graph.store, name="eq")}
-    for n_shards in SHARD_COUNTS:
-        backends[f"sharded-{n_shards}"] = ShardedGraph(
-            store_graph.store, n_shards, strategy="score-range", name="eq"
-        )
-    return backends
-
-
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+@pytest.mark.parametrize("base_kind", BASE_KINDS)
 def test_block_equals_tuple_on_static_backends(
-    tiny_xkg_workload, store_graph, n_shards
+    tiny_xkg_workload, store_graph, kg2_path, base_kind
 ):
-    graph = (
-        ColumnarGraph(store_graph.store, name="eq")
-        if n_shards == 1
-        else ShardedGraph(store_graph.store, n_shards, strategy="score-range")
-    )
+    graph = _base(base_kind, store_graph, kg2_path)
     tuple_engine = SpecQPEngine(graph, tiny_xkg_workload.rules, executor="tuple")
     block_engine = SpecQPEngine(graph, tiny_xkg_workload.rules, executor="block")
     assert block_engine.executor.uses_block_path()
@@ -82,16 +83,15 @@ def test_block_equals_tuple_on_static_backends(
         for k in (3, 10):
             expected = answer_rows(tuple_engine.query(query, k=k))
             actual = answer_rows(block_engine.query(query, k=k))
-            assert actual == expected, (query.name, k, n_shards)
+            assert actual == expected, (query.name, k, base_kind)
 
 
-@pytest.mark.parametrize("base_kind", ["columnar", "sharded-4"])
+@pytest.mark.parametrize("base_kind", BASE_KINDS)
 @pytest.mark.parametrize("stage", ["pre-compaction", "post-compaction"])
 def test_block_equals_tuple_on_live_overlays(
-    tiny_xkg_workload, store_graph, base_kind, stage
+    tiny_xkg_workload, store_graph, kg2_path, base_kind, stage
 ):
-    base = _backends(store_graph)[base_kind]
-    live = LiveGraph(base)
+    live = LiveGraph(_base(base_kind, store_graph, kg2_path))
     live.apply_updates(_updates(store_graph))
     if stage == "post-compaction":
         live.compact()
@@ -122,14 +122,10 @@ def _scenario_pack(name):
 
 def _scenario_backends(pack):
     """The backend families for one pack: the object graph the generator
-    built, its columnar conversion, and a 4-shard partition of it."""
-    columnar = ColumnarGraph.from_graph(pack.workload.graph)
+    built and its columnar conversion."""
     return {
         "object": pack.workload.graph,
-        "columnar": columnar,
-        "sharded-4": ShardedGraph(
-            columnar.store, 4, strategy="score-range", name="scenario-eq"
-        ),
+        "columnar": ColumnarGraph.from_graph(pack.workload.graph),
     }
 
 
@@ -171,19 +167,16 @@ def test_every_pack_identical_across_executors_and_backends(name):
 
     if not pack.updates:
         return
-    for base_kind in ("columnar", "sharded-4"):
-        for stage in ("pre-compaction", "post-compaction"):
-            live = LiveGraph(backends[base_kind])
-            live.apply_updates(pack.updates)
-            if stage == "post-compaction":
-                live.compact()
-            expected = _scenario_rows(pack, live, "tuple")
-            assert expected != reference, (
-                f"{name}: update stream changed no answer on {base_kind}"
-            )
-            for executor in ("block", "auto"):
-                rows = _scenario_rows(pack, live, executor)
-                assert rows == expected, (name, base_kind, stage, executor)
+    for stage in ("pre-compaction", "post-compaction"):
+        live = LiveGraph(backends["columnar"])
+        live.apply_updates(pack.updates)
+        if stage == "post-compaction":
+            live.compact()
+        expected = _scenario_rows(pack, live, "tuple")
+        assert expected != reference, f"{name}: update stream changed no answer"
+        for executor in ("block", "auto"):
+            rows = _scenario_rows(pack, live, executor)
+            assert rows == expected, (name, stage, executor)
 
 
 class TestWorkloadRunnerExecutor:

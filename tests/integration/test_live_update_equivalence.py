@@ -4,13 +4,14 @@ The live-update subsystem's headline contract: after applying randomized
 update batches (adds, removes, score overwrites) to a :class:`LiveGraph`,
 answers and scores — and the match lists under them — are byte-identical
 to a graph freshly rebuilt from the final triple set, across the
-object/columnar backends and shard counts {1, 4}, both strategies, and
-both before and after :meth:`LiveGraph.compact`.
+object/columnar/``.kg2``-attached backends, both before and after :meth:`LiveGraph.compact`.
 """
 
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -19,25 +20,28 @@ from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, Variable
-from repro.kg.sharding import ShardedGraph
+from repro.kg.storage import load_snapshot_v2, save_snapshot_v2
 from repro.kg.triple import Triple
 from repro.query.query import TriplePatternQuery
 from repro.relax.rules import RelaxationRule, RuleSet
 
 VAR_S = Variable("s")
 
-#: The four execution configurations the tentpole must hold exactness on.
+
+def attached_kg2(kg: KnowledgeGraph) -> ColumnarGraph:
+    """*kg* saved as a ``.kg2`` and attached back over memory-mapped
+    columns (the mapping outlives the unlinked file)."""
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "base.kg2"
+        save_snapshot_v2(kg, path)
+        return load_snapshot_v2(path, mmap=True)
+
+
+#: The base backends the overlay must hold exactness on.
 BASE_FACTORIES = [
     pytest.param(lambda kg: KnowledgeGraph(kg.triples(), name="obj"), id="object"),
     pytest.param(lambda kg: ColumnarGraph.from_graph(kg), id="columnar"),
-    pytest.param(
-        lambda kg: ShardedGraph.from_graph(kg, 4, strategy="hash-subject"),
-        id="sharded-hash-4",
-    ),
-    pytest.param(
-        lambda kg: ShardedGraph.from_graph(kg, 4, strategy="score-range"),
-        id="sharded-range-4",
-    ),
+    pytest.param(attached_kg2, id="kg2"),
 ]
 
 
@@ -175,16 +179,13 @@ def test_answers_identical_to_rebuild(make_base):
     live = LiveGraph(make_base(kg))
     live.apply_updates(batches[0])
 
-    for n_shards in (1, 4):
-        expected_engine = SpecQPEngine(
-            oracle, rules, shards=n_shards if n_shards > 1 else None
-        )
-        live_engine = SpecQPEngine(live, rules)
-        for query in queries:
-            for k in (3, 10):
-                assert answer_rows(live_engine, query, k) == answer_rows(
-                    expected_engine, query, k
-                ), (n_shards, query.name, k)
+    expected_engine = SpecQPEngine(oracle, rules)
+    live_engine = SpecQPEngine(live, rules)
+    for query in queries:
+        for k in (3, 10):
+            assert answer_rows(live_engine, query, k) == answer_rows(
+                expected_engine, query, k
+            ), (query.name, k)
 
     live.compact()
     post_engine = SpecQPEngine(live, rules)
@@ -200,10 +201,7 @@ def test_incremental_batches_stay_exact_through_compactions():
     must stay exact across repeated base swaps."""
     rng = random.Random(41)
     kg = seed_graph(rng, n=200)
-    live = LiveGraph(
-        ShardedGraph.from_graph(kg, 4, strategy="score-range"),
-        compact_threshold=25,
-    )
+    live = LiveGraph(ColumnarGraph.from_graph(kg), compact_threshold=25)
     batches = [random_batch(rng, kg, 15) for _ in range(6)]
     seen_versions = [live.version]
     for batch in batches:

@@ -4,7 +4,7 @@ A graph attached from a packed v2 snapshot (``ColumnarStore.open_mmap``,
 memory-mapped columns, persisted dictionary ranks, score-ordered rows)
 must be indistinguishable — byte-identical answers — from the same graph
 served off in-memory columns or the object backend, across every
-executor, sharded and unsharded, before and after live updates.
+executor, before and after live updates.
 """
 
 import pytest
@@ -30,7 +30,7 @@ def snapshot_dir(workload, tmp_path_factory):
     return root
 
 
-def _runner(workload, graph, *, executor="tuple", shards=1, **kwargs):
+def _runner(workload, graph, *, executor="tuple", **kwargs):
     from repro.datasets.workload import Workload
 
     served = Workload(
@@ -39,29 +39,20 @@ def _runner(workload, graph, *, executor="tuple", shards=1, **kwargs):
         rules=workload.rules,
         queries=list(workload.queries),
     )
-    return WorkloadRunner(served, executor=executor, shards=shards, **kwargs)
+    return WorkloadRunner(served, executor=executor, **kwargs)
 
 
 class TestAnswersAcrossBackends:
     @pytest.mark.parametrize("executor", ["tuple", "block", "auto"])
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_mmap_matches_columnar_and_object(
-        self, workload, snapshot_dir, executor, shards
-    ):
-        object_runner = _runner(
-            workload, workload.graph, executor=executor, shards=shards
-        )
+    def test_mmap_matches_columnar_and_object(self, workload, snapshot_dir, executor):
+        object_runner = _runner(workload, workload.graph, executor=executor)
         columnar_runner = _runner(
-            workload,
-            ColumnarGraph.from_graph(workload.graph),
-            executor=executor,
-            shards=shards,
+            workload, ColumnarGraph.from_graph(workload.graph), executor=executor
         )
         mmap_runner = _runner(
             workload,
             storage.load_snapshot_v2(snapshot_dir / "g.kg2"),
             executor=executor,
-            shards=shards,
         )
         for query in workload.queries:
             expected = _answer_rows(object_runner.execute_query(query, 5))
@@ -93,13 +84,10 @@ class TestUpdatesOverMmap:
         GraphUpdate.add("mmap:hub", "rel:linked_to", "mmap:new-entity", 0.5),
     ]
 
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_post_update_answers_identical(self, workload, snapshot_dir, shards):
-        object_runner = _runner(workload, workload.graph, shards=shards)
+    def test_post_update_answers_identical(self, workload, snapshot_dir):
+        object_runner = _runner(workload, workload.graph)
         mmap_runner = _runner(
-            workload,
-            storage.load_snapshot_v2(snapshot_dir / "g.kg2"),
-            shards=shards,
+            workload, storage.load_snapshot_v2(snapshot_dir / "g.kg2")
         )
         removals = [
             GraphUpdate.remove(t.subject, t.predicate, t.object)

@@ -178,6 +178,45 @@ class TestColumnarGraphInterface:
         assert before.triples == after.triples
 
 
+@pytest.fixture(params=["kg2", "with-updates"])
+def served_graph(request, object_graph, tmp_path) -> ColumnarGraph:
+    """The same triples on a store that reaches serving another way:
+    attached from a ``.kg2``, or refolded by a compaction's
+    ``with_updates`` (half the rows added, fresh terms and all, and a
+    stale row dropped)."""
+    if request.param == "kg2":
+        from repro.kg import storage
+
+        storage.save_snapshot_v2(object_graph, tmp_path / "music.kg2")
+        return storage.load_snapshot_v2(tmp_path / "music.kg2", mmap=True)
+    triples = sorted(object_graph.triples(), key=lambda t: t.spo)
+    half = len(triples) // 2
+    stale = Triple("stale", "likes", "nobody", 1.0)
+    store = ColumnarStore.from_triples([*triples[:half], stale]).with_updates(
+        {t.spo: t.score for t in triples[half:]}, {stale.spo}
+    )
+    return ColumnarGraph(store)
+
+
+class TestServingStoresMatchTheObjectBackend:
+    @pytest.mark.parametrize("pattern", PATTERNS, ids=str)
+    def test_match_lists_identical_to_object_backend(
+        self, object_graph, served_graph, pattern
+    ):
+        expected = object_graph.match_list(pattern)
+        actual = served_graph.match_list(pattern)
+        assert actual.triples == expected.triples
+        assert actual.max_score == expected.max_score
+        assert actual.normalized_scores == expected.normalized_scores
+
+    @pytest.mark.parametrize("pattern", PATTERNS, ids=str)
+    def test_match_and_count_identical(self, object_graph, served_graph, pattern):
+        expected = sorted(object_graph.match(pattern), key=lambda t: t.spo)
+        actual = sorted(served_graph.match(pattern), key=lambda t: t.spo)
+        assert actual == expected
+        assert served_graph.count(pattern) == object_graph.count(pattern)
+
+
 class TestFreezeThaw:
     def test_mutation_raises(self, columnar_graph):
         with pytest.raises(KnowledgeGraphError, match="immutable"):
@@ -243,25 +282,3 @@ class TestOpenMmap:
         attached = ColumnarStore.open_mmap(path, verify=True)
         assert attached.n_triples == columnar_graph.store.n_triples
 
-
-class TestLexiconSharing:
-    """share_lexicon_from: shards borrow the parent's decoded dictionary."""
-
-    def test_requires_identical_terms_array(self, columnar_graph):
-        other = ColumnarStore.from_triples([Triple("x", "y", "z")])
-        with pytest.raises(KnowledgeGraphError, match="identical terms array"):
-            other.share_lexicon_from(columnar_graph.store)
-
-    def test_child_delegates_lazily(self, columnar_graph):
-        parent = columnar_graph.store
-        child = ColumnarStore(
-            parent.terms,
-            parent.subjects[:2],
-            parent.predicates[:2],
-            parent.objects[:2],
-            parent.scores[:2],
-        )
-        child.share_lexicon_from(parent)
-        assert child.term_list() is parent.term_list()
-        assert child.term_id("dylan") == parent.term_id("dylan")
-        np.testing.assert_array_equal(child._ranks(), parent._ranks())

@@ -10,7 +10,6 @@ from repro.kg.columnar import ColumnarGraph, ColumnarStore
 from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, Variable
-from repro.kg.sharding import ShardedGraph, shard_of_subject
 from repro.kg.triple import Triple
 
 VAR_S = Variable("s")
@@ -324,31 +323,14 @@ class TestCompaction:
         assert isinstance(live.base, KnowledgeGraph)
         assert sorted((t.spo, t.score) for t in live.triples()) == expected
 
-    def test_compact_sharded_base_rebins(self):
-        base = ShardedGraph(
-            ColumnarStore.from_triples(base_triples()), 2, strategy="score-range"
-        )
-        live = LiveGraph(base)
-        live.add("hot", "p", "w", score=100.0)
-        live.compact()
-        assert isinstance(live.base, ShardedGraph)
-        assert live.base.strategy == "score-range"
-        assert live.base.n_shards == 2
-        # Re-binning: the new hottest triple lands in shard 0.
-        assert any(
-            t.spo == ("hot", "p", "w") for t in live.base.shards[0].triples()
-        )
-
-    @pytest.mark.parametrize("sharded", [False, True])
-    def test_compact_frees_the_old_base_by_refcount(self, sharded):
+    def test_compact_frees_the_old_base_by_refcount(self):
         """The superseded base — store, pattern index, decoded lists —
         must go at the swap, not whenever the cyclic collector next runs;
         a caller still holding the base keeps the graph, not its lists."""
         import gc
         import weakref
 
-        store = ColumnarStore.from_triples(base_triples())
-        base = ShardedGraph(store, 2) if sharded else ColumnarGraph(store)
+        base = columnar_base()
         live = LiveGraph(base)
         gc.collect()
         gc.disable()
@@ -385,67 +367,6 @@ class TestCompaction:
             seen.append(live.version)
         assert seen == sorted(set(seen))
         assert live.compactions == 3
-
-
-class TestShardRouting:
-    def test_hash_subject_routing_matches_rebuild(self):
-        base = ShardedGraph(
-            ColumnarStore.from_triples(base_triples()), 3, strategy="hash-subject"
-        )
-        live = LiveGraph(base)
-        live.add("zebra", "p", "w", score=2.0)
-        expected = shard_of_subject("zebra", 3)
-        assert live._delta_shard[("zebra", "p", "w")] == expected
-        live.compact()
-        assert any(
-            t.subject == "zebra" for t in live.base.shards[expected].triples()
-        )
-
-    def test_score_range_routing_prefers_hot_shard(self):
-        base = ShardedGraph(
-            ColumnarStore.from_triples(base_triples()), 2, strategy="score-range"
-        )
-        live = LiveGraph(base)
-        live.add("hot", "p", "w", score=50.0)
-        live.add("cold", "p", "w", score=0.5)
-        assert live._delta_shard[("hot", "p", "w")] == 0
-        assert live._delta_shard[("cold", "p", "w")] == 1
-
-    def test_overwrite_reroutes_across_score_bins(self):
-        base = ShardedGraph(
-            ColumnarStore.from_triples(base_triples()), 2, strategy="score-range"
-        )
-        live = LiveGraph(base)
-        live.add("m", "p", "w", score=0.5)
-        assert live._delta_shard[("m", "p", "w")] == 1
-        live.add("m", "p", "w", score=50.0)
-        assert live._delta_shard[("m", "p", "w")] == 0
-        assert live._shard_adds[1].size == 0
-
-    def test_sharded_leaf_inputs_exact_normaliser(self):
-        base = ShardedGraph(
-            ColumnarStore.from_triples(base_triples()), 2, strategy="score-range"
-        )
-        live = LiveGraph(base)
-        live.remove("a", "p", "x")  # tombstone the p-maximum
-        live.add("e", "p", "w", score=4.5)
-        global_max, inputs = live.shard_leaf_inputs(P_OPEN)
-        assert global_max == live.match_list(P_OPEN).max_score == 4.5
-        assert sum(entry.n_matches for entry in inputs) == len(
-            live.match_list(P_OPEN)
-        )
-
-    def test_shard_delegation_helpers(self):
-        sharded = LiveGraph(
-            ShardedGraph(ColumnarStore.from_triples(base_triples()), 2)
-        )
-        assert sum(sharded.shard_sizes()) == 6
-        assert sharded.shard_cache_stats().capacity > 0
-        plain = LiveGraph(columnar_base())
-        with pytest.raises(KnowledgeGraphError):
-            plain.shard_sizes()
-        # Only sharded bases expose lazy leaf inputs (build_leaf_scan probes).
-        assert not hasattr(plain, "shard_leaf_inputs")
 
 
 class TestTouchedSince:

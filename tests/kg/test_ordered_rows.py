@@ -5,8 +5,8 @@ built permutation index equals what the retired ``rows_matching`` →
 ``score_order`` pair computed — a full-column mask followed by a
 lexsort — on every kind of store that reaches serving: interned from
 triples (unordered), attached from a ``.kg2`` (ordered: nothing may be
-sorted), produced by ``with_updates`` (ordered, possibly with new
-terms), and cut into shards sharing one dictionary.
+sorted), and produced by ``with_updates`` (ordered, possibly with new
+terms).
 """
 
 import tempfile
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.kg import ColumnarGraph, ColumnarStore, Triple
 from repro.kg.columnar import ID_DTYPE
 from repro.kg.pattern import TriplePattern, Variable
-from repro.kg.sharding import ShardedGraph
 from repro.kg.storage import save_snapshot_v2
 
 #: Few terms and fewer scores: every generated store has long runs of
@@ -112,20 +111,6 @@ def test_kg2_attach_is_ordered_and_never_sorts(triples):
             attached = ColumnarStore.open_mmap(path)
             assert attached._score_rows() is None
             assert_sorted_access(attached)
-            for strategy in ("hash-subject", "score-range"):
-                for shard in ShardedGraph(attached, 3, strategy=strategy).shards:
-                    assert shard.store._score_rows() is None
-                    assert_sorted_access(shard.store)
-
-
-@settings(max_examples=40, deadline=None)
-@given(triples=triple_maps)
-def test_shards_of_an_unordered_store_share_its_dictionary(triples):
-    store = store_of(triples)
-    for strategy in ("hash-subject", "score-range"):
-        for shard in ShardedGraph(store, 3, strategy=strategy).shards:
-            assert shard.store.terms is store.terms
-            assert_sorted_access(shard.store)
 
 
 new_spo = st.tuples(*(st.sampled_from(TERMS + ("new", "Ab", "zz")),) * 3)

@@ -5,6 +5,9 @@ of the store."""
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
-from repro.kg.sharding import ShardedGraph
+from repro.kg.storage import load_snapshot_v2, save_snapshot_v2
 from repro.operators.block import EncodedListStore, build_merged_match_list
 from repro.relax.rules import RelaxationRule, RuleSet
 
@@ -28,20 +31,39 @@ PREDICATES = ("p", "q")
 NEW_ENTITIES = ("n0", "n1")
 #: Repeated values give score ties within and across lists.
 SCORES = (0.0, 1.0, 2.0, 2.0, 5.0)
-BACKENDS = ("object", "columnar", "sharded", "live", "live-sharded", "live-object")
+BACKENDS = (
+    "object",
+    "columnar",
+    "kg2",
+    "live",
+    "live-object",
+    "live-kg2",
+    "live-compacted",
+)
+
+
+def attached_kg2(graph):
+    """*graph* saved as a ``.kg2`` and attached back over memory-mapped
+    columns (the mapping outlives the unlinked file)."""
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "g.kg2"
+        save_snapshot_v2(graph, path)
+        return load_snapshot_v2(path, mmap=True)
 
 
 def backend(kind: str, triples, updates=()):
     graph = KnowledgeGraph(name=kind)
     for s, p, o, score in triples:
         graph.add(s, p, o, score)
-    if kind in ("columnar", "live"):
+    if kind in ("columnar", "live", "live-compacted"):
         graph = ColumnarGraph.from_graph(graph)
-    elif kind in ("sharded", "live-sharded"):
-        graph = ShardedGraph.from_graph(graph, 2)
+    elif kind in ("kg2", "live-kg2"):
+        graph = attached_kg2(graph)
     if kind.startswith("live"):
         graph = LiveGraph(graph)
         graph.apply_updates(updates)
+    if kind == "live-compacted":
+        graph.compact()
     return graph
 
 

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kg.columnar import ColumnarGraph, ColumnarStore
+from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import GraphUpdate, LiveGraph, LivePatternIndex
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
-from repro.kg.sharding import ShardedGraph
+from repro.kg.storage import load_snapshot_v2, save_snapshot_v2
 from repro.kg.triple import Triple
 from repro.operators.block import (
     EncodedListStore,
@@ -40,14 +40,24 @@ def base_triples() -> list[Triple]:
     ]
 
 
-def live_over(kind: str) -> LiveGraph:
-    store = ColumnarStore.from_triples(base_triples())
-    if kind == "columnar":
-        return LiveGraph(ColumnarGraph(store, name="base"))
-    return LiveGraph(ShardedGraph(store, 3, strategy=kind, name="base"))
+def live_over(kind: str = "columnar", tmp_path=None) -> LiveGraph:
+    """A clean overlay over *base_triples* on one kind of serving store:
+    interned from triples, attached from a ``.kg2`` (ordered rows, nothing
+    sorted), or produced by a compaction's ``with_updates``."""
+    base = ColumnarGraph.from_triples(base_triples(), name="base")
+    if kind == "kg2":
+        save_snapshot_v2(base, tmp_path / "base.kg2")
+        return LiveGraph(load_snapshot_v2(tmp_path / "base.kg2", mmap=True))
+    if kind == "compacted":
+        first, *rest = base_triples()
+        live = LiveGraph(ColumnarGraph.from_triples(rest, name="base"))
+        live.add(first.subject, first.predicate, first.object, score=first.score)
+        live.compact()
+        return live
+    return LiveGraph(base)
 
 
-BASES = ("columnar", "hash-subject", "score-range")
+BASES = ("columnar", "kg2", "compacted")
 
 
 def assert_sliced_is_encoded_string_list(live: LiveGraph, pattern, monkeypatch=None):
@@ -77,16 +87,16 @@ def assert_sliced_is_encoded_string_list(live: LiveGraph, pattern, monkeypatch=N
 
 @pytest.mark.parametrize("kind", BASES)
 class TestColumnSlicedOverlay:
-    def test_clean_overlay_is_the_base_slice(self, kind, monkeypatch):
-        live = live_over(kind)
+    def test_clean_overlay_is_the_base_slice(self, kind, tmp_path, monkeypatch):
+        live = live_over(kind, tmp_path)
         for pattern in PATTERNS:
             assert_sliced_is_encoded_string_list(live, pattern)
         assert_sliced_is_encoded_string_list(live, S_P_O, monkeypatch)
 
-    def test_add_tying_base_rows_on_both_sides(self, kind, monkeypatch):
+    def test_add_tying_base_rows_on_both_sides(self, kind, tmp_path, monkeypatch):
         # (c, p, x) ties b and d at 5.0 and sorts between them; a..
         # sorts in front of the run, z.. behind it.
-        live = live_over(kind)
+        live = live_over(kind, tmp_path)
         live.apply_updates(
             [
                 GraphUpdate.add("c", "p", "x", 5.0),
@@ -102,8 +112,8 @@ class TestColumnSlicedOverlay:
             "a", "b", "c", "d", "z", "e",
         ]
 
-    def test_fresh_terms_outside_the_dictionary(self, kind, monkeypatch):
-        live = live_over(kind)
+    def test_fresh_terms_outside_the_dictionary(self, kind, tmp_path, monkeypatch):
+        live = live_over(kind, tmp_path)
         live.apply_updates(
             [
                 GraphUpdate.add("fresh-subject", "p", "x", 4.5),
@@ -118,8 +128,8 @@ class TestColumnSlicedOverlay:
         side = [i for i in sliced.columns[0].tolist() if i >= codec.n_base]
         assert {codec.decode(i) for i in side} == {"fresh-subject"}
 
-    def test_tombstones_and_overwrites(self, kind, monkeypatch):
-        live = live_over(kind)
+    def test_tombstones_and_overwrites(self, kind, tmp_path, monkeypatch):
+        live = live_over(kind, tmp_path)
         live.apply_updates(
             [
                 GraphUpdate.remove("d", "p", "x"),
@@ -134,8 +144,8 @@ class TestColumnSlicedOverlay:
         assert [codec.decode(i) for i in sliced.columns[0].tolist()] == ["e", "b"]
         assert sliced.max_score == 4.0
 
-    def test_rescored_row_becomes_the_maximum(self, kind, monkeypatch):
-        live = live_over(kind)
+    def test_rescored_row_becomes_the_maximum(self, kind, tmp_path, monkeypatch):
+        live = live_over(kind, tmp_path)
         live.apply_updates([GraphUpdate.add("e", "p", "x", 40.0)])
         for pattern in PATTERNS:
             assert_sliced_is_encoded_string_list(live, pattern)
@@ -143,8 +153,8 @@ class TestColumnSlicedOverlay:
         assert sliced.max_score == 40.0
         assert sliced.scores.tolist()[:2] == [1.0, 5.0 / 40.0]
 
-    def test_empty_lists(self, kind, monkeypatch):
-        live = live_over(kind)
+    def test_empty_lists(self, kind, tmp_path, monkeypatch):
+        live = live_over(kind, tmp_path)
         live.apply_updates(
             [GraphUpdate.remove("b", "q", "y"), GraphUpdate.add("k", "p", "x", 2.0)]
         )
@@ -155,16 +165,16 @@ class TestColumnSlicedOverlay:
             assert len(sliced) == 0 and sliced.max_score == 0.0
         assert_sliced_is_encoded_string_list(live, never_matched, monkeypatch)
 
-    def test_repeated_variable_delta_rows(self, kind, monkeypatch):
-        live = live_over(kind)
+    def test_repeated_variable_delta_rows(self, kind, tmp_path, monkeypatch):
+        live = live_over(kind, tmp_path)
         live.apply_updates(
             [GraphUpdate.add("m", "p", "m", 3.0), GraphUpdate.add("m", "p", "n", 9.0)]
         )
         sliced, codec = assert_sliced_is_encoded_string_list(live, DIAGONAL, monkeypatch)
         assert [codec.decode(i) for i in sliced.columns[0].tolist()] == ["c", "m"]
 
-    def test_after_compaction(self, kind, monkeypatch):
-        live = live_over(kind)
+    def test_after_compaction(self, kind, tmp_path, monkeypatch):
+        live = live_over(kind, tmp_path)
         live.apply_updates(
             [GraphUpdate.add("fresh", "p", "x", 5.0), GraphUpdate.remove("a", "p", "y")]
         )
@@ -176,7 +186,7 @@ class TestColumnSlicedOverlay:
 
 
 def test_store_serves_the_sliced_list_and_object_bases_keep_the_string_path():
-    live = live_over("columnar")
+    live = live_over()
     live.apply_updates([GraphUpdate.add("fresh", "p", "x", 6.0)])
     store = EncodedListStore()
     served = store.get_or_build(live, S_P_X)
@@ -216,15 +226,8 @@ terms = st.one_of(st.sampled_from(TERMS + ("new", "p", "q")), st.sampled_from("u
     seed=st.dictionaries(keys, scores, min_size=1, max_size=12),
     batch=updates,
     pattern=st.builds(TriplePattern, terms, terms, terms),
-    shards=st.sampled_from((1, 2)),
 )
-def test_sliced_overlay_matches_the_string_overlay(seed, batch, pattern, shards):
-    store = ColumnarStore.from_triples(Triple(*k, s) for k, s in seed.items())
-    base = (
-        ColumnarGraph(store)
-        if shards == 1
-        else ShardedGraph(store, shards, strategy="score-range")
-    )
-    live = LiveGraph(base)
+def test_sliced_overlay_matches_the_string_overlay(seed, batch, pattern):
+    live = LiveGraph(ColumnarGraph.from_triples(Triple(*k, s) for k, s in seed.items()))
     live.apply_updates(batch)
     assert_sliced_is_encoded_string_list(live, pattern)

@@ -2,8 +2,8 @@
 
 For random graphs and random (star-joined) queries, ``executor="block"``
 must return exactly the ``(bindings, score)`` sequence of
-``executor="tuple"`` — over the columnar backend, over sharded backends
-(1 and 4 shards), and with relaxation rules in play.  This is the
+``executor="tuple"`` — over the columnar backend and with relaxation
+rules in play.  This is the
 invariant the vectorized engine rests on: blocks are an execution
 granularity, never a semantics change.
 
@@ -29,8 +29,6 @@ from repro.kg.pattern import TriplePattern, Variable
 from repro.kg.triple import Triple
 from repro.query.query import TriplePatternQuery
 from repro.relax.rules import RelaxationRule, RuleSet
-
-SHARD_COUNTS = (1, 4)
 
 SUBJECTS = [f"s{i}" for i in range(8)]
 PREDICATES = [f"p{i}" for i in range(3)]
@@ -113,28 +111,6 @@ def test_block_executor_identical_to_tuple(rows, specs, k):
     )
 
 
-@settings(max_examples=15, deadline=None)
-@given(rows=triples, specs=pattern_specs, k=st.integers(min_value=1, max_value=6))
-def test_block_executor_identical_across_shard_counts(rows, specs, k):
-    graph = build_graph(rows)
-    rules = build_rules(specs)
-    query = build_query(specs)
-    expected = answer_rows(
-        SpecQPEngine(graph, rules, executor="tuple").query(query, k=k)
-    )
-    for n_shards in SHARD_COUNTS:
-        for executor in ("tuple", "block"):
-            engine = SpecQPEngine(
-                graph,
-                rules,
-                shards=n_shards,
-                shard_strategy="score-range",
-                executor=executor,
-            )
-            actual = answer_rows(engine.query(query, k=k))
-            assert actual == expected, (n_shards, executor)
-
-
 @settings(max_examples=20, deadline=None)
 @given(rows=triples, k=st.integers(min_value=1, max_value=50))
 def test_block_executor_empty_and_overlarge_k_edges(rows, k):
@@ -189,25 +165,3 @@ def test_scenario_pack_identical_to_tuple(name, executor):
         expected = answer_rows(tuple_engine.query(query, k=pack.k))
         assert answer_rows(other.query(query, k=pack.k)) == expected, query.name
 
-
-@pytest.mark.parametrize("name", SCENARIO_MATRIX)
-def test_scenario_pack_identical_across_shard_counts(name):
-    pack, graph = _scenario_columnar(name)
-    rules = pack.workload.rules
-    reference = SpecQPEngine(graph, rules, executor="tuple")
-    # A slice is enough per shard count — the full sweep runs in the
-    # slow_scenario matrix; this keeps adversarial shapes in tier 1.
-    queries = pack.workload.queries[:6]
-    expected = [answer_rows(reference.query(q, k=pack.k)) for q in queries]
-    for n_shards in SHARD_COUNTS:
-        for executor in ("tuple", "block", "auto"):
-            engine = SpecQPEngine(
-                graph,
-                rules,
-                shards=n_shards,
-                shard_strategy="score-range",
-                executor=executor,
-            )
-            for query, rows in zip(queries, expected):
-                actual = answer_rows(engine.query(query, k=pack.k))
-                assert actual == rows, (name, n_shards, executor, query.name)

@@ -4,12 +4,11 @@ The mutation-equivalence oracle the live-update subsystem rests on: for
 any interleaving of ``add`` (including score overwrites) and ``remove``
 operations, querying the mutated graph must equal querying a fresh graph
 built from the final triple set — for the object backend mutated in
-place, for :class:`~repro.kg.delta.LiveGraph` overlays over the columnar
-and sharded backends, and across shard counts {1, 4} at execution time.
+place, and for :class:`~repro.kg.delta.LiveGraph` overlays over the
+columnar and object backends.
 
-Scores are small integers for the same reason as in
-``test_sharding_property``: that is the byte-identical exactness domain
-the merge machinery documents.
+Scores are small integers, so ties are common and the canonical tie
+resolution is exercised on most examples.
 """
 
 from __future__ import annotations
@@ -22,12 +21,9 @@ from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, Variable
-from repro.kg.sharding import ShardedGraph
 from repro.kg.triple import Triple
 from repro.query.query import TriplePatternQuery
 from repro.relax.rules import RelaxationRule, RuleSet
-
-SHARD_COUNTS = (1, 4)
 
 SUBJECTS = [f"s{i}" for i in range(6)]
 PREDICATES = [f"p{i}" for i in range(3)]
@@ -138,26 +134,17 @@ def test_mutated_graphs_answer_like_fresh_rebuilds(rows, ops, specs, k):
             updates.append(GraphUpdate.remove(s, p, o))
 
     # Live overlays over the frozen backends, fed the same interleaving.
-    overlays = [LiveGraph(ColumnarGraph.from_graph(initial))]
-    overlays += [
-        LiveGraph(ShardedGraph.from_graph(initial, 4, strategy=strategy))
-        for strategy in ("hash-subject", "score-range")
+    overlays = [
+        LiveGraph(ColumnarGraph.from_graph(initial)),
+        LiveGraph(KnowledgeGraph(initial.triples(), name="base")),
     ]
     for overlay in overlays:
         overlay.apply_updates(updates)
         assert overlay.size == fresh.size
 
     expected = answer_rows(SpecQPEngine(fresh, rules).query(query, k=k))
-    for n_shards in SHARD_COUNTS:
-        shard_kwargs = dict(shards=n_shards) if n_shards > 1 else {}
-        assert (
-            answer_rows(SpecQPEngine(fresh, rules, **shard_kwargs).query(query, k=k))
-            == expected
-        ), ("fresh", n_shards)
-        actual = answer_rows(
-            SpecQPEngine(mutated, rules, **shard_kwargs).query(query, k=k)
-        )
-        assert actual == expected, ("object", n_shards)
+    actual = answer_rows(SpecQPEngine(mutated, rules).query(query, k=k))
+    assert actual == expected, "object"
 
     for overlay in overlays:
         actual = answer_rows(SpecQPEngine(overlay, rules).query(query, k=k))

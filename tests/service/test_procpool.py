@@ -68,8 +68,6 @@ class TestWireTypesPickle:
             config=EngineConfig(),
             cache_capacity=64,
             plan_cache=True,
-            shards=1,
-            shard_strategy="score-range",
             executor="tuple",
             warm_queries=tuple(workload.queries),
         )
@@ -133,14 +131,6 @@ class TestProcessServing:
     ):
         with WorkloadRunner(
             workload, n_workers=2, worker_model="process", executor=executor
-        ) as proc:
-            assert [
-                _rows(proc.execute_query(q, 5)) for q in queries
-            ] == reference_answers
-
-    def test_sharded_fleet_identical(self, workload, queries, reference_answers):
-        with WorkloadRunner(
-            workload, n_workers=2, worker_model="process", shards=4
         ) as proc:
             assert [
                 _rows(proc.execute_query(q, 5)) for q in queries

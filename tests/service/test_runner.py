@@ -26,7 +26,9 @@ def outcome_signature(report):
 def test_rejects_bad_arguments(tiny_xkg_workload):
     with pytest.raises(ExperimentError):
         WorkloadRunner(tiny_xkg_workload, n_workers=0)
-    runner = WorkloadRunner(tiny_xkg_workload)
+    with pytest.raises(ExperimentError, match="shards must be 1"):
+        WorkloadRunner(tiny_xkg_workload, shards=4)
+    runner = WorkloadRunner(tiny_xkg_workload, shards=1)
     with pytest.raises(ExperimentError):
         runner.run([], k=5)
     with pytest.raises(ExperimentError):
@@ -228,10 +230,10 @@ def test_apply_updates_answers_match_fresh_runner(music_graph, music_rules):
     assert outcome_signature(live_report) == outcome_signature(fresh_report)
 
 
-def test_apply_updates_sharded_runner(tiny_xkg_workload):
+def test_apply_updates_then_compact_keeps_untouched_answers(tiny_xkg_workload):
     from repro.kg import GraphUpdate
 
-    runner = WorkloadRunner(tiny_xkg_workload, shards=4)
+    runner = WorkloadRunner(tiny_xkg_workload)
     queries = tiny_xkg_workload.queries[:6]
     before = runner.run(queries, k=5)
     runner.apply_updates(
@@ -358,3 +360,25 @@ def test_auto_serves_blocks_from_merged_lists_where_it_can(tiny_xkg_workload):
     ).run(k=5)
     assert {o.executor for o in object_report.outcomes} == {"tuple"}
     assert outcome_signature(object_report) == outcome_signature(reference)
+
+
+@pytest.mark.parametrize("executor", ["auto", "block"])
+def test_cold_rows_name_the_pipeline_that_served_them(tiny_xkg_workload, executor):
+    """A report row names ``"tuple"`` or ``"block"`` — the pipeline that
+    ran — in cold mode as in warm, never the configured mode."""
+    from repro.datasets.workload import Workload
+    from repro.kg.columnar import ColumnarGraph
+
+    columnar = Workload(
+        "cold-columnar",
+        ColumnarGraph.from_graph(tiny_xkg_workload.graph, name="cold"),
+        tiny_xkg_workload.rules,
+        tiny_xkg_workload.queries,
+    )
+    runner = WorkloadRunner(columnar, executor=executor, result_cache_capacity=0)
+    for mode in ("cold", "warm"):
+        report = runner.run(k=5, mode=mode)
+        assert {o.executor for o in report.outcomes} == {"block"}, mode
+    object_runner = WorkloadRunner(tiny_xkg_workload, executor=executor)
+    cold = object_runner.run(k=5, mode="cold")
+    assert {o.executor for o in cold.outcomes} == {"tuple"}
