@@ -6,11 +6,8 @@
 for every executor × cache-capacity combination on the
 diverse medium-profile workload — including ``executor="auto"`` (block
 wherever the backend has id columns) — plus the whole-answer
-result-cache hit path,
-the worker-model dimension (4 threads vs 4 mmap-attached processes,
-with peak combined Pss and cold-attach latency per cell), and the
-headline speed-up ratios.  Future PRs diff their numbers against
-this file instead of re-deriving the baseline from prose in old commit
+result-cache hit path, and the headline speed-up ratios.  Future PRs
+diff their numbers against this file instead of re-deriving the baseline from prose in old commit
 messages; ``--diff PRIOR.json`` renders that comparison directly.
 
 Methodology: every cell primes once (catalog warm-up plus one untimed
@@ -58,14 +55,12 @@ from repro.service import WorkloadRunner  # noqa: E402
 # import its query set rather than copying it, so editing the benchmark's
 # traffic can never silently desynchronize the baseline JSON.
 from test_block_executor import diverse_queries  # noqa: E402
-from test_process_pool import smaps_of_mapping  # noqa: E402
 
 SEED = 7
 K = 10
 BOUNDED_CACHE = 8
 FULL_CACHE = 2048
 EXECUTORS = ("tuple", "block", "auto")
-POOL_WORKERS = 4
 
 
 def best_timed_run(runner: WorkloadRunner, batch, repeats: int):
@@ -200,126 +195,6 @@ def run_result_cache_section(workload: Workload, batch, repeats: int) -> dict:
     return section
 
 
-def _process_pss_kb(pid: int) -> int:
-    """Whole-process proportional RSS of *pid* in kB (VmRSS fallback)."""
-    try:
-        with open(f"/proc/{pid}/smaps_rollup") as handle:
-            for line in handle:
-                if line.startswith("Pss:"):
-                    return int(line.split()[1])
-    except OSError:
-        pass
-    try:
-        with open(f"/proc/{pid}/status") as handle:
-            for line in handle:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1])
-    except OSError:
-        pass
-    return 0
-
-
-def run_worker_model_section(workload: Workload, batch, repeats: int) -> dict:
-    """4 threads vs 4 mmap-attached processes on the same warm traffic.
-
-    Equivalence between the two models is blocking — a pool that answers
-    differently is broken, whatever its qps.  The memory story is
-    recorded, not asserted (the asserted version lives in
-    ``benchmarks/test_process_pool.py``): combined Pss of the workers'
-    mappings of the shared v2 snapshot (the one-physical-copy claim — a
-    value near 1.0x the file size means the fleet shares pages; naive
-    per-worker loads would cost ~1x *per worker*), whole-fleet peak Pss,
-    and the cold fleet-attach latency (snapshot export + spawn +
-    per-worker v2 attach) alongside the per-worker attach time alone.
-    """
-    import os
-    import time
-
-    thread_runner = WorkloadRunner(
-        workload,
-        n_workers=POOL_WORKERS,
-        cache_capacity=BOUNDED_CACHE,
-        executor="tuple",
-        result_cache_capacity=0,
-    )
-    thread_best = best_timed_run(thread_runner, batch, repeats)
-
-    with WorkloadRunner(
-        workload,
-        n_workers=POOL_WORKERS,
-        worker_model="process",
-        cache_capacity=BOUNDED_CACHE,
-        executor="tuple",
-        result_cache_capacity=0,
-    ) as process_runner:
-        started = time.perf_counter()
-        first = process_runner.run(batch, k=K)  # export + spawn + attach
-        cold_attach_seconds = time.perf_counter() - started
-        process_best = first
-        for _ in range(repeats):
-            report = process_runner.run(batch, k=K)
-            if report.queries_per_second > process_best.queries_per_second:
-                process_best = report
-
-        thread_rows = [(o.n_answers, o.top_score) for o in thread_best.outcomes]
-        process_rows = [
-            (o.n_answers, o.top_score) for o in process_best.outcomes
-        ]
-        if thread_rows != process_rows:
-            raise SystemExit(
-                "worker-model answers diverge (process vs thread) — "
-                "baseline aborted"
-            )
-
-        snapshot_path = process_runner._proc_snapshot
-        pids = process_best.extras["process_worker_pids"]
-        snapshot_kb = os.path.getsize(snapshot_path) / 1024
-        try:
-            mapping_pss_kb = sum(
-                smaps_of_mapping(pid, snapshot_path)["Pss"] for pid in pids
-            )
-            fleet_pss_kb = _process_pss_kb(os.getpid()) + sum(
-                _process_pss_kb(pid) for pid in pids
-            )
-        except OSError:  # no /proc (non-Linux): skip the memory columns
-            mapping_pss_kb = fleet_pss_kb = 0
-
-    section = {
-        "workers": POOL_WORKERS,
-        "thread_qps": round(thread_best.queries_per_second, 1),
-        "process_qps": round(process_best.queries_per_second, 1),
-        "process_over_thread": round(
-            process_best.queries_per_second / thread_best.queries_per_second,
-            2,
-        ),
-        "cold_fleet_attach_s": round(cold_attach_seconds, 2),
-        "worker_attach_ms": round(
-            first.extras["process_attach_seconds"] * 1e3, 2
-        ),
-        "snapshot_mb": round(snapshot_kb / 1024, 2),
-        "snapshot_mapping_pss_over_one_copy": round(
-            mapping_pss_kb / snapshot_kb, 2
-        )
-        if snapshot_kb
-        else None,
-        "fleet_peak_pss_mb": round(fleet_pss_kb / 1024, 1),
-        "cores": len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity")
-        else (os.cpu_count() or 1),
-    }
-    print(
-        f"worker model: {POOL_WORKERS} threads "
-        f"{thread_best.queries_per_second:9.1f} qps, "
-        f"{POOL_WORKERS} processes "
-        f"{process_best.queries_per_second:9.1f} qps "
-        f"({section['process_over_thread']}x on {section['cores']} cores); "
-        f"snapshot mapping Pss "
-        f"{section['snapshot_mapping_pss_over_one_copy']}x one copy, "
-        f"worker attach {section['worker_attach_ms']}ms"
-    )
-    return section
-
-
 def run_scenario_section(name: str, repeats: int) -> dict:
     """One scenario pack through the executor matrix, equivalence blocking.
 
@@ -443,12 +318,11 @@ def build_summary(
     batch = workload.stretched(batch_size)
     runs, speedups = run_matrix(workload, batch, repeats)
     result_cache = run_result_cache_section(workload, batch, repeats)
-    worker_models = run_worker_model_section(workload, batch, repeats)
     scenario_sections = {
         name: run_scenario_section(name, repeats) for name in scenarios or []
     }
     summary = {
-        "bench": "PR9 zero-copy mmap snapshots + multiprocess worker pool",
+        "bench": "executor x cache-capacity matrix + result-cache hit path",
         "profile": profile,
         "seed": SEED,
         "k": K,
@@ -462,7 +336,6 @@ def build_summary(
         },
         "runs": runs,
         "result_cache": result_cache,
-        "worker_models": worker_models,
         "speedups": speedups,
     }
     if scenario_sections:
@@ -508,11 +381,6 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"  result_cache_hit_over_uncached: "
         f"{summary['result_cache']['hit_over_uncached']}x"
-    )
-    print(
-        f"  process_over_thread_{summary['worker_models']['workers']}workers: "
-        f"{summary['worker_models']['process_over_thread']}x "
-        f"({summary['worker_models']['cores']} cores)"
     )
     if args.diff:
         print()

@@ -204,7 +204,7 @@ class SpecQPEngine:
 
     def plan(self, query: TriplePatternQuery, k: int | None = None) -> PlannerDecision:
         """Run PLANGEN only (no execution)."""
-        return self.planner.plan(query, k or self.config.k)
+        return self.planner.plan(query, self.config.k if k is None else k)
 
     def query(
         self, query: TriplePatternQuery | str, k: int | None = None
@@ -212,7 +212,7 @@ class SpecQPEngine:
         """Speculatively plan and execute *query*, returning top-k."""
         if isinstance(query, str):
             query = self.parse(query)
-        k = k or self.config.k
+        k = self.config.k if k is None else k
         decision = self.planner.plan(query, k)
         execution = self.executor.execute(
             decision.plan, k, executor=self.resolve_executor(query).executor
@@ -225,7 +225,7 @@ class SpecQPEngine:
         """Run the TriniT baseline plan (all patterns relaxed; true top-k)."""
         if isinstance(query, str):
             query = self.parse(query)
-        k = k or self.config.k
+        k = self.config.k if k is None else k
         plan = QueryPlan.trinit(query)
         execution = self.executor.execute(
             plan, k, executor=self.resolve_executor(query).executor
@@ -238,7 +238,7 @@ class SpecQPEngine:
         """Run without any relaxations (plain rank joins)."""
         if isinstance(query, str):
             query = self.parse(query)
-        k = k or self.config.k
+        k = self.config.k if k is None else k
         plan = QueryPlan.exact(query)
         execution = self.executor.execute(
             plan, k, executor=self.resolve_executor(query).executor

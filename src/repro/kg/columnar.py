@@ -93,7 +93,6 @@ class ColumnarStore:
         "predicates",
         "objects",
         "scores",
-        "source_path",
         "_term_list",
         "_term_ids",
         "_term_rank",
@@ -123,7 +122,6 @@ class ColumnarStore:
             )
         if self.terms.ndim != 1 or (self.terms.size and self.terms.dtype.kind != "U"):
             raise KnowledgeGraphError("terms must be a 1-D unicode array")
-        self.source_path: str | None = None
         self._term_list: list[str] | None = None
         self._term_ids: dict[str, int] | None = None
         self._term_rank: np.ndarray | None = None

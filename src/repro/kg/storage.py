@@ -518,7 +518,6 @@ def _attach_v2(path: Path, verify: bool) -> "tuple[ColumnarStore, dict]":
     except KnowledgeGraphError as error:
         raise _v2_error(path, f"corrupt snapshot: {error}") from None
     store._term_rank = arrays["term_rank"]
-    store.source_path = str(path)
     if verify:
         try:
             store.validate()

@@ -9,15 +9,11 @@ one query; this package serves *batches* through one shared substrate:
   whole-answer top-k cache in front of both executors; a hit skips
   planning and execution entirely (see
   :mod:`repro.service.result_cache`).
-* :class:`WorkloadRunner` — executes batches sequentially, on a thread
-  pool (per-worker engines, shared catalog + cache), or on a *process*
-  pool (``worker_model="process"``: every worker mmap-attaches one
-  shared v2 snapshot — a single physical copy of the graph across all
-  cores, see :mod:`repro.service.procpool`), warm or cold, and takes
-  writes between batches (``apply_updates``: delta-overlay mutations
-  behind a reader-writer gate, with version-driven cache and catalog
-  invalidation — see :mod:`repro.kg.delta`; process workers receive the
-  same writes by versioned delta shipping).
+* :class:`WorkloadRunner` — executes batches sequentially or on a thread
+  pool (per-worker engines, shared catalog + cache), warm or cold, and
+  takes writes between batches (``apply_updates``: delta-overlay
+  mutations behind a reader-writer gate, with version-driven cache and
+  catalog invalidation — see :mod:`repro.kg.delta`).
 * :class:`WorkloadReport` — latency percentiles, queries/second, cache
   hit rates and the PLANGEN plan-decision mix for a batch.
 
@@ -35,7 +31,7 @@ Quickstart::
 from repro.service.cache import CacheStats, MatchListCache
 from repro.service.report import QueryOutcome, WorkloadReport, percentile
 from repro.service.result_cache import CachedResult, ResultCache, result_key
-from repro.service.runner import WORKER_MODELS, WorkloadRunner
+from repro.service.runner import WorkloadRunner
 
 __all__ = [
     "CacheStats",
@@ -43,7 +39,6 @@ __all__ = [
     "MatchListCache",
     "QueryOutcome",
     "ResultCache",
-    "WORKER_MODELS",
     "WorkloadReport",
     "WorkloadRunner",
     "percentile",

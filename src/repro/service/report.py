@@ -191,23 +191,10 @@ class WorkloadReport:
                 f"evictions {self.cache.evictions})"
             )
         if "plan_cache_hits" in self.extras:
-            plan_line = (
-                f"{'plan cache':<{width}} "
-                f"{self.extras['plan_cache_hits']} hits"
-            )
-            # Process-model reports sum worker-side hits but have no
-            # master-side plan cache to size.
-            if "plan_cache_size" in self.extras:
-                plan_line += f", {self.extras['plan_cache_size']} plans"
-            lines.append(plan_line)
-        if self.extras.get("worker_model") == "process":
             lines.append(
-                f"{'process fleet':<{width}} "
-                f"{self.extras.get('process_workers_used', 0)} workers "
-                f"(generation {self.extras.get('process_generation', 0)}), "
-                f"{self.extras.get('process_chunks', 0)} chunks, "
-                f"attach "
-                f"{self.extras.get('process_attach_seconds', 0.0) * 1e3:.1f} ms"
+                f"{'plan cache':<{width}} "
+                f"{self.extras['plan_cache_hits']} hits, "
+                f"{self.extras['plan_cache_size']} plans"
             )
         if "result_cache_hits" in self.extras:
             lines.append(

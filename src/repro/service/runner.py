@@ -24,12 +24,8 @@ pays.  :meth:`compare` runs both and reports the speed-up.
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 import threading
 import time
-import weakref
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -56,15 +52,6 @@ from repro.service.result_cache import (
 from repro.stats.catalog import StatisticsCatalog
 
 CacheMode = Literal["warm", "cold"]
-
-WorkerModel = Literal["thread", "process"]
-
-#: Worker models ``WorkloadRunner`` accepts.
-WORKER_MODELS: tuple[WorkerModel, ...] = ("thread", "process")
-
-#: Updates the master ships per task before re-exporting a fresh
-#: snapshot generation (bounds per-chunk pickling of the delta log).
-REEXPORT_THRESHOLD = 10_000
 
 
 class _BatchGate:
@@ -112,22 +99,6 @@ class _BatchGate:
                 self._condition.notify_all()
 
 
-def _release_fleet(state: dict) -> None:
-    """Shut down a process fleet and remove its exported snapshots.
-
-    Module-level (not a bound method) so ``weakref.finalize`` can hold it
-    without keeping the runner alive.
-    """
-    fleet = state.get("fleet")
-    if fleet is not None:
-        fleet.shutdown(wait=False, cancel_futures=True)
-        state["fleet"] = None
-    directory = state.get("dir")
-    if directory:
-        shutil.rmtree(directory, ignore_errors=True)
-        state["dir"] = None
-
-
 class WorkloadRunner:
     """Executes batches of queries through one shared Spec-QP substrate.
 
@@ -140,10 +111,16 @@ class WorkloadRunner:
     n_workers:
         Worker threads for ``mode="warm"`` batches.  ``1`` executes
         inline; higher values share the catalog and match-list cache
-        across per-worker engines.  Cold mode is always sequential (it
-        drops shared state between queries, which cannot race).
+        across per-worker engines.  The threads share the GIL, so more
+        workers need not mean more throughput: on a 2-hardware-thread VM
+        a warm 400-query block batch over the default XKG graph (result
+        cache off) served a median ~2 900–4 000 qps on 1 worker,
+        ~2 400 on 2 and ~1 900–2 200 on 4.  Cold mode is always
+        sequential (it drops shared state between queries, which cannot
+        race).
     cache_capacity:
-        Entry bound of the shared :class:`MatchListCache`.
+        Entry bound of the shared :class:`MatchListCache` (and of the
+        encoded list store and the plan cache); must be ``>= 1``.
     plan_cache:
         Reuse PLANGEN decisions for structurally identical ``(query, k)``
         repeats.  Sound because planning only reads the (shared, warm)
@@ -183,24 +160,10 @@ class WorkloadRunner:
         :meth:`apply_updates` writer gate, so a cached hit is always an
         answer the current graph version would produce.
     worker_model:
-        ``"thread"`` (default) serves warm batches on a GIL-sharing
-        :class:`ThreadPoolExecutor`.  ``"process"`` serves them on a
-        :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
-        each mmap-attach **one shared v2 snapshot** of the graph
-        (:meth:`~repro.kg.columnar.ColumnarStore.open_mmap`): a single
-        physical copy of the columns across all workers, true multi-core
-        execution, answers byte-identical to thread serving.  The fleet
-        is created lazily on the first warm batch (exporting a snapshot
-        to a temp directory unless the graph was itself loaded from a
-        ``.kg2`` file, whose path is reused as-is); cold mode stays
-        sequential in the master either way.  Live updates reach workers
-        by versioned delta shipping — see :meth:`apply_updates` — and
-        :meth:`close` (also a context manager) tears the fleet down.
-    start_method:
-        Multiprocessing start method for the fleet (``"fork"`` where the
-        platform offers it, else ``"spawn"``).  Fork is the memory-
-        sharing choice: workers also share the interpreter/module pages
-        copy-on-write, not just the snapshot mmap.
+        Accepts only ``"thread"``; any other value raises.  Like
+        ``shards``, it stays only for ``bench/bench_serve.py``, which
+        passes ``worker_model="thread"``, until ROADMAP item 3 re-points
+        that harness and drops both there.
 
     The runner assumes the graph is not mutated *during* a batch, and
     :meth:`apply_updates` enforces that: batches and update batches go
@@ -224,21 +187,21 @@ class WorkloadRunner:
         compact_threshold: int | None = None,
         executor: ExecutorMode = "tuple",
         result_cache_capacity: int = DEFAULT_RESULT_CAPACITY,
-        worker_model: WorkerModel = "thread",
-        start_method: str | None = None,
+        worker_model: str = "thread",
     ) -> None:
         if n_workers < 1:
             raise ExperimentError(f"n_workers must be >= 1, got {n_workers}")
+        if cache_capacity < 1:
+            raise ExperimentError(f"cache_capacity must be >= 1, got {cache_capacity}")
         if shards != 1:
             raise ExperimentError(f"shards must be 1, got {shards}")
+        if worker_model != "thread":
+            raise ExperimentError(
+                f"worker_model must be 'thread', got {worker_model!r}"
+            )
         if executor not in EXECUTOR_MODES:
             raise ExperimentError(
                 f"unknown executor {executor!r}; choose from {EXECUTOR_MODES}"
-            )
-        if worker_model not in WORKER_MODELS:
-            raise ExperimentError(
-                f"unknown worker model {worker_model!r}; "
-                f"choose from {WORKER_MODELS}"
             )
         if result_cache_capacity < 0:
             raise ExperimentError(
@@ -280,22 +243,6 @@ class WorkloadRunner:
         self._catalog: StatisticsCatalog | None = None
         self._local = threading.local()
         self._gate = _BatchGate()
-        #: Process-model state (worker_model="process"): the fleet is a
-        #: lazily created ProcessPoolExecutor whose workers mmap-attach
-        #: one exported v2 snapshot; ``_proc_log`` is the update log of
-        #: the current snapshot generation, shipped with every task.
-        self.worker_model: WorkerModel = worker_model
-        self.start_method = start_method
-        self._fleet = None
-        self._fleet_lock = threading.Lock()
-        self._proc_generation = 0
-        self._proc_snapshot: str | None = None
-        self._proc_dir: str | None = None
-        self._proc_log: list[GraphUpdate] = []
-        # The GC backstop for close(): shuts the pool down and removes
-        # the exported snapshots even if the runner is just dropped.
-        self._fleet_state: dict = {"fleet": None, "dir": None}
-        self._finalizer = weakref.finalize(self, _release_fleet, self._fleet_state)
         self._updates = {
             "update_batches": 0,
             "updates_applied": 0,
@@ -364,11 +311,6 @@ class WorkloadRunner:
                 # cache); rebuild them lazily.  Cached plans stay valid —
                 # their keys include the executor kind.
                 self._local = threading.local()
-                # Process workers are pinned to the spec's executor;
-                # drop the fleet so the next batch respawns under the
-                # new strategy (the exported snapshot is reused).
-                with self._fleet_lock:
-                    self._shutdown_fleet()
 
     @property
     def catalog(self) -> StatisticsCatalog:
@@ -441,18 +383,24 @@ class WorkloadRunner:
             raise ExperimentError("cannot run an empty batch")
         if mode not in ("warm", "cold"):
             raise ExperimentError(f"unknown cache mode {mode!r}")
-        k = k or self.config.k
+        k = self._resolve_k(k)
 
         with self._gate.reader():
             if mode == "cold":
                 return self._run_cold(queries, k)
             return self._run_warm(queries, k)
 
+    def _resolve_k(self, k: int | None) -> int:
+        """*k*, or the config's when ``None``; ``0`` is not a default."""
+        if k is None:
+            return self.config.k
+        if k < 1:
+            raise ExperimentError(f"k must be >= 1, got {k}")
+        return k
+
     def _run_warm(
         self, queries: Sequence[TriplePatternQuery], k: int
     ) -> WorkloadReport:
-        if self.worker_model == "process":
-            return self._run_warm_process(queries, k)
         warmup_seconds = self._prepare(queries)
         stats_before = self.cache.stats()
         plan_hits_before = self._plan_hits
@@ -538,265 +486,6 @@ class WorkloadRunner:
             dataset=self.workload.name,
         )
 
-    # ------------------------------------------------------------------
-    # Process-model serving (worker_model="process")
-    # ------------------------------------------------------------------
-    def _ensure_fleet(self) -> float:
-        """Create the process fleet lazily; returns the seconds it took.
-
-        Exports a v2 snapshot of the served graph unless the graph was
-        itself attached from a ``.kg2`` file (then that file is shared
-        as-is, zero copies anywhere).  Workers attach the snapshot in
-        their initializer-built runner on first task.  Thread-safe: warm
-        batches run concurrently and must agree on one fleet.
-        """
-        with self._fleet_lock:
-            if self._fleet is not None:
-                return 0.0
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            from repro.kg.storage import save_snapshot_v2
-            from repro.service import procpool
-
-            started = time.perf_counter()
-            if self._proc_snapshot is None:
-                source = getattr(
-                    getattr(self.workload.graph, "store", None), "source_path", None
-                )
-                if source and not self._proc_log and os.path.exists(source):
-                    self._proc_snapshot = source
-                else:
-                    self._proc_dir = tempfile.mkdtemp(prefix="spec-qp-fleet-")
-                    self._fleet_state["dir"] = self._proc_dir
-                    path = os.path.join(
-                        self._proc_dir, f"snapshot-g{self._proc_generation}.kg2"
-                    )
-                    # Export the *current* merged state: the pristine
-                    # workload graph normally, the live overlay's merged
-                    # view if updates landed before the fleet existed —
-                    # either way the log restarts empty.
-                    graph = (
-                        self._graph
-                        if isinstance(self._graph, LiveGraph)
-                        else self.workload.graph
-                    )
-                    save_snapshot_v2(graph, path)
-                    self._proc_snapshot = path
-                    self._proc_log.clear()
-            spec = procpool.WorkerSpec(
-                graph_name=self.workload.graph.name,
-                rules=self.workload.rules,
-                config=self.config,
-                cache_capacity=self.cache.capacity,
-                plan_cache=self.plan_cache,
-                executor=self._executor,
-                warm_queries=tuple(self.workload.queries),
-            )
-            methods = multiprocessing.get_all_start_methods()
-            method = self.start_method or (
-                "fork" if "fork" in methods else "spawn"
-            )
-            self._fleet = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                mp_context=multiprocessing.get_context(method),
-                initializer=procpool._init_worker,
-                initargs=(spec,),
-            )
-            self._fleet_state["fleet"] = self._fleet
-            return time.perf_counter() - started
-
-    def _shutdown_fleet(self) -> None:
-        """Stop the worker processes (snapshots stay; respawn is lazy)."""
-        if self._fleet is not None:
-            self._fleet.shutdown(wait=True, cancel_futures=True)
-            self._fleet = None
-            self._fleet_state["fleet"] = None
-
-    def _reexport_snapshot(self) -> None:
-        """Fold the update log into a fresh snapshot generation.
-
-        Called under the writer gate once the log crosses
-        :data:`REEXPORT_THRESHOLD`: writes the merged current state as
-        ``snapshot-g{N+1}.kg2``, clears the log, and drops the previous
-        exported file (workers still mapping it keep serving — a POSIX
-        unlink only detaches the name — and re-attach on their next
-        task, which names the new generation).
-        """
-        from repro.kg.storage import save_snapshot_v2
-
-        if self._proc_dir is None:
-            self._proc_dir = tempfile.mkdtemp(prefix="spec-qp-fleet-")
-            self._fleet_state["dir"] = self._proc_dir
-        previous = self._proc_snapshot
-        self._proc_generation += 1
-        path = os.path.join(
-            self._proc_dir, f"snapshot-g{self._proc_generation}.kg2"
-        )
-        save_snapshot_v2(self._graph, path)
-        self._proc_snapshot = path
-        self._proc_log.clear()
-        if previous and previous.startswith(self._proc_dir):
-            try:
-                os.unlink(previous)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
-
-    def _run_warm_process(
-        self, queries: Sequence[TriplePatternQuery], k: int
-    ) -> WorkloadReport:
-        """Warm batch over the process fleet, order and answers preserved.
-
-        The master fronts the fleet with the result cache (hits never
-        cross a process boundary), splits the misses into contiguous
-        chunks, and stamps every task with the same
-        ``(generation, log length)`` pair — the cross-process version
-        barrier: a worker serves a chunk only after replaying exactly
-        that log prefix, so one batch is answered at one graph version
-        everywhere, mirroring the in-process writer-gate contract.
-        """
-        from repro.service import procpool
-
-        warmup_seconds = self._ensure_fleet()
-        result_before = (
-            self.result_cache.stats() if self.result_cache is not None else None
-        )
-        n_queries = len(queries)
-        outcomes: list[QueryOutcome | None] = [None] * n_queries
-        answers: list[tuple[Answer, ...] | None] = [None] * n_queries
-        version = self.graph.version
-        rkeys: list[object | None] = [None] * n_queries
-        misses = list(range(n_queries))
-
-        started = time.perf_counter()
-        if self.result_cache is not None:
-            misses = []
-            for index, query in enumerate(queries):
-                rkey = result_key(query, k, self._plan_signature)
-                rkeys[index] = rkey
-                cached = self.result_cache.get(rkey, version)
-                if cached is None:
-                    misses.append(index)
-                    continue
-                outcomes[index] = self._cached_outcome(query, k, cached, started)
-                answers[index] = cached.answers
-        chunk_results = []
-        if misses:
-            log = tuple(self._proc_log)
-            bounds = procpool.make_chunks(len(misses), self.n_workers)
-            tasks = [
-                procpool.ChunkTask(
-                    generation=self._proc_generation,
-                    snapshot_path=self._proc_snapshot,  # type: ignore[arg-type]
-                    log=log,
-                    log_len=len(log),
-                    queries=tuple(queries[i] for i in misses[start:stop]),
-                    k=k,
-                )
-                for start, stop in bounds
-            ]
-            futures = [
-                self._fleet.submit(procpool.run_chunk, task) for task in tasks
-            ]
-            for (start, stop), future in zip(bounds, futures):
-                result = future.result()
-                chunk_results.append(result)
-                for offset, index in enumerate(misses[start:stop]):
-                    outcomes[index] = result.outcomes[offset]
-                    answers[index] = result.answers[offset]
-                    if self.result_cache is not None:
-                        self.result_cache.put(
-                            rkeys[index],
-                            version,
-                            CachedResult(
-                                answers=result.answers[offset],
-                                n_relaxed=result.outcomes[offset].n_relaxed,
-                                plan=result.outcomes[offset].plan,
-                                executor=result.outcomes[offset].executor,
-                            ),
-                        )
-        wall = time.perf_counter() - started
-
-        extras: dict[str, object] = {
-            "executor": self._executor,
-            "worker_model": "process",
-            "process_generation": self._proc_generation,
-            "process_workers_used": len({r.pid for r in chunk_results}),
-            "process_worker_pids": sorted({r.pid for r in chunk_results}),
-            "process_chunks": len(chunk_results),
-            # The versions workers actually served at — the no-mixed-
-            # versions oracle: one batch must report at most one entry.
-            "process_graph_versions": sorted(
-                {r.graph_version for r in chunk_results}
-            ),
-            "process_attach_seconds": sum(r.attach_seconds for r in chunk_results),
-            "plan_cache_hits": sum(r.plan_hits for r in chunk_results),
-        }
-        if result_before is not None:
-            result_delta = self.result_cache.stats().since(result_before)
-            extras["result_cache_hits"] = result_delta.hits
-            extras["result_cache_misses"] = result_delta.misses
-            extras["result_cache_size"] = result_delta.size
-        if self._updates["update_batches"]:
-            extras.update(self.update_stats)
-            extras["graph_version"] = self.graph.version
-
-        return WorkloadReport(
-            outcomes=tuple(outcomes),  # type: ignore[arg-type]
-            wall_seconds=wall,
-            n_workers=self.n_workers,
-            mode="warm",
-            cache=None,  # match-list caches live in the workers
-            warmup_seconds=warmup_seconds,
-            dataset=self.workload.name,
-            extras=extras,
-        )
-
-    @staticmethod
-    def _cached_outcome(
-        query: TriplePatternQuery, k: int, cached: CachedResult, started: float
-    ) -> QueryOutcome:
-        return QueryOutcome(
-            query_name=query.name or str(query),
-            k=k,
-            n_patterns=len(query),
-            seconds=time.perf_counter() - started,
-            n_answers=len(cached.answers),
-            n_relaxed=cached.n_relaxed,
-            plan=cached.plan,
-            top_score=cached.answers[0].score if cached.answers else 0.0,
-            executor="cached",
-        )
-
-    def _serve_query_locally(
-        self, query: TriplePatternQuery, k: int
-    ) -> tuple[QueryOutcome, tuple[Answer, ...]]:
-        """Warm-path single query without the gate — the process-worker
-        hot path (a worker's runner is single-owner, so the batch gate
-        and the reader lock are the master's concern, not the worker's)."""
-        self._prepare()
-        return self._serve_warm(query, k)
-
-    def close(self) -> None:
-        """Tear down the process fleet and its exported snapshots.
-
-        Idempotent; a no-op for thread runners.  The runner stays
-        usable — the next process batch re-exports and respawns.
-        """
-        with self._fleet_lock:
-            self._shutdown_fleet()
-            if self._proc_dir is not None:
-                shutil.rmtree(self._proc_dir, ignore_errors=True)
-                self._fleet_state["dir"] = None
-                self._proc_dir = None
-            self._proc_snapshot = None
-
-    def __enter__(self) -> "WorkloadRunner":
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        self.close()
-
     def execute_query(
         self, query: TriplePatternQuery, k: int | None = None
     ) -> tuple[Answer, ...]:
@@ -808,50 +497,10 @@ class WorkloadRunner:
         report row, which is what equivalence tests and callers that
         need the bindings themselves want.
         """
-        k = k or self.config.k
+        k = self._resolve_k(k)
         with self._gate.reader():
-            if self.worker_model == "process":
-                return self._execute_query_process(query, k)
             self._prepare()
             return self._serve_warm(query, k)[1]
-
-    def _execute_query_process(
-        self, query: TriplePatternQuery, k: int
-    ) -> tuple[Answer, ...]:
-        """Single query through the fleet: a one-query chunk, cache-fronted."""
-        from repro.service import procpool
-
-        self._ensure_fleet()
-        version = self.graph.version
-        rkey = None
-        if self.result_cache is not None:
-            rkey = result_key(query, k, self._plan_signature)
-            cached = self.result_cache.get(rkey, version)
-            if cached is not None:
-                return cached.answers
-        log = tuple(self._proc_log)
-        task = procpool.ChunkTask(
-            generation=self._proc_generation,
-            snapshot_path=self._proc_snapshot,  # type: ignore[arg-type]
-            log=log,
-            log_len=len(log),
-            queries=(query,),
-            k=k,
-        )
-        result = self._fleet.submit(procpool.run_chunk, task).result()
-        if rkey is not None:
-            outcome = result.outcomes[0]
-            self.result_cache.put(
-                rkey,
-                version,
-                CachedResult(
-                    answers=result.answers[0],
-                    n_relaxed=outcome.n_relaxed,
-                    plan=outcome.plan,
-                    executor=outcome.executor,
-                ),
-            )
-        return result.answers[0]
 
     def _execute_warm(self, query: TriplePatternQuery, k: int) -> QueryOutcome:
         return self._serve_warm(query, k)[0]
@@ -1053,17 +702,6 @@ class WorkloadRunner:
             self._updates["update_lists_dropped"] += lists["dropped"]
             self._updates["update_lists_kept"] = lists["kept"]
             self._updates["update_seconds"] += seconds
-            if self.worker_model == "process":
-                # Versioned delta shipping: the next batch stamps its
-                # tasks with this log's length, and workers replay that
-                # exact prefix before serving — still under the writer
-                # gate here, so no batch observes a half-appended log.
-                self._proc_log.extend(batch)
-                if (
-                    self._proc_snapshot is not None
-                    and len(self._proc_log) >= REEXPORT_THRESHOLD
-                ):
-                    self._reexport_snapshot()
             return result
 
     @property

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import SpecQPEngine
+from repro.errors import ReproError
+from repro.kg.columnar import ColumnarGraph
 
 
 @pytest.fixture
@@ -34,6 +36,22 @@ class TestQueryInterface:
         assert result.planning_seconds >= 0
         assert result.total_seconds >= result.execution_seconds
         assert result.n_relaxed == len(result.plan.singletons)
+
+    @pytest.mark.parametrize("executor", ["tuple", "block"])
+    @pytest.mark.parametrize("method", ["plan", "query", "query_trinit", "query_exact"])
+    def test_nonpositive_k_is_rejected_not_defaulted(
+        self, music_graph, music_rules, singer_lyricist_query, method, executor
+    ):
+        """``k=0`` is a bad k like ``k=-1``, in both pipelines; only
+        ``None`` means the config's k."""
+        engine = SpecQPEngine(
+            ColumnarGraph.from_graph(music_graph), music_rules, executor=executor
+        )
+        call = getattr(engine, method)
+        for k in (0, -1):
+            with pytest.raises(ReproError, match=f"k must be >= 1, got {k}"):
+                call(singer_lyricist_query, k=k)
+        assert call(singer_lyricist_query) is not None
 
     def test_trinit_has_no_decision(self, engine, singer_lyricist_query):
         result = engine.query_trinit(singer_lyricist_query, k=3)

@@ -111,6 +111,19 @@ class TestMain:
         for report in reports:
             assert {o.executor for o in report.outcomes} == {"block"}, report.mode
 
+    @pytest.mark.parametrize("mode", ["warm", "cold", "both"])
+    def test_workload_rejects_k_zero(self, capsys, mode):
+        """``--k 0`` is an error, not the default k served under a header
+        that says ``k=0``."""
+        code = main(
+            ["workload", "--dataset", "xkg", "--scale", "small",
+             "--min-queries", "0", "--k", "0", "--mode", mode]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "k must be >= 1, got 0" in captured.err
+        assert "WorkloadReport" not in captured.out
+
 
 class TestConvert:
     @pytest.fixture

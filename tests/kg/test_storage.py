@@ -304,7 +304,6 @@ class TestSnapshotV2:
         # buffer must still be the mapped file (zero copies).
         assert is_mapped(loaded.store.scores)
         assert is_mapped(loaded.store.subjects)
-        assert loaded.store.source_path == str(path)
 
     def test_mmap_false_copies_into_memory(self, graph, tmp_path):
         import numpy as np

@@ -15,9 +15,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core.engine import SpecQPEngine
 from repro.datasets.workload import Workload
 from repro.errors import ExperimentError
-from repro.kg.columnar import ColumnarGraph
+from repro.kg.columnar import ColumnarGraph, ColumnarStore
 from repro.kg.delta import GraphUpdate
 from repro.kg.pattern import TriplePattern, Variable
 from repro.query.answer import Answer
@@ -285,48 +286,106 @@ class TestConcurrencyNeverServesStale:
         assert not violations
         assert served > 0  # the race actually exercised the hit path
 
-    def test_runner_batches_race_apply_updates(self, tiny_xkg_workload):
-        """Interleave query batches with update batches from another
-        thread; every batch's answers must equal a fresh uncached run
-        against the graph state that batch observed."""
+    @pytest.mark.parametrize("executor", ["tuple", "block", "auto"])
+    def test_runner_batches_race_apply_updates(self, tiny_xkg_workload, executor):
+        """The concurrent-writer oracle.  Two threads serve batches while
+        the main thread applies update batches that move the queries'
+        answers.  No batch is served at two graph versions; after every
+        round each answer — bindings and scores — equals a fresh engine
+        over the graph at that version; and after the race the runner
+        answers exactly as a sequential runner that applied the same
+        batches."""
         workload = Workload(
             "race",
             ColumnarGraph.from_graph(tiny_xkg_workload.graph, name="race"),
             tiny_xkg_workload.rules,
             tiny_xkg_workload.queries,
         )
-        runner = WorkloadRunner(workload, n_workers=2)
-        queries = workload.queries[:4]
-        errors: list[str] = []
+        queries = workload.queries[:8]
+        batches = [
+            race_batch(workload.graph, query, round_index)
+            for round_index, query in enumerate(queries[:4])
+        ]
+        runner = WorkloadRunner(workload, n_workers=2, executor=executor)
+        before = [signature(runner.execute_query(q, 5)) for q in queries]
+        errors: list[BaseException] = []
+        # Batch tag -> every graph version one of its queries saw.
+        versions: dict[str, set[int]] = {}
+        execute_warm = runner._execute_warm
 
-        def write(round_index: int) -> None:
-            runner.apply_updates(
-                [
-                    GraphUpdate.add(
-                        f"rs{round_index}", "race:p", f"ro{round_index}", 2.0
-                    )
-                ]
-            )
+        def recording_execute(query, k):
+            seen = versions.setdefault(query.name.split("/")[0], set())
+            seen.add(runner.graph.version)
+            outcome = execute_warm(query, k)
+            seen.add(runner.graph.version)
+            return outcome
 
-        for round_index in range(5):
-            writer = threading.Thread(target=write, args=(round_index,))
-            writer.start()
-            runner.run(queries, k=5)
-            writer.join()
-            # The gate serialized us against the writer: whatever side
-            # won, the batch's answers must match an uncached runner at
-            # the *current* version (the writer has joined, so if it won
-            # the race our batch saw the post-update graph; if we won,
-            # re-running now reflects the update and cached entries are
-            # version-stale — either way no stale answer may surface).
-            oracle = WorkloadRunner(
-                Workload("oracle", runner.graph, workload.rules, queries),
-                result_cache_capacity=0,
+        runner._execute_warm = recording_execute
+
+        def serve(tag: str) -> None:
+            try:
+                for run in range(3):
+                    batch = [
+                        TriplePatternQuery(
+                            q.patterns, q.projection, name=f"{tag}.{run}/{q.name}"
+                        )
+                        for q in queries
+                    ]
+                    runner.run(batch, k=5)
+            except BaseException as error:  # pragma: no cover - fails the test
+                errors.append(error)
+
+        for round_index, batch in enumerate(batches):
+            readers = [
+                threading.Thread(target=serve, args=(f"{round_index}.{reader}",))
+                for reader in range(2)
+            ]
+            for reader in readers:
+                reader.start()
+            runner.apply_updates(batch)
+            for reader in readers:
+                reader.join()
+            assert errors == [], errors
+            mixed = {tag: seen for tag, seen in versions.items() if len(seen) > 1}
+            assert not mixed, f"batches served at two graph versions: {mixed}"
+            # Whichever side won the gate, no answer cached at the old
+            # version may surface now.
+            fresh = SpecQPEngine(
+                ColumnarGraph(ColumnarStore.from_triples(runner.graph.triples())),
+                workload.rules,
+                runner.config,
             )
-            check = runner.run(queries, k=5)
-            fresh = oracle.run(queries, k=5)
-            got = [(o.n_answers, o.top_score) for o in check.outcomes]
-            want = [(o.n_answers, o.top_score) for o in fresh.outcomes]
-            if got != want:
-                errors.append(f"round {round_index}: {got} != {want}")
-        assert not errors
+            for query in queries:
+                assert signature(runner.execute_query(query, 5)) == signature(
+                    fresh.query(query, 5).answers
+                ), (round_index, query.name)
+
+        after = [signature(runner.execute_query(q, 5)) for q in queries]
+        assert after != before, "the update batches never moved an answer"
+        sequential = WorkloadRunner(workload, n_workers=1, executor=executor)
+        for batch in batches:
+            sequential.apply_updates(batch)
+        assert after == [signature(sequential.execute_query(q, 5)) for q in queries]
+
+
+def signature(answers) -> list[tuple]:
+    return [(answer.bindings, answer.score) for answer in answers]
+
+
+def race_batch(graph, query, round_index: int) -> list[GraphUpdate]:
+    """Updates aimed at *query*'s first pattern: its best match goes, the
+    runner-up is re-scored past it, and a fresh subject joins it."""
+    pattern = query.patterns[0]
+    matching = sorted(
+        (triple for triple in graph.triples() if pattern.matches(triple)),
+        key=lambda triple: (-triple.score, triple.spo),
+    )
+    batch = [GraphUpdate.remove(*triple.spo) for triple in matching[:1]]
+    if len(matching) > 1:
+        batch.append(GraphUpdate.add(*matching[1].spo, 2 * matching[0].score))
+    fresh = [
+        f"race:e{round_index}" if term is None else term
+        for term in pattern.key()
+    ]
+    batch.append(GraphUpdate.add(*fresh, 1.0))
+    return batch

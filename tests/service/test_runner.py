@@ -35,6 +35,46 @@ def test_rejects_bad_arguments(tiny_xkg_workload):
         runner.run(mode="lukewarm")
 
 
+@pytest.mark.parametrize("model", ["process", "fibers"])
+def test_rejects_unknown_worker_model(tiny_xkg_workload, model):
+    """Threads are the one worker model; the parameter stays only for a
+    caller that passes ``"thread"``."""
+    with pytest.raises(ExperimentError, match="worker_model must be 'thread'"):
+        WorkloadRunner(tiny_xkg_workload, worker_model=model)
+    assert WorkloadRunner(tiny_xkg_workload, worker_model="thread").n_workers == 1
+
+
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_rejects_bad_cache_capacity(tiny_xkg_workload, capacity):
+    """The same error type as the runner's other bounds, not the bare
+    ``ValueError`` the cache itself raises."""
+    with pytest.raises(ExperimentError, match="cache_capacity must be >= 1"):
+        WorkloadRunner(tiny_xkg_workload, cache_capacity=capacity)
+
+
+@pytest.mark.parametrize(
+    "serve",
+    [
+        lambda runner, query, k: runner.run([query], k=k, mode="warm"),
+        lambda runner, query, k: runner.run([query], k=k, mode="cold"),
+        lambda runner, query, k: runner.execute_query(query, k=k),
+    ],
+    ids=["warm", "cold", "execute_query"],
+)
+def test_nonpositive_k_is_rejected_not_defaulted(tiny_xkg_workload, serve):
+    """``k=0`` is a bad k like ``k=-1``; only ``None`` means the config's k."""
+    runner = WorkloadRunner(tiny_xkg_workload)
+    query = tiny_xkg_workload.queries[0]
+    for k in (0, -1):
+        with pytest.raises(ExperimentError, match=f"k must be >= 1, got {k}"):
+            serve(runner, query, k)
+    served = serve(runner, query, None)
+    n_answers = (
+        len(served) if isinstance(served, tuple) else served.outcomes[0].n_answers
+    )
+    assert 0 < n_answers <= runner.config.k
+
+
 def test_warm_run_reports_whole_batch(tiny_xkg_workload):
     runner = WorkloadRunner(tiny_xkg_workload)
     report = runner.run(k=5)

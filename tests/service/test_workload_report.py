@@ -103,6 +103,12 @@ def test_render_mentions_everything(report):
     assert "hit rate 75.0%" in text
 
 
+def test_render_reports_plan_cache_hits_and_size(report):
+    assert "plan cache" not in report.render()
+    report.extras.update(plan_cache_hits=12, plan_cache_size=5)
+    assert "plan cache              12 hits, 5 plans" in report.render()
+
+
 def test_render_reports_merged_relaxation_lists(report):
     assert "merged relaxation lists" not in report.render()
     report.extras.update(
