@@ -1,8 +1,6 @@
 # Spec-QP reproduction — common entry points.
 #
 #   make test    tier-1 verification (unit + property + integration + benchmarks)
-#   make bench   benchmark suite with timing tables + the BENCH_PR9.json baseline
-#   make bench-diff  regenerate the baseline and diff it against the prior PR's
 #   make bench-e2e  the BENCHMARK.json end-to-end benchmark, all four workloads
 #   make bench-compare A=a.json B=b.json  verdict per workload and metric, B against A
 #   make bench-pairs PARENT=<checkout> W=<workload> N=10 SEED=42 [CLAIM=qps]
@@ -20,23 +18,10 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 #: Coverage floor enforced by `make cov` and the CI coverage job.
 COV_FAIL_UNDER ?= 80
 
-#: Where `make bench` persists the machine-readable perf baseline.
-BENCH_JSON ?= BENCH_PR9.json
-
-#: The prior baseline `make bench-diff` compares against.
-BENCH_PRIOR ?= BENCH_PR6.json
-
-.PHONY: test bench bench-diff bench-e2e bench-compare bench-pairs cov docs workload scenarios loc
+.PHONY: test bench-e2e bench-compare bench-pairs cov docs workload scenarios loc
 
 test:
 	$(PYTHON) -m pytest -x -q
-
-bench:
-	$(PYTHON) -m pytest benchmarks -q --benchmark-enable
-	$(PYTHON) scripts/bench_summary.py --output $(BENCH_JSON)
-
-bench-diff:
-	$(PYTHON) scripts/bench_summary.py --output $(BENCH_JSON) --diff $(BENCH_PRIOR)
 
 bench-e2e:
 	python3 bench/run.py --seed 42 --repeats 3 --out bench/out/result.json

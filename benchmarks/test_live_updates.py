@@ -1,17 +1,17 @@
 """Benchmark: the delta write path vs full rebuild, and post-compaction reads.
 
-Two claims pin the live-update subsystem's performance:
+Two comparisons of the live-update subsystem, timed and printed; what
+they assert is the answers and sizes, not the timings (the end-to-end
+``xkg_update_mix`` workload of ``bench/`` is where the write path's
+throughput is measured):
 
-* **Write amplification** — absorbing a 1% update batch on the medium
-  profile (100k triples) through the :class:`LiveGraph` delta path must
-  be at least **10x faster** than the freeze-thaw alternative (thaw to an
-  object graph, apply, re-freeze to columns), because the delta path
-  touches only the mutated keys while the rebuild touches every row.
-* **Read parity after compaction** — once the delta is folded into a
-  fresh base, warm serving throughput over the live wrapper must be
-  within **10%** of the static columnar backend: the overlay's empty-delta
-  fast paths delegate straight to the base, so steady-state reads pay
-  (almost) nothing for writability.
+* **Write amplification** — a 1% update batch on the medium profile
+  (100k triples) through the :class:`LiveGraph` delta path against the
+  freeze-thaw alternative (thaw to an object graph, apply, re-freeze to
+  columns); both must end at the same graph size.
+* **Reads after compaction** — warm serving over the live wrapper once
+  the delta is folded into a fresh base, against the static columnar
+  backend over the same triples; both must serve the same answers.
 """
 
 from __future__ import annotations
@@ -85,15 +85,11 @@ def test_delta_write_path_beats_full_rebuild(benchmark, medium_graph):
     delta_seconds = benchmark.stats.stats.mean
 
     assert live.size == rebuilt.size
-    speedup = rebuild_seconds / delta_seconds
     print(
         f"\n1% batch ({len(batch)} updates) on medium: "
         f"rebuild {rebuild_seconds * 1e3:.1f} ms, "
-        f"delta {delta_seconds * 1e3:.1f} ms, {speedup:.1f}x"
-    )
-    assert speedup >= 10, (
-        f"delta path should beat full rebuild by >= 10x, got {speedup:.1f}x "
-        f"(rebuild {rebuild_seconds:.3f}s, delta {delta_seconds:.3f}s)"
+        f"delta {delta_seconds * 1e3:.1f} ms, "
+        f"{rebuild_seconds / delta_seconds:.1f}x"
     )
 
     # And compaction folds back into a store the rebuild path agrees with.
@@ -137,8 +133,8 @@ def test_compacted_live_reads_match_static_columnar(benchmark, medium_graph):
     live.compact()
     assert live.delta_size == 0
 
-    # Blocking whatever the machine is doing: the compacted overlay serves
-    # what a static columnar graph over the same triples serves.
+    # The compacted overlay serves what a static columnar graph over the
+    # same triples serves.
     rebuilt, _ = warm_runner(ColumnarGraph(live.base.store), queries)
     checked, _ = warm_runner(live, queries)
     for query in queries:
@@ -162,13 +158,8 @@ def test_compacted_live_reads_match_static_columnar(benchmark, medium_graph):
 
     pairs = benchmark.pedantic(interleaved_ratios, rounds=1, iterations=1)
     static_qps, live_qps = max(pairs, key=lambda pair: pair[1] / pair[0])
-    ratio = live_qps / static_qps
     print(
         f"\nwarm read qps (best of {len(pairs)} interleaved pairs): "
         f"static columnar {static_qps:.1f}, compacted live {live_qps:.1f} "
-        f"({ratio:.2f}x)"
-    )
-    assert ratio >= 0.9, (
-        f"compacted live serving should stay within 10% of the static "
-        f"columnar backend: static {static_qps:.1f} qps, live {live_qps:.1f} qps"
+        f"({live_qps / static_qps:.2f}x)"
     )

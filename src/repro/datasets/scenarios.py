@@ -27,8 +27,8 @@ export pipeline:
 
 Packs are registered in :data:`SCENARIOS` and built with
 :func:`build_scenario`; the ``workload``/``update`` CLI subcommands
-(``--scenario NAME``), ``scripts/bench_summary.py`` and the executor
-equivalence suites consume them, so every claim is made across a
+(``--scenario NAME``) and the executor equivalence suites consume
+them, so every claim is made across a
 scenario matrix instead of one distribution.
 """
 

@@ -22,10 +22,12 @@ per-shape **permutation index** (the packed bound ids of every row,
 stably sorted over the rows taken in Definition-5 order; a lookup is two
 ``searchsorted`` and a slice).  "Rows in Definition-5 order" costs
 nothing where the columns are stored that way — every ``.kg2`` attach,
-every compacted base — which one vectorised
-adjacent-row check establishes; only a store interned in arrival order
-pays one sort of all its rows (:meth:`ColumnarStore.score_order`), once.
-The indexes are plain attributes of the immutable store and die with it.
+which one vectorised adjacent-row check establishes, and every compacted
+base, which is built in that order; only a store interned in arrival
+order pays one sort of all its rows (:meth:`ColumnarStore.score_order`),
+once.  The indexes are plain attributes of the immutable store and die
+with it — except that a compacted base inherits its predecessor's,
+patched (:meth:`ColumnarStore.with_updates`).
 
 The column layout is also the on-disk **snapshot** layout: see
 :func:`repro.kg.storage.save_snapshot_v2` / ``load_snapshot_v2``, which
@@ -326,6 +328,14 @@ class ColumnarStore:
         rows = self.ordered_rows((subject, predicate, object_))
         return int(rows[0]) if len(rows) else None
 
+    def rows_of(self, keys: Iterable[tuple[str, str, str]]) -> np.ndarray:
+        """The rows of the fully-bound *keys*, one :meth:`row_of` lookup
+        each; a key naming no row is skipped.  No row is decoded: this
+        is how the live overlay finds the rows it supersedes, and
+        :meth:`with_updates` the rows it drops."""
+        rows = [self.row_of(*key) for key in keys]
+        return np.array([row for row in rows if row is not None], dtype=ID_DTYPE)
+
     def has_row(self, subject: str, predicate: str, object_: str) -> bool:
         """Whether a fully-bound triple is present.
 
@@ -364,8 +374,8 @@ class ColumnarStore:
     def _score_rows(self) -> np.ndarray | None:
         """All rows in Definition-5 order; ``None`` stands for the
         identity, i.e. the store is already ordered (every ``.kg2``
-        attach, every :meth:`with_updates` output) and nothing is sorted
-        or kept."""
+        attach, every :meth:`with_updates` output, which is born
+        decided) and nothing is sorted or kept."""
         if self._score_perm is None:
             if self._is_score_ordered():
                 self._score_perm = (None,)
@@ -375,6 +385,29 @@ class ColumnarStore:
                 self._score_perm = (order,)
         return self._score_perm[0]
 
+    def _shape_keys(
+        self, shape: tuple[bool, ...], rows: "np.ndarray | slice"
+    ) -> np.ndarray:
+        """The bound ids of *rows* under one key shape (one or two bound
+        positions), packed into one comparable key.  Two ids pack as
+        ``first * n_terms + second`` — into ID_DTYPE while ``n_terms²``
+        fits it, always into int64 (ids are int32) — which orders keys
+        like the id pairs whatever ``n_terms`` is."""
+        first, *second = (
+            column[rows]
+            for column, is_bound in zip(
+                (self.subjects, self.predicates, self.objects), shape
+            )
+            if is_bound
+        )
+        if not second:
+            return first
+        fits = self.n_terms**2 <= np.iinfo(ID_DTYPE).max
+        keys = first.astype(ID_DTYPE if fits else np.int64)  # a copy
+        keys *= self.n_terms
+        keys += second[0]
+        return keys
+
     def _shape_index(self, shape: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray]:
         """The permutation index of one key shape (one or two bound
         positions): the packed bound ids of every row, sorted, and the
@@ -382,30 +415,40 @@ class ColumnarStore:
         because the sort is stable over rows taken in that order."""
         index = self._shape_indexes.get(shape)
         if index is None:
-            bound = [
-                column
-                for column, is_bound in zip(
-                    (self.subjects, self.predicates, self.objects), shape
-                )
-                if is_bound
-            ]
-            keys = np.asarray(bound[0])
-            if len(bound) == 2:
-                # Two ids pack into ID_DTYPE while n_terms² fits it, and
-                # always into int64 (ids are int32).
-                fits = self.n_terms**2 <= np.iinfo(ID_DTYPE).max
-                keys = keys.astype(ID_DTYPE if fits else np.int64)  # a copy
-                keys *= self.n_terms
-                keys += bound[1]
             perm = self._score_rows()
-            if perm is not None:
-                keys = keys[perm]
+            keys = self._shape_keys(shape, slice(None) if perm is None else perm)
             order = np.argsort(keys, kind="stable")
             keys = keys[order]
             rows = order.astype(ID_DTYPE) if perm is None else perm[order]
             keys.flags.writeable = rows.flags.writeable = False  # lookups hand out views
             index = self._shape_indexes[shape] = (keys, rows)
         return index
+
+    def _carried_index(
+        self, shape: tuple[bool, ...], rows: np.ndarray, add_rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The permutation index of one key shape, patched from the index
+        of the store :meth:`with_updates` made this one from: *rows* are
+        the old index's surviving rows renumbered into this store, and
+        *add_rows* this store's rows the old one did not have.
+
+        Renumbering keeps the rows of a key ascending (both stores are in
+        Definition-5 order), and packing is monotone, so the survivors
+        stay sorted by key; each add goes in by ``searchsorted`` within
+        its key's run.  Equal to a fresh :meth:`_shape_index` build,
+        without its ``argsort``."""
+        keys = self._shape_keys(shape, rows)
+        add_keys = self._shape_keys(shape, add_rows)
+        order = np.lexsort((add_rows, add_keys))
+        add_keys, add_rows = add_keys[order], add_rows[order]
+        slots = keys.searchsorted(add_keys, "left")
+        ends = keys.searchsorted(add_keys, "right")
+        for i, (start, end) in enumerate(zip(slots.tolist(), ends.tolist())):
+            slots[i] = start + rows[start:end].searchsorted(add_rows[i])
+        keys = np.insert(keys, slots, add_keys)
+        rows = np.insert(rows, slots, add_rows)
+        keys.flags.writeable = rows.flags.writeable = False
+        return keys, rows
 
     def ordered_rows(self, key: PatternKey) -> np.ndarray:
         """Row indices agreeing with the bound positions of *key*, in
@@ -447,104 +490,6 @@ class ColumnarStore:
         for first, other in pattern.repeated_positions:
             rows = rows[columns[first][rows] == columns[other][rows]]
         return rows
-
-    def _encode_keys(
-        self, keys: Iterable[tuple[str, str, str]]
-    ) -> list[tuple[int, int, int]]:
-        """Resolve ``(s, p, o)`` string keys to id triples.
-
-        A key with any term absent from the dictionary cannot name a row
-        and is skipped.
-        """
-        encoded: list[tuple[int, int, int]] = []
-        for s, p, o in keys:
-            sid = self.term_id(s)
-            if sid is None:
-                continue
-            pid = self.term_id(p)
-            if pid is None:
-                continue
-            oid = self.term_id(o)
-            if oid is None:
-                continue
-            encoded.append((sid, pid, oid))
-        return encoded
-
-    def pack_keys(
-        self, keys: Iterable[tuple[str, str, str]]
-    ) -> np.ndarray | None:
-        """Packed int64 encodings of the *keys* this dictionary resolves.
-
-        Keys with any unknown term are skipped (they cannot name a row).
-        Returns ``None`` when the dictionary is too large to pack into
-        int64 — callers must fall back to :meth:`exclude_keys` without a
-        precomputed array.  Lets a caller encode a key set once and mask
-        many row sets (e.g. one superseded-key set per delta state).
-        """
-        n = self.n_terms
-        if n**3 >= 2**63:
-            return None
-        encoded = self._encode_keys(keys)
-        return np.fromiter(
-            ((s * n + p) * n + o for s, p, o in encoded),
-            dtype=np.int64,
-            count=len(encoded),
-        )
-
-    def exclude_keys(
-        self,
-        rows: np.ndarray,
-        keys: AbstractSet[tuple[str, str, str]],
-        packed_keys: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """*rows* with every row naming a key in *keys* dropped.
-
-        The tombstone mask of the live-update overlay
-        (:mod:`repro.kg.delta`): vectorised via the same packed-row
-        encoding the uniqueness check uses, so masking a match list's
-        candidate rows costs one ``isin`` — no decoding.  Pass
-        *packed_keys* (from :meth:`pack_keys` on this store) to skip
-        re-encoding *keys* per call.
-        """
-        keep = self.kept_rows_mask(rows, keys, packed_keys)
-        return rows if keep is None else rows[keep]
-
-    def kept_rows_mask(
-        self,
-        rows: np.ndarray,
-        keys: AbstractSet[tuple[str, str, str]],
-        packed_keys: np.ndarray | None = None,
-    ) -> np.ndarray | None:
-        """The boolean mask :meth:`exclude_keys` applies to *rows*, or
-        ``None`` when it keeps every row."""
-        if len(rows) == 0 or not keys:
-            return None
-        n = self.n_terms
-        if packed_keys is None and n**3 < 2**63:
-            packed_keys = self.pack_keys(keys)
-        if packed_keys is not None:
-            if len(packed_keys) == 0:
-                return None
-            packed = (
-                self.subjects[rows].astype(np.int64) * n + self.predicates[rows]
-            ) * n + self.objects[rows]
-            return ~np.isin(packed, packed_keys)
-        encoded = self._encode_keys(keys)
-        if not encoded:
-            return None
-        drop = set(encoded)
-        return np.fromiter(
-            (
-                ids not in drop
-                for ids in zip(
-                    self.subjects[rows].tolist(),
-                    self.predicates[rows].tolist(),
-                    self.objects[rows].tolist(),
-                )
-            ),
-            dtype=bool,
-            count=len(rows),
-        )
 
     def insertion_slots(
         self, rows: np.ndarray, adds: Sequence[tuple[tuple[str, str, str], float]]
@@ -593,17 +538,21 @@ class ColumnarStore:
         by an add key are dropped too (the add's score wins), mirroring
         :meth:`KnowledgeGraph.add_triple` overwrite semantics, so the
         result holds exactly the overlay's merged triple set.  The base
-        side is vectorised (one key-exclusion mask over the rows in
-        Definition-5 order, column slices); only the (small) delta is
-        interned and placed (:meth:`insertion_slots`) in Python, so the
+        side is vectorised (one row mask from :meth:`rows_of` over the
+        rows in Definition-5 order, column slices); only the (small)
+        delta is interned and placed (:meth:`insertion_slots`) in
+        Python.  The result inherits every shape index this store built,
+        patched rather than re-sorted (:meth:`_carried_index`), so the
         next read sorts nothing.  New terms extend the dictionary in
         first-seen order — which leaves the relative rank of every
         existing term alone — keeping the store snapshot-compatible.
         """
         if not adds and not drops:
             return self
-        drop_keys = set(drops) | set(adds)
-        keep_rows = self.exclude_keys(self.ordered_rows((None, None, None)), drop_keys)
+        dropped = np.zeros(self.n_triples, dtype=bool)
+        dropped[self.rows_of(set(drops) | set(adds))] = True
+        ordered = self.ordered_rows((None, None, None))
+        keep_rows = ordered[~dropped[ordered]]
         term_ids = (
             dict(self._term_ids)
             if self._term_ids is not None
@@ -645,6 +594,17 @@ class ColumnarStore:
         )
         store = ColumnarStore(terms, *columns, scores)
         store._term_ids = term_ids
+        store._score_perm = (None,)  # in Definition-5 order by construction
+        # np.insert puts add j at row slots[j] + j and moves kept row i
+        # down past every add slotted at or before it.
+        kept = np.arange(len(keep_rows))
+        renumbered = np.empty(self.n_triples, dtype=ID_DTYPE)
+        renumbered[keep_rows] = kept + np.searchsorted(slots, kept, "right")
+        add_rows = (slots + np.arange(len(slots))).astype(ID_DTYPE)
+        for shape, (_, rows) in list(self._shape_indexes.items()):
+            store._shape_indexes[shape] = store._carried_index(
+                shape, renumbered[rows[~dropped[rows]]], add_rows
+            )
         return store
 
     def score_order(self) -> np.ndarray:

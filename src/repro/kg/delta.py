@@ -50,7 +50,13 @@ import numpy as np
 
 from repro.errors import KnowledgeGraphError
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.index import MatchList, PatternIndex, PatternKey, merge_match_lists
+from repro.kg.index import (
+    MatchList,
+    PatternIndex,
+    PatternKey,
+    merge_match_lists,
+    touched_pattern_keys,
+)
 from repro.kg.pattern import TriplePattern
 from repro.kg.triple import Triple
 
@@ -59,6 +65,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: A fully-bound triple key.
 Spo = tuple[str, str, str]
+
+#: A delta add as the overlay reads it: its key and raw score.
+Add = tuple[Spo, float]
 
 #: Journal bound: touched keys kept over all retained version steps.
 #: Past it the oldest steps go and :meth:`LiveGraph.touched_since`
@@ -204,9 +213,12 @@ class LiveGraph(KnowledgeGraph):
         self._tombstones: set[Spo] = set()
         self._overwrites: set[Spo] = set()
         self._superseded_cache: frozenset[Spo] | None = None
-        #: Packed int64 twin of the superseded set (1-tuple when built;
-        #: holds None inside when the base dictionary cannot pack).
-        self._superseded_packed: tuple | None = None
+        #: Per delta state over a store-backed base (:meth:`_overlay_index`):
+        #: the mask of superseded base rows (``None``: no row is) and the
+        #: adds in Definition-5 order under each pattern key they match.
+        self._overlay_state: (
+            tuple[np.ndarray | None, dict[PatternKey, list[Add]]] | None
+        ) = None
         self._version = base.version
         #: Keys touched since the last step, then ``(version, keys the step
         #: to it touched)`` oldest first, answerable from ``_journal_floor``.
@@ -224,7 +236,7 @@ class LiveGraph(KnowledgeGraph):
         self._tombstones.clear()
         self._overwrites.clear()
         self._superseded_cache = None
-        self._superseded_packed = None
+        self._overlay_state = None
 
     # ------------------------------------------------------------------
     # Mutation (the write path)
@@ -298,13 +310,21 @@ class LiveGraph(KnowledgeGraph):
 
     def _apply_add(self, triple: Triple) -> None:
         spo = triple.spo
+        if getattr(self._base, "store", None) is not None:
+            for term in spo:
+                if "\x00" in term:
+                    # Refused before it lands: the compaction that would
+                    # intern it, and every one after, would fail instead.
+                    raise KnowledgeGraphError(
+                        f"term {term!r} contains NUL, unsupported by columnar storage"
+                    )
         self._tombstones.discard(spo)
         self._adds.add_triple(triple)
         if spo in self._base:
             self._overwrites.add(spo)
         self._touched.add(spo)
         self._superseded_cache = None
-        self._superseded_packed = None
+        self._overlay_state = None
 
     def _bump_version(self) -> None:
         """One version step, journaling the keys it touched."""
@@ -328,7 +348,7 @@ class LiveGraph(KnowledgeGraph):
         if removed:
             self._touched.add(spo)
             self._superseded_cache = None
-            self._superseded_packed = None
+            self._overlay_state = None
         return removed
 
     def _maybe_compact(self) -> None:
@@ -497,60 +517,62 @@ class LiveGraph(KnowledgeGraph):
             return MatchList(key, (), 0.0, ())
         return merge_match_lists(key, parts)
 
-    def _kept_base_rows(
-        self, store: "ColumnarStore", rows: np.ndarray
-    ) -> np.ndarray | None:
-        """The mask of *rows* the delta does not supersede (``None``: all)."""
-        superseded = self._superseded()
-        if not superseded or len(rows) == 0:
-            return None
-        # The superseded keys pack once per delta state.
-        if self._superseded_packed is None:
-            self._superseded_packed = (store.pack_keys(superseded),)
-        return store.kept_rows_mask(
-            rows, superseded, packed_keys=self._superseded_packed[0]
-        )
+    def _overlay_index(
+        self, store: "ColumnarStore"
+    ) -> tuple[np.ndarray | None, dict[PatternKey, list[Add]]]:
+        """What every overlay read of the current delta state shares,
+        built on its first read: the mask of the base *store*'s rows the
+        delta supersedes (one :meth:`~repro.kg.columnar.ColumnarStore.rows_of`
+        lookup per superseded key; ``None`` when no row is), and the
+        delta's adds in Definition-5 order, filed under each of the
+        eight pattern keys they match (``touched_pattern_keys``).
+        Every mutation resets it."""
+        overlay = self._overlay_state
+        if overlay is None:
+            superseded = None
+            rows = store.rows_of(self._superseded())
+            if len(rows):
+                superseded = np.zeros(store.n_triples, dtype=bool)
+                superseded[rows] = True
+            adds_by_key: dict[PatternKey, list[Add]] = {}
+            for add in sorted(self._adds._scores.items(), key=lambda a: (-a[1], a[0])):
+                for key in touched_pattern_keys((add[0],)):
+                    adds_by_key.setdefault(key, []).append(add)
+            overlay = self._overlay_state = (superseded, adds_by_key)
+        return overlay
 
     def overlay_rows(
         self, patterns: Sequence[TriplePattern]
-    ) -> tuple[list[np.ndarray], list[list[tuple[Spo, float]]], list[np.ndarray]]:
+    ) -> tuple[list[np.ndarray], list[Sequence[Add]], list[np.ndarray]]:
         """The live match lists of *patterns* as base-store rows plus adds.
 
         Only over a base with a column store.  Returns, per pattern,
         ``rows``, ``adds`` and ``slots``: the surviving rows of the
         base's store in Definition-5 order, the delta's matching
-        ``(spo, raw score)`` adds in Definition-5 order, and for each add
-        the index in *rows* it goes in front of
-        (:meth:`~repro.kg.columnar.ColumnarStore.insertion_slots`) —
-        ``np.insert(rows_column, slots, adds_column)`` is the merged
-        list.  The superseded rows of all the patterns are masked by one
-        key exclusion over their concatenated candidates; no triple is
-        decoded and nothing is sorted but the adds.
+        ``(spo, raw score)`` adds in Definition-5 order (shared, read
+        them only), and for each add the index in *rows* it goes in
+        front of (:meth:`~repro.kg.columnar.ColumnarStore.insertion_slots`)
+        — ``np.insert(rows_column, slots, adds_column)`` is the merged
+        list.  Through the :meth:`_overlay_index` of the delta state, a
+        pattern's superseded rows go in one gather of the row mask and
+        its adds are one dict lookup; no triple is decoded and nothing
+        is sorted.
         """
         store: "ColumnarStore" = self._base.store  # type: ignore[attr-defined]
-        matched = [store.match_rows(pattern) for pattern in patterns]
-        candidates = matched[0] if len(matched) == 1 else np.concatenate(matched)
-        keep = self._kept_base_rows(store, candidates)
-        if keep is not None:
-            # Survivors before each pattern's end split the kept rows back.
-            survivors = np.concatenate(([0], np.cumsum(keep)))
-            ends = np.cumsum([len(rows) for rows in matched])
-            matched = np.split(candidates[keep], survivors[ends[:-1]])
+        superseded, adds_by_key = self._overlay_index(store)
         overlay: tuple[list, list, list] = ([], [], [])
-        for pattern, rows in zip(patterns, matched):
-            bound = [
-                (i, term) for i, term in enumerate(pattern.key()) if term is not None
-            ]
+        for pattern in patterns:
+            rows = store.match_rows(pattern)
+            if superseded is not None:
+                rows = rows[~superseded[rows]]
+            adds: Sequence[Add] = adds_by_key.get(pattern.key(), ())
             repeated = pattern.repeated_positions
-            adds = sorted(
-                (
+            if repeated and adds:
+                adds = [
                     (spo, score)
-                    for spo, score in self._adds._scores.items()
-                    if all(spo[i] == term for i, term in bound)
-                    and all(spo[i] == spo[j] for i, j in repeated)
-                ),
-                key=lambda add: (-add[1], add[0]),
-            )
+                    for spo, score in adds
+                    if all(spo[i] == spo[j] for i, j in repeated)
+                ]
             for part, value in zip(
                 overlay, (rows, adds, store.insertion_slots(rows, adds))
             ):

@@ -526,8 +526,9 @@ def build_merged_match_list(
     per-input list is built: on the backends
     :func:`build_encoded_match_list` slices, every input's rows are
     gathered from the store's id columns in one pass (over a live
-    overlay after **one** tombstone exclusion across all inputs, each
-    input's adds spliced in at its own slots) and normalized per input;
+    overlay masked and spliced per input through the overlay index the
+    delta state shares, :meth:`~repro.kg.delta.LiveGraph.overlay_rows`)
+    and normalized per input;
     other graphs concatenate the inputs'
     :meth:`EncodedMatchList.from_match_list` columns.  Scores become
     ``weight * normalized``, one stable ``argsort`` orders them and

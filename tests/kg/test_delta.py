@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import KnowledgeGraphError
-from repro.kg.columnar import ColumnarGraph, ColumnarStore
+from repro.kg.columnar import ID_DTYPE, ColumnarGraph, ColumnarStore
 from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, Variable
@@ -359,6 +359,28 @@ class TestCompaction:
         assert live.delta_size == 0
         assert live.size == 9
 
+    def test_nul_term_is_refused_before_it_lands(self):
+        """A columnar base cannot intern a NUL term: the add is refused
+        on the spot, so no later compaction trips over it."""
+        live = LiveGraph(columnar_base(), compact_threshold=2)
+        version = live.version
+        for bad in (("bad\x00", "p", "x"), ("a", "p\x00", "x"), ("a", "p", "x\x00")):
+            with pytest.raises(KnowledgeGraphError, match="NUL"):
+                live.add(*bad, score=1.0)
+            with pytest.raises(KnowledgeGraphError, match="NUL"):
+                live.apply_updates([GraphUpdate.add(*bad, 1.0)])
+            assert bad not in live
+        assert live.delta_size == 0 and live.version == version
+        for i in range(3):
+            live.apply_updates(
+                [GraphUpdate.add(f"n{i}", "p", "w", 1.0), GraphUpdate.add(f"m{i}", "p", "w", 2.0)]
+            )
+        assert live.compactions == 3 and live.size == 12
+        # The object base interns nothing, so it takes the term.
+        over_objects = LiveGraph(KnowledgeGraph(base_triples()), compact_threshold=2)
+        over_objects.add("bad\x00", "p", "x", score=1.0)
+        assert ("bad\x00", "p", "x") in over_objects
+
     def test_monotone_version_across_many_compactions(self):
         live = LiveGraph(columnar_base(), compact_threshold=2)
         seen = [live.version]
@@ -462,11 +484,20 @@ class TestColumnarStoreUpdates:
         with pytest.raises(KnowledgeGraphError):
             store.with_updates({("bad\x00", "p", "o"): 1.0}, frozenset())
 
-    def test_exclude_keys(self):
+    def test_rows_of(self):
+        """One row per key that names one; unknown terms and known terms
+        in an unstored combination are skipped."""
         store = ColumnarStore.from_triples(base_triples())
-        rows = np.arange(store.n_triples, dtype=np.int64)
-        kept = store.exclude_keys(rows, {("a", "p", "x"), ("ghost", "p", "x")})
-        assert len(kept) == store.n_triples - 1
-        decoded = {t.spo for t in store.iter_triples()}
-        surviving = {t.spo for t in store.decode_rows(kept)}
-        assert decoded - surviving == {("a", "p", "x")}
+        rows = store.rows_of(
+            [("a", "p", "x"), ("ghost", "p", "x"), ("a", "q", "x"), ("d", "q", "z")]
+        )
+        assert rows.dtype == ID_DTYPE
+        assert {t.spo for t in store.decode_rows(rows)} == {
+            ("a", "p", "x"),
+            ("d", "q", "z"),
+        }
+        assert len(store.rows_of([])) == 0
+        dropped = np.zeros(store.n_triples, dtype=bool)
+        dropped[store.rows_of({("a", "p", "x"), ("ghost", "p", "x")})] = True
+        surviving = {t.spo for t in store.decode_rows(np.nonzero(~dropped)[0])}
+        assert {t.spo for t in store.iter_triples()} - surviving == {("a", "p", "x")}

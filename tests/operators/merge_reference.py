@@ -12,13 +12,11 @@ from __future__ import annotations
 from repro.operators.block import build_encoded_match_list
 
 
-def definition8_merge(graph, inputs, codec):
+def definition8_merge(graph, inputs, codec, build=build_encoded_match_list):
     """``(var_names, [(id tuple, score), ...])`` of the merged list of
-    *inputs* — ``(pattern, weight)`` pairs — in merged order."""
-    parts = [
-        (build_encoded_match_list(graph, pattern, codec), weight)
-        for pattern, weight in inputs
-    ]
+    *inputs* — ``(pattern, weight)`` pairs — in merged order, each
+    input's list made by ``build(graph, pattern, codec)``."""
+    parts = [(build(graph, pattern, codec), weight) for pattern, weight in inputs]
     var_names = parts[0][0].var_names
     rows = []
     for at, (part, weight) in enumerate(parts):
