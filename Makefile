@@ -8,7 +8,7 @@
 #                quartiles, wins/ties, the claim rule and the --compare verdict
 #   make cov     tests with line coverage + the CI floor (needs pytest-cov)
 #   make docs    docs link + snippet import check, run every runnable doc surface
-#   make workload  demo the batch-serving layer (cold vs warm)
+#   make workload  demo the batch-serving layer (one warm block batch)
 #   make scenarios  build + validate every scenario pack, run the slow matrix
 #   make loc     src/ line count, measured the way the ROADMAP standing rule does
 
@@ -53,7 +53,7 @@ docs:
 	@echo "examples OK"
 
 workload:
-	$(PYTHON) -m repro.experiments workload --scale small --mode both
+	$(PYTHON) -m repro.experiments workload --scale small --executor block
 
 scenarios:
 	$(PYTHON) scripts/validate_scenarios.py

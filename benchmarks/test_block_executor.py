@@ -83,7 +83,7 @@ def test_block_executor_speedup_over_tuple(benchmark, bench_workload):
         runner = WorkloadRunner(
             bench_workload, cache_capacity=CACHE_CAPACITY, executor=executor
         )
-        return runner.run(batch, k=K, mode="warm")
+        return runner.run(batch, k=K)
 
     tuple_report = run("tuple")
     block_report = benchmark.pedantic(lambda: run("block"), rounds=1, iterations=1)

@@ -150,8 +150,8 @@ def test_compacted_live_reads_match_static_columnar(benchmark, medium_graph):
         # is the one it hit least.
         return [
             (
-                static_runner.run(batch, k=K, mode="warm").queries_per_second,
-                live_runner.run(batch, k=K, mode="warm").queries_per_second,
+                static_runner.run(batch, k=K).queries_per_second,
+                live_runner.run(batch, k=K).queries_per_second,
             )
             for _ in range(3)
         ]

@@ -90,10 +90,10 @@ def test_scenario_matrix_serving_cost(benchmark):
     workload = columnar_workload(pack)
     runner = WorkloadRunner(workload, executor="auto")
     batch = list(workload.queries)
-    runner.run(batch, k=pack.k, mode="warm")  # untimed warm-up
+    runner.run(batch, k=pack.k)  # untimed warm-up
 
     report = benchmark.pedantic(
-        lambda: runner.run(batch, k=pack.k, mode="warm"), rounds=1, iterations=1
+        lambda: runner.run(batch, k=pack.k), rounds=1, iterations=1
     )
     print()
     print(report.render())

@@ -11,12 +11,16 @@ Relaxations enter through :meth:`query_distribution`'s ``replace``
 argument: the planner substitutes one pattern's histogram with the
 top-weighted relaxation's histogram scaled by its weight (the relaxed
 scores are ``w · S(t|q')``, so the support contracts by ``w``).
+
+An expected score is a pure function of plain values, so
+:func:`memoised_expected_score` keeps it under exactly those values: it
+needs no graph version and no invalidation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from repro.errors import EstimationError
 from repro.kg.pattern import TriplePattern
@@ -25,6 +29,45 @@ from repro.stats.catalog import StatisticsCatalog
 from repro.stats.histogram import NBucketHistogram, TwoBucketHistogram
 from repro.stats.order_statistics import expected_kth_score
 from repro.stats.piecewise import PiecewiseConstantDensity, convolve
+
+Histogram = TwoBucketHistogram | NBucketHistogram
+
+#: Expected scores :func:`memoised_expected_score` keeps.
+EXPECTED_SCORE_MEMO_SIZE = 4096
+
+#: A slot in a memo key: the histogram's kind and its four ``params``.
+_SLOT = 5
+
+
+def refit_convolution(
+    histograms: tuple[Histogram, ...], count: int, mass_fraction: float
+) -> PiecewiseConstantDensity:
+    """The slots' densities convolved in slot order, refitting a
+    two-bucket histogram after each step (§3.1.2); total mass 1."""
+    current = histograms[0].to_density().normalized()
+    for histogram in histograms[1:]:
+        current = TwoBucketHistogram.refit(
+            convolve(current, histogram.to_density()),
+            count=count,
+            mass_fraction=mass_fraction,
+        ).to_density()
+    return current
+
+
+@lru_cache(maxsize=EXPECTED_SCORE_MEMO_SIZE)
+def memoised_expected_score(
+    params: tuple, count: int, mass_fraction: float, rank: int
+) -> float:
+    """Expected score at *rank* of *count* answers whose slots hold the
+    histograms ``kind(*values)``: *params* is each slot's ``kind,
+    *values`` in slot order, flat (a key that small keeps 4 096 entries
+    near a megabyte).  It holds no histogram or density: a miss rebuilds
+    the histograms from their parameters, bit for bit."""
+    histograms = tuple(
+        params[i](*params[i + 1 : i + _SLOT]) for i in range(0, len(params), _SLOT)
+    )
+    density = refit_convolution(histograms, count, mass_fraction)
+    return expected_kth_score(density, rank, count)
 
 
 @dataclass(frozen=True)
@@ -35,11 +78,12 @@ class QueryDistribution:
     the estimator believes the query has no answers at all, and every
     expected score is 0.  ``histograms`` holds one (weight-scaled)
     histogram per pattern slot; ``density`` — their repeated
-    convolve→refit, total mass 1 — is computed when first read, which
-    :meth:`expected_score_at` does only for a rank the query can fill.
+    convolve→refit, total mass 1 — is computed when first read.
+    :meth:`expected_score_at` reads the memo instead, which convolves
+    only on a miss and only for a rank the query can fill.
     """
 
-    histograms: tuple[TwoBucketHistogram | NBucketHistogram, ...]
+    histograms: tuple[Histogram, ...]
     count: int
     mass_fraction: float
 
@@ -47,21 +91,18 @@ class QueryDistribution:
     def density(self) -> PiecewiseConstantDensity | None:
         if self.count <= 0:
             return None
-        current = self.histograms[0].to_density().normalized()
-        for histogram in self.histograms[1:]:
-            current = TwoBucketHistogram.refit(
-                convolve(current, histogram.to_density()),
-                count=self.count,
-                mass_fraction=self.mass_fraction,
-            ).to_density()
-        return current
+        return refit_convolution(self.histograms, self.count, self.mass_fraction)
 
     def expected_score_at(self, rank: int) -> float:
-        """Expected score of the answer at *rank* (1 = best)."""
+        """Expected score of the answer at *rank* (1 = best), read from
+        :func:`memoised_expected_score`."""
         if self.count <= 0 or self.count < rank:
             # Order statistics give 0.0 whatever the density is.
             return 0.0
-        return expected_kth_score(self.density, rank, self.count)
+        params: tuple = ()
+        for histogram in self.histograms:
+            params += (type(histogram), *histogram.params)
+        return memoised_expected_score(params, self.count, self.mass_fraction, rank)
 
     def expected_top(self) -> float:
         return self.expected_score_at(1)
@@ -80,7 +121,7 @@ class ExpectedScoreEstimator:
     # ------------------------------------------------------------------
     def pattern_histogram(
         self, pattern: TriplePattern, weight: float = 1.0
-    ) -> TwoBucketHistogram | NBucketHistogram:
+    ) -> Histogram:
         """The (possibly weight-scaled) histogram of one pattern."""
         histogram = self._catalog.histogram(pattern)
         if weight != 1.0:
@@ -107,7 +148,7 @@ class ExpectedScoreEstimator:
                 )
 
         effective_patterns: list[TriplePattern] = []
-        histograms: list[TwoBucketHistogram | NBucketHistogram] = []
+        histograms: list[Histogram] = []
         for pattern in query.patterns:
             relaxed, weight = replace.get(pattern, (pattern, 1.0))
             effective_patterns.append(relaxed)
@@ -121,9 +162,7 @@ class ExpectedScoreEstimator:
         # with another slot's pattern); duplicates do not change the
         # answer set, so they are dropped for counting while still
         # contributing their histogram to the sum.
-        count = self._catalog.cardinality(
-            TriplePatternQuery(tuple(dict.fromkeys(effective_patterns)))
-        )
+        count = self._catalog.cardinality(tuple(dict.fromkeys(effective_patterns)))
         return QueryDistribution(
             tuple(histograms), count, self._catalog.mass_fraction
         )

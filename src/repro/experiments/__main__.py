@@ -4,7 +4,7 @@ Delegates straight to :func:`repro.experiments.cli.main`, so these are
 equivalent::
 
     PYTHONPATH=src python -m repro.experiments table2 --dataset xkg
-    PYTHONPATH=src python -m repro.experiments workload --mode both
+    PYTHONPATH=src python -m repro.experiments workload --scale small --executor block
 
 Run ``python -m repro.experiments --help`` for every experiment name
 (paper tables and figures plus the batch-serving ``workload`` command)

@@ -5,7 +5,7 @@ Examples::
     spec-qp table2 --dataset xkg
     spec-qp all --dataset twitter --scale small
     spec-qp fig7 --dataset xkg --ks 10 20
-    spec-qp workload --min-queries 200 --workers 4 --mode both
+    spec-qp workload --min-queries 200 --workers 4
     spec-qp workload --scenario adversarial-ties --executor auto
     spec-qp convert --input graph.tsv --output graph.kg2
     spec-qp convert --input old.npz --output graph.kg2
@@ -288,29 +288,12 @@ def run_workload(args: "argparse.Namespace") -> int:
     )
     print(f"# workload: {workload.summary()}")
     print(
-        f"# batch: {len(queries)} queries, k={args.k}, mode={args.mode}, "
-        f"executor={args.executor}"
+        f"# batch: {len(queries)} queries, k={args.k}, executor={args.executor}"
     )
-
-    if args.mode == "both":
-        comparison = runner.compare(queries, k=args.k)
-        print()
-        print(comparison["cold"].render())  # type: ignore[union-attr]
-        print()
-        print(comparison["warm"].render())  # type: ignore[union-attr]
-        print()
-        print(f"warm-over-cold speed-up: {comparison['speedup']:.2f}x")
-        if args.workers > 1:
-            print(
-                f"# note: warm ran on {args.workers} workers, cold is always "
-                "sequential; use --workers 1 to attribute the speed-up to "
-                "caching alone"
-            )
-    else:
-        report = runner.run(queries, k=args.k, mode=args.mode)
-        print()
-        print(report.render())
-    if pack is not None and pack.updates and args.mode != "cold":
+    report = runner.run(queries, k=args.k)
+    print()
+    print(report.render())
+    if pack is not None and pack.updates:
         # Update-carrying packs smoke the full serve → write → re-serve
         # loop: the second warm batch runs on the post-update version.
         counts = runner.apply_updates(list(pack.updates))
@@ -320,7 +303,7 @@ def run_workload(args: "argparse.Namespace") -> int:
             f"{counts['removes']} removes ({counts['absent_removes']} absent), "
             f"graph version {counts['graph_version']}"
         )
-        post = runner.run(queries, k=args.k, mode="warm")
+        post = runner.run(queries, k=args.k)
         print()
         print(post.render())
     return 0
@@ -369,10 +352,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "(seed-deterministic coverage workloads; --seed overrides the "
         "pack's frozen seed; update-carrying packs replay their update "
         "stream after the batch).  One of: " + ", ".join(scenario_names()),
-    )
-    service.add_argument(
-        "--mode", choices=("warm", "cold", "both"), default="warm",
-        help="shared caches (warm), per-query rebuild (cold), or both",
     )
     service.add_argument(
         "--executor", choices=("tuple", "block", "auto"), default="tuple",

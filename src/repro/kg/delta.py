@@ -220,10 +220,13 @@ class LiveGraph(KnowledgeGraph):
             tuple[np.ndarray | None, dict[PatternKey, list[Add]]] | None
         ) = None
         self._version = base.version
-        #: Keys touched since the last step, then ``(version, keys the step
-        #: to it touched)`` oldest first, answerable from ``_journal_floor``.
+        #: Keys touched since the last step and, of those, the keys whose
+        #: membership changed (a triple that was not live added, or any
+        #: remove); then ``(version, touched, membership)`` per step,
+        #: oldest first, answerable from ``_journal_floor``.
         self._touched: set[Spo] = set()
-        self._journal: deque[tuple[int, frozenset[Spo]]] = deque()
+        self._moved: set[Spo] = set()
+        self._journal: deque[tuple[int, frozenset[Spo], frozenset[Spo]]] = deque()
         self._journal_size = 0
         self._journal_floor = self._version
         self._compactions = 0
@@ -318,22 +321,28 @@ class LiveGraph(KnowledgeGraph):
                     raise KnowledgeGraphError(
                         f"term {term!r} contains NUL, unsupported by columnar storage"
                     )
+        in_base = spo in self._base
+        if spo not in self._adds and (not in_base or spo in self._tombstones):
+            self._moved.add(spo)  # not live before: a re-score is not a move
         self._tombstones.discard(spo)
         self._adds.add_triple(triple)
-        if spo in self._base:
+        if in_base:
             self._overwrites.add(spo)
         self._touched.add(spo)
         self._superseded_cache = None
         self._overlay_state = None
 
     def _bump_version(self) -> None:
-        """One version step, journaling the keys it touched."""
+        """One version step, journaling the keys it touched and moved."""
         self._version += 1
-        self._journal.append((self._version, frozenset(self._touched)))
+        self._journal.append(
+            (self._version, frozenset(self._touched), frozenset(self._moved))
+        )
         self._journal_size += len(self._touched)
         self._touched = set()
+        self._moved = set()
         while self._journal_size > MAX_TOUCHED_JOURNAL:
-            self._journal_floor, keys = self._journal.popleft()
+            self._journal_floor, keys, _ = self._journal.popleft()
             self._journal_size -= len(keys)
 
     def _apply_remove(self, spo: Spo) -> bool:
@@ -347,6 +356,7 @@ class LiveGraph(KnowledgeGraph):
             removed = True
         if removed:
             self._touched.add(spo)
+            self._moved.add(spo)
             self._superseded_cache = None
             self._overlay_state = None
         return removed
@@ -368,7 +378,8 @@ class LiveGraph(KnowledgeGraph):
         (:meth:`~repro.kg.columnar.ColumnarStore.with_updates`) and stay
         snapshot-compatible.  The version counter keeps climbing across
         the swap, so every version-tagged cache entry goes stale at once;
-        the step journals every delta add it folds.
+        the step journals every delta add it folds as touched, none as a
+        membership change (the live triple set is the same).
         """
         folded = self.delta_size
         if folded == 0:
@@ -443,10 +454,19 @@ class LiveGraph(KnowledgeGraph):
         (:data:`MAX_TOUCHED_JOURNAL`) still holds, so the caller must
         purge everything.
         """
+        return self._journal_since(version, 1)
+
+    def membership_since(self, version: int) -> frozenset[Spo] | None:
+        """The keys of :meth:`touched_since` whose membership changed (a
+        triple added that was not live, or one removed); a re-score and a
+        compaction's fold keep the live triple set and any count over it."""
+        return self._journal_since(version, 2)
+
+    def _journal_since(self, version: int, slot: int) -> frozenset[Spo] | None:
         if not self._journal_floor <= version <= self._version:
             return None
         recent = takewhile(lambda step: step[0] > version, reversed(self._journal))
-        return frozenset().union(*(keys for _, keys in recent))
+        return frozenset().union(*(step[slot] for step in recent))
 
     def __contains__(self, item: object) -> bool:
         if isinstance(item, Triple):

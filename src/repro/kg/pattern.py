@@ -8,7 +8,7 @@ variables to the triple's values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from repro.errors import PatternError
@@ -64,6 +64,10 @@ class TriplePattern:
     subject: Term
     predicate: Term
     object: Term
+    #: :meth:`key` and :meth:`list_key`, computed once at construction:
+    #: planning reads them on every catalog lookup and join count.
+    _key: tuple = field(init=False, repr=False, compare=False)
+    _list_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for position, value in zip("SPO", self.terms):
@@ -74,6 +78,16 @@ class TriplePattern:
                     f"pattern position {position} must be a Variable or a "
                     f"non-empty string, got {value!r}"
                 )
+        key = tuple(None if isinstance(t, Variable) else t for t in self.terms)
+        # A variable needs two positions to repeat.
+        repeated = self.repeated_positions if key.count(None) >= 2 else ()
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_list_key", key + (repeated,) if repeated else key)
+
+    def __reduce__(self):
+        # Pickle the three terms only: unpickling runs the constructor,
+        # which validates them and recomputes the cached keys.
+        return (type(self), (self.subject, self.predicate, self.object))
 
     @property
     def terms(self) -> tuple[Term, Term, Term]:
@@ -107,9 +121,7 @@ class TriplePattern:
 
     def key(self) -> tuple[str | None, str | None, str | None]:
         """Constants with variables wildcarded — the index lookup key."""
-        return tuple(
-            None if isinstance(term, Variable) else term for term in self.terms
-        )  # type: ignore[return-value]
+        return self._key  # type: ignore[return-value]
 
     def list_key(self) -> tuple:
         """What identifies this pattern's *match list*: :meth:`key`, plus
@@ -118,11 +130,7 @@ class TriplePattern:
         two must not share a cache entry.  ``list_key()[:3]`` is always
         :meth:`key`, and for every pattern without a repeated variable
         the two are equal."""
-        key = self.key()
-        if key.count(None) < 2:  # a variable needs two positions to repeat
-            return key
-        repeated = self.repeated_positions
-        return key + (repeated,) if repeated else key
+        return self._list_key
 
     def matches(self, triple: Triple) -> bool:
         """True iff *triple* agrees with this pattern's constant positions

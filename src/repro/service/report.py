@@ -74,7 +74,6 @@ class WorkloadReport:
     outcomes: tuple[QueryOutcome, ...]
     wall_seconds: float
     n_workers: int = 1
-    mode: str = "warm"
     cache: CacheStats | None = None
     warmup_seconds: float = 0.0
     dataset: str = ""
@@ -131,7 +130,6 @@ class WorkloadReport:
         """A flat, JSON-ready summary (used by tests and exporters)."""
         summary: dict[str, object] = {
             "dataset": self.dataset,
-            "mode": self.mode,
             "n_queries": self.n_queries,
             "n_workers": self.n_workers,
             "wall_seconds": self.wall_seconds,
@@ -155,7 +153,7 @@ class WorkloadReport:
         width = 23
         lines = [
             f"WorkloadReport — {self.dataset or 'workload'} "
-            f"[{self.mode} cache, {self.n_workers} worker"
+            f"[{self.n_workers} worker"
             f"{'s' if self.n_workers != 1 else ''}]",
             "-" * 60,
             f"{'queries':<{width}} {self.n_queries}",
@@ -226,6 +224,6 @@ class WorkloadReport:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"WorkloadReport(n_queries={self.n_queries}, mode={self.mode!r}, "
+            f"WorkloadReport(n_queries={self.n_queries}, "
             f"qps={self.queries_per_second:.1f})"
         )

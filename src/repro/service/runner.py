@@ -17,9 +17,8 @@ owns that sharing:
   state is per-query, planner/executor objects per worker) over the shared
   catalog and cache.
 
-``run(mode="cold")`` is the control: caches dropped and the catalog
-rebuilt before every query, i.e. the per-query cost the single-query path
-pays.  :meth:`compare` runs both and reports the speed-up.
+The per-query path that builds everything afresh is
+:meth:`repro.core.engine.SpecQPEngine.query`.
 """
 
 from __future__ import annotations
@@ -29,19 +28,19 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.config import EngineConfig
-from repro.core.engine import QueryResult, SpecQPEngine
+from repro.core.engine import SpecQPEngine
 from repro.core.executor import EXECUTOR_MODES, ExecutorMode
-from repro.core.plan import QueryPlan
+from repro.core.planner import PlannerDecision
 from repro.datasets.workload import Workload
 from repro.errors import ExperimentError
 from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.operators.block import EncodedListStore
 from repro.query.answer import Answer
 from repro.query.query import TriplePatternQuery
-from repro.service.cache import DEFAULT_CAPACITY, CacheStats, MatchListCache
+from repro.service.cache import DEFAULT_CAPACITY, MatchListCache
 from repro.service.report import QueryOutcome, WorkloadReport
 from repro.service.result_cache import (
     DEFAULT_RESULT_CAPACITY,
@@ -50,8 +49,6 @@ from repro.service.result_cache import (
     result_key,
 )
 from repro.stats.catalog import StatisticsCatalog
-
-CacheMode = Literal["warm", "cold"]
 
 
 class _BatchGate:
@@ -109,15 +106,13 @@ class WorkloadRunner:
     config:
         Engine knobs shared by all workers; defaults reproduce the paper.
     n_workers:
-        Worker threads for ``mode="warm"`` batches.  ``1`` executes
+        Worker threads for :meth:`run` batches.  ``1`` executes
         inline; higher values share the catalog and match-list cache
         across per-worker engines.  The threads share the GIL, so more
         workers need not mean more throughput: on a 2-hardware-thread VM
         a warm 400-query block batch over the default XKG graph (result
         cache off) served a median ~2 900–4 000 qps on 1 worker,
-        ~2 400 on 2 and ~1 900–2 200 on 4.  Cold mode is always
-        sequential (it drops shared state between queries, which cannot
-        race).
+        ~2 400 on 2 and ~1 900–2 200 on 4.
     cache_capacity:
         Entry bound of the shared :class:`MatchListCache` (and of the
         encoded list store and the plan cache); must be ``>= 1``.
@@ -125,7 +120,8 @@ class WorkloadRunner:
         Reuse PLANGEN decisions for structurally identical ``(query, k)``
         repeats.  Sound because planning only reads the (shared, warm)
         catalog; disable to force a fresh PLANGEN run per query.  Bounded
-        to ``cache_capacity`` entries (LRU), like the match-list cache.
+        to ``cache_capacity`` entries (LRU), like the match-list cache;
+        each entry is the whole :class:`~repro.core.planner.PlannerDecision`.
     shards:
         Accepts only ``1``; any other value raises.  It stays only for
         ``bench/bench_serve.py``, which passes ``shards=1``, until ROADMAP
@@ -237,7 +233,7 @@ class WorkloadRunner:
         #: engine: one bounded store of encoded (id-column) match lists,
         #: so a pattern is encoded once per runner until a write touches it.
         self.encoded_store = EncodedListStore(cache_capacity)
-        self._plans: OrderedDict[object, QueryPlan] = OrderedDict()
+        self._plans: OrderedDict[object, PlannerDecision] = OrderedDict()
         self._plan_hits = 0
         self._plan_lock = threading.Lock()
         self._catalog: StatisticsCatalog | None = None
@@ -375,19 +371,14 @@ class WorkloadRunner:
         self,
         queries: Sequence[TriplePatternQuery] | None = None,
         k: int | None = None,
-        mode: CacheMode = "warm",
     ) -> WorkloadReport:
-        """Execute *queries* (default: the workload's set) end to end."""
+        """Execute *queries* (default: the workload's set) end to end,
+        through the shared caches."""
         queries = list(queries if queries is not None else self.workload.queries)
         if not queries:
             raise ExperimentError("cannot run an empty batch")
-        if mode not in ("warm", "cold"):
-            raise ExperimentError(f"unknown cache mode {mode!r}")
         k = self._resolve_k(k)
-
         with self._gate.reader():
-            if mode == "cold":
-                return self._run_cold(queries, k)
             return self._run_warm(queries, k)
 
     def _resolve_k(self, k: int | None) -> int:
@@ -454,36 +445,10 @@ class WorkloadRunner:
             outcomes=tuple(outcomes),
             wall_seconds=wall,
             n_workers=self.n_workers,
-            mode="warm",
-            cache=self._stats_delta(stats_before, self.cache.stats()),
+            cache=self.cache.stats().since(stats_before),
             warmup_seconds=warmup_seconds,
             dataset=self.workload.name,
             extras=extras,
-        )
-
-    def _run_cold(
-        self, queries: Sequence[TriplePatternQuery], k: int
-    ) -> WorkloadReport:
-        """Per-query rebuild of every shared structure (the control)."""
-        self.graph.detach_match_list_cache()
-        outcomes = []
-        started = time.perf_counter()
-        for query in queries:
-            self.graph.invalidate_caches()
-            engine = SpecQPEngine(
-                self.graph, self.workload.rules, self.config,
-                executor=self._executor,
-            )
-            outcomes.append(self._execute(engine, query, k))
-        wall = time.perf_counter() - started
-        self.graph.invalidate_caches()
-        return WorkloadReport(
-            outcomes=tuple(outcomes),
-            wall_seconds=wall,
-            n_workers=1,
-            mode="cold",
-            cache=None,
-            dataset=self.workload.name,
         )
 
     def execute_query(
@@ -491,7 +456,7 @@ class WorkloadRunner:
     ) -> tuple[Answer, ...]:
         """One query through the full warm substrate, answers included.
 
-        The single-query twin of ``run(mode="warm")``: same reader gate,
+        The single-query twin of :meth:`run`: same reader gate,
         same result cache, plan cache and per-worker engine — but the
         return value is the complete top-k answer tuple rather than a
         report row, which is what equivalence tests and callers that
@@ -545,7 +510,7 @@ class WorkloadRunner:
                     executor="cached",
                 )
                 return outcome, cached.answers
-        plan = None
+        decision = None
         kind = engine.resolve_executor(query).executor
         if self.plan_cache:
             # The executor *mode* is part of the key, so toggling
@@ -555,18 +520,19 @@ class WorkloadRunner:
                 frozenset(query.patterns), query.projection, k, self._executor, version
             )
             with self._plan_lock:
-                plan = self._plans.get(key)
-                if plan is not None:
+                decision = self._plans.get(key)
+                if decision is not None:
                     self._plans.move_to_end(key)
                     self._plan_hits += 1
-        if plan is None:
-            plan = engine.planner.plan(query, k).plan
+        if decision is None:
+            decision = engine.planner.plan(query, k)
             if self.plan_cache:
                 with self._plan_lock:
-                    self._plans[key] = plan
+                    self._plans[key] = decision
                     self._plans.move_to_end(key)
                     while len(self._plans) > self.cache.capacity:
                         self._plans.popitem(last=False)
+        plan = decision.plan
         execution = engine.executor.execute(plan, k, executor=kind)
         if rkey is not None:
             self.result_cache.put(
@@ -592,21 +558,6 @@ class WorkloadRunner:
             executor=kind,
         )
         return outcome, execution.answers
-
-    @staticmethod
-    def _execute(engine: SpecQPEngine, query: TriplePatternQuery, k: int) -> QueryOutcome:
-        result: QueryResult = engine.query(query, k)
-        return QueryOutcome(
-            query_name=query.name or str(query),
-            k=k,
-            n_patterns=len(query),
-            seconds=result.total_seconds,
-            n_answers=len(result.answers),
-            n_relaxed=result.plan.n_relaxed,
-            plan=result.plan.describe(),
-            top_score=result.answers[0].score if result.answers else 0.0,
-            executor=engine.resolve_executor(query).executor,
-        )
 
     # ------------------------------------------------------------------
     # Live updates (the write path)
@@ -710,26 +661,6 @@ class WorkloadRunner:
         return dict(self._updates)
 
     # ------------------------------------------------------------------
-    def compare(
-        self,
-        queries: Sequence[TriplePatternQuery] | None = None,
-        k: int | None = None,
-    ) -> dict[str, WorkloadReport | float]:
-        """Cold batch, then warm batch; returns both plus the speed-up."""
-        cold = self.run(queries, k, mode="cold")
-        warm = self.run(queries, k, mode="warm")
-        speedup = (
-            warm.queries_per_second / cold.queries_per_second
-            if cold.queries_per_second
-            else float("inf")
-        )
-        return {"cold": cold, "warm": warm, "speedup": speedup}
-
-    @staticmethod
-    def _stats_delta(before: CacheStats, after: CacheStats) -> CacheStats:
-        """Cache counters attributable to this batch alone."""
-        return after.since(before)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"WorkloadRunner({self.workload.name!r}, "

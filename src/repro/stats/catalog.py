@@ -134,8 +134,11 @@ class StatisticsCatalog:
         """``m_i`` for *pattern*."""
         return self.pattern_stats(pattern).m
 
-    def cardinality(self, query: TriplePatternQuery) -> int:
-        """(Estimated) answer count of *query*."""
+    def cardinality(
+        self, query: TriplePatternQuery | tuple[TriplePattern, ...]
+    ) -> int:
+        """(Estimated) answer count of *query*, or of a tuple of distinct
+        patterns (what the estimator counts, without building a query)."""
         self._current()
         return self.cardinalities.cardinality(query)
 
@@ -176,9 +179,13 @@ class StatisticsCatalog:
         :class:`repro.kg.delta.LiveGraph`, the triple keys written since
         the version the catalog holds
         (:meth:`~repro.kg.delta.LiveGraph.touched_since`) drop exactly the
-        stats, histograms and join cardinalities that read a pattern they
-        match; the rest — almost all, for a small delta — stay, and the
-        dropped ones rebuild lazily from the live match lists.  Graphs
+        stats and histograms that read a pattern they match, and the keys
+        whose membership changed
+        (:meth:`~repro.kg.delta.LiveGraph.membership_since`) the join
+        cardinalities — a count is an integer over row sets, which a
+        re-score or a compaction keeps.  The rest — almost all, for a
+        small delta — stay, and the dropped ones rebuild lazily from the
+        live match lists.  Graphs
         without a journal, or a journal that cannot answer, fall back to
         :meth:`invalidate`.  Returns ``{"dropped": ..., "kept": ...}``
         over the histogram cache for logging/tests.
@@ -186,11 +193,12 @@ class StatisticsCatalog:
         with self._lock:
             # Version first: a write racing this refresh shows next time.
             version = self._graph.version
-            touched_since = getattr(self._graph, "touched_since", None)
-            touched = touched_since(self._version) if touched_since else None
+            journal = hasattr(self._graph, "touched_since")
+            touched = self._graph.touched_since(self._version) if journal else None
+            moved = self._graph.membership_since(self._version) if journal else None
             self._version = version
             held = self._stats.keys() | self._histograms.keys()
-            if touched is None:
+            if touched is None or moved is None:
                 self.invalidate()
                 return {"dropped": len(held), "kept": 0}
             touched_keys = touched_pattern_keys(touched)
@@ -200,7 +208,7 @@ class StatisticsCatalog:
             for key in stale:
                 self._stats.pop(key, None)
                 self._histograms.pop(key, None)
-            self.cardinalities.drop_matching(touched_keys)
+            self.cardinalities.drop_matching(touched_pattern_keys(moved))
             return {"dropped": len(stale), "kept": len(self._histograms)}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -194,6 +194,10 @@ class TwoBucketHistogram:
         sigma = min(max(sigma, 0.0), hi * (1.0 - _MIN_REL_WIDTH))
         return cls(sigma=sigma, high=hi, beta=mass_fraction, count=count)
 
+    @property
+    def params(self) -> tuple:  # TwoBucketHistogram(*h.params) == h
+        return (self.sigma, self.high, self.beta, self.count)
+
     # ------------------------------------------------------------------
     # Density view
     # ------------------------------------------------------------------
@@ -339,6 +343,10 @@ class NBucketHistogram:
             high=1.0,
             count=m,
         )
+
+    @property
+    def params(self) -> tuple:  # NBucketHistogram(*h.params) == h
+        return (self.boundaries, self.masses, self.high, self.count)
 
     @cached_property
     def _density(self) -> PiecewiseConstantDensity:

@@ -64,28 +64,23 @@ class JoinCardinalityEstimator:
         # ``is None``, not truthiness: an empty store has length 0.
         self._lists = EncodedListStore() if encoded_store is None else encoded_store
         self._exact_cache: dict[frozenset[TriplePattern], int] = {}
-        self._distinct_cache: dict[tuple[PatternKey, str], int] = {}
+        #: Distinct values per ``(pattern.list_key(), column)``: the column
+        #: is the variable's position among the pattern's variables, so
+        #: ``(?s p ?o)`` and ``(?o p ?s)`` read their own columns.
+        self._distinct_cache: dict[tuple[tuple, int], int] = {}
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def cardinality(self, query: TriplePatternQuery) -> int:
-        """(Estimated) number of answers of *query*."""
+    def cardinality(
+        self, query: TriplePatternQuery | tuple[TriplePattern, ...]
+    ) -> int:
+        """(Estimated) number of answers of *query* (or of a tuple of
+        distinct patterns)."""
+        patterns = query if isinstance(query, tuple) else query.patterns
         if self.mode == "exact":
-            return self._exact_cardinality(query.patterns)
-        return self._independence_cardinality(query.patterns)
-
-    def selectivity(
-        self, left: Sequence[TriplePattern], right: TriplePattern
-    ) -> float:
-        """``φ`` such that ``|left ⋈ right| = |left| · m_right · φ``."""
-        left_q = TriplePatternQuery(tuple(left))
-        joint_q = TriplePatternQuery(tuple(left) + (right,))
-        n_left = self.cardinality(left_q)
-        denom = n_left * len(self._encoded(right))
-        if denom == 0:
-            return 0.0
-        return self.cardinality(joint_q) / denom
+            return self._exact_cardinality(patterns)
+        return self._independence_cardinality(patterns)
 
     def precompute(self, queries: Sequence[TriplePatternQuery]) -> int:
         """Warm the exact cache with the answer count of each of *queries*
@@ -107,9 +102,11 @@ class JoinCardinalityEstimator:
     def drop_matching(self, touched: AbstractSet[PatternKey]) -> None:
         """Forget every cached count that reads a pattern keyed in *touched*.
 
-        A count depends on its own patterns' match lists only, so after a
-        write that changed just the lists of the *touched* keys every
-        other entry is still exact.
+        A count depends on its own patterns' match-list *rows* only, so
+        after a write that changed just the row sets of the *touched* keys
+        every other entry is still exact; a write that only re-scored
+        rows changes no count, so callers pass the keys whose membership
+        changed.
         """
         for patterns in [
             patterns
@@ -117,7 +114,7 @@ class JoinCardinalityEstimator:
             if any(pattern.key() in touched for pattern in patterns)
         ]:
             del self._exact_cache[patterns]
-        for entry in [entry for entry in self._distinct_cache if entry[0] in touched]:
+        for entry in [e for e in self._distinct_cache if e[0][:3] in touched]:
             del self._distinct_cache[entry]
 
     def _encoded(self, pattern: TriplePattern) -> EncodedMatchList:
@@ -224,12 +221,16 @@ class JoinCardinalityEstimator:
     # Independence-assumption estimation
     # ------------------------------------------------------------------
     def _distinct_values(self, pattern: TriplePattern, variable: str) -> int:
-        cache_key = (pattern.key(), variable)
+        names = pattern.variable_names
+        if variable not in names:
+            return 0
+        # The variable's column, not its name: two patterns with one key
+        # may bind the same name at different positions.
+        cache_key = (pattern.list_key(), names.index(variable))
         cached = self._distinct_cache.get(cache_key)
         if cached is None:
             encoded = self._encoded(pattern)
-            column = dict(zip(encoded.var_names, encoded.columns)).get(variable)
-            cached = 0 if column is None else len(np.unique(column))
+            cached = len(np.unique(encoded.columns[cache_key[1]]))
             self._distinct_cache[cache_key] = cached
         return cached
 

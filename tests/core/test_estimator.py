@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.estimator import ExpectedScoreEstimator
+from repro.core.estimator import ExpectedScoreEstimator, memoised_expected_score
 from repro.errors import EstimationError
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
@@ -134,6 +134,8 @@ class TestCountIsReadFirst:
         monkeypatch.setattr("repro.core.estimator.convolve", touched)
         monkeypatch.setattr(TwoBucketHistogram, "refit", touched)
         monkeypatch.setattr(TwoBucketHistogram, "to_density", touched)
+        # A memoised score needs no density either: start from a miss.
+        memoised_expected_score.cache_clear()
 
     def test_rank_beyond_count_is_exactly_zero(self, estimator, no_densities):
         q = TriplePatternQuery((tp("t1"), tp("t2")))  # 6 answers

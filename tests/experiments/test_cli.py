@@ -89,7 +89,7 @@ class TestMain:
 
     def test_workload_auto_rows_read_block(self, capsys, monkeypatch):
         """Generated data is served from columns, so ``--executor auto``
-        runs the block pipeline on every row, cold and warm."""
+        runs the block pipeline on every row."""
         from repro.service import WorkloadRunner
 
         reports = []
@@ -102,22 +102,19 @@ class TestMain:
         monkeypatch.setattr(WorkloadRunner, "run", recording_run)
         code = main(
             ["workload", "--dataset", "xkg", "--scale", "small",
-             "--min-queries", "0", "--executor", "auto", "--mode", "both",
-             "--result-cache", "0"]
+             "--min-queries", "0", "--executor", "auto", "--result-cache", "0"]
         )
         assert code == 0
         assert "falls back" not in capsys.readouterr().out
-        assert [report.mode for report in reports] == ["cold", "warm"]
-        for report in reports:
-            assert {o.executor for o in report.outcomes} == {"block"}, report.mode
+        assert len(reports) == 1
+        assert {o.executor for o in reports[0].outcomes} == {"block"}
 
-    @pytest.mark.parametrize("mode", ["warm", "cold", "both"])
-    def test_workload_rejects_k_zero(self, capsys, mode):
+    def test_workload_rejects_k_zero(self, capsys):
         """``--k 0`` is an error, not the default k served under a header
         that says ``k=0``."""
         code = main(
             ["workload", "--dataset", "xkg", "--scale", "small",
-             "--min-queries", "0", "--k", "0", "--mode", mode]
+             "--min-queries", "0", "--k", "0"]
         )
         captured = capsys.readouterr()
         assert code == 2

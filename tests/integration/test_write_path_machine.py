@@ -12,12 +12,19 @@ and the caches that read it form a small data-aware transition system
 * every list the encoded store holds decodes — terms and score bytes —
   equal to a fresh build at the current version, so a list carried
   across a write or a compaction is never stale;
+* every decision in the runner's plan cache — relaxed indexes,
+  ``E_Q(k)`` and every tested ``E_Q'(1)``, to the bit — equals a fresh
+  planner's over a fresh catalog at the current version, computed
+  without the expected-score memo; so join counts a write kept, and
+  scores the memo served, are never stale;
 * no stored array is writable.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -31,6 +38,7 @@ from hypothesis.stateful import (
 
 from repro.core.config import EngineConfig
 from repro.core.engine import SpecQPEngine
+from repro.core.estimator import QueryDistribution
 from repro.core.plan import relaxation_inputs
 from repro.datasets.workload import Workload
 from repro.kg.columnar import ColumnarGraph, ColumnarStore
@@ -38,6 +46,7 @@ from repro.kg.delta import GraphUpdate
 from repro.kg.storage import load_snapshot_v2, save_snapshot_v2
 from repro.operators.block import EncodedMatchList, TermCodec, build_merged_match_list
 from repro.service import WorkloadRunner
+from repro.stats.order_statistics import expected_kth_score
 
 K = 5
 
@@ -45,6 +54,30 @@ K = 5
 def decoded(encoded: EncodedMatchList, codec: TermCodec) -> tuple:
     rows = [tuple(codec.decode(int(i)) for i in row) for row in zip(*encoded.columns)]
     return encoded.var_names, rows, encoded.scores.tobytes(), encoded.max_score
+
+
+def direct_score(distribution: QueryDistribution, rank: int) -> float:
+    if distribution.count <= 0 or distribution.count < rank:
+        return 0.0
+    return expected_kth_score(distribution.density, rank, distribution.count)
+
+
+@contextmanager
+def memo_less():
+    """PLANGEN with every expected score computed afresh."""
+    with mock.patch.object(QueryDistribution, "expected_score_at", direct_score):
+        yield
+
+
+def decision_values(decision) -> tuple:
+    return (
+        decision.relaxed_indexes,
+        decision.expected_kth_original.hex(),
+        tuple(
+            (d.pattern_index, d.tested_rule, d.expected_relaxed_top.hex(), d.relax)
+            for d in decision.per_pattern
+        ),
+    )
 
 
 class WritePathMachine(RuleBasedStateMachine):
@@ -89,6 +122,21 @@ class WritePathMachine(RuleBasedStateMachine):
         assert [(a.bindings, a.score) for a in served] == [
             (a.bindings, a.score) for a in expected
         ], query.name
+
+    @rule(
+        index=st.integers(min_value=0, max_value=63),
+        k=st.sampled_from([1, 3, K, 10]),
+    )
+    def plan(self, index: int, k: int) -> None:
+        """PLANGEN through the runner's warm planner (its refreshed
+        catalog and the memo) decides what a fresh one decides."""
+        query = self.workload.queries[index % len(self.workload.queries)]
+        with self.runner._gate.reader():
+            self.runner._prepare()
+            served = self.runner._worker_engine().planner.plan(query, k)
+        with memo_less():
+            expected = self.fresh()[1].planner.plan(query, k)
+        assert decision_values(served) == decision_values(expected), query.name
 
     @rule(
         seed=st.integers(min_value=0, max_value=2**16),
@@ -149,6 +197,15 @@ class WritePathMachine(RuleBasedStateMachine):
             else:
                 expected = EncodedMatchList.from_store(graph.store, key)
             assert decoded(held, codec) == decoded(expected, fresh_codec), key
+
+    @invariant()
+    def cached_plans_equal_a_fresh_planner(self) -> None:
+        planner = self.fresh()[1].planner
+        for key, decision in list(self.runner._plans.items()):
+            assert key[-1] == self.graph.version  # a write purges the rest
+            with memo_less():
+                expected = planner.plan(decision.plan.query, key[2])
+            assert decision_values(decision) == decision_values(expected), key
 
     @invariant()
     def stored_arrays_stay_read_only(self) -> None:

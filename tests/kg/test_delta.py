@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import KnowledgeGraphError
 from repro.kg.columnar import ID_DTYPE, ColumnarGraph, ColumnarStore
@@ -445,6 +447,77 @@ class TestTouchedSince:
         )
         assert live.touched_since(recent) is None
         assert live.touched_since(live.version) == frozenset()
+
+    def test_membership_changes_are_adds_of_new_triples_and_removes(self):
+        """A re-score of a live triple touches its key without moving it;
+        adding a triple that was not live, or removing one, moves it."""
+        live = LiveGraph(columnar_base())
+        start = live.version
+        live.apply_updates(
+            [
+                GraphUpdate.add("a", "p", "x", 7.0),  # re-score of a base triple
+                GraphUpdate.add("e", "p", "w", 1.0),  # new
+            ]
+        )
+        middle = live.version
+        live.apply_updates(
+            [
+                GraphUpdate.add("e", "p", "w", 2.0),  # re-score of a delta add
+                GraphUpdate.remove("c", "p", "z"),
+            ]
+        )
+        assert live.membership_since(start) == {("e", "p", "w"), ("c", "p", "z")}
+        assert live.membership_since(middle) == {("c", "p", "z")}
+        assert live.touched_since(middle) == {("e", "p", "w"), ("c", "p", "z")}
+        # Re-adding a removed triple moves it back.
+        live.apply_updates([GraphUpdate.add("c", "p", "z", 1.0)])
+        assert live.membership_since(live.version - 1) == {("c", "p", "z")}
+        # A compaction folds adds without changing the live triple set.
+        before = live.version
+        live.compact()
+        assert live.touched_since(before) == {
+            ("a", "p", "x"), ("e", "p", "w"), ("c", "p", "z")
+        }
+        assert live.membership_since(before) == frozenset()
+        assert live.membership_since(-1) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from("+-"),
+                    st.sampled_from("abcde"),
+                    st.sampled_from("pq"),
+                    st.sampled_from("xyzw"),
+                    st.integers(1, 9),
+                ),
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_membership_is_the_touched_keys_whose_liveness_flipped(self, batches):
+        """Over random batches and compactions, the membership set of each
+        step is within its touched set, and holds every key whose
+        liveness differs across the step."""
+        live = LiveGraph(columnar_base(), compact_threshold=5)
+        for batch in batches:
+            before_version = live.version
+            before = {t.spo for t in live.triples()}
+            live.apply_updates(
+                GraphUpdate.add(s, p, o, float(w))
+                if op == "+"
+                else GraphUpdate.remove(s, p, o)
+                for op, s, p, o, w in batch
+            )
+            after = {t.spo for t in live.triples()}
+            touched = live.touched_since(before_version)
+            moved = live.membership_since(before_version)
+            assert moved <= touched
+            assert before ^ after <= moved
+        assert live.membership_since(live.version) == frozenset()
 
     def test_catalog_refresh_handles_overflow(self, monkeypatch):
         from repro.kg import delta as delta_module

@@ -1,6 +1,12 @@
 """Unit tests for repro.kg.pattern."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import PatternError
 from repro.kg.pattern import TriplePattern, Variable, is_variable, var
@@ -117,3 +123,57 @@ class TestIdentity:
     def test_hashable(self):
         patterns = {TriplePattern(var("s"), "p", "o"), TriplePattern(var("s"), "p", "o")}
         assert len(patterns) == 1
+
+
+def computed_key(pattern):
+    """:meth:`TriplePattern.key` as computed on every call before the
+    keys were cached."""
+    return tuple(None if isinstance(t, Variable) else t for t in pattern.terms)
+
+
+def computed_list_key(pattern):
+    key = computed_key(pattern)
+    if key.count(None) < 2:
+        return key
+    repeated = pattern.repeated_positions
+    return key + (repeated,) if repeated else key
+
+
+#: A position: one of three variables (so repeats are common) or a constant.
+terms = st.one_of(
+    st.sampled_from(["x", "y", "z"]).map(Variable), st.sampled_from(["a", "p", "b"])
+)
+patterns = st.builds(TriplePattern, terms, terms, terms)
+
+
+class TestCachedKeys:
+    """The keys computed once at construction are the keys computed on
+    demand, and every way of copying a pattern keeps them right."""
+
+    @given(patterns)
+    def test_cached_keys_equal_the_computed_form(self, pattern):
+        assert pattern.key() == computed_key(pattern)
+        assert pattern.list_key() == computed_list_key(pattern)
+        assert pattern.list_key()[:3] == pattern.key()
+
+    @given(patterns, terms)
+    def test_keys_survive_pickling_copying_and_replace(self, pattern, term):
+        for copied in (
+            pickle.loads(pickle.dumps(pattern)),
+            copy.copy(pattern),
+            copy.deepcopy(pattern),
+        ):
+            assert copied == pattern and hash(copied) == hash(pattern)
+            assert copied.list_key() == computed_list_key(pattern)
+        replaced = dataclasses.replace(pattern, object=term)
+        assert replaced.key() == computed_key(replaced)
+        assert replaced.list_key() == computed_list_key(replaced)
+
+    def test_keys_stay_out_of_equality_and_repr(self):
+        pattern = TriplePattern(Variable("x"), "p", Variable("x"))
+        assert pattern.list_key() == (None, "p", None, ((0, 2),))
+        assert pattern == TriplePattern(Variable("x"), "p", Variable("x"))
+        assert pattern != TriplePattern(Variable("x"), "p", Variable("y"))
+        assert repr(pattern) == "TriplePattern(Variable('x'), 'p', Variable('x'))"
+        # Pickled as its three terms; loading validates them again.
+        assert pickle.loads(pickle.dumps(pattern)).list_key() == pattern.list_key()

@@ -1,9 +1,10 @@
-"""WorkloadRunner: batch execution, concurrency equivalence, cache modes."""
+"""WorkloadRunner: batch execution, concurrency equivalence, shared caches."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import SpecQPEngine
 from repro.errors import DatasetError, ExperimentError
 from repro.service import WorkloadRunner
 
@@ -31,8 +32,6 @@ def test_rejects_bad_arguments(tiny_xkg_workload):
     runner = WorkloadRunner(tiny_xkg_workload, shards=1)
     with pytest.raises(ExperimentError):
         runner.run([], k=5)
-    with pytest.raises(ExperimentError):
-        runner.run(mode="lukewarm")
 
 
 @pytest.mark.parametrize("model", ["process", "fibers"])
@@ -55,11 +54,10 @@ def test_rejects_bad_cache_capacity(tiny_xkg_workload, capacity):
 @pytest.mark.parametrize(
     "serve",
     [
-        lambda runner, query, k: runner.run([query], k=k, mode="warm"),
-        lambda runner, query, k: runner.run([query], k=k, mode="cold"),
+        lambda runner, query, k: runner.run([query], k=k),
         lambda runner, query, k: runner.execute_query(query, k=k),
     ],
-    ids=["warm", "cold", "execute_query"],
+    ids=["run", "execute_query"],
 )
 def test_nonpositive_k_is_rejected_not_defaulted(tiny_xkg_workload, serve):
     """``k=0`` is a bad k like ``k=-1``; only ``None`` means the config's k."""
@@ -80,7 +78,6 @@ def test_warm_run_reports_whole_batch(tiny_xkg_workload):
     report = runner.run(k=5)
 
     assert report.n_queries == len(tiny_xkg_workload.queries)
-    assert report.mode == "warm"
     assert report.dataset == tiny_xkg_workload.name
     assert report.wall_seconds > 0
     assert report.cache is not None and report.cache.lookups > 0
@@ -116,15 +113,31 @@ def test_concurrent_runs_match_sequential(tiny_xkg_workload):
     assert [o.query_name for o in conc_report.outcomes] == [q.name for q in queries]
 
 
-def test_cold_matches_warm_answers(tiny_xkg_workload):
-    runner = WorkloadRunner(tiny_xkg_workload)
-    comparison = runner.compare(k=5)
-    assert outcome_signature(comparison["warm"]) == outcome_signature(
-        comparison["cold"]
-    )
-    assert comparison["cold"].mode == "cold"
-    assert comparison["cold"].cache is None
-    assert comparison["speedup"] > 0
+def test_warm_answers_match_a_fresh_engine_per_query(tiny_xkg_workload):
+    """The shared caches must not change what the engine answers: every
+    query of a warm batch with repeats, and every answer
+    :meth:`~WorkloadRunner.execute_query` serves, equals a fresh
+    :meth:`SpecQPEngine.query` — the per-query path that builds its
+    catalog and lists from scratch."""
+    workload = tiny_xkg_workload
+    fresh = {
+        query.name: SpecQPEngine(workload.graph, workload.rules).query(query, 5)
+        for query in workload.queries
+    }
+    runner = WorkloadRunner(workload)
+    report = runner.run(workload.stretched(3 * len(workload.queries)), k=5)
+    # stretched() cycles the query set, so row i is query i % n again.
+    expected = [
+        (len(r.answers), r.plan.n_relaxed, round(r.answers[0].score, 9))
+        for r in (fresh[q.name] for q in workload.queries)
+    ]
+    assert outcome_signature(report) == 3 * expected
+    assert report.cache is not None and report.cache.hit_rate > 0.5
+    for query in workload.queries:
+        served = runner.execute_query(query, 5)
+        assert [(a.bindings, a.score) for a in served] == [
+            (a.bindings, a.score) for a in fresh[query.name].answers
+        ], query.name
 
 
 def test_plan_cache_can_be_disabled(tiny_xkg_workload):
@@ -403,22 +416,22 @@ def test_auto_serves_blocks_from_merged_lists_where_it_can(tiny_xkg_workload):
 
 
 @pytest.mark.parametrize("executor", ["auto", "block"])
-def test_cold_rows_name_the_pipeline_that_served_them(tiny_xkg_workload, executor):
+def test_rows_name_the_pipeline_that_served_them(tiny_xkg_workload, executor):
     """A report row names ``"tuple"`` or ``"block"`` — the pipeline that
-    ran — in cold mode as in warm, never the configured mode."""
+    ran — never the configured mode."""
     from repro.datasets.workload import Workload
     from repro.kg.columnar import ColumnarGraph
 
     columnar = Workload(
-        "cold-columnar",
-        ColumnarGraph.from_graph(tiny_xkg_workload.graph, name="cold"),
+        "rows-columnar",
+        ColumnarGraph.from_graph(tiny_xkg_workload.graph, name="rows"),
         tiny_xkg_workload.rules,
         tiny_xkg_workload.queries,
     )
     runner = WorkloadRunner(columnar, executor=executor, result_cache_capacity=0)
-    for mode in ("cold", "warm"):
-        report = runner.run(k=5, mode=mode)
-        assert {o.executor for o in report.outcomes} == {"block"}, mode
-    object_runner = WorkloadRunner(tiny_xkg_workload, executor=executor)
-    cold = object_runner.run(k=5, mode="cold")
-    assert {o.executor for o in cold.outcomes} == {"tuple"}
+    report = runner.run(k=5)
+    assert {o.executor for o in report.outcomes} == {"block"}
+    object_runner = WorkloadRunner(
+        tiny_xkg_workload, executor=executor, result_cache_capacity=0
+    )
+    assert {o.executor for o in object_runner.run(k=5).outcomes} == {"tuple"}

@@ -91,7 +91,6 @@ def test_as_dict_is_flat_and_complete(report):
     assert summary["p50_latency"] == pytest.approx(0.05)
     assert summary["plan_mix"]["exact"] == 4
     assert summary["cache"]["hit_rate"] == pytest.approx(0.75)
-    assert summary["mode"] == "warm"
 
 
 def test_render_mentions_everything(report):

@@ -156,6 +156,55 @@ class TestTargetedRefresh:
         assert live.compactions >= 1
         assert kept_some or mode == "independence"
 
+    def test_rescores_keep_every_count_and_moves_drop_theirs(self):
+        """A batch that only re-scores live triples keeps every cached join
+        count (each still equal to a fresh count) while it drops the
+        touched statistics; a remove or an add of a new triple drops the
+        counts that read its pattern, and only those."""
+        import random
+
+        from repro.kg.delta import GraphUpdate
+
+        rng = random.Random(5)
+        live = self._live(rng)
+        queries = self._queries()
+        catalog = StatisticsCatalog(live)
+        catalog.precompute(queries=queries)
+        for query in queries:
+            for n in range(1, len(query) + 1):
+                catalog.cardinality(query.subquery(query.patterns[:n]))
+        held = dict(catalog.cardinalities._exact_cache)
+        triples = sorted(live.triples(), key=lambda t: t.spo)
+        rescored = [t for t in triples if t.object in ("t0", "t3")][:4]
+        live.apply_updates(
+            [GraphUpdate.add(*t.spo, t.score + 1.0) for t in rescored]
+        )
+        summary = catalog.refresh()
+        assert summary["dropped"] >= 2  # t0's and t3's statistics
+        assert catalog.cardinalities._exact_cache == held
+        fresh = StatisticsCatalog(live.thaw())
+        for patterns, count in held.items():
+            assert count == fresh.cardinality(TriplePatternQuery(tuple(patterns)))
+
+        removed = next(t for t in triples if t.object == "t1")
+        live.apply_updates(
+            [
+                GraphUpdate.remove(*removed.spo),
+                GraphUpdate.add("brand-new", "rdf:type", "t4", 3.0),
+            ]
+        )
+        catalog.refresh()
+        survivors = catalog.cardinalities._exact_cache
+        moved = {"t1", "t4"}
+        assert set(survivors) == {
+            patterns
+            for patterns in held
+            if not any(p.object in moved for p in patterns)
+        }
+        fresh = StatisticsCatalog(live.thaw())
+        for query in queries:
+            assert catalog.cardinality(query) == fresh.cardinality(query)
+
     def test_journal_overflow_drops_every_count(self, monkeypatch):
         import random
 

@@ -91,12 +91,6 @@ class TestExactMode:
         assert est.cardinality(q) == 1
         assert est.cache_size == 1
 
-    def test_selectivity_definition(self, graph):
-        est = JoinCardinalityEstimator(graph, "exact")
-        phi = est.selectivity([tp("t1")], tp("t2"))
-        # |t1 ⋈ t2| = 2, |t1| = 3, m(t2) = 3 -> phi = 2/9
-        assert phi == pytest.approx(2 / 9)
-
     def test_chain_join_on_objects(self):
         kg = KnowledgeGraph()
         kg.add("a", "knows", "b")
@@ -322,3 +316,49 @@ class TestVectorisedCountCorners:
             frozenset((tp("t1"),)),
             frozenset((tp("t3"),)),
         }
+
+
+class TestDistinctValues:
+    """The independence estimate's distinct-value counts are cached per
+    pattern *column*, not per variable name."""
+
+    @pytest.fixture
+    def three(self):
+        kg = KnowledgeGraph()
+        for subject in ("a", "b", "c"):
+            kg.add(subject, "p", "x")
+        return kg
+
+    def test_swapped_names_read_their_own_columns(self, three):
+        forward = TriplePattern(var("s"), "p", var("o"))  # o: {x}
+        backward = TriplePattern(var("o"), "p", var("s"))  # o: {a, b, c}
+        fresh = JoinCardinalityEstimator(three, "independence")
+        assert fresh._distinct_values(backward, "o") == 3
+        warmed = JoinCardinalityEstimator(three, "independence")
+        assert warmed._distinct_values(forward, "o") == 1
+        assert warmed._distinct_values(backward, "o") == 3
+        assert warmed._distinct_values(backward, "s") == 1
+        assert warmed._distinct_values(backward, "absent") == 0
+
+    def test_a_diagonal_is_not_its_open_twin(self):
+        kg = KnowledgeGraph()
+        kg.add("a", "p", "a")
+        for subject, obj in (("a", "b"), ("b", "c"), ("c", "d")):
+            kg.add(subject, "p", obj)
+        open_ = TriplePattern(var("x"), "p", var("y"))
+        diagonal = TriplePattern(var("x"), "p", var("x"))
+        estimator = JoinCardinalityEstimator(kg, "independence")
+        assert estimator._distinct_values(open_, "x") == 3
+        assert estimator._distinct_values(diagonal, "x") == 1
+
+    def test_independence_counts_do_not_depend_on_what_was_counted_first(self, three):
+        backward = TriplePattern(var("o"), "p", var("s"))
+        query = TriplePatternQuery((backward, TriplePattern(var("o"), "q", var("z"))))
+        three.add("a", "q", "y")
+        fresh = JoinCardinalityEstimator(three, "independence").cardinality(query)
+        warmed = JoinCardinalityEstimator(three, "independence")
+        forward = TriplePattern(var("s"), "p", var("o"))
+        warmed.cardinality(
+            TriplePatternQuery((forward, TriplePattern(var("o"), "r", var("z"))))
+        )
+        assert warmed.cardinality(query) == fresh
