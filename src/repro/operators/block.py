@@ -619,6 +619,13 @@ class EncodedListStore:
     relaxed request pays for joins and the top-k sink only.  The per-rule input
     lists of a merge are never entries: a miss gathers them straight
     from the graph (:func:`build_merged_match_list`).
+
+    It keeps its own dict rather than sharing the service layer's
+    :class:`~repro.service.cache.VersionedLRU` core: eviction must unfile
+    the entry from the reader index, staleness is decided per read key
+    rather than by one version tag, and the store owns the codec its
+    entries are only meaningful under.  Sharing the core would make it
+    branch on its caller.
     """
 
     def __init__(self, capacity: int = 512) -> None:

@@ -1,21 +1,12 @@
-"""A shared, bounded, version-aware LRU cache for match lists.
+"""One bounded, version-tagged LRU core for every service-layer cache.
 
-The per-graph :class:`~repro.kg.index.PatternIndex` already memoises match
-lists, but its dict is unbounded, private to one graph object, and wiped
-wholesale on mutation.  Workload-scale serving wants the opposite trade:
-one bounded cache shared across every query of a batch (and across the
-engines of concurrent workers), with hit/miss statistics the
-:class:`~repro.service.report.WorkloadReport` can surface.
-
-:class:`MatchListCache` implements the
-:class:`~repro.kg.index.MatchListCacheHook` protocol: every ``get``/``put``
-carries the graph version, so entries built against an older graph simply
-miss and are replaced — no invalidation callback choreography needed.  On
-the first ``put`` at a newer version the cache additionally sweeps every
-superseded entry at once (:meth:`MatchListCache.purge_stale`), so a
-version bump reclaims memory eagerly instead of waiting out the LRU.
-All operations are guarded by a lock, making the cache safe to share
-between :class:`~concurrent.futures.ThreadPoolExecutor` workers.
+The runner caches match lists, PLANGEN decisions and whole answers, all
+through :class:`VersionedLRU`: every entry is tagged with the graph
+version it was built against, a ``get`` at another version misses and
+drops the entry, and the first ``put`` at a newer version sweeps every
+older entry at once (:meth:`~VersionedLRU.purge_stale`), so a version
+bump reclaims memory eagerly instead of waiting out the LRU.  A lock
+guards every operation, so workers of a thread pool share one cache.
 """
 
 from __future__ import annotations
@@ -24,11 +15,14 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Generic, Hashable, TypeVar
 
 from repro.errors import KnowledgeGraphError
-from repro.kg.index import ListKey, MatchList
+from repro.kg.index import MatchList
 
 DEFAULT_CAPACITY = 2048
+
+V = TypeVar("V")
 
 
 @dataclass(frozen=True)
@@ -68,7 +62,7 @@ class CacheStats:
         Size and capacity are point-in-time readings, so they come from
         ``self``; the monotone counters are differenced.  This is how
         :class:`~repro.service.runner.WorkloadRunner` attributes cache
-        activity (match-list and result caches alike) to one batch.
+        activity (match-list, plan and result caches alike) to one batch.
         """
         return CacheStats(
             hits=self.hits - before.hits,
@@ -80,18 +74,11 @@ class CacheStats:
         )
 
 
-class MatchListCache:
-    """Thread-safe LRU over score-sorted match lists, keyed by the
-    pattern's :meth:`~repro.kg.pattern.TriplePattern.list_key`.
+class VersionedLRU(Generic[V]):
+    """Thread-safe LRU of at most *capacity* version-tagged entries.
 
-    Parameters
-    ----------
-    capacity:
-        Maximum number of match lists retained; least recently used
-        entries are evicted beyond it.
-
-    >>> cache = MatchListCache(capacity=256)
-    >>> graph.attach_match_list_cache(cache)  # doctest: +SKIP
+    Entries dropped as stale, by a :meth:`get` or a sweep, count as
+    ``invalidations``.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -99,15 +86,131 @@ class MatchListCache:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: OrderedDict[ListKey, tuple[int, MatchList]] = OrderedDict()
-        self._owner: "weakref.ref[object] | None" = None
+        self._entries: OrderedDict[Hashable, tuple[int, V]] = OrderedDict()
         self._latest_version: int | None = None
         self._hits = 0
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
 
-    # ------------------------------------------------------------------
+    def get(self, key: Hashable, version: int) -> V | None:
+        """The value cached for *key* at *version*, or ``None``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self._misses += 1
+                return None
+            entry_version, value = entry
+            if entry_version != version:
+                # Built against another graph state: stale, drop it.
+                del self._entries[key]
+                self._invalidations += 1
+                self._misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self._hits += 1
+            return value
+
+    def put(self, key: Hashable, version: int, value: V) -> None:
+        """Cache *value* for *key*, tagged with *version*.
+
+        *version* must be captured **before** the value was computed: if
+        the graph moved on meanwhile, the entry lands tagged with the
+        superseded version and the next :meth:`get` discards it.  A late
+        put at an old version never sweeps newer entries.
+        """
+        with self._lock:
+            if self._latest_version is None or version > self._latest_version:
+                if self._latest_version is not None:
+                    self._purge_stale_locked(version)
+                self._latest_version = version
+            self._entries[key] = (version, value)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self._evictions += 1
+
+    def purge_stale(self, current_version: int) -> int:
+        """Drop every entry not tagged *current_version*; returns how many.
+
+        A writer (:meth:`repro.service.WorkloadRunner.apply_updates`)
+        calls this right after a mutation lands.
+        """
+        with self._lock:
+            if self._latest_version is None or current_version > self._latest_version:
+                self._latest_version = current_version
+            return self._purge_stale_locked(current_version)
+
+    def _purge_stale_locked(self, current_version: int) -> int:
+        stale = [
+            key
+            for key, (version, _) in self._entries.items()
+            if version != current_version
+        ]
+        for key in stale:
+            del self._entries[key]
+        self._invalidations += len(stale)
+        return len(stale)
+
+    def clear(self) -> None:
+        """Drop every entry and the version floor; counters survive.
+
+        For when versions stop meaning what they did (the served graph
+        object is replaced): afterwards a put at any version is accepted.
+        """
+        with self._lock:
+            self._forget_locked()
+
+    def _forget_locked(self) -> None:
+        self._entries.clear()
+        self._latest_version = None
+
+    def items(self) -> list[tuple[Hashable, int, V]]:
+        """A snapshot of ``(key, version, value)``, least recent first."""
+        with self._lock:
+            return [
+                (key, version, value)
+                for key, (version, value) in self._entries.items()
+            ]
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def __contains__(self, key: object) -> bool:
+        with self._lock:
+            return key in self._entries
+
+    def stats(self) -> CacheStats:
+        with self._lock:
+            return CacheStats(
+                hits=self._hits,
+                misses=self._misses,
+                evictions=self._evictions,
+                invalidations=self._invalidations,
+                size=len(self._entries),
+                capacity=self.capacity,
+            )
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        s = self.stats()
+        return (
+            f"{type(self).__name__}(size={s.size}/{s.capacity}, hits={s.hits}, "
+            f"misses={s.misses}, hit_rate={s.hit_rate:.2f})"
+        )
+
+
+class MatchListCache(VersionedLRU[MatchList]):
+    """Score-sorted match lists keyed by the pattern's
+    :meth:`~repro.kg.pattern.TriplePattern.list_key`, for one graph: the
+    bounded, shared :class:`~repro.kg.index.MatchListCacheHook`.
+
+    >>> cache = MatchListCache(capacity=256)
+    >>> graph.attach_match_list_cache(cache)  # doctest: +SKIP
+    """
+
+    _owner: "weakref.ref[object] | None" = None
+
     def bind(self, owner: object) -> None:
         """Tie this cache to one graph (called on attach).
 
@@ -126,8 +229,7 @@ class MatchListCache:
                         "MatchListCache is already attached to a different "
                         "graph; use one cache per graph"
                     )
-                self._entries.clear()  # old owner is gone, entries are orphans
-                self._latest_version = None
+                self._forget_locked()  # old owner is gone, entries are orphans
             self._owner = weakref.ref(owner)
 
     def release(self, owner: object) -> None:
@@ -145,104 +247,5 @@ class MatchListCache:
                 return
             previous = self._owner()
             if previous is None or previous is owner:
-                self._entries.clear()
-                self._latest_version = None
+                self._forget_locked()
                 self._owner = None
-
-    # ------------------------------------------------------------------
-    # MatchListCacheHook protocol
-    # ------------------------------------------------------------------
-    def get(self, key: ListKey, version: int) -> MatchList | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            entry_version, match_list = entry
-            if entry_version != version:
-                # Built against another graph state: stale, drop it.
-                del self._entries[key]
-                self._invalidations += 1
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return match_list
-
-    def put(self, key: ListKey, version: int, match_list: MatchList) -> None:
-        with self._lock:
-            if self._latest_version is None or version > self._latest_version:
-                # First put at a newer graph version: eagerly sweep every
-                # entry built against a superseded version instead of
-                # letting them linger until LRU eviction or a stale get.
-                if self._latest_version is not None:
-                    self._purge_stale_locked(version)
-                self._latest_version = version
-            self._entries[key] = (version, match_list)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-
-    def purge_stale(self, current_version: int) -> int:
-        """Eagerly drop every entry not built against *current_version*.
-
-        Counted as invalidations (they are — the graph moved on), same
-        as the lazy per-``get`` drops.  Returns how many entries went.
-        Also called automatically by :meth:`put` on a version bump;
-        explicit calls let a writer (e.g.
-        :meth:`repro.service.WorkloadRunner.apply_updates`) reclaim the
-        memory before any new list is built.
-        """
-        with self._lock:
-            if self._latest_version is None or current_version > self._latest_version:
-                self._latest_version = current_version
-            return self._purge_stale_locked(current_version)
-
-    def _purge_stale_locked(self, current_version: int) -> int:
-        stale = [
-            key
-            for key, (version, _) in self._entries.items()
-            if version != current_version
-        ]
-        for key in stale:
-            del self._entries[key]
-        self._invalidations += len(stale)
-        return len(stale)
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: object) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def clear(self) -> None:
-        """Drop all entries (counters are kept; see :meth:`reset_stats`)."""
-        with self._lock:
-            self._entries.clear()
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self._hits = self._misses = 0
-            self._evictions = self._invalidations = 0
-
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                invalidations=self._invalidations,
-                size=len(self._entries),
-                capacity=self.capacity,
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        s = self.stats()
-        return (
-            f"MatchListCache(size={s.size}/{s.capacity}, hits={s.hits}, "
-            f"misses={s.misses}, hit_rate={s.hit_rate:.2f})"
-        )

@@ -1,26 +1,12 @@
 """A versioned whole-answer top-k result cache (the serving fast path).
 
-The match-list cache (PR 1) amortises *sorting*, the plan cache
-amortises *planning*, the encoded-list store (PR 5) amortises
-*encoding* — but a repeated query still walks the whole operator
-pipeline every time.  Served traffic is dominated by exact repeats, and
-under the paper's exact threshold semantics a top-k answer set is a pure
-function of ``(graph state, planning inputs, query, k)``.  So the final
-level of the hierarchy caches whole answers: a hit skips planning and
-execution entirely and costs one dict lookup.
-
-Soundness rests on the same discipline as every other cache in the
-service layer — the graph's monotone version counter:
-
-* every :meth:`ResultCache.put` is tagged with the graph version the
-  answers were computed at (captured *before* execution started);
-* every :meth:`ResultCache.get` carries the current version and misses
-  on any mismatch, so a mutated graph can never serve yesterday's
-  answers;
-* :meth:`~repro.service.runner.WorkloadRunner.apply_updates` eagerly
-  sweeps the cache (:meth:`ResultCache.purge_stale`) under its writer
-  gate, so by the time a post-update batch is admitted, nothing stale is
-  even resident.
+Under the paper's exact threshold semantics a top-k answer set is a pure
+function of ``(graph state, planning inputs, query, k)``, and served
+traffic is dominated by exact repeats.  So the last cache level holds
+whole answers: a hit skips planning and execution entirely and costs one
+dict lookup.  Coherence is the :class:`~repro.service.cache.VersionedLRU`
+discipline every service cache shares; the runner tags each entry with
+the graph version captured *before* execution.
 
 Cache-key canonicalization (see :func:`result_key`): two requests share
 an entry exactly when they are the same query under the repo's query
@@ -37,14 +23,12 @@ alike — the signature deliberately excludes the executor.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable
 
 from repro.query.answer import Answer
 from repro.query.query import TriplePatternQuery
-from repro.service.cache import CacheStats
+from repro.service.cache import VersionedLRU
 
 #: Entry bound of the runner's whole-answer cache.  Entries are small
 #: (k answers, not match lists), so the default is roomier than the
@@ -94,125 +78,9 @@ class CachedResult:
         return self.answers[0].score if self.answers else 0.0
 
 
-class ResultCache:
-    """Thread-safe, bounded, version-aware LRU over whole top-k answers.
-
-    The structural twin of :class:`~repro.service.cache.MatchListCache`,
-    one level up: keys are canonical ``(query, k, plan signature)``
-    triples (:func:`result_key`) instead of pattern keys, values are
-    :class:`CachedResult` entries instead of match lists.  Staleness is
-    version-driven — entries tagged with another graph version miss and
-    are dropped lazily on :meth:`get`, swept eagerly on the first
-    :meth:`put` at a newer version, and swept explicitly by the writer
-    path through :meth:`purge_stale`.
-    """
+class ResultCache(VersionedLRU[CachedResult]):
+    """The whole-answer level: :class:`CachedResult` entries keyed by
+    :func:`result_key`, with a roomier default capacity."""
 
     def __init__(self, capacity: int = DEFAULT_RESULT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[ResultKey, tuple[int, CachedResult]] = (
-            OrderedDict()
-        )
-        self._latest_version: int | None = None
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._invalidations = 0
-
-    # ------------------------------------------------------------------
-    def get(self, key: ResultKey, version: int) -> CachedResult | None:
-        """The cached answers for *key* at graph *version*, or ``None``."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            entry_version, result = entry
-            if entry_version != version:
-                # Computed against another graph state: stale, drop it.
-                del self._entries[key]
-                self._invalidations += 1
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return result
-
-    def put(self, key: ResultKey, version: int, result: CachedResult) -> None:
-        """Cache *result* as the answers of *key* at graph *version*.
-
-        *version* must be the version captured **before** the query
-        executed: if the graph moved on mid-flight, the entry lands
-        tagged with the superseded version and the next :meth:`get`
-        discards it — a racing writer can delay a hit, never corrupt one.
-        """
-        with self._lock:
-            if self._latest_version is None or version > self._latest_version:
-                if self._latest_version is not None:
-                    self._purge_stale_locked(version)
-                self._latest_version = version
-            self._entries[key] = (version, result)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-
-    def purge_stale(self, current_version: int) -> int:
-        """Eagerly drop every entry not computed at *current_version*.
-
-        Called under the runner's writer gate right after a mutation
-        batch lands, so post-update readers start from a cache that
-        holds only current-version entries (or nothing).  Returns how
-        many entries went.
-        """
-        with self._lock:
-            if self._latest_version is None or current_version > self._latest_version:
-                self._latest_version = current_version
-            return self._purge_stale_locked(current_version)
-
-    def _purge_stale_locked(self, current_version: int) -> int:
-        stale = [
-            key
-            for key, (version, _) in self._entries.items()
-            if version != current_version
-        ]
-        for key in stale:
-            del self._entries[key]
-        self._invalidations += len(stale)
-        return len(stale)
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: object) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def clear(self) -> None:
-        """Drop all entries (counters survive; used when the served graph
-        object itself is replaced, e.g. the runner's frozen → live wrap)."""
-        with self._lock:
-            self._entries.clear()
-            self._latest_version = None
-
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                invalidations=self._invalidations,
-                size=len(self._entries),
-                capacity=self.capacity,
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        s = self.stats()
-        return (
-            f"ResultCache(size={s.size}/{s.capacity}, hits={s.hits}, "
-            f"misses={s.misses}, hit_rate={s.hit_rate:.2f})"
-        )
+        super().__init__(capacity)

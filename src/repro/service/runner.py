@@ -10,8 +10,9 @@ owns that sharing:
   precomputed over the workload's patterns) once, refreshed as the graph moves;
 * one :class:`~repro.service.cache.MatchListCache` attached to the graph,
   so identical triple patterns across queries never re-sort;
-* one plan cache: PLANGEN is deterministic given the catalog, so repeated
-  queries (the normal case in served traffic) skip planning entirely;
+* one plan cache: PLANGEN is deterministic given the catalog and the
+  rules, so repeated queries (the normal case in served traffic) skip
+  planning entirely;
 * optionally a :class:`~concurrent.futures.ThreadPoolExecutor`, with one
   :class:`~repro.core.engine.SpecQPEngine` per worker thread (operator
   state is per-query, planner/executor objects per worker) over the shared
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Iterable, Sequence
@@ -40,7 +40,7 @@ from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.operators.block import EncodedListStore
 from repro.query.answer import Answer
 from repro.query.query import TriplePatternQuery
-from repro.service.cache import DEFAULT_CAPACITY, MatchListCache
+from repro.service.cache import DEFAULT_CAPACITY, MatchListCache, VersionedLRU
 from repro.service.report import QueryOutcome, WorkloadReport
 from repro.service.result_cache import (
     DEFAULT_RESULT_CAPACITY,
@@ -115,13 +115,9 @@ class WorkloadRunner:
         ~2 400 on 2 and ~1 900–2 200 on 4.
     cache_capacity:
         Entry bound of the shared :class:`MatchListCache` (and of the
-        encoded list store and the plan cache); must be ``>= 1``.
-    plan_cache:
-        Reuse PLANGEN decisions for structurally identical ``(query, k)``
-        repeats.  Sound because planning only reads the (shared, warm)
-        catalog; disable to force a fresh PLANGEN run per query.  Bounded
-        to ``cache_capacity`` entries (LRU), like the match-list cache;
-        each entry is the whole :class:`~repro.core.planner.PlannerDecision`.
+        encoded list store and the plan cache); must be ``>= 1``.  The
+        plan cache holds whole :class:`~repro.core.planner.PlannerDecision`
+        entries for structurally identical ``(query, k)`` repeats.
     shards:
         Accepts only ``1``; any other value raises.  It stays only for
         ``bench/bench_serve.py``, which passes ``shards=1``, until ROADMAP
@@ -165,11 +161,14 @@ class WorkloadRunner:
     :meth:`apply_updates` enforces that: batches and update batches go
     through a reader-writer gate, so in-flight queries finish on the old
     graph version before the write lands and the version bump drives
-    every invalidation (match-list cache sweep, plan cache clear,
+    every invalidation (match-list, plan and result cache sweeps,
     targeted list-store and catalog refresh).  External mutations
     between batches are still picked up automatically: the caches are
-    version-aware, plans are cached per graph version, and the catalog
-    refreshes itself whenever the graph version moved.
+    version-tagged and the catalog refreshes itself whenever the graph
+    version moved.  Rules added to the workload's
+    :class:`~repro.relax.rules.RuleSet` are picked up too: plans are
+    keyed on :attr:`RuleSet.version <repro.relax.rules.RuleSet.version>`
+    and answers on the rule set's content.
     """
 
     def __init__(
@@ -178,7 +177,6 @@ class WorkloadRunner:
         config: EngineConfig | None = None,
         n_workers: int = 1,
         cache_capacity: int = DEFAULT_CAPACITY,
-        plan_cache: bool = True,
         shards: int = 1,
         compact_threshold: int | None = None,
         executor: ExecutorMode = "tuple",
@@ -208,7 +206,6 @@ class WorkloadRunner:
         self.n_workers = n_workers
         self._graph = workload.graph
         self.cache = MatchListCache(cache_capacity)
-        self.plan_cache = plan_cache
         self.compact_threshold = compact_threshold
         self._executor: ExecutorMode = executor
         #: The whole-answer cache in front of both executors (``None``
@@ -218,24 +215,13 @@ class WorkloadRunner:
         self.result_cache: ResultCache | None = (
             ResultCache(result_cache_capacity) if result_cache_capacity else None
         )
-        # Everything besides (query, k, graph version) that determines
-        # the answers: the rule set's content and the planner-relevant
-        # config.  Rules and config are fixed for a runner's lifetime
-        # (like the plan cache, the runner does not support mutating the
-        # workload's RuleSet in place), so this is computed once.  The
-        # executor is deliberately absent — answers are byte-identical
-        # across pipelines, one entry serves them all.
-        self._plan_signature = (
-            frozenset(workload.rules),
-            self.config,
-        )
+        self._plan_signature: tuple[int, object] = (-1, None)  # see _signature
         #: The block twin of :attr:`cache`, shared by every worker
         #: engine: one bounded store of encoded (id-column) match lists,
         #: so a pattern is encoded once per runner until a write touches it.
         self.encoded_store = EncodedListStore(cache_capacity)
-        self._plans: OrderedDict[object, PlannerDecision] = OrderedDict()
-        self._plan_hits = 0
-        self._plan_lock = threading.Lock()
+        #: PLANGEN decisions, keyed like answers plus executor mode.
+        self._plans: VersionedLRU[PlannerDecision] = VersionedLRU(cache_capacity)
         self._catalog: StatisticsCatalog | None = None
         self._local = threading.local()
         self._gate = _BatchGate()
@@ -394,7 +380,7 @@ class WorkloadRunner:
     ) -> WorkloadReport:
         warmup_seconds = self._prepare(queries)
         stats_before = self.cache.stats()
-        plan_hits_before = self._plan_hits
+        plans_before = self._plans.stats()
         result_before = (
             self.result_cache.stats() if self.result_cache is not None else None
         )
@@ -412,10 +398,11 @@ class WorkloadRunner:
                 outcomes = list(pool.map(lambda q: self._execute_warm(q, k), queries))
         wall = time.perf_counter() - started
 
+        plans = self._plans.stats().since(plans_before)
         extras: dict[str, object] = {
             "executor": self._executor,
-            "plan_cache_hits": self._plan_hits - plan_hits_before,
-            "plan_cache_size": len(self._plans),
+            "plan_cache_hits": plans.hits,
+            "plan_cache_size": plans.size,
         }
         if result_before is not None:
             result_delta = self.result_cache.stats().since(result_before)
@@ -470,6 +457,29 @@ class WorkloadRunner:
     def _execute_warm(self, query: TriplePatternQuery, k: int) -> QueryOutcome:
         return self._serve_warm(query, k)[0]
 
+    def _signature(self) -> tuple[int, object]:
+        """The rules' version and the plan signature taken at it.
+
+        The signature is everything besides (query, k, graph version)
+        that determines the answers: the rule set's content and the
+        config; not the executor, since answers are byte-identical across
+        pipelines.  It is rebuilt only when ``RuleSet.version`` moved, so
+        result-cache hits compare it by identity.
+        """
+        rules = self.workload.rules
+        version = rules.version  # read before the copy: a racing add re-keys
+        state = self._plan_signature
+        if state[0] != version:
+            state = self._plan_signature = (version, (frozenset(rules), self.config))
+        return state
+
+    def _plan_key(
+        self, query: TriplePatternQuery, k: int, rules_version: int
+    ) -> tuple:
+        """The canonical query and k, the rules' version, and the executor
+        *mode*: toggling ``executor=`` never replays the other's plans."""
+        return result_key(query, k, (self._executor, rules_version))
+
     def _serve_warm(
         self, query: TriplePatternQuery, k: int
     ) -> tuple[QueryOutcome, tuple[Answer, ...]]:
@@ -493,8 +503,11 @@ class WorkloadRunner:
         # tag their entries with the superseded version and the next
         # lookup misses them — stale answers and plans cannot stick.
         version = self.graph.version
+        rules_version, signature = self._plan_signature
+        if rules_version != self.workload.rules.version:
+            rules_version, signature = self._signature()
         if self.result_cache is not None:
-            rkey = result_key(query, k, self._plan_signature)
+            rkey = result_key(query, k, signature)
             cached = self.result_cache.get(rkey, version)
             if cached is not None:
                 seconds = time.perf_counter() - started
@@ -510,28 +523,12 @@ class WorkloadRunner:
                     executor="cached",
                 )
                 return outcome, cached.answers
-        decision = None
         kind = engine.resolve_executor(query).executor
-        if self.plan_cache:
-            # The executor *mode* is part of the key, so toggling
-            # ``executor=`` on a shared runner can never replay a plan
-            # cached under the other mode; so is the graph version.
-            key = (
-                frozenset(query.patterns), query.projection, k, self._executor, version
-            )
-            with self._plan_lock:
-                decision = self._plans.get(key)
-                if decision is not None:
-                    self._plans.move_to_end(key)
-                    self._plan_hits += 1
+        pkey = self._plan_key(query, k, rules_version)
+        decision = self._plans.get(pkey, version)
         if decision is None:
             decision = engine.planner.plan(query, k)
-            if self.plan_cache:
-                with self._plan_lock:
-                    self._plans[key] = decision
-                    self._plans.move_to_end(key)
-                    while len(self._plans) > self.cache.capacity:
-                        self._plans.popitem(last=False)
+            self._plans.put(pkey, version, decision)
         plan = decision.plan
         execution = engine.executor.execute(plan, k, executor=kind)
         if rkey is not None:
@@ -623,8 +620,7 @@ class WorkloadRunner:
                 if self.result_cache is not None
                 else 0
             )
-            with self._plan_lock:
-                self._plans.clear()
+            self._plans.purge_stale(live.version)
             lists = self.encoded_store.refresh(live)
             refreshed = {"dropped": 0, "kept": 0}
             if self._catalog is not None:

@@ -1,10 +1,11 @@
 """A state machine over the served write path.
 
-Reads, update batches and compactions interleave in any order over a
-:class:`~repro.service.WorkloadRunner` serving a tiny XKG ``.kg2``
-snapshot.  The writer gate, the versioned graph, the touched-key journal
-and the caches that read it form a small data-aware transition system
-(in the sense of DB-nets); its invariants are checked after every step:
+Reads, update batches, compactions and rule adds interleave in any order
+over a :class:`~repro.service.WorkloadRunner` serving a tiny XKG ``.kg2``
+snapshot.  The writer gate, the versioned graph, the touched-key journal,
+the versioned rule set and the caches that read them form a small
+data-aware transition system (in the sense of DB-nets); its invariants
+are checked after every step:
 
 * every read equals a fresh engine over
   ``ColumnarStore.from_triples(graph.triples())`` at that version;
@@ -17,6 +18,11 @@ and the caches that read it form a small data-aware transition system
   planner's over a fresh catalog at the current version, computed
   without the expected-score memo; so join counts a write kept, and
   scores the memo served, are never stale;
+* every answer set in the runner's result cache equals a fresh engine's;
+* every plan and answer entry is tagged with the current graph version.
+  The two checks above cover the entries a request would find now, by
+  the keys the runner builds; one keyed under a superseded rule set is
+  never served again;
 * no stored array is writable.
 """
 
@@ -45,7 +51,8 @@ from repro.kg.columnar import ColumnarGraph, ColumnarStore
 from repro.kg.delta import GraphUpdate
 from repro.kg.storage import load_snapshot_v2, save_snapshot_v2
 from repro.operators.block import EncodedMatchList, TermCodec, build_merged_match_list
-from repro.service import WorkloadRunner
+from repro.relax.rules import RelaxationRule, RuleSet
+from repro.service import WorkloadRunner, result_key
 from repro.stats.order_statistics import expected_kth_score
 
 K = 5
@@ -69,6 +76,10 @@ def memo_less():
         yield
 
 
+def answer_values(answers) -> list[tuple]:
+    return [(answer.bindings, answer.score) for answer in answers]
+
+
 def decision_values(decision) -> tuple:
     return (
         decision.relaxed_indexes,
@@ -89,8 +100,10 @@ class WritePathMachine(RuleBasedStateMachine):
         super().__init__()
         graph = load_snapshot_v2(self.snapshot, mmap=True)
         workload = self.workload
+        # The machine's own copy: add_rule must not touch the shared fixture.
+        self.rules = RuleSet(list(workload.rules))
         self.runner = WorkloadRunner(
-            Workload(workload.name, graph, workload.rules, workload.queries),
+            Workload(workload.name, graph, self.rules, workload.queries),
             config=EngineConfig(k=K),
             executor="block",
             compact_threshold=24,
@@ -104,24 +117,41 @@ class WritePathMachine(RuleBasedStateMachine):
         return self.runner.graph
 
     def fresh(self) -> tuple[ColumnarGraph, SpecQPEngine]:
-        """A graph and engine built from scratch at the current version."""
-        if self._fresh is None or self._fresh[0] != self.graph.version:
+        """A graph and engine built from scratch at the current graph and
+        rule-set versions."""
+        state = (self.graph.version, self.rules.version)
+        if self._fresh is None or self._fresh[0] != state:
             graph = ColumnarGraph(ColumnarStore.from_triples(self.graph.triples()))
             engine = SpecQPEngine(
-                graph, self.workload.rules, self.runner.config, executor="block"
+                graph, self.rules, self.runner.config, executor="block"
             )
-            self._fresh = (self.graph.version, graph, engine)
+            self._fresh = (state, graph, engine, {})
         return self._fresh[1], self._fresh[2]
+
+    def served_keys(self, key_of) -> dict:
+        """``key_of(query, k)`` -> ``(query, k)`` for every request the
+        machine makes: the cache keys a request would find now."""
+        return {
+            key_of(query, k): (query, k)
+            for query in self.workload.queries
+            for k in (1, 3, K, 10)
+        }
+
+    def expected(self, query, k: int) -> list[tuple]:
+        """The fresh engine's answers, memoised until a version moves."""
+        engine = self.fresh()[1]
+        memo = self._fresh[3]
+        key = (query, k)
+        if key not in memo:
+            memo[key] = answer_values(engine.query(query, k).answers)
+        return memo[key]
 
     # ------------------------------------------------------------------
     @rule(index=st.integers(min_value=0, max_value=63))
     def read(self, index: int) -> None:
         query = self.workload.queries[index % len(self.workload.queries)]
         served = self.runner.execute_query(query, K)
-        expected = self.fresh()[1].query(query, K).answers
-        assert [(a.bindings, a.score) for a in served] == [
-            (a.bindings, a.score) for a in expected
-        ], query.name
+        assert answer_values(served) == self.expected(query, K), query.name
 
     @rule(
         index=st.integers(min_value=0, max_value=63),
@@ -169,6 +199,30 @@ class WritePathMachine(RuleBasedStateMachine):
         self.runner.apply_updates(batch)
         assert self.graph.version > before
 
+    @rule(
+        index=st.integers(min_value=0, max_value=63),
+        position=st.integers(min_value=0, max_value=3),
+        pick=st.integers(min_value=0, max_value=2**16),
+        weight=st.sampled_from([0.3, 0.6, 0.9, 1.0]),
+    )
+    def add_rule(self, index: int, position: int, pick: int, weight: float) -> None:
+        """Relax one of a query's patterns into some other rule's range
+        (or re-weigh a rule it already has), in place in the served set."""
+        query = self.workload.queries[index % len(self.workload.queries)]
+        domain = query.patterns[position % len(query.patterns)]
+        ranges = sorted(
+            {
+                rule.range
+                for rule in self.workload.rules
+                if rule.range != domain
+                and set(rule.range.variable_names) == set(domain.variable_names)
+            },
+            key=str,
+        )
+        before = self.rules.version
+        self.rules.add(RelaxationRule(domain, ranges[pick % len(ranges)], weight))
+        assert self.rules.version > before
+
     @precondition(lambda self: getattr(self.graph, "delta_size", 0) > 0)
     @rule()
     def compact(self) -> None:
@@ -190,7 +244,9 @@ class WritePathMachine(RuleBasedStateMachine):
         fresh_codec = TermCodec(graph.store)
         for key, held in list(store._lists.items()):
             if isinstance(key, tuple):  # a merged list: (pattern, variant)
-                pattern, (cap, rules, _) = key
+                pattern, (cap, rules, rules_version) = key
+                if rules_version != rules.version:
+                    continue  # merged under a superseded rule set
                 expected = build_merged_match_list(
                     graph, relaxation_inputs(pattern, rules, cap), fresh_codec
                 )
@@ -201,11 +257,28 @@ class WritePathMachine(RuleBasedStateMachine):
     @invariant()
     def cached_plans_equal_a_fresh_planner(self) -> None:
         planner = self.fresh()[1].planner
-        for key, decision in list(self.runner._plans.items()):
-            assert key[-1] == self.graph.version  # a write purges the rest
-            with memo_less():
-                expected = planner.plan(decision.plan.query, key[2])
-            assert decision_values(decision) == decision_values(expected), key
+        rules_version = self.runner._signature()[0]
+        served = self.served_keys(
+            lambda query, k: self.runner._plan_key(query, k, rules_version)
+        )
+        for key, version, decision in self.runner._plans.items():
+            assert version == self.graph.version  # a write purges the rest
+            if key in served:
+                with memo_less():
+                    expected = planner.plan(*served[key])
+                assert decision_values(decision) == decision_values(expected), key
+
+    @invariant()
+    def cached_answers_equal_a_fresh_engine(self) -> None:
+        signature = self.runner._signature()[1]
+        served = self.served_keys(
+            lambda query, k: result_key(query, k, signature)
+        )
+        for key, version, cached in self.runner.result_cache.items():
+            assert version == self.graph.version  # a write purges the rest
+            if key in served:
+                expected = self.expected(*served[key])
+                assert answer_values(cached.answers) == expected, key
 
     @invariant()
     def stored_arrays_stay_read_only(self) -> None:

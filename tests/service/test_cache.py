@@ -1,4 +1,5 @@
-"""MatchListCache: LRU behaviour, statistics, version-aware invalidation."""
+"""MatchListCache over a graph: binding, attach/detach, version-driven
+invalidation.  The LRU contract itself is in ``test_versioned_lru.py``."""
 
 from __future__ import annotations
 
@@ -13,42 +14,6 @@ VAR = Variable("s")
 
 def pattern(type_name: str) -> TriplePattern:
     return TriplePattern(VAR, "rdf:type", type_name)
-
-
-def test_capacity_must_be_positive():
-    with pytest.raises(ValueError):
-        MatchListCache(capacity=0)
-
-
-def test_hit_miss_counting(music_graph):
-    cache = MatchListCache(capacity=8)
-    music_graph.attach_match_list_cache(cache)
-
-    first = music_graph.match_list(pattern("singer"))
-    second = music_graph.match_list(pattern("singer"))
-    assert first is second  # served from cache, not re-sorted
-
-    stats = cache.stats()
-    assert stats.hits == 1
-    assert stats.misses == 1
-    assert stats.hit_rate == 0.5
-    assert stats.size == 1
-
-
-def test_lru_eviction_order(music_graph):
-    cache = MatchListCache(capacity=2)
-    music_graph.attach_match_list_cache(cache)
-
-    music_graph.match_list(pattern("singer"))    # [singer]
-    music_graph.match_list(pattern("lyricist"))  # [singer, lyricist]
-    music_graph.match_list(pattern("singer"))    # [lyricist, singer] (hit)
-    music_graph.match_list(pattern("writer"))    # evicts lyricist
-
-    stats = cache.stats()
-    assert stats.evictions == 1
-    assert stats.size == 2
-    assert pattern("singer").key() in cache
-    assert pattern("lyricist").key() not in cache
 
 
 def test_graph_mutation_invalidates_entries(music_graph):
@@ -138,49 +103,6 @@ def test_invalidate_caches_clears_attached_external_cache(music_graph):
     assert cache.stats().hits == 0  # rebuilt, not served stale
 
 
-def test_version_bump_put_sweeps_stale_entries(music_graph):
-    """The first put at a newer graph version purges every superseded
-    entry at once instead of leaving them to LRU eviction."""
-    cache = MatchListCache(capacity=8)
-    music_graph.attach_match_list_cache(cache)
-
-    music_graph.match_list(pattern("singer"))
-    music_graph.match_list(pattern("lyricist"))
-    assert len(cache) == 2
-
-    music_graph.add("newcomer", "rdf:type", "writer", score=5.0)
-    # One rebuild at the new version: the other old entry must go too.
-    music_graph.match_list(pattern("writer"))
-    assert len(cache) == 1
-    stats = cache.stats()
-    assert stats.invalidations == 2  # both stale entries swept eagerly
-    assert pattern("singer").key() not in cache
-    assert pattern("lyricist").key() not in cache
-
-
-def test_purge_stale_explicit(music_graph):
-    cache = MatchListCache(capacity=8)
-    music_graph.attach_match_list_cache(cache)
-    music_graph.match_list(pattern("singer"))
-    music_graph.match_list(pattern("writer"))
-
-    assert cache.purge_stale(music_graph.version) == 0  # all current
-    music_graph.add("newcomer", "rdf:type", "writer", score=5.0)
-    purged = cache.purge_stale(music_graph.version)
-    assert purged == 2
-    assert len(cache) == 0
-    assert cache.stats().invalidations == 2
-    # Rebuilds repopulate at the current version.
-    music_graph.match_list(pattern("singer"))
-    assert len(cache) == 1
-    # An out-of-order put at a superseded version (an in-flight old query
-    # finishing late) inserts without purging the newer entries back.
-    stale_list = music_graph.match_list(pattern("writer"))
-    cache.put(pattern("writer").key(), music_graph.version - 1, stale_list)
-    assert len(cache) == 2
-    assert pattern("singer").key() in cache
-
-
 def test_release_allows_rebinding(music_graph):
     from repro.errors import KnowledgeGraphError
 
@@ -207,22 +129,3 @@ def test_release_ignores_non_owner(music_graph):
     cache.release(object())  # not the owner: binding and entries survive
     assert len(cache) == 1
     assert music_graph.match_list_cache is cache
-
-
-def test_reset_stats_keeps_entries(music_graph):
-    cache = MatchListCache(capacity=8)
-    music_graph.attach_match_list_cache(cache)
-    music_graph.match_list(pattern("singer"))
-    cache.reset_stats()
-    stats = cache.stats()
-    assert stats.lookups == 0
-    assert stats.size == 1
-
-
-def test_clear_drops_entries_but_keeps_counters(music_graph):
-    cache = MatchListCache(capacity=8)
-    music_graph.attach_match_list_cache(cache)
-    music_graph.match_list(pattern("singer"))
-    cache.clear()
-    assert len(cache) == 0
-    assert cache.stats().misses == 1

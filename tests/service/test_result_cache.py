@@ -1,7 +1,7 @@
 """The versioned whole-answer result cache, alone and inside the runner.
 
-Covers the cache's own contract (version-keyed hits, LRU bound, eager
-sweeps, canonical keys), the WorkloadRunner integration (warm repeats
+Covers canonical keys (the LRU contract itself is in
+``test_versioned_lru.py``), the WorkloadRunner integration (warm repeats
 served without execution, ``apply_updates`` invalidation, executor
 independence of entries), the warm-up pre-encoding gate, and the
 concurrency property: get/put racing a version bump never serves an
@@ -41,65 +41,6 @@ def make_result(label: str, score: float = 1.0) -> CachedResult:
 
 def tp(type_name: str, var: str = "s") -> TriplePattern:
     return TriplePattern(Variable(var), "rdf:type", type_name)
-
-
-class TestResultCacheUnit:
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            ResultCache(0)
-
-    def test_get_put_roundtrip_and_counters(self):
-        cache = ResultCache(capacity=4)
-        result = make_result("a")
-        assert cache.get("key", 1) is None
-        cache.put("key", 1, result)
-        assert cache.get("key", 1) is result
-        assert "key" in cache and len(cache) == 1
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (1, 1)
-
-    def test_version_mismatch_misses_and_drops(self):
-        cache = ResultCache(capacity=4)
-        cache.put("key", 1, make_result("a"))
-        assert cache.get("key", 2) is None  # stale: dropped, counted
-        assert "key" not in cache
-        assert cache.stats().invalidations == 1
-
-    def test_put_at_newer_version_sweeps_older_entries(self):
-        cache = ResultCache(capacity=8)
-        cache.put("old1", 1, make_result("a"))
-        cache.put("old2", 1, make_result("b"))
-        cache.put("new", 2, make_result("c"))
-        assert len(cache) == 1 and "new" in cache
-        assert cache.stats().invalidations == 2
-
-    def test_purge_stale_reports_count(self):
-        cache = ResultCache(capacity=8)
-        for i in range(3):
-            cache.put(f"k{i}", 5, make_result(str(i)))
-        assert cache.purge_stale(5) == 0
-        assert cache.purge_stale(6) == 3
-        assert len(cache) == 0
-
-    def test_lru_eviction_beyond_capacity(self):
-        cache = ResultCache(capacity=2)
-        cache.put("a", 1, make_result("a"))
-        cache.put("b", 1, make_result("b"))
-        cache.get("a", 1)  # refresh a: b becomes LRU
-        cache.put("c", 1, make_result("c"))
-        assert "a" in cache and "c" in cache and "b" not in cache
-        assert cache.stats().evictions == 1
-
-    def test_clear_forgets_entries_and_version_floor(self):
-        cache = ResultCache(capacity=4)
-        cache.put("a", 7, make_result("a"))
-        cache.clear()
-        assert len(cache) == 0
-        # After clear() the cache accepts an entry at a *lower* version —
-        # that is the point: it is used when the graph object itself is
-        # replaced and the counter's meaning resets.
-        cache.put("b", 3, make_result("b"))
-        assert cache.get("b", 3) is not None
 
 
 class TestResultKeyCanonicalization:

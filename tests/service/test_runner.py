@@ -140,12 +140,36 @@ def test_warm_answers_match_a_fresh_engine_per_query(tiny_xkg_workload):
         ], query.name
 
 
-def test_plan_cache_can_be_disabled(tiny_xkg_workload):
-    runner = WorkloadRunner(tiny_xkg_workload, plan_cache=False)
-    queries = tiny_xkg_workload.stretched(2 * len(tiny_xkg_workload.queries))
-    report = runner.run(queries, k=5)
-    assert report.extras["plan_cache_hits"] == 0
-    assert report.extras["plan_cache_size"] == 0
+@pytest.mark.parametrize("result_cache_capacity", [0, 4096])
+@pytest.mark.parametrize("executor", ["tuple", "block"])
+def test_rules_added_in_place_are_served(
+    tiny_xkg_workload, executor, result_cache_capacity
+):
+    """A rule added to the served ``RuleSet`` moves the answers: cached
+    plans and answers planned under the old rules are never replayed."""
+    from repro.datasets.workload import Workload
+    from repro.kg.columnar import ColumnarGraph
+    from repro.relax.rules import RelaxationRule, RuleSet
+
+    graph = ColumnarGraph.from_graph(tiny_xkg_workload.graph, name="rule-add")
+    rules = RuleSet(list(tiny_xkg_workload.rules))
+    queries = tiny_xkg_workload.queries
+    runner = WorkloadRunner(
+        Workload("rule-add", graph, rules, queries),
+        executor=executor,
+        result_cache_capacity=result_cache_capacity,
+    )
+    before = [runner.execute_query(query, 5) for query in queries]
+    for rule in list(rules):
+        rules.add(RelaxationRule(rule.domain, rule.range, 1.0))
+    fresh = SpecQPEngine(graph, rules, runner.config, executor=executor)
+    moved = 0
+    for query, old in zip(queries, before):
+        expected = [(a.bindings, a.score) for a in fresh.query(query, 5).answers]
+        served = runner.execute_query(query, 5)
+        assert [(a.bindings, a.score) for a in served] == expected, query.name
+        moved += [(a.bindings, a.score) for a in old] != expected
+    assert moved > 0, "the added rules never moved an answer"
 
 
 def test_graph_mutation_between_batches_refreshes_substrate(music_graph, music_rules):
