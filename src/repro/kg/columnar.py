@@ -16,11 +16,11 @@ counterpart, the extensional-database layout classic OBDA systems use:
 catalogs, operators and the service-layer caches run on it unchanged.
 Match lists (Definition 5) are *opened, not computed* — the sorted
 access the paper's top-k operators presuppose.  The store has one read
-primitive, :meth:`ColumnarStore.ordered_rows`: the rows agreeing with a
-pattern key, already in Definition-5 order, as a slice of a lazily built
-per-shape **permutation index** (the packed bound ids of every row,
-stably sorted over the rows taken in Definition-5 order; a lookup is two
-``searchsorted`` and a slice).  "Rows in Definition-5 order" costs
+primitive, :meth:`ColumnarStore.lookup`: the rows agreeing with each of
+a batch of pattern keys, already in Definition-5 order, as slices of a
+lazily built per-shape **permutation index** (the packed bound ids of
+every row, stably sorted over the rows taken in Definition-5 order; all
+keys of one shape are two ``searchsorted``).  "Rows in Definition-5 order" costs
 nothing where the columns are stored that way — every ``.kg2`` attach,
 which one vectorised adjacent-row check establishes, and every compacted
 base, which is built in that order; only a store interned in arrival
@@ -38,6 +38,7 @@ format.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -55,6 +56,44 @@ ID_DTYPE = np.int32
 
 #: Rows decoded per chunk when iterating triples (bounds peak memory).
 _DECODE_CHUNK = 65536
+
+#: What a key matching nothing reads.
+_NO_ROWS = np.empty(0, dtype=ID_DTYPE)
+_NO_ROWS.flags.writeable = False
+
+
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """Exactly ``np.argsort(keys, kind="stable")`` for integer *keys*.
+
+    Keys spanning less than ``2**32`` sort as one or two 16-bit digits,
+    low first: NumPy's stable sort of ``uint16`` is a linear radix sort
+    where int64 takes a timsort.  Short or wider inputs take the latter.
+    """
+    if len(keys) < 64:
+        return np.argsort(keys, kind="stable")
+    low = keys.min()
+    span = int(keys.max()) - int(low)
+    if span >= 2**32:
+        return np.argsort(keys, kind="stable")
+    # Wrap-around arithmetic: the difference is exact modulo 2**32.
+    shifted = (keys - low).astype(np.uint32)
+    if span < 2**16:
+        return np.argsort(shifted.astype(np.uint16), kind="stable")
+    order = np.argsort(shifted.astype(np.uint16), kind="stable")
+    high = (shifted >> 16).astype(np.uint16)
+    return order[np.argsort(high[order], kind="stable")]
+
+
+def _intern(term_ids: dict[str, int], term: str) -> int:
+    """The id of *term*, interned into *term_ids* (dense ids) when new."""
+    term_id = term_ids.get(term)
+    if term_id is None:
+        if "\x00" in term:
+            raise KnowledgeGraphError(
+                f"term {term!r} contains NUL, unsupported by columnar storage"
+            )
+        term_id = term_ids[term] = len(term_ids)
+    return term_id
 
 
 def _as_id_column(values: object, name: str) -> np.ndarray:
@@ -75,7 +114,7 @@ class ColumnarStore:
     The store is an immutable value object: four parallel arrays plus the
     id → term dictionary, with lazily built lookup structures (term → id
     map, lexicographic term ranks, the score-ordered permutation indexes
-    behind :meth:`ordered_rows`).  Build one with
+    behind :meth:`lookup`).  Build one with
     :meth:`from_triples` (interns as it streams) or :meth:`from_arrays`
     (validates pre-encoded columns, e.g. from a snapshot or a generator).
 
@@ -145,25 +184,17 @@ class ColumnarStore:
         or a TSV stream is lossless.
         """
         term_ids: dict[str, int] = {}
-
-        def intern(term: str) -> int:
-            term_id = term_ids.get(term)
-            if term_id is None:
-                if "\x00" in term:
-                    raise KnowledgeGraphError(
-                        f"term {term!r} contains NUL, unsupported by columnar storage"
-                    )
-                term_id = len(term_ids)
-                term_ids[term] = term_id
-            return term_id
-
         rows: dict[tuple[int, int, int], float] = {}
         for triple in triples:
             if not isinstance(triple, Triple):
                 raise KnowledgeGraphError(
                     f"expected Triple, got {type(triple).__name__}"
                 )
-            key = (intern(triple.subject), intern(triple.predicate), intern(triple.object))
+            key = (
+                _intern(term_ids, triple.subject),
+                _intern(term_ids, triple.predicate),
+                _intern(term_ids, triple.object),
+            )
             rows[key] = float(triple.score)
 
         terms = np.array(list(term_ids), dtype=str) if term_ids else np.empty(0, dtype="<U1")
@@ -307,9 +338,12 @@ class ColumnarStore:
 
     def term_id(self, term: str) -> int | None:
         """Id of *term*, or ``None`` if it is not in the dictionary."""
+        return self._term_index().get(term)
+
+    def _term_index(self) -> dict[str, int]:
         if self._term_ids is None:
             self._term_ids = {t: i for i, t in enumerate(self.term_list())}
-        return self._term_ids.get(term)
+        return self._term_ids
 
     def _ranks(self) -> np.ndarray:
         """Lexicographic rank of each term id (order-isomorphic to the
@@ -325,25 +359,18 @@ class ColumnarStore:
 
     def row_of(self, subject: str, predicate: str, object_: str) -> int | None:
         """Row index of a fully-bound triple, or ``None``."""
-        rows = self.ordered_rows((subject, predicate, object_))
+        rows = self.lookup(((subject, predicate, object_),))[0]
         return int(rows[0]) if len(rows) else None
 
     def rows_of(self, keys: Iterable[tuple[str, str, str]]) -> np.ndarray:
-        """The rows of the fully-bound *keys*, one :meth:`row_of` lookup
-        each; a key naming no row is skipped.  No row is decoded: this
-        is how the live overlay finds the rows it supersedes, and
+        """The rows of the fully-bound *keys*, in one :meth:`lookup`; a
+        key naming no row is skipped.  No row is decoded: this is how
+        the live overlay finds the rows it supersedes, and
         :meth:`with_updates` the rows it drops."""
-        rows = [self.row_of(*key) for key in keys]
-        return np.array([row for row in rows if row is not None], dtype=ID_DTYPE)
+        return self.lookup(tuple(keys))[0]
 
     def has_row(self, subject: str, predicate: str, object_: str) -> bool:
-        """Whether a fully-bound triple is present.
-
-        Membership probes (the live-update write path checks every
-        mutated key against the base) are one :meth:`ordered_rows`
-        lookup like :meth:`row_of`: ``O(log n)`` per probe, no Python
-        row dict.
-        """
+        """Whether a fully-bound triple is present: one :meth:`lookup`."""
         return self.row_of(subject, predicate, object_) is not None
 
     # ------------------------------------------------------------------
@@ -412,12 +439,13 @@ class ColumnarStore:
         """The permutation index of one key shape (one or two bound
         positions): the packed bound ids of every row, sorted, and the
         rows they belong to — rows of equal key in Definition-5 order,
-        because the sort is stable over rows taken in that order."""
+        because the sort (:func:`stable_argsort`) is stable over rows
+        taken in that order."""
         index = self._shape_indexes.get(shape)
         if index is None:
             perm = self._score_rows()
             keys = self._shape_keys(shape, slice(None) if perm is None else perm)
-            order = np.argsort(keys, kind="stable")
+            order = stable_argsort(keys)
             keys = keys[order]
             rows = order.astype(ID_DTYPE) if perm is None else perm[order]
             keys.flags.writeable = rows.flags.writeable = False  # lookups hand out views
@@ -450,46 +478,82 @@ class ColumnarStore:
         keys.flags.writeable = rows.flags.writeable = False
         return keys, rows
 
-    def ordered_rows(self, key: PatternKey) -> np.ndarray:
-        """Row indices agreeing with the bound positions of *key*, in
-        Definition-5 order (raw score descending, ties by ``(s, p, o)``).
+    def lookup(
+        self, keys: Sequence[tuple], dropped: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The rows agreeing with each of *keys* back to back, each run in
+        Definition-5 order (raw score descending, ties by ``(s, p, o)``),
+        and the runs' lengths — the store's one read primitive.
 
-        The store's one read primitive — sorted access: a lookup is two
-        ``searchsorted`` into the key shape's lazily built permutation
-        index and a read-only slice of it.  A term
-        absent from the dictionary matches nothing; a fully unbound key
-        matches every row; a fully bound one reads the ``(s, p)`` index
-        and filters on the object.
+        A key is a pattern key or a list key, whose repeated positions
+        must bind equally.  All keys of one shape are two ``searchsorted``
+        into the shape's permutation index; a lone key's run is a
+        read-only slice of it.  A fully bound key reads the ``(s, p)``
+        index and filters on the object; rows set in the mask *dropped*
+        are left out.  Filters are one mask over all runs, whose running
+        count gives the lengths.
         """
-        ids = []
-        for term in key:
-            if term is not None:
-                term_id = self.term_id(term)
-                if term_id is None:
-                    return np.empty(0, dtype=ID_DTYPE)
-                ids.append(term_id)
-        if not ids:
-            perm = self._score_rows()
-            return np.arange(self.n_triples, dtype=ID_DTYPE) if perm is None else perm
-        fully_bound = len(ids) == 3
-        keys, rows = self._shape_index(
-            (True, True, False) if fully_bound else tuple(term is not None for term in key)
-        )
-        packed = ids[0] if len(ids) == 1 else ids[0] * self.n_terms + ids[1]
-        packed = keys.dtype.type(packed)  # a mismatched dtype would cast *keys*
-        rows = rows[keys.searchsorted(packed, "left") : keys.searchsorted(packed, "right")]
-        return rows[self.objects[rows] == ids[2]] if fully_bound else rows
+        term_ids, n_terms = self._term_index(), self.n_terms
+        runs = [_NO_ROWS] * len(keys)
+        # Per key shape: where in *keys* its keys are, their packed ids.
+        by_shape: dict[tuple[bool, ...], tuple[list[int], list[int]]] = {}
+        # Per filtered key: its object id, or its repeated positions.
+        checks: list[tuple[int, object]] = []
+        for at, key in enumerate(keys):
+            shape = (key[0] is not None, key[1] is not None, key[2] is not None)
+            ids = [term_ids.get(term) for term, bound in zip(key, shape) if bound]
+            if None in ids:
+                continue
+            if len(ids) == 3:
+                checks.append((at, ids.pop()))
+                shape = (True, True, False)
+            elif len(key) > 3:
+                checks.append((at, key[3]))
+            members, packed = by_shape.setdefault(shape, ([], []))
+            members.append(at)
+            packed.append(ids[0] * n_terms + ids[1] if len(ids) == 2 else ids[0] if ids else 0)
+        for shape, (members, packed) in by_shape.items():
+            if any(shape):
+                index_keys, rows = self._shape_index(shape)
+                packed = np.array(packed, dtype=index_keys.dtype)
+                bounds = zip(
+                    index_keys.searchsorted(packed, "left").tolist(),
+                    index_keys.searchsorted(packed, "right").tolist(),
+                )
+            else:
+                perm = self._score_rows()
+                rows = np.arange(self.n_triples, dtype=ID_DTYPE) if perm is None else perm
+                bounds = [(0, len(rows))] * len(members)
+            for at, (low, high) in zip(members, bounds):
+                runs[at] = rows[low:high]
+        rows = runs[0] if len(runs) == 1 else np.concatenate([_NO_ROWS, *runs])
+        lengths = np.array([len(run) for run in runs], dtype=np.int64)
+        if not checks and dropped is None:
+            return rows, lengths
+        keep = np.ones(len(rows), dtype=bool) if dropped is None else ~dropped[rows]
+        columns = (self.subjects, self.predicates, self.objects)
+        ends = np.cumsum(lengths)
+        for at, check in checks:
+            run = slice(ends[at] - lengths[at], ends[at])
+            if isinstance(check, int):  # a fully bound key's object
+                keep[run] &= self.objects[rows[run]] == check
+            else:
+                for first, other in check:
+                    keep[run] &= columns[first][rows[run]] == columns[other][rows[run]]
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        return rows[keep], kept[ends] - kept[ends - lengths]
+
+    def ordered_rows(self, key: PatternKey) -> np.ndarray:
+        """The rows agreeing with the bound positions of *key*, in
+        Definition-5 order: a :meth:`lookup` of the one key."""
+        return self.lookup((key,))[0]
 
     def match_rows(self, pattern: TriplePattern) -> np.ndarray:
-        """The rows of *pattern*'s match list, in Definition-5 order:
-        :meth:`ordered_rows` of its key, minus rows where a repeated
-        variable would bind inconsistently (``(?x, p, ?x)`` keeps the
-        diagonal) — an order-preserving mask."""
-        rows = self.ordered_rows(pattern.key())
-        columns = (self.subjects, self.predicates, self.objects)
-        for first, other in pattern.repeated_positions:
-            rows = rows[columns[first][rows] == columns[other][rows]]
-        return rows
+        """The rows of *pattern*'s match list, in Definition-5 order: a
+        :meth:`lookup` of its :meth:`~repro.kg.pattern.TriplePattern.list_key`,
+        which drops rows where a repeated variable would bind
+        inconsistently."""
+        return self.lookup((pattern.list_key(),))[0]
 
     def insertion_slots(
         self, rows: np.ndarray, adds: Sequence[tuple[tuple[str, str, str], float]]
@@ -551,35 +615,18 @@ class ColumnarStore:
             return self
         dropped = np.zeros(self.n_triples, dtype=bool)
         dropped[self.rows_of(set(drops) | set(adds))] = True
-        ordered = self.ordered_rows((None, None, None))
-        keep_rows = ordered[~dropped[ordered]]
-        term_ids = (
-            dict(self._term_ids)
-            if self._term_ids is not None
-            else {term: i for i, term in enumerate(self.term_list())}
-        )
-        new_terms: list[str] = []
-
-        def intern(term: str) -> int:
-            term_id = term_ids.get(term)
-            if term_id is None:
-                if "\x00" in term:
-                    raise KnowledgeGraphError(
-                        f"term {term!r} contains NUL, unsupported by columnar storage"
-                    )
-                term_id = len(term_ids)
-                term_ids[term] = term_id
-                new_terms.append(term)
-            return term_id
-
+        keep_rows = self.lookup(((None, None, None),), dropped)[0]
+        term_ids = dict(self._term_index())
+        known = len(term_ids)
         ordered_adds = sorted(adds.items(), key=lambda add: (-add[1], add[0]))
         slots = self.insertion_slots(keep_rows, ordered_adds)
         ids = np.fromiter(
-            (intern(term) for spo, _ in ordered_adds for term in spo),
+            (_intern(term_ids, term) for spo, _ in ordered_adds for term in spo),
             dtype=ID_DTYPE,
             count=3 * len(ordered_adds),
         ).reshape(-1, 3)
         terms = self.terms
+        new_terms = list(islice(term_ids, known, None))  # dicts keep id order
         if new_terms:
             appended = np.array(new_terms, dtype=str)
             terms = np.concatenate([terms, appended]) if terms.size else appended
@@ -691,7 +738,7 @@ class ColumnarPatternIndex(PatternIndex):
     """A :class:`PatternIndex` that answers from columns, not hash maps.
 
     Candidates and match lists are slices of the store's score-ordered
-    permutation indexes (:meth:`ColumnarStore.ordered_rows`) —
+    permutation indexes (:meth:`ColumnarStore.lookup`) —
     :meth:`PatternIndex.match_list`'s caching (internal dict or the
     attached external :class:`~repro.service.MatchListCache`) is
     inherited untouched, so the service layer cannot tell the backends

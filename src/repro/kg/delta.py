@@ -543,7 +543,7 @@ class LiveGraph(KnowledgeGraph):
         """What every overlay read of the current delta state shares,
         built on its first read: the mask of the base *store*'s rows the
         delta supersedes (one :meth:`~repro.kg.columnar.ColumnarStore.rows_of`
-        lookup per superseded key; ``None`` when no row is), and the
+        lookup of every superseded key; ``None`` when no row is), and the
         delta's adds in Definition-5 order, filed under each of the
         eight pattern keys they match (``touched_pattern_keys``).
         Every mutation resets it."""
@@ -563,41 +563,33 @@ class LiveGraph(KnowledgeGraph):
 
     def overlay_rows(
         self, patterns: Sequence[TriplePattern]
-    ) -> tuple[list[np.ndarray], list[Sequence[Add]], list[np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray, list[Sequence[Add]], list[np.ndarray | None]]:
         """The live match lists of *patterns* as base-store rows plus adds.
 
-        Only over a base with a column store.  Returns, per pattern,
-        ``rows``, ``adds`` and ``slots``: the surviving rows of the
-        base's store in Definition-5 order, the delta's matching
-        ``(spo, raw score)`` adds in Definition-5 order (shared, read
-        them only), and for each add the index in *rows* it goes in
-        front of (:meth:`~repro.kg.columnar.ColumnarStore.insertion_slots`)
-        — ``np.insert(rows_column, slots, adds_column)`` is the merged
-        list.  Through the :meth:`_overlay_index` of the delta state, a
-        pattern's superseded rows go in one gather of the row mask and
-        its adds are one dict lookup; no triple is decoded and nothing
-        is sorted.
+        Only over a base with a column store.  Returns ``rows`` and
+        ``lengths``: every pattern's surviving base-store rows, back to
+        back, each run in Definition-5 order (one
+        :meth:`~repro.kg.columnar.ColumnarStore.lookup` masking the
+        superseded rows of :meth:`_overlay_index`); and per pattern the
+        delta's matching ``(spo, raw score)`` adds in that order (shared,
+        read them only) and their ``slots`` in the run
+        (:meth:`~repro.kg.columnar.ColumnarStore.insertion_slots`,
+        ``None`` without adds).  No triple is decoded, nothing sorted.
         """
         store: "ColumnarStore" = self._base.store  # type: ignore[attr-defined]
         superseded, adds_by_key = self._overlay_index(store)
-        overlay: tuple[list, list, list] = ([], [], [])
-        for pattern in patterns:
-            rows = store.match_rows(pattern)
-            if superseded is not None:
-                rows = rows[~superseded[rows]]
+        rows, lengths = store.lookup([p.list_key() for p in patterns], superseded)
+        all_adds: list[Sequence[Add]] = []
+        all_slots: list[np.ndarray | None] = []
+        for pattern, end, length in zip(patterns, np.cumsum(lengths).tolist(), lengths.tolist()):
             adds: Sequence[Add] = adds_by_key.get(pattern.key(), ())
-            repeated = pattern.repeated_positions
-            if repeated and adds:
-                adds = [
-                    (spo, score)
-                    for spo, score in adds
-                    if all(spo[i] == spo[j] for i, j in repeated)
-                ]
-            for part, value in zip(
-                overlay, (rows, adds, store.insertion_slots(rows, adds))
-            ):
-                part.append(value)
-        return overlay
+            if adds and pattern.repeated_positions:
+                adds = [add for add in adds if pattern.matches(Triple(*add[0]))]
+            all_adds.append(adds)
+            all_slots.append(
+                store.insertion_slots(rows[end - length : end], adds) if adds else None
+            )
+        return rows, lengths, all_adds, all_slots
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

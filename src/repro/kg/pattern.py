@@ -68,6 +68,9 @@ class TriplePattern:
     #: planning reads them on every catalog lookup and join count.
     _key: tuple = field(init=False, repr=False, compare=False)
     _list_key: tuple = field(init=False, repr=False, compare=False)
+    #: :meth:`variable_positions`, computed on first use: list building
+    #: reads it for every input of every merge, most (rule) patterns never.
+    _positions: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for position, value in zip("SPO", self.terms):
@@ -79,8 +82,13 @@ class TriplePattern:
                     f"non-empty string, got {value!r}"
                 )
         key = tuple(None if isinstance(t, Variable) else t for t in self.terms)
-        # A variable needs two positions to repeat.
-        repeated = self.repeated_positions if key.count(None) >= 2 else ()
+        terms = self.terms
+        # A variable needs two positions to repeat; terms.index finds its first.
+        repeated = tuple(
+            (terms.index(term), position)
+            for position, term in enumerate(terms)
+            if isinstance(term, Variable) and terms.index(term) != position
+        ) if key.count(None) >= 2 else ()
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_list_key", key + (repeated,) if repeated else key)
 
@@ -96,28 +104,31 @@ class TriplePattern:
     @property
     def variables(self) -> tuple[Variable, ...]:
         """The distinct variables, in S-P-O position order."""
-        seen: dict[Variable, None] = {}
-        for term in self.terms:
-            if isinstance(term, Variable):
-                seen.setdefault(term)
-        return tuple(seen)
+        return tuple(self.terms[position] for position in self.variable_positions()[1])
 
     @property
     def variable_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
+        return self.variable_positions()[0]
+
+    def variable_positions(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """The distinct variable names in S-P-O order, and the first
+        position each one holds."""
+        if self._positions is None:
+            terms = self.terms
+            first = tuple(
+                position
+                for position, term in enumerate(terms)
+                if isinstance(term, Variable) and terms.index(term) == position
+            )
+            names = tuple(terms[position].name for position in first)
+            object.__setattr__(self, "_positions", (names, first))
+        return self._positions
 
     @property
     def repeated_positions(self) -> tuple[tuple[int, int], ...]:
         """``(first, later)`` position pairs that hold the same variable
         and so must bind equally; empty unless a variable repeats."""
-        first: dict[str, int] = {}
-        pairs = []
-        for position, term in enumerate(self.terms):
-            if isinstance(term, Variable):
-                earlier = first.setdefault(term.name, position)
-                if earlier != position:
-                    pairs.append((earlier, position))
-        return tuple(pairs)
+        return self._list_key[3] if len(self._list_key) > 3 else ()
 
     def key(self) -> tuple[str | None, str | None, str | None]:
         """Constants with variables wildcarded — the index lookup key."""

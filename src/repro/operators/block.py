@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import ExecutionError
+from repro.kg.columnar import ColumnarGraph, stable_argsort
 from repro.kg.index import touched_pattern_keys
 from repro.operators.topk import finalize_canonical
 from repro.query.answer import Answer
@@ -184,12 +185,12 @@ def sorted_key_order(
     columns: Sequence[np.ndarray], n_ids: int, n_rows: int
 ) -> KeyOrder | None:
     """The :data:`KeyOrder` of the rows keyed by the parallel id *columns*
-    (one stable ``argsort`` of :func:`pack_columns`), or ``None`` when
-    the keys cannot be packed."""
+    (one :func:`~repro.kg.columnar.stable_argsort` of
+    :func:`pack_columns`), or ``None`` when the keys cannot be packed."""
     packed = pack_columns(columns, n_ids, n_rows=n_rows)
     if packed is None:
         return None
-    order = np.argsort(packed, kind="stable")
+    order = stable_argsort(packed)
     keys = packed[order]
     return keys, order, bool((keys[1:] != keys[:-1]).all())
 
@@ -236,48 +237,33 @@ def first_occurrence_keep(packed: np.ndarray) -> np.ndarray:
     return np.nonzero(first[slots] == index)[0]
 
 
-def _variable_positions(
-    pattern: "TriplePattern",
-) -> tuple[tuple[str, ...], list[int]]:
-    """The distinct variable names of *pattern* in S-P-O order, and the
-    first position each one occupies."""
-    from repro.kg.pattern import Variable
-
-    first_position: dict[str, int] = {}
-    for position, term in enumerate(pattern.terms):
-        if isinstance(term, Variable):
-            first_position.setdefault(term.name, position)
-    return tuple(first_position), list(first_position.values())
-
-
 def _gather_rows(
     store: "ColumnarStore",
     var_names: tuple[str, ...],
     patterns: "Sequence[TriplePattern]",
-    row_sets: Sequence[np.ndarray],
+    rows: np.ndarray,
+    lengths: np.ndarray,
     adds: "Sequence[Sequence[tuple[tuple[str, str, str], float]]]",
     slots: "Sequence[np.ndarray | None]",
     codec: "TermCodec | None",
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Several match lists of *store*, gathered back to back.
 
-    ``row_sets[i]`` are the rows of ``patterns[i]``'s list in Definition-5
-    order; ``adds[i]`` — ``(spo, raw score)`` rows from outside the store,
-    in Definition-5 order — are encoded through *codec* and inserted in
-    front of ``row_sets[i][slots[i]]``.  Column ``j`` binds
-    ``var_names[j]`` in every list, whichever position the variable holds
-    in that list's pattern.  Each list is normalized by its own first —
-    maximum — raw score (Definition 5), all-zero when that is not
-    positive.  Returns the columns, the normalized scores, and each
-    list's length and maximum raw score.
+    *rows* holds ``lengths[i]`` rows of ``patterns[i]``'s list after
+    another, each run in Definition-5 order; ``adds[i]`` — ``(spo, raw
+    score)`` rows from outside the store, in that order too — are encoded
+    through *codec* and go in front of the run's ``slots[i]``.  Column
+    ``j`` binds ``var_names[j]`` whatever position the variable holds in
+    each pattern.  Each list is normalized by its first — maximum — raw
+    score (Definition 5), all-zero when that is not positive.  Returns
+    the columns, the normalized scores, each list's length and maximum.
     """
-    lengths = np.array([len(rows) for rows in row_sets], dtype=np.int64)
-    rows = row_sets[0] if len(row_sets) == 1 else np.concatenate(row_sets)
-    position_of = [dict(zip(*_variable_positions(pattern))) for pattern in patterns]
+    layouts = [pattern.variable_positions() for pattern in patterns]
+    rows = rows.astype(np.intp)  # int32 indices gather at half the speed
     store_columns = (store.subjects, store.predicates, store.objects)
     columns = []
     for name in var_names:
-        positions = [of[name] for of in position_of]
+        positions = [first[names.index(name)] for names, first in layouts]
         if len(set(positions)) == 1:
             column = store_columns[positions[0]][rows].astype(np.int64)
         else:  # a rule moved the variable: one gather per position it holds
@@ -294,7 +280,7 @@ def _gather_rows(
         offsets = np.cumsum(lengths) - lengths
         at_slots = np.concatenate(
             [
-                np.asarray(list_slots, dtype=np.int64) + offset
+                list_slots + offset
                 for list_slots, list_adds, offset in zip(slots, adds, offsets)
                 if list_adds
             ]
@@ -304,8 +290,8 @@ def _gather_rows(
                 column,
                 at_slots,
                 [
-                    encode(spo[of[name]])
-                    for of, list_adds in zip(position_of, adds)
+                    encode(spo[first[names.index(name)]])
+                    for (names, first), list_adds in zip(layouts, adds)
                     for spo, _ in list_adds
                 ],
             )
@@ -323,6 +309,22 @@ def _gather_rows(
     if not positive[filled].all():
         normalized[np.repeat(~positive, lengths)] = 0.0
     return tuple(columns), normalized, lengths, maxima
+
+
+def _store_rows(graph, patterns: "Sequence[TriplePattern]", codec: TermCodec):
+    """The lists of *patterns* as ``(rows, lengths, adds, slots)`` of the
+    codec's store for :func:`_gather_rows` — one batched lookup, over a
+    live overlay :meth:`~repro.kg.delta.LiveGraph.overlay_rows` — or
+    ``None`` when *graph* reads no such store."""
+    store = codec.store
+    if store is None:
+        return None
+    if getattr(graph, "store", None) is store:
+        rows, lengths = store.lookup([pattern.list_key() for pattern in patterns])
+        return rows, lengths, [()] * len(patterns), [None] * len(patterns)
+    if getattr(getattr(graph, "base", None), "store", None) is store:
+        return graph.overlay_rows(patterns)
+    return None
 
 
 class EncodedMatchList:
@@ -415,53 +417,10 @@ class EncodedMatchList:
     def from_store(
         cls, store: "ColumnarStore", pattern: "TriplePattern"
     ) -> "EncodedMatchList":
-        """Slice the list straight out of dictionary-encoded columns.
-
-        No row is ever decoded to strings and nothing is sorted: the
-        rows come in Definition-5 order from the store's permutation
-        index (:meth:`~repro.kg.columnar.ColumnarStore.match_rows`) and
-        the variable columns are plain slices.  Ids are store dictionary
-        ids, which is what a store-backed :class:`TermCodec` hands out
-        for the same terms.
-        """
-        return cls._from_rows(store, pattern, store.match_rows(pattern))
-
-    @classmethod
-    def from_live(
-        cls, live, pattern: "TriplePattern", codec: TermCodec
-    ) -> "EncodedMatchList":
-        """The list of a :class:`~repro.kg.delta.LiveGraph` over a
-        store-backed base, sliced from the base's columns.
-
-        The base rows come out of the store as in :meth:`from_store`,
-        minus the rows the delta supersedes; the delta's few matching
-        adds are encoded through *codec* (their terms may be outside the
-        store dictionary) and spliced in at the slots
-        :meth:`~repro.kg.delta.LiveGraph.overlay_rows` computed.  The
-        result is what :meth:`from_match_list` makes of
-        ``live.match_list(pattern)`` — ids, order, scores — without a
-        triple or a string list in between.
-        """
-        (rows,), (adds,), (slots,) = live.overlay_rows((pattern,))
-        return cls._from_rows(live.base.store, pattern, rows, adds, slots, codec)
-
-    @classmethod
-    def _from_rows(
-        cls,
-        store: "ColumnarStore",
-        pattern: "TriplePattern",
-        rows: np.ndarray,
-        adds: "Sequence[tuple[tuple[str, str, str], float]]" = (),
-        slots: "np.ndarray | None" = None,
-        codec: "TermCodec | None" = None,
-    ) -> "EncodedMatchList":
-        """*rows* of *store*, already in Definition-5 order, as a list,
-        with *adds* spliced in at *slots* (see :func:`_gather_rows`)."""
-        var_names = _variable_positions(pattern)[0]
-        columns, scores, _, maxima = _gather_rows(
-            store, var_names, (pattern,), [rows], [adds], [slots], codec
-        )
-        return cls(var_names, columns, scores, float(maxima[0]), (pattern,))
+        """Slice the list straight out of dictionary-encoded columns, as
+        :func:`build_encoded_match_list` does over a columnar graph: no
+        row is decoded, nothing is sorted, and the ids are store ids."""
+        return build_encoded_match_list(ColumnarGraph(store), pattern, TermCodec(store))
 
     @classmethod
     def from_match_list(
@@ -480,7 +439,7 @@ class EncodedMatchList:
         (``graph.match_list(pattern)``, which tells a repeated-variable
         pattern from its unconstrained twin).
         """
-        var_names, positions = _variable_positions(pattern)
+        var_names, positions = pattern.variable_positions()
         triples = match_list.triples
         n = len(triples)
         columns = tuple(np.empty(n, dtype=np.int64) for _ in var_names)
@@ -500,16 +459,19 @@ def build_encoded_match_list(
 
     Backends exposing a :class:`~repro.kg.columnar.ColumnarStore` that
     matches the codec's dictionary (columnar graphs) are sliced without
-    decoding, and so are live overlays whose base is such a backend;
-    everything else (object graphs, live overlays over them) goes through the graph's ordinary — and cached —
-    string match list plus the codec.
+    decoding, and so are live overlays whose base is such a backend
+    (:func:`_store_rows`); everything else (object graphs, live overlays
+    over them) goes through the graph's ordinary — and cached — string
+    match list plus the codec.
     """
-    if codec.store is not None:
-        if getattr(graph, "store", None) is codec.store:
-            return EncodedMatchList.from_store(codec.store, pattern)
-        if getattr(getattr(graph, "base", None), "store", None) is codec.store:
-            return EncodedMatchList.from_live(graph, pattern, codec)
-    return EncodedMatchList.from_match_list(graph.match_list(pattern), pattern, codec)
+    gathered = _store_rows(graph, (pattern,), codec)
+    if gathered is None:
+        return EncodedMatchList.from_match_list(graph.match_list(pattern), pattern, codec)
+    var_names = pattern.variable_names
+    columns, scores, _, maxima = _gather_rows(
+        codec.store, var_names, (pattern,), *gathered, codec
+    )
+    return EncodedMatchList(var_names, columns, scores, float(maxima[0]), (pattern,))
 
 
 def build_merged_match_list(
@@ -523,37 +485,29 @@ def build_merged_match_list(
     *inputs* are ``(pattern, weight)`` pairs — the relaxed pattern itself
     (weight 1.0), then each applicable rule's range pattern — binding the
     same variables, though a rule may move one to another position.  No
-    per-input list is built: on the backends
-    :func:`build_encoded_match_list` slices, every input's rows are
-    gathered from the store's id columns in one pass (over a live
-    overlay masked and spliced per input through the overlay index the
-    delta state shares, :meth:`~repro.kg.delta.LiveGraph.overlay_rows`)
-    and normalized per input;
-    other graphs concatenate the inputs'
+    per-input list is built: where :func:`_store_rows` reads the store,
+    all inputs' rows come in one batch and are gathered and normalized
+    in one pass; other graphs concatenate the inputs'
     :meth:`EncodedMatchList.from_match_list` columns.  Scores become
-    ``weight * normalized``, one stable ``argsort`` orders them and
+    ``weight * normalized``, one stable ``argsort`` orders them,
     :func:`first_occurrence_keep` keeps each binding's first — maximum —
-    score.  The scores are final (weights applied), hence
-    ``max_score=1.0``; equal scores keep input order.
+    score, and the columns are gathered once through the composed
+    permutation.  The scores are final, hence ``max_score=1.0``; equal
+    scores keep input order.
     """
     patterns = [pattern for pattern, _ in inputs]
-    var_names = _variable_positions(patterns[0])[0]
+    var_names = patterns[0].variable_names
     for pattern in patterns[1:]:
-        if set(pattern.variable_names) != set(var_names):
+        names = pattern.variable_names
+        if names != var_names and set(names) != set(var_names):
             raise ExecutionError(
                 "all inputs of a relaxation merge must bind the same "
-                f"variables: {sorted(var_names)} vs {sorted(pattern.variable_names)}"
+                f"variables: {sorted(var_names)} vs {sorted(names)}"
             )
-    store = codec.store
-    if store is not None and getattr(graph, "store", None) is store:
-        row_sets = [store.match_rows(pattern) for pattern in patterns]
+    gathered = _store_rows(graph, patterns, codec)
+    if gathered is not None:
         columns, normalized, lengths, _ = _gather_rows(
-            store, var_names, patterns, row_sets, [()] * len(patterns),
-            [None] * len(patterns), codec,
-        )
-    elif store is not None and getattr(getattr(graph, "base", None), "store", None) is store:
-        columns, normalized, lengths, _ = _gather_rows(
-            store, var_names, patterns, *graph.overlay_rows(patterns), codec
+            codec.store, var_names, patterns, *gathered, codec
         )
     else:
         lists = [
@@ -571,17 +525,16 @@ def build_merged_match_list(
     # surviving (binding, score) multiset, which dedup-keep-first fixes
     # whatever the order among equal keys, but deterministic.
     order = np.argsort(-scores, kind="stable")
-    scores = scores[order]
-    columns = tuple(column[order] for column in columns)
     if len(scores):
         # Every input is encoded, so the id domain is final.
         packed = pack_columns(columns, codec.n_ids, n_rows=len(scores))
         if packed is None:
             packed, _ = joint_group_ids(columns, tuple(c[:0] for c in columns))
-        keep = first_occurrence_keep(packed)
-        scores = scores[keep]
-        columns = tuple(column[keep] for column in columns)
-    return EncodedMatchList(var_names, columns, scores, 1.0, tuple(patterns))
+        order = order[first_occurrence_keep(packed[order])]
+    return EncodedMatchList(
+        var_names, tuple(column[order] for column in columns), scores[order], 1.0,
+        tuple(patterns),
+    )
 
 
 class EncodedListStore:
@@ -650,13 +603,6 @@ class EncodedListStore:
     def capacity(self) -> int:
         return self._capacity
 
-    @staticmethod
-    def _backing_store(graph) -> "ColumnarStore | None":
-        store = getattr(graph, "store", None)
-        return store if store is not None else getattr(
-            getattr(graph, "base", None), "store", None
-        )
-
     def _sync_locked(self, graph) -> int:
         """Bring the store to *graph*'s version; returns the lists dropped."""
         owner = self._owner() if self._owner is not None else None
@@ -669,7 +615,9 @@ class EncodedListStore:
                 f"{getattr(owner, 'name', owner)!r}; one store serves one "
                 "graph — release() it first or give each graph its own store"
             )
-        store = self._backing_store(graph)
+        store = getattr(graph, "store", None) or getattr(
+            getattr(graph, "base", None), "store", None
+        )
         codec, held, version = self._codec, self._version, graph.version
         if codec is not None and codec.store is store and held == version:
             return 0

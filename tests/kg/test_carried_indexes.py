@@ -8,7 +8,7 @@ dtype included, is exactly what a fresh ``_shape_index`` build on the
 same columns makes, on interned (unordered) and ``.kg2``-attached bases,
 over two compaction generations, and across the dictionary size where
 two-id keys outgrow int32.  The first reads after a compaction then make
-no ``argsort`` from ``_shape_index``.
+no ``stable_argsort`` from ``_shape_index``.
 """
 
 import sys
@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kg import ColumnarGraph, ColumnarStore, LiveGraph, Triple
+from repro.kg import ColumnarGraph, ColumnarStore, LiveGraph, Triple, columnar
 from repro.kg.columnar import ID_DTYPE
 from repro.kg.pattern import TriplePattern, Variable
 from repro.kg.storage import save_snapshot_v2
@@ -142,13 +142,13 @@ def test_first_reads_after_a_compaction_sort_nothing():
     live.compact()
 
     callers: list[str] = []
-    argsort = np.argsort
+    argsort = columnar.stable_argsort
 
     def counting(*args, **kwargs):
         callers.append(sys._getframe(1).f_code.co_name)
         return argsort(*args, **kwargs)
 
-    with mock.patch.object(np, "argsort", counting):
+    with mock.patch.object(columnar, "stable_argsort", counting):
         live.add("newer", "q", "a", score=1.0)
         for pattern in patterns:
             live.overlay_rows([pattern])

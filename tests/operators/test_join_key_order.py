@@ -26,6 +26,7 @@ from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
+from repro.operators import block
 from repro.operators.block import (
     DEFAULT_BLOCK_SIZE,
     BlockTopK,
@@ -268,15 +269,19 @@ class TestStoredKeyOrder:
 
     @staticmethod
     def _leaf_argsorts(run) -> int:
-        """``np.argsort`` calls *run* makes to put rows in key order."""
+        """Key sorts (``stable_argsort``) *run* makes to put rows in key order."""
         callers: list[str] = []
-        argsort = np.argsort
 
-        def counting(*args, **kwargs):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return argsort(*args, **kwargs)
+        def spying(sort):
+            def counting(*args, **kwargs):
+                callers.append(sys._getframe(1).f_code.co_name)
+                return sort(*args, **kwargs)
 
-        with mock.patch.object(np, "argsort", counting):
+            return counting
+
+        with mock.patch.object(np, "argsort", spying(np.argsort)), mock.patch.object(
+            block, "stable_argsort", spying(block.stable_argsort)
+        ):
             run()
         assert "_buffer_insert" in callers  # the patch sees the join
         return callers.count("sorted_key_order")

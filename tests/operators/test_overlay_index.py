@@ -1,7 +1,7 @@
 """The overlay index of a live graph — its superseded-row mask and its
 adds filed by pattern key, built once per delta state — follows every
 single mutation: each read in between, through ``overlay_rows``,
-``EncodedMatchList.from_live`` and ``build_merged_match_list``, equals
+``build_encoded_match_list`` and ``build_merged_match_list``, equals
 what ``from_match_list(live.match_list(pattern))`` makes of the string
 overlay, with no version-tagged list cache in between."""
 
@@ -15,7 +15,12 @@ from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import LiveGraph
 from repro.kg.pattern import TriplePattern, var
 from repro.kg.triple import Triple
-from repro.operators.block import EncodedMatchList, TermCodec, build_merged_match_list
+from repro.operators.block import (
+    EncodedMatchList,
+    TermCodec,
+    build_encoded_match_list,
+    build_merged_match_list,
+)
 
 from merge_reference import definition8_merge
 
@@ -63,7 +68,8 @@ def from_string_overlay(graph, pattern, codec) -> EncodedMatchList:
 def spliced(store, rows, adds, slots) -> list[tuple[tuple[str, str, str], float]]:
     """``np.insert(rows, slots, adds)``, decoded."""
     merged = [(t.spo, t.score) for t in store.decode_rows(rows)]
-    for offset, (slot, add) in enumerate(zip(slots.tolist(), adds)):
+    assert (slots is None) == (not adds)
+    for offset, (slot, add) in enumerate(zip(() if slots is None else slots.tolist(), adds)):
         merged.insert(slot + offset, add)
     return merged
 
@@ -71,11 +77,14 @@ def spliced(store, rows, adds, slots) -> list[tuple[tuple[str, str, str], float]
 def assert_reads_follow(live: LiveGraph) -> None:
     store = live.base.store
     codec = TermCodec(store)
-    overlay = live.overlay_rows(PATTERNS)
-    for pattern, rows, adds, slots in zip(PATTERNS, *overlay):
+    rows, lengths, all_adds, all_slots = live.overlay_rows(PATTERNS)
+    assert len(lengths) == len(all_adds) == len(all_slots) == len(PATTERNS)
+    assert lengths.sum() == len(rows)
+    runs = np.split(rows, np.cumsum(lengths)[:-1])
+    for pattern, run, adds, slots in zip(PATTERNS, runs, all_adds, all_slots):
         expected = [(t.spo, t.score) for t in live.match_list(pattern).triples]
-        assert spliced(store, rows, adds, slots) == expected, pattern
-        sliced = EncodedMatchList.from_live(live, pattern, codec)
+        assert spliced(store, run, adds, slots) == expected, pattern
+        sliced = build_encoded_match_list(live, pattern, codec)
         reference = from_string_overlay(live, pattern, codec)
         for column, expected_column in zip(sliced.columns, reference.columns):
             assert column.tobytes() == expected_column.tobytes(), pattern
