@@ -143,7 +143,7 @@ def test_block_answers_byte_identical_across_backends(bench_workload):
         )
         for executor, engine in (("tuple", tuple_engine), ("block", block_engine)):
             if executor == "block":
-                assert engine.executor.uses_block_path(), name
+                assert engine.resolve_executor(queries[0]).executor == "block", name
             rows[executor] = [
                 [(a.bindings, a.score) for a in engine.query(q, k=K).answers]
                 for q in queries

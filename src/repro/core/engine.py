@@ -97,15 +97,12 @@ class SpecQPEngine:
         ``"tuple"`` (the paper's pull-based object pipeline, default),
         ``"block"`` — the vectorized block-at-a-time engine that
         exchanges batches of dictionary-encoded id arrays and decodes
-        only at the top-k sink — or ``"auto"``: block wherever the
-        backend has id columns, tuple otherwise.  Answers and scores
-        are byte-identical under all three.  ``"block"`` is the serving
-        pipeline on columnar and live backends and silently
-        falls back to the tuple pipeline where it cannot run (the
-        object-graph backend); ``"auto"`` is the
-        same choice made explicit (:meth:`resolve_executor` reports it);
-        ``"tuple"`` is the paper-faithful reference.  See
-        :mod:`repro.operators.block`.
+        only at the top-k sink — or ``"auto"``, which is block made
+        explicit (:meth:`resolve_executor` reports it).  Answers and
+        scores are byte-identical under all three.  Every backend runs
+        blocks over its column store (an object graph interns its triples
+        on the first encoded read); ``"tuple"`` is the paper-faithful
+        reference.  See :mod:`repro.operators.block`.
     encoded_cache_capacity:
         Entry bound of the engine's encoded match-list store (``None`` =
         the executor default), which the block executor serves from and
@@ -171,8 +168,7 @@ class SpecQPEngine:
             graph,
             rules,
             self.config.max_relaxations_per_pattern,
-            # The executor carries both pipelines and falls back to tuple
-            # where blocks cannot run, which is what "auto" means.
+            # The executor carries both pipelines; "auto" is block.
             executor="block" if executor == "auto" else executor,
             encoded_store=encoded_store,
         )
@@ -185,17 +181,13 @@ class SpecQPEngine:
     def resolve_executor(self, query: TriplePatternQuery) -> ExecutorChoice:
         """The concrete pipeline that will serve *query*, and why.
 
-        Block wherever it can run unless the engine is pinned to
-        ``"tuple"``; the same for every query of one engine.
+        Block unless the engine is pinned to ``"tuple"``; the same for
+        every query of one engine.
         """
         mode = self._executor_mode
-        available = self.executor.can_execute_block()
-        kind = "block" if mode != "tuple" and available else "tuple"
-        if mode != "auto":
-            return ExecutorChoice(kind, "pinned")
-        return ExecutorChoice(
-            kind, "block-available" if available else "block-unavailable"
-        )
+        if mode == "auto":
+            return ExecutorChoice("block", "block-available")
+        return ExecutorChoice(mode, "pinned")
 
     # ------------------------------------------------------------------
     def parse(self, text: str) -> TriplePatternQuery:

@@ -13,10 +13,10 @@ Two interchangeable execution strategies produce byte-identical answers:
 ``"block"``
     The vectorized pipeline (:mod:`repro.operators.block`): operators
     exchange score-sorted blocks of dictionary-encoded id arrays and
-    decode to strings only at the top-k sink.  Available whenever the
-    graph is backed by encoded columns — columnar, or a live overlay
-    over it; the plain object graph silently falls back to
-    the tuple pipeline (it has no id columns to slice).
+    decode to strings only at the top-k sink.  It slices every graph's
+    :meth:`~repro.kg.graph.KnowledgeGraph.column_store` — a columnar
+    graph's own, a live overlay's base, or an object graph's triples
+    interned on the first encoded read.
 
 For the block path the executor reads encoded match lists (and the term
 codec) from an :class:`~repro.operators.block.EncodedListStore` — a
@@ -48,9 +48,7 @@ ExecutorKind = Literal["tuple", "block"]
 
 EXECUTOR_KINDS: tuple[str, ...] = ("tuple", "block")
 
-#: What callers may *request*: a concrete strategy, or ``"auto"`` — block
-#: wherever the backend has id columns (:meth:`PlanExecutor.can_execute_block`),
-#: tuple otherwise.
+#: What callers may *request*: a concrete strategy, or ``"auto"`` — block.
 ExecutorMode = Literal["tuple", "block", "auto"]
 
 EXECUTOR_MODES: tuple[str, ...] = EXECUTOR_KINDS + ("auto",)
@@ -59,8 +57,7 @@ EXECUTOR_MODES: tuple[str, ...] = EXECUTOR_KINDS + ("auto",)
 @dataclass(frozen=True)
 class ExecutorChoice:
     """Which pipeline serves a query, and why: ``"pinned"`` (the mode
-    names it), or under ``"auto"`` ``"block-available"`` /
-    ``"block-unavailable"`` (object graph)."""
+    names it) or ``"block-available"`` (``"auto"``)."""
 
     executor: ExecutorKind
     reason: str
@@ -83,20 +80,6 @@ class ExecutionResult:
     @property
     def scores(self) -> tuple[float, ...]:
         return tuple(answer.score for answer in self.answers)
-
-
-def supports_block_execution(graph: KnowledgeGraph) -> bool:
-    """Whether the block pipeline can run over *graph*.
-
-    True for every backend with encoded columns in reach — columnar,
-    and live overlays (even over an object base: the codec then
-    interns every term into its side table).  False only for the plain
-    object graph, which the block planner has nothing to slice from.
-    """
-    return (
-        getattr(graph, "store", None) is not None
-        or getattr(graph, "base", None) is not None
-    )
 
 
 class PlanExecutor:
@@ -134,18 +117,6 @@ class PlanExecutor:
     def executor(self) -> ExecutorKind:
         return self._executor
 
-    def can_execute_block(self) -> bool:
-        """Whether the block pipeline is available at all on this executor
-        (columnar-backed graph) — independent of the configured strategy.
-        It is all ``"auto"`` decides on."""
-        return supports_block_execution(self._graph)
-
-    def uses_block_path(self, executor: ExecutorKind | None = None) -> bool:
-        """Whether :meth:`execute` will take the vectorized pipeline
-        (for the configured strategy, or for the *executor* override)."""
-        kind = executor if executor is not None else self._executor
-        return kind == "block" and self.can_execute_block()
-
     def execute(
         self, plan: QueryPlan, k: int, executor: ExecutorKind | None = None
     ) -> ExecutionResult:
@@ -160,7 +131,7 @@ class PlanExecutor:
             raise ExecutionError(
                 f"unknown executor {executor!r}; choose from {EXECUTOR_KINDS}"
             )
-        if self.uses_block_path(executor):
+        if (executor or self._executor) == "block":
             return self._execute_block(plan, k)
         return self._execute_tuple(plan, k)
 

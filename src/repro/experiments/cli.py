@@ -357,8 +357,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--executor", choices=("tuple", "block", "auto"), default="tuple",
         help="execution strategy: tuple-at-a-time operators (default), "
         "the vectorized block-at-a-time engine over encoded columns, or "
-        "'auto' = block where the backend has id columns, tuple otherwise "
-        "(identical answers under all three)",
+        "'auto' = block (identical answers under all three)",
     )
     service.add_argument(
         "--result-cache", type=int, default=None, metavar="N",

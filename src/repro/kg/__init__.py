@@ -14,8 +14,8 @@ Public surface:
 * :class:`~repro.kg.graph.KnowledgeGraph` — the object-backed store.
 * :class:`~repro.kg.columnar.ColumnarGraph` /
   :class:`~repro.kg.columnar.ColumnarStore` — the read-only
-  dictionary-encoded columnar backend (NumPy-backed; imported lazily so
-  the object backend stays dependency-free).
+  dictionary-encoded columnar backend (NumPy-backed); every graph's
+  encoded reads slice one :class:`~repro.kg.columnar.ColumnarStore`.
 * :class:`~repro.kg.delta.LiveGraph` / :class:`~repro.kg.delta.GraphUpdate`
   — the delta-overlay write path over the immutable backends (adds +
   tombstones, versioned invalidation, LSM-style compaction).
@@ -24,15 +24,12 @@ Public surface:
   format (``save_snapshot_v2`` / ``load_snapshot_v2``).
 """
 
+from repro.kg.columnar import ColumnarGraph, ColumnarPatternIndex, ColumnarStore
 from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, Variable, is_variable
 from repro.kg.triple import Triple
 from repro.kg.namespace import Namespace, RDF_TYPE
-
-#: Names served lazily from repro.kg.columnar (keeps NumPy optional for
-#: the object backend).
-_COLUMNAR_EXPORTS = ("ColumnarGraph", "ColumnarStore", "ColumnarPatternIndex")
 
 __all__ = [
     "ColumnarGraph",
@@ -49,11 +46,3 @@ __all__ = [
     "is_variable",
 ]
 
-
-def __getattr__(name: str):
-    """Lazily resolve the columnar exports on first access."""
-    if name in _COLUMNAR_EXPORTS:
-        from repro.kg import columnar
-
-        return getattr(columnar, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -826,6 +826,10 @@ class ColumnarGraph(KnowledgeGraph):
         """The underlying dictionary-encoded columns."""
         return self._store
 
+    def column_store(self) -> ColumnarStore:
+        """:attr:`store`: encoded reads slice the graph's own columns."""
+        return self._store
+
     # ------------------------------------------------------------------
     # Mutation: refused (freeze-thaw model)
     # ------------------------------------------------------------------

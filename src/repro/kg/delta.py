@@ -4,9 +4,9 @@ The columnar backend trades mutability for scale: its stores are
 frozen at construction, so before this module, absorbing a single new
 triple meant ``thaw()`` plus a full rebuild of columns, match
 lists and statistics.  :class:`LiveGraph` restores the write path with
-the classic LSM split — an **immutable base** (any
-:class:`~repro.kg.graph.KnowledgeGraph`, typically a
-:class:`~repro.kg.columnar.ColumnarGraph`) under a **mutable delta**:
+the classic LSM split — an **immutable base** (a
+:class:`~repro.kg.columnar.ColumnarGraph`; any other graph is frozen into
+one) under a **mutable delta**:
 
 * *adds/overwrites* live in a small object-backed graph of their own, so
   per-pattern sorted delta match lists come from the ordinary
@@ -18,7 +18,7 @@ the classic LSM split — an **immutable base** (any
   :func:`~repro.kg.index.merge_match_lists`, so overlay reads are
   bit-for-bit equal to a from-scratch rebuild of the final triple set;
 * the block pipeline and the join-cardinality counts never see those
-  string lists: over a store-backed base, :meth:`LiveGraph.overlay_rows`
+  string lists: :meth:`LiveGraph.overlay_rows`
   hands :class:`~repro.operators.block.EncodedMatchList` the same view as
   surviving base-store rows plus the delta's few adds and their splice
   positions, all from id columns;
@@ -34,8 +34,8 @@ plan and result caches) invalidate exactly as they do for a mutated
 object graph; the encoded list store and the statistics catalog drop
 only what :meth:`LiveGraph.touched_since` says a write touched.
 
-The base must not be mutated behind the overlay's back; ``LiveGraph``
-treats it as frozen (columnar bases enforce that themselves).
+The base is immutable: a columnar graph refuses mutation, and any other
+base is copied into columns when the overlay is built.
 """
 
 from __future__ import annotations
@@ -44,11 +44,12 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import takewhile
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import KnowledgeGraphError
+from repro.kg.columnar import ColumnarGraph, ColumnarStore
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.index import (
     MatchList,
@@ -59,9 +60,6 @@ from repro.kg.index import (
 )
 from repro.kg.pattern import TriplePattern
 from repro.kg.triple import Triple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.kg.columnar import ColumnarStore
 
 #: A fully-bound triple key.
 Spo = tuple[str, str, str]
@@ -164,10 +162,10 @@ class LivePatternIndex(PatternIndex):
 
 
 class LiveGraph(KnowledgeGraph):
-    """A mutable delta overlay over an immutable base graph.
+    """A mutable delta overlay over an immutable columnar base graph.
 
     Presents the full :class:`~repro.kg.graph.KnowledgeGraph` interface —
-    mutation included — over any frozen backend, serving exact
+    mutation included — over a frozen column store, serving exact
     Definition-5 match lists for the *merged* view.  See the module docs
     for the design; the headline contract is **rebuild equivalence**:
     after any interleaving of adds, overwrites and removes, every match
@@ -177,8 +175,10 @@ class LiveGraph(KnowledgeGraph):
     Parameters
     ----------
     base:
-        The frozen graph to overlay.  Object-backed bases work too but
-        must not be mutated directly afterwards.
+        The graph to overlay.  A :class:`~repro.kg.columnar.ColumnarGraph`
+        is used as it is; any other graph is frozen into columns first
+        (:meth:`~repro.kg.columnar.ColumnarGraph.from_graph`), so the
+        overlay owns a copy and later edits to it do not show.
     compact_threshold:
         Auto-compact once ``delta_size`` (adds + tombstones) reaches this
         bound; ``None`` (default) compacts only on explicit
@@ -209,6 +209,9 @@ class LiveGraph(KnowledgeGraph):
             )
         self.name = name or base.name
         self.compact_threshold = compact_threshold
+        self._version = base.version
+        if not isinstance(base, ColumnarGraph):
+            base = ColumnarGraph.from_graph(base)
         self._base = base
         self._tombstones: set[Spo] = set()
         self._overwrites: set[Spo] = set()
@@ -219,7 +222,6 @@ class LiveGraph(KnowledgeGraph):
         self._overlay_state: (
             tuple[np.ndarray | None, dict[PatternKey, list[Add]]] | None
         ) = None
-        self._version = base.version
         #: Keys touched since the last step and, of those, the keys whose
         #: membership changed (a triple that was not live added, or any
         #: remove); then ``(version, touched, membership)`` per step,
@@ -313,14 +315,13 @@ class LiveGraph(KnowledgeGraph):
 
     def _apply_add(self, triple: Triple) -> None:
         spo = triple.spo
-        if getattr(self._base, "store", None) is not None:
-            for term in spo:
-                if "\x00" in term:
-                    # Refused before it lands: the compaction that would
-                    # intern it, and every one after, would fail instead.
-                    raise KnowledgeGraphError(
-                        f"term {term!r} contains NUL, unsupported by columnar storage"
-                    )
+        for term in spo:
+            if "\x00" in term:
+                # Refused before it lands: the compaction that would
+                # intern it, and every one after, would fail instead.
+                raise KnowledgeGraphError(
+                    f"term {term!r} contains NUL, unsupported by columnar storage"
+                )
         in_base = spo in self._base
         if spo not in self._adds and (not in_base or spo in self._tombstones):
             self._moved.add(spo)  # not live before: a re-score is not a move
@@ -374,28 +375,23 @@ class LiveGraph(KnowledgeGraph):
     def compact(self) -> int:
         """Fold the delta into a fresh immutable base; returns rows folded.
 
-        Columnar bases fold vectorised
-        (:meth:`~repro.kg.columnar.ColumnarStore.with_updates`) and stay
-        snapshot-compatible.  The version counter keeps climbing across
-        the swap, so every version-tagged cache entry goes stale at once;
-        the step journals every delta add it folds as touched, none as a
-        membership change (the live triple set is the same).
+        The fold is vectorised
+        (:meth:`~repro.kg.columnar.ColumnarStore.with_updates`) and the
+        new base stays snapshot-compatible.  The version counter keeps
+        climbing across the swap, so every version-tagged cache entry goes
+        stale at once; the step journals every delta add it folds as
+        touched, none as a membership change (the live triple set is the
+        same).
         """
         folded = self.delta_size
         if folded == 0:
             return 0
         self._touched.update(self._adds._scores)
         base = self._base
-        store = getattr(base, "store", None)
-        if store is not None:
-            from repro.kg.columnar import ColumnarGraph
-
-            adds = {t.spo: t.score for t in self._adds.triples()}
-            self._base = ColumnarGraph(
-                store.with_updates(adds, self._superseded()), name=base.name
-            )
-        else:
-            self._base = KnowledgeGraph(self.triples(), name=base.name)
+        adds = {t.spo: t.score for t in self._adds.triples()}
+        self._base = ColumnarGraph(
+            base.store.with_updates(adds, self._superseded()), name=base.name
+        )
         # Whoever still holds the superseded base (the caller's original
         # graph, typically) should not hold its decoded lists with it.
         base.invalidate_caches()
@@ -408,9 +404,15 @@ class LiveGraph(KnowledgeGraph):
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def base(self) -> KnowledgeGraph:
+    def base(self) -> ColumnarGraph:
         """The current immutable base (swapped by :meth:`compact`)."""
         return self._base
+
+    def column_store(self) -> ColumnarStore:
+        """The base's store: encoded reads slice it and splice the delta
+        in (:meth:`overlay_rows`), so it is the overlay's store, not its
+        content."""
+        return self._base.store
 
     @property
     def delta(self) -> KnowledgeGraph:
@@ -538,7 +540,7 @@ class LiveGraph(KnowledgeGraph):
         return merge_match_lists(key, parts)
 
     def _overlay_index(
-        self, store: "ColumnarStore"
+        self, store: ColumnarStore
     ) -> tuple[np.ndarray | None, dict[PatternKey, list[Add]]]:
         """What every overlay read of the current delta state shares,
         built on its first read: the mask of the base *store*'s rows the
@@ -566,9 +568,8 @@ class LiveGraph(KnowledgeGraph):
     ) -> tuple[np.ndarray, np.ndarray, list[Sequence[Add]], list[np.ndarray | None]]:
         """The live match lists of *patterns* as base-store rows plus adds.
 
-        Only over a base with a column store.  Returns ``rows`` and
-        ``lengths``: every pattern's surviving base-store rows, back to
-        back, each run in Definition-5 order (one
+        Returns ``rows`` and ``lengths``: every pattern's surviving
+        base-store rows, back to back, each run in Definition-5 order (one
         :meth:`~repro.kg.columnar.ColumnarStore.lookup` masking the
         superseded rows of :meth:`_overlay_index`); and per pattern the
         delta's matching ``(spo, raw score)`` adds in that order (shared,
@@ -576,7 +577,7 @@ class LiveGraph(KnowledgeGraph):
         (:meth:`~repro.kg.columnar.ColumnarStore.insertion_slots`,
         ``None`` without adds).  No triple is decoded, nothing sorted.
         """
-        store: "ColumnarStore" = self._base.store  # type: ignore[attr-defined]
+        store = self._base.store
         superseded, adds_by_key = self._overlay_index(store)
         rows, lengths = store.lookup([p.list_key() for p in patterns], superseded)
         all_adds: list[Sequence[Add]] = []

@@ -8,12 +8,16 @@ lists — the substrate interface the paper obtained from PostgreSQL with an
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import threading
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import KnowledgeGraphError
 from repro.kg.index import MatchList, MatchListCacheHook, PatternIndex
 from repro.kg.pattern import TriplePattern
 from repro.kg.triple import Triple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.kg.columnar import ColumnarStore
 
 
 class KnowledgeGraph:
@@ -29,11 +33,15 @@ class KnowledgeGraph:
     1
     """
 
+    #: ``(version, store)`` of :meth:`column_store`, built on first use.
+    _column_snapshot: "tuple[int, ColumnarStore] | None" = None
+
     def __init__(self, triples: Iterable[Triple] | None = None, name: str = "kg") -> None:
         self.name = name
         self._scores: dict[tuple[str, str, str], float] = {}
         self._index = PatternIndex(self)
         self._version = 0
+        self._column_lock = threading.Lock()
         if triples is not None:
             self.add_triples(triples)
 
@@ -144,6 +152,23 @@ class KnowledgeGraph:
         """
         return self._index.match_list(pattern)
 
+    def column_store(self) -> "ColumnarStore":
+        """The :class:`~repro.kg.columnar.ColumnarStore` the graph's encoded
+        reads slice: here its triples interned at the current
+        :attr:`version`, built on first use and again after a mutation.
+        Racing first calls get one object."""
+        snapshot = self._column_snapshot
+        if snapshot is None or snapshot[0] != self._version:
+            with self._column_lock:
+                snapshot = self._column_snapshot
+                if snapshot is None or snapshot[0] != self._version:
+                    from repro.kg.columnar import ColumnarStore
+
+                    version = self._version  # read first: a racing write rebuilds
+                    store = ColumnarStore.from_triples(self.triples())
+                    snapshot = self._column_snapshot = (version, store)
+        return snapshot[1]
+
     # ------------------------------------------------------------------
     # Cache management
     # ------------------------------------------------------------------
@@ -165,12 +190,13 @@ class KnowledgeGraph:
         return self._index.match_list_cache
 
     def invalidate_caches(self) -> None:
-        """Drop all lazily built indexes and match lists.
+        """Drop all lazily built indexes, match lists and the column store.
 
         Mutations invalidate automatically (via :attr:`version`); this is
         the explicit cold-start path used for cold-cache measurements.
         """
         self._index.invalidate()
+        self._column_snapshot = None
 
     def index_stats(self) -> dict[str, int]:
         """Diagnostics from the underlying pattern index."""

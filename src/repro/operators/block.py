@@ -15,16 +15,15 @@ exchange instead:
   :class:`~repro.operators.base.Operator` at block granularity (same
   upper-bound contract, so the HRJN threshold argument carries over
   unchanged — see :mod:`repro.operators.vector_join`);
-* a :class:`TermCodec` mapping terms to ids: dictionary-encoded backends
-  reuse their store ids verbatim, terms outside the store dictionary
-  (live-delta adds, object-graph terms) are interned into a side table —
-  the mapping is injective, so id equality *is* term equality and joins
-  never decode;
+* a :class:`TermCodec` mapping terms to ids: the graph's
+  :meth:`~repro.kg.graph.KnowledgeGraph.column_store` ids verbatim, and
+  terms outside its dictionary (live-delta adds) interned into a side
+  table — the mapping is injective, so id equality *is* term equality and
+  joins never decode;
 * an :class:`EncodedMatchList` — a pattern's Definition-5 match list as
-  id columns + normalized scores, sliced straight out of a
+  id columns + normalized scores, sliced straight out of that
   :class:`~repro.kg.columnar.ColumnarStore` without materialising one
-  Triple or string (the fast path), or encoded from an ordinary
-  :class:`~repro.kg.index.MatchList` for overlay/object backends;
+  Triple or string;
 * the :class:`BlockTopK` sink, the only place ids are decoded back to
   strings — and only for the ≤ k (+ boundary ties) winning rows.
 
@@ -46,13 +45,13 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.kg.columnar import ColumnarGraph, stable_argsort
+from repro.kg.delta import LiveGraph
 from repro.kg.index import touched_pattern_keys
 from repro.operators.topk import finalize_canonical
 from repro.query.answer import Answer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kg.columnar import ColumnarStore
-    from repro.kg.index import MatchList
     from repro.kg.pattern import TriplePattern
 
 #: Rows per emitted block.  A match list that fits is handed out whole,
@@ -72,13 +71,13 @@ KeyOrder = tuple[np.ndarray, np.ndarray, bool]
 
 
 class TermCodec:
-    """Injective term ↔ int64 id mapping over an optional store dictionary.
+    """Injective term ↔ int64 id mapping over a store dictionary.
 
     Ids below ``n_base`` are the backing
     :class:`~repro.kg.columnar.ColumnarStore` dictionary ids (so columns
     sliced from the store need no re-encoding); terms the store does not
-    know — live-delta adds, or every term when there is no store — get
-    side-table ids ``n_base, n_base + 1, ...`` in first-seen order.
+    know — live-delta adds — get side-table ids ``n_base, n_base + 1,
+    ...`` in first-seen order.
 
     A codec is only valid for one store object.  A compaction's new store
     extends the old dictionary, so store ids carry over but side ids do
@@ -88,16 +87,16 @@ class TermCodec:
     of a :class:`~repro.service.WorkloadRunner`, and
     :meth:`EncodedListStore.get_or_build` deliberately builds match
     lists outside the store lock, so concurrent :meth:`encode` calls on
-    the overlay/object path must not hand the same side id to two
-    distinct terms (injectivity is what lets joins and the top-k sink
-    compare ids instead of strings).
+    the overlay path must not hand the same side id to two distinct
+    terms (injectivity is what lets joins and the top-k sink compare ids
+    instead of strings).
     """
 
     __slots__ = ("store", "n_base", "_side_ids", "_side_terms", "_side_lock")
 
-    def __init__(self, store: "ColumnarStore | None" = None) -> None:
+    def __init__(self, store: "ColumnarStore") -> None:
         self.store = store
-        self.n_base = store.n_terms if store is not None else 0
+        self.n_base = store.n_terms
         self._side_ids: dict[str, int] = {}
         self._side_terms: list[str] = []
         self._side_lock = threading.Lock()
@@ -109,10 +108,9 @@ class TermCodec:
 
     def encode(self, term: str) -> int:
         """The id of *term*, interning into the side table when new."""
-        if self.store is not None:
-            term_id = self.store.term_id(term)
-            if term_id is not None:
-                return term_id
+        term_id = self.store.term_id(term)
+        if term_id is not None:
+            return term_id
         side = self._side_ids.get(term)
         if side is None:
             with self._side_lock:
@@ -128,7 +126,6 @@ class TermCodec:
     def decode(self, term_id: int) -> str:
         """The term of *term_id* (store dictionary or side table)."""
         if term_id < self.n_base:
-            assert self.store is not None
             return self.store.term_list()[term_id]
         return self._side_terms[term_id - self.n_base]
 
@@ -245,7 +242,7 @@ def _gather_rows(
     lengths: np.ndarray,
     adds: "Sequence[Sequence[tuple[tuple[str, str, str], float]]]",
     slots: "Sequence[np.ndarray | None]",
-    codec: "TermCodec | None",
+    codec: TermCodec,
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Several match lists of *store*, gathered back to back.
 
@@ -275,7 +272,6 @@ def _gather_rows(
         columns.append(column)
     raw = store.scores[rows]
     if any(adds):
-        assert codec is not None
         encode = codec.encode
         offsets = np.cumsum(lengths) - lengths
         at_slots = np.concatenate(
@@ -314,17 +310,21 @@ def _gather_rows(
 def _store_rows(graph, patterns: "Sequence[TriplePattern]", codec: TermCodec):
     """The lists of *patterns* as ``(rows, lengths, adds, slots)`` of the
     codec's store for :func:`_gather_rows` — one batched lookup, over a
-    live overlay :meth:`~repro.kg.delta.LiveGraph.overlay_rows` — or
-    ``None`` when *graph* reads no such store."""
+    live overlay :meth:`~repro.kg.delta.LiveGraph.overlay_rows`.
+
+    Raises :class:`~repro.errors.ExecutionError` when *graph* no longer
+    reads the codec's store: it changed after the codec was taken."""
     store = codec.store
-    if store is None:
-        return None
-    if getattr(graph, "store", None) is store:
-        rows, lengths = store.lookup([pattern.list_key() for pattern in patterns])
-        return rows, lengths, [()] * len(patterns), [None] * len(patterns)
-    if getattr(getattr(graph, "base", None), "store", None) is store:
+    if graph.column_store() is not store:
+        raise ExecutionError(
+            "graph changed during block execution: it no longer reads the "
+            "column store this query's codec encodes — do not mutate the "
+            "graph while a query is in flight"
+        )
+    if isinstance(graph, LiveGraph):
         return graph.overlay_rows(patterns)
-    return None
+    rows, lengths = store.lookup([pattern.list_key() for pattern in patterns])
+    return rows, lengths, [()] * len(patterns), [None] * len(patterns)
 
 
 class EncodedMatchList:
@@ -333,7 +333,7 @@ class EncodedMatchList:
     ``columns[i]`` holds the int64 ids bound to ``var_names[i]`` (the
     pattern's distinct variables in S-P-O position order); ``scores``
     are the *normalized* scores, non-increasing.  Rows are in exactly
-    the order the string :class:`~repro.kg.index.MatchList` would hold
+    the order the string :class:`~repro.kg.index.MatchList` holds
     them (raw score descending, ties by ``spo``), so a scan over this
     list emits the same stream as a
     :class:`~repro.operators.scan.SortedScan` minus the objects.
@@ -422,52 +422,14 @@ class EncodedMatchList:
         row is decoded, nothing is sorted, and the ids are store ids."""
         return build_encoded_match_list(ColumnarGraph(store), pattern, TermCodec(store))
 
-    @classmethod
-    def from_match_list(
-        cls,
-        match_list: "MatchList",
-        pattern: "TriplePattern",
-        codec: TermCodec,
-    ) -> "EncodedMatchList":
-        """Encode an already-built string match list through *codec*.
-
-        The overlay/object-backend path: live graphs serve merged
-        base∪delta lists whose delta terms may be outside the store
-        dictionary, so each binding is interned (store id when known,
-        side id otherwise).  Order and normalized scores are taken from
-        the list verbatim — *match_list* must be *pattern*'s own list
-        (``graph.match_list(pattern)``, which tells a repeated-variable
-        pattern from its unconstrained twin).
-        """
-        var_names, positions = pattern.variable_positions()
-        triples = match_list.triples
-        n = len(triples)
-        columns = tuple(np.empty(n, dtype=np.int64) for _ in var_names)
-        encode = codec.encode
-        for row, triple in enumerate(triples):
-            spo = triple.spo
-            for column, position in zip(columns, positions):
-                column[row] = encode(spo[position])
-        scores = np.asarray(match_list.normalized_scores, dtype=np.float64)
-        return cls(var_names, columns, scores, match_list.max_score, (pattern,))
-
 
 def build_encoded_match_list(
     graph, pattern: "TriplePattern", codec: TermCodec
 ) -> EncodedMatchList:
-    """The encoded match list of *pattern* over *graph*.
-
-    Backends exposing a :class:`~repro.kg.columnar.ColumnarStore` that
-    matches the codec's dictionary (columnar graphs) are sliced without
-    decoding, and so are live overlays whose base is such a backend
-    (:func:`_store_rows`); everything else (object graphs, live overlays
-    over them) goes through the graph's ordinary — and cached — string
-    match list plus the codec.
-    """
-    gathered = _store_rows(graph, (pattern,), codec)
-    if gathered is None:
-        return EncodedMatchList.from_match_list(graph.match_list(pattern), pattern, codec)
+    """The encoded match list of *pattern* over *graph*, sliced from the
+    codec's store (:func:`_store_rows`) without decoding a row."""
     var_names = pattern.variable_names
+    gathered = _store_rows(graph, (pattern,), codec)
     columns, scores, _, maxima = _gather_rows(
         codec.store, var_names, (pattern,), *gathered, codec
     )
@@ -485,10 +447,8 @@ def build_merged_match_list(
     *inputs* are ``(pattern, weight)`` pairs — the relaxed pattern itself
     (weight 1.0), then each applicable rule's range pattern — binding the
     same variables, though a rule may move one to another position.  No
-    per-input list is built: where :func:`_store_rows` reads the store,
-    all inputs' rows come in one batch and are gathered and normalized
-    in one pass; other graphs concatenate the inputs'
-    :meth:`EncodedMatchList.from_match_list` columns.  Scores become
+    per-input list is built: all inputs' rows come from :func:`_store_rows`
+    in one batch and are gathered and normalized in one pass.  Scores become
     ``weight * normalized``, one stable ``argsort`` orders them,
     :func:`first_occurrence_keep` keeps each binding's first — maximum —
     score, and the columns are gathered once through the composed
@@ -505,21 +465,9 @@ def build_merged_match_list(
                 f"variables: {sorted(var_names)} vs {sorted(names)}"
             )
     gathered = _store_rows(graph, patterns, codec)
-    if gathered is not None:
-        columns, normalized, lengths, _ = _gather_rows(
-            codec.store, var_names, patterns, *gathered, codec
-        )
-    else:
-        lists = [
-            EncodedMatchList.from_match_list(graph.match_list(pattern), pattern, codec)
-            for pattern in patterns
-        ]
-        columns = tuple(
-            np.concatenate([part.columns[part.var_names.index(name)] for part in lists])
-            for name in var_names
-        )
-        normalized = np.concatenate([part.scores for part in lists])
-        lengths = np.array([len(part) for part in lists], dtype=np.int64)
+    columns, normalized, lengths, _ = _gather_rows(
+        codec.store, var_names, patterns, *gathered, codec
+    )
     scores = np.repeat([weight for _, weight in inputs], lengths) * normalized
     # Stable sort: equal scores keep input order — irrelevant for the
     # surviving (binding, score) multiset, which dedup-keep-first fixes
@@ -615,14 +563,14 @@ class EncodedListStore:
                 f"{getattr(owner, 'name', owner)!r}; one store serves one "
                 "graph — release() it first or give each graph its own store"
             )
-        store = getattr(graph, "store", None) or getattr(
-            getattr(graph, "base", None), "store", None
-        )
-        codec, held, version = self._codec, self._version, graph.version
+        version = graph.version
+        store = graph.column_store()
+        codec, held = self._codec, self._version
         if codec is not None and codec.store is store and held == version:
             return 0
-        touched_since = getattr(graph, "touched_since", None)
-        touched = touched_since(held) if codec is not None and touched_since else None
+        touched = None
+        if codec is not None and isinstance(graph, LiveGraph):
+            touched = graph.touched_since(held)
         if touched is None:
             dropped = len(self._lists)
             self._clear_locked()

@@ -131,10 +131,9 @@ class WorkloadRunner:
         ``"tuple"``, ``"block"`` or ``"auto"`` — the execution strategy
         every worker engine uses (see
         :class:`~repro.core.engine.SpecQPEngine`).  ``"block"`` is the
-        serving pipeline on columnar/live backends, ``"auto"``
-        is block wherever the backend has id columns and tuple
-        otherwise (each report row names the pipeline that served it),
-        ``"tuple"`` the paper-faithful reference.
+        serving pipeline and ``"auto"`` is block (each report row names
+        the pipeline that served it), ``"tuple"`` the paper-faithful
+        reference.
         Answers are byte-identical under all three.  The attribute is
         settable on a live runner (worker engines are rebuilt, and the
         plan cache keys on the executor kind, so toggling never replays

@@ -8,9 +8,9 @@ only reads from it at plan time.
 
 Both kinds of statistic are computed from a pattern's normalized score
 column, read from the same :class:`~repro.operators.block.EncodedListStore`
-the join counts read their id columns from — so a store-backed graph
-never builds a string match list for planning, and the lists a refresh
-rebuilds are the ones execution reads next.
+the join counts read their id columns from — so planning never builds a
+string match list, and the lists a refresh rebuilds are the ones
+execution reads next.
 """
 
 from __future__ import annotations

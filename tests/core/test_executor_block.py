@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.engine import SpecQPEngine
-from repro.core.executor import PlanExecutor, supports_block_execution
+from repro.core.executor import PlanExecutor
+from repro.core.plan import QueryPlan
 from repro.errors import ExecutionError
 from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import GraphUpdate, LiveGraph
@@ -24,6 +25,8 @@ def rows(result):
 
 
 class TestExecutorSelection:
+    QUERY = TriplePatternQuery((tp("singer"),))
+
     def test_unknown_executor_rejected(self, music_graph, music_rules):
         with pytest.raises(ExecutionError):
             SpecQPEngine(music_graph, music_rules, executor="parallel")
@@ -31,24 +34,46 @@ class TestExecutorSelection:
     def test_default_is_tuple(self, music_graph, music_rules):
         engine = SpecQPEngine(music_graph, music_rules)
         assert engine.executor_kind == "tuple"
-        assert not engine.executor.uses_block_path()
+        assert engine.resolve_executor(self.QUERY).executor == "tuple"
 
     def test_block_supported_on_columnar(self, music_graph, music_rules):
         frozen = ColumnarGraph.from_graph(music_graph)
         engine = SpecQPEngine(frozen, music_rules, executor="block")
         assert engine.executor_kind == "block"
-        assert engine.executor.uses_block_path()
+        assert engine.resolve_executor(self.QUERY).executor == "block"
 
-    def test_object_graph_falls_back_to_tuple(self, music_graph, music_rules):
-        assert not supports_block_execution(music_graph)
+    def test_object_graph_runs_block(
+        self, music_graph, music_rules, singer_lyricist_query
+    ):
         engine = SpecQPEngine(music_graph, music_rules, executor="block")
-        assert not engine.executor.uses_block_path()
+        assert engine.resolve_executor(self.QUERY).executor == "block"
+        reference = SpecQPEngine(music_graph, music_rules, executor="tuple")
+        assert rows(engine.query(singer_lyricist_query, k=10)) == rows(
+            reference.query(singer_lyricist_query, k=10)
+        )
+        assert len(engine.executor.encoded_store) > 0  # served from columns
 
     def test_live_overlay_supported(self, music_graph, music_rules):
         live = LiveGraph(ColumnarGraph.from_graph(music_graph))
-        assert supports_block_execution(live)
         engine = SpecQPEngine(live, music_rules, executor="block")
-        assert engine.executor.uses_block_path()
+        assert engine.resolve_executor(self.QUERY).executor == "block"
+
+    def test_mutation_inside_a_query_raises_on_an_object_graph(
+        self, music_graph, music_rules, singer_lyricist_query
+    ):
+        engine = SpecQPEngine(music_graph, music_rules, executor="block")
+        plan = QueryPlan.exact(singer_lyricist_query)  # two leaves, no merges
+        store = engine.executor.encoded_store
+        build = store.get_or_build
+
+        def build_then_write(graph, pattern, *pins, **named):
+            built = build(graph, pattern, *pins, **named)
+            music_graph.add("adele", "rdf:type", "singer", score=1.0)
+            return built
+
+        store.get_or_build = build_then_write
+        with pytest.raises(ExecutionError, match="graph changed"):
+            engine.executor.execute(plan, 3)
 
 
 class TestBlockEngineEquivalence:

@@ -8,11 +8,10 @@ misses the answers.  The extension keeps every relaxable pattern whenever
 the original query cannot fill the top-k.
 
 The resolution tests pin what ``"auto"`` means since the tuple-vs-block
-cost rule was retired: block wherever the backend has id columns
-(``block-available``), tuple only where blocks cannot run
-(``block-unavailable``: the object graph) — whatever is or is
-not cached — and because both pipelines are byte-identical, either
-forced choice yields the same answers auto's pick does.
+cost rule was retired: block on every backend (``block-available``) —
+whatever is or is not cached, object graphs included — and because both
+pipelines are byte-identical, either forced choice yields the same
+answers auto's pick does.
 """
 
 import pytest
@@ -117,7 +116,7 @@ def long_list_graph(rows_per_type: int = 512):
 
 
 class TestAutoExecutorResolution:
-    """``auto`` = block where the backend has id columns, tuple otherwise."""
+    """``auto`` = block on every backend."""
 
     def test_hot_short_lists_pick_block(self, music_graph):
         """Every match list resident in the shared cache — the retired
@@ -153,12 +152,14 @@ class TestAutoExecutorResolution:
             choice = engine.resolve_executor(query)
             assert (choice.executor, choice.reason) == ("block", "block-available")
 
-    def test_object_graph_forces_tuple(self, music_graph):
-        query = TriplePatternQuery((tp("singer"),))
+    def test_object_graph_runs_block(self, music_graph):
+        query = TriplePatternQuery((tp("singer"), tp("lyricist")))
         engine = SpecQPEngine(music_graph, RuleSet(), executor="auto")
         choice = engine.resolve_executor(query)
-        assert choice.executor == "tuple"
-        assert choice.reason == "block-unavailable"
+        assert choice.executor == "block"
+        assert choice.reason == "block-available"
+        reference = SpecQPEngine(music_graph, RuleSet(), executor="tuple")
+        assert engine.query(query, k=5).answers == reference.query(query, k=5).answers
 
     def test_pinned_engines_report_pinned_choices(self, music_graph):
         graph = ColumnarGraph.from_graph(music_graph, name="pinned")
@@ -169,12 +170,11 @@ class TestAutoExecutorResolution:
             choice = engine.resolve_executor(query)
             assert choice.executor == kind
             assert choice.reason == "pinned"
-        # Pinned block over an object graph downgrades to tuple (the
-        # executor cannot run blocks there), still reported as pinned.
+        # Pinned block over an object graph runs blocks too.
         object_engine = SpecQPEngine(KnowledgeGraph(), rules, executor="block")
-        downgraded = object_engine.resolve_executor(query)
-        assert downgraded.executor == "tuple"
-        assert downgraded.reason == "pinned"
+        pinned = object_engine.resolve_executor(query)
+        assert pinned.executor == "block"
+        assert pinned.reason == "pinned"
 
     def test_either_forced_executor_matches_autos_pick(self, music_graph):
         """The choice only ever trades speed: forcing tuple, forcing

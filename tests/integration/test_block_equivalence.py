@@ -78,7 +78,8 @@ def test_block_equals_tuple_on_static_backends(
     graph = _base(base_kind, store_graph, kg2_path)
     tuple_engine = SpecQPEngine(graph, tiny_xkg_workload.rules, executor="tuple")
     block_engine = SpecQPEngine(graph, tiny_xkg_workload.rules, executor="block")
-    assert block_engine.executor.uses_block_path()
+    query = tiny_xkg_workload.queries[0]
+    assert block_engine.resolve_executor(query).executor == "block"
     for query in tiny_xkg_workload.queries:
         for k in (3, 10):
             expected = answer_rows(tuple_engine.query(query, k=k))
@@ -97,7 +98,8 @@ def test_block_equals_tuple_on_live_overlays(
         live.compact()
     tuple_engine = SpecQPEngine(live, tiny_xkg_workload.rules, executor="tuple")
     block_engine = SpecQPEngine(live, tiny_xkg_workload.rules, executor="block")
-    assert block_engine.executor.uses_block_path()
+    query = tiny_xkg_workload.queries[0]
+    assert block_engine.resolve_executor(query).executor == "block"
     for query in tiny_xkg_workload.queries[:6]:
         expected = answer_rows(tuple_engine.query(query, k=10))
         actual = answer_rows(block_engine.query(query, k=10))

@@ -322,7 +322,8 @@ class TestCompaction:
         live.remove("a", "p", "x")
         expected = sorted((t.spo, t.score) for t in live.triples())
         live.compact()
-        assert isinstance(live.base, KnowledgeGraph)
+        assert isinstance(live.base, ColumnarGraph)
+        live.base.store.validate()
         assert sorted((t.spo, t.score) for t in live.triples()) == expected
 
     def test_compact_frees_the_old_base_by_refcount(self):
@@ -362,7 +363,7 @@ class TestCompaction:
         assert live.size == 9
 
     def test_nul_term_is_refused_before_it_lands(self):
-        """A columnar base cannot intern a NUL term: the add is refused
+        """A column store cannot intern a NUL term: the add is refused
         on the spot, so no later compaction trips over it."""
         live = LiveGraph(columnar_base(), compact_threshold=2)
         version = live.version
@@ -378,10 +379,11 @@ class TestCompaction:
                 [GraphUpdate.add(f"n{i}", "p", "w", 1.0), GraphUpdate.add(f"m{i}", "p", "w", 2.0)]
             )
         assert live.compactions == 3 and live.size == 12
-        # The object base interns nothing, so it takes the term.
+        # An object base is frozen into columns, so it refuses the term too.
         over_objects = LiveGraph(KnowledgeGraph(base_triples()), compact_threshold=2)
-        over_objects.add("bad\x00", "p", "x", score=1.0)
-        assert ("bad\x00", "p", "x") in over_objects
+        with pytest.raises(KnowledgeGraphError, match="NUL"):
+            over_objects.add("bad\x00", "p", "x", score=1.0)
+        assert ("bad\x00", "p", "x") not in over_objects
 
     def test_monotone_version_across_many_compactions(self):
         live = LiveGraph(columnar_base(), compact_threshold=2)

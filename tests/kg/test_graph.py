@@ -127,3 +127,60 @@ class TestMatchList:
         ml = small_graph.match_list(TriplePattern(var("s"), "type", "t1"))
         assert ml.cumulative_normalized_scores() == [1.0, 1.5]
         assert ml.total_normalized_score() == 1.5
+
+
+class TestColumnStore:
+    def test_one_store_per_version(self, small_graph):
+        store = small_graph.column_store()
+        assert small_graph.column_store() is store
+        assert store.n_triples == small_graph.size
+        small_graph.remove("x", "y", "z")  # absent: no version step
+        assert small_graph.column_store() is store
+        small_graph.add("d", "type", "t1", score=20.0)
+        moved = small_graph.column_store()
+        assert moved is not store
+        assert sorted(t.spo for t in moved.iter_triples()) == sorted(
+            t.spo for t in small_graph.triples()
+        )
+
+    def test_invalidate_caches_drops_the_store(self, small_graph):
+        store = small_graph.column_store()
+        small_graph.invalidate_caches()
+        rebuilt = small_graph.column_store()
+        assert rebuilt is not store
+        assert rebuilt.term_list() == store.term_list()
+
+    def test_racing_first_calls_get_one_store(self, monkeypatch):
+        import threading
+        import time
+
+        from repro.kg.columnar import ColumnarStore
+
+        graph = KnowledgeGraph(
+            Triple(f"e{i}", "type", f"t{i % 7}", float(i)) for i in range(500)
+        )
+        builds = []
+        intern = ColumnarStore.from_triples.__func__
+
+        def slow_intern(cls, triples):
+            builds.append(None)
+            time.sleep(0.05)  # widen the race window
+            return intern(cls, triples)
+
+        monkeypatch.setattr(ColumnarStore, "from_triples", classmethod(slow_intern))
+        barrier = threading.Barrier(8)  # more threads than cores
+        stores = [None] * 8
+
+        def first_read(slot):
+            barrier.wait(timeout=10)
+            stores[slot] = graph.column_store()
+
+        threads = [threading.Thread(target=first_read, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert len(builds) == 1
+        assert all(store is stores[0] for store in stores)
+        assert stores[0].n_triples == 500

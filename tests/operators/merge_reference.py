@@ -1,15 +1,34 @@
-"""A Definition-8 reference for pre-merged relaxation lists.
+"""Plain-Python references for the encoded lists the block path slices.
 
-Each input's own encoded list (the per-pattern lists other suites check
-against the string match lists) is weighted row by row, the union is
-sorted by score descending with ties in input-then-row order, and of
-equal bindings only the first — maximum-score — row is kept.  Plain
-Python throughout, so it shares no code with the gather it checks.
+:func:`encoded_string_list` encodes a graph's string match list through a
+codec, binding by binding; :func:`definition8_merge` builds a pre-merged
+relaxation list from per-input lists: each input's list is weighted row
+by row, the union is sorted by score descending with ties in
+input-then-row order, and of equal bindings only the first —
+maximum-score — row is kept.  Neither shares code with the column
+gathers they check.
 """
 
 from __future__ import annotations
 
-from repro.operators.block import build_encoded_match_list
+import numpy as np
+
+from repro.operators.block import EncodedMatchList, build_encoded_match_list
+
+
+def encoded_string_list(graph, pattern, codec) -> EncodedMatchList:
+    """``graph.match_list(pattern)`` encoded through *codec*: each binding
+    interned (store id when known, side id otherwise), order and
+    normalized scores taken from the string list verbatim."""
+    match_list = graph.match_list(pattern)
+    var_names, positions = pattern.variable_positions()
+    triples = match_list.triples
+    columns = tuple(np.empty(len(triples), dtype=np.int64) for _ in var_names)
+    for row, triple in enumerate(triples):
+        for column, position in zip(columns, positions):
+            column[row] = codec.encode(triple.spo[position])
+    scores = np.asarray(match_list.normalized_scores, dtype=np.float64)
+    return EncodedMatchList(var_names, columns, scores, match_list.max_score, (pattern,))
 
 
 def definition8_merge(graph, inputs, codec, build=build_encoded_match_list):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
-from repro.kg.columnar import ColumnarGraph
+from repro.kg.columnar import ColumnarGraph, ColumnarStore
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, Variable, var
 from repro.operators.block import (
@@ -25,6 +25,8 @@ from repro.operators.block import (
 from repro.operators.memory import ExecutionContext
 from repro.operators.scan import SortedScan
 from repro.operators.vector_scan import VectorScan
+
+from merge_reference import encoded_string_list
 
 
 def tp(type_name: str, v: str = "s") -> TriplePattern:
@@ -64,7 +66,7 @@ class TestTermCodec:
         assert codec.n_ids == base + 2
 
     def test_storeless_codec_interns_everything(self):
-        codec = TermCodec(None)
+        codec = TermCodec(ColumnarStore.from_triples([]))
         assert codec.encode("a") == 0
         assert codec.encode("b") == 1
         assert codec.decode(0) == "a"
@@ -75,13 +77,13 @@ class TestTermCodec:
         ids = [codec.encode(t) for t in terms]
         assert len(set(ids)) == len(terms)
 
-    def test_concurrent_interning_stays_injective(self):
+    def test_concurrent_interning_stays_injective(self, columnar):
         # One codec is shared by every worker thread of a runner, and
         # side-table interning happens outside the store lock: two
         # threads racing to intern must never hand one id to two terms.
         import threading
 
-        codec = TermCodec(None)
+        codec = TermCodec(columnar.store)
         terms = [f"term-{i}" for i in range(500)]
         barrier = threading.Barrier(4)
         results: list[dict[str, int]] = [{} for _ in range(4)]
@@ -101,6 +103,7 @@ class TestTermCodec:
         for t in threads:
             t.join()
         reference = results[0]
+        assert min(reference.values()) == codec.n_base  # all side ids
         assert len(set(reference.values())) == len(terms)  # injective
         for other in results[1:]:
             assert other == reference  # and identical across threads
@@ -201,13 +204,11 @@ class TestEncodedMatchList:
         assert encoded.scores.tolist() == list(string_list.normalized_scores)
         assert encoded.max_score == string_list.max_score
 
-    def test_from_match_list_agrees_with_from_store(self, columnar):
+    def test_string_list_reference_agrees_with_from_store(self, columnar):
         pattern = TriplePattern(var("s"), "knows", var("o"))
         codec = TermCodec(columnar.store)
         from_store = EncodedMatchList.from_store(columnar.store, pattern)
-        from_list = EncodedMatchList.from_match_list(
-            columnar.match_list(pattern), pattern, codec
-        )
+        from_list = encoded_string_list(columnar, pattern, codec)
         assert from_store.var_names == from_list.var_names
         for a, b in zip(from_store.columns, from_list.columns):
             assert a.tolist() == b.tolist()
@@ -240,7 +241,7 @@ class TestEncodedMatchList:
         open_pattern = TriplePattern(var("x"), "p", var("y"))
         diagonal = TriplePattern(var("x"), "p", var("x"))
         assert len(kg.match_list(open_pattern)) == 3  # built and cached first
-        codec = TermCodec(None)
+        codec = TermCodec(kg.column_store())
         encoded = build_encoded_match_list(kg, diagonal, codec)
         decoded = [codec.decode(i) for i in encoded.columns[0].tolist()]
         assert decoded == ["b", "a"]  # only (b,p,b) and (a,p,a)
@@ -252,8 +253,8 @@ class TestEncodedMatchList:
         encoded = build_encoded_match_list(columnar, tp("t"), codec)
         assert len(encoded) == 5
 
-    def test_build_helper_falls_back_without_matching_store(self, graph):
-        codec = TermCodec(None)
+    def test_build_helper_reads_an_object_graphs_column_store(self, graph):
+        codec = TermCodec(graph.column_store())
         encoded = build_encoded_match_list(graph, tp("t"), codec)
         assert len(encoded) == 5
         decoded = [codec.decode(i) for i in encoded.columns[0].tolist()]

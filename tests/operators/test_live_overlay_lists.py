@@ -1,5 +1,5 @@
 """The column-sliced encoded list of a live overlay is, byte for byte,
-``from_match_list(live.match_list(pattern))`` — ids, order, normalised
+``encoded_string_list(live, pattern, codec)`` — ids, order, normalised
 scores, ``max_score`` — and is built without a string list."""
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from repro.kg.storage import load_snapshot_v2, save_snapshot_v2
 from repro.kg.triple import Triple
 from repro.operators.block import (
     EncodedListStore,
-    EncodedMatchList,
     TermCodec,
     build_encoded_match_list,
 )
+
+from merge_reference import encoded_string_list
 
 S_P_O = TriplePattern(var("s"), "p", var("o"))
 S_P_X = TriplePattern(var("s"), "p", "x")
@@ -62,9 +63,7 @@ BASES = ("columnar", "kg2", "compacted")
 
 def assert_sliced_is_encoded_string_list(live: LiveGraph, pattern, monkeypatch=None):
     codec = TermCodec(live.base.store)
-    reference = EncodedMatchList.from_match_list(
-        live.match_list(pattern), pattern, codec
-    )
+    reference = encoded_string_list(live, pattern, codec)
     if monkeypatch is not None:
         # The sliced build may not fall back on the string overlay.
         monkeypatch.setattr(
@@ -185,21 +184,21 @@ class TestColumnSlicedOverlay:
         assert_sliced_is_encoded_string_list(live, S_P_X, monkeypatch)
 
 
-def test_store_serves_the_sliced_list_and_object_bases_keep_the_string_path():
+def test_store_serves_the_sliced_list_over_any_base():
     live = live_over()
     live.apply_updates([GraphUpdate.add("fresh", "p", "x", 6.0)])
     store = EncodedListStore()
     served = store.get_or_build(live, S_P_X)
     assert live.index_stats()["match_lists"] == 0  # nothing decoded on the way
-    reference = EncodedMatchList.from_match_list(
-        live.match_list(S_P_X), S_P_X, store.codec(live)
-    )
+    reference = encoded_string_list(live, S_P_X, store.codec(live))
     assert served.columns[0].tolist() == reference.columns[0].tolist()
 
+    # An object base is frozen into columns, so it is sliced the same way.
     over_objects = LiveGraph(KnowledgeGraph(base_triples()))
+    assert isinstance(over_objects.base, ColumnarGraph)
     over_objects.apply_updates([GraphUpdate.add("fresh", "p", "x", 6.0)])
     EncodedListStore().get_or_build(over_objects, S_P_X)
-    assert over_objects.index_stats()["match_lists"] == 1
+    assert over_objects.index_stats()["match_lists"] == 0
 
 
 TERMS = ("a", "b", "c", "x", "y")

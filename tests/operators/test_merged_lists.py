@@ -334,18 +334,32 @@ class TestMergedListLifecycle:
         with pytest.raises(ExecutionError, match="graph changed"):
             store.get_or_merge(music_graph, pattern, "v", merge, codec)
 
-        # A merge the graph outruns is handed to its own query only: the
-        # next request merges again, at the version it then finds.
+        # A write during a merge gives an object graph a new column store,
+        # so the merge under the older codec raises too.
         refreshed = self.merge_of(store, music_graph, music_rules, pattern)
 
         def mutate_then_merge():
             music_graph.add("sia", "rdf:type", "singer", score=1.0)
             return refreshed()
 
-        outrun = store.get_or_merge(music_graph, pattern, "v", mutate_then_merge)
-        assert len(outrun) == before + 2
-        fresh = self.merge_of(store, music_graph, music_rules, pattern)
-        assert store.get_or_merge(music_graph, pattern, "v", fresh) is not outrun
+        with pytest.raises(ExecutionError, match="graph changed"):
+            store.get_or_merge(music_graph, pattern, "v", mutate_then_merge)
+
+        # A live overlay keeps its store across a write, so a merge the
+        # graph outruns is handed to its own query only: the next request
+        # merges again, at the version it then finds.
+        live = LiveGraph(music_graph)
+        live_store = EncodedListStore()
+        refreshed = self.merge_of(live_store, live, music_rules, pattern)
+
+        def mutate_live_then_merge():
+            live.add("dua", "rdf:type", "singer", score=1.0)
+            return refreshed()
+
+        outrun = live_store.get_or_merge(live, pattern, "v", mutate_live_then_merge)
+        assert len(outrun) == before + 3
+        fresh = self.merge_of(live_store, live, music_rules, pattern)
+        assert live_store.get_or_merge(live, pattern, "v", fresh) is not outrun
 
     def test_racing_builders_agree_on_one_merged_list(self, tiny_xkg_workload):
         workload = tiny_xkg_workload

@@ -2,8 +2,8 @@
 adds filed by pattern key, built once per delta state — follows every
 single mutation: each read in between, through ``overlay_rows``,
 ``build_encoded_match_list`` and ``build_merged_match_list``, equals
-what ``from_match_list(live.match_list(pattern))`` makes of the string
-overlay, with no version-tagged list cache in between."""
+what ``encoded_string_list`` makes of the string overlay, with no
+version-tagged list cache in between."""
 
 from __future__ import annotations
 
@@ -16,13 +16,12 @@ from repro.kg.delta import LiveGraph
 from repro.kg.pattern import TriplePattern, var
 from repro.kg.triple import Triple
 from repro.operators.block import (
-    EncodedMatchList,
     TermCodec,
     build_encoded_match_list,
     build_merged_match_list,
 )
 
-from merge_reference import definition8_merge
+from merge_reference import definition8_merge, encoded_string_list
 
 TERMS = ("a", "b", "c", "x")
 S_P_O = TriplePattern(var("s"), "p", var("o"))
@@ -61,10 +60,6 @@ mutations = st.one_of(
 )
 
 
-def from_string_overlay(graph, pattern, codec) -> EncodedMatchList:
-    return EncodedMatchList.from_match_list(graph.match_list(pattern), pattern, codec)
-
-
 def spliced(store, rows, adds, slots) -> list[tuple[tuple[str, str, str], float]]:
     """``np.insert(rows, slots, adds)``, decoded."""
     merged = [(t.spo, t.score) for t in store.decode_rows(rows)]
@@ -85,14 +80,14 @@ def assert_reads_follow(live: LiveGraph) -> None:
         expected = [(t.spo, t.score) for t in live.match_list(pattern).triples]
         assert spliced(store, run, adds, slots) == expected, pattern
         sliced = build_encoded_match_list(live, pattern, codec)
-        reference = from_string_overlay(live, pattern, codec)
+        reference = encoded_string_list(live, pattern, codec)
         for column, expected_column in zip(sliced.columns, reference.columns):
             assert column.tobytes() == expected_column.tobytes(), pattern
         assert sliced.scores.tobytes() == reference.scores.tobytes(), pattern
         assert sliced.max_score == reference.max_score
     for inputs in MERGES:
         merged = build_merged_match_list(live, inputs, codec)
-        var_names, rows = definition8_merge(live, inputs, codec, from_string_overlay)
+        var_names, rows = definition8_merge(live, inputs, codec, encoded_string_list)
         assert merged.var_names == var_names
         assert list(zip(*(c.tolist() for c in merged.columns))) == [ids for ids, _ in rows]
         assert merged.scores.tolist() == [score for _, score in rows]

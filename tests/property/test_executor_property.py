@@ -2,8 +2,9 @@
 
 For random graphs and random (star-joined) queries, ``executor="block"``
 must return exactly the ``(bindings, score)`` sequence of
-``executor="tuple"`` — over the columnar backend and with relaxation
-rules in play.  This is the
+``executor="tuple"`` — over the columnar backend, over a plain object
+graph mutated in place between reads, and with relaxation rules in
+play.  This is the
 invariant the vectorized engine rests on: blocks are an execution
 granularity, never a semantics change.
 
@@ -101,7 +102,7 @@ def test_block_executor_identical_to_tuple(rows, specs, k):
     query = build_query(specs)
     tuple_engine = SpecQPEngine(graph, rules, executor="tuple")
     block_engine = SpecQPEngine(graph, rules, executor="block")
-    assert block_engine.executor.uses_block_path()
+    assert block_engine.resolve_executor(query).executor == "block"
     expected = answer_rows(tuple_engine.query(query, k=k))
     assert answer_rows(block_engine.query(query, k=k)) == expected
     # The TriniT baseline plan (all patterns relaxed) takes the
@@ -109,6 +110,46 @@ def test_block_executor_identical_to_tuple(rows, specs, k):
     assert answer_rows(block_engine.query_trinit(query, k=k)) == answer_rows(
         tuple_engine.query_trinit(query, k=k)
     )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=triples,
+    writes=triples,
+    specs=pattern_specs,
+    k=st.integers(min_value=1, max_value=6),
+)
+def test_block_executor_identical_to_tuple_on_a_mutated_object_graph(
+    rows, writes, specs, k
+):
+    """The object graph interns its triples on the first encoded read
+    and again after every write: adds, re-scores and removes between
+    reads never let the block answers drift from the tuple answers."""
+    graph = KnowledgeGraph(name="prop-objects")
+    graph.add_triples(Triple(s, p, o, float(score)) for s, p, o, score in rows)
+    rules = build_rules(specs)
+    query = build_query(specs)
+    tuple_engine = SpecQPEngine(graph, rules, executor="tuple")
+    block_engine = SpecQPEngine(graph, rules, executor="block")
+    assert block_engine.resolve_executor(query).executor == "block"
+
+    def assert_same_answers():
+        assert answer_rows(block_engine.query(query, k=k)) == answer_rows(
+            tuple_engine.query(query, k=k)
+        )
+        assert answer_rows(block_engine.query_trinit(query, k=k)) == answer_rows(
+            tuple_engine.query_trinit(query, k=k)
+        )
+        codec = block_engine.executor.encoded_store.codec(graph)
+        assert codec.store is graph.column_store()
+
+    assert_same_answers()
+    for s, p, o, score in writes[:8]:
+        if score % 4 == 0:
+            graph.remove(s, p, o)
+        else:
+            graph.add(s, p, o, score=float(score))
+        assert_same_answers()
 
 
 @settings(max_examples=20, deadline=None)

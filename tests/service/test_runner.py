@@ -404,9 +404,9 @@ def test_apply_updates_waits_for_inflight_batches(music_graph, music_rules):
 
 
 def test_auto_serves_blocks_from_merged_lists_where_it_can(tiny_xkg_workload):
-    """``auto`` is block on a backend with id columns — resident lists or
-    not — and a repeated batch is served from pre-merged relaxation
-    lists; on the object graph it is tuple.  Answers never differ."""
+    """``auto`` is block — resident lists or not — and a repeated batch is
+    served from pre-merged relaxation lists; on the object graph it is
+    block too.  Answers never differ."""
     from repro.datasets.workload import Workload
     from repro.kg.columnar import ColumnarGraph
 
@@ -435,7 +435,7 @@ def test_auto_serves_blocks_from_merged_lists_where_it_can(tiny_xkg_workload):
     object_report = WorkloadRunner(
         tiny_xkg_workload, executor="auto", result_cache_capacity=0
     ).run(k=5)
-    assert {o.executor for o in object_report.outcomes} == {"tuple"}
+    assert {o.executor for o in object_report.outcomes} == {"block"}
     assert outcome_signature(object_report) == outcome_signature(reference)
 
 
@@ -458,4 +458,9 @@ def test_rows_name_the_pipeline_that_served_them(tiny_xkg_workload, executor):
     object_runner = WorkloadRunner(
         tiny_xkg_workload, executor=executor, result_cache_capacity=0
     )
-    assert {o.executor for o in object_runner.run(k=5).outcomes} == {"tuple"}
+    object_report = object_runner.run(k=5)
+    assert {o.executor for o in object_report.outcomes} == {"block"}
+    tuple_report = WorkloadRunner(
+        tiny_xkg_workload, executor="tuple", result_cache_capacity=0
+    ).run(k=5)
+    assert outcome_signature(object_report) == outcome_signature(tuple_report)
