@@ -11,6 +11,7 @@ import time
 from repro.core.config import EngineConfig
 from repro.core.engine import SpecQPEngine
 from repro.core.estimator import memoised_expected_score
+from repro.core.planner import SpecQPPlanner
 from repro.metrics.quality import precision_at_k
 from repro.metrics.report import render_table
 
@@ -24,11 +25,15 @@ def _evaluate(workload, config, k=10, n_queries=12):
         engine.plan(query, k)
     precisions, plan_seconds = [], 0.0
     for query in queries:
-        # Statistics stay warm, but every expected score is computed: the
+        # Statistics stay warm, but every expected score is computed, and
+        # the decision too (a fresh planner's memo is empty): the
         # histograms' resolution is what this ablation times.
+        planner = SpecQPPlanner(
+            engine.estimator, workload.rules, config.relax_all_when_insufficient
+        )
         memoised_expected_score.cache_clear()
         started = time.perf_counter()
-        engine.plan(query, k)
+        planner.plan(query, k)
         plan_seconds += time.perf_counter() - started
         spec = engine.query(query, k)
         true = truth.query_trinit(query, k)

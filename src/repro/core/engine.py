@@ -12,15 +12,14 @@ through the same operators) so experiments compare like with like.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.config import EngineConfig
 from repro.core.estimator import ExpectedScoreEstimator
 from repro.core.executor import (
     DEFAULT_ENCODED_CACHE_CAPACITY,
     EXECUTOR_MODES,
-    ExecutionResult,
     ExecutorChoice,
     ExecutorMode,
     PlanExecutor,
@@ -88,8 +87,8 @@ class SpecQPEngine:
         external cache (see :class:`repro.service.MatchListCache`); the
         engine attaches it to *graph* on construction.  Several engines
         over the same graph may share one cache — that is how
-        :class:`repro.service.WorkloadRunner` amortises sorting across a
-        batch of queries.  Attaching a *different* cache than the one
+        :class:`repro.service.WorkloadRunner` keeps its sorted lists across
+        the engines it rebuilds.  Attaching a *different* cache than the one
         already on the graph raises, because it would silently reroute
         every other engine's lookups; engines built without this
         argument simply use whatever the graph already has attached.
@@ -103,16 +102,12 @@ class SpecQPEngine:
         blocks over its column store (an object graph interns its triples
         on the first encoded read); ``"tuple"`` is the paper-faithful
         reference.  See :mod:`repro.operators.block`.
-    encoded_cache_capacity:
-        Entry bound of the engine's encoded match-list store (``None`` =
-        the executor default), which the block executor serves from and
-        a catalog the engine builds itself counts join cardinalities
-        over.  The service layer passes its match-list cache capacity so
-        both executors hold comparable list budgets.
     encoded_store:
         Optionally share one :class:`~repro.operators.block.EncodedListStore`
-        across engines (the block twin of *match_list_cache*); overrides
-        *encoded_cache_capacity*.
+        across engines (the block twin of *match_list_cache*): the store
+        the block executor serves from and a catalog the engine builds
+        itself counts join cardinalities over.  By default the engine
+        keeps a private one of ``DEFAULT_ENCODED_CACHE_CAPACITY`` lists.
     """
 
     def __init__(
@@ -123,7 +118,6 @@ class SpecQPEngine:
         catalog: StatisticsCatalog | None = None,
         match_list_cache: MatchListCacheHook | None = None,
         executor: ExecutorMode = "tuple",
-        encoded_cache_capacity: int | None = None,
         encoded_store: "EncodedListStore | None" = None,
     ) -> None:
         if executor not in EXECUTOR_MODES:
@@ -143,11 +137,7 @@ class SpecQPEngine:
                 )
             graph.attach_match_list_cache(match_list_cache)
         if encoded_store is None:
-            encoded_store = EncodedListStore(
-                DEFAULT_ENCODED_CACHE_CAPACITY
-                if encoded_cache_capacity is None
-                else encoded_cache_capacity
-            )
+            encoded_store = EncodedListStore(DEFAULT_ENCODED_CACHE_CAPACITY)
         self.catalog = catalog or StatisticsCatalog(
             graph,
             mass_fraction=self.config.mass_fraction,
@@ -202,54 +192,41 @@ class SpecQPEngine:
         self, query: TriplePatternQuery | str, k: int | None = None
     ) -> QueryResult:
         """Speculatively plan and execute *query*, returning top-k."""
-        if isinstance(query, str):
-            query = self.parse(query)
-        k = self.config.k if k is None else k
-        decision = self.planner.plan(query, k)
-        execution = self.executor.execute(
-            decision.plan, k, executor=self.resolve_executor(query).executor
-        )
-        return self._result(decision.plan, decision, decision.planning_seconds, execution)
+        return self._run(query, k, None)
 
     def query_trinit(
         self, query: TriplePatternQuery | str, k: int | None = None
     ) -> QueryResult:
         """Run the TriniT baseline plan (all patterns relaxed; true top-k)."""
-        if isinstance(query, str):
-            query = self.parse(query)
-        k = self.config.k if k is None else k
-        plan = QueryPlan.trinit(query)
-        execution = self.executor.execute(
-            plan, k, executor=self.resolve_executor(query).executor
-        )
-        return self._result(plan, None, 0.0, execution)
+        return self._run(query, k, QueryPlan.trinit)
 
     def query_exact(
         self, query: TriplePatternQuery | str, k: int | None = None
     ) -> QueryResult:
         """Run without any relaxations (plain rank joins)."""
+        return self._run(query, k, QueryPlan.exact)
+
+    # ------------------------------------------------------------------
+    def _run(
+        self,
+        query: TriplePatternQuery | str,
+        k: int | None,
+        fixed_plan: Callable[[TriplePatternQuery], QueryPlan] | None,
+    ) -> QueryResult:
+        """Execute *fixed_plan* of *query*, or PLANGEN's plan when ``None``."""
         if isinstance(query, str):
             query = self.parse(query)
         k = self.config.k if k is None else k
-        plan = QueryPlan.exact(query)
+        decision = None if fixed_plan else self.planner.plan(query, k)
+        plan = fixed_plan(query) if fixed_plan else decision.plan
         execution = self.executor.execute(
             plan, k, executor=self.resolve_executor(query).executor
         )
-        return self._result(plan, None, 0.0, execution)
-
-    # ------------------------------------------------------------------
-    def _result(
-        self,
-        plan: QueryPlan,
-        decision: PlannerDecision | None,
-        planning_seconds: float,
-        execution: ExecutionResult,
-    ) -> QueryResult:
         return QueryResult(
             answers=execution.answers,
             plan=plan,
             decision=decision,
-            planning_seconds=planning_seconds,
+            planning_seconds=decision.planning_seconds if decision else 0.0,
             execution_seconds=execution.execution_seconds,
             answer_objects_created=execution.answer_objects_created,
             tuples_pulled=execution.tuples_pulled,

@@ -35,6 +35,9 @@ Histogram = TwoBucketHistogram | NBucketHistogram
 #: Expected scores :func:`memoised_expected_score` keeps.
 EXPECTED_SCORE_MEMO_SIZE = 4096
 
+#: Decisions a :class:`~repro.core.planner.SpecQPPlanner` memoises.
+DECISION_MEMO_SIZE = 1024
+
 #: A slot in a memo key: the histogram's kind and its four ``params``.
 _SLOT = 5
 

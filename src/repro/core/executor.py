@@ -21,7 +21,7 @@ Two interchangeable execution strategies produce byte-identical answers:
 For the block path the executor reads encoded match lists (and the term
 codec) from an :class:`~repro.operators.block.EncodedListStore` — a
 private one by default, or a shared one injected by the service layer so
-every worker engine of a batch encodes each pattern at most once.  The
+every worker thread of a batch encodes each pattern at most once.  The
 store drops what a write touched, so stale ids can never leak across
 mutations or compactions; a graph that changes *mid-query* makes the
 affected query raise :class:`~repro.errors.ExecutionError` instead of

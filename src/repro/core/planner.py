@@ -15,10 +15,12 @@ processed by Incremental Merge); the rest form the join group.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
+from operator import is_
 
-from repro.core.estimator import ExpectedScoreEstimator
+from repro.core.estimator import DECISION_MEMO_SIZE, ExpectedScoreEstimator
 from repro.core.plan import QueryPlan
 from repro.errors import PlanError
 from repro.kg.pattern import TriplePattern
@@ -60,7 +62,8 @@ class SpecQPPlanner:
     only reachable through *simultaneous* relaxations of several patterns
     (every single-relaxed query is empty), it prunes everything.  The
     extension keeps every relaxable pattern whenever the original query
-    cannot fill the top-k at all (``E_Q(k) == 0``).
+    cannot fill the top-k at all (``E_Q(k) == 0``).  Threads may share a
+    planner.
     """
 
     def __init__(
@@ -72,10 +75,20 @@ class SpecQPPlanner:
         self._estimator = estimator
         self._rules = rules
         self._relax_all_when_insufficient = relax_all_when_insufficient
+        #: key -> (decision, list keys read, histograms read); oldest plan first.
+        self._memo: dict[tuple, tuple[PlannerDecision, tuple, tuple]] = {}
+        self._lock = threading.Lock()
+        self._counts = {"hits": 0, "misses": 0}
 
     @property
     def estimator(self) -> ExpectedScoreEstimator:
         return self._estimator
+
+    def memo_stats(self) -> dict[str, int]:
+        """The decision memo's hits, misses, size and bound."""
+        with self._lock:
+            size = len(self._memo)
+            return {**self._counts, "size": size, "capacity": DECISION_MEMO_SIZE}
 
     def plan(self, query: TriplePatternQuery, k: int) -> PlannerDecision:
         """Generate the speculative plan for *query* at the given *k*.
@@ -84,11 +97,46 @@ class SpecQPPlanner:
         singleton (there is nothing to merge), matching the paper's
         Twitter observation that predicates without relaxations stay
         unrelaxed by construction.
+
+        A repeat of the patterns (in order), projection and k under the
+        same ``RuleSet.version`` replays the memoised decision, with its own
+        ``planning_seconds``, while the catalog (refreshed first) holds the
+        very histograms it read for every query pattern and tested range.
+        No write needs to invalidate it: a write drops the histograms of
+        the patterns it touches, and a join count moves only on a
+        membership change, among those touched.  ``DECISION_MEMO_SIZE``
+        decisions are kept, least recently planned out.
         """
         if k < 1:
             raise PlanError(f"k must be >= 1, got {k}")
         started = time.perf_counter()
+        # The version first: a rule added while planning re-keys the entry.
+        key = (query.patterns, query.projection, k, self._rules.version)
+        catalog = self._estimator.catalog
+        entry = self._memo.get(key)  # one dict read: atomic without the lock
+        if entry is not None and all(
+            map(is_, catalog.held_histograms(entry[1]), entry[2])
+        ):
+            stored = entry[0]
+            plan = stored.plan
+            if plan.query.name != query.name:  # the key holds all but the name
+                plan = QueryPlan(query, plan.join_group, plan.singletons)
+            with self._lock:
+                self._counts["hits"] += 1
+            return PlannerDecision(
+                plan,
+                stored.expected_kth_original,
+                stored.per_pattern,
+                time.perf_counter() - started,
+            )
 
+        tested = [
+            top_weighted_relaxation(query, pattern, self._rules)
+            for pattern in query.patterns
+        ]
+        # Read before planning: a write racing the plan fails the next hit.
+        read = [*query.patterns, *(rule.range for rule in tested if rule)]
+        reads = {pattern.list_key(): catalog.histogram(pattern) for pattern in read}
         expected_kth = self._estimator.expected_kth(query, k)
         force_relax_all = (
             self._relax_all_when_insufficient and expected_kth <= 0.0
@@ -96,8 +144,7 @@ class SpecQPPlanner:
 
         decisions: list[PatternDecision] = []
         relaxed_indexes: list[int] = []
-        for index, pattern in enumerate(query.patterns):
-            rule = top_weighted_relaxation(query, pattern, self._rules)
+        for index, (pattern, rule) in enumerate(zip(query.patterns, tested)):
             if rule is None:
                 decisions.append(
                     PatternDecision(
@@ -127,9 +174,16 @@ class SpecQPPlanner:
 
         plan = QueryPlan.speculative(query, tuple(relaxed_indexes))
         elapsed = time.perf_counter() - started
-        return PlannerDecision(
+        decision = PlannerDecision(
             plan=plan,
             expected_kth_original=expected_kth,
             per_pattern=tuple(decisions),
             planning_seconds=elapsed,
         )
+        with self._lock:
+            self._counts["misses"] += 1
+            self._memo.pop(key, None)  # a re-plan goes to the back
+            self._memo[key] = (decision, tuple(reads), tuple(reads.values()))
+            if len(self._memo) > DECISION_MEMO_SIZE:
+                del self._memo[next(iter(self._memo))]
+        return decision

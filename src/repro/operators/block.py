@@ -83,7 +83,7 @@ class TermCodec:
     extends the old dictionary, so store ids carry over but side ids do
     not: :class:`EncodedListStore` keeps only lists without side ids.
 
-    Interning is thread-safe: one codec is shared by every worker engine
+    Interning is thread-safe: one codec is shared by every worker thread
     of a :class:`~repro.service.WorkloadRunner`, and
     :meth:`EncodedListStore.get_or_build` deliberately builds match
     lists outside the store lock, so concurrent :meth:`encode` calls on
@@ -489,7 +489,7 @@ class EncodedListStore:
     """Shared, bounded, thread-safe store of encoded match lists.
 
     The block executor's twin of :class:`repro.service.MatchListCache`:
-    one store per engine — or one shared across every worker engine of a
+    one store per engine — or one shared by every thread of a
     :class:`~repro.service.WorkloadRunner`, so a pattern is encoded once
     no matter which thread first needs it.  The store owns the
     :class:`TermCodec` too, because cached id columns are only

@@ -10,7 +10,7 @@ one query; this package serves *batches* through one shared substrate:
   planning and execution entirely (see
   :mod:`repro.service.result_cache`).
 * :class:`WorkloadRunner` — executes batches sequentially or on a thread
-  pool (per-worker engines, shared catalog + cache), warm or cold, and
+  pool (one shared engine, catalog, planner memo and caches), and
   takes writes between batches (``apply_updates``: delta-overlay
   mutations behind a reader-writer gate, with version-driven cache and
   catalog invalidation — see :mod:`repro.kg.delta`).

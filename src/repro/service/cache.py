@@ -1,7 +1,7 @@
 """One bounded, version-tagged LRU core for every service-layer cache.
 
-The runner caches match lists, PLANGEN decisions and whole answers, all
-through :class:`VersionedLRU`: every entry is tagged with the graph
+The runner caches match lists and whole answers, both through
+:class:`VersionedLRU`: every entry is tagged with the graph
 version it was built against, a ``get`` at another version misses and
 drops the entry, and the first ``put`` at a newer version sweeps every
 older entry at once (:meth:`~VersionedLRU.purge_stale`), so a version
@@ -62,7 +62,7 @@ class CacheStats:
         Size and capacity are point-in-time readings, so they come from
         ``self``; the monotone counters are differenced.  This is how
         :class:`~repro.service.runner.WorkloadRunner` attributes cache
-        activity (match-list, plan and result caches alike) to one batch.
+        activity (match-list and result caches alike) to one batch.
         """
         return CacheStats(
             hits=self.hits - before.hits,

@@ -50,9 +50,8 @@ def result_key(
 
     Patterns and projection collapse to frozensets — exactly the
     equality/hash semantics :class:`~repro.query.query.TriplePatternQuery`
-    itself uses, under which plans (and therefore answers) are already
-    shared by the runner's plan cache.  The query's display name is
-    irrelevant to its answers and is excluded on purpose.
+    itself uses, under which answers are equal.  The query's display
+    name is irrelevant to its answers and is excluded on purpose.
     """
     return (
         frozenset(query.patterns),

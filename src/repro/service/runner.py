@@ -10,13 +10,12 @@ owns that sharing:
   precomputed over the workload's patterns) once, refreshed as the graph moves;
 * one :class:`~repro.service.cache.MatchListCache` attached to the graph,
   so identical triple patterns across queries never re-sort;
-* one plan cache: PLANGEN is deterministic given the catalog and the
-  rules, so repeated queries (the normal case in served traffic) skip
-  planning entirely;
-* optionally a :class:`~concurrent.futures.ThreadPoolExecutor`, with one
-  :class:`~repro.core.engine.SpecQPEngine` per worker thread (operator
-  state is per-query, planner/executor objects per worker) over the shared
-  catalog and cache.
+* one :class:`~repro.core.engine.SpecQPEngine` over them, whose
+  planner's decision memo replays a repeated query's plan (the normal
+  case in served traffic) while the statistics it read are unchanged;
+* optionally a :class:`~concurrent.futures.ThreadPoolExecutor` whose
+  worker threads all serve through that engine (operator state is
+  per-query).
 
 The per-query path that builds everything afresh is
 :meth:`repro.core.engine.SpecQPEngine.query`.
@@ -33,14 +32,13 @@ from typing import Iterable, Sequence
 from repro.core.config import EngineConfig
 from repro.core.engine import SpecQPEngine
 from repro.core.executor import EXECUTOR_MODES, ExecutorMode
-from repro.core.planner import PlannerDecision
 from repro.datasets.workload import Workload
 from repro.errors import ExperimentError
 from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.operators.block import EncodedListStore
 from repro.query.answer import Answer
 from repro.query.query import TriplePatternQuery
-from repro.service.cache import DEFAULT_CAPACITY, MatchListCache, VersionedLRU
+from repro.service.cache import DEFAULT_CAPACITY, MatchListCache
 from repro.service.report import QueryOutcome, WorkloadReport
 from repro.service.result_cache import (
     DEFAULT_RESULT_CAPACITY,
@@ -107,17 +105,15 @@ class WorkloadRunner:
         Engine knobs shared by all workers; defaults reproduce the paper.
     n_workers:
         Worker threads for :meth:`run` batches.  ``1`` executes
-        inline; higher values share the catalog and match-list cache
-        across per-worker engines.  The threads share the GIL, so more
+        inline; higher values share the one engine and its caches.
+        The threads share the GIL, so more
         workers need not mean more throughput: on a 2-hardware-thread VM
         a warm 400-query block batch over the default XKG graph (result
         cache off) served a median ~2 900–4 000 qps on 1 worker,
         ~2 400 on 2 and ~1 900–2 200 on 4.
     cache_capacity:
         Entry bound of the shared :class:`MatchListCache` (and of the
-        encoded list store and the plan cache); must be ``>= 1``.  The
-        plan cache holds whole :class:`~repro.core.planner.PlannerDecision`
-        entries for structurally identical ``(query, k)`` repeats.
+        encoded list store); must be ``>= 1``.
     shards:
         Accepts only ``1``; any other value raises.  It stays only for
         ``bench/bench_serve.py``, which passes ``shards=1``, until ROADMAP
@@ -129,15 +125,15 @@ class WorkloadRunner:
         mutations (``None`` = only explicit compaction).
     executor:
         ``"tuple"``, ``"block"`` or ``"auto"`` — the execution strategy
-        every worker engine uses (see
+        the engine uses (see
         :class:`~repro.core.engine.SpecQPEngine`).  ``"block"`` is the
         serving pipeline and ``"auto"`` is block (each report row names
         the pipeline that served it), ``"tuple"`` the paper-faithful
         reference.
         Answers are byte-identical under all three.  The attribute is
-        settable on a live runner (worker engines are rebuilt, and the
-        plan cache keys on the executor kind, so toggling never replays
-        state built for the other strategy); the setter takes the same
+        settable on a live runner (the engine is rebuilt over the same
+        catalog, so toggling never replays state built for the other
+        strategy); the setter takes the same
         writer gate as :meth:`apply_updates`, so it waits for in-flight
         batches — every batch runs, and is reported, under exactly one
         strategy.  Do not toggle from inside a batch.
@@ -160,12 +156,13 @@ class WorkloadRunner:
     :meth:`apply_updates` enforces that: batches and update batches go
     through a reader-writer gate, so in-flight queries finish on the old
     graph version before the write lands and the version bump drives
-    every invalidation (match-list, plan and result cache sweeps,
+    every invalidation (match-list and result cache sweeps,
     targeted list-store and catalog refresh).  External mutations
     between batches are still picked up automatically: the caches are
     version-tagged and the catalog refreshes itself whenever the graph
-    version moved.  Rules added to the workload's
-    :class:`~repro.relax.rules.RuleSet` are picked up too: plans are
+    version moved, and the planner's decision memo checks every
+    statistic a decision read.  Rules added to the workload's
+    :class:`~repro.relax.rules.RuleSet` are picked up too: decisions are
     keyed on :attr:`RuleSet.version <repro.relax.rules.RuleSet.version>`
     and answers on the rule set's content.
     """
@@ -219,10 +216,10 @@ class WorkloadRunner:
         #: engine: one bounded store of encoded (id-column) match lists,
         #: so a pattern is encoded once per runner until a write touches it.
         self.encoded_store = EncodedListStore(cache_capacity)
-        #: PLANGEN decisions, keyed like answers plus executor mode.
-        self._plans: VersionedLRU[PlannerDecision] = VersionedLRU(cache_capacity)
-        self._catalog: StatisticsCatalog | None = None
-        self._local = threading.local()
+        #: The engine every worker thread serves through (its planner's
+        #: memo is locked; its executor keeps no state between queries);
+        #: built by :meth:`warm_up`.
+        self._engine: SpecQPEngine | None = None
         self._gate = _BatchGate()
         self._updates = {
             "update_batches": 0,
@@ -270,7 +267,7 @@ class WorkloadRunner:
 
     @property
     def executor(self) -> ExecutorMode:
-        """The execution strategy worker engines use (settable)."""
+        """The execution strategy the engine uses (settable)."""
         return self._executor
 
     @executor.setter
@@ -288,66 +285,51 @@ class WorkloadRunner:
         with self._gate.writer():
             if kind != self._executor:
                 self._executor = kind
-                # Engines carry per-executor state (codec, encoded-list
-                # cache); rebuild them lazily.  Cached plans stay valid —
-                # their keys include the executor kind.
-                self._local = threading.local()
+                if self._engine is not None:
+                    self._engine = self._engine_over(self._engine.catalog)
 
     @property
     def catalog(self) -> StatisticsCatalog:
         """The shared catalog, built lazily once per served graph object."""
-        if self._catalog is None:
+        if self._engine is None:
             self.warm_up()
-        assert self._catalog is not None
-        return self._catalog
+        assert self._engine is not None
+        return self._engine.catalog
 
     def warm_up(self, queries: Sequence[TriplePatternQuery] | None = None) -> float:
-        """Build the catalog and precompute workload statistics.
+        """Build the engine and its catalog; precompute workload statistics.
 
         Returns the wall seconds spent — reported as ``warmup_seconds`` so
         throughput numbers stay honest about the offline phase.
         """
         queries = list(queries if queries is not None else self.workload.queries)
         started = time.perf_counter()
-        self.graph.attach_match_list_cache(self.cache)
-        self._catalog = StatisticsCatalog(
-            self.graph,
-            mass_fraction=self.config.mass_fraction,
-            histogram_kind=self.config.histogram_kind,  # type: ignore[arg-type]
-            n_buckets=self.config.n_buckets,
-            selectivity_mode=self.config.selectivity_mode,  # type: ignore[arg-type]
-            # Join cardinalities are counted over the lists of the store
-            # the block pipeline serves from, so this precompute leaves
-            # every workload pattern encoded for the first batch.
-            encoded_store=self.encoded_store,
-        )
-        self._catalog.precompute(queries=queries)
-        self._plans.clear()
-        self._local = threading.local()  # engines built on the old catalog die
+        self._engine = self._engine_over(None)
+        # The engine's catalog counts joins over the lists of the store
+        # the block pipeline serves from, so this precompute leaves every
+        # workload pattern encoded for the first batch.
+        self._engine.catalog.precompute(queries=queries)
         return time.perf_counter() - started
 
     def _prepare(self, queries: Sequence[TriplePatternQuery] | None = None) -> float:
         """Warm up on first use (returns its seconds), else re-attach the cache."""
-        if self._catalog is None:
+        if self._engine is None:
             return self.warm_up(queries)
         self.graph.attach_match_list_cache(self.cache)
         return 0.0
 
-    def _worker_engine(self) -> SpecQPEngine:
-        """The calling thread's engine over the shared catalog and cache."""
-        engine = getattr(self._local, "engine", None)
-        if engine is None:
-            engine = SpecQPEngine(
-                self.graph,
-                self.workload.rules,
-                self.config,
-                catalog=self.catalog,
-                match_list_cache=self.cache,
-                executor=self._executor,
-                encoded_store=self.encoded_store,
-            )
-            self._local.engine = engine
-        return engine
+    def _engine_over(self, catalog: StatisticsCatalog | None) -> SpecQPEngine:
+        # Attach replaces a cache another runner left on a shared graph.
+        self.graph.attach_match_list_cache(self.cache)
+        return SpecQPEngine(
+            self.graph,
+            self.workload.rules,
+            self.config,
+            catalog=catalog,
+            match_list_cache=self.cache,
+            executor=self._executor,
+            encoded_store=self.encoded_store,
+        )
 
     # ------------------------------------------------------------------
     # Execution
@@ -379,7 +361,7 @@ class WorkloadRunner:
     ) -> WorkloadReport:
         warmup_seconds = self._prepare(queries)
         stats_before = self.cache.stats()
-        plans_before = self._plans.stats()
+        plans_before = self._engine.planner.memo_stats()
         result_before = (
             self.result_cache.stats() if self.result_cache is not None else None
         )
@@ -397,11 +379,12 @@ class WorkloadRunner:
                 outcomes = list(pool.map(lambda q: self._execute_warm(q, k), queries))
         wall = time.perf_counter() - started
 
-        plans = self._plans.stats().since(plans_before)
+        plans = self._engine.planner.memo_stats()
         extras: dict[str, object] = {
             "executor": self._executor,
-            "plan_cache_hits": plans.hits,
-            "plan_cache_size": plans.size,
+            # The planner's decision memo, under the plan cache's old names.
+            "plan_cache_hits": plans["hits"] - plans_before["hits"],
+            "plan_cache_size": plans["size"],
         }
         if result_before is not None:
             result_delta = self.result_cache.stats().since(result_before)
@@ -443,7 +426,7 @@ class WorkloadRunner:
         """One query through the full warm substrate, answers included.
 
         The single-query twin of :meth:`run`: same reader gate,
-        same result cache, plan cache and per-worker engine — but the
+        same result cache and engine — but the
         return value is the complete top-k answer tuple rather than a
         report row, which is what equivalence tests and callers that
         need the bindings themselves want.
@@ -472,39 +455,29 @@ class WorkloadRunner:
             state = self._plan_signature = (version, (frozenset(rules), self.config))
         return state
 
-    def _plan_key(
-        self, query: TriplePatternQuery, k: int, rules_version: int
-    ) -> tuple:
-        """The canonical query and k, the rules' version, and the executor
-        *mode*: toggling ``executor=`` never replays the other's plans."""
-        return result_key(query, k, (self._executor, rules_version))
-
     def _serve_warm(
         self, query: TriplePatternQuery, k: int
     ) -> tuple[QueryOutcome, tuple[Answer, ...]]:
         """One query over the shared substrate, through every cache level.
 
         Checked in cost order: the whole-answer result cache first (a
-        hit skips planning and execution entirely), then the plan cache
-        (structurally identical queries — names aside, order aside,
-        queries have set semantics — share one PLANGEN decision; the
-        cached plan carries its own query object with the same patterns
-        and projection, so execution is unaffected), then execution
-        through the pipeline the engine resolves the runner's executor
-        mode to.
+        hit skips planning and execution entirely), then PLANGEN (whose
+        decision memo replays a repeat while its statistics stand), then
+        execution through the pipeline the engine resolves the runner's
+        executor mode to.
         """
-        engine = self._worker_engine()
+        engine = self._engine  # _prepare built it
         started = time.perf_counter()
         rkey = None
         # Capture the version BEFORE doing any work: if a writer lands
         # mid-flight (impossible through apply_updates, which waits out
         # the batch, but possible for external mutators), the puts below
         # tag their entries with the superseded version and the next
-        # lookup misses them — stale answers and plans cannot stick.
+        # lookup misses them — stale answers cannot stick.
         version = self.graph.version
         rules_version, signature = self._plan_signature
         if rules_version != self.workload.rules.version:
-            rules_version, signature = self._signature()
+            signature = self._signature()[1]
         if self.result_cache is not None:
             rkey = result_key(query, k, signature)
             cached = self.result_cache.get(rkey, version)
@@ -523,12 +496,7 @@ class WorkloadRunner:
                 )
                 return outcome, cached.answers
         kind = engine.resolve_executor(query).executor
-        pkey = self._plan_key(query, k, rules_version)
-        decision = self._plans.get(pkey, version)
-        if decision is None:
-            decision = engine.planner.plan(query, k)
-            self._plans.put(pkey, version, decision)
-        plan = decision.plan
+        plan = engine.planner.plan(query, k).plan
         execution = engine.executor.execute(plan, k, executor=kind)
         if rkey is not None:
             self.result_cache.put(
@@ -571,7 +539,7 @@ class WorkloadRunner:
         batch, and drives every invalidation off the resulting version
         bump: the shared match-list cache is eagerly swept
         (:meth:`~repro.service.cache.MatchListCache.purge_stale`), the
-        plan and result caches are purged, and the encoded list store
+        result cache is purged, and the encoded list store
         and the statistics catalog drop only what the batch touched
         (:meth:`~repro.operators.block.EncodedListStore.refresh`:
         ``lists_dropped`` / ``lists_kept``;
@@ -604,10 +572,9 @@ class WorkloadRunner:
                     frozen, compact_threshold=self.compact_threshold
                 )
                 self._graph.attach_match_list_cache(self.cache)
-                # Catalog and engines were built over the frozen graph
+                # Catalog and engine were built over the frozen graph
                 # object; the next batch warms up over the live wrapper.
-                self._catalog = None
-                self._local = threading.local()
+                self._engine = None
             live = self._graph
             compactions_before = live.compactions
             counts = live.apply_updates(batch)
@@ -619,11 +586,10 @@ class WorkloadRunner:
                 if self.result_cache is not None
                 else 0
             )
-            self._plans.purge_stale(live.version)
             lists = self.encoded_store.refresh(live)
             refreshed = {"dropped": 0, "kept": 0}
-            if self._catalog is not None:
-                refreshed = self._catalog.refresh()
+            if self._engine is not None:
+                refreshed = self._engine.catalog.refresh()
             seconds = time.perf_counter() - started
             result: dict[str, object] = {
                 **counts,

@@ -126,6 +126,12 @@ class StatisticsCatalog:
             self._histograms[key] = cached
         return cached
 
+    def held_histograms(self, list_keys: Sequence[tuple]) -> list:
+        """The histogram objects held now under *list_keys* (``None`` where
+        none is), refreshing first: what a memoised decision validates by."""
+        self._current()
+        return [self._histograms.get(key) for key in list_keys]
+
     def _scores(self, pattern: TriplePattern) -> np.ndarray:
         """*pattern*'s normalized scores, descending (its list's score column)."""
         return self._lists.get_or_build(self._graph, pattern).scores
@@ -143,18 +149,12 @@ class StatisticsCatalog:
         return self.cardinalities.cardinality(query)
 
     # ------------------------------------------------------------------
-    def precompute(
-        self,
-        patterns: Sequence[TriplePattern] = (),
-        queries: Sequence[TriplePatternQuery] = (),
-    ) -> dict[str, int]:
+    def precompute(self, queries: Sequence[TriplePatternQuery] = ()) -> dict[str, int]:
         """Warm what PLANGEN reads for a workload (the offline phase):
-        the histogram of every pattern and each query's answer count.
+        the histogram of every query pattern and each query's answer count.
 
         Returns a small summary dict for logging/tests.
         """
-        for pattern in patterns:
-            self.histogram(pattern)
         if queries:
             for query in queries:
                 for pattern in query.patterns:

@@ -13,16 +13,18 @@ are checked after every step:
 * every list the encoded store holds decodes — terms and score bytes —
   equal to a fresh build at the current version, so a list carried
   across a write or a compaction is never stale;
-* every decision in the runner's plan cache — relaxed indexes,
-  ``E_Q(k)`` and every tested ``E_Q'(1)``, to the bit — equals a fresh
-  planner's over a fresh catalog at the current version, computed
-  without the expected-score memo; so join counts a write kept, and
-  scores the memo served, are never stale;
-* every answer set in the runner's result cache equals a fresh engine's;
-* every plan and answer entry is tagged with the current graph version.
-  The two checks above cover the entries a request would find now, by
-  the keys the runner builds; one keyed under a superseded rule set is
-  never served again;
+* every decision in the runner planner's decision memo that a request
+  would replay now — keyed under the current rule set, every histogram
+  it read still the catalog's — equals, in relaxed indexes, ``E_Q(k)``
+  and every tested ``E_Q'(1)`` to the bit, a fresh planner's over a
+  fresh catalog at the current version, computed without the
+  expected-score memo; so join counts a write kept, and scores the memo
+  served, are never stale;
+* every answer set in the runner's result cache equals a fresh engine's,
+  and every answer entry is tagged with the current graph version.  The
+  check covers the entries a request would find now, by the keys the
+  runner builds; one keyed under a superseded rule set is never served
+  again;
 * no stored array is writable.
 """
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
+from operator import is_not
 from unittest import mock
 
 from hypothesis import settings
@@ -46,6 +49,7 @@ from repro.core.config import EngineConfig
 from repro.core.engine import SpecQPEngine
 from repro.core.estimator import QueryDistribution
 from repro.core.plan import relaxation_inputs
+from repro.core.planner import SpecQPPlanner
 from repro.datasets.workload import Workload
 from repro.kg.columnar import ColumnarGraph, ColumnarStore
 from repro.kg.delta import GraphUpdate
@@ -128,6 +132,10 @@ class WritePathMachine(RuleBasedStateMachine):
             self._fresh = (state, graph, engine, {})
         return self._fresh[1], self._fresh[2]
 
+    def fresh_planner(self) -> SpecQPPlanner:
+        """A planner over the fresh engine's catalog with an empty memo."""
+        return SpecQPPlanner(self.fresh()[1].estimator, self.rules)
+
     def served_keys(self, key_of) -> dict:
         """``key_of(query, k)`` -> ``(query, k)`` for every request the
         machine makes: the cache keys a request would find now."""
@@ -159,13 +167,13 @@ class WritePathMachine(RuleBasedStateMachine):
     )
     def plan(self, index: int, k: int) -> None:
         """PLANGEN through the runner's warm planner (its refreshed
-        catalog and the memo) decides what a fresh one decides."""
+        catalog and both memos) decides what a fresh one decides."""
         query = self.workload.queries[index % len(self.workload.queries)]
         with self.runner._gate.reader():
             self.runner._prepare()
-            served = self.runner._worker_engine().planner.plan(query, k)
+            served = self.runner._engine.planner.plan(query, k)
         with memo_less():
-            expected = self.fresh()[1].planner.plan(query, k)
+            expected = self.fresh_planner().plan(query, k)
         assert decision_values(served) == decision_values(expected), query.name
 
     @rule(
@@ -255,18 +263,19 @@ class WritePathMachine(RuleBasedStateMachine):
             assert decoded(held, codec) == decoded(expected, fresh_codec), key
 
     @invariant()
-    def cached_plans_equal_a_fresh_planner(self) -> None:
-        planner = self.fresh()[1].planner
-        rules_version = self.runner._signature()[0]
-        served = self.served_keys(
-            lambda query, k: self.runner._plan_key(query, k, rules_version)
-        )
-        for key, version, decision in self.runner._plans.items():
-            assert version == self.graph.version  # a write purges the rest
-            if key in served:
-                with memo_less():
-                    expected = planner.plan(*served[key])
-                assert decision_values(decision) == decision_values(expected), key
+    def memoised_decisions_equal_a_fresh_planner(self) -> None:
+        if self.runner._engine is None:
+            return
+        planner = self.runner._engine.planner
+        catalog = planner.estimator.catalog
+        fresh = self.fresh_planner()
+        for key, (decision, list_keys, read) in list(planner._memo.items()):
+            held = catalog.held_histograms(list_keys)
+            if key[3] != self.rules.version or any(map(is_not, held, read)):
+                continue  # the next request for it re-plans
+            with memo_less():
+                expected = fresh.plan(decision.plan.query, key[2])
+            assert decision_values(decision) == decision_values(expected), key
 
     @invariant()
     def cached_answers_equal_a_fresh_engine(self) -> None:

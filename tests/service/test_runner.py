@@ -87,14 +87,15 @@ def test_warm_run_reports_whole_batch(tiny_xkg_workload):
 
 def test_repeated_queries_hit_both_caches(tiny_xkg_workload):
     # Result cache off: with it on, repeats are served whole answers and
-    # never reach the plan cache this test measures.
+    # never reach the planner's decision memo this test measures.
     runner = WorkloadRunner(tiny_xkg_workload, result_cache_capacity=0)
     queries = tiny_xkg_workload.stretched(3 * len(tiny_xkg_workload.queries))
     report = runner.run(queries, k=5)
 
     assert report.cache is not None
     assert report.cache.hit_rate > 0.5
-    # Rounds 2 and 3 are structural repeats: all planned from cache.
+    # Rounds 2 and 3 are renamed repeats: every decision replayed from the
+    # memo, which the report counts under the plan cache's names.
     assert report.extras["plan_cache_hits"] >= 2 * len(tiny_xkg_workload.queries)
     assert report.extras["plan_cache_size"] == len(tiny_xkg_workload.queries)
 
