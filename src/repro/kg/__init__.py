@@ -24,7 +24,7 @@ Public surface:
   format (``save_snapshot_v2`` / ``load_snapshot_v2``).
 """
 
-from repro.kg.columnar import ColumnarGraph, ColumnarPatternIndex, ColumnarStore
+from repro.kg.columnar import ColumnarGraph, ColumnarStore
 from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, Variable, is_variable
@@ -33,7 +33,6 @@ from repro.kg.namespace import Namespace, RDF_TYPE
 
 __all__ = [
     "ColumnarGraph",
-    "ColumnarPatternIndex",
     "ColumnarStore",
     "GraphUpdate",
     "KnowledgeGraph",

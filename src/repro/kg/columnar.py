@@ -15,7 +15,11 @@ counterpart, the extensional-database layout classic OBDA systems use:
 :class:`~repro.kg.graph.KnowledgeGraph` interface, so engines, statistics
 catalogs, operators and the service-layer caches run on it unchanged.
 Match lists (Definition 5) are *opened, not computed* — the sorted
-access the paper's top-k operators presuppose.  The store has one read
+access the paper's top-k operators presuppose — and every graph opens
+them here: an object graph interns its triples into a store on first
+read, a live overlay reads its base's, and both the encoded lists and
+the decoded string lists (:meth:`~repro.kg.graph.KnowledgeGraph.match_list`)
+are built from the same rows.  The store has one read
 primitive, :meth:`ColumnarStore.lookup`: the rows agreeing with each of
 a batch of pattern keys, already in Definition-5 order, as slices of a
 lazily built per-shape **permutation index** (the packed bound ids of
@@ -45,7 +49,7 @@ import numpy as np
 
 from repro.errors import KnowledgeGraphError
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.index import MatchList, PatternIndex, PatternKey
+from repro.kg.index import PatternKey
 from repro.kg.pattern import TriplePattern
 from repro.kg.triple import Triple
 
@@ -734,47 +738,6 @@ class ColumnarStore:
         )
 
 
-class ColumnarPatternIndex(PatternIndex):
-    """A :class:`PatternIndex` that answers from columns, not hash maps.
-
-    Candidates and match lists are slices of the store's score-ordered
-    permutation indexes (:meth:`ColumnarStore.lookup`) —
-    :meth:`PatternIndex.match_list`'s caching (internal dict or the
-    attached external :class:`~repro.service.MatchListCache`) is
-    inherited untouched, so the service layer cannot tell the backends
-    apart.
-    """
-
-    def candidates(self, key: PatternKey) -> list[Triple]:
-        """Triples agreeing with the bound positions of *key*."""
-        self._invalidate_if_stale()
-        store = self._store()
-        return store.decode_rows(store.ordered_rows(key))
-
-    def _store(self) -> ColumnarStore:
-        return self._graph.store  # type: ignore[attr-defined]
-
-    def _build_match_list(self, pattern: TriplePattern, key: PatternKey) -> MatchList:
-        store = self._store()
-        rows = store.match_rows(pattern)
-        triples = tuple(store.decode_rows(rows))
-        if not triples:
-            return MatchList(key, (), 0.0, ())
-        scores = store.scores[rows]
-        max_score = float(scores[0])
-        if max_score > 0:
-            normalized = tuple((scores / max_score).tolist())
-        else:
-            normalized = tuple(0.0 for _ in triples)
-        return MatchList(key, triples, max_score, normalized)
-
-    def stats(self) -> dict[str, int]:
-        """Diagnostics; columnar indexes keep no shape hash maps."""
-        base = super().stats()
-        base["columnar"] = 1
-        return base
-
-
 class ColumnarGraph(KnowledgeGraph):
     """A read-only :class:`KnowledgeGraph` backed by a :class:`ColumnarStore`.
 
@@ -782,7 +745,7 @@ class ColumnarGraph(KnowledgeGraph):
     external cache hooks, statistics — but triples live in dictionary-
     encoded NumPy columns instead of a Python dict, so million-triple
     graphs load in well under a second from a snapshot and match lists
-    sort without per-triple Python comparisons.
+    are slices of the store's permutation indexes.
 
     The graph is immutable: :meth:`add_triple`, :meth:`add_triples` and
     :meth:`remove` raise.  Call :meth:`thaw` for a mutable object-backed
@@ -800,7 +763,7 @@ class ColumnarGraph(KnowledgeGraph):
         self.name = name
         self._store = store
         self._version = 0
-        self._index = ColumnarPatternIndex(self)
+        self._match_lists = {}
 
     # ------------------------------------------------------------------
     # Construction / conversion

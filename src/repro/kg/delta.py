@@ -8,20 +8,17 @@ the classic LSM split — an **immutable base** (a
 :class:`~repro.kg.columnar.ColumnarGraph`; any other graph is frozen into
 one) under a **mutable delta**:
 
-* *adds/overwrites* live in a small object-backed graph of their own, so
-  per-pattern sorted delta match lists come from the ordinary
-  :class:`~repro.kg.index.PatternIndex` machinery;
+* *adds/overwrites* live in a small object-backed graph of their own;
 * *removes* become **tombstones**, keys masked out of every base read;
-* reads serve the exact Definition-5 view by filtering superseded rows
-  out of the (cached, immutable) base match list and k-way merging the
-  delta's sorted adds back in with
-  :func:`~repro.kg.index.merge_match_lists`, so overlay reads are
-  bit-for-bit equal to a from-scratch rebuild of the final triple set;
-* the block pipeline and the join-cardinality counts never see those
-  string lists: :meth:`LiveGraph.overlay_rows`
-  hands :class:`~repro.operators.block.EncodedMatchList` the same view as
-  surviving base-store rows plus the delta's few adds and their splice
-  positions, all from id columns;
+* reads serve the exact Definition-5 view as rows of the base store:
+  :meth:`LiveGraph.list_rows` masks the superseded base rows out of one
+  :meth:`~repro.kg.columnar.ColumnarStore.lookup` and hands back the
+  delta's few adds with their splice positions, all from id columns.
+  The block pipeline gathers those rows into
+  :class:`~repro.operators.block.EncodedMatchList`, and the one string
+  builder (:meth:`~repro.kg.graph.KnowledgeGraph.match_list`) decodes
+  them, so overlay reads are bit-for-bit equal to a from-scratch rebuild
+  of the final triple set;
 * :meth:`LiveGraph.compact` folds the delta into a fresh immutable base
   (vectorised through :meth:`~repro.kg.columnar.ColumnarStore.with_updates`,
   snapshot-compatible) once it crosses ``compact_threshold`` — the
@@ -50,22 +47,13 @@ import numpy as np
 
 from repro.errors import KnowledgeGraphError
 from repro.kg.columnar import ColumnarGraph, ColumnarStore
-from repro.kg.graph import KnowledgeGraph
-from repro.kg.index import (
-    MatchList,
-    PatternIndex,
-    PatternKey,
-    merge_match_lists,
-    touched_pattern_keys,
-)
+from repro.kg.graph import Add, KnowledgeGraph
+from repro.kg.index import PatternKey, touched_pattern_keys
 from repro.kg.pattern import TriplePattern
 from repro.kg.triple import Triple
 
 #: A fully-bound triple key.
 Spo = tuple[str, str, str]
-
-#: A delta add as the overlay reads it: its key and raw score.
-Add = tuple[Spo, float]
 
 #: Journal bound: touched keys kept over all retained version steps.
 #: Past it the oldest steps go and :meth:`LiveGraph.touched_since`
@@ -123,42 +111,6 @@ class GraphUpdate:
         if self.op != "+":
             raise KnowledgeGraphError("only '+' updates carry a triple")
         return Triple(self.subject, self.predicate, self.object, self.score)
-
-
-class LivePatternIndex(PatternIndex):
-    """Serves the overlay-merged view of a :class:`LiveGraph`.
-
-    Candidates are the base's candidates with superseded rows masked out
-    plus the delta's; match lists are the base list (immutable, so the
-    base's own caches stay warm across live mutations) filtered and
-    merged with the delta list.  The inherited machinery — the per-key
-    match-list cache, external cache hooks, version-staleness checks —
-    keys on the *overlay's* monotone version, so every mutation and
-    every compaction invalidates exactly once.
-    """
-
-    def candidates(self, key: PatternKey) -> list[Triple]:
-        """Triples agreeing with the bound positions of *key* (live view)."""
-        self._invalidate_if_stale()
-        graph: LiveGraph = self._graph  # type: ignore[assignment]
-        superseded = graph._superseded()
-        base = graph.base._index.candidates(key)
-        merged = (
-            [t for t in base if t.spo not in superseded] if superseded else list(base)
-        )
-        merged.extend(graph.delta._index.candidates(key))
-        return merged
-
-    def _build_match_list(self, pattern: TriplePattern, key: PatternKey) -> MatchList:
-        graph: LiveGraph = self._graph  # type: ignore[assignment]
-        delta = graph.delta
-        delta_list = delta.match_list(pattern) if delta.size else None
-        return graph._overlay(key, graph.base.match_list(pattern), delta_list)
-
-    def stats(self) -> dict[str, int]:
-        base = super().stats()
-        base["live"] = 1
-        return base
 
 
 class LiveGraph(KnowledgeGraph):
@@ -232,7 +184,7 @@ class LiveGraph(KnowledgeGraph):
         self._journal_size = 0
         self._journal_floor = self._version
         self._compactions = 0
-        self._index = LivePatternIndex(self)
+        self._match_lists = {}
         self._reset_delta()
 
     def _reset_delta(self) -> None:
@@ -410,7 +362,7 @@ class LiveGraph(KnowledgeGraph):
 
     def column_store(self) -> ColumnarStore:
         """The base's store: encoded reads slice it and splice the delta
-        in (:meth:`overlay_rows`), so it is the overlay's store, not its
+        in (:meth:`list_rows`), so it is the overlay's store, not its
         content."""
         return self._base.store
 
@@ -524,21 +476,6 @@ class LiveGraph(KnowledgeGraph):
     # ------------------------------------------------------------------
     # Overlay reads
     # ------------------------------------------------------------------
-    def _overlay(
-        self, key: PatternKey, base_list: MatchList, delta_list: MatchList | None
-    ) -> MatchList:
-        """*base_list* minus superseded rows, merged with *delta_list*."""
-        superseded = self._superseded()
-        filtered = base_list
-        if superseded and base_list.triples:
-            kept = [t for t in base_list.triples if t.spo not in superseded]
-            if len(kept) != len(base_list.triples):
-                filtered = MatchList.from_triples(key, kept)
-        parts = [part for part in (filtered, delta_list) if part]
-        if not parts:
-            return MatchList(key, (), 0.0, ())
-        return merge_match_lists(key, parts)
-
     def _overlay_index(
         self, store: ColumnarStore
     ) -> tuple[np.ndarray | None, dict[PatternKey, list[Add]]]:
@@ -563,7 +500,7 @@ class LiveGraph(KnowledgeGraph):
             overlay = self._overlay_state = (superseded, adds_by_key)
         return overlay
 
-    def overlay_rows(
+    def list_rows(
         self, patterns: Sequence[TriplePattern]
     ) -> tuple[np.ndarray, np.ndarray, list[Sequence[Add]], list[np.ndarray | None]]:
         """The live match lists of *patterns* as base-store rows plus adds.

@@ -1,31 +1,40 @@
 """The in-memory scored triple store (Definition 1).
 
-:class:`KnowledgeGraph` stores triples, exposes pattern matching, and owns
-a :class:`~repro.kg.index.PatternIndex` that serves score-sorted match
-lists — the substrate interface the paper obtained from PostgreSQL with an
-``ORDER BY score DESC``.
+:class:`KnowledgeGraph` stores triples, exposes pattern matching, and
+serves score-sorted match lists — the substrate interface the paper
+obtained from PostgreSQL with an ``ORDER BY score DESC``.  Every list is
+built one way, for every backend: :meth:`KnowledgeGraph.list_rows` names
+the pattern's rows of the graph's column store in Definition-5 order, and
+:meth:`KnowledgeGraph.match_list` decodes them.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.errors import KnowledgeGraphError
-from repro.kg.index import MatchList, MatchListCacheHook, PatternIndex
+from repro.kg.index import ListKey, MatchList, MatchListCacheHook
 from repro.kg.pattern import TriplePattern
 from repro.kg.triple import Triple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kg.columnar import ColumnarStore
 
+#: A write outside the column store as list rows carry it: its key and
+#: raw score (a live overlay's delta add).
+Add = tuple[tuple[str, str, str], float]
+
 
 class KnowledgeGraph:
-    """A set of scored triples with pattern-match indexes.
+    """A set of scored triples serving Definition-5 match lists.
 
     Adding an existing triple replaces its score; triples can also be
-    removed.  Indexes are built lazily and invalidated on mutation (via
-    the :attr:`version` counter), so bulk loading stays linear.
+    removed.  The column store and the match lists are built lazily and
+    invalidated on mutation (via the :attr:`version` counter), so bulk
+    loading stays linear.
 
     >>> kg = KnowledgeGraph()
     >>> kg.add("shakira", "rdf:type", "singer", score=120.0)
@@ -35,11 +44,14 @@ class KnowledgeGraph:
 
     #: ``(version, store)`` of :meth:`column_store`, built on first use.
     _column_snapshot: "tuple[int, ColumnarStore] | None" = None
+    #: The version :attr:`_match_lists` holds lists of.
+    _lists_version = -1
+    _external_cache: MatchListCacheHook | None = None
 
     def __init__(self, triples: Iterable[Triple] | None = None, name: str = "kg") -> None:
         self.name = name
         self._scores: dict[tuple[str, str, str], float] = {}
-        self._index = PatternIndex(self)
+        self._match_lists: dict[ListKey, MatchList] = {}
         self._version = 0
         self._column_lock = threading.Lock()
         if triples is not None:
@@ -130,27 +142,75 @@ class KnowledgeGraph:
     # Pattern matching
     # ------------------------------------------------------------------
     def match(self, pattern: TriplePattern) -> Iterator[Triple]:
-        """All triples matching *pattern* (unsorted).
-
-        Uses the index for constant-position lookup, then filters for
-        repeated-variable consistency.
-        """
-        for triple in self._index.candidates(pattern.key()):
-            if pattern.matches(triple):
-                yield triple
+        """All triples matching *pattern*: its match list's triples."""
+        return iter(self.match_list(pattern).triples)
 
     def count(self, pattern: TriplePattern) -> int:
         """Number of matches of *pattern* (``m_i`` in the paper)."""
-        return sum(1 for _ in self.match(pattern))
+        return len(self.match_list(pattern))
 
     def match_list(self, pattern: TriplePattern) -> MatchList:
         """The score-sorted, score-normalised match list of *pattern*.
 
         This is the sorted input stream the paper's operators read
         (Definition 5: matches normalised by the list's maximum raw score,
-        sorted descending).  Cached per pattern key.
+        sorted descending).  Cached by the pattern's
+        :meth:`~repro.kg.pattern.TriplePattern.list_key` (the key, told
+        apart from a repeated-variable twin's) until the graph mutates —
+        in the attached external cache, version-tagged so stale entries
+        miss, or else in a per-version dict.
         """
-        return self._index.match_list(pattern)
+        version = self._version
+        if self._lists_version != version:
+            self._match_lists = {}
+            self._lists_version = version
+        list_key = pattern.list_key()
+        cache = self._external_cache
+        cached = (
+            self._match_lists.get(list_key) if cache is None else cache.get(list_key, version)
+        )
+        if cached is None:
+            cached = self._build_match_list(pattern)
+            if cache is None:
+                self._match_lists[list_key] = cached
+            else:
+                cache.put(list_key, version, cached)
+        return cached
+
+    def _build_match_list(self, pattern: TriplePattern) -> MatchList:
+        """Decode *pattern*'s :meth:`list_rows`, splice in its adds, and
+        normalise by the first raw score with :func:`_gather_rows`' float
+        operations (:mod:`repro.operators.block`)."""
+        store = self.column_store()
+        rows, _, (adds,), (slots,) = self.list_rows((pattern,))
+        triples = store.decode_rows(rows)
+        raw = store.scores[rows]
+        if adds:
+            # Slots ascend with the adds; last first keeps them in place.
+            for at, (spo, score) in reversed(list(zip(slots.tolist(), adds))):
+                triples.insert(at, Triple(*spo, score))
+            raw = np.insert(raw, slots, [score for _, score in adds])
+        if not triples:
+            return MatchList(pattern.key(), (), 0.0, ())
+        max_score = float(raw[0])
+        normalized = raw / max_score if max_score > 0 else np.zeros(len(raw))
+        return MatchList(pattern.key(), tuple(triples), max_score, tuple(normalized.tolist()))
+
+    def list_rows(
+        self, patterns: Sequence[TriplePattern]
+    ) -> tuple[np.ndarray, np.ndarray, list[Sequence[Add]], list[np.ndarray | None]]:
+        """The match lists of *patterns* as rows of :meth:`column_store`.
+
+        Returns ``rows`` and ``lengths``: every pattern's rows back to
+        back, each run in Definition-5 order (one
+        :meth:`~repro.kg.columnar.ColumnarStore.lookup` of the patterns'
+        list keys); and per pattern the ``(spo, raw score)`` adds from
+        outside the store, in that order too, with their ``slots`` in
+        the run (``None`` without adds).  Here there are none: every
+        triple is a row.  No triple is decoded, nothing sorted.
+        """
+        rows, lengths = self.column_store().lookup([p.list_key() for p in patterns])
+        return rows, lengths, [()] * len(patterns), [None] * len(patterns)
 
     def column_store(self) -> "ColumnarStore":
         """The :class:`~repro.kg.columnar.ColumnarStore` the graph's encoded
@@ -173,34 +233,66 @@ class KnowledgeGraph:
     # Cache management
     # ------------------------------------------------------------------
     def attach_match_list_cache(self, cache: MatchListCacheHook) -> None:
-        """Route match-list lookups through an external (shared) cache.
+        """Serve match lists through *cache* instead of the internal dict.
 
-        Used by :class:`repro.service.WorkloadRunner` to share one bounded
-        LRU across every query of a batch; see
-        :meth:`repro.kg.index.PatternIndex.attach_match_list_cache`.
+        The attached cache sees every lookup together with the current
+        graph version, so a bounded, shared, statistics-reporting cache
+        (:class:`repro.service.WorkloadRunner` shares one across every
+        query of a batch) can replace the unbounded per-version dict.
+        Attaching drops the internal dict so hit/miss accounting in
+        *cache* is exact.
+
+        Entries are version-tagged but carry no graph identity, so a cache
+        instance must serve exactly one graph: if *cache* exposes a
+        ``bind`` method it is called with the graph and may refuse a
+        second graph (``MatchListCache`` does).
         """
-        self._index.attach_match_list_cache(cache)
+        bind = getattr(cache, "bind", None)
+        if callable(bind):
+            bind(self)
+        self._external_cache = cache
+        self._match_lists = {}
 
     def detach_match_list_cache(self) -> None:
-        self._index.detach_match_list_cache()
+        """Go back to the internal per-version match-list dict."""
+        self._external_cache = None
 
     @property
     def match_list_cache(self) -> MatchListCacheHook | None:
         """The attached external match-list cache, if any."""
-        return self._index.match_list_cache
+        return self._external_cache
+
+    def touched_since(self, version: int) -> frozenset[tuple[str, str, str]] | None:
+        """The triple keys written since *version*; ``None``: unknown, so a
+        consumer holding anything from *version* must drop all of it.  A
+        graph without a write journal always answers ``None``
+        (:class:`~repro.kg.delta.LiveGraph` keeps one)."""
+        return None
+
+    def membership_since(self, version: int) -> frozenset[tuple[str, str, str]] | None:
+        """The keys of :meth:`touched_since` whose membership changed;
+        ``None`` without a journal."""
+        return None
 
     def invalidate_caches(self) -> None:
-        """Drop all lazily built indexes, match lists and the column store.
+        """Drop all cached match lists and the column store.
 
         Mutations invalidate automatically (via :attr:`version`); this is
-        the explicit cold-start path used for cold-cache measurements.
+        the explicit cold-start path used for cold-cache measurements.  An
+        attached external cache is emptied too (via its ``clear`` method,
+        if it has one) — version tags alone would let its entries survive,
+        since the graph version does not change here.
         """
-        self._index.invalidate()
+        self._match_lists = {}
         self._column_snapshot = None
+        clear = getattr(self._external_cache, "clear", None)
+        if callable(clear):
+            clear()
 
     def index_stats(self) -> dict[str, int]:
-        """Diagnostics from the underlying pattern index."""
-        return self._index.stats()
+        """Diagnostics: how many match lists the internal dict holds, and
+        the graph version they are for (-1: none built yet)."""
+        return {"match_lists": len(self._match_lists), "version": self._lists_version}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"KnowledgeGraph(name={self.name!r}, size={self.size})"

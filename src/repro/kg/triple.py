@@ -4,7 +4,8 @@ A triple is ``⟨s p o⟩`` with a non-negative raw score ``S(t)``.  Raw scores
 are counts in both of the paper's datasets (occurrence counts / inlink
 counts for XKG, retweet counts for Twitter); the engine never interprets
 them directly — all operator-level scores are *normalised per match list*
-(Definition 5), which happens in :mod:`repro.kg.index`.
+(Definition 5), which happens in
+:meth:`repro.kg.graph.KnowledgeGraph.match_list`.
 """
 
 from __future__ import annotations

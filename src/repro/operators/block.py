@@ -45,7 +45,6 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.kg.columnar import ColumnarGraph, stable_argsort
-from repro.kg.delta import LiveGraph
 from repro.kg.index import touched_pattern_keys
 from repro.operators.topk import finalize_canonical
 from repro.query.answer import Answer
@@ -309,22 +308,21 @@ def _gather_rows(
 
 def _store_rows(graph, patterns: "Sequence[TriplePattern]", codec: TermCodec):
     """The lists of *patterns* as ``(rows, lengths, adds, slots)`` of the
-    codec's store for :func:`_gather_rows` — one batched lookup, over a
-    live overlay :meth:`~repro.kg.delta.LiveGraph.overlay_rows`.
+    codec's store for :func:`_gather_rows`:
+    :meth:`~repro.kg.graph.KnowledgeGraph.list_rows`.
 
     Raises :class:`~repro.errors.ExecutionError` when *graph* no longer
     reads the codec's store: it changed after the codec was taken."""
-    store = codec.store
-    if graph.column_store() is not store:
+    gathered = graph.list_rows(patterns)
+    # Checked after the read, so rows of a store a racing write swapped in
+    # are refused, not gathered under this codec.
+    if graph.column_store() is not codec.store:
         raise ExecutionError(
             "graph changed during block execution: it no longer reads the "
             "column store this query's codec encodes — do not mutate the "
             "graph while a query is in flight"
         )
-    if isinstance(graph, LiveGraph):
-        return graph.overlay_rows(patterns)
-    rows, lengths = store.lookup([pattern.list_key() for pattern in patterns])
-    return rows, lengths, [()] * len(patterns), [None] * len(patterns)
+    return gathered
 
 
 class EncodedMatchList:
@@ -497,7 +495,7 @@ class EncodedListStore:
 
     When the graph version moves, the store drops only the lists whose
     :attr:`EncodedMatchList.reads` a write touched
-    (:meth:`~repro.kg.delta.LiveGraph.touched_since`, in O(touched) through
+    (:meth:`~repro.kg.graph.KnowledgeGraph.touched_since`, in O(touched) through
     an index by pattern key).  The rest stay, key orders included, under
     the same codec, or a fresh one after a compaction; no answer from the
     journal costs a full purge.
@@ -568,9 +566,7 @@ class EncodedListStore:
         codec, held = self._codec, self._version
         if codec is not None and codec.store is store and held == version:
             return 0
-        touched = None
-        if codec is not None and isinstance(graph, LiveGraph):
-            touched = graph.touched_since(held)
+        touched = None if codec is None else graph.touched_since(held)
         if touched is None:
             dropped = len(self._lists)
             self._clear_locked()

@@ -185,17 +185,16 @@ class StatisticsCatalog:
         cardinalities — a count is an integer over row sets, which a
         re-score or a compaction keeps.  The rest — almost all, for a
         small delta — stay, and the dropped ones rebuild lazily from the
-        live match lists.  Graphs
-        without a journal, or a journal that cannot answer, fall back to
+        live match lists.  A graph without a journal, or a journal that
+        cannot answer, answers ``None`` and the catalog falls back to
         :meth:`invalidate`.  Returns ``{"dropped": ..., "kept": ...}``
         over the histogram cache for logging/tests.
         """
         with self._lock:
             # Version first: a write racing this refresh shows next time.
             version = self._graph.version
-            journal = hasattr(self._graph, "touched_since")
-            touched = self._graph.touched_since(self._version) if journal else None
-            moved = self._graph.membership_since(self._version) if journal else None
+            touched = self._graph.touched_since(self._version)
+            moved = self._graph.membership_since(self._version)
             self._version = version
             held = self._stats.keys() | self._histograms.keys()
             if touched is None or moved is None:

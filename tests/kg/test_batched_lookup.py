@@ -2,12 +2,12 @@
 
 ``ColumnarStore.lookup`` answers a whole list of keys at once — one
 ``searchsorted`` pair per key shape, rows back to back with their
-lengths — and ``LiveGraph.overlay_rows`` masks and splices a whole list
+lengths — and ``LiveGraph.list_rows`` masks and splices a whole list
 of patterns over a live delta the same way.  Each run must equal what
 one key at a time computes: the single-key sorted access below (a slice
 of the shape's permutation index, filtered on the object when the key is
 fully bound) plus the repeated-variable mask, and over a live graph the
-string overlay of ``LiveGraph.match_list``.  ``stable_argsort``, which
+brute-force Definition-5 list of the live triples.  ``stable_argsort``, which
 now builds every permutation index and key order, must be
 ``np.argsort(kind="stable")`` bit for bit.
 """
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.kg import ColumnarGraph, ColumnarStore, LiveGraph, Triple
 from repro.kg.columnar import ID_DTYPE, stable_argsort
+from repro.kg.index import MatchList
 from repro.kg.pattern import TriplePattern, Variable
 
 #: Few terms and fewer scores: long runs of rows tying on score and key.
@@ -135,7 +136,7 @@ def test_a_lone_key_is_a_read_only_view_and_an_empty_batch_is_empty():
 
 
 # ----------------------------------------------------------------------
-# LiveGraph.overlay_rows
+# LiveGraph.list_rows
 # ----------------------------------------------------------------------
 keys = st.tuples(
     st.sampled_from(TERMS + ("new",)), st.sampled_from(TERMS[:3]), st.sampled_from(TERMS + ("new",))
@@ -151,7 +152,7 @@ mutations = st.lists(
 
 @settings(max_examples=150, deadline=None)
 @given(triples=triple_maps, steps=mutations, pattern_list=pattern_lists)
-def test_overlay_runs_are_the_string_overlay(triples, steps, pattern_list):
+def test_overlay_runs_are_the_brute_force_list(triples, steps, pattern_list):
     live = LiveGraph(ColumnarGraph(store_of(triples)))
     for kind, key, score in steps:
         if kind == "add":
@@ -160,7 +161,7 @@ def test_overlay_runs_are_the_string_overlay(triples, steps, pattern_list):
             live.remove(*key)
     store = live.base.store
     superseded = set(live._superseded())
-    rows, lengths, all_adds, all_slots = live.overlay_rows(pattern_list)
+    rows, lengths, all_adds, all_slots = live.list_rows(pattern_list)
     assert len(all_adds) == len(all_slots) == len(pattern_list)
     for pattern, run, adds, slots in zip(
         pattern_list, runs_of(rows, lengths), all_adds, all_slots
@@ -173,7 +174,10 @@ def test_overlay_runs_are_the_string_overlay(triples, steps, pattern_list):
         merged = [(t.spo, t.score) for t in store.decode_rows(run)]
         for offset, (slot, add) in enumerate(zip([] if slots is None else slots.tolist(), adds)):
             merged.insert(slot + offset, add)
-        assert merged == [(t.spo, t.score) for t in live.match_list(pattern).triples], pattern
+        reference = MatchList.from_triples(
+            pattern.key(), [t for t in live.triples() if pattern.matches(t)]
+        )
+        assert merged == [(t.spo, t.score) for t in reference.triples], pattern
 
 
 # ----------------------------------------------------------------------

@@ -151,7 +151,7 @@ def test_first_reads_after_a_compaction_sort_nothing():
     with mock.patch.object(columnar, "stable_argsort", counting):
         live.add("newer", "q", "a", score=1.0)
         for pattern in patterns:
-            live.overlay_rows([pattern])
+            live.list_rows([pattern])
             live.count(pattern)
         assert callers.count("_shape_index") == 0
         # The counter sees a build where no index was carried.

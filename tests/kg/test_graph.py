@@ -123,10 +123,9 @@ class TestMatchList:
         ml = kg.match_list(TriplePattern(var("s"), "p", "o"))
         assert [t.subject for t in ml.triples] == ["a", "b"]
 
-    def test_cumulative_scores(self, small_graph):
+    def test_normalized_scores(self, small_graph):
         ml = small_graph.match_list(TriplePattern(var("s"), "type", "t1"))
-        assert ml.cumulative_normalized_scores() == [1.0, 1.5]
-        assert ml.total_normalized_score() == 1.5
+        assert ml.normalized_scores == (1.0, 0.5)
 
 
 class TestColumnStore:

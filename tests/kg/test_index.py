@@ -3,7 +3,7 @@
 import pytest
 
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.index import MatchList, merge_match_lists
+from repro.kg.index import MatchList
 from repro.kg.pattern import TriplePattern, var
 from repro.kg.triple import Triple
 
@@ -174,92 +174,9 @@ class TestMatchListFromTriples:
     def test_empty(self):
         ml = MatchList.from_triples((None, "p", None), [])
         assert not ml
-        assert ml.total_normalized_score() == 0.0
 
     def test_all_zero_scores(self):
         ml = MatchList.from_triples(
             (None, "p", None), [Triple("a", "p", "b", 0.0)]
         )
         assert ml.normalized_scores == (0.0,)
-
-
-_MERGE_TRIPLES = [
-    Triple("a", "p", "x", 5.0),
-    Triple("a", "p", "a", 3.0),
-    Triple("b", "p", "x", 4.0),
-    Triple("b", "q", "y", 4.0),
-    Triple("c", "p", "z", 4.0),
-    Triple("c", "q", "x", 2.0),
-    Triple("d", "q", "z", 9.0),
-    Triple("d", "p", "d", 1.0),
-]
-
-#: Ways to cut one triple set into disjoint parts: interleaved, grouped
-#: by subject, in score bands (ties inside a part), and one triple a part
-#: in reverse order (every score tie straddles two parts, the later part
-#: holding the smaller ``spo``).
-_SPLITS = {
-    "halves": lambda triples: [triples[0::2], triples[1::2]],
-    "thirds": lambda triples: [triples[i::3] for i in range(3)],
-    "by-subject": lambda triples: [
-        [t for t in triples if t.subject == s] for s in sorted({t.subject for t in triples})
-    ],
-    "by-score": lambda triples: [
-        [t for t in triples if t.score >= 4.0],
-        [t for t in triples if t.score < 4.0],
-    ],
-    "singletons": lambda triples: [[t] for t in reversed(triples)],
-}
-
-
-class TestMergeMatchLists:
-    def test_empty_parts(self):
-        key = (None, "p", None)
-        merged = merge_match_lists(key, [MatchList(key, (), 0.0, ())] * 3)
-        assert merged.is_empty
-        assert merged.max_score == 0.0
-
-    def test_single_nonempty_part_reused(self, graph):
-        pattern = TriplePattern(var("s"), "p1", var("o"))
-        part = graph.match_list(pattern)
-        merged = merge_match_lists(pattern.key(), [part])
-        assert merged.triples is part.triples
-
-    @pytest.mark.parametrize("part_backend", ["object", "columnar", "mixed"])
-    @pytest.mark.parametrize("split", sorted(_SPLITS))
-    @pytest.mark.parametrize(
-        "pattern",
-        [
-            TriplePattern(var("s"), "p", var("o")),
-            TriplePattern(var("s"), "q", var("o")),
-            TriplePattern(var("s"), "p", "x"),
-            TriplePattern("a", "p", var("o")),
-            TriplePattern(var("s"), "p", var("s")),
-            TriplePattern(var("s"), "nope", var("o")),
-        ],
-    )
-    def test_disjoint_parts_equal_the_full_list(self, pattern, split, part_backend):
-        """Graphs over disjoint parts of one triple set merge into the list
-        the graph over the whole set serves — however the set is cut and
-        whichever backend serves each part ("mixed" alternates columnar
-        and object parts: the live overlay merges a base list with the
-        delta's object list)."""
-        from repro.kg.columnar import ColumnarGraph
-
-        def part_graph(i, part):
-            if part_backend == "columnar" or (part_backend == "mixed" and i % 2 == 0):
-                return ColumnarGraph.from_triples(part)
-            return KnowledgeGraph(part)
-
-        parts = _SPLITS[split](_MERGE_TRIPLES)
-        assert sorted(t.spo for part in parts for t in part) == sorted(
-            t.spo for t in _MERGE_TRIPLES
-        )
-        expected = KnowledgeGraph(_MERGE_TRIPLES).match_list(pattern)
-        merged = merge_match_lists(
-            pattern.key(),
-            [part_graph(i, part).match_list(pattern) for i, part in enumerate(parts)],
-        )
-        assert merged.triples == expected.triples
-        assert merged.max_score == expected.max_score
-        assert merged.normalized_scores == expected.normalized_scores

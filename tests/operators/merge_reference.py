@@ -1,7 +1,9 @@
 """Plain-Python references for the encoded lists the block path slices.
 
-:func:`encoded_string_list` encodes a graph's string match list through a
-codec, binding by binding; :func:`definition8_merge` builds a pre-merged
+:func:`encoded_string_list` encodes a pattern's brute-force Definition-5
+list (every matching triple, sorted and normalised by
+:meth:`~repro.kg.index.MatchList.from_triples`) through a codec, binding
+by binding; :func:`definition8_merge` builds a pre-merged
 relaxation list from per-input lists: each input's list is weighted row
 by row, the union is sorted by score descending with ties in
 input-then-row order, and of equal bindings only the first —
@@ -13,14 +15,23 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kg.index import MatchList
 from repro.operators.block import EncodedMatchList, build_encoded_match_list
 
 
+def brute_force_list(graph, pattern) -> MatchList:
+    """*pattern*'s Definition-5 list over *graph* by scan, sort and divide —
+    built without the graph's column rows or its match-list builder."""
+    return MatchList.from_triples(
+        pattern.key(), [t for t in graph.triples() if pattern.matches(t)]
+    )
+
+
 def encoded_string_list(graph, pattern, codec) -> EncodedMatchList:
-    """``graph.match_list(pattern)`` encoded through *codec*: each binding
+    """:func:`brute_force_list` encoded through *codec*: each binding
     interned (store id when known, side id otherwise), order and
     normalized scores taken from the string list verbatim."""
-    match_list = graph.match_list(pattern)
+    match_list = brute_force_list(graph, pattern)
     var_names, positions = pattern.variable_positions()
     triples = match_list.triples
     columns = tuple(np.empty(len(triples), dtype=np.int64) for _ in var_names)

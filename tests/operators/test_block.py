@@ -26,7 +26,7 @@ from repro.operators.memory import ExecutionContext
 from repro.operators.scan import SortedScan
 from repro.operators.vector_scan import VectorScan
 
-from merge_reference import encoded_string_list
+from merge_reference import brute_force_list, encoded_string_list
 
 
 def tp(type_name: str, v: str = "s") -> TriplePattern:
@@ -194,7 +194,7 @@ class TestEncodedMatchList:
     def test_from_store_matches_string_list(self, columnar):
         pattern = tp("t")
         encoded = EncodedMatchList.from_store(columnar.store, pattern)
-        string_list = columnar.match_list(pattern)
+        string_list = brute_force_list(columnar, pattern)
         assert len(encoded) == len(string_list)
         assert encoded.var_names == ("s",)
         terms = columnar.store.term_list()

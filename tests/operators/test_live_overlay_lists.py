@@ -1,5 +1,6 @@
 """The column-sliced encoded list of a live overlay is, byte for byte,
-``encoded_string_list(live, pattern, codec)`` — ids, order, normalised
+``encoded_string_list(live, pattern, codec)`` — the brute-force
+Definition-5 list of the live triples, encoded: ids, order, normalised
 scores, ``max_score`` — and is built without a string list."""
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kg.columnar import ColumnarGraph
-from repro.kg.delta import GraphUpdate, LiveGraph, LivePatternIndex
+from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
 from repro.kg.storage import load_snapshot_v2, save_snapshot_v2
@@ -21,7 +22,7 @@ from repro.operators.block import (
     build_encoded_match_list,
 )
 
-from merge_reference import encoded_string_list
+from merge_reference import brute_force_list, encoded_string_list
 
 S_P_O = TriplePattern(var("s"), "p", var("o"))
 S_P_X = TriplePattern(var("s"), "p", "x")
@@ -65,11 +66,11 @@ def assert_sliced_is_encoded_string_list(live: LiveGraph, pattern, monkeypatch=N
     codec = TermCodec(live.base.store)
     reference = encoded_string_list(live, pattern, codec)
     if monkeypatch is not None:
-        # The sliced build may not fall back on the string overlay.
+        # The sliced build may not fall back on a string list.
         monkeypatch.setattr(
-            LivePatternIndex,
+            KnowledgeGraph,
             "_build_match_list",
-            lambda *args: pytest.fail("string overlay built"),
+            lambda *args: pytest.fail("string list built"),
         )
         live.invalidate_caches()
     sliced = build_encoded_match_list(live, pattern, codec)
@@ -226,7 +227,8 @@ terms = st.one_of(st.sampled_from(TERMS + ("new", "p", "q")), st.sampled_from("u
     batch=updates,
     pattern=st.builds(TriplePattern, terms, terms, terms),
 )
-def test_sliced_overlay_matches_the_string_overlay(seed, batch, pattern):
+def test_sliced_overlay_matches_the_brute_force_list(seed, batch, pattern):
     live = LiveGraph(ColumnarGraph.from_triples(Triple(*k, s) for k, s in seed.items()))
     live.apply_updates(batch)
     assert_sliced_is_encoded_string_list(live, pattern)
+    assert live.match_list(pattern) == brute_force_list(live, pattern)

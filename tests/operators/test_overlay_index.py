@@ -1,8 +1,9 @@
 """The overlay index of a live graph — its superseded-row mask and its
 adds filed by pattern key, built once per delta state — follows every
-single mutation: each read in between, through ``overlay_rows``,
-``build_encoded_match_list`` and ``build_merged_match_list``, equals
-what ``encoded_string_list`` makes of the string overlay, with no
+single mutation: each read in between, through ``list_rows``,
+``match_list``, ``build_encoded_match_list`` and
+``build_merged_match_list``, equals the brute-force Definition-5 list
+(``brute_force_list``, encoded by ``encoded_string_list``), with no
 version-tagged list cache in between."""
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.operators.block import (
     build_merged_match_list,
 )
 
-from merge_reference import definition8_merge, encoded_string_list
+from merge_reference import brute_force_list, definition8_merge, encoded_string_list
 
 TERMS = ("a", "b", "c", "x")
 S_P_O = TriplePattern(var("s"), "p", var("o"))
@@ -72,12 +73,14 @@ def spliced(store, rows, adds, slots) -> list[tuple[tuple[str, str, str], float]
 def assert_reads_follow(live: LiveGraph) -> None:
     store = live.base.store
     codec = TermCodec(store)
-    rows, lengths, all_adds, all_slots = live.overlay_rows(PATTERNS)
+    rows, lengths, all_adds, all_slots = live.list_rows(PATTERNS)
     assert len(lengths) == len(all_adds) == len(all_slots) == len(PATTERNS)
     assert lengths.sum() == len(rows)
     runs = np.split(rows, np.cumsum(lengths)[:-1])
     for pattern, run, adds, slots in zip(PATTERNS, runs, all_adds, all_slots):
-        expected = [(t.spo, t.score) for t in live.match_list(pattern).triples]
+        reference_list = brute_force_list(live, pattern)
+        assert live.match_list(pattern) == reference_list, pattern
+        expected = [(t.spo, t.score) for t in reference_list.triples]
         assert spliced(store, run, adds, slots) == expected, pattern
         sliced = build_encoded_match_list(live, pattern, codec)
         reference = encoded_string_list(live, pattern, codec)
@@ -116,7 +119,7 @@ def test_mask_and_adds_are_built_once_per_delta_state():
     live.add("a", "p", "x", score=3.0)  # an overwrite: row 0 is superseded
     live.add("n", "p", "n", score=1.0)
     first = live._overlay_index(live.base.store)
-    live.overlay_rows(PATTERNS)
+    live.list_rows(PATTERNS)
     assert live._overlay_index(live.base.store) is first
     superseded, adds_by_key = first
     assert superseded.tolist() == [True]
