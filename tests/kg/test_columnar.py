@@ -162,6 +162,15 @@ class TestColumnarGraphInterface:
         )
         assert first is second
 
+    def test_index_stats_report_cached_lists(self, columnar_graph):
+        assert columnar_graph.index_stats() == {"match_lists": 0, "version": -1}
+        columnar_graph.match_list(TriplePattern(VAR_S, "rdf:type", "singer"))
+        columnar_graph.match_list(TriplePattern(VAR_S, "rdf:type", "singer"))
+        assert columnar_graph.index_stats() == {
+            "match_lists": 1,
+            "version": columnar_graph.version,
+        }
+
     def test_external_cache_hook(self, columnar_graph):
         from repro.service import MatchListCache
 

@@ -180,3 +180,118 @@ class TestMatchListFromTriples:
             (None, "p", None), [Triple("a", "p", "b", 0.0)]
         )
         assert ml.normalized_scores == (0.0,)
+
+
+_MERGE_TRIPLES = [
+    Triple("a", "p", "x", 5.0),
+    Triple("a", "p", "a", 3.0),
+    Triple("b", "p", "x", 4.0),
+    Triple("b", "q", "y", 4.0),
+    Triple("c", "p", "z", 4.0),
+    Triple("c", "q", "x", 2.0),
+    Triple("d", "q", "z", 9.0),
+    Triple("d", "p", "d", 1.0),
+]
+
+#: Ways to cut one triple set into disjoint parts: interleaved, grouped
+#: by subject, in score bands (ties inside a part), and one triple a part
+#: in reverse order (every score tie straddles two parts, the later part
+#: holding the smaller ``spo``).
+_SPLITS = {
+    "halves": lambda triples: [triples[0::2], triples[1::2]],
+    "thirds": lambda triples: [triples[i::3] for i in range(3)],
+    "by-subject": lambda triples: [
+        [t for t in triples if t.subject == s] for s in sorted({t.subject for t in triples})
+    ],
+    "by-score": lambda triples: [
+        [t for t in triples if t.score >= 4.0],
+        [t for t in triples if t.score < 4.0],
+    ],
+    "singletons": lambda triples: [[t] for t in reversed(triples)],
+}
+
+
+def _brute_force(pattern, triples):
+    return MatchList.from_triples(pattern.key(), [t for t in triples if pattern.matches(t)])
+
+
+def _adds(part):
+    from repro.kg.delta import GraphUpdate
+
+    return [GraphUpdate.add(*t.spo, t.score) for t in part]
+
+
+class TestSplicedMatchLists:
+    """A live graph's list is its base's column rows with the delta's adds
+    spliced in at their slots; over disjoint parts of one triple set it
+    must be the brute-force Definition-5 list of the whole set."""
+
+    def test_empty_parts(self):
+        from repro.kg.columnar import ColumnarGraph
+        from repro.kg.delta import LiveGraph
+
+        pattern = TriplePattern(var("s"), "p", var("o"))
+        live = LiveGraph(ColumnarGraph.from_triples([Triple("a", "q", "x", 2.0)]))
+        live.apply_updates(_adds([Triple("b", "q", "y", 3.0)]))
+        merged = live.match_list(pattern)
+        assert merged.is_empty
+        assert merged.max_score == 0.0
+        assert merged.normalized_scores == ()
+
+    def test_single_nonempty_part(self):
+        """All matches in the base rows, or all in the adds: either way the
+        list is that part's list."""
+        from repro.kg.columnar import ColumnarGraph
+        from repro.kg.delta import LiveGraph
+
+        pattern = TriplePattern(var("s"), "p", var("o"))
+        matching = [t for t in _MERGE_TRIPLES if t.predicate == "p"]
+        other = [t for t in _MERGE_TRIPLES if t.predicate != "p"]
+        expected = _brute_force(pattern, matching)
+        for base, added in ((matching, other), (other, matching)):
+            live = LiveGraph(ColumnarGraph.from_triples(base))
+            live.apply_updates(_adds(added))
+            assert live.match_list(pattern) == expected
+
+    @pytest.mark.parametrize("layout", ["adds", "alternating", "compacted"])
+    @pytest.mark.parametrize("split", sorted(_SPLITS))
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            TriplePattern(var("s"), "p", var("o")),
+            TriplePattern(var("s"), "q", var("o")),
+            TriplePattern(var("s"), "p", "x"),
+            TriplePattern("a", "p", var("o")),
+            TriplePattern(var("s"), "p", var("s")),
+            TriplePattern(var("s"), "nope", var("o")),
+        ],
+    )
+    def test_disjoint_parts_equal_the_full_list(self, pattern, split, layout):
+        """However the set is cut and however the parts land in base rows
+        and adds ("adds": the first part is a columnar base, each later
+        part one batch of adds; "alternating": the even parts form an
+        object base the overlay freezes, the odd parts are added;
+        "compacted": the first two parts are compacted into the base, the
+        rest added), the live list is the list of the whole set."""
+        from repro.kg.columnar import ColumnarGraph
+        from repro.kg.delta import LiveGraph
+
+        parts = _SPLITS[split](_MERGE_TRIPLES)
+        assert sorted(t.spo for part in parts for t in part) == sorted(
+            t.spo for t in _MERGE_TRIPLES
+        )
+        if layout == "alternating":
+            live = LiveGraph(KnowledgeGraph(t for part in parts[0::2] for t in part))
+            batches = parts[1::2]
+        else:
+            live = LiveGraph(ColumnarGraph.from_triples(parts[0]))
+            batches = parts[1:]
+        for at, part in enumerate(batches):
+            live.apply_updates(_adds(part))
+            if layout == "compacted" and at == 0:
+                live.compact()
+        expected = _brute_force(pattern, _MERGE_TRIPLES)
+        merged = live.match_list(pattern)
+        assert merged.triples == expected.triples
+        assert merged.max_score == expected.max_score
+        assert merged.normalized_scores == expected.normalized_scores
