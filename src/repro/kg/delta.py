@@ -48,7 +48,7 @@ import numpy as np
 from repro.errors import KnowledgeGraphError
 from repro.kg.columnar import ColumnarGraph, ColumnarStore
 from repro.kg.graph import Add, KnowledgeGraph
-from repro.kg.index import PatternKey, touched_pattern_keys
+from repro.kg.index import PatternKey, pattern_keys
 from repro.kg.pattern import TriplePattern
 from repro.kg.triple import Triple
 
@@ -194,6 +194,8 @@ class LiveGraph(KnowledgeGraph):
         self._overwrites.clear()
         self._superseded_cache = None
         self._overlay_state = None
+        #: The superseded keys already looked up, and their base rows.
+        self._superseded_rows = (frozenset[Spo](), np.empty(0, np.int64))
 
     # ------------------------------------------------------------------
     # Mutation (the write path)
@@ -267,18 +269,13 @@ class LiveGraph(KnowledgeGraph):
 
     def _apply_add(self, triple: Triple) -> None:
         spo = triple.spo
-        for term in spo:
-            if "\x00" in term:
-                # Refused before it lands: the compaction that would
-                # intern it, and every one after, would fail instead.
-                raise KnowledgeGraphError(
-                    f"term {term!r} contains NUL, unsupported by columnar storage"
-                )
         in_base = spo in self._base
-        if spo not in self._adds and (not in_base or spo in self._tombstones):
-            self._moved.add(spo)  # not live before: a re-score is not a move
-        self._tombstones.discard(spo)
+        was_live = spo in self._adds or (in_base and spo not in self._tombstones)
+        # Refuses a NUL term before anything changes (a compaction would fail on it).
         self._adds.add_triple(triple)
+        if not was_live:
+            self._moved.add(spo)  # a re-score is not a move
+        self._tombstones.discard(spo)
         if in_base:
             self._overwrites.add(spo)
         self._touched.add(spo)
@@ -347,6 +344,7 @@ class LiveGraph(KnowledgeGraph):
         # Whoever still holds the superseded base (the caller's original
         # graph, typically) should not hold its decoded lists with it.
         base.invalidate_caches()
+        self._decoded = None  # nor should this graph hold its store
         self._reset_delta()
         self._bump_version()
         self._compactions += 1
@@ -481,21 +479,24 @@ class LiveGraph(KnowledgeGraph):
     ) -> tuple[np.ndarray | None, dict[PatternKey, list[Add]]]:
         """What every overlay read of the current delta state shares,
         built on its first read: the mask of the base *store*'s rows the
-        delta supersedes (one :meth:`~repro.kg.columnar.ColumnarStore.rows_of`
-        lookup of every superseded key; ``None`` when no row is), and the
-        delta's adds in Definition-5 order, filed under each of the
-        eight pattern keys they match (``touched_pattern_keys``).
-        Every mutation resets it."""
+        delta supersedes (``None`` when no row is), and the delta's adds
+        in Definition-5 order, filed under each of the eight pattern keys
+        they match (``pattern_keys``).  Every mutation resets it.  The
+        superseded keys only grow until a compaction, so each key's rows
+        are looked up once (:meth:`~repro.kg.columnar.ColumnarStore.rows_of`)."""
         overlay = self._overlay_state
         if overlay is None:
-            superseded = None
-            rows = store.rows_of(self._superseded())
+            superseded, keys = None, self._superseded()
+            known, rows = self._superseded_rows
+            if len(keys) > len(known):
+                rows = np.concatenate((rows, store.rows_of(keys - known)))
+                self._superseded_rows = (keys, rows)
             if len(rows):
                 superseded = np.zeros(store.n_triples, dtype=bool)
                 superseded[rows] = True
             adds_by_key: dict[PatternKey, list[Add]] = {}
             for add in sorted(self._adds._scores.items(), key=lambda a: (-a[1], a[0])):
-                for key in touched_pattern_keys((add[0],)):
+                for key in pattern_keys(add[0]):
                     adds_by_key.setdefault(key, []).append(add)
             overlay = self._overlay_state = (superseded, adds_by_key)
         return overlay

@@ -44,6 +44,8 @@ class KnowledgeGraph:
 
     #: ``(version, store)`` of :meth:`column_store`, built on first use.
     _column_snapshot: "tuple[int, ColumnarStore] | None" = None
+    #: ``(store, triple per row or None)`` of :meth:`_decode`.
+    _decoded: "tuple[ColumnarStore, list[Triple | None]] | None" = None
     #: The version :attr:`_match_lists` holds lists of.
     _lists_version = -1
     _external_cache: MatchListCacheHook | None = None
@@ -65,19 +67,26 @@ class KnowledgeGraph:
         self.add_triple(Triple(subject, predicate, obj, score))
 
     def add_triple(self, triple: Triple) -> None:
-        self._scores[triple.spo] = float(triple.score)
-        self._version += 1
+        self.add_triples((triple,))
 
     def add_triples(self, triples: Iterable[Triple]) -> int:
-        """Bulk-add; returns the number of triples processed."""
+        """Bulk-add; returns the number of triples processed.  A term
+        holding NUL is refused, keeping the triples before it: every list
+        read interns the terms into a column store, which cannot hold one."""
         count = 0
-        for triple in triples:
-            if not isinstance(triple, Triple):
-                raise KnowledgeGraphError(f"expected Triple, got {type(triple).__name__}")
-            self._scores[triple.spo] = float(triple.score)
-            count += 1
-        if count:
-            self._version += 1
+        try:
+            for triple in triples:
+                if not isinstance(triple, Triple):
+                    raise KnowledgeGraphError(f"expected Triple, got {type(triple).__name__}")
+                if "\x00" in "".join(spo := triple.spo):
+                    raise KnowledgeGraphError(
+                        f"{spo!r} has a term containing NUL, unsupported by columnar storage"
+                    )
+                self._scores[spo] = float(triple.score)
+                count += 1
+        finally:
+            if count:  # the triples before a refused one landed
+                self._version += 1
         return count
 
     def remove(self, subject: str, predicate: str, obj: str) -> bool:
@@ -183,7 +192,7 @@ class KnowledgeGraph:
         operations (:mod:`repro.operators.block`)."""
         store = self.column_store()
         rows, _, (adds,), (slots,) = self.list_rows((pattern,))
-        triples = store.decode_rows(rows)
+        triples = self._decode(store, rows)
         raw = store.scores[rows]
         if adds:
             # Slots ascend with the adds; last first keeps them in place.
@@ -195,6 +204,19 @@ class KnowledgeGraph:
         max_score = float(raw[0])
         normalized = raw / max_score if max_score > 0 else np.zeros(len(raw))
         return MatchList(pattern.key(), tuple(triples), max_score, tuple(normalized.tolist()))
+
+    def _decode(self, store: "ColumnarStore", rows: np.ndarray) -> list[Triple]:
+        """*rows* of *store* as triples, each row decoded once while the graph
+        reads *store* (until :meth:`invalidate_caches`): a live overlay's new
+        versions share the triples of the base rows they keep."""
+        memo = self._decoded
+        if memo is None or memo[0] is not store:
+            memo = self._decoded = (store, [None] * store.n_triples)
+        decoded, wanted = memo[1], rows.tolist()
+        missing = [row for row in wanted if decoded[row] is None]
+        for row, triple in zip(missing, store.decode_rows(np.array(missing, dtype=np.int64))):
+            decoded[row] = triple
+        return [decoded[row] for row in wanted]  # type: ignore[misc]
 
     def list_rows(
         self, patterns: Sequence[TriplePattern]
@@ -275,7 +297,7 @@ class KnowledgeGraph:
         return None
 
     def invalidate_caches(self) -> None:
-        """Drop all cached match lists and the column store.
+        """Drop all cached match lists, decoded rows and the column store.
 
         Mutations invalidate automatically (via :attr:`version`); this is
         the explicit cold-start path used for cold-cache measurements.  An
@@ -285,6 +307,7 @@ class KnowledgeGraph:
         """
         self._match_lists = {}
         self._column_snapshot = None
+        self._decoded = None
         clear = getattr(self._external_cache, "clear", None)
         if callable(clear):
             clear()

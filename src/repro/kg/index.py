@@ -23,7 +23,6 @@ determinism), the list's maximum raw score, and the normalised scores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Protocol
 
 from repro.kg.triple import Triple
@@ -37,15 +36,19 @@ PatternKey = tuple[str | None, str | None, str | None]
 ListKey = tuple
 
 
+def pattern_keys(spo: tuple[str, str, str]) -> tuple[PatternKey, ...]:
+    """The eight pattern keys matching the triple *spo*: *spo* with some
+    positions wildcarded."""
+    s, p, o = spo
+    return (
+        (s, p, o), (s, p, None), (s, None, o), (s, None, None),
+        (None, p, o), (None, p, None), (None, None, o), (None, None, None),
+    )
+
+
 def touched_pattern_keys(touched: Iterable[tuple[str, str, str]]) -> set[PatternKey]:
-    """Every pattern key whose match list a write of *touched* can change:
-    each triple's eight wildcardings, since a pattern key matches a triple
-    iff it equals the triple with some positions wildcarded."""
-    return {
-        tuple(term if keep else None for term, keep in zip(spo, mask))
-        for spo in touched
-        for mask in product((True, False), repeat=3)
-    }
+    """The :func:`pattern_keys` of *touched*: the lists a write of them can change."""
+    return {key for spo in touched for key in pattern_keys(spo)}
 
 
 class MatchListCacheHook(Protocol):

@@ -236,6 +236,39 @@ class TestLiveMatchLists:
         assert actual.max_score == expected.max_score
         assert actual.normalized_scores == expected.normalized_scores
 
+    def test_kept_base_rows_decode_once_per_store(self):
+        """A new version's list re-uses the triples of the base rows it
+        keeps; a cold start, and a compaction's new store, decode afresh."""
+        live = LiveGraph(columnar_base())
+        first = {t.spo: t for t in live.match_list(P_OPEN).triples}
+        live.apply_updates(
+            [GraphUpdate.add("e", "p", "x", 8.0), GraphUpdate.remove("b", "p", "x")]
+        )
+        listed = live.match_list(P_OPEN).triples
+        assert listed == self.rebuilt(live, P_OPEN).triples
+        kept = [t for t in listed if t.spo in first]
+        assert [t.spo for t in kept] == [("a", "p", "x"), ("a", "p", "y"), ("c", "p", "z")]
+        assert all(t is first[t.spo] for t in kept)
+        live.invalidate_caches()
+        cold = live.match_list(P_OPEN).triples
+        assert cold == listed and not any(t is first.get(t.spo) for t in cold)
+        live.compact()
+        compacted = live.match_list(P_OPEN).triples
+        assert compacted == listed and not any(t is first.get(t.spo) for t in compacted)
+
+    def test_earlier_batches_stay_superseded(self):
+        """Each superseded key's base row is looked up once: the rows of
+        an earlier batch stay masked in the lists of every later one."""
+        live = LiveGraph(columnar_base())
+        live.apply_updates([GraphUpdate.remove("a", "p", "x")])
+        assert ("a", "p", "x") not in {t.spo for t in live.match_list(P_OPEN).triples}
+        live.apply_updates([GraphUpdate.add("b", "p", "x", 7.0)])
+        assert live.match_list(P_OPEN).triples == self.rebuilt(live, P_OPEN).triples
+        live.apply_updates([GraphUpdate.add("a", "p", "x", 0.5)])
+        listed = live.match_list(P_OPEN)
+        assert listed.triples == self.rebuilt(live, P_OPEN).triples
+        assert [t.score for t in listed.triples] == [7.0, 3.0, 1.0, 0.5]
+
     def test_delta_can_raise_the_normaliser(self):
         live = LiveGraph(columnar_base())
         live.add("hot", "p", "x", score=100.0)
@@ -353,6 +386,7 @@ class TestCompaction:
             second_list = weakref.ref(live.base.match_list(P_OPEN))
             live.compact()
             assert second_base() is None and second_list() is None
+            assert live._decoded is None  # nor the overlay's rows decoded from it
         finally:
             gc.enable()
 

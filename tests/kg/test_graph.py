@@ -39,6 +39,36 @@ class TestMutation:
         with pytest.raises(KnowledgeGraphError):
             kg.add_triples([("x", "p", "y")])  # type: ignore[list-item]
 
+    def test_nul_term_is_refused_at_write_time(self, small_graph, tmp_path):
+        """Every list read interns the graph's terms into its column store,
+        which cannot hold NUL: the write refuses the term, so reads of the
+        graph keep working rather than failing on every later pattern."""
+        for bad in (("bad\x00", "p", "x"), ("a", "p\x00", "x"), ("a", "p", "x\x00")):
+            version = small_graph.version
+            with pytest.raises(KnowledgeGraphError, match="NUL"):
+                small_graph.add(*bad, score=1.0)
+            assert bad not in small_graph and small_graph.version == version
+        # A bulk add keeps the triples before the refused one, and bumps
+        # the version for them, so no cached list misses them.
+        before = small_graph.count(TriplePattern(var("s"), "p", var("o")))
+        version = small_graph.version
+        with pytest.raises(KnowledgeGraphError, match="NUL"):
+            small_graph.add_triples([Triple("d", "p", "e"), Triple("d", "p\x00", "e")])
+        assert small_graph.version > version
+        assert small_graph.count(TriplePattern(var("s"), "p", var("o"))) == before + 1
+        assert small_graph.size == 5
+        assert [t.subject for t in small_graph.match(TriplePattern(var("x"), "type", "t1"))] == [
+            "a",
+            "b",
+        ]
+        # Outside input arrives through the same check.
+        from repro.kg.storage import load_tsv
+
+        path = tmp_path / "nul.tsv"
+        path.write_text("a\tp\tb\t1\nc\tp\td\x00\t2\n", encoding="utf-8")
+        with pytest.raises(KnowledgeGraphError, match="NUL"):
+            load_tsv(path)
+
     def test_remove(self, small_graph):
         assert small_graph.remove("a", "likes", "b")
         assert small_graph.size == 3
