@@ -201,8 +201,3 @@ class PlanExecutor:
         """The encoded match-list store serving the block path."""
         return self._encoded_store
 
-    def encoded_cache_stats(self) -> dict[str, int]:
-        """Diagnostics from the encoded match-list store."""
-        stats = self._encoded_store.stats()
-        stats["encoded_lists"] = stats["size"]
-        return stats

@@ -50,7 +50,6 @@ import numpy as np
 from repro.errors import KnowledgeGraphError
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.index import PatternKey
-from repro.kg.pattern import TriplePattern
 from repro.kg.triple import Triple
 
 #: Dtype of the three id columns.  int32 caps the dictionary at ~2.1e9
@@ -551,13 +550,6 @@ class ColumnarStore:
         """The rows agreeing with the bound positions of *key*, in
         Definition-5 order: a :meth:`lookup` of the one key."""
         return self.lookup((key,))[0]
-
-    def match_rows(self, pattern: TriplePattern) -> np.ndarray:
-        """The rows of *pattern*'s match list, in Definition-5 order: a
-        :meth:`lookup` of its :meth:`~repro.kg.pattern.TriplePattern.list_key`,
-        which drops rows where a repeated variable would bind
-        inconsistently."""
-        return self.lookup((pattern.list_key(),))[0]
 
     def insertion_slots(
         self, rows: np.ndarray, adds: Sequence[tuple[tuple[str, str, str], float]]

@@ -28,8 +28,12 @@ Versioning spans base swaps: the overlay's :attr:`~LiveGraph.version`
 counter is monotone across every mutation *and* every compaction, so the
 version-aware caches (:class:`~repro.service.cache.MatchListCache`, the
 plan and result caches) invalidate exactly as they do for a mutated
-object graph; the encoded list store and the statistics catalog drop
-only what :meth:`LiveGraph.touched_since` says a write touched.
+object graph.  The encoded list store patches the lists of what
+:meth:`LiveGraph.touched_since` says a write touched — re-reading just the
+written triples through :meth:`LiveGraph.list_rows` — and drops only
+those it cannot patch exactly (an input's maximum moved, or the patch's
+read raced a write); the statistics catalog drops only the statistics of
+what the write touched, and recomputes them from the patched lists.
 
 The base is immutable: a columnar graph refuses mutation, and any other
 base is copied into columns when the overlay is built.
@@ -240,6 +244,8 @@ class LiveGraph(KnowledgeGraph):
 
         Returns counters: ``adds`` (including overwrites), ``removes``
         that hit a live triple, and ``absent_removes`` that were no-ops.
+        An update that raises leaves the ones before it applied; the error
+        carries their counters as ``error.applied``.
         """
         adds = removes = absent = 0
         try:
@@ -258,6 +264,9 @@ class LiveGraph(KnowledgeGraph):
                 # Checked per update, not per batch: the threshold bounds
                 # peak delta memory even for one huge streamed batch.
                 self._maybe_compact()
+        except Exception as error:
+            error.applied = {"adds": adds, "removes": removes, "absent_removes": absent}
+            raise
         finally:
             # A mid-stream failure (e.g. a malformed mutation-TSV line
             # raising from the iterator) must still bump the version —

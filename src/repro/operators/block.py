@@ -36,16 +36,17 @@ two executors return byte-identical answer sequences.
 from __future__ import annotations
 
 import abc
+import math
 import threading
 import weakref
 from collections import OrderedDict, defaultdict
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.kg.columnar import ColumnarGraph, stable_argsort
-from repro.kg.index import touched_pattern_keys
+from repro.kg.columnar import stable_argsort
+from repro.kg.index import pattern_keys
 from repro.operators.topk import finalize_canonical
 from repro.query.answer import Answer
 
@@ -121,6 +122,12 @@ class TermCodec:
                     self._side_terms.append(term)
                     self._side_ids[term] = side
         return side
+
+    def lookup(self, term: str) -> int | None:
+        """The id of *term* if it has one (``None``: no list holds it),
+        interning nothing."""
+        term_id = self.store.term_id(term)
+        return self._side_ids.get(term) if term_id is None else term_id
 
     def decode(self, term_id: int) -> str:
         """The term of *term_id* (store dictionary or side table)."""
@@ -252,7 +259,8 @@ def _gather_rows(
     ``j`` binds ``var_names[j]`` whatever position the variable holds in
     each pattern.  Each list is normalized by its first — maximum — raw
     score (Definition 5), all-zero when that is not positive.  Returns
-    the columns, the normalized scores, each list's length and maximum.
+    the columns, the raw and the normalized scores, and each list's
+    length and maximum.
     """
     layouts = [pattern.variable_positions() for pattern in patterns]
     rows = rows.astype(np.intp)  # int32 indices gather at half the speed
@@ -303,7 +311,7 @@ def _gather_rows(
     normalized = raw / np.repeat(np.where(positive, maxima, 1.0), lengths)
     if not positive[filled].all():
         normalized[np.repeat(~positive, lengths)] = 0.0
-    return tuple(columns), normalized, lengths, maxima
+    return tuple(columns), raw, normalized, lengths, maxima
 
 
 def _store_rows(graph, patterns: "Sequence[TriplePattern]", codec: TermCodec):
@@ -343,14 +351,19 @@ class EncodedMatchList:
     the list that live and die with it in the
     :class:`EncodedListStore`.
 
-    ``reads`` are the patterns the list was built from (its own, or every
-    input of a merged relaxation list; ``None``: unknown) — a write that
-    touches none of their keys leaves the list exact.
+    What a write needs to patch the list (:func:`patch_match_lists`):
+    ``inputs``, the ``(pattern, weight)`` pairs it was built from (its own
+    pattern at weight 1.0, or every input of a merged relaxation list;
+    ``None``: unknown) and ``maxima``, each input list's raw maximum (its
+    first raw score, 0.0 when empty); ``raws``, each row's raw score in
+    its input; and, for a merged list of several inputs, ``sources``, the
+    input each row came from.  A write that touches none of the inputs'
+    keys leaves the list exact.
     """
 
     __slots__ = (
-        "var_names", "columns", "scores", "max_score", "reads", "_read_keys",
-        "_key_orders",
+        "var_names", "columns", "scores", "max_score", "inputs", "maxima", "raws", "sources",
+        "_read_keys", "_patch_index", "_key_orders",
     )
 
     def __init__(
@@ -359,26 +372,66 @@ class EncodedMatchList:
         columns: tuple[np.ndarray, ...],
         scores: np.ndarray,
         max_score: float,
-        reads: "tuple[TriplePattern, ...] | None" = None,
+        inputs: "tuple[tuple[TriplePattern, float], ...] | None" = None,
+        maxima: tuple[float, ...] | None = None,
+        raws: np.ndarray | None = None,
+        sources: np.ndarray | None = None,
     ) -> None:
-        for array in (*columns, scores):
-            array.flags.writeable = False
+        for array in (*columns, scores, raws, sources):
+            if array is not None:
+                array.flags.writeable = False
         self.var_names = var_names
         self.columns = columns
         self.scores = scores
         self.max_score = max_score
-        self.reads = reads
+        self.inputs = inputs
+        self.maxima = maxima
+        self.raws = raws
+        self.sources = sources
         self._read_keys: frozenset | None = None
+        self._patch_index: tuple[dict, list] | None = None
         #: ``join_vars -> (packing base, KeyOrder | None)``.
         self._key_orders: dict[tuple[str, ...], tuple[int, KeyOrder | None]] = {}
 
     def __len__(self) -> int:
         return len(self.scores)
 
+    def _successor(self, columns, scores, raws, sources) -> "EncodedMatchList":
+        """A list of the same inputs (a patch of this one)."""
+        successor = EncodedMatchList(
+            self.var_names, columns, scores, self.max_score, self.inputs, self.maxima,
+            raws, sources,
+        )
+        successor._read_keys, successor._patch_index = self._read_keys, self._patch_index
+        return successor
+
+    def patch_index(self) -> tuple[dict[object, list[int]], list[tuple]]:
+        """What a patch looks its inputs up by, computed once: pattern key
+        -> the indexes of the inputs with that key, and per input its
+        triple template (:func:`_triple`)."""
+        if self._patch_index is None:
+            by_read: dict[object, list[int]] = {}
+            for j, (pattern, _) in enumerate(self.inputs):
+                by_read.setdefault(pattern.key(), []).append(j)
+            templates = [
+                tuple(
+                    self.var_names.index(term.name) if bound is None else bound
+                    for term, bound in zip(pattern.terms, pattern.key())
+                )
+                for pattern, _ in self.inputs
+            ]
+            self._patch_index = (by_read, templates)
+        return self._patch_index
+
+    @property
+    def reads(self) -> "tuple[TriplePattern, ...] | None":
+        """The patterns of :attr:`inputs` (``None``: unknown)."""
+        return None if self.inputs is None else tuple(p for p, _ in self.inputs)
+
     def read_keys(self) -> frozenset:
         """The pattern keys of :attr:`reads` (``{None}``: unknown), computed once."""
         if self._read_keys is None:
-            keys = (None,) if self.reads is None else (p.key() for p in self.reads)
+            keys = (None,) if self.inputs is None else (p.key() for p, _ in self.inputs)
             self._read_keys = frozenset(keys)
         return self._read_keys
 
@@ -410,16 +463,6 @@ class EncodedMatchList:
             held = self._key_orders[join_vars] = (base, built)
         return held[1]
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_store(
-        cls, store: "ColumnarStore", pattern: "TriplePattern"
-    ) -> "EncodedMatchList":
-        """Slice the list straight out of dictionary-encoded columns, as
-        :func:`build_encoded_match_list` does over a columnar graph: no
-        row is decoded, nothing is sorted, and the ids are store ids."""
-        return build_encoded_match_list(ColumnarGraph(store), pattern, TermCodec(store))
-
 
 def build_encoded_match_list(
     graph, pattern: "TriplePattern", codec: TermCodec
@@ -428,10 +471,13 @@ def build_encoded_match_list(
     codec's store (:func:`_store_rows`) without decoding a row."""
     var_names = pattern.variable_names
     gathered = _store_rows(graph, (pattern,), codec)
-    columns, scores, _, maxima = _gather_rows(
+    columns, raws, scores, _, maxima = _gather_rows(
         codec.store, var_names, (pattern,), *gathered, codec
     )
-    return EncodedMatchList(var_names, columns, scores, float(maxima[0]), (pattern,))
+    return EncodedMatchList(
+        var_names, columns, scores, float(maxima[0]),
+        ((pattern, 1.0),), (float(maxima[0]),), raws,
+    )
 
 
 def build_merged_match_list(
@@ -451,7 +497,7 @@ def build_merged_match_list(
     :func:`first_occurrence_keep` keeps each binding's first — maximum —
     score, and the columns are gathered once through the composed
     permutation.  The scores are final, hence ``max_score=1.0``; equal
-    scores keep input order.
+    scores keep input order, and ``sources`` records each row's input.
     """
     patterns = [pattern for pattern, _ in inputs]
     var_names = patterns[0].variable_names
@@ -463,13 +509,14 @@ def build_merged_match_list(
                 f"variables: {sorted(var_names)} vs {sorted(names)}"
             )
     gathered = _store_rows(graph, patterns, codec)
-    columns, normalized, lengths, _ = _gather_rows(
+    columns, raws, normalized, lengths, maxima = _gather_rows(
         codec.store, var_names, patterns, *gathered, codec
     )
     scores = np.repeat([weight for _, weight in inputs], lengths) * normalized
     # Stable sort: equal scores keep input order — irrelevant for the
     # surviving (binding, score) multiset, which dedup-keep-first fixes
-    # whatever the order among equal keys, but deterministic.
+    # whatever the order among equal keys, but deterministic, and the
+    # order a patch places a row by.
     order = np.argsort(-scores, kind="stable")
     if len(scores):
         # Every input is encoded, so the id domain is final.
@@ -477,10 +524,325 @@ def build_merged_match_list(
         if packed is None:
             packed, _ = joint_group_ids(columns, tuple(c[:0] for c in columns))
         order = order[first_occurrence_keep(packed[order])]
+    sources = None
+    if len(inputs) > 1:
+        sources = np.repeat(
+            np.arange(len(inputs), dtype=np.min_scalar_type(len(inputs) - 1)), lengths
+        )[order]
     return EncodedMatchList(
         var_names, tuple(column[order] for column in columns), scores[order], 1.0,
-        tuple(patterns),
+        tuple(inputs), tuple(maxima.tolist()), raws[order], sources,
     )
+
+
+# ----------------------------------------------------------------------
+# Patching held lists after a write
+# ----------------------------------------------------------------------
+#: A fully bound triple key.
+Spo = tuple[str, str, str]
+
+#: A binding's row: score, input, raw score in that input, that input's
+#: triple, and the binding (values of the list's variables).
+_Row = tuple[float, int, float, Spo, tuple[str, ...]]
+
+
+def _triple(template: tuple, binding: tuple[str, ...]) -> Spo:
+    """An input's triple for *binding*: its *template* (per position a
+    constant, or the index of the variable bound there) filled in."""
+    return tuple(binding[at] if type(at) is int else at for at in template)
+
+
+def _read(
+    graph, store: "ColumnarStore", triples: list[Spo], patterns: list = []
+) -> tuple[dict[Spo, float | None], dict]:
+    """One :meth:`~repro.kg.graph.KnowledgeGraph.list_rows` of *triples*
+    (as fully bound patterns) and *patterns*: each triple's raw score now
+    (``None``: absent), and each pattern's raw maximum now."""
+    from repro.kg.pattern import TriplePattern
+
+    rows, lengths, adds, _ = graph.list_rows(
+        [TriplePattern(*spo) for spo in triples] + patterns
+    )
+    raws = store.scores[rows]
+    starts = (np.cumsum(lengths) - lengths).tolist()
+    lengths = lengths.tolist()
+    scores = {
+        spo: float(raws[start]) if length else (added[0][1] if added else None)
+        for spo, start, length, added in zip(triples, starts, lengths, adds)
+    }
+    tops = {}
+    for at, pattern in enumerate(patterns, len(triples)):
+        heads = [float(raws[starts[at]])] if lengths[at] else []
+        tops[pattern] = max(heads + [score for _, score in adds[at][:1]], default=0.0)
+    return scores, tops
+
+
+def _find_row(columns: tuple[np.ndarray, ...], ids: list[int]) -> int | None:
+    """The row binding *ids* (a list holds a binding at most once)."""
+    at = np.flatnonzero(columns[0] == ids[0])
+    for column, term_id in zip(columns[1:], ids[1:]):
+        at = at[column[at] == term_id]
+    return int(at[0]) if len(at) else None
+
+
+class _Plan(NamedTuple):
+    """One list's patch: per touched binding, the inputs a write touched
+    (``{input: triple}``) and its held row, if any; and the inputs whose
+    maximum is read because the write may have changed a row holding it."""
+
+    touched: dict[tuple[str, ...], dict[int, Spo]]
+    rows: dict[tuple[str, ...], int]
+    maxima: set[int]
+
+
+def _plan(held: EncodedMatchList, codec: TermCodec, hits) -> _Plan:
+    """The :class:`_Plan` of *held* for the ``(read key, triple)`` *hits*."""
+    inputs, var_names = held.inputs, held.var_names
+    by_key = held.patch_index()[0]
+    touched: dict[tuple[str, ...], dict[int, Spo]] = {}
+    for read, spo in hits:
+        for j in by_key.get(read, ()):
+            pattern = inputs[j][0]
+            if any(spo[a] != spo[b] for a, b in pattern.repeated_positions):
+                continue
+            names, first = pattern.variable_positions()
+            binding = tuple(spo[first[names.index(name)]] for name in var_names)
+            touched.setdefault(binding, {})[j] = spo
+    rows, maxima = {}, set()
+    for binding, by_input in touched.items():
+        if var_names:
+            ids = [codec.lookup(term) for term in binding]
+            row = None if None in ids else _find_row(held.columns, ids)
+        else:  # a pattern without variables holds one row at most
+            row = 0 if len(held) else None
+        if row is None:
+            continue
+        rows[binding] = row
+        source = 0 if held.sources is None else int(held.sources[row])
+        for j in by_input:
+            # A row from the input is at its maximum by its raw score; a
+            # row from another input may hide one if it scores at least
+            # the input's weight.
+            if (
+                held.raws[row] == held.maxima[j]
+                if j == source
+                else held.scores[row] >= inputs[j][1]
+            ):
+                maxima.add(j)
+    return _Plan(touched, rows, maxima)
+
+
+def _score(weight: float, maximum: float, raw: float) -> float:
+    """An input's raw score normalised by its *maximum* and weighted, as
+    a build does."""
+    return weight * (raw / maximum if maximum > 0 else 0.0)
+
+
+def _top(
+    held: EncodedMatchList, candidates, binding, raws: dict[Spo, float | None]
+) -> "_Row | None":
+    """The best of *held*'s ``(input, triple)`` *candidates*, in input
+    order: the highest score, on a tie the first input (``None``: none is
+    present)."""
+    best = None
+    for j, spo in candidates:
+        raw = raws[spo]
+        if raw is not None:
+            score = _score(held.inputs[j][1], held.maxima[j], raw)
+            if best is None or score > best[0]:
+                best = (score, j, raw, spo, binding)
+    return best
+
+
+def _held(held: EncodedMatchList, row: int) -> tuple[float, int, float]:
+    """The score, input and raw score of *held*'s row *row*."""
+    source = 0 if held.sources is None else int(held.sources[row])
+    return float(held.scores[row]), source, float(held.raws[row])
+
+
+def _best(held: EncodedMatchList, plan: _Plan, raws: dict[Spo, float | None]) -> dict:
+    """Each touched binding's row now — ``None`` when no input matches it
+    — from its touched inputs and its held row, whose input, if untouched,
+    kept its score and beats every other untouched input.  A binding
+    whose held row came from a touched input that now ranks below it
+    maps instead to the ``(input, triple)`` of every untouched input,
+    which must be read."""
+    templates = held.patch_index()[1]
+    best_rows = {}
+    for binding, by_input in plan.touched.items():
+        best = _top(held, sorted(by_input.items()), binding, raws)
+        row = plan.rows.get(binding)
+        if row is not None:
+            score, source, raw = _held(held, row)
+            ranks_below = best is None or (best[0], -best[1]) < (score, -source)
+            if source not in by_input:
+                if ranks_below:
+                    best = (score, source, raw, None, binding)
+            elif ranks_below:
+                # An input scores at most its weight: read only those that
+                # could still rank above the touched inputs' best.
+                best = [
+                    (j, _triple(templates[j], binding))
+                    for j, (_, weight) in enumerate(held.inputs)
+                    if j not in by_input
+                    and (best is None or (weight, -j) > (best[0], -best[1]))
+                ]
+        best_rows[binding] = best
+    return best_rows
+
+
+def patch_match_lists(
+    graph, codec: TermCodec, hits: "dict[object, list[tuple[object, Spo]]]", lists: dict
+) -> "Iterator[tuple[object, EncodedMatchList | None]]":
+    """Each list ``lists[key]`` (built with its inputs known) brought to
+    *graph*'s version by rewriting the rows of the bindings the ``(read
+    key, triple)`` pairs ``hits[key]`` give it, or ``None`` where it must
+    be rebuilt.  The graph is read before this returns; the patches are
+    made as the ``(key, list)`` pairs are consumed, each taking its list
+    out of *lists*.
+
+    The written triples are read in one batched :func:`_read`, normalised
+    by each input's held maximum and weighted; a binding keeps its best
+    score, on a tie its first input (Definition 8).  Where a binding's
+    held row came from a written input that now ranks below it, its
+    triples under the other inputs are read in a second batch.  Rows
+    that changed are taken out and put back where a fresh build orders
+    them.  An input whose maximum the write may have moved has it read
+    with the first batch.  A list is refused when an input's maximum
+    moved or is not positive.  A list the write leaves as it was is
+    returned as the same object.
+    """
+    store = codec.store
+    plans = {key: _plan(held, codec, hits[key]) for key, held in lists.items()}
+    triples = {spo: None for p in plans.values() for t in p.touched.values() for spo in t.values()}
+    maxima = {lists[key].inputs[j][0]: None for key, p in plans.items() for j in p.maxima}
+    raws, tops = _read(graph, store, list(triples), list(maxima)) if plans else ({}, {})
+    best = {key: _best(lists[key], plan, raws) for key, plan in plans.items()}
+    more = {
+        spo: None
+        for rows in best.values()
+        for row in rows.values()
+        if isinstance(row, list)
+        for _, spo in row
+        if spo not in raws
+    }
+    if more:
+        raws.update(_read(graph, store, list(more))[0])
+    for key, rows in best.items():
+        touched = plans[key].touched
+        for binding, row in rows.items():
+            if isinstance(row, list):
+                rows[binding] = _top(
+                    lists[key], sorted([*touched[binding].items(), *row]), binding, raws
+                )
+    # Lazily, so that each held list can go as soon as its patch is made.
+    return (
+        (key, _patched(lists.pop(key), codec, plan, best[key], raws, tops))
+        for key, plan in plans.items()
+    )
+
+
+def _patched(
+    held: EncodedMatchList,
+    codec: TermCodec,
+    plan: _Plan,
+    best_rows: "dict[tuple[str, ...], _Row | None]",
+    raws: dict[Spo, float | None],
+    tops: dict,
+) -> EncodedMatchList | None:
+    """:func:`patch_match_lists` for one list: *best_rows* are the
+    touched bindings' rows now."""
+    inputs, var_names = held.inputs, held.var_names
+    # Every touched input keeps its maximum, or the list is rebuilt.
+    for by_input in plan.touched.values():
+        for j, spo in by_input.items():
+            raw, maximum = raws[spo], held.maxima[j]
+            if not maximum > 0 or (raw is not None and raw > maximum):
+                return None
+    if any(tops[inputs[j][0]] != held.maxima[j] for j in plan.maxima):
+        return None
+    removed: list[int] = []
+    added: list[_Row] = []
+    for binding, best in best_rows.items():
+        row = plan.rows.get(binding)
+        if row is not None:
+            if best is not None and best[:3] == _held(held, row):
+                continue  # the held row stands
+            removed.append(row)
+        if best is not None:
+            added.append(best)
+    if not removed and not added:
+        return held
+    keep = np.ones(len(held), dtype=bool)
+    keep[removed] = False
+    scores, row_raws = held.scores[keep], held.raws[keep]
+    sources = None if held.sources is None else held.sources[keep]
+    columns = [column[keep] for column in held.columns]
+    # A fresh build orders rows by score descending, then input, then the
+    # input's own order: raw score descending, ties by ``spo``.
+    added.sort(key=lambda r: (-r[0], r[1], -r[2], r[3]))
+    descending = -scores
+    slots = []
+    for score, j, raw, spo, _ in added:
+        lo = int(descending.searchsorted(-score, "left"))
+        hi = int(descending.searchsorted(-score, "right"))
+        if lo < hi and sources is not None:
+            run = sources[lo:hi]
+            lo, hi = lo + int(run.searchsorted(j, "left")), lo + int(run.searchsorted(j, "right"))
+        if lo < hi:
+            run = -row_raws[lo:hi]
+            lo, hi = lo + int(run.searchsorted(-raw, "left")), lo + int(run.searchsorted(-raw, "right"))
+            template = held.patch_index()[1][j]
+            while lo < hi:  # equal raw scores: bisect by spo
+                middle = (lo + hi) // 2
+                other = tuple(codec.decode(int(column[middle])) for column in columns)
+                if _triple(template, other) < spo:
+                    lo = middle + 1
+                else:
+                    hi = middle
+        slots.append(lo)
+    # Where the added rows land: before kept row ``slots[u]``, after the
+    # added rows before them.
+    at = np.array(slots, dtype=np.int64) + np.arange(len(slots))
+    kept_at = np.ones(len(scores) + len(added), dtype=bool)
+    kept_at[at] = False
+
+    def splice(kept: np.ndarray, values: list) -> np.ndarray:
+        spliced = np.empty(len(kept_at), dtype=kept.dtype)
+        spliced[kept_at] = kept
+        spliced[at] = values
+        return spliced
+
+    patched = held._successor(
+        tuple(
+            splice(column, [codec.encode(r[4][n]) for r in added])
+            for n, column in enumerate(columns)
+        ),
+        splice(scores, [r[0] for r in added]),
+        splice(row_raws, [r[2] for r in added]),
+        None if sources is None else splice(sources, [r[1] for r in added]),
+    )
+    # The key orders joins probed the list by go along, sorted afresh:
+    # one radix argsort each, which is cheaper than splicing them.
+    for join_vars in held._key_orders:
+        patched.key_order(join_vars, codec.n_ids)
+    return patched
+
+
+def _recoded(held: EncodedMatchList, old: TermCodec, new: TermCodec) -> EncodedMatchList:
+    """*held* under codec *new* of a compacted store: store ids carry
+    over, side ids are decoded and encoded again (*held* itself when it
+    holds none; key orders, which sort ids, are not carried)."""
+    side = [column >= old.n_base for column in held.columns]
+    if not any(mask.any() for mask in side):
+        return held
+    columns = []
+    for column, mask in zip(held.columns, side):
+        if mask.any():
+            column = column.copy()
+            column[mask] = [new.encode(old.decode(i)) for i in column[mask].tolist()]
+        columns.append(column)
+    return held._successor(tuple(columns), held.scores, held.raws, held.sources)
 
 
 class EncodedListStore:
@@ -493,12 +855,20 @@ class EncodedListStore:
     :class:`TermCodec` too, because cached id columns are only
     meaningful under the codec that produced them.
 
-    When the graph version moves, the store drops only the lists whose
+    When the graph version moves, the store patches the lists whose
     :attr:`EncodedMatchList.reads` a write touched
-    (:meth:`~repro.kg.graph.KnowledgeGraph.touched_since`, in O(touched) through
-    an index by pattern key).  The rest stay, key orders included, under
-    the same codec, or a fresh one after a compaction; no answer from the
-    journal costs a full purge.
+    (:meth:`~repro.kg.graph.KnowledgeGraph.touched_since`, found in
+    O(touched) through an index by pattern key): :func:`patch_match_lists`
+    rewrites the rows of the bindings the write touched, so the list —
+    and each key order it caches, sorted afresh — equals a fresh build at
+    the new version.  It drops a touched list instead, to be rebuilt on
+    its next read, when an input's maximum moved or is not positive (every
+    normalised score would change), when the list's inputs are unknown,
+    or when a write raced the patch's read.  A compaction swaps in a codec
+    over the new store: store ids carry over and the touched lists' side
+    ids are encoded again before they are patched.  The rest stay as they
+    are, key orders included; no answer from the journal costs a full
+    purge.
 
     Like :class:`~repro.service.MatchListCache`, a store serves exactly
     **one graph**: the single codec/version slot cannot express two
@@ -514,7 +884,7 @@ class EncodedListStore:
     pattern's own list and its weighted relaxations' lists, which is what
     a relaxed pattern's operator actually streams.  They are entries of
     the same LRU — counted against the same capacity, evicted by the same
-    recency, dropped when a write touches an input — so a resident
+    recency, patched when a write touches an input — so a resident
     relaxed request pays for joins and the top-k sink only.  The per-rule input
     lists of a merge are never entries: a miss gathers them straight
     from the graph (:func:`build_merged_match_list`).
@@ -549,8 +919,9 @@ class EncodedListStore:
     def capacity(self) -> int:
         return self._capacity
 
-    def _sync_locked(self, graph) -> int:
-        """Bring the store to *graph*'s version; returns the lists dropped."""
+    def _sync_locked(self, graph) -> dict[str, int]:
+        """Bring the store to *graph*'s version; returns how many held
+        lists were ``kept`` as they are, ``patched`` and ``dropped``."""
         owner = self._owner() if self._owner is not None else None
         if owner is None:
             self._owner = weakref.ref(graph)
@@ -564,30 +935,55 @@ class EncodedListStore:
         version = graph.version
         store = graph.column_store()
         codec, held = self._codec, self._version
+        counts = {"kept": len(self._lists), "patched": 0, "dropped": 0}
         if codec is not None and codec.store is store and held == version:
-            return 0
+            return counts
         touched = None if codec is None else graph.touched_since(held)
         if touched is None:
-            dropped = len(self._lists)
+            counts.update(kept=0, dropped=len(self._lists))
             self._clear_locked()
         else:
             if self._readers is None:
                 self._readers = defaultdict(set)
                 for key, held_list in self._lists.items():
                     self._index_locked(key, held_list)
-            dropped = 0
-            for read in (*touched_pattern_keys(touched), None):
-                for key in self._readers.pop(read, ()):
-                    if key in self._lists:
-                        self._index_locked(key, self._lists.pop(key), add=False)
-                        dropped += 1
-        if self._codec is None or codec.store is not store:
-            # After a compaction store ids carry over, and every list that
-            # held a side id read a folded add, so it is gone.
+            readers = self._readers
+            # Held list -> the touched triples it read (a list whose reads
+            # are unknown is filed under None and always goes).
+            by_read: dict[object, list] = {}
+            for spo in touched:
+                for read in pattern_keys(spo):
+                    by_read.setdefault(read, []).append((read, spo))
+            hits: dict[object, list] = {key: [] for key in readers.get(None, ())}
+            for read, pairs in by_read.items():
+                for key in readers.get(read, ()):
+                    hits.setdefault(key, []).extend(pairs)
+            lists = {
+                key: self._lists[key] for key in hits if self._lists[key].raws is not None
+            }
+            if codec.store is not store:
+                # A compaction: store ids carry over, and the lists holding
+                # a side id read a folded add, so they are all in *hits*.
+                new_codec = TermCodec(store)
+                lists = {key: _recoded(held, codec, new_codec) for key, held in lists.items()}
+                codec = self._codec = new_codec
+            patches = patch_match_lists(graph, codec, hits, lists)
+            if graph.version != version or graph.column_store() is not store:
+                patches = ()  # a write raced the read: rebuild instead
+            for key, new in patches:
+                if new is not None:
+                    counts["patched"] += new is not self._lists[key]
+                    self._lists[key] = new  # same inputs, same reader entries
+                    del hits[key]
+            for key in hits:  # not patched
+                self._index_locked(key, self._lists.pop(key), add=False)
+                counts["dropped"] += 1
+            counts["kept"] = len(self._lists) - counts["patched"]
+        if self._codec is None:
             self._codec = TermCodec(store)
         # Version read first: a write racing this sync shows next time.
         self._version = version
-        return dropped
+        return counts
 
     def _clear_locked(self) -> None:
         self._lists.clear()
@@ -618,10 +1014,10 @@ class EncodedListStore:
             return self._codec, self._version
 
     def refresh(self, graph) -> dict[str, int]:
-        """Sync to *graph*'s version now; returns ``{"dropped", "kept"}`` lists."""
+        """Sync to *graph*'s version now; returns how many held lists were
+        ``kept`` as they are, ``patched`` and ``dropped``."""
         with self._lock:
-            dropped = self._sync_locked(graph)
-            return {"dropped": dropped, "kept": len(self._lists)}
+            return self._sync_locked(graph)
 
     def get_or_build(
         self,

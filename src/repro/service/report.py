@@ -217,6 +217,7 @@ class WorkloadReport:
                 f"(graph v{self.extras['graph_version']}); statistics "
                 f"{self.extras['update_stats_dropped']} dropped, "
                 f"{self.extras['update_stats_kept']} kept; lists "
+                f"{self.extras['update_lists_patched']} patched, "
                 f"{self.extras['update_lists_dropped']} dropped, "
                 f"{self.extras['update_lists_kept']} kept"
             )

@@ -231,6 +231,7 @@ class WorkloadRunner:
             "update_stats_dropped": 0,
             "update_stats_kept": 0,
             "update_lists_dropped": 0,
+            "update_lists_patched": 0,
             "update_lists_kept": 0,
             "update_seconds": 0.0,
         }
@@ -539,15 +540,20 @@ class WorkloadRunner:
         batch, and drives every invalidation off the resulting version
         bump: the shared match-list cache is eagerly swept
         (:meth:`~repro.service.cache.MatchListCache.purge_stale`), the
-        result cache is purged, and the encoded list store
-        and the statistics catalog drop only what the batch touched
-        (:meth:`~repro.operators.block.EncodedListStore.refresh`:
-        ``lists_dropped`` / ``lists_kept``;
-        :meth:`~repro.stats.catalog.StatisticsCatalog.refresh`:
-        ``stats_dropped`` / ``stats_kept`` pattern entries) instead of
-        rebuilding.  Pass ``compact=True`` to fold the delta into
-        a fresh base afterwards (the runner's ``compact_threshold`` also
-        triggers this automatically).
+        result cache is purged, the encoded list store patches the lists
+        the batch touched (dropping those it cannot patch exactly:
+        :meth:`~repro.operators.block.EncodedListStore.refresh`:
+        ``lists_kept`` / ``lists_patched`` / ``lists_dropped``), and the
+        statistics catalog drops only the statistics the batch touched
+        (:meth:`~repro.stats.catalog.StatisticsCatalog.refresh`:
+        ``stats_dropped`` / ``stats_kept`` pattern entries), to recompute
+        them from the patched lists.  Pass ``compact=True`` to fold the
+        delta into a fresh base afterwards (the runner's
+        ``compact_threshold`` also triggers this automatically).
+
+        A batch that raises after landing a prefix (the live graph keeps
+        it and moves its version) is still invalidated and counted, and
+        the error is re-raised.
 
         Returns the per-batch counters; cumulative totals appear in the
         next :class:`~repro.service.report.WorkloadReport` extras and in
@@ -576,45 +582,66 @@ class WorkloadRunner:
                 # object; the next batch warms up over the live wrapper.
                 self._engine = None
             live = self._graph
-            compactions_before = live.compactions
-            counts = live.apply_updates(batch)
-            if compact:
-                live.compact()
-            purged = self.cache.purge_stale(live.version)
-            results_purged = (
-                self.result_cache.purge_stale(live.version)
-                if self.result_cache is not None
-                else 0
-            )
-            lists = self.encoded_store.refresh(live)
-            refreshed = {"dropped": 0, "kept": 0}
-            if self._engine is not None:
-                refreshed = self._engine.catalog.refresh()
-            seconds = time.perf_counter() - started
-            result: dict[str, object] = {
-                **counts,
-                "compacted": live.compactions > compactions_before,
-                "cache_purged": purged,
-                "result_cache_purged": results_purged,
-                "stats_dropped": refreshed["dropped"],
-                "stats_kept": refreshed["kept"],
-                "lists_dropped": lists["dropped"],
-                "lists_kept": lists["kept"],
-                "seconds": seconds,
-                "graph_version": live.version,
-            }
-            self._updates["update_batches"] += 1
-            self._updates["updates_applied"] += counts["adds"] + counts["removes"]
-            self._updates["update_removes_absent"] += counts["absent_removes"]
-            self._updates["update_compactions"] = live.compactions
-            self._updates["update_cache_purged"] += purged
-            self._updates["update_results_purged"] += results_purged
-            self._updates["update_stats_dropped"] += refreshed["dropped"]
-            self._updates["update_stats_kept"] = refreshed["kept"]
-            self._updates["update_lists_dropped"] += lists["dropped"]
-            self._updates["update_lists_kept"] = lists["kept"]
-            self._updates["update_seconds"] += seconds
+            compactions_before, version_before = live.compactions, live.version
+            counts = {"adds": 0, "removes": 0, "absent_removes": 0}
+            failed = True
+            try:
+                counts = live.apply_updates(batch)
+                if compact:
+                    live.compact()
+                failed = False
+            except Exception as error:
+                counts = getattr(error, "applied", counts)
+                raise
+            finally:
+                # A batch that raised after landing a prefix moved the
+                # version: it is refreshed and counted like any other.
+                if not failed or live.version != version_before:
+                    result = self._after_batch(live, counts, compactions_before, started)
             return result
+
+    def _after_batch(
+        self, live: LiveGraph, counts: dict, compactions_before: int, started: float
+    ) -> dict[str, object]:
+        """The invalidation a batch drives off its version bump, and its counters."""
+        purged = self.cache.purge_stale(live.version)
+        results_purged = (
+            self.result_cache.purge_stale(live.version)
+            if self.result_cache is not None
+            else 0
+        )
+        lists = self.encoded_store.refresh(live)
+        refreshed = {"dropped": 0, "kept": 0}
+        if self._engine is not None:
+            refreshed = self._engine.catalog.refresh()
+        seconds = time.perf_counter() - started
+        result: dict[str, object] = {
+            **counts,
+            "compacted": live.compactions > compactions_before,
+            "cache_purged": purged,
+            "result_cache_purged": results_purged,
+            "stats_dropped": refreshed["dropped"],
+            "stats_kept": refreshed["kept"],
+            "lists_dropped": lists["dropped"],
+            "lists_patched": lists["patched"],
+            "lists_kept": lists["kept"],
+            "seconds": seconds,
+            "graph_version": live.version,
+        }
+        updates = self._updates
+        updates["update_batches"] += 1
+        updates["updates_applied"] += counts["adds"] + counts["removes"]
+        updates["update_removes_absent"] += counts["absent_removes"]
+        updates["update_compactions"] = live.compactions
+        updates["update_cache_purged"] += purged
+        updates["update_results_purged"] += results_purged
+        updates["update_stats_dropped"] += refreshed["dropped"]
+        updates["update_stats_kept"] = refreshed["kept"]
+        updates["update_lists_dropped"] += lists["dropped"]
+        updates["update_lists_patched"] += lists["patched"]
+        updates["update_lists_kept"] = lists["kept"]
+        updates["update_seconds"] += seconds
+        return result
 
     @property
     def update_stats(self) -> dict[str, object]:

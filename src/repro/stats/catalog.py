@@ -9,8 +9,9 @@ only reads from it at plan time.
 Both kinds of statistic are computed from a pattern's normalized score
 column, read from the same :class:`~repro.operators.block.EncodedListStore`
 the join counts read their id columns from — so planning never builds a
-string match list, and the lists a refresh rebuilds are the ones
-execution reads next.
+string match list, the lists planning reads are the ones execution reads
+next, and after a write the statistics it dropped are recomputed from
+the lists the store patched.
 """
 
 from __future__ import annotations
@@ -184,8 +185,8 @@ class StatisticsCatalog:
         (:meth:`~repro.kg.delta.LiveGraph.membership_since`) the join
         cardinalities — a count is an integer over row sets, which a
         re-score or a compaction keeps.  The rest — almost all, for a
-        small delta — stay, and the dropped ones rebuild lazily from the
-        live match lists.  A graph without a journal, or a journal that
+        small delta — stay, and the dropped ones are recomputed lazily from
+        the store's lists, which the write patched.  A graph without a journal, or a journal that
         cannot answer, answers ``None`` and the catalog falls back to
         :meth:`invalidate`.  Returns ``{"dropped": ..., "kept": ...}``
         over the histogram cache for logging/tests.

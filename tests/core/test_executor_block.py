@@ -161,12 +161,10 @@ class TestEncodedCacheLifecycle:
         engine = SpecQPEngine(frozen, music_rules, executor="block")
         query = TriplePatternQuery((tp("singer"),))
         engine.query_exact(query, k=3)
-        stats = engine.executor.encoded_cache_stats()
-        assert stats["encoded_lists"] >= 1
+        stats = engine.executor.encoded_store.stats()
+        assert stats["size"] >= 1
         engine.query_exact(query, k=3)
-        assert engine.executor.encoded_cache_stats()["encoded_lists"] == stats[
-            "encoded_lists"
-        ]
+        assert engine.executor.encoded_store.stats()["size"] == stats["size"]
 
     def test_version_bump_clears_cache(self, music_graph, music_rules):
         live = LiveGraph(ColumnarGraph.from_graph(music_graph))

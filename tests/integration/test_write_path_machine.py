@@ -11,8 +11,10 @@ are checked after every step:
   ``ColumnarStore.from_triples(graph.triples())`` at that version;
 * the graph version rises with every write and never falls;
 * every list the encoded store holds decodes — terms and score bytes —
-  equal to a fresh build at the current version, so a list carried
-  across a write or a compaction is never stale;
+  equal to a fresh build at the current version, so a list patched or
+  carried across a write or a compaction is never stale, and every key
+  order it caches equals ``sorted_key_order`` over a fresh build under
+  the store's codec;
 * every decision in the runner planner's decision memo that a request
   would replay now — keyed under the current rule set, every histogram
   it read still the catalog's — equals, in relaxed indexes, ``E_Q(k)``
@@ -54,7 +56,13 @@ from repro.datasets.workload import Workload
 from repro.kg.columnar import ColumnarGraph, ColumnarStore
 from repro.kg.delta import GraphUpdate
 from repro.kg.storage import load_snapshot_v2, save_snapshot_v2
-from repro.operators.block import EncodedMatchList, TermCodec, build_merged_match_list
+from repro.operators.block import (
+    EncodedMatchList,
+    TermCodec,
+    build_encoded_match_list,
+    build_merged_match_list,
+    sorted_key_order,
+)
 from repro.relax.rules import RelaxationRule, RuleSet
 from repro.service import WorkloadRunner, result_key
 from repro.stats.order_statistics import expected_kth_score
@@ -255,12 +263,22 @@ class WritePathMachine(RuleBasedStateMachine):
                 pattern, (cap, rules, rules_version) = key
                 if rules_version != rules.version:
                     continue  # merged under a superseded rule set
-                expected = build_merged_match_list(
-                    graph, relaxation_inputs(pattern, rules, cap), fresh_codec
-                )
+                inputs = relaxation_inputs(pattern, rules, cap)
+                expected = build_merged_match_list(graph, inputs, fresh_codec)
+                ids = build_merged_match_list(self.graph, inputs, codec)
             else:
-                expected = EncodedMatchList.from_store(graph.store, key)
+                expected = build_encoded_match_list(graph, key, fresh_codec)
+                ids = build_encoded_match_list(self.graph, key, codec)
             assert decoded(held, codec) == decoded(expected, fresh_codec), key
+            # Key orders sort ids, so they are checked under the store's codec.
+            for join_vars, (base, order) in list(held._key_orders.items()):
+                columns = tuple(ids.columns[ids.var_names.index(n)] for n in join_vars)
+                fresh = sorted_key_order(columns, base or codec.n_ids, len(ids))
+                assert (order is None) == (fresh is None), (key, join_vars)
+                if order is not None:
+                    assert order[0].tobytes() == fresh[0].tobytes(), (key, join_vars)
+                    assert order[1].tobytes() == fresh[1].astype("int32").tobytes()
+                    assert order[2] == fresh[2], (key, join_vars)
 
     @invariant()
     def memoised_decisions_equal_a_fresh_planner(self) -> None:

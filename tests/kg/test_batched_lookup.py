@@ -102,7 +102,7 @@ def test_lookup_runs_are_the_single_key_reads(triples, pattern_list, adds, drop_
         assert rows.dtype == ID_DTYPE and len(lengths) == len(pattern_list)
         for pattern, run in zip(pattern_list, runs_of(rows, lengths)):
             np.testing.assert_array_equal(run, single_key_rows(store, pattern), str(pattern))
-            np.testing.assert_array_equal(store.match_rows(pattern), run)
+            np.testing.assert_array_equal(store.lookup((pattern.list_key(),))[0], run)
         dropped = np.array(drop_bits[: store.n_triples], dtype=bool)
         rows, lengths = store.lookup([p.list_key() for p in pattern_list], dropped)
         for pattern, run in zip(pattern_list, runs_of(rows, lengths)):

@@ -194,11 +194,11 @@ def test_diagonal_pattern_rows_keep_their_order():
         {("a", "p", "a"): 1.0, ("b", "p", "b"): 7.0, ("a", "p", "b"): 7.0, ("c", "p", "c"): 7.0}
     )
     x = Variable("x")
-    rows = store.match_rows(TriplePattern(x, "p", x))
+    rows = store.lookup((TriplePattern(x, "p", x).list_key(),))[0]
     assert [t.spo for t in store.decode_rows(rows)] == [
         ("b", "p", "b"), ("c", "p", "c"), ("a", "p", "a"),
     ]
-    assert len(store.match_rows(TriplePattern(x, "p", Variable("y")))) == 4
+    assert len(store.lookup((TriplePattern(x, "p", Variable("y")).list_key(),))[0]) == 4
 
 
 def test_lookups_are_read_only_views_of_the_index():

@@ -39,7 +39,7 @@ def encoded_string_list(graph, pattern, codec) -> EncodedMatchList:
         for column, position in zip(columns, positions):
             column[row] = codec.encode(triple.spo[position])
     scores = np.asarray(match_list.normalized_scores, dtype=np.float64)
-    return EncodedMatchList(var_names, columns, scores, match_list.max_score, (pattern,))
+    return EncodedMatchList(var_names, columns, scores, match_list.max_score)
 
 
 def definition8_merge(graph, inputs, codec, build=build_encoded_match_list):

@@ -191,9 +191,9 @@ class TestFirstOccurrenceKeep:
 
 
 class TestEncodedMatchList:
-    def test_from_store_matches_string_list(self, columnar):
+    def test_sliced_list_matches_string_list(self, columnar):
         pattern = tp("t")
-        encoded = EncodedMatchList.from_store(columnar.store, pattern)
+        encoded = build_encoded_match_list(columnar, pattern, TermCodec(columnar.store))
         string_list = brute_force_list(columnar, pattern)
         assert len(encoded) == len(string_list)
         assert encoded.var_names == ("s",)
@@ -204,18 +204,18 @@ class TestEncodedMatchList:
         assert encoded.scores.tolist() == list(string_list.normalized_scores)
         assert encoded.max_score == string_list.max_score
 
-    def test_string_list_reference_agrees_with_from_store(self, columnar):
+    def test_string_list_reference_agrees_with_sliced_list(self, columnar):
         pattern = TriplePattern(var("s"), "knows", var("o"))
         codec = TermCodec(columnar.store)
-        from_store = EncodedMatchList.from_store(columnar.store, pattern)
+        sliced = build_encoded_match_list(columnar, pattern, TermCodec(columnar.store))
         from_list = encoded_string_list(columnar, pattern, codec)
-        assert from_store.var_names == from_list.var_names
-        for a, b in zip(from_store.columns, from_list.columns):
+        assert sliced.var_names == from_list.var_names
+        for a, b in zip(sliced.columns, from_list.columns):
             assert a.tolist() == b.tolist()
-        assert from_store.scores.tolist() == from_list.scores.tolist()
+        assert sliced.scores.tolist() == from_list.scores.tolist()
 
     def test_empty_pattern(self, columnar):
-        encoded = EncodedMatchList.from_store(columnar.store, tp("missing"))
+        encoded = build_encoded_match_list(columnar, tp("missing"), TermCodec(columnar.store))
         assert len(encoded) == 0
         assert encoded.max_score == 0.0
 
@@ -225,7 +225,7 @@ class TestEncodedMatchList:
         kg.add("a", "p", "b", score=4.0)
         frozen = ColumnarGraph.from_graph(kg)
         pattern = TriplePattern(var("x"), "p", var("x"))
-        encoded = EncodedMatchList.from_store(frozen.store, pattern)
+        encoded = build_encoded_match_list(frozen, pattern, TermCodec(frozen.store))
         assert len(encoded) == 1
         assert encoded.var_names == ("x",)
 
@@ -324,7 +324,7 @@ class TestBlock:
 class TestVectorScan:
     def test_stream_matches_sorted_scan(self, columnar):
         pattern = tp("t")
-        encoded = EncodedMatchList.from_store(columnar.store, pattern)
+        encoded = build_encoded_match_list(columnar, pattern, TermCodec(columnar.store))
         context = ExecutionContext()
         scan = VectorScan(encoded, 0, context, weight=0.5, block_size=2)
         reference = SortedScan(columnar, pattern, 0, ExecutionContext(), weight=0.5)
@@ -346,13 +346,13 @@ class TestVectorScan:
         assert context.tuples_pulled == 5
 
     def test_empty_list_is_born_exhausted(self, columnar):
-        encoded = EncodedMatchList.from_store(columnar.store, tp("missing"))
+        encoded = build_encoded_match_list(columnar, tp("missing"), TermCodec(columnar.store))
         scan = VectorScan(encoded, 0, ExecutionContext())
         assert scan.next_block() is None
         assert scan.upper_bound() == float("-inf")
 
     def test_weight_validation(self, columnar):
-        encoded = EncodedMatchList.from_store(columnar.store, tp("t"))
+        encoded = build_encoded_match_list(columnar, tp("t"), TermCodec(columnar.store))
         with pytest.raises(ExecutionError):
             VectorScan(encoded, 0, ExecutionContext(), weight=1.5)
 
@@ -360,7 +360,7 @@ class TestVectorScan:
 class TestBlockTopK:
     def _scan(self, columnar, pattern=None, block_size=1024):
         pattern = pattern or tp("t")
-        encoded = EncodedMatchList.from_store(columnar.store, pattern)
+        encoded = build_encoded_match_list(columnar, pattern, TermCodec(columnar.store))
         return VectorScan(encoded, 0, ExecutionContext(), block_size=block_size)
 
     def test_collects_k(self, columnar):
@@ -396,7 +396,7 @@ class TestBlockTopK:
 
     def test_projection_dedups_on_projected_vars(self, columnar):
         pattern = TriplePattern(var("s"), "rdf:type", var("o"))
-        encoded = EncodedMatchList.from_store(columnar.store, pattern)
+        encoded = build_encoded_match_list(columnar, pattern, TermCodec(columnar.store))
         scan = VectorScan(encoded, 0, ExecutionContext())
         codec = TermCodec(columnar.store)
         answers = BlockTopK(scan, 10, codec, projection=("o",)).run()

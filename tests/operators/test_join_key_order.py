@@ -32,6 +32,7 @@ from repro.operators.block import (
     BlockTopK,
     EncodedMatchList,
     TermCodec,
+    build_encoded_match_list,
 )
 from repro.operators.memory import ExecutionContext
 from repro.operators.rank_join import RankJoin
@@ -129,7 +130,7 @@ def tuple_answers(graph, patterns):
 
 
 def block_tree(graph, patterns, codec, block_size, context):
-    lists = [EncodedMatchList.from_store(graph.store, p) for p in patterns]
+    lists = [build_encoded_match_list(graph, p, TermCodec(graph.store)) for p in patterns]
     tree = VectorScan(lists[0], 0, context, block_size=block_size)
     for index, encoded in enumerate(lists[1:], start=1):
         tree = VectorRankJoin(
@@ -209,7 +210,7 @@ class TestJoinDifferential:
         graph = build_graph(triples)
         patterns = SHAPES[shape][:n_patterns]
         codec = (UnpackableCodec if unpackable else TermCodec)(graph.store)
-        lists = [EncodedMatchList.from_store(graph.store, p) for p in patterns]
+        lists = [build_encoded_match_list(graph, p, TermCodec(graph.store)) for p in patterns]
         block_size = block_size_for(size_choice, lists)
 
         audit = ProbeAudit()
@@ -388,7 +389,7 @@ class TestStoredListsAreReadOnly:
         list every later query reads."""
         store = ColumnarGraph.from_graph(music_graph).store
         pattern = TriplePattern(var("s"), "rdf:type", "singer")
-        encoded = EncodedMatchList.from_store(store, pattern)
+        encoded = build_encoded_match_list(ColumnarGraph(store), pattern, TermCodec(store))
         before = encoded.columns[0].copy(), encoded.scores.copy()
         block = VectorScan(
             encoded, 0, ExecutionContext(), block_size=block_size
@@ -408,7 +409,7 @@ class TestStoredListsAreReadOnly:
     def test_whole_list_block_is_the_list_itself(self, music_graph):
         store = ColumnarGraph.from_graph(music_graph).store
         pattern = TriplePattern(var("s"), "rdf:type", "singer")
-        encoded = EncodedMatchList.from_store(store, pattern)
+        encoded = build_encoded_match_list(ColumnarGraph(store), pattern, TermCodec(store))
         block = VectorScan(encoded, 0, ExecutionContext()).next_block()
         assert block.columns is encoded.columns and block.scores is encoded.scores
         assert block.source is encoded

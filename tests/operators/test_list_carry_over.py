@@ -1,12 +1,16 @@
-"""A write drops only the lists, statistics and counts it touched.
+"""A write keeps the lists it did not touch, and patches or drops the rest.
 
 The encoded list store and the statistics catalog both read the live
 graph's touched-key journal (``LiveGraph.touched_since``) from the
-version they hold.  These tests pin the carry-over contract: untouched
-lists survive a write and a compaction as the same objects, anything
-that could hold a stale id or statistic is gone, an unanswerable journal
-purges everything, and a query still fails cleanly when the graph moves
-under it.
+version they hold.  These tests pin the carry-over contract through the
+``kept`` / ``patched`` / ``dropped`` counts ``EncodedListStore.refresh``
+reports: untouched lists survive a write and a compaction as the same
+objects; a touched list is patched — side ids encoded again after a
+compaction — unless an input's maximum moved, when it is dropped; a
+touched statistic is gone; an unanswerable journal purges everything;
+and a query still fails cleanly when the graph moves under it.  (The
+patches themselves are checked byte for byte in
+``test_maintained_lists.py``.)
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from repro.kg.columnar import ColumnarGraph, ColumnarStore
 from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.pattern import TriplePattern, var
 from repro.kg.triple import Triple
-from repro.operators.block import EncodedListStore, EncodedMatchList
+from repro.operators.block import EncodedListStore, TermCodec, build_encoded_match_list
 from repro.query.query import TriplePatternQuery
 from repro.relax.rules import RuleSet
 from repro.stats.catalog import StatisticsCatalog
@@ -44,7 +48,7 @@ def make_live() -> LiveGraph:
     return LiveGraph(base)
 
 
-def test_compaction_keeps_untouched_lists_and_drops_side_id_lists():
+def test_compaction_keeps_untouched_lists_and_re_encodes_side_id_lists():
     live = make_live()
     store = EncodedListStore()
     live.add("fresh", "q", "y", 9.0)  # "fresh" is outside the dictionary
@@ -55,16 +59,18 @@ def test_compaction_keeps_untouched_lists_and_drops_side_id_lists():
     p_order = p_list.key_order(("s",), old_codec.n_ids)
 
     live.compact()
-    assert store.refresh(live) == {"dropped": 1, "kept": 1}
+    # The fold touches Q's list: patched under the new codec, not dropped.
+    assert store.refresh(live) == {"kept": 1, "patched": 1, "dropped": 0}
     new_codec = store.codec(live)
     assert new_codec is not old_codec and new_codec.store is live.base.store
     # The untouched list and its key order carry over as they are.
     assert store.get_or_build(live, P) is p_list
     assert p_list.key_order(("s",), new_codec.n_ids) is p_order
-    rebuilt = store.get_or_build(live, Q)
-    assert rebuilt is not q_list
-    assert (rebuilt.columns[0] < new_codec.n_base).all()  # all store ids now
-    assert [new_codec.decode(i) for i in rebuilt.columns[0]] == ["fresh", "a", "c"]
+    patched = store.get_or_build(live, Q)
+    assert patched is not q_list
+    assert (patched.columns[0] < new_codec.n_base).all()  # all store ids now
+    assert [new_codec.decode(i) for i in patched.columns[0]] == ["fresh", "a", "c"]
+    assert store.stats()["misses"] == 2  # the two first builds: nothing rebuilt
 
 
 def test_journal_overflow_purges_every_list(monkeypatch):
@@ -79,7 +85,7 @@ def test_journal_overflow_purges_every_list(monkeypatch):
     # Three keys in one step: past the bound, the journal cannot answer.
     live.apply_updates([GraphUpdate.add(f"n{i}", "r", "z", 1.0) for i in range(3)])
     assert live.touched_since(live.version - 1) is None
-    assert store.refresh(live) == {"dropped": 2, "kept": 0}
+    assert store.refresh(live) == {"kept": 0, "patched": 0, "dropped": 2}
     assert store.codec(live) is not codec
 
 
@@ -93,16 +99,32 @@ def test_catalog_and_store_both_see_one_batch():
         catalog.histogram(pattern)
     kept = catalog.histogram(Q)
 
+    # Above P's maximum (5.0): P's list is dropped, not patched.
     live.apply_updates([GraphUpdate.add("d", "p", "x", 7.0)])
-    assert store.refresh(live) == {"dropped": 1, "kept": 1}
+    assert store.refresh(live) == {"kept": 1, "patched": 0, "dropped": 1}
     assert catalog.refresh() == {"dropped": 1, "kept": 1}
     assert catalog.histogram(Q) is kept
     assert catalog.histogram(P).count == 3
 
+    # Q's maximum goes: its list is dropped, and rebuilt for the catalog.
     live.apply_updates([GraphUpdate.remove("a", "q", "y")])
     assert catalog.refresh() == {"dropped": 1, "kept": 1}
-    assert store.refresh(live)["dropped"] == 1
+    assert store.refresh(live) == {"kept": 1, "patched": 0, "dropped": 1}
     assert catalog.match_count(Q) == 1
+
+
+def test_catalog_recomputes_a_touched_histogram_from_the_patched_list():
+    live = make_live()
+    store = EncodedListStore()
+    catalog = StatisticsCatalog(live, encoded_store=store)
+    before = catalog.histogram(P)
+    live.apply_updates([GraphUpdate.add("d", "p", "x", 4.5)])  # below P's maximum
+    assert store.refresh(live) == {"kept": 0, "patched": 1, "dropped": 0}
+    assert catalog.refresh() == {"dropped": 1, "kept": 0}
+    misses = store.stats()["misses"]
+    after = catalog.histogram(P)
+    assert after is not before and catalog.match_count(P) == 3
+    assert store.stats()["misses"] == misses  # read from the patched list
 
 
 def test_expect_codec_rejects_mid_query_mutation_on_a_live_graph():
@@ -194,7 +216,7 @@ def test_racing_readers_keep_the_reader_index_whole():
     fresh = ColumnarGraph(ColumnarStore.from_triples(live.triples()))
     codec = store.codec(live)
     for key, held_list in list(store._lists.items()):
-        expected = EncodedMatchList.from_store(fresh.store, key)
+        expected = build_encoded_match_list(fresh, key, TermCodec(fresh.store))
         assert [
             [codec.decode(int(i)) for i in column] for column in held_list.columns
         ] == [

@@ -248,8 +248,9 @@ class TestMergedListLifecycle:
         variant = (engine.config.max_relaxations_per_pattern, music_rules, music_rules.version)
         lyricist = store.get_or_merge(live, tp("lyricist"), variant, pytest.fail)
         # A vocalist is an input of the singer merge only.
+        # Above the vocalist list's maximum: the merge is dropped, not patched.
         live.apply_updates([GraphUpdate.add("adele", "rdf:type", "vocalist", 500.0)])
-        assert store.refresh(live) == {"dropped": 1, "kept": 1}
+        assert store.refresh(live) == {"kept": 1, "patched": 0, "dropped": 1}
         assert store.stats()["merged_size"] == 1
         assert store.get_or_merge(live, tp("lyricist"), variant, pytest.fail) is lyricist
         served = engine.query_trinit(query, k=3).answers

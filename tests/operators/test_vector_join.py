@@ -11,8 +11,8 @@ from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
 from repro.operators.block import (
     BlockTopK,
-    EncodedMatchList,
     TermCodec,
+    build_encoded_match_list,
     build_merged_match_list,
 )
 from repro.operators.incremental_merge import IncrementalMerge, WeightedInput
@@ -34,7 +34,7 @@ def columnar(music_graph) -> ColumnarGraph:
 
 
 def vector_scan(columnar, pattern, index, context, weight=1.0, block_size=1024):
-    encoded = EncodedMatchList.from_store(columnar.store, pattern)
+    encoded = build_encoded_match_list(columnar, pattern, TermCodec(columnar.store))
     return VectorScan(encoded, index, context, weight=weight, block_size=block_size)
 
 
@@ -194,8 +194,8 @@ class TestUnpackableKeyFallback:
         context = ExecutionContext()
         codec = _UnpackableCodec(edge_graph.store)
         join = VectorRankJoin(
-            VectorScan(EncodedMatchList.from_store(edge_graph.store, knows), 0, context, block_size=2),
-            VectorScan(EncodedMatchList.from_store(edge_graph.store, likes), 1, context, block_size=2),
+            VectorScan(build_encoded_match_list(edge_graph, knows, TermCodec(edge_graph.store)), 0, context, block_size=2),
+            VectorScan(build_encoded_match_list(edge_graph, likes, TermCodec(edge_graph.store)), 1, context, block_size=2),
             context,
             codec,
             block_size=2,

@@ -332,6 +332,59 @@ def test_apply_updates_then_compact_keeps_untouched_answers(tiny_xkg_workload):
     assert runner.update_stats["update_compactions"] == 1
 
 
+def test_a_batch_that_fails_after_a_prefix_is_refreshed_and_counted(tiny_xkg_workload):
+    """A batch that raises after landing its first updates (the live
+    graph keeps them) is still invalidated and counted: the landed
+    prefix shows in ``update_stats``, every held list equals a fresh
+    build, and reads equal a fresh engine at the resulting version."""
+    import random
+
+    from repro.core.plan import relaxation_inputs
+    from repro.errors import KnowledgeGraphError
+    from repro.kg import ColumnarGraph, ColumnarStore, GraphUpdate
+    from repro.operators.block import build_encoded_match_list, build_merged_match_list
+
+    runner = WorkloadRunner(tiny_xkg_workload, executor="block")
+    queries = tiny_xkg_workload.queries
+    runner.apply_updates([GraphUpdate.add("fresh0", "rdf:type", "topic", 1.0)])
+    runner.run(queries, k=5)
+    graph = runner.graph
+    rng = random.Random(3)
+    rescored = rng.sample(sorted(graph.triples(), key=lambda t: t.spo), 40)
+    batch = [GraphUpdate.add(*t.spo, float(rng.randint(1, 60))) for t in rescored]
+    batch.append(GraphUpdate.add("bad\x00term", "rdf:type", "topic", 1.0))
+    version = graph.version
+    with pytest.raises(KnowledgeGraphError, match="NUL"):
+        runner.apply_updates(batch)
+
+    assert graph.version > version  # the prefix landed
+    assert runner.update_stats["update_batches"] == 2
+    assert runner.update_stats["updates_applied"] == 1 + len(rescored)
+    store = runner.encoded_store
+    codec = store.codec(graph)
+    assert store.stats()["version"] == graph.version
+    for key, held in list(store._lists.items()):
+        if isinstance(key, tuple):  # a merged list: (pattern, variant)
+            pattern, (cap, rules, _) = key
+            fresh = build_merged_match_list(graph, relaxation_inputs(pattern, rules, cap), codec)
+        else:
+            fresh = build_encoded_match_list(graph, key, codec)
+        assert [c.tobytes() for c in held.columns] == [c.tobytes() for c in fresh.columns]
+        assert held.scores.tobytes() == fresh.scores.tobytes(), key
+    fresh_engine = SpecQPEngine(
+        ColumnarGraph(ColumnarStore.from_triples(graph.triples())),
+        tiny_xkg_workload.rules,
+        runner.config,
+        executor="block",
+    )
+    for query in queries:
+        served = runner.execute_query(query, 5)
+        expected = fresh_engine.query(query, 5).answers
+        assert [(a.bindings, a.score) for a in served] == [
+            (a.bindings, a.score) for a in expected
+        ], query.name
+
+
 def test_apply_updates_auto_compacts_at_threshold(music_graph, music_rules):
     from repro.kg import GraphUpdate
 

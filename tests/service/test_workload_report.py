@@ -126,12 +126,14 @@ def test_render_reports_live_updates_and_refreshed_statistics(report):
         graph_version=9,
         update_stats_dropped=5,
         update_stats_kept=120,
+        update_lists_patched=6,
         update_lists_dropped=3,
         update_lists_kept=40,
     )
     assert (
         "16 applied in 2 batches, 1 compactions (graph v9); "
-        "statistics 5 dropped, 120 kept; lists 3 dropped, 40 kept" in report.render()
+        "statistics 5 dropped, 120 kept; lists 6 patched, 3 dropped, 40 kept"
+        in report.render()
     )
 
 
