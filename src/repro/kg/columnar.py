@@ -536,11 +536,16 @@ class ColumnarStore:
         keep = np.ones(len(rows), dtype=bool) if dropped is None else ~dropped[rows]
         columns = (self.subjects, self.predicates, self.objects)
         ends = np.cumsum(lengths)
+        objects = [(at, check) for at, check in checks if isinstance(check, int)]
+        if objects:  # fully bound keys: each run keeps the rows of its object
+            wanted = np.full(len(keys), -1, dtype=np.int64)
+            wanted[[at for at, _ in objects]] = [check for _, check in objects]
+            wanted = np.repeat(wanted, lengths)
+            bound = wanted >= 0
+            keep[bound] &= self.objects[rows[bound]] == wanted[bound]
         for at, check in checks:
-            run = slice(ends[at] - lengths[at], ends[at])
-            if isinstance(check, int):  # a fully bound key's object
-                keep[run] &= self.objects[rows[run]] == check
-            else:
+            if not isinstance(check, int):
+                run = slice(ends[at] - lengths[at], ends[at])
                 for first, other in check:
                     keep[run] &= columns[first][rows[run]] == columns[other][rows[run]]
         kept = np.concatenate(([0], np.cumsum(keep)))
