@@ -71,9 +71,6 @@ class TriplePattern:
     #: :meth:`variable_positions`, computed on first use: list building
     #: reads it for every input of every merge, most (rule) patterns never.
     _positions: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    #: The hash of the three terms (what a dataclass would compute on
-    #: every call): patterns key the list, statistics and plan caches.
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for position, value in zip("SPO", self.terms):
@@ -94,10 +91,6 @@ class TriplePattern:
         ) if key.count(None) >= 2 else ()
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_list_key", key + (repeated,) if repeated else key)
-        object.__setattr__(self, "_hash", hash(terms))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         # Pickle the three terms only: unpickling runs the constructor,

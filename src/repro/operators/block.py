@@ -36,6 +36,7 @@ two executors return byte-identical answer sequences.
 from __future__ import annotations
 
 import abc
+import bisect
 import math
 import threading
 import weakref
@@ -259,8 +260,8 @@ def _gather_rows(
     ``j`` binds ``var_names[j]`` whatever position the variable holds in
     each pattern.  Each list is normalized by its first — maximum — raw
     score (Definition 5), all-zero when that is not positive.  Returns
-    the columns, the raw and the normalized scores, and each list's
-    length and maximum.
+    the columns, the normalized scores, and each list's length and
+    maximum.
     """
     layouts = [pattern.variable_positions() for pattern in patterns]
     rows = rows.astype(np.intp)  # int32 indices gather at half the speed
@@ -311,7 +312,7 @@ def _gather_rows(
     normalized = raw / np.repeat(np.where(positive, maxima, 1.0), lengths)
     if not positive[filled].all():
         normalized[np.repeat(~positive, lengths)] = 0.0
-    return tuple(columns), raw, normalized, lengths, maxima
+    return tuple(columns), normalized, lengths, maxima
 
 
 def _store_rows(graph, patterns: "Sequence[TriplePattern]", codec: TermCodec):
@@ -355,15 +356,14 @@ class EncodedMatchList:
     ``inputs``, the ``(pattern, weight)`` pairs it was built from (its own
     pattern at weight 1.0, or every input of a merged relaxation list;
     ``None``: unknown) and ``maxima``, each input list's raw maximum (its
-    first raw score, 0.0 when empty); ``raws``, each row's raw score in
-    its input; and, for a merged list of several inputs, ``sources``, the
-    input each row came from.  A write that touches none of the inputs'
-    keys leaves the list exact.
+    first raw score, 0.0 when empty); and, for a merged list of several
+    inputs, ``sources``, the input each row came from.  A write that
+    touches none of the inputs' keys leaves the list exact.
     """
 
     __slots__ = (
-        "var_names", "columns", "scores", "max_score", "inputs", "maxima", "raws", "sources",
-        "_read_keys", "_patch_index", "_key_orders",
+        "var_names", "columns", "scores", "max_score", "inputs", "maxima", "sources",
+        "_read_keys", "_key_orders",
     )
 
     def __init__(
@@ -374,10 +374,9 @@ class EncodedMatchList:
         max_score: float,
         inputs: "tuple[tuple[TriplePattern, float], ...] | None" = None,
         maxima: tuple[float, ...] | None = None,
-        raws: np.ndarray | None = None,
         sources: np.ndarray | None = None,
     ) -> None:
-        for array in (*columns, scores, raws, sources):
+        for array in (*columns, scores, sources):
             if array is not None:
                 array.flags.writeable = False
         self.var_names = var_names
@@ -386,42 +385,22 @@ class EncodedMatchList:
         self.max_score = max_score
         self.inputs = inputs
         self.maxima = maxima
-        self.raws = raws
         self.sources = sources
         self._read_keys: frozenset | None = None
-        self._patch_index: tuple[dict, list] | None = None
         #: ``join_vars -> (packing base, KeyOrder | None)``.
         self._key_orders: dict[tuple[str, ...], tuple[int, KeyOrder | None]] = {}
 
     def __len__(self) -> int:
         return len(self.scores)
 
-    def _successor(self, columns, scores, raws, sources) -> "EncodedMatchList":
+    def _successor(self, columns, scores, sources) -> "EncodedMatchList":
         """A list of the same inputs (a patch of this one)."""
         successor = EncodedMatchList(
             self.var_names, columns, scores, self.max_score, self.inputs, self.maxima,
-            raws, sources,
+            sources,
         )
-        successor._read_keys, successor._patch_index = self._read_keys, self._patch_index
+        successor._read_keys = self._read_keys
         return successor
-
-    def patch_index(self) -> tuple[dict[object, list[int]], list[tuple]]:
-        """What a patch looks its inputs up by, computed once: pattern key
-        -> the indexes of the inputs with that key, and per input its
-        triple template (:func:`_triple`)."""
-        if self._patch_index is None:
-            by_read: dict[object, list[int]] = {}
-            for j, (pattern, _) in enumerate(self.inputs):
-                by_read.setdefault(pattern.key(), []).append(j)
-            templates = [
-                tuple(
-                    self.var_names.index(term.name) if bound is None else bound
-                    for term, bound in zip(pattern.terms, pattern.key())
-                )
-                for pattern, _ in self.inputs
-            ]
-            self._patch_index = (by_read, templates)
-        return self._patch_index
 
     @property
     def reads(self) -> "tuple[TriplePattern, ...] | None":
@@ -471,12 +450,11 @@ def build_encoded_match_list(
     codec's store (:func:`_store_rows`) without decoding a row."""
     var_names = pattern.variable_names
     gathered = _store_rows(graph, (pattern,), codec)
-    columns, raws, scores, _, maxima = _gather_rows(
+    columns, scores, _, maxima = _gather_rows(
         codec.store, var_names, (pattern,), *gathered, codec
     )
     return EncodedMatchList(
-        var_names, columns, scores, float(maxima[0]),
-        ((pattern, 1.0),), (float(maxima[0]),), raws,
+        var_names, columns, scores, float(maxima[0]), ((pattern, 1.0),), (float(maxima[0]),)
     )
 
 
@@ -509,7 +487,7 @@ def build_merged_match_list(
                 f"variables: {sorted(var_names)} vs {sorted(names)}"
             )
     gathered = _store_rows(graph, patterns, codec)
-    columns, raws, normalized, lengths, maxima = _gather_rows(
+    columns, normalized, lengths, maxima = _gather_rows(
         codec.store, var_names, patterns, *gathered, codec
     )
     scores = np.repeat([weight for _, weight in inputs], lengths) * normalized
@@ -531,7 +509,7 @@ def build_merged_match_list(
         )[order]
     return EncodedMatchList(
         var_names, tuple(column[order] for column in columns), scores[order], 1.0,
-        tuple(inputs), tuple(maxima.tolist()), raws[order], sources,
+        tuple(inputs), tuple(maxima.tolist()), sources,
     )
 
 
@@ -546,10 +524,12 @@ Spo = tuple[str, str, str]
 _Row = tuple[float, int, float, Spo, tuple[str, ...]]
 
 
-def _triple(template: tuple, binding: tuple[str, ...]) -> Spo:
-    """An input's triple for *binding*: its *template* (per position a
-    constant, or the index of the variable bound there) filled in."""
-    return tuple(binding[at] if type(at) is int else at for at in template)
+def _triple(pattern: "TriplePattern", var_names: tuple[str, ...], binding) -> Spo:
+    """*pattern*'s triple for *binding*, the values of *var_names*."""
+    return tuple(
+        binding[var_names.index(term.name)] if bound is None else bound
+        for term, bound in zip(pattern.terms, pattern.key())
+    )
 
 
 def _read(
@@ -598,7 +578,9 @@ class _Plan(NamedTuple):
 def _plan(held: EncodedMatchList, codec: TermCodec, hits) -> _Plan:
     """The :class:`_Plan` of *held* for the ``(read key, triple)`` *hits*."""
     inputs, var_names = held.inputs, held.var_names
-    by_key = held.patch_index()[0]
+    by_key: dict[object, list[int]] = {}
+    for j, (pattern, _) in enumerate(inputs):
+        by_key.setdefault(pattern.key(), []).append(j)
     touched: dict[tuple[str, ...], dict[int, Spo]] = {}
     for read, spo in hits:
         for j in by_key.get(read, ()):
@@ -618,17 +600,9 @@ def _plan(held: EncodedMatchList, codec: TermCodec, hits) -> _Plan:
         if row is None:
             continue
         rows[binding] = row
-        source = 0 if held.sources is None else int(held.sources[row])
-        for j in by_input:
-            # A row from the input is at its maximum by its raw score; a
-            # row from another input may hide one if it scores at least
-            # the input's weight.
-            if (
-                held.raws[row] == held.maxima[j]
-                if j == source
-                else held.scores[row] >= inputs[j][1]
-            ):
-                maxima.add(j)
+        # An input's row at its maximum scores its weight, so only a row
+        # scoring at least that can hold (or hide) one.
+        maxima.update(j for j in by_input if held.scores[row] >= inputs[j][1])
     return _Plan(touched, rows, maxima)
 
 
@@ -654,10 +628,25 @@ def _top(
     return best
 
 
-def _held(held: EncodedMatchList, row: int) -> tuple[float, int, float]:
-    """The score, input and raw score of *held*'s row *row*."""
-    source = 0 if held.sources is None else int(held.sources[row])
-    return float(held.scores[row]), source, float(held.raws[row])
+def _held(held: EncodedMatchList, row: int) -> tuple[float, int]:
+    """The score and input of *held*'s row *row*."""
+    return float(held.scores[row]), 0 if held.sources is None else int(held.sources[row])
+
+
+def _sole_raw(held: EncodedMatchList, j: int, raw: float, score: float) -> bool:
+    """Whether *raw* is the only raw score input *j* maps to *score*: then
+    every row of *held* from that input scoring *score* has raw score
+    *raw* (normalising and weighting are monotone, so the raw scores that
+    map to one score are an interval of floats)."""
+    weight, maximum = held.inputs[j][1], held.maxima[j]
+    return all(
+        _score(weight, maximum, neighbour) != score
+        for neighbour in (math.nextafter(raw, -math.inf), math.nextafter(raw, math.inf))
+    )
+
+
+#: :func:`_best` for a binding whose held row stands.
+_STANDS = "stands"
 
 
 def _best(held: EncodedMatchList, plan: _Plan, raws: dict[Spo, float | None]) -> dict:
@@ -667,23 +656,24 @@ def _best(held: EncodedMatchList, plan: _Plan, raws: dict[Spo, float | None]) ->
     whose held row came from a touched input that now ranks below it
     maps instead to the ``(input, triple)`` of every untouched input,
     which must be read."""
-    templates = held.patch_index()[1]
     best_rows = {}
     for binding, by_input in plan.touched.items():
         best = _top(held, sorted(by_input.items()), binding, raws)
         row = plan.rows.get(binding)
         if row is not None:
-            score, source, raw = _held(held, row)
+            score, source = _held(held, row)
             ranks_below = best is None or (best[0], -best[1]) < (score, -source)
             if source not in by_input:
                 if ranks_below:
-                    best = (score, source, raw, None, binding)
+                    best = None  # the held row stands
+                    best_rows[binding] = _STANDS
+                    continue
             elif ranks_below:
                 # An input scores at most its weight: read only those that
                 # could still rank above the touched inputs' best.
                 best = [
-                    (j, _triple(templates[j], binding))
-                    for j, (_, weight) in enumerate(held.inputs)
+                    (j, _triple(pattern, held.var_names, binding))
+                    for j, (pattern, weight) in enumerate(held.inputs)
                     if j not in by_input
                     and (best is None or (weight, -j) > (best[0], -best[1]))
                 ]
@@ -737,21 +727,22 @@ def patch_match_lists(
                 )
     # Lazily, so that each held list can go as soon as its patch is made.
     return (
-        (key, _patched(lists.pop(key), codec, plan, best[key], raws, tops))
+        (key, _patched(lists.pop(key), graph, codec, plan, best[key], raws, tops))
         for key, plan in plans.items()
     )
 
 
 def _patched(
     held: EncodedMatchList,
+    graph,
     codec: TermCodec,
     plan: _Plan,
-    best_rows: "dict[tuple[str, ...], _Row | None]",
+    best_rows: dict,
     raws: dict[Spo, float | None],
     tops: dict,
 ) -> EncodedMatchList | None:
     """:func:`patch_match_lists` for one list: *best_rows* are the
-    touched bindings' rows now."""
+    touched bindings' rows now (or that the held row stands)."""
     inputs, var_names = held.inputs, held.var_names
     # Every touched input keeps its maximum, or the list is rebuilt.
     for by_input in plan.touched.values():
@@ -764,69 +755,118 @@ def _patched(
     removed: list[int] = []
     added: list[_Row] = []
     for binding, best in best_rows.items():
+        if best is _STANDS:
+            continue
         row = plan.rows.get(binding)
         if row is not None:
-            if best is not None and best[:3] == _held(held, row):
-                continue  # the held row stands
+            if (
+                best is not None
+                and best[:2] == _held(held, row)
+                and _sole_raw(held, best[1], best[2], best[0])
+            ):
+                continue  # the held row stands: same score, input and raw score
             removed.append(row)
         if best is not None:
             added.append(best)
     if not removed and not added:
         return held
-    keep = np.ones(len(held), dtype=bool)
-    keep[removed] = False
-    scores, row_raws = held.scores[keep], held.raws[keep]
-    sources = None if held.sources is None else held.sources[keep]
-    columns = [column[keep] for column in held.columns]
     # A fresh build orders rows by score descending, then input, then the
-    # input's own order: raw score descending, ties by ``spo``.
+    # input's own order: raw score descending, ties by ``spo``.  Each new
+    # row is placed by bisecting the held rows — removed ones included,
+    # since they keep that order — then counted among the kept ones.
     added.sort(key=lambda r: (-r[0], r[1], -r[2], r[3]))
-    descending = -scores
+    removed.sort()
+    n = len(held)
+    ascending = held.scores[::-1]
     slots = []
     for score, j, raw, spo, _ in added:
-        lo = int(descending.searchsorted(-score, "left"))
-        hi = int(descending.searchsorted(-score, "right"))
-        if lo < hi and sources is not None:
-            run = sources[lo:hi]
+        lo = n - int(ascending.searchsorted(score, "right"))
+        hi = n - int(ascending.searchsorted(score, "left"))
+        if lo < hi and held.sources is not None:
+            run = held.sources[lo:hi]
             lo, hi = lo + int(run.searchsorted(j, "left")), lo + int(run.searchsorted(j, "right"))
-        if lo < hi:
-            run = -row_raws[lo:hi]
-            lo, hi = lo + int(run.searchsorted(-raw, "left")), lo + int(run.searchsorted(-raw, "right"))
-            template = held.patch_index()[1][j]
-            while lo < hi:  # equal raw scores: bisect by spo
+        pattern = inputs[j][0]
+
+        def triple(row: int) -> Spo:
+            return _triple(pattern, var_names, tuple(codec.decode(int(c[row])) for c in held.columns))
+
+        if lo < hi and _sole_raw(held, j, raw, score):
+            while lo < hi:  # every raw score is *raw*: bisect by spo
                 middle = (lo + hi) // 2
-                other = tuple(codec.decode(int(column[middle])) for column in columns)
-                if _triple(template, other) < spo:
+                if triple(middle) < spo:
                     lo = middle + 1
                 else:
                     hi = middle
-        slots.append(lo)
-    # Where the added rows land: before kept row ``slots[u]``, after the
-    # added rows before them.
+        elif lo < hi:
+            # Several raw scores map to this score: read the kept rows'
+            # (a kept row's raw score did not change) and go before the
+            # first that ranks after the new row.
+            kept = [row for row in range(lo, hi) if row not in removed]
+            others = [triple(row) for row in kept]
+            known = _read(graph, codec.store, others)[0]
+            before = sum((-known[other], other) < (-raw, spo) for other in others)
+            lo = kept[before] if before < len(kept) else hi
+        slots.append(lo - bisect.bisect_left(removed, lo))
+    # The new list: kept rows in order, each added row before kept row
+    # ``slots[u]`` and after the added rows before it.
     at = np.array(slots, dtype=np.int64) + np.arange(len(slots))
-    kept_at = np.ones(len(scores) + len(added), dtype=bool)
+    take = np.empty(n - len(removed) + len(added), dtype=np.intp)
+    kept_at = np.ones(len(take), dtype=bool)
     kept_at[at] = False
+    keep = np.ones(n, dtype=bool)
+    keep[removed] = False
+    take[kept_at] = np.flatnonzero(keep)
+    take[at] = 0
 
-    def splice(kept: np.ndarray, values: list) -> np.ndarray:
-        spliced = np.empty(len(kept_at), dtype=kept.dtype)
-        spliced[kept_at] = kept
+    def splice(array: np.ndarray, values: list) -> np.ndarray:
+        spliced = array.take(take)
         spliced[at] = values
         return spliced
 
     patched = held._successor(
         tuple(
-            splice(column, [codec.encode(r[4][n]) for r in added])
-            for n, column in enumerate(columns)
+            splice(column, [codec.encode(r[4][c]) for r in added])
+            for c, column in enumerate(held.columns)
         ),
-        splice(scores, [r[0] for r in added]),
-        splice(row_raws, [r[2] for r in added]),
-        None if sources is None else splice(sources, [r[1] for r in added]),
+        splice(held.scores, [r[0] for r in added]),
+        None if held.sources is None else splice(held.sources, [r[1] for r in added]),
     )
-    # The key orders joins probed the list by go along, sorted afresh:
-    # one radix argsort each, which is cheaper than splicing them.
-    for join_vars in held._key_orders:
-        patched.key_order(join_vars, codec.n_ids)
+    rows = plan.rows
+    moves = len(removed) == len(added) and all(r[4] in rows for r in added)
+    _carry_key_orders(
+        held, patched, codec, keep, kept_at, at,
+        [rows[r[4]] for r in added] if moves else None,
+    )
     return patched
+
+
+def _carry_key_orders(
+    held: EncodedMatchList,
+    patched: EncodedMatchList,
+    codec: TermCodec,
+    keep: np.ndarray,
+    kept_at: np.ndarray,
+    at: np.ndarray,
+    moved_from: list[int] | None,
+) -> None:
+    """Hand *patched* the key orders *held* cached.  *held*'s rows where
+    *keep* is set are *patched*'s where *kept_at* is; the rest of
+    *patched*'s rows, *at*, are new, or, when *moved_from* is given, the
+    rows of those bindings moved from there.  Moving keeps the keys, so a
+    key order whose keys are distinct only has its rows renumbered; any
+    other is sorted afresh (one radix argsort, cheaper than splicing)."""
+    renumber = None
+    for join_vars, (base, built) in held._key_orders.items():
+        if moved_from is not None and built is not None and built[2]:
+            if renumber is None:
+                renumber = np.empty(len(held), dtype=np.int32)
+                renumber[keep] = np.flatnonzero(kept_at)
+                renumber[moved_from] = at
+            order = renumber[built[1]]
+            order.flags.writeable = False
+            patched._key_orders[join_vars] = (base, (built[0], order, True))
+        else:
+            patched.key_order(join_vars, codec.n_ids)
 
 
 def _recoded(held: EncodedMatchList, old: TermCodec, new: TermCodec) -> EncodedMatchList:
@@ -842,7 +882,7 @@ def _recoded(held: EncodedMatchList, old: TermCodec, new: TermCodec) -> EncodedM
             column = column.copy()
             column[mask] = [new.encode(old.decode(i)) for i in column[mask].tolist()]
         columns.append(column)
-    return held._successor(tuple(columns), held.scores, held.raws, held.sources)
+    return held._successor(tuple(columns), held.scores, held.sources)
 
 
 class EncodedListStore:
@@ -959,7 +999,7 @@ class EncodedListStore:
                 for key in readers.get(read, ()):
                     hits.setdefault(key, []).extend(pairs)
             lists = {
-                key: self._lists[key] for key in hits if self._lists[key].raws is not None
+                key: self._lists[key] for key in hits if self._lists[key].inputs is not None
             }
             if codec.store is not store:
                 # A compaction: store ids carry over, and the lists holding
@@ -970,12 +1010,16 @@ class EncodedListStore:
             patches = patch_match_lists(graph, codec, hits, lists)
             if graph.version != version or graph.column_store() is not store:
                 patches = ()  # a write raced the read: rebuild instead
+            stale = dict(hits)
             for key, new in patches:
                 if new is not None:
                     counts["patched"] += new is not self._lists[key]
                     self._lists[key] = new  # same inputs, same reader entries
-                    del hits[key]
-            for key in hits:  # not patched
+                    del stale[key]
+            if graph.version != version:  # a write raced a patch's read
+                counts["patched"] = 0
+                stale = hits
+            for key in stale:  # not patched
                 self._index_locked(key, self._lists.pop(key), add=False)
                 counts["dropped"] += 1
             counts["kept"] = len(self._lists) - counts["patched"]
