@@ -533,7 +533,7 @@ def _triple(pattern: "TriplePattern", var_names: tuple[str, ...], binding) -> Sp
 
 
 def _read(
-    graph, store: "ColumnarStore", triples: list[Spo], patterns: list = []
+    graph, store: "ColumnarStore", triples: list[Spo], patterns: Sequence = ()
 ) -> tuple[dict[Spo, float | None], dict]:
     """One :meth:`~repro.kg.graph.KnowledgeGraph.list_rows` of *triples*
     (as fully bound patterns) and *patterns*: each triple's raw score now
@@ -541,7 +541,7 @@ def _read(
     from repro.kg.pattern import TriplePattern
 
     rows, lengths, adds, _ = graph.list_rows(
-        [TriplePattern(*spo) for spo in triples] + patterns
+        [TriplePattern(*spo) for spo in triples] + list(patterns)
     )
     raws = store.scores[rows]
     starts = (np.cumsum(lengths) - lengths).tolist()
@@ -645,8 +645,8 @@ def _sole_raw(held: EncodedMatchList, j: int, raw: float, score: float) -> bool:
     )
 
 
-#: :func:`_best` for a binding whose held row stands.
-_STANDS = "stands"
+#: :func:`_best`'s answer for a binding whose held row stands.
+_STANDS = object()
 
 
 def _best(held: EncodedMatchList, plan: _Plan, raws: dict[Spo, float | None]) -> dict:
@@ -665,7 +665,6 @@ def _best(held: EncodedMatchList, plan: _Plan, raws: dict[Spo, float | None]) ->
             ranks_below = best is None or (best[0], -best[1]) < (score, -source)
             if source not in by_input:
                 if ranks_below:
-                    best = None  # the held row stands
                     best_rows[binding] = _STANDS
                     continue
             elif ranks_below:
@@ -697,10 +696,11 @@ def patch_match_lists(
     held row came from a written input that now ranks below it, its
     triples under the other inputs are read in a second batch.  Rows
     that changed are taken out and put back where a fresh build orders
-    them.  An input whose maximum the write may have moved has it read
-    with the first batch.  A list is refused when an input's maximum
-    moved or is not positive.  A list the write leaves as it was is
-    returned as the same object.
+    them (among rows of one input and score, where several raw scores
+    map to that score, after reading theirs).  An input whose maximum
+    the write may have moved has it read with the first batch.  A list
+    is refused when an input's maximum moved or is not positive.  A list
+    the write leaves as it was is returned as the same object.
     """
     store = codec.store
     plans = {key: _plan(held, codec, hits[key]) for key, held in lists.items()}
@@ -900,11 +900,11 @@ class EncodedListStore:
     (:meth:`~repro.kg.graph.KnowledgeGraph.touched_since`, found in
     O(touched) through an index by pattern key): :func:`patch_match_lists`
     rewrites the rows of the bindings the write touched, so the list —
-    and each key order it caches, sorted afresh — equals a fresh build at
-    the new version.  It drops a touched list instead, to be rebuilt on
+    and each key order it caches, renumbered or sorted afresh — equals a
+    fresh build at the new version.  It drops a touched list instead, to be rebuilt on
     its next read, when an input's maximum moved or is not positive (every
     normalised score would change), when the list's inputs are unknown,
-    or when a write raced the patch's read.  A compaction swaps in a codec
+    or when a write raced the patch's reads.  A compaction swaps in a codec
     over the new store: store ids carry over and the touched lists' side
     ids are encoded again before they are patched.  The rest stay as they
     are, key orders included; no answer from the journal costs a full
