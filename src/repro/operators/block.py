@@ -686,9 +686,9 @@ def patch_match_lists(
     """Each list ``lists[key]`` (built with its inputs known) brought to
     *graph*'s version by rewriting the rows of the bindings the ``(read
     key, triple)`` pairs ``hits[key]`` give it, or ``None`` where it must
-    be rebuilt.  The graph is read before this returns; the patches are
-    made as the ``(key, list)`` pairs are consumed, each taking its list
-    out of *lists*.
+    be rebuilt.  The graph is read before this returns; the patched
+    lists are made as the ``(key, list)`` pairs are consumed, each taking
+    its list out of *lists*.
 
     The written triples are read in one batched :func:`_read`, normalised
     by each input's held maximum and weighted; a binding keeps its best
@@ -696,11 +696,12 @@ def patch_match_lists(
     held row came from a written input that now ranks below it, its
     triples under the other inputs are read in a second batch.  Rows
     that changed are taken out and put back where a fresh build orders
-    them (among rows of one input and score, where several raw scores
-    map to that score, after reading theirs).  An input whose maximum
-    the write may have moved has it read with the first batch.  A list
-    is refused when an input's maximum moved or is not positive.  A list
-    the write leaves as it was is returned as the same object.
+    them; where several raw scores map to the score of the rows a row
+    lands among, their raw scores are read in a third batch.  An input
+    whose maximum the write may have moved has it read with the first
+    batch.  A list is refused when an input's maximum moved or is not
+    positive.  A list the write leaves as it was is returned as the same
+    object.
     """
     store = codec.store
     plans = {key: _plan(held, codec, hits[key]) for key, held in lists.items()}
@@ -718,33 +719,40 @@ def patch_match_lists(
     }
     if more:
         raws.update(_read(graph, store, list(more))[0])
-    for key, rows in best.items():
-        touched = plans[key].touched
+    changes = {}
+    for key, plan in plans.items():
+        held, rows = lists[key], best[key]
         for binding, row in rows.items():
             if isinstance(row, list):
-                rows[binding] = _top(
-                    lists[key], sorted([*touched[binding].items(), *row]), binding, raws
-                )
+                candidates = sorted([*plan.touched[binding].items(), *row])
+                rows[binding] = _top(held, candidates, binding, raws)
+        changes[key] = _changes(held, codec, plan, rows, raws, tops)
+    ties = [spo for change in changes.values() if type(change) is tuple for spo in change[3]]
+    if ties:
+        raws.update(_read(graph, store, ties)[0])
     # Lazily, so that each held list can go as soon as its patch is made.
     return (
-        (key, _patched(lists.pop(key), graph, codec, plan, best[key], raws, tops))
-        for key, plan in plans.items()
+        (key, _spliced(lists.pop(key), codec, plans[key].rows, *change[:3], raws)
+         if type(change) is tuple else change)
+        for key, change in changes.items()
     )
 
 
-def _patched(
+def _changes(
     held: EncodedMatchList,
-    graph,
     codec: TermCodec,
     plan: _Plan,
     best_rows: dict,
     raws: dict[Spo, float | None],
     tops: dict,
-) -> EncodedMatchList | None:
-    """:func:`patch_match_lists` for one list: *best_rows* are the
-    touched bindings' rows now (or that the held row stands)."""
-    inputs, var_names = held.inputs, held.var_names
-    # Every touched input keeps its maximum, or the list is rebuilt.
+):
+    """What a patch changes in *held*: ``None`` when it must be rebuilt
+    instead (an input's maximum moved or is not positive), *held* when
+    nothing, else the rows it removes (ascending), the rows it adds (in
+    rebuild order), per added row ``(lo, hi)`` — the held rows of its
+    input and score whose raw scores place it (``lo == hi``: its place is
+    ``lo``) — and the triples of those rows, to be read."""
+    inputs = held.inputs
     for by_input in plan.touched.values():
         for j, spo in by_input.items():
             raw, maximum = raws[spo], held.maxima[j]
@@ -772,43 +780,71 @@ def _patched(
         return held
     # A fresh build orders rows by score descending, then input, then the
     # input's own order: raw score descending, ties by ``spo``.  Each new
-    # row is placed by bisecting the held rows — removed ones included,
-    # since they keep that order — then counted among the kept ones.
+    # row is placed among the held rows — removed ones included, since
+    # they keep that order.
     added.sort(key=lambda r: (-r[0], r[1], -r[2], r[3]))
     removed.sort()
     n = len(held)
     ascending = held.scores[::-1]
-    slots = []
+    runs, reads = [], []
     for score, j, raw, spo, _ in added:
         lo = n - int(ascending.searchsorted(score, "right"))
         hi = n - int(ascending.searchsorted(score, "left"))
         if lo < hi and held.sources is not None:
             run = held.sources[lo:hi]
             lo, hi = lo + int(run.searchsorted(j, "left")), lo + int(run.searchsorted(j, "right"))
-        pattern = inputs[j][0]
-
-        def triple(row: int) -> Spo:
-            return _triple(pattern, var_names, tuple(codec.decode(int(c[row])) for c in held.columns))
-
         if lo < hi and _sole_raw(held, j, raw, score):
+            pattern = inputs[j][0]
             while lo < hi:  # every raw score is *raw*: bisect by spo
                 middle = (lo + hi) // 2
-                if triple(middle) < spo:
+                if _row_triple(held, codec, pattern, middle) < spo:
                     lo = middle + 1
                 else:
                     hi = middle
         elif lo < hi:
-            # Several raw scores map to this score: read the kept rows'
-            # (a kept row's raw score did not change) and go before the
-            # first that ranks after the new row.
+            # Several raw scores map to this score: the kept rows' are read
+            # (a kept row's raw score did not change).
+            pattern = inputs[j][0]
+            reads += (
+                _row_triple(held, codec, pattern, row)
+                for row in range(lo, hi)
+                if row not in removed
+            )
+        runs.append((lo, hi))
+    return removed, added, runs, reads
+
+
+def _row_triple(held: EncodedMatchList, codec: TermCodec, pattern, row: int) -> Spo:
+    """*pattern*'s triple for the binding of *held*'s row *row*."""
+    return _triple(
+        pattern, held.var_names, tuple(codec.decode(int(c[row])) for c in held.columns)
+    )
+
+
+def _spliced(
+    held: EncodedMatchList,
+    codec: TermCodec,
+    rows: dict,
+    removed: list[int],
+    added: list[_Row],
+    runs: list[tuple[int, int]],
+    raws: dict[Spo, float | None],
+) -> EncodedMatchList:
+    """*held* with the *removed* rows taken out and the *added* rows put
+    in, each in its run (see :func:`_changes`), the raw scores of the
+    rows there read into *raws*."""
+    slots = []
+    for (score, j, raw, spo, _), (lo, hi) in zip(added, runs):
+        if lo < hi:  # go before the first kept row that ranks after
+            pattern = held.inputs[j][0]
             kept = [row for row in range(lo, hi) if row not in removed]
-            others = [triple(row) for row in kept]
-            known = _read(graph, codec.store, others)[0]
-            before = sum((-known[other], other) < (-raw, spo) for other in others)
+            ranks = [(-raws[t], t) for t in (_row_triple(held, codec, pattern, r) for r in kept)]
+            before = sum(rank < (-raw, spo) for rank in ranks)
             lo = kept[before] if before < len(kept) else hi
         slots.append(lo - bisect.bisect_left(removed, lo))
     # The new list: kept rows in order, each added row before kept row
     # ``slots[u]`` and after the added rows before it.
+    n = len(held)
     at = np.array(slots, dtype=np.int64) + np.arange(len(slots))
     take = np.empty(n - len(removed) + len(added), dtype=np.intp)
     kept_at = np.ones(len(take), dtype=bool)
@@ -831,7 +867,6 @@ def _patched(
         splice(held.scores, [r[0] for r in added]),
         None if held.sources is None else splice(held.sources, [r[1] for r in added]),
     )
-    rows = plan.rows
     moves = len(removed) == len(added) and all(r[4] in rows for r in added)
     _carry_key_orders(
         held, patched, codec, keep, kept_at, at,
@@ -853,20 +888,25 @@ def _carry_key_orders(
     *keep* is set are *patched*'s where *kept_at* is; the rest of
     *patched*'s rows, *at*, are new, or, when *moved_from* is given, the
     rows of those bindings moved from there.  Moving keeps the keys, so a
-    key order whose keys are distinct only has its rows renumbered; any
-    other is sorted afresh (one radix argsort, cheaper than splicing)."""
+    key order only has its rows renumbered, unless that leaves two rows
+    of one key out of row order; any other is sorted afresh (one radix
+    argsort, cheaper than splicing it)."""
     renumber = None
     for join_vars, (base, built) in held._key_orders.items():
-        if moved_from is not None and built is not None and built[2]:
+        if moved_from is not None and built is not None:
             if renumber is None:
                 renumber = np.empty(len(held), dtype=np.int32)
                 renumber[keep] = np.flatnonzero(kept_at)
                 renumber[moved_from] = at
-            order = renumber[built[1]]
-            order.flags.writeable = False
-            patched._key_orders[join_vars] = (base, (built[0], order, True))
-        else:
-            patched.key_order(join_vars, codec.n_ids)
+            keys, order, distinct = built
+            order = renumber[order]
+            if distinct or not (
+                (keys[1:] == keys[:-1]) & (order[1:] < order[:-1])
+            ).any():
+                order.flags.writeable = False
+                patched._key_orders[join_vars] = (base, (keys, order, distinct))
+                continue
+        patched.key_order(join_vars, codec.n_ids)
 
 
 def _recoded(held: EncodedMatchList, old: TermCodec, new: TermCodec) -> EncodedMatchList:
@@ -988,8 +1028,8 @@ class EncodedListStore:
                 for key, held_list in self._lists.items():
                     self._index_locked(key, held_list)
             readers = self._readers
-            # Held list -> the touched triples it read (a list whose reads
-            # are unknown is filed under None and always goes).
+            # Held list -> the (read key, touched triple) pairs it read (a
+            # list whose reads are unknown is filed under None and goes).
             by_read: dict[object, list] = {}
             for spo in touched:
                 for read in pattern_keys(spo):
@@ -1009,17 +1049,13 @@ class EncodedListStore:
                 codec = self._codec = new_codec
             patches = patch_match_lists(graph, codec, hits, lists)
             if graph.version != version or graph.column_store() is not store:
-                patches = ()  # a write raced the read: rebuild instead
-            stale = dict(hits)
+                patches = ()  # a write raced the reads: rebuild instead
             for key, new in patches:
                 if new is not None:
                     counts["patched"] += new is not self._lists[key]
                     self._lists[key] = new  # same inputs, same reader entries
-                    del stale[key]
-            if graph.version != version:  # a write raced a patch's read
-                counts["patched"] = 0
-                stale = hits
-            for key in stale:  # not patched
+                    del hits[key]
+            for key in hits:  # not patched
                 self._index_locked(key, self._lists.pop(key), add=False)
                 counts["dropped"] += 1
             counts["kept"] = len(self._lists) - counts["patched"]

@@ -121,7 +121,10 @@ def test_a_row_that_came_from_a_written_input_is_rescored_over_the_others(served
     counts = write(live, store, GraphUpdate.remove("b", "p", "x"))
     assert counts["patched"] == 2 and counts["dropped"] == 0
     # a's merged row comes from P (1.0): after this its R row (0.25) wins.
-    assert write(live, store, GraphUpdate.add("a", "p", "x", 0.5), GraphUpdate.add("b", "p", "x", 5.0))["dropped"] == 0
+    counts = write(
+        live, store, GraphUpdate.add("a", "p", "x", 0.5), GraphUpdate.add("b", "p", "x", 5.0)
+    )
+    assert counts["dropped"] == 0
 
 
 def test_adds_of_known_and_fresh_subjects(served):
@@ -149,7 +152,9 @@ def test_a_moved_maximum_drops_the_list(served):
     live2 = make_live()
     store2 = EncodedListStore()
     keys2 = hold(store2, live2)
-    counts = write(live2, store2, GraphUpdate.remove("f", "r", "x"), GraphUpdate.remove("g", "r", "x"))
+    counts = write(
+        live2, store2, GraphUpdate.remove("f", "r", "x"), GraphUpdate.remove("g", "r", "x")
+    )
     assert counts == {"kept": 2, "patched": 0, "dropped": 1}
     assert keys2["merged"] not in store2._lists
     # One of two rows at R's maximum goes: the maximum stays, so it patches.
@@ -201,7 +206,10 @@ def test_raw_scores_that_share_a_normalised_score_keep_raw_order():
 
 def test_a_compaction_re_encodes_side_ids_and_patches(served):
     live, store, keys = served
-    write(live, store, GraphUpdate.add("fresh", "p", "x", 2.0), GraphUpdate.add("fresh", "knows", "b", 1.0))
+    write(
+        live, store,
+        GraphUpdate.add("fresh", "p", "x", 2.0), GraphUpdate.add("fresh", "knows", "b", 1.0),
+    )
     codec = store.codec(live)
     leaf = store._lists[keys["leaf"]]
     assert (leaf.columns[0] >= codec.n_base).any()
@@ -235,8 +243,9 @@ def test_random_batches_equal_a_fresh_build(seed):
         triples = sorted(live.triples(), key=lambda t: t.spo)
         batch = [GraphUpdate.add(*t.spo, float(rng.randint(1, 6))) for t in rng.sample(triples, 3)]
         batch += [GraphUpdate.remove(*t.spo) for t in rng.sample(triples, 2)]
-        batch.append(GraphUpdate.add(f"n{seed}_{step}", rng.choice("pr"), "x", float(rng.randint(1, 6))))
-        batch.append(GraphUpdate.add(rng.choice(subjects), rng.choice("pr"), "x", float(rng.randint(1, 6))))
+        for subject in (f"n{seed}_{step}", rng.choice(subjects)):  # fresh, known
+            score = float(rng.randint(1, 6))
+            batch.append(GraphUpdate.add(subject, rng.choice("pr"), "x", score))
         live.apply_updates(batch)
         if step % 4 == 3:
             live.compact()

@@ -194,8 +194,14 @@ class TestUnpackableKeyFallback:
         context = ExecutionContext()
         codec = _UnpackableCodec(edge_graph.store)
         join = VectorRankJoin(
-            VectorScan(build_encoded_match_list(edge_graph, knows, TermCodec(edge_graph.store)), 0, context, block_size=2),
-            VectorScan(build_encoded_match_list(edge_graph, likes, TermCodec(edge_graph.store)), 1, context, block_size=2),
+            VectorScan(
+                build_encoded_match_list(edge_graph, knows, TermCodec(edge_graph.store)),
+                0, context, block_size=2,
+            ),
+            VectorScan(
+                build_encoded_match_list(edge_graph, likes, TermCodec(edge_graph.store)),
+                1, context, block_size=2,
+            ),
             context,
             codec,
             block_size=2,
