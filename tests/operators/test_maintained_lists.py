@@ -204,6 +204,20 @@ def test_raw_scores_that_share_a_normalised_score_keep_raw_order():
     assert [codec.decode(int(i)) for i in leaf.columns[0]] == ["m", "c", "z", "b", "d"]
 
 
+def test_a_key_order_with_repeated_keys_is_sorted_again_when_rows_cross():
+    """A re-score only moves a row, so a key order keeps its keys; but
+    where keys repeat, a row that moved past another of its key must
+    not keep its old place among them."""
+    live = make_live(
+        [("a", "knows", "z", 3.0), ("b", "knows", "z", 2.0), ("c", "knows", "z", 1.0)]
+    )
+    store = EncodedListStore()
+    edge = store.get_or_build(live, EDGE)
+    assert not edge.key_order(("o",), store.codec(live).n_ids)[2]  # o repeats
+    assert write(live, store, GraphUpdate.add("c", "knows", "z", 2.5))["patched"] == 1
+    assert write(live, store, GraphUpdate.add("c", "knows", "z", 2.4))["patched"] == 1
+
+
 def test_a_compaction_re_encodes_side_ids_and_patches(served):
     live, store, keys = served
     write(
