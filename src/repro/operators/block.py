@@ -526,10 +526,14 @@ _Row = tuple[float, int, float, Spo, tuple[str, ...]]
 
 def _triple(pattern: "TriplePattern", var_names: tuple[str, ...], binding) -> Spo:
     """*pattern*'s triple for *binding*, the values of *var_names*."""
-    return tuple(
-        binding[var_names.index(term.name)] if bound is None else bound
-        for term, bound in zip(pattern.terms, pattern.key())
-    )
+    s, p, o = pattern.key()
+    if s is None:
+        s = binding[var_names.index(pattern.subject.name)]
+    if p is None:
+        p = binding[var_names.index(pattern.predicate.name)]
+    if o is None:
+        o = binding[var_names.index(pattern.object.name)]
+    return s, p, o
 
 
 def _read(
@@ -686,9 +690,9 @@ def patch_match_lists(
     """Each list ``lists[key]`` (built with its inputs known) brought to
     *graph*'s version by rewriting the rows of the bindings the ``(read
     key, triple)`` pairs ``hits[key]`` give it, or ``None`` where it must
-    be rebuilt.  The graph is read before this returns; the patched
-    lists are made as the ``(key, list)`` pairs are consumed, each taking
-    its list out of *lists*.
+    be rebuilt.  The graph is read before this returns, and *lists* is
+    emptied; the patched lists are made as the ``(key, list)`` pairs are
+    consumed.
 
     The written triples are read in one batched :func:`_read`, normalised
     by each input's held maximum and weighted; a binding keeps its best
@@ -704,14 +708,15 @@ def patch_match_lists(
     object.
     """
     store = codec.store
-    plans = {key: _plan(held, codec, hits[key]) for key, held in lists.items()}
-    triples = {spo: None for p in plans.values() for t in p.touched.values() for spo in t.values()}
-    maxima = {lists[key].inputs[j][0]: None for key, p in plans.items() for j in p.maxima}
-    raws, tops = _read(graph, store, list(triples), list(maxima)) if plans else ({}, {})
-    best = {key: _best(lists[key], plan, raws) for key, plan in plans.items()}
+    entries = [(key, held, _plan(held, codec, hits[key])) for key, held in lists.items()]
+    lists.clear()  # the entries hold the lists now
+    triples = {spo: None for *_, p in entries for t in p.touched.values() for spo in t.values()}
+    maxima = {held.inputs[j][0]: None for _, held, p in entries for j in p.maxima}
+    raws, tops = _read(graph, store, list(triples), list(maxima)) if entries else ({}, {})
+    bests = [_best(held, plan, raws) for _, held, plan in entries]
     more = {
         spo: None
-        for rows in best.values()
+        for rows in bests
         for row in rows.values()
         if isinstance(row, list)
         for _, spo in row
@@ -719,23 +724,27 @@ def patch_match_lists(
     }
     if more:
         raws.update(_read(graph, store, list(more))[0])
-    changes = {}
-    for key, plan in plans.items():
-        held, rows = lists[key], best[key]
+    changes = []
+    for (_, held, plan), rows in zip(entries, bests):
         for binding, row in rows.items():
             if isinstance(row, list):
                 candidates = sorted([*plan.touched[binding].items(), *row])
                 rows[binding] = _top(held, candidates, binding, raws)
-        changes[key] = _changes(held, codec, plan, rows, raws, tops)
-    ties = [spo for change in changes.values() if type(change) is tuple for spo in change[3]]
+        changes.append(_changes(held, codec, plan, rows, raws, tops))
+    ties = [spo for change in changes if type(change) is tuple for spo in change[3]]
     if ties:
         raws.update(_read(graph, store, ties)[0])
-    # Lazily, so that each held list can go as soon as its patch is made.
-    return (
-        (key, _spliced(lists.pop(key), codec, plans[key].rows, *change[:3], raws)
-         if type(change) is tuple else change)
-        for key, change in changes.items()
-    )
+
+    def patched() -> "Iterator[tuple[object, EncodedMatchList | None]]":
+        # Lazily, letting each held list go as soon as its patch is made.
+        for at, change in enumerate(changes):
+            key, held, plan = entries[at]
+            entries[at] = None
+            if type(change) is tuple:
+                change = _spliced(held, codec, plan.rows, *change[:3], raws)
+            yield key, change
+
+    return patched()
 
 
 def _changes(
