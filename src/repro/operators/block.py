@@ -260,8 +260,7 @@ def _gather_rows(
     ``j`` binds ``var_names[j]`` whatever position the variable holds in
     each pattern.  Each list is normalized by its first — maximum — raw
     score (Definition 5), all-zero when that is not positive.  Returns
-    the columns, the normalized scores, and each list's length and
-    maximum.
+    the columns, the normalized scores, each list's length and maximum.
     """
     layouts = [pattern.variable_positions() for pattern in patterns]
     rows = rows.astype(np.intp)  # int32 indices gather at half the speed
