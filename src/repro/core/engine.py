@@ -94,12 +94,12 @@ class SpecQPEngine:
         argument simply use whatever the graph already has attached.
     executor:
         ``"tuple"`` (the paper's pull-based object pipeline, default),
-        ``"block"`` — the vectorized block-at-a-time engine that
-        exchanges batches of dictionary-encoded id arrays and decodes
-        only at the top-k sink — or ``"auto"``, which is block made
-        explicit (:meth:`resolve_executor` reports it).  Answers and
-        scores are byte-identical under all three.  Every backend runs
-        blocks over its column store (an object graph interns its triples
+        ``"block"`` — the vectorized engine that joins whole lists of
+        dictionary-encoded id arrays and decodes only at the top-k cut —
+        or ``"auto"``, which is block made explicit
+        (:meth:`resolve_executor` reports it).  Answers and scores are
+        byte-identical under all three.  Every backend runs the block
+        engine over its column store (an object graph interns its triples
         on the first encoded read); ``"tuple"`` is the paper-faithful
         reference.  See :mod:`repro.operators.block`.
     encoded_store:

@@ -1,19 +1,24 @@
 """Plan execution (§3.2.2) with timing and memory accounting.
 
-The executor materialises a plan's operator tree and drains it through a
-dedup Top-K sink, recording wall-clock time, the answer-object count (the
-paper's memory metric), and operator pull statistics.
+The executor evaluates a plan to its top-k distinct answers, recording
+wall-clock time, the answer-object count (the paper's memory metric), and
+operator pull statistics.
 
 Two interchangeable execution strategies produce byte-identical answers:
 
 ``"tuple"``
     The paper's pipeline: pull-based operators exchanging one
-    :class:`~repro.query.answer.PartialAnswer` per call.
+    :class:`~repro.query.answer.PartialAnswer` per call, HRJN rank joins
+    stopping once the k-th answer is safe, drained through a dedup Top-K
+    sink.
 
 ``"block"``
-    The vectorized pipeline (:mod:`repro.operators.block`): operators
-    exchange score-sorted blocks of dictionary-encoded id arrays and
-    decode to strings only at the top-k sink.  It slices every graph's
+    The vectorized pipeline (:mod:`repro.operators.block`): each
+    operand's stored list of dictionary-encoded id columns, folded
+    left-deep in the tuple pipeline's join order by one whole-list join
+    a step (:func:`~repro.operators.vector_join.join_lists`), then cut
+    once to top-k (:func:`~repro.operators.block.top_k_cut`), which
+    decodes to strings only the winning rows.  It slices every graph's
     :meth:`~repro.kg.graph.KnowledgeGraph.column_store` — a columnar
     graph's own, a live overlay's base, or an object graph's triples
     interned on the first encoded read.
@@ -21,11 +26,12 @@ Two interchangeable execution strategies produce byte-identical answers:
 For the block path the executor reads encoded match lists (and the term
 codec) from an :class:`~repro.operators.block.EncodedListStore` — a
 private one by default, or a shared one injected by the service layer so
-every worker thread of a batch encodes each pattern at most once.  The
-store drops what a write touched, so stale ids can never leak across
-mutations or compactions; a graph that changes *mid-query* makes the
-affected query raise :class:`~repro.errors.ExecutionError` instead of
-silently decoding wrong terms.
+every worker thread of a batch encodes each pattern at most once.  After
+a write the store patches the lists it touched to equal a fresh build
+(or drops those it cannot), so stale ids can never leak across mutations
+or compactions; a graph that changes *mid-query* makes the affected
+query raise :class:`~repro.errors.ExecutionError` instead of silently
+decoding wrong terms.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import Literal
 from repro.core.plan import QueryPlan
 from repro.errors import ExecutionError
 from repro.kg.graph import KnowledgeGraph
-from repro.operators.block import BlockTopK, EncodedListStore
+from repro.operators.block import EncodedListStore, top_k_cut
 from repro.operators.memory import ExecutionContext
 from repro.operators.topk import TopK
 from repro.query.answer import Answer
@@ -153,13 +159,13 @@ class PlanExecutor:
         context = ExecutionContext()
         started = time.perf_counter()
         codec, version = self._encoded_store.pin(self._graph)
-        tree = plan.build_block_operator_tree(
+        rows = plan.evaluate_block(
             self._graph,
             self._rules,
             context,
             codec,
             max_relaxations_per_pattern=self._max_relaxations,
-            # Pin every leaf to the codec and version captured above: a leaf
+            # Pin every list to the codec and version captured above: a list
             # served after the graph moved (mutated mid-query) must fail
             # loudly instead of binding wrong terms or mixing versions.
             encoded_lists=lambda pattern: self._encoded_store.get_or_build(
@@ -177,7 +183,7 @@ class PlanExecutor:
             ),
         )
         projection = tuple(v.name for v in plan.query.projection)
-        answers = BlockTopK(tree, k, codec, projection).run()
+        answers = top_k_cut(rows, k, codec, projection)
         return self._result(answers, context, started)
 
     def _result(

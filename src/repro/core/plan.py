@@ -10,6 +10,11 @@ relaxations are kept).  Execution:
 3. further left-deep rank joins combine the group with the singletons;
 4. a dedup Top-K sink materialises the answers.
 
+The block executor evaluates the same partition in the same join order
+over whole encoded lists (:meth:`QueryPlan.evaluate_block`): one
+pre-merged list per singleton, one vectorized join per step, then one
+top-k cut over the full result.
+
 The TriniT baseline plan is the special case where *every* pattern is a
 singleton (§2.1, Figure 2), so both engines share this module.
 """
@@ -25,8 +30,6 @@ from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern
 from repro.operators.base import Operator
 from repro.operators.block import (
-    DEFAULT_BLOCK_SIZE,
-    BlockOperator,
     EncodedMatchList,
     TermCodec,
     build_merged_match_list,
@@ -35,8 +38,7 @@ from repro.operators.incremental_merge import IncrementalMerge, WeightedInput
 from repro.operators.memory import ExecutionContext
 from repro.operators.rank_join import RankJoin
 from repro.operators.scan import SortedScan
-from repro.operators.vector_join import VectorRankJoin
-from repro.operators.vector_scan import VectorScan
+from repro.operators.vector_join import join_lists
 from repro.query.query import TriplePatternQuery
 from repro.relax.rules import RuleSet
 
@@ -139,9 +141,9 @@ class QueryPlan:
         )
 
     # ------------------------------------------------------------------
-    # Block operator-tree construction (the vectorized executor)
+    # Whole-list evaluation (the vectorized executor)
     # ------------------------------------------------------------------
-    def build_block_operator_tree(
+    def evaluate_block(
         self,
         graph: KnowledgeGraph,
         rules: RuleSet,
@@ -153,35 +155,27 @@ class QueryPlan:
             [TriplePattern, Callable[[], EncodedMatchList]], EncodedMatchList
         ],
         max_relaxations_per_pattern: int | None = None,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-    ) -> BlockOperator:
-        """Materialise the plan as a block-at-a-time operator tree.
+    ) -> EncodedMatchList:
+        """The plan's whole join result as id columns, for the block cut.
 
         The vectorized twin of :meth:`build_operator_tree`: the same plan
-        partition, the same join order (join-group patterns first, then
-        singleton Incremental Merges, variable-connected operands
-        preferred) — so answer scores accumulate through the identical
-        left-deep additions — but every node exchanges
-        :class:`~repro.operators.block.Block` batches of encoded id
-        columns instead of :class:`~repro.query.answer.PartialAnswer`
-        objects.
+        partition and the same join order (join-group patterns first, then
+        singletons, variable-connected operands preferred) — so answer
+        scores accumulate through the identical left-deep additions — but
+        each operand is a stored list and each step one
+        :func:`~repro.operators.vector_join.join_lists` of whole lists.
 
         *encoded_lists* serves a join-group pattern's (cached) encoded
         match list.  *merged_lists* ``(pattern, merge)`` serves a relaxed
-        pattern's pre-merged relaxation list, calling *merge* — one
+        pattern's pre-merged relaxation list, the block twin of its
+        Incremental Merge, calling *merge* — one
         :func:`~repro.operators.block.build_merged_match_list` over the
         pattern and its rules' range patterns — only when it holds none
-        (:meth:`~repro.operators.block.EncodedListStore.get_or_merge`):
-        the singleton is then a plain scan over that list, and a held
-        list costs neither the rule lookup nor a read of the graph.
+        (:meth:`~repro.operators.block.EncodedListStore.get_or_merge`), so a
+        held list costs neither the rule lookup nor a read of the graph.
+        Every list row counts as pulled and as an answer object.
         """
-        group_ops: list[BlockOperator] = [
-            VectorScan(
-                encoded_lists(self.query.patterns[i]), i, context, block_size=block_size
-            )
-            for i in sorted(self.join_group)
-        ]
-        merge_ops: list[BlockOperator] = []
+        lists = [encoded_lists(self.query.patterns[i]) for i in sorted(self.join_group)]
         for i in self.singletons:
             pattern = self.query.patterns[i]
             # *merge* runs, if at all, inside this call.
@@ -193,33 +187,28 @@ class QueryPlan:
                     codec,
                 ),
             )
-            merge_ops.append(
-                VectorScan(
-                    merged, i, context, block_size=block_size, whole_list_pulled=True
-                )
-            )
+            lists.append(merged)
+        pulled = sum(map(len, lists))
+        context.tuples_pulled += pulled
+        context.factory.objects_created += pulled
+        # Every list is built, so the codec's id domain is final.
+        n_ids = max(codec.n_ids, 1)
         return self._join_left_deep(
-            group_ops + merge_ops,
-            lambda left, right: VectorRankJoin(
-                left, right, context, codec, block_size=block_size
-            ),
+            lists, lambda left, right: join_lists(left, right, context, n_ids)
         )
 
     def _join_left_deep(self, operands: list, join: Callable):
-        """Fold *operands* (either pipeline's) into one left-deep tree of
-        ``join(tree, operand)``: starting from the first, always the first
-        remaining operand sharing a variable with the tree so far, else
-        the first remaining."""
+        """Fold *operands* (either pipeline's: one per pattern, the join
+        group's in index order, then the singletons') into one left-deep
+        tree of ``join(tree, operand)``: starting from the first, always
+        the first remaining operand sharing a variable with the tree so
+        far, else the first remaining."""
         if not operands:
             raise PlanError("plan has no operands")
-        # Each pattern's variable names once per tree, not once per step.
-        of_pattern = [frozenset(p.variable_names) for p in self.query.patterns]
+        indexes = sorted(self.join_group) + list(self.singletons)
         pending = [
-            (
-                operand,
-                frozenset().union(*(of_pattern[i] for i in operand.patterns_covered)),
-            )
-            for operand in operands
+            (operand, frozenset(self.query.patterns[i].variable_names))
+            for i, operand in zip(indexes, operands)
         ]
         tree, tree_vars = pending.pop(0)
         while pending:

@@ -356,7 +356,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     service.add_argument(
         "--executor", choices=("tuple", "block", "auto"), default="tuple",
         help="execution strategy: tuple-at-a-time operators (default), "
-        "the vectorized block-at-a-time engine over encoded columns, or "
+        "the vectorized whole-list engine over encoded columns, or "
         "'auto' = block (identical answers under all three)",
     )
     service.add_argument(

@@ -14,40 +14,34 @@ to merge a pattern's relaxation lists lazily.
 * :class:`~repro.operators.memory.ExecutionContext` — answer-object
   accounting (the paper's memory metric) and pull statistics.
 
-The block-at-a-time vectorized twins (same upper-bound contract, batches
-of dictionary-encoded id columns instead of answer objects — see
+The vectorized block executor evaluates the same plans over whole lists
+of dictionary-encoded id columns instead of answer objects (see
 :mod:`repro.operators.block`):
 
-* :class:`~repro.operators.vector_scan.VectorScan` — leaf scans over
-  encoded match lists, including a relaxed pattern's pre-merged list
-  (:func:`~repro.operators.block.build_merged_match_list`).
-* :class:`~repro.operators.vector_join.VectorRankJoin` — block HRJN rank
-  join probing int64 id columns.
-* :class:`~repro.operators.block.BlockTopK` — the decoding top-k sink.
+* :class:`~repro.operators.block.EncodedMatchList` — a pattern's match
+  list, or a relaxed pattern's pre-merged list
+  (:func:`~repro.operators.block.build_merged_match_list`), as id columns.
+* :func:`~repro.operators.vector_join.join_lists` — the whole-list join
+  probing int64 id columns.
+* :func:`~repro.operators.block.top_k_cut` — the decoding top-k cut.
 """
 
 from repro.operators.base import Operator
 from repro.operators.block import (
-    Block,
-    BlockOperator,
-    BlockTopK,
     EncodedMatchList,
     TermCodec,
     build_encoded_match_list,
     build_merged_match_list,
+    top_k_cut,
 )
 from repro.operators.incremental_merge import IncrementalMerge, WeightedInput
 from repro.operators.memory import ExecutionContext
 from repro.operators.rank_join import RankJoin
 from repro.operators.scan import SortedScan
 from repro.operators.topk import TopK
-from repro.operators.vector_join import VectorRankJoin
-from repro.operators.vector_scan import VectorScan
+from repro.operators.vector_join import join_lists
 
 __all__ = [
-    "Block",
-    "BlockOperator",
-    "BlockTopK",
     "EncodedMatchList",
     "ExecutionContext",
     "IncrementalMerge",
@@ -56,9 +50,9 @@ __all__ = [
     "SortedScan",
     "TermCodec",
     "TopK",
-    "VectorRankJoin",
-    "VectorScan",
     "WeightedInput",
     "build_encoded_match_list",
     "build_merged_match_list",
+    "join_lists",
+    "top_k_cut",
 ]

@@ -1,20 +1,14 @@
-"""The block-at-a-time execution substrate: batches of encoded id columns.
+"""The block executor's substrate: match lists as encoded id columns.
 
 The tuple operators (:mod:`repro.operators.base`) move one Python
 :class:`~repro.query.answer.PartialAnswer` per pull — a dict of strings, a
 float, a frozenset — and probe string-keyed hash tables.  At serving
 scale that object churn is the dominant constant factor on the warm read
-path.  This module defines the vectorized counterpart the block operators
-(:mod:`repro.operators.vector_scan`, :mod:`repro.operators.vector_join`)
-exchange instead:
+path.  The block executor instead evaluates a plan over whole lists of
+parallel NumPy arrays — one int64 **term-id column per variable** plus one
+float64 score column — joined by
+:func:`~repro.operators.vector_join.join_lists`.  This module holds:
 
-* a :class:`Block` — a fixed-capacity batch of answers as parallel NumPy
-  arrays: one int64 **term-id column per variable** plus one float64
-  score column, rows in non-increasing score order;
-* a :class:`BlockOperator` protocol mirroring
-  :class:`~repro.operators.base.Operator` at block granularity (same
-  upper-bound contract, so the HRJN threshold argument carries over
-  unchanged — see :mod:`repro.operators.vector_join`);
 * a :class:`TermCodec` mapping terms to ids: the graph's
   :meth:`~repro.kg.graph.KnowledgeGraph.column_store` ids verbatim, and
   terms outside its dictionary (live-delta adds) interned into a side
@@ -23,8 +17,9 @@ exchange instead:
 * an :class:`EncodedMatchList` — a pattern's Definition-5 match list as
   id columns + normalized scores, sliced straight out of that
   :class:`~repro.kg.columnar.ColumnarStore` without materialising one
-  Triple or string;
-* the :class:`BlockTopK` sink, the only place ids are decoded back to
+  Triple or string — and the :class:`EncodedListStore` that keeps and
+  patches them;
+* the :func:`top_k_cut` sink, the only place ids are decoded back to
   strings — and only for the ≤ k (+ boundary ties) winning rows.
 
 Scores are computed with exactly the same float operations as the tuple
@@ -35,7 +30,6 @@ two executors return byte-identical answer sequences.
 
 from __future__ import annotations
 
-import abc
 import bisect
 import math
 import threading
@@ -54,17 +48,6 @@ from repro.query.answer import Answer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kg.columnar import ColumnarStore
     from repro.kg.pattern import TriplePattern
-
-#: Rows per emitted block.  A match list that fits is handed out whole,
-#: so its stored join-key order serves every probe (see
-#: :meth:`EncodedMatchList.key_order`).  Measured on the benchmark's
-#: resident relaxed traffic at 1 024 rows: HRJN's corner bound does not
-#: fall below the k-th result before the inputs run dry, so 99.6 % of all
-#: list rows were pulled anyway, in 6.2 probes a read, and smaller blocks
-#: only added probes (256 rows read 0.73x, 32 rows 0.16x of the qps).
-#: Leaf lists there are 103-2 954 rows, so 4 096 is on that traffic the
-#: same as unbounded while still bounding a block over a pathological list.
-DEFAULT_BLOCK_SIZE = 4096
 
 #: A row set's join keys in key order: the packed keys ascending, the row
 #: each came from (equal keys in row order), and whether no key repeats.
@@ -340,16 +323,16 @@ class EncodedMatchList:
     pattern's distinct variables in S-P-O position order); ``scores``
     are the *normalized* scores, non-increasing.  Rows are in exactly
     the order the string :class:`~repro.kg.index.MatchList` holds
-    them (raw score descending, ties by ``spo``), so a scan over this
-    list emits the same stream as a
-    :class:`~repro.operators.scan.SortedScan` minus the objects.
+    them (raw score descending, ties by ``spo``): the stream a
+    :class:`~repro.operators.scan.SortedScan` emits, minus the objects.
+    A join's output (:func:`~repro.operators.vector_join.join_lists`) is
+    one too, its rows in no score order and its scores final.
 
-    The arrays are read-only from construction: scans hand them out to
-    operators as they are (a list that fits one block) or as views, so no
-    operator can corrupt a stored list.  The list also carries its
-    **join-key orders** (:meth:`key_order`), built on first use — views of
-    the list that live and die with it in the
-    :class:`EncodedListStore`.
+    The arrays are read-only from construction: the executor hands a
+    stored list to joins and the sink as it is, so none can corrupt the
+    list every later query reads.  The list also carries its **join-key
+    orders** (:meth:`key_order`), built on first use — views of the list
+    that live and die with it in the :class:`EncodedListStore`.
 
     What a write needs to patch the list (:func:`patch_match_lists`):
     ``inputs``, the ``(pattern, weight)`` pairs it was built from (its own
@@ -1250,171 +1233,44 @@ class EncodedListStore:
         return f"EncodedListStore(size={len(self)}, capacity={self._capacity})"
 
 
-class Block:
-    """One batch of answers: parallel id columns + non-increasing scores.
+def top_k_cut(
+    rows: EncodedMatchList,
+    k: int,
+    codec: TermCodec,
+    projection: tuple[str, ...] | None = None,
+) -> list[Answer]:
+    """The top-k distinct answers among *rows*, a plan's whole result.
 
-    *source* is set when the columns are a whole stored list's own
-    arrays, so a join can take the rows' key order from the list
-    (:meth:`EncodedMatchList.key_order`) instead of sorting them.
-    """
-
-    __slots__ = ("var_names", "columns", "scores", "source")
-
-    def __init__(
-        self,
-        var_names: tuple[str, ...],
-        columns: tuple[np.ndarray, ...],
-        scores: np.ndarray,
-        source: EncodedMatchList | None = None,
-    ) -> None:
-        if len(var_names) != len(columns):
-            raise ExecutionError(
-                f"block has {len(var_names)} variables but {len(columns)} columns"
-            )
-        self.var_names = var_names
-        self.columns = columns
-        self.scores = scores
-        self.source = source
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    def column(self, name: str) -> np.ndarray:
-        """The id column bound to variable *name*."""
-        try:
-            return self.columns[self.var_names.index(name)]
-        except ValueError:
-            raise ExecutionError(f"block has no column for variable {name!r}") from None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Block(vars={self.var_names}, rows={len(self)})"
-
-
-class BlockOperator(abc.ABC):
-    """Pull-based operator exchanging :class:`Block` batches.
-
-    Contract (the :class:`~repro.operators.base.Operator` contract lifted
-    to batches):
-
-    * :meth:`next_block` returns the next batch or ``None`` (exhausted);
-      once ``None`` is returned, all later calls return ``None``.
-    * Concatenating the emitted blocks yields a stream in non-increasing
-      score order.
-    * :meth:`upper_bound` bounds every future row's score; ``-inf`` once
-      exhausted, never increases.
-    * :attr:`var_names` is static — every emitted block binds exactly
-      these variables — which is what lets joins fix their key columns
-      before the first pull (the tuple engine must discover them from
-      the first item).
-    """
-
-    @abc.abstractmethod
-    def next_block(self) -> Block | None:
-        """Produce the next batch, or ``None`` when exhausted."""
-
-    @abc.abstractmethod
-    def upper_bound(self) -> float:
-        """Best score any not-yet-emitted row can have."""
-
-    @property
-    @abc.abstractmethod
-    def patterns_covered(self) -> frozenset[int]:
-        """Indexes (into the query) of the patterns this operator covers."""
-
-    @property
-    @abc.abstractmethod
-    def var_names(self) -> tuple[str, ...]:
-        """The variables every emitted block binds."""
-
-    def __iter__(self) -> Iterator[Block]:
-        while True:
-            block = self.next_block()
-            if block is None:
-                return
-            yield block
-
-
-class BlockTopK:
-    """Drain a :class:`BlockOperator` into the top-k distinct answers.
-
-    The only decode point of the block pipeline: rows are deduplicated
-    on their *projected id tuples* (the codec is injective, so id-tuple
-    equality is binding equality), pulled until the k-th distinct score's
-    tie run is exhausted, and only the surviving rows are decoded to
-    strings for the shared canonical cut
+    The only decode point of the block pipeline.  The rows are sorted by
+    score (a join's output is in no score order), each *projected* binding
+    keeps its first — maximum — row (Definition 8; the codec is injective,
+    so id-tuple equality is binding equality), the cut takes the first k
+    distinct bindings and the rest of the k-th score's tie run, and only
+    those are decoded to strings for the shared canonical cut
     (:func:`~repro.operators.topk.finalize_canonical`).
     """
-
-    def __init__(
-        self,
-        source: BlockOperator,
-        k: int,
-        codec: TermCodec,
-        projection: tuple[str, ...] | None = None,
-    ) -> None:
-        if k < 1:
-            raise ExecutionError(f"k must be >= 1, got {k}")
-        self._source = source
-        self._k = k
-        self._codec = codec
-        self._projection = projection
-
-    def run(self) -> list[Answer]:
-        source = self._source
-        names = (
-            tuple(sorted(source.var_names))
-            if self._projection is None
-            else tuple(
-                name for name in sorted(self._projection) if name in source.var_names
-            )
-        )
-        k = self._k
-        # The sink usually needs only ~k of a block's rows, so columns
-        # are materialised to Python lists chunk by chunk — converting a
-        # whole block of thousands of rows to visit 10 would dominate warm
-        # single-pattern queries.
-        chunk = max(32, 2 * k)
-        collected: list[tuple[float, tuple[int, ...]]] = []
-        seen: set[tuple[int, ...]] = set()
-        last_score = float("inf")
-        boundary: float | None = None
-        done = False
-        while not done:
-            block = source.next_block()
-            if block is None:
-                break
-            block_columns = [block.column(name) for name in names]
-            n_rows = len(block)
-            for start in range(0, n_rows, chunk):
-                stop = min(start + chunk, n_rows)
-                window = slice(start, stop)
-                columns = [column[window].tolist() for column in block_columns]
-                scores = block.scores[window].tolist()
-                for row, score in enumerate(scores):
-                    if score > last_score + 1e-9:
-                        raise ExecutionError(
-                            "block operator emitted rows out of score order: "
-                            f"{score:.6f} after {last_score:.6f}"
-                        )
-                    last_score = score
-                    if boundary is not None and score < boundary:
-                        done = True
-                        break
-                    key = tuple(column[row] for column in columns)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    collected.append((score, key))
-                    if len(collected) == k:
-                        boundary = score
-                if done:
-                    break
-        decode = self._codec.decode
-        results = [
-            Answer(tuple(zip(names, (decode(i) for i in key))), score)
-            for score, key in collected
-        ]
-        return finalize_canonical(results, k)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"BlockTopK(k={self._k})"
+    if k < 1:
+        raise ExecutionError(f"k must be >= 1, got {k}")
+    names = tuple(
+        name
+        for name in sorted(rows.var_names if projection is None else projection)
+        if name in rows.var_names
+    )
+    order = np.argsort(-rows.scores, kind="stable")
+    columns = [rows.columns[rows.var_names.index(name)][order] for name in names]
+    packed = pack_columns(columns, codec.n_ids, n_rows=len(order))
+    if packed is None:
+        packed, _ = joint_group_ids(columns, tuple(c[:0] for c in columns))
+    keep = first_occurrence_keep(packed)
+    scores = rows.scores[order[keep]]
+    if len(keep) > k:
+        # Every distinct binding scoring the k-th score goes to the cut.
+        keep = keep[: int(np.searchsorted(-scores, -scores[k - 1], side="right"))]
+        scores = scores[: len(keep)]
+    decode = codec.decode
+    decoded = [[decode(i) for i in column[keep].tolist()] for column in columns]
+    results = [
+        Answer(tuple(zip(names, (values[row] for values in decoded))), score)
+        for row, score in enumerate(scores.tolist())
+    ]
+    return finalize_canonical(results, k)

@@ -14,7 +14,7 @@ draining while incoming scores still equal the k-th distinct score, then
 orders everything it collected by ``(-score, bindings)`` and cuts to
 ``k``.  The result is a pure function of the answer multiset, which is
 what lets two executors with entirely different internals (the
-tuple-at-a-time operators and the block-at-a-time vectorized engine, see
+tuple-at-a-time operators and the whole-list vectorized engine, see
 :mod:`repro.operators.block`) return byte-identical answer sequences.
 
 The extra work is bounded by the boundary tie run.  On real scored data

@@ -1,8 +1,8 @@
 """A state machine over the served write path.
 
-Reads, update batches, compactions and rule adds interleave in any order
-over a :class:`~repro.service.WorkloadRunner` serving a tiny XKG ``.kg2``
-snapshot.  The writer gate, the versioned graph, the touched-key journal,
+Reads, update batches — some failing midway —, compactions and rule adds
+interleave in any order over a :class:`~repro.service.WorkloadRunner`
+serving a tiny XKG ``.kg2`` snapshot.  The writer gate, the versioned graph, the touched-key journal,
 the versioned rule set and the caches that read them form a small
 data-aware transition system (in the sense of DB-nets); its invariants
 are checked after every step:
@@ -37,6 +37,7 @@ from contextlib import contextmanager
 from operator import is_not
 from unittest import mock
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -53,6 +54,7 @@ from repro.core.estimator import QueryDistribution
 from repro.core.plan import relaxation_inputs
 from repro.core.planner import SpecQPPlanner
 from repro.datasets.workload import Workload
+from repro.errors import KnowledgeGraphError
 from repro.kg.columnar import ColumnarGraph, ColumnarStore
 from repro.kg.delta import GraphUpdate
 from repro.kg.storage import load_snapshot_v2, save_snapshot_v2
@@ -214,6 +216,33 @@ class WritePathMachine(RuleBasedStateMachine):
         before = self.graph.version
         self.runner.apply_updates(batch)
         assert self.graph.version > before
+
+    @rule(
+        seed=st.integers(min_value=0, max_value=2**16),
+        n_prefix=st.integers(min_value=1, max_value=4),
+    )
+    def apply_failing_batch(self, seed: int, n_prefix: int) -> None:
+        """Re-scores, then an add the graph refuses (a NUL term).  The
+        batch raises with its landed prefix counted in ``error.applied``,
+        and that prefix moves the version and is invalidated and counted
+        like any batch: in DB-nets terms the caches' refresh belongs to
+        the transition, even one that fails midway."""
+        rng = random.Random(seed)
+        triples = sorted(self.graph.triples(), key=lambda triple: triple.spo)
+        batch = [
+            GraphUpdate.add(*triple.spo, float(rng.randint(1, 60)))
+            for triple in rng.sample(triples, n_prefix)
+        ]
+        batch.append(GraphUpdate.add("bad\x00term", "rdf:type", "topic", 1.0))
+        before, counted = self.graph.version, self.runner.update_stats
+        with pytest.raises(KnowledgeGraphError, match="NUL") as raised:
+            self.runner.apply_updates(batch)
+        applied = {"adds": n_prefix, "removes": 0, "absent_removes": 0}
+        assert raised.value.applied == applied
+        assert self.graph.version > before
+        stats = self.runner.update_stats
+        assert stats["update_batches"] == counted["update_batches"] + 1
+        assert stats["updates_applied"] == counted["updates_applied"] + n_prefix
 
     @rule(
         index=st.integers(min_value=0, max_value=63),

@@ -1,4 +1,4 @@
-"""Unit tests for the block substrate: codec, encoded lists, blocks, sink."""
+"""Unit tests for the block substrate: codec, encoded lists, leaf lists, sink."""
 
 from __future__ import annotations
 
@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.plan import QueryPlan
 from repro.errors import ExecutionError
 from repro.kg.columnar import ColumnarGraph, ColumnarStore
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, Variable, var
 from repro.operators.block import (
-    Block,
-    BlockTopK,
     EncodedListStore,
     EncodedMatchList,
     TermCodec,
@@ -21,10 +20,12 @@ from repro.operators.block import (
     first_occurrence_keep,
     joint_group_ids,
     pack_columns,
+    top_k_cut,
 )
 from repro.operators.memory import ExecutionContext
 from repro.operators.scan import SortedScan
-from repro.operators.vector_scan import VectorScan
+from repro.query.query import TriplePatternQuery
+from repro.relax.rules import RuleSet
 
 from merge_reference import brute_force_list, encoded_string_list
 
@@ -305,83 +306,58 @@ class TestEncodedListStore:
         assert len(store.get_or_build(graph, tp("t"))) == 6
 
 
-class TestBlock:
-    def test_column_lookup(self):
-        block = Block(
-            ("s", "o"),
-            (np.array([1], dtype=np.int64), np.array([2], dtype=np.int64)),
-            np.array([1.0]),
-        )
-        assert block.column("o").tolist() == [2]
-        with pytest.raises(ExecutionError):
-            block.column("missing")
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ExecutionError):
-            Block(("s",), (), np.array([1.0]))
+def evaluate(graph, pattern, context):
+    """*pattern*'s one-pattern plan through the block executor's evaluation."""
+    codec = TermCodec(graph.store)
+    return QueryPlan.exact(TriplePatternQuery((pattern,))).evaluate_block(
+        graph,
+        RuleSet(),
+        context,
+        codec,
+        encoded_lists=lambda p: build_encoded_match_list(graph, p, codec),
+        merged_lists=lambda p, merge: merge(),
+    )
 
 
-class TestVectorScan:
-    def test_stream_matches_sorted_scan(self, columnar):
+class TestLeafLists:
+    def test_list_is_the_sorted_scan_stream(self, columnar):
         pattern = tp("t")
-        encoded = build_encoded_match_list(columnar, pattern, TermCodec(columnar.store))
         context = ExecutionContext()
-        scan = VectorScan(encoded, 0, context, weight=0.5, block_size=2)
-        reference = SortedScan(columnar, pattern, 0, ExecutionContext(), weight=0.5)
-        emitted = []
-        while True:
-            bound_before = scan.upper_bound()
-            ref_bound = reference.upper_bound()
-            assert bound_before == ref_bound
-            block = scan.next_block()
-            if block is None:
-                break
-            assert len(block) <= 2
-            for row in range(len(block)):
-                item = reference.next()
-                assert float(block.scores[row]) == item.score
-                emitted.append(float(block.scores[row]))
-        assert reference.next() is None
-        assert emitted == sorted(emitted, reverse=True)
-        assert context.tuples_pulled == 5
+        rows = evaluate(columnar, pattern, context)
+        reference = SortedScan(columnar, pattern, 0, ExecutionContext())
+        assert rows.scores.tolist() == [item.score for item in reference]
+        assert context.tuples_pulled == context.answer_objects_created == 5
 
-    def test_empty_list_is_born_exhausted(self, columnar):
-        encoded = build_encoded_match_list(columnar, tp("missing"), TermCodec(columnar.store))
-        scan = VectorScan(encoded, 0, ExecutionContext())
-        assert scan.next_block() is None
-        assert scan.upper_bound() == float("-inf")
-
-    def test_weight_validation(self, columnar):
-        encoded = build_encoded_match_list(columnar, tp("t"), TermCodec(columnar.store))
-        with pytest.raises(ExecutionError):
-            VectorScan(encoded, 0, ExecutionContext(), weight=1.5)
+    def test_empty_list_evaluates_to_no_rows(self, columnar):
+        context = ExecutionContext()
+        assert len(evaluate(columnar, tp("missing"), context)) == 0
+        assert context.tuples_pulled == context.answer_objects_created == 0
 
 
-class TestBlockTopK:
-    def _scan(self, columnar, pattern=None, block_size=1024):
+class TestTopKCut:
+    def _rows(self, columnar, pattern=None):
         pattern = pattern or tp("t")
-        encoded = build_encoded_match_list(columnar, pattern, TermCodec(columnar.store))
-        return VectorScan(encoded, 0, ExecutionContext(), block_size=block_size)
+        return build_encoded_match_list(columnar, pattern, TermCodec(columnar.store))
 
     def test_collects_k(self, columnar):
         codec = TermCodec(columnar.store)
-        answers = BlockTopK(self._scan(columnar), 3, codec).run()
+        answers = top_k_cut(self._rows(columnar), 3, codec)
         assert [a.as_dict()["s"] for a in answers] == ["e0", "e1", "e2"]
 
     def test_k_larger_than_result_count(self, columnar):
         codec = TermCodec(columnar.store)
-        answers = BlockTopK(self._scan(columnar), 100, codec).run()
+        answers = top_k_cut(self._rows(columnar), 100, codec)
         assert len(answers) == 5
 
     def test_empty_source(self, columnar):
         codec = TermCodec(columnar.store)
-        answers = BlockTopK(self._scan(columnar, tp("missing")), 10, codec).run()
+        answers = top_k_cut(self._rows(columnar, tp("missing")), 10, codec)
         assert answers == []
 
     def test_k_must_be_positive(self, columnar):
         codec = TermCodec(columnar.store)
         with pytest.raises(ExecutionError):
-            BlockTopK(self._scan(columnar), 0, codec)
+            top_k_cut(self._rows(columnar), 0, codec)
 
     def test_boundary_ties_resolved_canonically(self):
         kg = KnowledgeGraph()
@@ -391,14 +367,37 @@ class TestBlockTopK:
         kg.add("top", "rdf:type", "t", score=9.0)
         frozen = ColumnarGraph.from_graph(kg)
         codec = TermCodec(frozen.store)
-        answers = BlockTopK(self._scan(frozen), 2, codec).run()
+        answers = top_k_cut(self._rows(frozen), 2, codec)
         assert [a.as_dict()["s"] for a in answers] == ["top", "alpha"]
 
     def test_projection_dedups_on_projected_vars(self, columnar):
         pattern = TriplePattern(var("s"), "rdf:type", var("o"))
-        encoded = build_encoded_match_list(columnar, pattern, TermCodec(columnar.store))
-        scan = VectorScan(encoded, 0, ExecutionContext())
         codec = TermCodec(columnar.store)
-        answers = BlockTopK(scan, 10, codec, projection=("o",)).run()
+        answers = top_k_cut(self._rows(columnar, pattern), 10, codec, projection=("o",))
         assert [a.as_dict() for a in answers] == [{"o": "t"}]
         assert answers[0].score == 1.0
+
+    def test_unsorted_rows_keep_each_maximum_and_drain_the_tie_run(self, columnar):
+        """A join's output is in no score order: a projected binding's
+        lower row may come first, and the k-th score's tie run may reach
+        past k with the canonical winner last in row order."""
+        codec = TermCodec(columnar.store)
+        rows = [
+            ("e0", "e1", 0.2),  # e0's low row first ...
+            ("e3", "e1", 0.5),
+            ("e0", "e2", 0.9),  # ... its maximum later
+            ("e2", "e1", 0.5),
+            ("e1", "e2", 0.5),  # the tie run's canonical first, in row order last
+            ("e1", "e1", 0.3),
+        ]
+        rows = EncodedMatchList(
+            ("s", "o"),
+            tuple(
+                np.array([codec.encode(row[at]) for row in rows], dtype=np.int64)
+                for at in (0, 1)
+            ),
+            np.array([row[2] for row in rows]),
+            1.0,
+        )
+        answers = top_k_cut(rows, 2, codec, projection=("s",))
+        assert [(a.as_dict()["s"], a.score) for a in answers] == [("e0", 0.9), ("e1", 0.5)]

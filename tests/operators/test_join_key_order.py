@@ -1,12 +1,12 @@
-"""Differential and lifecycle tests for the key-ordered block rank join.
+"""Differential and lifecycle tests for the key-ordered whole-list join.
 
-The block join probes in join-key order, takes a whole stored list's
-order from the list itself and answers distinct-key probes with one
-search.  None of that may show in the answers: the suite drives generated
-lists through :class:`VectorRankJoin` at block sizes that make prefix
-sides, whole-list sides and mixed sides, against the tuple
-:class:`RankJoin` and the exhaustive :class:`NaiveEngine`, and checks the
-match pairs of every single probe against a nested loop.
+The block join probes in join-key order, takes a stored list's order
+from the list itself and answers distinct-key probes with one search.
+None of that may show in the answers: the suite folds generated lists
+through :func:`join_lists` — stored lists and join outputs as the left
+side — against the tuple :class:`RankJoin` and the exhaustive
+:class:`NaiveEngine`, and checks the match pairs and counter moves of
+every single join against a nested loop.
 """
 
 from __future__ import annotations
@@ -28,18 +28,16 @@ from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
 from repro.operators import block
 from repro.operators.block import (
-    DEFAULT_BLOCK_SIZE,
-    BlockTopK,
     EncodedMatchList,
     TermCodec,
     build_encoded_match_list,
+    top_k_cut,
 )
 from repro.operators.memory import ExecutionContext
 from repro.operators.rank_join import RankJoin
 from repro.operators.scan import SortedScan
 from repro.operators.topk import TopK
-from repro.operators.vector_join import VectorRankJoin
-from repro.operators.vector_scan import VectorScan
+from repro.operators.vector_join import join_lists
 from repro.query.query import TriplePatternQuery
 from repro.relax.rules import RuleSet
 
@@ -86,7 +84,7 @@ class UnpackableCodec(TermCodec):
 
 @st.composite
 def join_cases(draw):
-    """``(shape, n_patterns, triples, unpackable, block-size choice)``."""
+    """``(shape, n_patterns, triples, unpackable)``."""
     shape = draw(st.sampled_from(sorted(SHAPES)))
     n_patterns = draw(st.sampled_from((2, 2, 3)))
     # Few distinct scores: long tie runs inside lists and join results.
@@ -104,7 +102,7 @@ def join_cases(draw):
         )
     )
     unpackable = shape in ("two_variable_key", "cartesian") and draw(st.booleans())
-    return shape, n_patterns, triples, unpackable, draw(st.integers(0, 5))
+    return shape, n_patterns, triples, unpackable
 
 
 def build_graph(triples) -> ColumnarGraph:
@@ -116,11 +114,6 @@ def build_graph(triples) -> ColumnarGraph:
     return ColumnarGraph.from_graph(kg)
 
 
-def block_size_for(choice: int, lists) -> int:
-    longest = max([len(encoded) for encoded in lists] + [2])
-    return (1, 2, 7, longest - 1, longest, DEFAULT_BLOCK_SIZE)[choice]
-
-
 def tuple_answers(graph, patterns):
     context = ExecutionContext()
     tree = SortedScan(graph, patterns[0], 0, context)
@@ -129,100 +122,68 @@ def tuple_answers(graph, patterns):
     return TopK(tree, ALL).run()
 
 
-def block_tree(graph, patterns, codec, block_size, context):
-    lists = [build_encoded_match_list(graph, p, TermCodec(graph.store)) for p in patterns]
-    tree = VectorScan(lists[0], 0, context, block_size=block_size)
-    for index, encoded in enumerate(lists[1:], start=1):
-        tree = VectorRankJoin(
-            tree,
-            VectorScan(encoded, index, context, block_size=block_size),
-            context,
-            codec,
-            block_size=block_size,
-        )
-    return tree
-
-
-def block_rows(block) -> list[tuple[dict[str, int], float]]:
+def rows_of(encoded: EncodedMatchList) -> list[tuple[dict[str, int], float]]:
     return [
         (
-            {name: int(block.column(name)[row]) for name in block.var_names},
-            float(block.scores[row]),
+            {
+                name: int(column[row])
+                for name, column in zip(encoded.var_names, encoded.columns)
+            },
+            float(encoded.scores[row]),
         )
-        for row in range(len(block))
+        for row in range(len(encoded))
     ]
 
 
-class ProbeAudit:
-    """Wraps ``VectorRankJoin._probe``: every probe's joined rows and
-    counter moves must equal a nested loop over the block and the rows
-    the other side has taken in so far."""
-
-    def __init__(self) -> None:
-        self.probes = 0
-        self._taken: dict[int, list] = {}  # id(side) -> rows inserted so far
-        self._joined: list = []
-        self._probe = VectorRankJoin._probe
-        self._buffer_insert = VectorRankJoin._buffer_insert
-
-    def buffer_insert(self, join, columns, scores):
-        self._joined.extend(
-            (tuple(int(column[row]) for column in columns), float(scores[row]))
-            for row in range(len(scores))
-        )
-        return self._buffer_insert(join, columns, scores)
-
-    def probe(self, join, block, own, other):
-        context = join._context
-        matched_before = context.joins_matched
-        objects_before = context.factory.objects_created
-        outer, self._joined = self._joined, []
-        result = self._probe(join, block, own, other)
-        joined, self._joined = self._joined, outer
-
-        rows = block_rows(block)
-        expected, matched = [], 0
-        for bindings, score in rows:
-            partners = [
-                (other_bindings, other_score)
-                for other_bindings, other_score in self._taken.get(id(other), ())
-                if all(other_bindings[v] == bindings[v] for v in join.join_variables)
-            ]
-            matched += bool(partners)
-            for other_bindings, other_score in partners:
-                merged = {**bindings, **other_bindings}
-                expected.append(
-                    (tuple(merged[name] for name in join.var_names), score + other_score)
-                )
-        assert sorted(joined) == sorted(expected)
-        assert context.joins_matched - matched_before == matched
-        assert context.factory.objects_created - objects_before == len(expected)
-        self._taken.setdefault(id(own), []).extend(rows)
-        self.probes += 1
-        return result
+def audited_join(left, right, context, n_ids):
+    """:func:`join_lists`, its joined rows and counter moves checked
+    against a nested loop over the two inputs."""
+    before = context.snapshot()
+    joined = join_lists(left, right, context, n_ids)
+    join_vars = set(left.var_names) & set(right.var_names)
+    expected, matched = [], 0
+    left_rows = rows_of(left)
+    for bindings, score in rows_of(right):
+        partners = [
+            (other, other_score)
+            for other, other_score in left_rows
+            if all(other[v] == bindings[v] for v in join_vars)
+        ]
+        matched += bool(partners)
+        for other, other_score in partners:
+            merged = {**other, **bindings}
+            expected.append(
+                (tuple(merged[name] for name in joined.var_names), other_score + score)
+            )
+    actual = [
+        (tuple(bindings[name] for name in joined.var_names), score)
+        for bindings, score in rows_of(joined)
+    ]
+    assert sorted(actual) == sorted(expected)
+    after = context.snapshot()
+    assert after["joins_attempted"] - before["joins_attempted"] == len(left) + len(right)
+    assert after["joins_matched"] - before["joins_matched"] == matched
+    assert (
+        after["answer_objects_created"] - before["answer_objects_created"] == len(expected)
+    )
+    return joined
 
 
 class TestJoinDifferential:
     @settings(max_examples=150, deadline=None)
     @given(case=join_cases())
     def test_block_join_equals_tuple_join_and_nested_loop(self, case):
-        shape, n_patterns, triples, unpackable, size_choice = case
+        shape, n_patterns, triples, unpackable = case
         graph = build_graph(triples)
         patterns = SHAPES[shape][:n_patterns]
         codec = (UnpackableCodec if unpackable else TermCodec)(graph.store)
         lists = [build_encoded_match_list(graph, p, TermCodec(graph.store)) for p in patterns]
-        block_size = block_size_for(size_choice, lists)
 
-        audit = ProbeAudit()
         context = ExecutionContext()
-        with mock.patch.object(
-            VectorRankJoin, "_probe", lambda *args: audit.probe(*args)
-        ), mock.patch.object(
-            VectorRankJoin, "_buffer_insert", lambda *args: audit.buffer_insert(*args)
-        ):
-            actual = BlockTopK(
-                block_tree(graph, patterns, codec, block_size, context), ALL, codec
-            ).run()
+        rows = lists[0]
+        for encoded in lists[1:]:
+            rows = audited_join(rows, encoded, context, codec.n_ids)
+        actual = top_k_cut(rows, ALL, codec)
 
         expected = tuple_answers(graph, patterns)
         assert actual == expected
@@ -230,37 +191,6 @@ class TestJoinDifferential:
         naive = NaiveEngine(graph, RuleSet()).query(TriplePatternQuery(patterns), ALL)
         assert list(naive.answers) == expected
         assert [a.score for a in naive.answers] == [a.score for a in expected]
-        if all(len(encoded) for encoded in lists):
-            assert audit.probes  # the audit saw the join work
-
-    @pytest.mark.parametrize("block_size", [1, 2, 7, 11, 12, DEFAULT_BLOCK_SIZE])
-    @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_counters_do_not_depend_on_block_size(self, shape, block_size):
-        """Drained to the end, a join matches the same pairs whatever the
-        pull granularity: 12-row lists as prefix (1, 2, 7, 11) and whole
-        (12, default) sides.  (``joins_matched`` counts probing rows that
-        found a partner *so far*, which the granularity does decide; the
-        probe audit above pins it per probe.)"""
-        triples = [
-            (s, p, o, 1 + (s + p + o) % 3)
-            for p in range(3)
-            for s in range(6)
-            for o in ((0,) if shape == "distinct_key" else (0, 1))
-        ]
-        graph = build_graph(triples)
-        patterns = SHAPES[shape]
-        codec = TermCodec(graph.store)
-
-        def counters(size):
-            context = ExecutionContext()
-            BlockTopK(block_tree(graph, patterns, codec, size, context), ALL, codec).run()
-            return (
-                context.joins_attempted,
-                context.answer_objects_created,
-                context.tuples_pulled,
-            )
-
-        assert counters(block_size) == counters(3)
 
 
 class TestStoredKeyOrder:
@@ -284,7 +214,7 @@ class TestStoredKeyOrder:
             block, "stable_argsort", spying(block.stable_argsort)
         ):
             run()
-        assert "_buffer_insert" in callers  # the patch sees the join
+        assert "top_k_cut" in callers  # the patch sees the query's cut
         return callers.count("sorted_key_order")
 
     def test_built_once_and_dropped_with_the_version(
@@ -382,39 +312,27 @@ class TestStoredKeyOrder:
 
 
 class TestStoredListsAreReadOnly:
-    @pytest.mark.parametrize("block_size", [2, DEFAULT_BLOCK_SIZE])
-    def test_writing_through_a_block_raises(self, music_graph, block_size):
-        """A block's columns are the stored list's arrays, or views of
-        them: an operator that writes to one must fail, not corrupt the
-        list every later query reads."""
+    def test_writing_to_a_joined_list_raises(self, music_graph):
+        """A join reads the stored lists' own arrays: an operator that
+        writes to one must fail, not corrupt the list every later query
+        reads."""
         store = ColumnarGraph.from_graph(music_graph).store
-        pattern = TriplePattern(var("s"), "rdf:type", "singer")
-        encoded = build_encoded_match_list(ColumnarGraph(store), pattern, TermCodec(store))
-        before = encoded.columns[0].copy(), encoded.scores.copy()
-        block = VectorScan(
-            encoded, 0, ExecutionContext(), block_size=block_size
-        ).next_block()
-        assert np.shares_memory(block.column("s"), encoded.columns[0])
-        with pytest.raises(ValueError, match="read-only"):
-            block.column("s")[0] = 0
-        with pytest.raises(ValueError, match="read-only"):
-            encoded.scores[0] = 0.5
-        keys, order, _ = encoded.key_order(("s",), store.n_terms)
+        codec = TermCodec(store)
+        singer, lyricist = (
+            build_encoded_match_list(
+                ColumnarGraph(store), TriplePattern(var("s"), "rdf:type", kind), codec
+            )
+            for kind in ("singer", "lyricist")
+        )
+        before = singer.columns[0].copy(), singer.scores.copy()
+        joined = join_lists(singer, lyricist, ExecutionContext(), store.n_terms)
+        assert len(joined)
+        for array in (singer.columns[0], singer.scores):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        keys, order, _ = singer.key_order(("s",), store.n_terms)
         for array in (keys, order):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
-        assert np.array_equal(encoded.columns[0], before[0])
-        assert np.array_equal(encoded.scores, before[1])
-
-    def test_whole_list_block_is_the_list_itself(self, music_graph):
-        store = ColumnarGraph.from_graph(music_graph).store
-        pattern = TriplePattern(var("s"), "rdf:type", "singer")
-        encoded = build_encoded_match_list(ColumnarGraph(store), pattern, TermCodec(store))
-        block = VectorScan(encoded, 0, ExecutionContext()).next_block()
-        assert block.columns is encoded.columns and block.scores is encoded.scores
-        assert block.source is encoded
-        weighted = VectorScan(encoded, 0, ExecutionContext(), weight=0.5).next_block()
-        assert weighted.source is encoded
-        assert weighted.scores.tolist() == [0.5 * s for s in encoded.scores.tolist()]
-        prefix = VectorScan(encoded, 0, ExecutionContext(), block_size=3).next_block()
-        assert prefix.source is None and len(prefix) == 3
+        assert np.array_equal(singer.columns[0], before[0])
+        assert np.array_equal(singer.scores, before[1])

@@ -1,4 +1,4 @@
-"""Unit tests for the block HRJN rank join and the merged relaxation list."""
+"""Unit tests for the whole-list block join and the merged relaxation list."""
 
 from __future__ import annotations
 
@@ -10,18 +10,18 @@ from repro.kg.columnar import ColumnarGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
 from repro.operators.block import (
-    BlockTopK,
+    EncodedMatchList,
     TermCodec,
     build_encoded_match_list,
     build_merged_match_list,
+    top_k_cut,
 )
 from repro.operators.incremental_merge import IncrementalMerge, WeightedInput
 from repro.operators.memory import ExecutionContext
 from repro.operators.rank_join import RankJoin
 from repro.operators.scan import SortedScan
 from repro.operators.topk import TopK
-from repro.operators.vector_join import VectorRankJoin
-from repro.operators.vector_scan import VectorScan
+from repro.operators.vector_join import join_lists
 
 
 def tp(type_name: str, v: str = "s") -> TriplePattern:
@@ -33,9 +33,8 @@ def columnar(music_graph) -> ColumnarGraph:
     return ColumnarGraph.from_graph(music_graph)
 
 
-def vector_scan(columnar, pattern, index, context, weight=1.0, block_size=1024):
-    encoded = build_encoded_match_list(columnar, pattern, TermCodec(columnar.store))
-    return VectorScan(encoded, index, context, weight=weight, block_size=block_size)
+def encoded(columnar, pattern) -> EncodedMatchList:
+    return build_encoded_match_list(columnar, pattern, TermCodec(columnar.store))
 
 
 def tuple_answers(columnar, patterns, k, projection=None):
@@ -46,28 +45,21 @@ def tuple_answers(columnar, patterns, k, projection=None):
     return TopK(tree, k, projection).run()
 
 
-def block_answers(columnar, patterns, k, projection=None, block_size=1024):
+def block_answers(columnar, patterns, k, projection=None):
     context = ExecutionContext()
     codec = TermCodec(columnar.store)
-    tree = vector_scan(columnar, patterns[0], 0, context, block_size=block_size)
-    for index, pattern in enumerate(patterns[1:], start=1):
-        tree = VectorRankJoin(
-            tree,
-            vector_scan(columnar, pattern, index, context, block_size=block_size),
-            context,
-            codec,
-            block_size=block_size,
-        )
-    return BlockTopK(tree, k, codec, projection).run()
+    rows = encoded(columnar, patterns[0])
+    for pattern in patterns[1:]:
+        rows = join_lists(rows, encoded(columnar, pattern), context, codec.n_ids)
+    return top_k_cut(rows, k, codec, projection)
 
 
-class TestVectorRankJoin:
-    @pytest.mark.parametrize("block_size", [1, 2, 1024])
+class TestJoinLists:
     @pytest.mark.parametrize("k", [1, 3, 100])
-    def test_matches_tuple_join(self, columnar, block_size, k):
+    def test_matches_tuple_join(self, columnar, k):
         patterns = (tp("singer"), tp("lyricist"))
         expected = tuple_answers(columnar, patterns, k)
-        actual = block_answers(columnar, patterns, k, block_size=block_size)
+        actual = block_answers(columnar, patterns, k)
         assert actual == expected
         assert [a.score for a in actual] == [a.score for a in expected]
 
@@ -88,70 +80,20 @@ class TestVectorRankJoin:
 
     def test_empty_side_yields_nothing(self, columnar):
         context = ExecutionContext()
-        codec = TermCodec(columnar.store)
-        join = VectorRankJoin(
-            vector_scan(columnar, tp("singer"), 0, context),
-            vector_scan(columnar, tp("missing"), 1, context),
-            context,
-            codec,
-        )
-        assert join.next_block() is None
-        assert join.upper_bound() == float("-inf")
+        singer, missing = encoded(columnar, tp("singer")), encoded(columnar, tp("missing"))
+        for left, right in ((singer, missing), (missing, singer)):
+            joined = join_lists(left, right, context, columnar.store.n_terms)
+            assert len(joined) == 0 and joined.var_names == ("s",)
+            assert [column.dtype for column in joined.columns] == [np.int64]
+        assert context.joins_attempted == 2 * len(singer)
+        assert context.joins_matched == context.answer_objects_created == 0
 
-    def test_blocks_globally_score_sorted(self, columnar):
-        context = ExecutionContext()
-        codec = TermCodec(columnar.store)
-        join = VectorRankJoin(
-            vector_scan(columnar, tp("singer"), 0, context, block_size=1),
-            vector_scan(columnar, tp("musician"), 1, context, block_size=1),
-            context,
-            codec,
-            block_size=2,
-        )
-        scores: list[float] = []
-        for block in join:
-            scores.extend(block.scores.tolist())
-        assert scores == sorted(scores, reverse=True)
-
-    def test_upper_bound_never_below_future_emissions(self, columnar):
-        """The operator contract: every future row's score <= the bound."""
-        context = ExecutionContext()
-        codec = TermCodec(columnar.store)
-        join = VectorRankJoin(
-            vector_scan(columnar, tp("singer"), 0, context, block_size=1),
-            vector_scan(columnar, tp("lyricist"), 1, context, block_size=1),
-            context,
-            codec,
-            block_size=1,
-        )
-        bound = join.upper_bound()
-        for block in join:
-            assert float(block.scores[0]) <= bound + 1e-12
-            bound = join.upper_bound()
-        assert join.upper_bound() == float("-inf")
-
-    def test_overlapping_pattern_coverage_rejected(self, columnar):
-        context = ExecutionContext()
-        codec = TermCodec(columnar.store)
-        with pytest.raises(ExecutionError):
-            VectorRankJoin(
-                vector_scan(columnar, tp("singer"), 0, context),
-                vector_scan(columnar, tp("lyricist"), 0, context),
-                context,
-                codec,
-            )
-
-    def test_join_variables_exposed(self, columnar):
-        context = ExecutionContext()
-        codec = TermCodec(columnar.store)
-        join = VectorRankJoin(
-            vector_scan(columnar, tp("singer"), 0, context),
-            vector_scan(columnar, tp("lyricist"), 1, context),
-            context,
-            codec,
-        )
-        assert join.join_variables == ("s",)
-        assert join.var_names == ("s",)
+    def test_output_binds_left_then_right_only_variables(self, columnar):
+        context, n_ids = ExecutionContext(), columnar.store.n_terms
+        singer = encoded(columnar, tp("singer"))
+        typed = encoded(columnar, TriplePattern(var("o"), "rdf:type", var("s")))
+        assert join_lists(singer, typed, context, n_ids).var_names == ("s", "o")
+        assert join_lists(typed, singer, context, n_ids).var_names == ("o", "s")
 
 
 class _UnpackableCodec(TermCodec):
@@ -191,30 +133,21 @@ class TestUnpackableKeyFallback:
         knows, likes = self._patterns()
         expected = tuple_answers(edge_graph, (knows, likes), 100)
 
-        context = ExecutionContext()
-        codec = _UnpackableCodec(edge_graph.store)
-        join = VectorRankJoin(
-            VectorScan(
-                build_encoded_match_list(edge_graph, knows, TermCodec(edge_graph.store)),
-                0, context, block_size=2,
-            ),
-            VectorScan(
-                build_encoded_match_list(edge_graph, likes, TermCodec(edge_graph.store)),
-                1, context, block_size=2,
-            ),
-            context,
-            codec,
-            block_size=2,
+        codec = TermCodec(edge_graph.store)
+        rows = join_lists(
+            build_encoded_match_list(edge_graph, knows, codec),
+            build_encoded_match_list(edge_graph, likes, codec),
+            ExecutionContext(),
+            _UnpackableCodec(edge_graph.store).n_ids,
         )
-        actual = BlockTopK(join, 100, codec).run()
+        actual = top_k_cut(rows, 100, codec)
         assert actual == expected
         assert [a.score for a in actual] == [a.score for a in expected]
 
     def test_merge_fallback_dedups_exactly(self, edge_graph):
         knows, likes = self._patterns()
-        context = ExecutionContext()
         codec = _UnpackableCodec(edge_graph.store)
-        merge = merged_scan(edge_graph, [(knows, 1.0), (likes, 0.5)], codec, context)
+        merged = build_merged_match_list(edge_graph, [(knows, 1.0), (likes, 0.5)], codec)
         reference = IncrementalMerge(
             [
                 WeightedInput(
@@ -230,31 +163,31 @@ class TestUnpackableKeyFallback:
             ((item.identity(), item.score) for item in reference),
             key=lambda r: (-r[1], r[0]),
         )
-        actual = []
-        terms = edge_graph.store.term_list()
-        for block in merge:
-            for row in range(len(block)):
-                identity = tuple(
-                    sorted(
-                        (name, terms[int(block.column(name)[row])])
-                        for name in block.var_names
-                    )
+        actual = sorted(decoded_rows(merged, edge_graph), key=lambda r: (-r[1], r[0]))
+        assert actual == expected
+
+
+def decoded_rows(rows: EncodedMatchList, graph) -> list[tuple[tuple, float]]:
+    """``(identity, score)`` per row of *rows*, terms decoded by name."""
+    terms = graph.store.term_list()
+    return [
+        (
+            tuple(
+                sorted(
+                    (name, terms[int(column[row])])
+                    for name, column in zip(rows.var_names, rows.columns)
                 )
-                actual.append((identity, float(block.scores[row])))
-        assert sorted(actual, key=lambda r: (-r[1], r[0])) == expected
-
-
-def merged_scan(graph, specs, codec, context, block_size=1024):
-    merged = build_merged_match_list(graph, specs, codec)
-    return VectorScan(merged, 0, context, block_size=block_size, whole_list_pulled=True)
+            ),
+            float(rows.scores[row]),
+        )
+        for row in range(len(rows))
+    ]
 
 
 class TestMergedMatchList:
     def test_matches_tuple_merge(self, columnar):
         specs = [(tp("singer"), 1.0), (tp("vocalist"), 0.8), (tp("musician"), 0.5)]
-        context = ExecutionContext()
-        codec = TermCodec(columnar.store)
-        merge = merged_scan(columnar, specs, codec, context, block_size=2)
+        merged = build_merged_match_list(columnar, specs, TermCodec(columnar.store))
         reference = IncrementalMerge(
             [
                 WeightedInput(
@@ -266,18 +199,12 @@ class TestMergedMatchList:
             ExecutionContext(),
         )
         expected = [(item.identity(), item.score) for item in reference]
-        actual: list[tuple[tuple, float]] = []
-        terms = columnar.store.term_list()
-        for block in merge:
-            for row in range(len(block)):
-                binding = (("s", terms[int(block.column("s")[row])]),)
-                actual.append((binding, float(block.scores[row])))
+        actual = decoded_rows(merged, columnar)
         assert sorted(actual, key=lambda r: (-r[1], r[0])) == sorted(
             expected, key=lambda r: (-r[1], r[0])
         )
         assert len(actual) == len(expected)
-        # A merge reads every input row before its first block leaves.
-        assert context.tuples_pulled == len(actual)
+        assert [score for _, score in actual] == sorted(merged.scores, reverse=True)
 
     def test_dedup_keeps_maximum_score(self, columnar):
         # shakira appears as singer (1.0 weighted) and vocalist (0.8
