@@ -24,6 +24,7 @@ from repro.operators.block import (
 )
 from repro.operators.memory import ExecutionContext
 from repro.operators.scan import SortedScan
+from repro.operators.topk import TopK
 from repro.query.query import TriplePatternQuery
 from repro.relax.rules import RuleSet
 
@@ -376,6 +377,33 @@ class TestTopKCut:
         answers = top_k_cut(self._rows(columnar, pattern), 10, codec, projection=("o",))
         assert [a.as_dict() for a in answers] == [{"o": "t"}]
         assert answers[0].score == 1.0
+
+    @pytest.mark.parametrize("projection", [None, ("s",), ("o",)], ids=["all", "s", "o"])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_shuffled_rows_cut_like_the_tuple_topk(self, k, projection):
+        """Rows in no score order, with tie runs at every depth, cut to
+        the tuple :class:`TopK`'s answers over the sorted scan."""
+        kg = KnowledgeGraph()
+        for s in range(4):
+            for o in range(3):
+                kg.add(f"e{s}", "p", f"o{o}", score=float(1 + (s * o + s) % 3))
+        frozen = ColumnarGraph.from_graph(kg)
+        pattern = TriplePattern(var("s"), "p", var("o"))
+        codec = TermCodec(frozen.store)
+        rows = build_encoded_match_list(frozen, pattern, codec)
+        order = np.random.default_rng(k).permutation(len(rows))
+        shuffled = EncodedMatchList(
+            rows.var_names,
+            tuple(column[order] for column in rows.columns),
+            rows.scores[order],
+            rows.max_score,
+        )
+        expected = TopK(
+            SortedScan(frozen, pattern, 0, ExecutionContext()), k, projection
+        ).run()
+        actual = top_k_cut(shuffled, k, codec, projection)
+        assert actual == expected
+        assert [a.score for a in actual] == [a.score for a in expected]
 
     def test_unsorted_rows_keep_each_maximum_and_drain_the_tie_run(self, columnar):
         """A join's output is in no score order: a projected binding's

@@ -114,8 +114,8 @@ def build_graph(triples) -> ColumnarGraph:
     return ColumnarGraph.from_graph(kg)
 
 
-def tuple_answers(graph, patterns):
-    context = ExecutionContext()
+def tuple_answers(graph, patterns, context=None):
+    context = ExecutionContext() if context is None else context
     tree = SortedScan(graph, patterns[0], 0, context)
     for index, pattern in enumerate(patterns[1:], start=1):
         tree = RankJoin(tree, SortedScan(graph, pattern, index, context), context)
@@ -191,6 +191,47 @@ class TestJoinDifferential:
         naive = NaiveEngine(graph, RuleSet()).query(TriplePatternQuery(patterns), ALL)
         assert list(naive.answers) == expected
         assert [a.score for a in naive.answers] == [a.score for a in expected]
+
+    @pytest.mark.parametrize("unpackable", [False, True], ids=["packed", "unpackable"])
+    @pytest.mark.parametrize("n_patterns", [2, 3])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_counters_are_the_drained_tuple_pipelines(self, shape, n_patterns, unpackable):
+        """Over fixed lists with tie runs, the fold pulls and creates
+        exactly what the tuple pipeline does when drained to the end, and
+        attempts one more probe per join, whichever key probe it takes.
+        (``joins_matched`` counts probing rows that found a partner *so
+        far*, which HRJN's arrival order decides; the nested-loop audit
+        pins it per join.)"""
+        triples = [
+            (s, p, o, 1 + (s + p + o) % 3)
+            for p in range(3)
+            for s in range(6)
+            for o in ((0,) if shape == "distinct_key" else (0, 1))
+        ]
+        graph = build_graph(triples)
+        patterns = SHAPES[shape][:n_patterns]
+        codec = (UnpackableCodec if unpackable else TermCodec)(graph.store)
+        lists = [build_encoded_match_list(graph, p, TermCodec(graph.store)) for p in patterns]
+        length = 6 if shape == "distinct_key" else 12
+        assert [len(encoded) for encoded in lists] == [length] * n_patterns
+
+        context = ExecutionContext()
+        context.tuples_pulled += sum(map(len, lists))
+        context.factory.objects_created += sum(map(len, lists))
+        rows = lists[0]
+        for encoded in lists[1:]:
+            rows = audited_join(rows, encoded, context, codec.n_ids)
+        actual = top_k_cut(rows, ALL, codec)
+
+        reference = ExecutionContext()
+        expected = tuple_answers(graph, patterns, reference)
+        assert actual == expected
+        assert [a.score for a in actual] == [a.score for a in expected]
+        assert context.tuples_pulled == reference.tuples_pulled
+        assert context.answer_objects_created == reference.answer_objects_created
+        # HRJN parks each join's first row before it knows the join
+        # variables and never counts it as an attempt.
+        assert context.joins_attempted == reference.joins_attempted + n_patterns - 1
 
 
 class TestStoredKeyOrder:

@@ -56,8 +56,18 @@ def block_answers(columnar, patterns, k, projection=None):
 
 class TestJoinLists:
     @pytest.mark.parametrize("k", [1, 3, 100])
-    def test_matches_tuple_join(self, columnar, k):
-        patterns = (tp("singer"), tp("lyricist"))
+    @pytest.mark.parametrize(
+        "types",
+        [
+            ("singer", "lyricist"),
+            ("lyricist", "singer"),  # the shorter list on the right
+            ("singer", "vocalist"),  # partners score below non-partners
+            ("musician", "guitarist"),
+        ],
+        ids="-".join,
+    )
+    def test_matches_tuple_join(self, columnar, types, k):
+        patterns = tuple(tp(name) for name in types)
         expected = tuple_answers(columnar, patterns, k)
         actual = block_answers(columnar, patterns, k)
         assert actual == expected
