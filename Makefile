@@ -53,7 +53,7 @@ docs:
 	@echo "examples OK"
 
 workload:
-	$(PYTHON) -m repro.experiments workload --scale small --executor block
+	$(PYTHON) -m repro.experiments workload --scale small
 
 scenarios:
 	$(PYTHON) scripts/validate_scenarios.py

@@ -36,8 +36,9 @@ Quickstart (complete and copy-pasteable)::
         print(answer.as_dict()["s"], round(answer.score, 3))
 
 Batches of queries are served through :class:`repro.service.WorkloadRunner`,
-which shares the statistics catalog and a match-list LRU across the whole
-workload — see ``docs/api.md`` for the full public surface.
+which runs the block pipeline over one statistics catalog, encoded list
+store and whole-answer result cache shared across the whole workload —
+see ``docs/api.md`` for the full public surface.
 """
 
 from repro.baselines import NaiveEngine, TriniTEngine

@@ -86,9 +86,7 @@ class SpecQPEngine:
         Optionally route the graph's match-list lookups through a shared
         external cache (see :class:`repro.service.MatchListCache`); the
         engine attaches it to *graph* on construction.  Several engines
-        over the same graph may share one cache — that is how
-        :class:`repro.service.WorkloadRunner` keeps its sorted lists across
-        the engines it rebuilds.  Attaching a *different* cache than the one
+        over the same graph may share one cache.  Attaching a *different* cache than the one
         already on the graph raises, because it would silently reroute
         every other engine's lookups; engines built without this
         argument simply use whatever the graph already has attached.

@@ -5,8 +5,8 @@ Examples::
     spec-qp table2 --dataset xkg
     spec-qp all --dataset twitter --scale small
     spec-qp fig7 --dataset xkg --ks 10 20
-    spec-qp workload --min-queries 200 --workers 4
-    spec-qp workload --scenario adversarial-ties --executor auto
+    spec-qp workload --min-queries 200
+    spec-qp workload --scenario adversarial-ties
     spec-qp convert --input graph.tsv --output graph.kg2
     spec-qp convert --input old.npz --output graph.kg2
     spec-qp update --input graph.kg2 --updates edits.tsv --output graph2.kg2
@@ -259,7 +259,7 @@ def run_workload(args: "argparse.Namespace") -> int:
 
     The generated graph is frozen into columns before serving — nothing
     here mutates it outside :meth:`~repro.service.WorkloadRunner.apply_updates`,
-    which overlays it — so ``--executor block|auto`` runs vectorised.
+    which overlays it — and served by the block pipeline.
     """
     from dataclasses import replace
 
@@ -280,16 +280,9 @@ def run_workload(args: "argparse.Namespace") -> int:
     runner_kwargs: dict = {}
     if args.result_cache is not None:
         runner_kwargs["result_cache_capacity"] = args.result_cache
-    runner = WorkloadRunner(
-        workload,
-        n_workers=args.workers,
-        executor=args.executor,
-        **runner_kwargs,
-    )
+    runner = WorkloadRunner(workload, **runner_kwargs)
     print(f"# workload: {workload.summary()}")
-    print(
-        f"# batch: {len(queries)} queries, k={args.k}, executor={args.executor}"
-    )
+    print(f"# batch: {len(queries)} queries, k={args.k}")
     report = runner.run(queries, k=args.k)
     print()
     print(report.render())
@@ -337,12 +330,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="stretch the query set to at least this many queries (default 100)",
     )
     service.add_argument(
-        "--workers", type=int, default=1,
-        help="worker threads for warm batches (default 1); they share the "
-        "GIL, and on 2 hardware threads a warm block batch served ~2 900-4 000 "
-        "qps on 1 worker, ~2 400 on 2 and ~1 900-2 200 on 4",
-    )
-    service.add_argument(
         "--k", type=int, default=None,
         help="top-k per query (default 10, or the scenario pack's k)",
     )
@@ -352,12 +339,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "(seed-deterministic coverage workloads; --seed overrides the "
         "pack's frozen seed; update-carrying packs replay their update "
         "stream after the batch).  One of: " + ", ".join(scenario_names()),
-    )
-    service.add_argument(
-        "--executor", choices=("tuple", "block", "auto"), default="tuple",
-        help="execution strategy: tuple-at-a-time operators (default), "
-        "the vectorized whole-list engine over encoded columns, or "
-        "'auto' = block (identical answers under all three)",
     )
     service.add_argument(
         "--result-cache", type=int, default=None, metavar="N",

@@ -259,8 +259,7 @@ class KnowledgeGraph:
 
         The attached cache sees every lookup together with the current
         graph version, so a bounded, shared, statistics-reporting cache
-        (:class:`repro.service.WorkloadRunner` shares one across every
-        query of a batch) can replace the unbounded per-version dict.
+        (several engines over one graph may share one) can replace the unbounded per-version dict.
         Attaching drops the internal dict so hit/miss accounting in
         *cache* is exact.
 

@@ -25,6 +25,7 @@ dependency-free.
 
 from __future__ import annotations
 
+import glob
 import gzip
 import io
 import json
@@ -224,19 +225,49 @@ def _columnar_store_of(graph: KnowledgeGraph) -> "ColumnarStore":
     return ColumnarStore.from_triples(graph.triples())
 
 
+def _pid_alive(pid: int) -> bool:
+    """Whether process *pid* exists; a process of another user
+    (``PermissionError``) counts as alive."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (OSError, OverflowError):  # not ours to probe, or not a pid: keep it
+        pass
+    return True
+
+
 class _AtomicBinaryWriter:
     """Write-to-temp-then-``os.replace`` so crashed writers never leave a
     truncated snapshot at the destination path.  ``os.replace`` is atomic
     on POSIX and Windows for same-filesystem paths, which holds because
-    the temp file lives next to the destination."""
+    the temp file lives next to the destination.
+
+    A writer killed mid-save cannot unlink its temp file, so on entry the
+    next writer to the same path unlinks every ``.<name>.tmp-<pid>``
+    whose pid is not its own and no longer alive (POSIX only: Windows'
+    ``os.kill`` terminates instead of probing)."""
 
     def __init__(self, path: Path) -> None:
         self.path = path
         self.temp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
 
     def __enter__(self) -> io.BufferedWriter:
+        if os.name == "posix":
+            self._sweep_stale_temps()
         self._handle = open(self.temp, "wb")
         return self._handle
+
+    def _sweep_stale_temps(self) -> None:
+        prefix = f".{self.path.name}.tmp-"
+        for sibling in self.path.parent.glob(glob.escape(prefix) + "*"):
+            pid = sibling.name[len(prefix):]
+            if not pid.isdigit() or int(pid) == os.getpid() or _pid_alive(int(pid)):
+                continue
+            try:
+                sibling.unlink()
+            except OSError:  # pragma: no cover - raced by another sweeper
+                pass
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         self._handle.close()

@@ -1,21 +1,22 @@
-"""Workload-scale batch execution: shared caches, worker pools, reports.
+"""Workload-scale batch execution: shared caches, one pipeline, reports.
 
 The single-query path (:class:`~repro.core.engine.SpecQPEngine`) answers
 one query; this package serves *batches* through one shared substrate:
 
-* :class:`MatchListCache` — bounded, thread-safe, version-aware LRU over
-  score-sorted match lists, shared by every query of a batch.
-* :class:`ResultCache` — the same discipline one level up: a versioned
-  whole-answer top-k cache in front of both executors; a hit skips
-  planning and execution entirely (see
-  :mod:`repro.service.result_cache`).
-* :class:`WorkloadRunner` — executes batches sequentially or on a thread
-  pool (one shared engine, catalog, planner memo and caches), and
-  takes writes between batches (``apply_updates``: delta-overlay
-  mutations behind a reader-writer gate, with version-driven cache and
-  catalog invalidation — see :mod:`repro.kg.delta`).
+* :class:`ResultCache` — a bounded, thread-safe, version-aware
+  whole-answer top-k cache; a hit skips planning and execution entirely
+  (see :mod:`repro.service.result_cache`).
+* :class:`MatchListCache` — the same discipline over score-sorted string
+  match lists, for engines that attach one to their graph; the runner
+  serves without it.
+* :class:`WorkloadRunner` — executes batches inline through one block
+  engine (one catalog, planner memo, encoded list store and result
+  cache), and takes writes between batches (``apply_updates``:
+  delta-overlay mutations behind a reader-writer gate, with
+  version-driven cache and catalog invalidation — see
+  :mod:`repro.kg.delta`).
 * :class:`WorkloadReport` — latency percentiles, queries/second, cache
-  hit rates and the PLANGEN plan-decision mix for a batch.
+  hits and the PLANGEN plan-decision mix for a batch.
 
 Quickstart::
 
@@ -23,7 +24,7 @@ Quickstart::
     from repro.service import WorkloadRunner
 
     workload = generate_xkg(XKGConfig(n_entities=800, n_queries=24))
-    runner = WorkloadRunner(workload, n_workers=4)
+    runner = WorkloadRunner(workload)
     report = runner.run(workload.stretched(100))
     print(report.render())
 """

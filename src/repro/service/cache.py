@@ -6,7 +6,8 @@ version it was built against, a ``get`` at another version misses and
 drops the entry, and the first ``put`` at a newer version sweeps every
 older entry at once (:meth:`~VersionedLRU.purge_stale`), so a version
 bump reclaims memory eagerly instead of waiting out the LRU.  A lock
-guards every operation, so workers of a thread pool share one cache.
+guards every operation, so threads serving through one runner share one
+cache.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class CacheStats:
         Size and capacity are point-in-time readings, so they come from
         ``self``; the monotone counters are differenced.  This is how
         :class:`~repro.service.runner.WorkloadRunner` attributes cache
-        activity (match-list and result caches alike) to one batch.
+        result-cache activity to one batch.
         """
         return CacheStats(
             hits=self.hits - before.hits,

@@ -3,9 +3,9 @@
 One :class:`QueryOutcome` per executed query, one :class:`WorkloadReport`
 per batch.  The report is what ``python -m repro.experiments workload``
 prints and what the throughput benchmark asserts on: nearest-rank latency
-percentiles, queries/second over the batch wall clock, the match-list
-cache hit rate, and how PLANGEN's decisions distributed over the batch
-(exact / partially relaxed / fully relaxed plans).
+percentiles, queries/second over the batch wall clock, the cache layers'
+hits, and how PLANGEN's decisions distributed over the batch (exact /
+partially relaxed / fully relaxed plans).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ExperimentError
-from repro.service.cache import CacheStats
 
 #: Percentiles the report renders by default.
 REPORT_PERCENTILES = (50, 90, 99)
@@ -46,9 +45,9 @@ class QueryOutcome:
     n_relaxed: int
     plan: str
     top_score: float = 0.0
-    #: Which pipeline served this query: ``"tuple"``, ``"block"``, or
-    #: ``"cached"`` when the whole-answer result cache answered it
-    #: without executing anything.  Empty for reports predating the
+    #: Which pipeline served this query: ``"block"``, or ``"cached"``
+    #: when the whole-answer result cache answered it without
+    #: executing anything.  Empty for reports predating the
     #: field (it never affects equality-of-answers comparisons).
     executor: str = ""
 
@@ -66,15 +65,11 @@ class QueryOutcome:
 class WorkloadReport:
     """Aggregates a batch run; everything derived is a property.
 
-    ``wall_seconds`` is the end-to-end batch time (including planning and
-    any pool scheduling), which with ``n_workers > 1`` is less than the
-    sum of per-query latencies — that is the point of the pool.
+    ``wall_seconds`` is the end-to-end batch time, planning included.
     """
 
     outcomes: tuple[QueryOutcome, ...]
     wall_seconds: float
-    n_workers: int = 1
-    cache: CacheStats | None = None
     warmup_seconds: float = 0.0
     dataset: str = ""
     extras: dict[str, object] = field(default_factory=dict)
@@ -131,7 +126,6 @@ class WorkloadReport:
         summary: dict[str, object] = {
             "dataset": self.dataset,
             "n_queries": self.n_queries,
-            "n_workers": self.n_workers,
             "wall_seconds": self.wall_seconds,
             "warmup_seconds": self.warmup_seconds,
             "queries_per_second": self.queries_per_second,
@@ -143,8 +137,6 @@ class WorkloadReport:
         }
         for q in REPORT_PERCENTILES:
             summary[f"p{q}_latency"] = self.latency_percentile(q)
-        if self.cache is not None:
-            summary["cache"] = self.cache.as_dict()
         summary.update(self.extras)
         return summary
 
@@ -152,9 +144,7 @@ class WorkloadReport:
         """A human-readable block, the CLI's output."""
         width = 23
         lines = [
-            f"WorkloadReport — {self.dataset or 'workload'} "
-            f"[{self.n_workers} worker"
-            f"{'s' if self.n_workers != 1 else ''}]",
+            f"WorkloadReport — {self.dataset or 'workload'}",
             "-" * 60,
             f"{'queries':<{width}} {self.n_queries}",
             f"{'wall time':<{width}} {self.wall_seconds:.3f} s"
@@ -180,14 +170,6 @@ class WorkloadReport:
             f"(mean relaxed {self.mean_relaxed:.2f})"
         )
         lines.append(f"{'answers':<{width}} {self.total_answers}")
-        if self.cache is not None:
-            lines.append(
-                f"{'match-list cache':<{width}} "
-                f"{self.cache.hits} hits / {self.cache.misses} misses "
-                f"(hit rate {self.cache.hit_rate:.1%}, "
-                f"size {self.cache.size}/{self.cache.capacity}, "
-                f"evictions {self.cache.evictions})"
-            )
         if "plan_cache_hits" in self.extras:
             lines.append(
                 f"{'plan cache':<{width}} "

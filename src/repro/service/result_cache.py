@@ -15,10 +15,9 @@ they name the answer bindings), same *set* of projection variables, same
 ``k`` — and the same planning inputs (rule set + planner configuration,
 folded into an opaque *plan signature* by the runner).  Query names and
 pattern order never split the cache; a different ``k``, rule set or
-planner config always does.  The cached answers are executor-independent
-by the block engine's byte-identity guarantee, so one entry serves the
-tuple pipeline, the block pipeline and the cost-based ``"auto"`` mode
-alike — the signature deliberately excludes the executor.
+planner config always does.  The runner serves one pipeline (block), so
+the signature carries no executor; the block engine's byte-identity
+with the tuple reference is what makes a cached answer the paper's.
 """
 
 from __future__ import annotations

@@ -8,30 +8,31 @@ owns that sharing:
 
 * one :class:`~repro.stats.catalog.StatisticsCatalog`, built (and
   precomputed over the workload's patterns) once, refreshed as the graph moves;
-* one :class:`~repro.service.cache.MatchListCache` attached to the graph,
-  so identical triple patterns across queries never re-sort;
-* one :class:`~repro.core.engine.SpecQPEngine` over them, whose
+* one :class:`~repro.operators.block.EncodedListStore` of encoded match
+  lists, so identical triple patterns across queries are encoded once;
+* one block :class:`~repro.core.engine.SpecQPEngine` over them, whose
   planner's decision memo replays a repeated query's plan (the normal
   case in served traffic) while the statistics it read are unchanged;
-* optionally a :class:`~concurrent.futures.ThreadPoolExecutor` whose
-  worker threads all serve through that engine (operator state is
-  per-query).
+* one whole-answer :class:`~repro.service.result_cache.ResultCache` in
+  front of that engine.
 
-The per-query path that builds everything afresh is
-:meth:`repro.core.engine.SpecQPEngine.query`.
+Queries of a batch run inline on the calling thread; callers that serve
+from several threads of their own share the runner's substrate behind
+its reader-writer gate.  The per-query path that builds everything
+afresh is :meth:`repro.core.engine.SpecQPEngine.query`; the tuple
+pipeline it defaults to is the reference the runner's answers are
+checked against.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 from repro.core.config import EngineConfig
 from repro.core.engine import SpecQPEngine
-from repro.core.executor import EXECUTOR_MODES, ExecutorMode
 from repro.datasets.workload import Workload
 from repro.errors import ExperimentError
 from repro.kg.delta import GraphUpdate, LiveGraph
@@ -102,61 +103,53 @@ class WorkloadRunner:
     workload:
         The graph + rules + default query set to serve.
     config:
-        Engine knobs shared by all workers; defaults reproduce the paper.
+        Engine knobs; defaults reproduce the paper.
     n_workers:
-        Worker threads for :meth:`run` batches.  ``1`` executes
-        inline; higher values share the one engine and its caches.
-        The threads share the GIL, so more
-        workers need not mean more throughput: on a 2-hardware-thread VM
-        a warm 400-query block batch over the default XKG graph (result
-        cache off) served a median ~2 900–4 000 qps on 1 worker,
-        ~2 400 on 2 and ~1 900–2 200 on 4.
+        Accepts only ``1``; any other value raises.  Queries run inline:
+        on a 2-hardware-thread VM a warm 400-query block batch over the
+        ``large`` XKG graph (result cache off) served a median 2 602 qps
+        on 1 worker thread, 1 213 on 2 and 1 095 on 4, so the pool that
+        used to sit here was deleted.  The parameter stays only for
+        ``bench/bench_serve.py``, which passes ``n_workers=1``, until
+        ROADMAP item 11(b) re-points that harness and drops it there.
     cache_capacity:
-        Entry bound of the shared :class:`MatchListCache` (and of the
-        encoded list store); must be ``>= 1``.
+        Entry bound of the encoded list store (and of :attr:`cache`);
+        must be ``>= 1``.
     shards:
-        Accepts only ``1``; any other value raises.  It stays only for
-        ``bench/bench_serve.py``, which passes ``shards=1``, until ROADMAP
-        item 3 re-points that harness and drops it there.
+        Accepts only ``1``; any other value raises.  Like ``n_workers``,
+        it stays only for ``bench/bench_serve.py`` until ROADMAP item
+        11(b).
     compact_threshold:
         Passed to the :class:`~repro.kg.delta.LiveGraph` the first
         :meth:`apply_updates` call wraps the served graph in: the delta
         auto-compacts into a fresh base once it holds this many pending
         mutations (``None`` = only explicit compaction).
     executor:
-        ``"tuple"``, ``"block"`` or ``"auto"`` — the execution strategy
-        the engine uses (see
-        :class:`~repro.core.engine.SpecQPEngine`).  ``"block"`` is the
-        serving pipeline and ``"auto"`` is block (each report row names
-        the pipeline that served it), ``"tuple"`` the paper-faithful
-        reference.
-        Answers are byte-identical under all three.  The attribute is
-        settable on a live runner (the engine is rebuilt over the same
-        catalog, so toggling never replays state built for the other
-        strategy); the setter takes the same
-        writer gate as :meth:`apply_updates`, so it waits for in-flight
-        batches — every batch runs, and is reported, under exactly one
-        strategy.  Do not toggle from inside a batch.
+        Accepts only ``"auto"``; any other value raises.  The runner
+        serves the block pipeline, and each report row names it
+        (``"block"``, or ``"cached"`` for a result-cache hit).  The
+        tuple pipeline stays the reference under
+        :class:`~repro.core.engine.SpecQPEngine`.  Like ``n_workers``,
+        the parameter stays only for ``bench/bench_serve.py`` until
+        ROADMAP item 11(b).
     result_cache_capacity:
         Entry bound of the versioned whole-answer
         :class:`~repro.service.result_cache.ResultCache` in front of
-        both executors: a warm repeat of ``(query, k)`` at an unchanged
+        the engine: a warm repeat of ``(query, k)`` at an unchanged
         graph version skips planning and execution entirely.  ``0``
         disables result caching (every query executes).  Invalidation is
         driven by the graph's monotone version counter plus the
         :meth:`apply_updates` writer gate, so a cached hit is always an
         answer the current graph version would produce.
     worker_model:
-        Accepts only ``"thread"``; any other value raises.  Like
-        ``shards``, it stays only for ``bench/bench_serve.py``, which
-        passes ``worker_model="thread"``, until ROADMAP item 3 re-points
-        that harness and drops both there.
+        Accepts only ``"thread"``; any other value raises.  It stays
+        only for ``bench/bench_serve.py`` until ROADMAP item 11(b).
 
     The runner assumes the graph is not mutated *during* a batch, and
     :meth:`apply_updates` enforces that: batches and update batches go
-    through a reader-writer gate, so in-flight queries finish on the old
-    graph version before the write lands and the version bump drives
-    every invalidation (match-list and result cache sweeps,
+    through a reader-writer gate, so queries in flight on other threads
+    finish on the old graph version before the write lands and the
+    version bump drives every invalidation (result cache sweep,
     targeted list-store and catalog refresh).  External mutations
     between batches are still picked up automatically: the caches are
     version-tagged and the catalog refreshes itself whenever the graph
@@ -175,12 +168,12 @@ class WorkloadRunner:
         cache_capacity: int = DEFAULT_CAPACITY,
         shards: int = 1,
         compact_threshold: int | None = None,
-        executor: ExecutorMode = "tuple",
+        executor: str = "auto",
         result_cache_capacity: int = DEFAULT_RESULT_CAPACITY,
         worker_model: str = "thread",
     ) -> None:
-        if n_workers < 1:
-            raise ExperimentError(f"n_workers must be >= 1, got {n_workers}")
+        if n_workers != 1:
+            raise ExperimentError(f"n_workers must be 1, got {n_workers}")
         if cache_capacity < 1:
             raise ExperimentError(f"cache_capacity must be >= 1, got {cache_capacity}")
         if shards != 1:
@@ -189,36 +182,35 @@ class WorkloadRunner:
             raise ExperimentError(
                 f"worker_model must be 'thread', got {worker_model!r}"
             )
-        if executor not in EXECUTOR_MODES:
-            raise ExperimentError(
-                f"unknown executor {executor!r}; choose from {EXECUTOR_MODES}"
-            )
+        if executor != "auto":
+            raise ExperimentError(f"executor must be 'auto', got {executor!r}")
         if result_cache_capacity < 0:
             raise ExperimentError(
                 f"result_cache_capacity must be >= 0, got {result_cache_capacity}"
             )
         self.workload = workload
         self.config = config or EngineConfig()
-        self.n_workers = n_workers
         self._graph = workload.graph
+        #: Never attached by the runner: it stays for ``bench/``, which
+        #: reads its stats and hands it to its own traced engine, so the
+        #: live wrap releases it and every update batch purges it, until
+        #: ROADMAP item 11(b).
         self.cache = MatchListCache(cache_capacity)
         self.compact_threshold = compact_threshold
-        self._executor: ExecutorMode = executor
-        #: The whole-answer cache in front of both executors (``None``
-        #: when disabled).  Keys fold in the *plan signature* below, so
-        #: an entry can only ever be replayed under the exact planning
+        #: The whole-answer cache in front of the engine (``None`` when
+        #: disabled).  Keys fold in the *plan signature* below, so an
+        #: entry can only ever be replayed under the exact planning
         #: inputs that produced it.
         self.result_cache: ResultCache | None = (
             ResultCache(result_cache_capacity) if result_cache_capacity else None
         )
         self._plan_signature: tuple[int, object] = (-1, None)  # see _signature
-        #: The block twin of :attr:`cache`, shared by every worker
-        #: engine: one bounded store of encoded (id-column) match lists,
-        #: so a pattern is encoded once per runner until a write touches it.
+        #: One bounded store of encoded (id-column) match lists, so a
+        #: pattern is encoded once per runner until a write touches it.
         self.encoded_store = EncodedListStore(cache_capacity)
-        #: The engine every worker thread serves through (its planner's
-        #: memo is locked; its executor keeps no state between queries);
-        #: built by :meth:`warm_up`.
+        #: The engine every read serves through (its planner's memo is
+        #: locked; its executor keeps no state between queries); built
+        #: by :meth:`warm_up`.
         self._engine: SpecQPEngine | None = None
         self._gate = _BatchGate()
         self._updates = {
@@ -267,29 +259,6 @@ class WorkloadRunner:
         return self._graph
 
     @property
-    def executor(self) -> ExecutorMode:
-        """The execution strategy the engine uses (settable)."""
-        return self._executor
-
-    @executor.setter
-    def executor(self, kind: ExecutorMode) -> None:
-        if kind not in EXECUTOR_MODES:
-            raise ExperimentError(
-                f"unknown executor {kind!r}; choose from {EXECUTOR_MODES}"
-            )
-        # Take the writer side of the batch gate — the serialization
-        # :meth:`apply_updates` uses: in-flight batches finish on the old
-        # strategy (and report it in their extras) before the swap lands,
-        # so a batch never mixes strategies or mislabels its results.
-        # Consequently the toggle must not be issued from inside a batch
-        # (it would wait for that batch to finish).
-        with self._gate.writer():
-            if kind != self._executor:
-                self._executor = kind
-                if self._engine is not None:
-                    self._engine = self._engine_over(self._engine.catalog)
-
-    @property
     def catalog(self) -> StatisticsCatalog:
         """The shared catalog, built lazily once per served graph object."""
         if self._engine is None:
@@ -305,7 +274,13 @@ class WorkloadRunner:
         """
         queries = list(queries if queries is not None else self.workload.queries)
         started = time.perf_counter()
-        self._engine = self._engine_over(None)
+        self._engine = SpecQPEngine(
+            self.graph,
+            self.workload.rules,
+            self.config,
+            executor="block",
+            encoded_store=self.encoded_store,
+        )
         # The engine's catalog counts joins over the lists of the store
         # the block pipeline serves from, so this precompute leaves every
         # workload pattern encoded for the first batch.
@@ -313,24 +288,8 @@ class WorkloadRunner:
         return time.perf_counter() - started
 
     def _prepare(self, queries: Sequence[TriplePatternQuery] | None = None) -> float:
-        """Warm up on first use (returns its seconds), else re-attach the cache."""
-        if self._engine is None:
-            return self.warm_up(queries)
-        self.graph.attach_match_list_cache(self.cache)
-        return 0.0
-
-    def _engine_over(self, catalog: StatisticsCatalog | None) -> SpecQPEngine:
-        # Attach replaces a cache another runner left on a shared graph.
-        self.graph.attach_match_list_cache(self.cache)
-        return SpecQPEngine(
-            self.graph,
-            self.workload.rules,
-            self.config,
-            catalog=catalog,
-            match_list_cache=self.cache,
-            executor=self._executor,
-            encoded_store=self.encoded_store,
-        )
+        """Warm up on first use (returns its seconds)."""
+        return self.warm_up(queries) if self._engine is None else 0.0
 
     # ------------------------------------------------------------------
     # Execution
@@ -361,52 +320,37 @@ class WorkloadRunner:
         self, queries: Sequence[TriplePatternQuery], k: int
     ) -> WorkloadReport:
         warmup_seconds = self._prepare(queries)
-        stats_before = self.cache.stats()
         plans_before = self._engine.planner.memo_stats()
         result_before = (
             self.result_cache.stats() if self.result_cache is not None else None
         )
-        encoded_before = (
-            self.encoded_store.stats()
-            if self._executor in ("block", "auto")
-            else None
-        )
+        encoded_before = self.encoded_store.stats()
 
         started = time.perf_counter()
-        if self.n_workers == 1:
-            outcomes = [self._execute_warm(q, k) for q in queries]
-        else:
-            with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-                outcomes = list(pool.map(lambda q: self._execute_warm(q, k), queries))
+        outcomes = [self._serve_warm(query, k)[0] for query in queries]
         wall = time.perf_counter() - started
 
         plans = self._engine.planner.memo_stats()
+        encoded_after = self.encoded_store.stats()
         extras: dict[str, object] = {
-            "executor": self._executor,
             # The planner's decision memo, under the plan cache's old names.
             "plan_cache_hits": plans["hits"] - plans_before["hits"],
             "plan_cache_size": plans["size"],
+            "encoded_list_hits": encoded_after["hits"] - encoded_before["hits"],
+            "encoded_list_misses": encoded_after["misses"] - encoded_before["misses"],
+            "merged_list_hits": (
+                encoded_after["merged_hits"] - encoded_before["merged_hits"]
+            ),
+            "merged_list_misses": (
+                encoded_after["merged_misses"] - encoded_before["merged_misses"]
+            ),
+            "merged_list_size": encoded_after["merged_size"],
         }
         if result_before is not None:
             result_delta = self.result_cache.stats().since(result_before)
             extras["result_cache_hits"] = result_delta.hits
             extras["result_cache_misses"] = result_delta.misses
             extras["result_cache_size"] = result_delta.size
-        if encoded_before is not None:
-            encoded_after = self.encoded_store.stats()
-            extras["encoded_list_hits"] = (
-                encoded_after["hits"] - encoded_before["hits"]
-            )
-            extras["encoded_list_misses"] = (
-                encoded_after["misses"] - encoded_before["misses"]
-            )
-            extras["merged_list_hits"] = (
-                encoded_after["merged_hits"] - encoded_before["merged_hits"]
-            )
-            extras["merged_list_misses"] = (
-                encoded_after["merged_misses"] - encoded_before["merged_misses"]
-            )
-            extras["merged_list_size"] = encoded_after["merged_size"]
         if self._updates["update_batches"]:
             extras.update(self.update_stats)
             extras["graph_version"] = self.graph.version
@@ -414,8 +358,6 @@ class WorkloadRunner:
         return WorkloadReport(
             outcomes=tuple(outcomes),
             wall_seconds=wall,
-            n_workers=self.n_workers,
-            cache=self.cache.stats().since(stats_before),
             warmup_seconds=warmup_seconds,
             dataset=self.workload.name,
             extras=extras,
@@ -437,16 +379,12 @@ class WorkloadRunner:
             self._prepare()
             return self._serve_warm(query, k)[1]
 
-    def _execute_warm(self, query: TriplePatternQuery, k: int) -> QueryOutcome:
-        return self._serve_warm(query, k)[0]
-
     def _signature(self) -> tuple[int, object]:
         """The rules' version and the plan signature taken at it.
 
         The signature is everything besides (query, k, graph version)
         that determines the answers: the rule set's content and the
-        config; not the executor, since answers are byte-identical across
-        pipelines.  It is rebuilt only when ``RuleSet.version`` moved, so
+        config.  It is rebuilt only when ``RuleSet.version`` moved, so
         result-cache hits compare it by identity.
         """
         rules = self.workload.rules
@@ -464,8 +402,7 @@ class WorkloadRunner:
         Checked in cost order: the whole-answer result cache first (a
         hit skips planning and execution entirely), then PLANGEN (whose
         decision memo replays a repeat while its statistics stand), then
-        execution through the pipeline the engine resolves the runner's
-        executor mode to.
+        block execution.
         """
         engine = self._engine  # _prepare built it
         started = time.perf_counter()
@@ -479,50 +416,34 @@ class WorkloadRunner:
         rules_version, signature = self._plan_signature
         if rules_version != self.workload.rules.version:
             signature = self._signature()[1]
+        served = None
         if self.result_cache is not None:
             rkey = result_key(query, k, signature)
-            cached = self.result_cache.get(rkey, version)
-            if cached is not None:
-                seconds = time.perf_counter() - started
-                outcome = QueryOutcome(
-                    query_name=query.name or str(query),
-                    k=k,
-                    n_patterns=len(query),
-                    seconds=seconds,
-                    n_answers=len(cached.answers),
-                    n_relaxed=cached.n_relaxed,
-                    plan=cached.plan,
-                    top_score=cached.top_score,
-                    executor="cached",
-                )
-                return outcome, cached.answers
-        kind = engine.resolve_executor(query).executor
-        plan = engine.planner.plan(query, k).plan
-        execution = engine.executor.execute(plan, k, executor=kind)
-        if rkey is not None:
-            self.result_cache.put(
-                rkey,
-                version,
-                CachedResult(
-                    answers=execution.answers,
-                    n_relaxed=plan.n_relaxed,
-                    plan=plan.describe(),
-                    executor=kind,
-                ),
+            served = self.result_cache.get(rkey, version)
+        executor = "cached"
+        if served is None:
+            executor = "block"
+            plan = engine.planner.plan(query, k).plan
+            served = CachedResult(
+                answers=engine.executor.execute(plan, k).answers,
+                n_relaxed=plan.n_relaxed,
+                plan=plan.describe(),
+                executor=executor,
             )
-        seconds = time.perf_counter() - started
+            if rkey is not None:
+                self.result_cache.put(rkey, version, served)
         outcome = QueryOutcome(
             query_name=query.name or str(query),
             k=k,
             n_patterns=len(query),
-            seconds=seconds,
-            n_answers=len(execution.answers),
-            n_relaxed=plan.n_relaxed,
-            plan=plan.describe(),
-            top_score=execution.answers[0].score if execution.answers else 0.0,
-            executor=kind,
+            seconds=time.perf_counter() - started,
+            n_answers=len(served.answers),
+            n_relaxed=served.n_relaxed,
+            plan=served.plan,
+            top_score=served.top_score,
+            executor=executor,
         )
-        return outcome, execution.answers
+        return outcome, served.answers
 
     # ------------------------------------------------------------------
     # Live updates (the write path)
@@ -538,9 +459,7 @@ class WorkloadRunner:
         finish on the old graph version first), wraps the served graph in
         a :class:`~repro.kg.delta.LiveGraph` on first use, applies the
         batch, and drives every invalidation off the resulting version
-        bump: the shared match-list cache is eagerly swept
-        (:meth:`~repro.service.cache.MatchListCache.purge_stale`), the
-        result cache is purged, the encoded list store patches the lists
+        bump: the result cache (and :attr:`cache`) is purged, the encoded list store patches the lists
         the batch touched (dropping those it cannot patch exactly:
         :meth:`~repro.operators.block.EncodedListStore.refresh`:
         ``lists_kept`` / ``lists_patched`` / ``lists_dropped``), and the
@@ -564,9 +483,10 @@ class WorkloadRunner:
             started = time.perf_counter()
             if not isinstance(self._graph, LiveGraph):
                 frozen = self._graph
-                # The cache is bound to the frozen graph; hand it to the
-                # live wrapper (its entries describe the superseded view).
-                frozen.detach_match_list_cache()
+                # A caller's engine may have bound :attr:`cache` to the
+                # frozen graph; free it to serve the live wrapper.
+                if frozen.match_list_cache is self.cache:
+                    frozen.detach_match_list_cache()
                 self.cache.release(frozen)
                 self.encoded_store.release(frozen)
                 if self.result_cache is not None:
@@ -577,7 +497,6 @@ class WorkloadRunner:
                 self._graph = LiveGraph(
                     frozen, compact_threshold=self.compact_threshold
                 )
-                self._graph.attach_match_list_cache(self.cache)
                 # Catalog and engine were built over the frozen graph
                 # object; the next batch warms up over the live wrapper.
                 self._engine = None
@@ -652,6 +571,5 @@ class WorkloadRunner:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"WorkloadRunner({self.workload.name!r}, "
-            f"n_workers={self.n_workers}, "
-            f"executor={self._executor!r}, cache={self.cache!r})"
+            f"result_cache={self.result_cache!r})"
         )

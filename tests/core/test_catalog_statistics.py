@@ -138,7 +138,7 @@ def test_planning_builds_no_string_list(
         tiny_xkg_workload, graph=ColumnarGraph.from_graph(tiny_xkg_workload.graph)
     )
     config = EngineConfig(histogram_kind=histogram_kind)
-    runner = WorkloadRunner(workload, config, executor="block")
+    runner = WorkloadRunner(workload, config)
     batch = update_batch(tiny_xkg_workload)
     count_string_lists.clear()  # choosing the batch read string lists
 

@@ -88,8 +88,8 @@ class TestMain:
         assert "█" in output  # chart bars rendered
 
     def test_workload_auto_rows_read_block(self, capsys, monkeypatch):
-        """Generated data is served from columns, so ``--executor auto``
-        runs the block pipeline on every row."""
+        """Generated data is served from columns by the block pipeline,
+        on every row."""
         from repro.service import WorkloadRunner
 
         reports = []
@@ -102,12 +102,25 @@ class TestMain:
         monkeypatch.setattr(WorkloadRunner, "run", recording_run)
         code = main(
             ["workload", "--dataset", "xkg", "--scale", "small",
-             "--min-queries", "0", "--executor", "auto", "--result-cache", "0"]
+             "--min-queries", "0", "--result-cache", "0"]
         )
         assert code == 0
         assert "falls back" not in capsys.readouterr().out
         assert len(reports) == 1
         assert {o.executor for o in reports[0].outcomes} == {"block"}
+
+    @pytest.mark.parametrize(
+        "option", [["--executor", "block"], ["--workers", "2"]], ids=["executor", "workers"]
+    )
+    def test_workload_rejects_the_removed_serving_options(self, capsys, option):
+        """One pipeline on one thread: ``--executor`` and ``--workers`` are
+        unknown options, refused by argparse with exit status 2."""
+        with pytest.raises(SystemExit) as exited:
+            main(["workload", "--scale", "small", "--min-queries", "0", *option])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {' '.join(option)}" in captured.err
+        assert "WorkloadReport" not in captured.out
 
     def test_workload_rejects_k_zero(self, capsys):
         """``--k 0`` is an error, not the default k served under a header
@@ -366,8 +379,7 @@ class TestScenarioFlag:
 
         for name in scenario_names():
             code = main(
-                ["workload", "--scenario", name, "--min-queries", "0",
-                 "--executor", "auto"]
+                ["workload", "--scenario", name, "--min-queries", "0"]
             )
             printed = capsys.readouterr().out
             assert code == 0, name

@@ -194,41 +194,19 @@ class TestWorkloadRunnerExecutor:
             tiny_xkg_workload.queries,
         )
         queries = workload.stretched(30)
-        tuple_report = WorkloadRunner(workload, executor="tuple").run(queries, k=10)
-        block_report = WorkloadRunner(workload, executor="block").run(queries, k=10)
-        assert block_report.extras["executor"] == "block"
+        runner = WorkloadRunner(workload)
+        block_report = runner.run(queries, k=10)
+        reference = SpecQPEngine(
+            runner.graph, workload.rules, runner.config, executor="tuple"
+        )
+        expected = [reference.query(query, 10).answers for query in queries]
+        assert {o.executor for o in block_report.outcomes} <= {"block", "cached"}
         assert [o.n_answers for o in block_report.outcomes] == [
-            o.n_answers for o in tuple_report.outcomes
+            len(answers) for answers in expected
         ]
         assert [o.top_score for o in block_report.outcomes] == [
-            o.top_score for o in tuple_report.outcomes
+            answers[0].score if answers else 0.0 for answers in expected
         ]
-
-    def test_executor_toggle_never_replays_stale_plans(
-        self, tiny_xkg_workload, store_graph
-    ):
-        """Toggling ``executor=`` on one shared runner rebuilds its worker
-        engines and keeps the planner's decisions, which no executor
-        changes: after every toggle each answer equals a fresh engine's
-        under the new strategy.  The result cache is disabled here — it
-        is executor-independent by design, so with it on the toggled
-        batches would be served whole and never reach the executors."""
-        workload = Workload(
-            "block-toggle",
-            ColumnarGraph(store_graph.store, name="eq"),
-            tiny_xkg_workload.rules,
-            tiny_xkg_workload.queries,
-        )
-        runner = WorkloadRunner(workload, executor="tuple", result_cache_capacity=0)
-        queries = workload.queries[:4]
-        for kind in ("tuple", "block", "tuple"):
-            runner.executor = kind
-            assert runner.run(queries, k=5).extras["executor"] == kind
-            fresh = SpecQPEngine(workload.graph, workload.rules, executor=kind)
-            for query in queries:
-                served = runner.execute_query(query, 5)
-                expected = answer_rows(fresh.query(query, 5))
-                assert [(a.bindings, a.score) for a in served] == expected
 
     def test_apply_updates_then_block_serving_stays_equivalent(
         self, tiny_xkg_workload, store_graph
@@ -240,16 +218,18 @@ class TestWorkloadRunnerExecutor:
             tiny_xkg_workload.queries,
         )
         queries = workload.queries[:6]
-        tuple_runner = WorkloadRunner(workload, executor="tuple")
-        block_runner = WorkloadRunner(workload, executor="block")
-        updates = _updates(store_graph)
-        tuple_runner.apply_updates(updates)
-        block_runner.apply_updates(updates)
-        tuple_report = tuple_runner.run(queries, k=10)
-        block_report = block_runner.run(queries, k=10)
+        runner = WorkloadRunner(workload)
+        runner.apply_updates(_updates(store_graph))
+        block_report = runner.run(queries, k=10)
+        reference = SpecQPEngine(
+            runner.graph, workload.rules, runner.config, executor="tuple"
+        )
+        expected = [reference.query(query, 10).answers for query in queries]
         assert [o.top_score for o in block_report.outcomes] == [
-            o.top_score for o in tuple_report.outcomes
+            answers[0].score if answers else 0.0 for answers in expected
         ]
         assert [o.n_answers for o in block_report.outcomes] == [
-            o.n_answers for o in tuple_report.outcomes
+            len(answers) for answers in expected
         ]
+        for query, answers in zip(queries, expected):
+            assert runner.execute_query(query, 10) == answers, query.name

@@ -3,12 +3,13 @@
 A graph attached from a packed v2 snapshot (``ColumnarStore.open_mmap``,
 memory-mapped columns, persisted dictionary ranks, score-ordered rows)
 must be indistinguishable — byte-identical answers — from the same graph
-served off in-memory columns or the object backend, across every
-executor, before and after live updates.
+served off in-memory columns or the object backend, and from the tuple
+reference, before and after live updates.
 """
 
 import pytest
 
+from repro.core.engine import SpecQPEngine
 from repro.kg import ColumnarGraph, storage
 from repro.kg.delta import GraphUpdate
 from repro.service import WorkloadRunner
@@ -30,7 +31,7 @@ def snapshot_dir(workload, tmp_path_factory):
     return root
 
 
-def _runner(workload, graph, *, executor="tuple", **kwargs):
+def _runner(workload, graph, **kwargs):
     from repro.datasets.workload import Workload
 
     served = Workload(
@@ -39,23 +40,22 @@ def _runner(workload, graph, *, executor="tuple", **kwargs):
         rules=workload.rules,
         queries=list(workload.queries),
     )
-    return WorkloadRunner(served, executor=executor, **kwargs)
+    return WorkloadRunner(served, **kwargs)
 
 
 class TestAnswersAcrossBackends:
-    @pytest.mark.parametrize("executor", ["tuple", "block", "auto"])
-    def test_mmap_matches_columnar_and_object(self, workload, snapshot_dir, executor):
-        object_runner = _runner(workload, workload.graph, executor=executor)
-        columnar_runner = _runner(
-            workload, ColumnarGraph.from_graph(workload.graph), executor=executor
-        )
+    def test_mmap_matches_columnar_and_object(self, workload, snapshot_dir):
+        object_runner = _runner(workload, workload.graph)
+        columnar_runner = _runner(workload, ColumnarGraph.from_graph(workload.graph))
         mmap_runner = _runner(
-            workload,
-            storage.load_snapshot_v2(snapshot_dir / "g.kg2"),
-            executor=executor,
+            workload, storage.load_snapshot_v2(snapshot_dir / "g.kg2")
         )
+        reference = SpecQPEngine(workload.graph, workload.rules, executor="tuple")
         for query in workload.queries:
-            expected = _answer_rows(object_runner.execute_query(query, 5))
+            expected = _answer_rows(reference.query(query, 5).answers)
+            assert (
+                _answer_rows(object_runner.execute_query(query, 5)) == expected
+            ), (query.name, "object")
             assert (
                 _answer_rows(columnar_runner.execute_query(query, 5)) == expected
             ), (query.name, "columnar")
@@ -96,10 +96,15 @@ class TestUpdatesOverMmap:
         batch = self.UPDATES + removals
         object_runner.apply_updates(batch)
         mmap_runner.apply_updates(batch)
+        reference = SpecQPEngine(mmap_runner.graph, workload.rules, executor="tuple")
         for query in workload.queries:
-            assert _answer_rows(mmap_runner.execute_query(query, 5)) == _answer_rows(
-                object_runner.execute_query(query, 5)
-            ), query.name
+            expected = _answer_rows(reference.query(query, 5).answers)
+            assert _answer_rows(mmap_runner.execute_query(query, 5)) == expected, (
+                query.name
+            )
+            assert _answer_rows(object_runner.execute_query(query, 5)) == expected, (
+                query.name
+            )
 
     def test_snapshot_file_untouched_by_updates(self, workload, snapshot_dir):
         before = (snapshot_dir / "g.kg2").read_bytes()

@@ -119,7 +119,6 @@ class WritePathMachine(RuleBasedStateMachine):
         self.runner = WorkloadRunner(
             Workload(workload.name, graph, self.rules, workload.queries),
             config=EngineConfig(k=K),
-            executor="block",
             compact_threshold=24,
         )
         self.version = graph.version

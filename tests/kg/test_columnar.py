@@ -8,6 +8,8 @@ from repro.kg import ColumnarGraph, ColumnarStore, KnowledgeGraph, Triple
 from repro.kg.index import MatchList
 from repro.kg.pattern import TriplePattern, Variable
 
+from merge_reference import brute_force_list
+
 VAR_S = Variable("s")
 VAR_O = Variable("o")
 
@@ -34,14 +36,6 @@ PATTERNS = [
     TriplePattern("shakira", "rdf:type", "singer"),  # fully bound
     TriplePattern("nobody", "rdf:type", "singer"),  # unknown term
 ]
-
-
-def brute_force_list(graph: KnowledgeGraph, pattern: TriplePattern) -> MatchList:
-    """*pattern*'s Definition-5 list by scan, sort and divide: the reference
-    every backend's column-row builder must equal."""
-    return MatchList.from_triples(
-        pattern.key(), [t for t in graph.triples() if pattern.matches(t)]
-    )
 
 
 class TestColumnarStore:

@@ -7,6 +7,8 @@ from repro.kg.index import MatchList
 from repro.kg.pattern import TriplePattern, var
 from repro.kg.triple import Triple
 
+from merge_reference import brute_force_list
+
 
 @pytest.fixture
 def graph():
@@ -211,10 +213,6 @@ _SPLITS = {
 }
 
 
-def _brute_force(pattern, triples):
-    return MatchList.from_triples(pattern.key(), [t for t in triples if pattern.matches(t)])
-
-
 def _adds(part):
     from repro.kg.delta import GraphUpdate
 
@@ -247,7 +245,7 @@ class TestSplicedMatchLists:
         pattern = TriplePattern(var("s"), "p", var("o"))
         matching = [t for t in _MERGE_TRIPLES if t.predicate == "p"]
         other = [t for t in _MERGE_TRIPLES if t.predicate != "p"]
-        expected = _brute_force(pattern, matching)
+        expected = brute_force_list(KnowledgeGraph(matching), pattern)
         for base, added in ((matching, other), (other, matching)):
             live = LiveGraph(ColumnarGraph.from_triples(base))
             live.apply_updates(_adds(added))
@@ -290,7 +288,7 @@ class TestSplicedMatchLists:
             live.apply_updates(_adds(part))
             if layout == "compacted" and at == 0:
                 live.compact()
-        expected = _brute_force(pattern, _MERGE_TRIPLES)
+        expected = brute_force_list(KnowledgeGraph(_MERGE_TRIPLES), pattern)
         merged = live.match_list(pattern)
         assert merged.triples == expected.triples
         assert merged.max_score == expected.max_score

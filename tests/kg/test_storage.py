@@ -1,5 +1,9 @@
 """Unit tests for repro.kg.storage."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import KnowledgeGraphError
@@ -528,3 +532,29 @@ class TestAtomicSnapshotWrites:
             storage.save_snapshot_v2(graph, target)
         monkeypatch.setattr(storage.json, "dumps", real_dumps)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestStaleTempSweep:
+    """A writer killed mid-save leaves ``.<name>.tmp-<pid>`` behind; the
+    next save to the same path removes it if that pid is gone."""
+
+    @pytest.mark.skipif(os.name != "posix", reason="pid probing is POSIX-only")
+    def test_temp_of_an_exited_writer_is_swept(self, graph, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: the pid names no process
+        target = tmp_path / "kg.kg2"
+        stale = tmp_path / f".{target.name}.tmp-{child.pid}"
+        stale.write_bytes(b"half a snapshot")
+        storage.save_snapshot_v2(graph, target)
+        assert not stale.exists()
+        assert sorted(tmp_path.iterdir()) == [target]
+
+    def test_temp_of_a_live_writer_stays(self, graph, tmp_path):
+        target = tmp_path / "kg.kg2"
+        live = tmp_path / f".{target.name}.tmp-{os.getppid()}"
+        other = tmp_path / ".other.kg2.tmp-999999999"
+        live.write_bytes(b"being written")
+        other.write_bytes(b"another path's temp")
+        storage.save_snapshot_v2(graph, target)
+        assert live.read_bytes() == b"being written"
+        assert other.exists()

@@ -3,10 +3,10 @@
 The whole-answer cache's oracle: for any interleaving of query batches
 and ``apply_updates`` batches, a :class:`~repro.service.WorkloadRunner`
 with the result cache enabled returns byte-identical answers (bindings
-*and* scores) to one with the cache disabled — across the object and
-columnar backends, and under the tuple, block and auto
-execution strategies.  Repeats inside a phase are asked twice on the
-cached side specifically so the second ask is served from the cache.
+*and* scores) to one with the cache disabled, and both to the tuple
+reference over the same graph — across the object and columnar
+backends.  Repeats inside a phase are asked twice on the cached side
+specifically so the second ask is served from the cache.
 
 Scores are small integers, as in ``test_mutation_property``, so ties
 are common.
@@ -17,6 +17,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import SpecQPEngine
 from repro.datasets.workload import Workload
 from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import GraphUpdate
@@ -26,8 +27,6 @@ from repro.kg.triple import Triple
 from repro.query.query import TriplePatternQuery
 from repro.relax.rules import RelaxationRule, RuleSet
 from repro.service import WorkloadRunner
-
-EXECUTORS = ("tuple", "block", "auto")
 
 SUBJECTS = [f"s{i}" for i in range(6)]
 PREDICATES = [f"p{i}" for i in range(3)]
@@ -123,33 +122,30 @@ def test_result_cached_runner_is_answer_invisible(rows, ops, specs, k):
     half = len(updates) // 2
     update_batches = [b for b in (updates[:half], updates[half:]) if b]
 
-    for executor in EXECUTORS:
-        for (backend_name, cached_graph), (_, plain_graph) in zip(
-            backends(rows), backends(rows)
-        ):
-            label = (executor, backend_name)
-            cached = WorkloadRunner(
-                Workload("cached", cached_graph, rules, (query,)),
-                executor=executor,
-            )
-            plain = WorkloadRunner(
-                Workload("plain", plain_graph, rules, (query,)),
-                executor=executor,
-                result_cache_capacity=0,
-            )
-            assert cached.result_cache is not None
-            assert plain.result_cache is None
+    for (backend_name, cached_graph), (_, plain_graph) in zip(
+        backends(rows), backends(rows)
+    ):
+        cached = WorkloadRunner(Workload("cached", cached_graph, rules, (query,)))
+        plain = WorkloadRunner(
+            Workload("plain", plain_graph, rules, (query,)),
+            result_cache_capacity=0,
+        )
+        assert cached.result_cache is not None
+        assert plain.result_cache is None
 
-            phases = [None, *update_batches]
-            for phase_index, batch in enumerate(phases):
-                if batch is not None:
-                    cached.apply_updates(batch)
-                    plain.apply_updates(batch)
-                expected = answer_rows(plain.execute_query(query, k=k))
-                first = answer_rows(cached.execute_query(query, k=k))
-                repeat = answer_rows(cached.execute_query(query, k=k))
-                assert first == expected, (*label, phase_index, "first")
-                assert repeat == expected, (*label, phase_index, "repeat")
-            # The repeats were genuinely served from the cache, not
-            # coincidentally re-executed.
-            assert cached.result_cache.stats().hits >= len(phases)
+        phases = [None, *update_batches]
+        for phase_index, batch in enumerate(phases):
+            if batch is not None:
+                cached.apply_updates(batch)
+                plain.apply_updates(batch)
+            reference = SpecQPEngine(plain.graph, rules, executor="tuple")
+            expected = answer_rows(reference.query(query, k=k).answers)
+            uncached = answer_rows(plain.execute_query(query, k=k))
+            first = answer_rows(cached.execute_query(query, k=k))
+            repeat = answer_rows(cached.execute_query(query, k=k))
+            assert uncached == expected, (backend_name, phase_index, "uncached")
+            assert first == expected, (backend_name, phase_index, "first")
+            assert repeat == expected, (backend_name, phase_index, "repeat")
+        # The repeats were genuinely served from the cache, not
+        # coincidentally re-executed.
+        assert cached.result_cache.stats().hits >= len(phases)

@@ -2,10 +2,10 @@
 
 Covers canonical keys (the LRU contract itself is in
 ``test_versioned_lru.py``), the WorkloadRunner integration (warm repeats
-served without execution, ``apply_updates`` invalidation, executor
-independence of entries), the warm-up pre-encoding gate, and the
-concurrency property: get/put racing a version bump never serves an
-answer computed against a superseded graph version.
+served without execution, ``apply_updates`` invalidation), the warm-up
+pre-encoding gate, and the concurrency property: get/put racing a
+version bump never serves an answer computed against a superseded graph
+version.
 """
 
 from __future__ import annotations
@@ -106,22 +106,6 @@ class TestRunnerIntegration:
         assert runner.result_cache is not None
         assert runner.result_cache.stats().hits >= 1
 
-    def test_entries_serve_across_executor_toggles(self, tiny_xkg_workload):
-        """Answers are executor-independent, so one cached entry keeps
-        serving after the runner is toggled to the other pipeline."""
-        workload = Workload(
-            "toggle",
-            ColumnarGraph.from_graph(tiny_xkg_workload.graph, name="toggle"),
-            tiny_xkg_workload.rules,
-            tiny_xkg_workload.queries,
-        )
-        runner = WorkloadRunner(workload, executor="tuple")
-        queries = workload.queries[:4]
-        runner.run(queries, k=5)
-        runner.executor = "block"
-        report = runner.run(queries, k=5)
-        assert report.extras["result_cache_hits"] == len(queries)
-
     def test_different_k_values_never_share_entries(self, tiny_xkg_workload):
         # PLANGEN replans per k (relaxation decisions depend on it), so a
         # k=1 request after a cached k=5 must be a miss, never a
@@ -160,17 +144,16 @@ class TestRunnerIntegration:
 class TestWarmUpEncodesThroughPlanning:
     """warm_up counts join cardinalities over the runner's shared encoded
     store, so it leaves every workload pattern encoded exactly once —
-    whatever the executor or backend, with no separate pre-encoding pass."""
+    whatever the backend, with no separate pre-encoding pass."""
 
-    @pytest.mark.parametrize("mode", ["tuple", "block", "auto"])
-    def test_columnar_runner_holds_every_pattern(self, tiny_xkg_workload, mode):
+    def test_columnar_runner_holds_every_pattern(self, tiny_xkg_workload):
         workload = Workload(
-            f"warm-{mode}",
-            ColumnarGraph.from_graph(tiny_xkg_workload.graph, name=f"warm-{mode}"),
+            "warm",
+            ColumnarGraph.from_graph(tiny_xkg_workload.graph, name="warm"),
             tiny_xkg_workload.rules,
             tiny_xkg_workload.queries,
         )
-        runner = WorkloadRunner(workload, executor=mode)
+        runner = WorkloadRunner(workload)
         runner.warm_up()
         patterns = {p for q in workload.queries for p in q.patterns}
         stats = runner.encoded_store.stats()
@@ -179,7 +162,7 @@ class TestWarmUpEncodesThroughPlanning:
     def test_object_backend_encodes_through_the_side_table(self, tiny_xkg_workload):
         # No id columns to slice: the codec interns every term, and the
         # counts still come from the shared store.
-        runner = WorkloadRunner(tiny_xkg_workload, executor="block")
+        runner = WorkloadRunner(tiny_xkg_workload)
         runner.warm_up()
         patterns = {p for q in tiny_xkg_workload.queries for p in q.patterns}
         assert len(runner.encoded_store) == len(patterns)
@@ -227,15 +210,14 @@ class TestConcurrencyNeverServesStale:
         assert not violations
         assert served > 0  # the race actually exercised the hit path
 
-    @pytest.mark.parametrize("executor", ["tuple", "block", "auto"])
-    def test_runner_batches_race_apply_updates(self, tiny_xkg_workload, executor):
-        """The concurrent-writer oracle.  Two threads serve batches while
-        the main thread applies update batches that move the queries'
-        answers.  No batch is served at two graph versions; after every
-        round each answer — bindings and scores — equals a fresh engine
-        over the graph at that version; and after the race the runner
-        answers exactly as a sequential runner that applied the same
-        batches."""
+    def test_runner_batches_race_apply_updates(self, tiny_xkg_workload):
+        """The concurrent-writer oracle.  Two threads serve batches, and
+        two more single queries, while the main thread applies update
+        batches that move the queries' answers.  No batch is served at
+        two graph versions; after every round each answer — bindings and
+        scores — equals the tuple reference over the graph at that
+        version; and after the race the runner answers exactly as a
+        runner that applied the same batches with no reader running."""
         workload = Workload(
             "race",
             ColumnarGraph.from_graph(tiny_xkg_workload.graph, name="race"),
@@ -247,21 +229,23 @@ class TestConcurrencyNeverServesStale:
             race_batch(workload.graph, query, round_index)
             for round_index, query in enumerate(queries[:4])
         ]
-        runner = WorkloadRunner(workload, n_workers=2, executor=executor)
+        runner = WorkloadRunner(workload)
         before = [signature(runner.execute_query(q, 5)) for q in queries]
         errors: list[BaseException] = []
         # Batch tag -> every graph version one of its queries saw.
         versions: dict[str, set[int]] = {}
-        execute_warm = runner._execute_warm
+        serve_warm = runner._serve_warm
 
-        def recording_execute(query, k):
+        def recording_serve(query, k):
+            if "/" not in query.name:  # the checks below, not a reader's
+                return serve_warm(query, k)
             seen = versions.setdefault(query.name.split("/")[0], set())
             seen.add(runner.graph.version)
-            outcome = execute_warm(query, k)
+            served = serve_warm(query, k)
             seen.add(runner.graph.version)
-            return outcome
+            return served
 
-        runner._execute_warm = recording_execute
+        runner._serve_warm = recording_serve
 
         def serve(tag: str) -> None:
             try:
@@ -276,16 +260,28 @@ class TestConcurrencyNeverServesStale:
             except BaseException as error:  # pragma: no cover - fails the test
                 errors.append(error)
 
+        def ask(tag: str) -> None:
+            try:
+                for run in range(3):
+                    for q in queries:
+                        single = TriplePatternQuery(
+                            q.patterns, q.projection, name=f"{tag}.{run}.{q.name}/"
+                        )
+                        assert 0 < len(runner.execute_query(single, 5)) <= 5
+            except BaseException as error:  # pragma: no cover - fails the test
+                errors.append(error)
+
         for round_index, batch in enumerate(batches):
             readers = [
-                threading.Thread(target=serve, args=(f"{round_index}.{reader}",))
-                for reader in range(2)
+                threading.Thread(target=target, args=(f"{round_index}.{reader}",))
+                for reader, target in enumerate((serve, serve, ask, ask))
             ]
             for reader in readers:
                 reader.start()
             runner.apply_updates(batch)
             for reader in readers:
-                reader.join()
+                reader.join(timeout=60)
+            assert not any(reader.is_alive() for reader in readers)
             assert errors == [], errors
             mixed = {tag: seen for tag, seen in versions.items() if len(seen) > 1}
             assert not mixed, f"batches served at two graph versions: {mixed}"
@@ -295,6 +291,7 @@ class TestConcurrencyNeverServesStale:
                 ColumnarGraph(ColumnarStore.from_triples(runner.graph.triples())),
                 workload.rules,
                 runner.config,
+                executor="tuple",
             )
             for query in queries:
                 assert signature(runner.execute_query(query, 5)) == signature(
@@ -303,7 +300,7 @@ class TestConcurrencyNeverServesStale:
 
         after = [signature(runner.execute_query(q, 5)) for q in queries]
         assert after != before, "the update batches never moved an answer"
-        sequential = WorkloadRunner(workload, n_workers=1, executor=executor)
+        sequential = WorkloadRunner(workload)
         for batch in batches:
             sequential.apply_updates(batch)
         assert after == [signature(sequential.execute_query(q, 5)) for q in queries]

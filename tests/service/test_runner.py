@@ -1,4 +1,4 @@
-"""WorkloadRunner: batch execution, concurrency equivalence, shared caches."""
+"""WorkloadRunner: batch execution, concurrent readers, shared caches."""
 
 from __future__ import annotations
 
@@ -18,15 +18,23 @@ def _restore_shared_graph(tiny_xkg_workload):
 
 
 def outcome_signature(report):
-    """What must be invariant across execution strategies."""
+    """What must be invariant across caches and backends."""
     return [
         (o.n_answers, o.n_relaxed, round(o.top_score, 9)) for o in report.outcomes
     ]
 
 
+def tuple_signature(engine, queries, k):
+    """:func:`outcome_signature` of the tuple reference's answers."""
+    signature = []
+    for query in queries:
+        result = engine.query(query, k)
+        top = result.answers[0].score if result.answers else 0.0
+        signature.append((len(result.answers), result.plan.n_relaxed, round(top, 9)))
+    return signature
+
+
 def test_rejects_bad_arguments(tiny_xkg_workload):
-    with pytest.raises(ExperimentError):
-        WorkloadRunner(tiny_xkg_workload, n_workers=0)
     with pytest.raises(ExperimentError, match="shards must be 1"):
         WorkloadRunner(tiny_xkg_workload, shards=4)
     runner = WorkloadRunner(tiny_xkg_workload, shards=1)
@@ -40,7 +48,25 @@ def test_rejects_unknown_worker_model(tiny_xkg_workload, model):
     caller that passes ``"thread"``."""
     with pytest.raises(ExperimentError, match="worker_model must be 'thread'"):
         WorkloadRunner(tiny_xkg_workload, worker_model=model)
-    assert WorkloadRunner(tiny_xkg_workload, worker_model="thread").n_workers == 1
+    WorkloadRunner(tiny_xkg_workload, worker_model="thread")
+
+
+@pytest.mark.parametrize("executor", ["tuple", "block", "simd"])
+def test_rejects_every_executor_but_auto(tiny_xkg_workload, executor):
+    """The runner serves one pipeline; ``executor`` stays only for a
+    caller that passes ``"auto"``."""
+    with pytest.raises(ExperimentError, match="executor must be 'auto'"):
+        WorkloadRunner(tiny_xkg_workload, executor=executor)
+    WorkloadRunner(tiny_xkg_workload, executor="auto")
+
+
+@pytest.mark.parametrize("n_workers", [0, 2, 4])
+def test_rejects_every_worker_count_but_one(tiny_xkg_workload, n_workers):
+    """Batches run inline; ``n_workers`` stays only for a caller that
+    passes ``1``."""
+    with pytest.raises(ExperimentError, match="n_workers must be 1"):
+        WorkloadRunner(tiny_xkg_workload, n_workers=n_workers)
+    WorkloadRunner(tiny_xkg_workload, n_workers=1)
 
 
 @pytest.mark.parametrize("capacity", [0, -1])
@@ -80,7 +106,8 @@ def test_warm_run_reports_whole_batch(tiny_xkg_workload):
     assert report.n_queries == len(tiny_xkg_workload.queries)
     assert report.dataset == tiny_xkg_workload.name
     assert report.wall_seconds > 0
-    assert report.cache is not None and report.cache.lookups > 0
+    assert report.extras["encoded_list_hits"] + report.extras["encoded_list_misses"] > 0
+    assert {o.executor for o in report.outcomes} == {"block"}
     names = [o.query_name for o in report.outcomes]
     assert names == [q.name for q in tiny_xkg_workload.queries]
 
@@ -92,26 +119,125 @@ def test_repeated_queries_hit_both_caches(tiny_xkg_workload):
     queries = tiny_xkg_workload.stretched(3 * len(tiny_xkg_workload.queries))
     report = runner.run(queries, k=5)
 
-    assert report.cache is not None
-    assert report.cache.hit_rate > 0.5
+    encoded = report.extras["encoded_list_hits"], report.extras["encoded_list_misses"]
+    assert encoded[0] > encoded[1]
     # Rounds 2 and 3 are renamed repeats: every decision replayed from the
     # memo, which the report counts under the plan cache's names.
     assert report.extras["plan_cache_hits"] >= 2 * len(tiny_xkg_workload.queries)
     assert report.extras["plan_cache_size"] == len(tiny_xkg_workload.queries)
 
 
-def test_concurrent_runs_match_sequential(tiny_xkg_workload):
-    sequential = WorkloadRunner(tiny_xkg_workload, n_workers=1)
-    concurrent = WorkloadRunner(tiny_xkg_workload, n_workers=4)
-    queries = tiny_xkg_workload.stretched(2 * len(tiny_xkg_workload.queries))
+@pytest.mark.parametrize("serve", ["run", "execute_query"])
+def test_reader_threads_share_the_runner_while_a_writer_applies_batches(
+    tiny_xkg_workload, serve
+):
+    """Threads of the caller's own read through one runner while the main
+    thread applies update batches that move the answers: every read
+    completes, a ``run`` batch is served at one graph version with its
+    rows in submission order, and afterwards every answer equals the
+    tuple reference over the final graph."""
+    import sys
+    import threading
 
-    seq_report = sequential.run(queries, k=5)
-    conc_report = concurrent.run(queries, k=5)
+    from repro.datasets.workload import Workload
+    from repro.kg import ColumnarGraph, ColumnarStore, GraphUpdate
 
-    assert outcome_signature(conc_report) == outcome_signature(seq_report)
-    assert conc_report.n_workers == 4
-    # Outcomes come back in submission order regardless of completion order.
-    assert [o.query_name for o in conc_report.outcomes] == [q.name for q in queries]
+    graph = ColumnarGraph.from_graph(tiny_xkg_workload.graph, name="readers")
+    workload = Workload("readers", graph, tiny_xkg_workload.rules, tiny_xkg_workload.queries)
+    queries = workload.queries[:6]
+    runner = WorkloadRunner(workload, result_cache_capacity=0)
+    before = [runner.execute_query(query, 5) for query in queries]
+    local, batches_seen, errors = threading.local(), [], []
+    serve_warm = runner._serve_warm
+
+    def recording_serve(query, k):
+        local.versions.add(runner.graph.version)
+        return serve_warm(query, k)
+
+    runner._serve_warm = recording_serve
+
+    def reader():
+        try:
+            for _ in range(3):
+                local.versions = set()
+                if serve == "run":
+                    report = runner.run(queries, k=5)
+                    assert [o.query_name for o in report.outcomes] == [
+                        q.name for q in queries
+                    ]
+                    batches_seen.append(local.versions)
+                else:
+                    for query in queries:
+                        assert 0 < len(runner.execute_query(query, 5)) <= 5
+        except BaseException as error:  # pragma: no cover - fails the test
+            errors.append(error)
+
+    readers = [threading.Thread(target=reader) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so reads and writes interleave
+    try:
+        for thread in readers:
+            thread.start()
+        for at, query in enumerate(queries[:4]):
+            pattern = query.patterns[0]
+            best = max(
+                (t for t in runner.graph.triples() if pattern.matches(t)),
+                key=lambda t: (t.score, t.spo),
+            )
+            fresh = [f"reader:e{at}" if term is None else term for term in pattern.key()]
+            runner.apply_updates(
+                [GraphUpdate.remove(*best.spo), GraphUpdate.add(*fresh, 1.0)]
+            )
+        for thread in readers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    del runner._serve_warm  # back to the method for the checks below
+    assert not any(thread.is_alive() for thread in readers)
+    assert errors == [], errors
+    assert all(len(versions) == 1 for versions in batches_seen), batches_seen
+    final = ColumnarGraph(ColumnarStore.from_triples(runner.graph.triples()))
+    reference = SpecQPEngine(final, workload.rules, runner.config, executor="tuple")
+    after = [runner.execute_query(query, 5) for query in queries]
+    assert after != before, "the update batches never moved an answer"
+    for query, served in zip(queries, after):
+        assert served == reference.query(query, 5).answers, query.name
+
+
+def test_runner_never_attaches_a_match_list_cache(tiny_xkg_workload, music_graph, music_rules):
+    """The block pipeline reads encoded lists only: no read or write
+    leaves a string match-list cache on the served graph."""
+    from repro.kg import GraphUpdate
+
+    runner = WorkloadRunner(tiny_xkg_workload)
+    runner.run(k=5)
+    runner.execute_query(tiny_xkg_workload.queries[0], 5)
+    assert tiny_xkg_workload.graph.match_list_cache is None
+    live_runner = WorkloadRunner(music_workload(music_graph, music_rules))
+    live_runner.apply_updates([GraphUpdate.add("x", "rdf:type", "singer", 2.0)])
+    live_runner.run(k=3)
+    assert live_runner.graph.match_list_cache is None
+    assert len(live_runner.cache) == 0
+
+
+def test_live_wrap_releases_a_cache_a_caller_bound(music_graph, music_rules):
+    """A caller's engine may attach :attr:`WorkloadRunner.cache` to the
+    served graph; the live wrap detaches and releases it, so an engine
+    over the live overlay can attach it again, and update batches purge
+    what it holds."""
+    from repro.kg import GraphUpdate
+
+    runner = WorkloadRunner(music_workload(music_graph, music_rules))
+    query = runner.workload.queries[0]
+    SpecQPEngine(runner.graph, music_rules, match_list_cache=runner.cache).query(query, 3)
+    assert music_graph.match_list_cache is runner.cache and len(runner.cache) > 0
+    runner.apply_updates([GraphUpdate.add("x", "rdf:type", "singer", 2.0)])
+    assert music_graph.match_list_cache is None and len(runner.cache) == 0
+    engine = SpecQPEngine(runner.graph, music_rules, match_list_cache=runner.cache)
+    assert engine.query(query, 3).answers == runner.execute_query(query, 3)
+    assert len(runner.cache) > 0
+    result = runner.apply_updates([GraphUpdate.add("y", "rdf:type", "singer", 3.0)])
+    assert result["cache_purged"] > 0 and len(runner.cache) == 0
 
 
 def test_warm_answers_match_a_fresh_engine_per_query(tiny_xkg_workload):
@@ -133,7 +259,7 @@ def test_warm_answers_match_a_fresh_engine_per_query(tiny_xkg_workload):
         for r in (fresh[q.name] for q in workload.queries)
     ]
     assert outcome_signature(report) == 3 * expected
-    assert report.cache is not None and report.cache.hit_rate > 0.5
+    assert report.extras["result_cache_hits"] == 2 * len(workload.queries)
     for query in workload.queries:
         served = runner.execute_query(query, 5)
         assert [(a.bindings, a.score) for a in served] == [
@@ -142,12 +268,10 @@ def test_warm_answers_match_a_fresh_engine_per_query(tiny_xkg_workload):
 
 
 @pytest.mark.parametrize("result_cache_capacity", [0, 4096])
-@pytest.mark.parametrize("executor", ["tuple", "block"])
-def test_rules_added_in_place_are_served(
-    tiny_xkg_workload, executor, result_cache_capacity
-):
+def test_rules_added_in_place_are_served(tiny_xkg_workload, result_cache_capacity):
     """A rule added to the served ``RuleSet`` moves the answers: cached
-    plans and answers planned under the old rules are never replayed."""
+    plans and answers planned under the old rules are never replayed, and
+    every answer equals the tuple reference under the new rules."""
     from repro.datasets.workload import Workload
     from repro.kg.columnar import ColumnarGraph
     from repro.relax.rules import RelaxationRule, RuleSet
@@ -157,13 +281,12 @@ def test_rules_added_in_place_are_served(
     queries = tiny_xkg_workload.queries
     runner = WorkloadRunner(
         Workload("rule-add", graph, rules, queries),
-        executor=executor,
         result_cache_capacity=result_cache_capacity,
     )
     before = [runner.execute_query(query, 5) for query in queries]
     for rule in list(rules):
         rules.add(RelaxationRule(rule.domain, rule.range, 1.0))
-    fresh = SpecQPEngine(graph, rules, runner.config, executor=executor)
+    fresh = SpecQPEngine(graph, rules, runner.config, executor="tuple")
     moved = 0
     for query, old in zip(queries, before):
         expected = [(a.bindings, a.score) for a in fresh.query(query, 5).answers]
@@ -272,7 +395,7 @@ def test_apply_updates_wraps_serves_and_invalidates(music_graph, music_rules):
     result2 = runner.apply_updates(
         [GraphUpdate.add("anotherstar", "rdf:type", "singer", 2000.0)]
     )
-    assert result2["cache_purged"] >= 1
+    assert result2["result_cache_purged"] >= 1
     assert result2["stats_dropped"] == 1
     assert result2["stats_kept"] == len(runner.catalog._histograms) >= patterns - 1
     report = runner.run(k=3)
@@ -344,7 +467,7 @@ def test_a_batch_that_fails_after_a_prefix_is_refreshed_and_counted(tiny_xkg_wor
     from repro.kg import ColumnarGraph, ColumnarStore, GraphUpdate
     from repro.operators.block import build_encoded_match_list, build_merged_match_list
 
-    runner = WorkloadRunner(tiny_xkg_workload, executor="block")
+    runner = WorkloadRunner(tiny_xkg_workload)
     queries = tiny_xkg_workload.queries
     runner.apply_updates([GraphUpdate.add("fresh0", "rdf:type", "topic", 1.0)])
     runner.run(queries, k=5)
@@ -428,14 +551,14 @@ def test_apply_updates_waits_for_inflight_batches(music_graph, music_rules):
 
     in_batch = threading.Event()
     release_batch = threading.Event()
-    original_execute = runner._execute_warm
+    original_serve = runner._serve_warm
 
-    def slow_execute(query, k):
+    def slow_serve(query, k):
         in_batch.set()
         release_batch.wait(timeout=5)
-        return original_execute(query, k)
+        return original_serve(query, k)
 
-    runner._execute_warm = slow_execute
+    runner._serve_warm = slow_serve
     batch_thread = threading.Thread(target=lambda: runner.run(k=2))
     batch_thread.start()
     assert in_batch.wait(timeout=5)
@@ -458,9 +581,9 @@ def test_apply_updates_waits_for_inflight_batches(music_graph, music_rules):
 
 
 def test_auto_serves_blocks_from_merged_lists_where_it_can(tiny_xkg_workload):
-    """``auto`` is block — resident lists or not — and a repeated batch is
-    served from pre-merged relaxation lists; on the object graph it is
-    block too.  Answers never differ."""
+    """The runner serves blocks — resident lists or not — and a repeated
+    batch is served from pre-merged relaxation lists; on the object graph
+    it is block too.  Answers never differ from the tuple reference."""
     from repro.datasets.workload import Workload
     from repro.kg.columnar import ColumnarGraph
 
@@ -470,14 +593,16 @@ def test_auto_serves_blocks_from_merged_lists_where_it_can(tiny_xkg_workload):
         tiny_xkg_workload.rules,
         tiny_xkg_workload.queries,
     )
-    reference = WorkloadRunner(
-        columnar, executor="tuple", result_cache_capacity=0
-    ).run(k=5)
-    runner = WorkloadRunner(columnar, executor="auto", result_cache_capacity=0)
+    runner = WorkloadRunner(columnar, result_cache_capacity=0)
+    reference = tuple_signature(
+        SpecQPEngine(runner.graph, columnar.rules, runner.config, executor="tuple"),
+        columnar.queries,
+        5,
+    )
     first, second = runner.run(k=5), runner.run(k=5)
     for report in (first, second):
         assert {o.executor for o in report.outcomes} == {"block"}
-        assert outcome_signature(report) == outcome_signature(reference)
+        assert outcome_signature(report) == reference
     relaxed = sum(o.n_relaxed for o in first.outcomes)
     assert relaxed > 0
     assert first.extras["merged_list_misses"] > 0
@@ -487,16 +612,16 @@ def test_auto_serves_blocks_from_merged_lists_where_it_can(tiny_xkg_workload):
     assert "merged relaxation lists" in second.render()
 
     object_report = WorkloadRunner(
-        tiny_xkg_workload, executor="auto", result_cache_capacity=0
+        tiny_xkg_workload, result_cache_capacity=0
     ).run(k=5)
     assert {o.executor for o in object_report.outcomes} == {"block"}
-    assert outcome_signature(object_report) == outcome_signature(reference)
+    assert outcome_signature(object_report) == reference
 
 
-@pytest.mark.parametrize("executor", ["auto", "block"])
-def test_rows_name_the_pipeline_that_served_them(tiny_xkg_workload, executor):
-    """A report row names ``"tuple"`` or ``"block"`` — the pipeline that
-    ran — never the configured mode."""
+def test_rows_name_the_pipeline_that_served_them(tiny_xkg_workload):
+    """A report row names the pipeline that ran — ``"block"`` on columns
+    and on the object graph alike — and its answers are the tuple
+    reference's."""
     from repro.datasets.workload import Workload
     from repro.kg.columnar import ColumnarGraph
 
@@ -506,15 +631,15 @@ def test_rows_name_the_pipeline_that_served_them(tiny_xkg_workload, executor):
         tiny_xkg_workload.rules,
         tiny_xkg_workload.queries,
     )
-    runner = WorkloadRunner(columnar, executor=executor, result_cache_capacity=0)
+    runner = WorkloadRunner(columnar, result_cache_capacity=0)
     report = runner.run(k=5)
     assert {o.executor for o in report.outcomes} == {"block"}
-    object_runner = WorkloadRunner(
-        tiny_xkg_workload, executor=executor, result_cache_capacity=0
-    )
+    object_runner = WorkloadRunner(tiny_xkg_workload, result_cache_capacity=0)
     object_report = object_runner.run(k=5)
     assert {o.executor for o in object_report.outcomes} == {"block"}
-    tuple_report = WorkloadRunner(
-        tiny_xkg_workload, executor="tuple", result_cache_capacity=0
-    ).run(k=5)
-    assert outcome_signature(object_report) == outcome_signature(tuple_report)
+    reference = SpecQPEngine(
+        object_runner.graph, tiny_xkg_workload.rules, object_runner.config, executor="tuple"
+    )
+    assert outcome_signature(object_report) == tuple_signature(
+        reference, tiny_xkg_workload.queries, 5
+    )

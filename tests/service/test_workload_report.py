@@ -36,11 +36,12 @@ def report() -> WorkloadReport:
     return WorkloadReport(
         outcomes=outcomes,
         wall_seconds=0.5,
-        n_workers=2,
-        cache=CacheStats(
-            hits=30, misses=10, evictions=1, invalidations=0, size=9, capacity=16
-        ),
         dataset="unit",
+        extras={
+            "result_cache_hits": 30,
+            "result_cache_misses": 10,
+            "result_cache_size": 9,
+        },
     )
 
 
@@ -90,7 +91,9 @@ def test_as_dict_is_flat_and_complete(report):
     assert summary["n_queries"] == 10
     assert summary["p50_latency"] == pytest.approx(0.05)
     assert summary["plan_mix"]["exact"] == 4
-    assert summary["cache"]["hit_rate"] == pytest.approx(0.75)
+    assert summary["result_cache_hits"] == 30
+    # One pipeline on one thread: no worker count, no match-list cache.
+    assert "n_workers" not in summary and "cache" not in summary
 
 
 def test_render_mentions_everything(report):
@@ -99,7 +102,9 @@ def test_render_mentions_everything(report):
     assert "queries/s" in text
     assert "p50 / p90 / p99" in text
     assert "exact=4 partial=3 all-relaxed=3" in text
-    assert "hit rate 75.0%" in text
+    assert "result cache            30 hits / 10 misses (9 answers cached)" in text
+    assert text.splitlines()[0] == "WorkloadReport — unit"
+    assert "match-list cache" not in text
 
 
 def test_render_reports_plan_cache_hits_and_size(report):
