@@ -7,7 +7,11 @@ semantics and is therefore the ground truth for the quality metrics.
 
 This class is a thin convenience wrapper over the shared plan/executor
 machinery — the TriniT plan is :meth:`QueryPlan.trinit` — so both engines
-run through identical operator code, keeping the comparison fair.
+run through identical operator code, keeping the comparison fair.  Like a
+default :class:`~repro.core.engine.SpecQPEngine` it runs the block
+pipeline: it merges each pattern's relaxations into one stored list and
+joins the whole lists, with answers byte-identical to the paper's
+pull-based pipeline.
 """
 
 from __future__ import annotations

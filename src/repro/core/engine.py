@@ -18,7 +18,6 @@ from typing import Callable
 from repro.core.config import EngineConfig
 from repro.core.estimator import ExpectedScoreEstimator
 from repro.core.executor import (
-    DEFAULT_ENCODED_CACHE_CAPACITY,
     EXECUTOR_MODES,
     ExecutorChoice,
     ExecutorMode,
@@ -91,21 +90,21 @@ class SpecQPEngine:
         every other engine's lookups; engines built without this
         argument simply use whatever the graph already has attached.
     executor:
-        ``"tuple"`` (the paper's pull-based object pipeline, default),
-        ``"block"`` — the vectorized engine that joins whole lists of
-        dictionary-encoded id arrays and decodes only at the top-k cut —
-        or ``"auto"``, which is block made explicit
-        (:meth:`resolve_executor` reports it).  Answers and scores are
-        byte-identical under all three.  Every backend runs the block
-        engine over its column store (an object graph interns its triples
-        on the first encoded read); ``"tuple"`` is the paper-faithful
-        reference.  See :mod:`repro.operators.block`.
+        ``"block"`` (default) — the vectorized engine that joins whole
+        lists of dictionary-encoded id arrays and decodes only at the
+        top-k cut — ``"auto"``, which is block made explicit
+        (:meth:`resolve_executor` reports it), or ``"tuple"``, the
+        paper's pull-based object pipeline, kept as the reference and
+        run only when named.  Answers and scores are byte-identical under
+        all three.  Every backend runs the block engine over its column
+        store (an object graph interns its triples on the first encoded
+        read).  See :mod:`repro.operators.block`.
     encoded_store:
         Optionally share one :class:`~repro.operators.block.EncodedListStore`
         across engines (the block twin of *match_list_cache*): the store
         the block executor serves from and a catalog the engine builds
         itself counts join cardinalities over.  By default the engine
-        keeps a private one of ``DEFAULT_ENCODED_CACHE_CAPACITY`` lists.
+        keeps a private one of the store's default capacity.
     """
 
     def __init__(
@@ -115,7 +114,7 @@ class SpecQPEngine:
         config: EngineConfig | None = None,
         catalog: StatisticsCatalog | None = None,
         match_list_cache: MatchListCacheHook | None = None,
-        executor: ExecutorMode = "tuple",
+        executor: ExecutorMode = "block",
         encoded_store: "EncodedListStore | None" = None,
     ) -> None:
         if executor not in EXECUTOR_MODES:
@@ -135,7 +134,7 @@ class SpecQPEngine:
                 )
             graph.attach_match_list_cache(match_list_cache)
         if encoded_store is None:
-            encoded_store = EncodedListStore(DEFAULT_ENCODED_CACHE_CAPACITY)
+            encoded_store = EncodedListStore()
         self.catalog = catalog or StatisticsCatalog(
             graph,
             mass_fraction=self.config.mass_fraction,
@@ -156,8 +155,6 @@ class SpecQPEngine:
             graph,
             rules,
             self.config.max_relaxations_per_pattern,
-            # The executor carries both pipelines; "auto" is block.
-            executor="block" if executor == "auto" else executor,
             encoded_store=encoded_store,
         )
 

@@ -4,17 +4,18 @@ The executor evaluates a plan to its top-k distinct answers, recording
 wall-clock time, the answer-object count (the paper's memory metric), and
 operator pull statistics.
 
-Two interchangeable execution strategies produce byte-identical answers:
+Two interchangeable execution strategies produce byte-identical answers;
+:meth:`PlanExecutor.execute` runs block unless the caller names tuple:
 
 ``"tuple"``
-    The paper's pipeline: pull-based operators exchanging one
-    :class:`~repro.query.answer.PartialAnswer` per call, HRJN rank joins
-    stopping once the k-th answer is safe, drained through a dedup Top-K
-    sink.
+    The paper's pipeline, kept as the reference: pull-based operators
+    exchanging one :class:`~repro.query.answer.PartialAnswer` per call,
+    HRJN rank joins stopping once the k-th answer is safe, drained
+    through a dedup Top-K sink.
 
 ``"block"``
-    The vectorized pipeline (:mod:`repro.operators.block`): each
-    operand's stored list of dictionary-encoded id columns, folded
+    The vectorized pipeline that serves (:mod:`repro.operators.block`):
+    each operand's stored list of dictionary-encoded id columns, folded
     left-deep in the tuple pipeline's join order by one whole-list join
     a step (:func:`~repro.operators.vector_join.join_lists`), then cut
     once to top-k (:func:`~repro.operators.block.top_k_cut`), which
@@ -68,9 +69,6 @@ class ExecutorChoice:
     executor: ExecutorKind
     reason: str
 
-#: Entry bound of the per-executor encoded match-list cache.
-DEFAULT_ENCODED_CACHE_CAPACITY = 512
-
 
 @dataclass(frozen=True)
 class ExecutionResult:
@@ -96,48 +94,30 @@ class PlanExecutor:
         graph: KnowledgeGraph,
         rules: RuleSet,
         max_relaxations_per_pattern: int | None = None,
-        executor: ExecutorKind = "tuple",
-        encoded_cache_capacity: int = DEFAULT_ENCODED_CACHE_CAPACITY,
         encoded_store: EncodedListStore | None = None,
     ) -> None:
+        self._graph = graph
+        self._rules = rules
+        self._max_relaxations = max_relaxations_per_pattern
+        # ``is None``, not truthiness: an empty store has length 0.
+        self._encoded_store = (
+            EncodedListStore() if encoded_store is None else encoded_store
+        )
+
+    def execute(
+        self, plan: QueryPlan, k: int, executor: ExecutorKind = "block"
+    ) -> ExecutionResult:
+        """Run *plan*, returning the top-k distinct answers by score.
+
+        *executor* picks the pipeline for this call: ``"block"`` serves,
+        and ``"tuple"`` is the paper's pull-based reference, reached only
+        by naming it.  Answers are byte-identical either way.
+        """
         if executor not in EXECUTOR_KINDS:
             raise ExecutionError(
                 f"unknown executor {executor!r}; choose from {EXECUTOR_KINDS}"
             )
-        if encoded_cache_capacity < 1:
-            raise ExecutionError(
-                f"encoded cache capacity must be >= 1, got {encoded_cache_capacity}"
-            )
-        self._graph = graph
-        self._rules = rules
-        self._max_relaxations = max_relaxations_per_pattern
-        self._executor: ExecutorKind = executor
-        # ``is None``, not truthiness: an empty store has length 0.
-        self._encoded_store = (
-            EncodedListStore(encoded_cache_capacity)
-            if encoded_store is None
-            else encoded_store
-        )
-
-    @property
-    def executor(self) -> ExecutorKind:
-        return self._executor
-
-    def execute(
-        self, plan: QueryPlan, k: int, executor: ExecutorKind | None = None
-    ) -> ExecutionResult:
-        """Run *plan*, returning the top-k distinct answers by score.
-
-        *executor* overrides the configured strategy for this call only:
-        one executor carries both pipelines, so ``"auto"`` engines, the
-        tuple reference and the block path share it.  Answers are
-        byte-identical either way.
-        """
-        if executor is not None and executor not in EXECUTOR_KINDS:
-            raise ExecutionError(
-                f"unknown executor {executor!r}; choose from {EXECUTOR_KINDS}"
-            )
-        if (executor or self._executor) == "block":
+        if executor == "block":
             return self._execute_block(plan, k)
         return self._execute_tuple(plan, k)
 

@@ -128,8 +128,8 @@ class WorkloadRunner:
         Accepts only ``"auto"``; any other value raises.  The runner
         serves the block pipeline, and each report row names it
         (``"block"``, or ``"cached"`` for a result-cache hit).  The
-        tuple pipeline stays the reference under
-        :class:`~repro.core.engine.SpecQPEngine`.  Like ``n_workers``,
+        tuple pipeline stays the reference, run only through
+        ``SpecQPEngine(..., executor="tuple")``.  Like ``n_workers``,
         the parameter stays only for ``bench/bench_serve.py`` until
         ROADMAP item 11(b).
     result_cache_capacity:
@@ -278,7 +278,6 @@ class WorkloadRunner:
             self.graph,
             self.workload.rules,
             self.config,
-            executor="block",
             encoded_store=self.encoded_store,
         )
         # The engine's catalog counts joins over the lists of the store

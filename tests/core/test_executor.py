@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.executor import PlanExecutor
 from repro.core.plan import QueryPlan
+from repro.errors import ExecutionError
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
 from repro.query.query import TriplePatternQuery
@@ -75,3 +76,8 @@ class TestExecution:
         exact = executor.execute(QueryPlan.exact(query), k=10)
         trinit = executor.execute(QueryPlan.trinit(query), k=10)
         assert exact.answer_objects_created <= trinit.answer_objects_created
+
+    def test_unknown_executor_rejected_per_call(self, setup):
+        kg, rules, query = setup
+        with pytest.raises(ExecutionError, match="unknown executor"):
+            PlanExecutor(kg, rules).execute(QueryPlan.exact(query), 3, "parallel")

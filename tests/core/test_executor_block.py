@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.trinit import TriniTEngine
 from repro.core.engine import SpecQPEngine
-from repro.core.executor import PlanExecutor
 from repro.core.plan import QueryPlan
 from repro.errors import ExecutionError
+from repro.experiments.session import ExperimentSession
 from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
+from repro.operators.block import EncodedListStore
 from repro.query.query import TriplePatternQuery
 from repro.relax.rules import RuleSet
 
@@ -31,10 +33,28 @@ class TestExecutorSelection:
         with pytest.raises(ExecutionError):
             SpecQPEngine(music_graph, music_rules, executor="parallel")
 
-    def test_default_is_tuple(self, music_graph, music_rules):
+    def test_default_is_block(self, music_graph, music_rules):
         engine = SpecQPEngine(music_graph, music_rules)
-        assert engine.executor_kind == "tuple"
-        assert engine.resolve_executor(self.QUERY).executor == "tuple"
+        assert engine.executor_kind == "block"
+        assert engine.resolve_executor(self.QUERY).executor == "block"
+
+    def test_library_engines_serve_from_their_encoded_store(self, tiny_xkg_workload):
+        """A default engine, the figures' session engine and TriniT run
+        block: serving a query merges relaxation lists in their store
+        (planning's statistics read per-pattern lists only)."""
+        workload = tiny_xkg_workload
+        query = workload.queries[0]
+        engine = SpecQPEngine(workload.graph, workload.rules)
+        session = ExperimentSession(workload, ks=(5,))
+        trinit = TriniTEngine(workload.graph, workload.rules)
+        for store, serve in (
+            (engine.executor.encoded_store, lambda: engine.query_trinit(query, 5)),
+            (session.engine.executor.encoded_store, lambda: session.record(query, 5)),
+            (trinit._executor.encoded_store, lambda: trinit.query(query, 5)),
+        ):
+            assert store.stats()["merged_misses"] == 0
+            serve()
+            assert store.stats()["merged_misses"] > 0
 
     def test_block_supported_on_columnar(self, music_graph, music_rules):
         frozen = ColumnarGraph.from_graph(music_graph)
@@ -186,11 +206,6 @@ class TestEncodedCacheLifecycle:
         post = rows(engine.query_exact(query, k=10))
         assert pre == post
 
-    def test_cache_capacity_validated(self, music_graph, music_rules):
+    def test_cache_capacity_validated(self):
         with pytest.raises(ExecutionError):
-            PlanExecutor(
-                ColumnarGraph.from_graph(music_graph),
-                music_rules,
-                executor="block",
-                encoded_cache_capacity=0,
-            )
+            EncodedListStore(0)

@@ -177,7 +177,7 @@ class TestStreamEquivalence:
             oracle = SpecQPEngine(graph, workload.rules, config, executor="tuple")
             for query in workload.queries:
                 plan = QueryPlan.trinit(query)
-                expected = oracle.executor.execute(plan, 5).answers
+                expected = oracle.executor.execute(plan, 5, executor="tuple").answers
                 block.executor.encoded_store.clear()  # the first run misses
                 results = [block.executor.execute(plan, 5) for _ in range(2)]
                 for result in results:

@@ -56,12 +56,17 @@ def test_explicit_invalidate_caches(music_graph):
 
 
 def test_shared_across_graph_handles_and_engines(music_graph, music_rules):
-    """Two engines over one graph share one cache (the runner's layout)."""
+    """Two engines over one graph share one cache (the runner's layout).
+    Only the tuple pipeline reads string match lists, so both name it."""
     from repro.core.engine import SpecQPEngine
 
     cache = MatchListCache(capacity=64)
-    one = SpecQPEngine(music_graph, music_rules, match_list_cache=cache)
-    two = SpecQPEngine(music_graph, music_rules, match_list_cache=cache)
+    one = SpecQPEngine(
+        music_graph, music_rules, match_list_cache=cache, executor="tuple"
+    )
+    two = SpecQPEngine(
+        music_graph, music_rules, match_list_cache=cache, executor="tuple"
+    )
     assert one.match_list_cache is two.match_list_cache
 
     query = "SELECT ?s WHERE { ?s 'rdf:type' <singer>. ?s 'rdf:type' <lyricist> }"

@@ -213,11 +213,13 @@ class TestConcurrencyNeverServesStale:
     def test_runner_batches_race_apply_updates(self, tiny_xkg_workload):
         """The concurrent-writer oracle.  Two threads serve batches, and
         two more single queries, while the main thread applies update
-        batches that move the queries' answers.  No batch is served at
-        two graph versions; after every round each answer — bindings and
-        scores — equals the tuple reference over the graph at that
-        version; and after the race the runner answers exactly as a
-        runner that applied the same batches with no reader running."""
+        batches that move the queries' answers.  Each round's first
+        reader holds its query open until the writer has landed (or a
+        timeout), so the writer always tries to land mid-batch.  No batch
+        is served at two graph versions; after every round each answer —
+        bindings and scores — equals the tuple reference over the graph
+        at that version; and after the race the runner answers exactly as
+        a runner that applied the same batches with no reader running."""
         workload = Workload(
             "race",
             ColumnarGraph.from_graph(tiny_xkg_workload.graph, name="race"),
@@ -234,13 +236,21 @@ class TestConcurrencyNeverServesStale:
         errors: list[BaseException] = []
         # Batch tag -> every graph version one of its queries saw.
         versions: dict[str, set[int]] = {}
+        in_flight = [threading.Event() for _ in batches]
+        landed = [threading.Event() for _ in batches]
         serve_warm = runner._serve_warm
 
         def recording_serve(query, k):
             if "/" not in query.name:  # the checks below, not a reader's
                 return serve_warm(query, k)
-            seen = versions.setdefault(query.name.split("/")[0], set())
+            tag = query.name.split("/")[0]
+            seen = versions.setdefault(tag, set())
             seen.add(runner.graph.version)
+            round_index = int(tag.split(".")[0])
+            if not in_flight[round_index].is_set():
+                # The gate must keep the writer out while this is held.
+                in_flight[round_index].set()
+                landed[round_index].wait(timeout=0.25)
             served = serve_warm(query, k)
             seen.add(runner.graph.version)
             return served
@@ -278,7 +288,9 @@ class TestConcurrencyNeverServesStale:
             ]
             for reader in readers:
                 reader.start()
+            assert in_flight[round_index].wait(timeout=60)
             runner.apply_updates(batch)
+            landed[round_index].set()
             for reader in readers:
                 reader.join(timeout=60)
             assert not any(reader.is_alive() for reader in readers)

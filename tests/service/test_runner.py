@@ -224,16 +224,21 @@ def test_live_wrap_releases_a_cache_a_caller_bound(music_graph, music_rules):
     """A caller's engine may attach :attr:`WorkloadRunner.cache` to the
     served graph; the live wrap detaches and releases it, so an engine
     over the live overlay can attach it again, and update batches purge
-    what it holds."""
+    what it holds.  Only the tuple pipeline fills that cache, so the
+    engines name it."""
     from repro.kg import GraphUpdate
 
     runner = WorkloadRunner(music_workload(music_graph, music_rules))
     query = runner.workload.queries[0]
-    SpecQPEngine(runner.graph, music_rules, match_list_cache=runner.cache).query(query, 3)
+    SpecQPEngine(
+        runner.graph, music_rules, match_list_cache=runner.cache, executor="tuple"
+    ).query(query, 3)
     assert music_graph.match_list_cache is runner.cache and len(runner.cache) > 0
     runner.apply_updates([GraphUpdate.add("x", "rdf:type", "singer", 2.0)])
     assert music_graph.match_list_cache is None and len(runner.cache) == 0
-    engine = SpecQPEngine(runner.graph, music_rules, match_list_cache=runner.cache)
+    engine = SpecQPEngine(
+        runner.graph, music_rules, match_list_cache=runner.cache, executor="tuple"
+    )
     assert engine.query(query, 3).answers == runner.execute_query(query, 3)
     assert len(runner.cache) > 0
     result = runner.apply_updates([GraphUpdate.add("y", "rdf:type", "singer", 3.0)])
@@ -245,10 +250,12 @@ def test_warm_answers_match_a_fresh_engine_per_query(tiny_xkg_workload):
     query of a warm batch with repeats, and every answer
     :meth:`~WorkloadRunner.execute_query` serves, equals a fresh
     :meth:`SpecQPEngine.query` — the per-query path that builds its
-    catalog and lists from scratch."""
+    catalog and lists from scratch — on the tuple reference pipeline."""
     workload = tiny_xkg_workload
     fresh = {
-        query.name: SpecQPEngine(workload.graph, workload.rules).query(query, 5)
+        query.name: SpecQPEngine(
+            workload.graph, workload.rules, executor="tuple"
+        ).query(query, 5)
         for query in workload.queries
     }
     runner = WorkloadRunner(workload)
