@@ -176,16 +176,3 @@ class ExpectedScoreEstimator:
         if k < 1:
             raise EstimationError(f"k must be >= 1, got {k}")
         return self.query_distribution(query).expected_score_at(k)
-
-    def expected_top_of_relaxed(
-        self,
-        query: TriplePatternQuery,
-        pattern: TriplePattern,
-        relaxed: TriplePattern,
-        weight: float,
-    ) -> float:
-        """``E_Q'(1)`` where ``Q' = Q \\ {pattern} ∪ {relaxed}``."""
-        distribution = self.query_distribution(
-            query, replace={pattern: (relaxed, weight)}
-        )
-        return distribution.expected_top()

@@ -20,7 +20,11 @@ import time
 from dataclasses import dataclass
 from operator import is_
 
-from repro.core.estimator import DECISION_MEMO_SIZE, ExpectedScoreEstimator
+from repro.core.estimator import (
+    DECISION_MEMO_SIZE,
+    ExpectedScoreEstimator,
+    QueryDistribution,
+)
 from repro.core.plan import QueryPlan
 from repro.errors import PlanError
 from repro.kg.pattern import TriplePattern
@@ -31,13 +35,23 @@ from repro.relax.rules import RelaxationRule, RuleSet
 
 @dataclass(frozen=True)
 class PatternDecision:
-    """Why one pattern was (not) marked for relaxation."""
+    """Why one pattern was (not) marked for relaxation.
+
+    ``relaxed`` is the distribution of ``Q'``, the query with the tested
+    rule's range in place of the pattern (``None`` without a rule).
+    """
 
     pattern: TriplePattern
     pattern_index: int
     tested_rule: RelaxationRule | None
-    expected_relaxed_top: float
+    relaxed: QueryDistribution | None
     relax: bool
+
+    @property
+    def expected_relaxed_top(self) -> float:
+        """``E_Q'(1)``, estimated when read: a decision against an
+        ``E_Q(k)`` of 0 needs only ``Q'``'s count."""
+        return 0.0 if self.relaxed is None else self.relaxed.expected_top()
 
 
 @dataclass(frozen=True)
@@ -143,36 +157,23 @@ class SpecQPPlanner:
         )
 
         decisions: list[PatternDecision] = []
-        relaxed_indexes: list[int] = []
         for index, (pattern, rule) in enumerate(zip(query.patterns, tested)):
-            if rule is None:
-                decisions.append(
-                    PatternDecision(
-                        pattern=pattern,
-                        pattern_index=index,
-                        tested_rule=None,
-                        expected_relaxed_top=0.0,
-                        relax=False,
-                    )
+            relaxed, relax = None, False
+            if rule is not None:
+                relaxed = self._estimator.query_distribution(
+                    query, replace={pattern: (rule.range, rule.weight)}
                 )
-                continue
-            expected_top = self._estimator.expected_top_of_relaxed(
-                query, pattern, rule.range, rule.weight
-            )
-            relax = expected_top > expected_kth or force_relax_all
-            if relax:
-                relaxed_indexes.append(index)
-            decisions.append(
-                PatternDecision(
-                    pattern=pattern,
-                    pattern_index=index,
-                    tested_rule=rule,
-                    expected_relaxed_top=expected_top,
-                    relax=relax,
+                # Against an E_Q(k) of 0, E_Q'(1) > 0 exactly when Q' has an
+                # answer: its count is 0 already when a slot is degenerate.
+                relax = force_relax_all or (
+                    relaxed.count >= 1
+                    if expected_kth == 0.0
+                    else relaxed.expected_top() > expected_kth
                 )
-            )
+            decisions.append(PatternDecision(pattern, index, rule, relaxed, relax))
+        relaxed_indexes = tuple(d.pattern_index for d in decisions if d.relax)
 
-        plan = QueryPlan.speculative(query, tuple(relaxed_indexes))
+        plan = QueryPlan.speculative(query, relaxed_indexes)
         elapsed = time.perf_counter() - started
         decision = PlannerDecision(
             plan=plan,

@@ -64,10 +64,12 @@ class TriplePattern:
     subject: Term
     predicate: Term
     object: Term
-    #: :meth:`key` and :meth:`list_key`, computed once at construction:
-    #: planning reads them on every catalog lookup and join count.
+    #: :meth:`key`, :meth:`list_key` and the hash, computed once at
+    #: construction: planning reads them on every catalog lookup, join
+    #: count and dict probe.
     _key: tuple = field(init=False, repr=False, compare=False)
     _list_key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
     #: :meth:`variable_positions`, computed on first use: list building
     #: reads it for every input of every merge, most (rule) patterns never.
     _positions: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -91,10 +93,15 @@ class TriplePattern:
         ) if key.count(None) >= 2 else ()
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_list_key", key + (repeated,) if repeated else key)
+        # The hash of the fields equality compares, as the dataclass's own.
+        object.__setattr__(self, "_hash", hash(terms))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __reduce__(self):
         # Pickle the three terms only: unpickling runs the constructor,
-        # which validates them and recomputes the cached keys.
+        # which validates them and recomputes the cached keys and hash.
         return (type(self), (self.subject, self.predicate, self.object))
 
     @property

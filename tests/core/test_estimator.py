@@ -109,9 +109,11 @@ class TestExpectedScores:
         with pytest.raises(EstimationError):
             estimator.expected_kth(q, 0)
 
-    def test_expected_top_of_relaxed_below_weight_times_patterns(self, estimator):
+    def test_relaxed_top_below_weight_times_patterns(self, estimator):
         q = TriplePatternQuery((tp("t1"), tp("t2")))
-        top = estimator.expected_top_of_relaxed(q, tp("t2"), tp("broad"), 0.5)
+        top = estimator.query_distribution(
+            q, replace={tp("t2"): (tp("broad"), 0.5)}
+        ).expected_top()
         assert 0.0 < top <= 1.5
 
     def test_bounds_within_support(self, estimator):
@@ -144,8 +146,8 @@ class TestCountIsReadFirst:
 
     def test_empty_relaxed_query_is_exactly_zero(self, estimator, no_densities):
         q = TriplePatternQuery((tp("t1"), tp("t2")))
-        assert estimator.expected_top_of_relaxed(q, tp("t2"), tp("missing"), 0.5) == 0.0
         dist = estimator.query_distribution(q, replace={tp("t2"): (tp("missing"), 0.5)})
+        assert dist.expected_top() == 0.0
         assert (dist.count, dist.density) == (0, None)
 
     def test_fillable_rank_does_build_one(self, estimator, no_densities):

@@ -2,7 +2,10 @@
 
 import copy
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -177,3 +180,39 @@ class TestCachedKeys:
         assert repr(pattern) == "TriplePattern(Variable('x'), 'p', Variable('x'))"
         # Pickled as its three terms; loading validates them again.
         assert pickle.loads(pickle.dumps(pattern)).list_key() == pattern.list_key()
+
+    @given(patterns)
+    def test_hash_is_the_hash_of_the_three_terms(self, pattern):
+        rebuilt = TriplePattern(*pattern.terms)
+        assert rebuilt is not pattern
+        assert rebuilt == pattern and hash(rebuilt) == hash(pattern)
+        assert hash(pattern) == hash((pattern.subject, pattern.predicate, pattern.object))
+
+    @given(patterns, patterns)
+    def test_equality_and_repr_read_the_terms_only(self, pattern, other):
+        assert (pattern == other) == (pattern.terms == other.terms)
+        subject, predicate, object_ = pattern.terms
+        assert repr(pattern) == (
+            f"TriplePattern({subject!r}, {predicate!r}, {object_!r})"
+        )
+
+    def test_hash_survives_a_pickle_from_another_hash_seed(self):
+        """String hashes differ between processes, so a pickle must carry
+        the terms and never the hash: the loaded pattern hashes as one
+        built here and finds it in a dict."""
+        pattern = TriplePattern(Variable("x"), "p", "an object")
+        script = (
+            "import pickle, sys; from repro.kg.pattern import TriplePattern, Variable; "
+            "sys.stdout.write(pickle.dumps("
+            "TriplePattern(Variable('x'), 'p', 'an object')).hex())"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": "12345"}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        dumped = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        loaded = pickle.loads(bytes.fromhex(dumped))
+        assert loaded == pattern and hash(loaded) == hash(pattern)
+        assert hash(loaded) == hash((Variable("x"), "p", "an object"))
+        assert {pattern: 1}[loaded] == 1
