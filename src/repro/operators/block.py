@@ -328,6 +328,10 @@ class EncodedMatchList:
     A join's output (:func:`~repro.operators.vector_join.join_lists`) is
     one too, its rows in no score order and its scores final.
 
+    Rows are distinct bindings (distinct triples bind a pattern
+    distinctly, a merge keeps a binding's first row, a join maps distinct
+    pairs to distinct rows): the cut and join counts deduplicate nothing.
+
     The arrays are read-only from construction: the executor hands a
     stored list to joins and the sink as it is, so none can corrupt the
     list every later query reads.  The list also carries its **join-key
@@ -369,8 +373,8 @@ class EncodedMatchList:
         self.maxima = maxima
         self.sources = sources
         self._read_keys: frozenset | None = None
-        #: ``join_vars -> (packing base, KeyOrder | None)``.
-        self._key_orders: dict[tuple[str, ...], tuple[int, KeyOrder | None]] = {}
+        #: ``join_vars -> (base, KeyOrder | None | its builder)``.
+        self._key_orders: dict[tuple[str, ...], tuple[int, object]] = {}
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -416,13 +420,26 @@ class EncodedMatchList:
                 n_ids,
                 len(self),
             )
-            if built is not None:
-                keys, order, distinct = built
-                order = order.astype(np.int32)
-                keys.flags.writeable = order.flags.writeable = False
-                built = (keys, order, distinct)
-            held = self._key_orders[join_vars] = (base, built)
-        return held[1]
+        elif callable(held[1]):
+            built = held[1]()
+        else:
+            return held[1]
+        if built is not None:
+            built = (built[0], built[1].astype(np.int32, copy=False), built[2])
+            built[0].flags.writeable = built[1].flags.writeable = False
+        self._key_orders[join_vars] = (base, built)
+        return built
+
+    def seed_key_order(
+        self, join_vars: tuple[str, ...], n_ids: int, keys: Callable, distinct: bool
+    ) -> None:
+        """The key order of rows in *join_vars* key order already: the
+        identity, and ``keys()`` (packed base *n_ids*) on first use."""
+        n_rows = len(self)  # not ``self``: a cycle would wait for the GC
+        self._key_orders[join_vars] = (
+            n_ids if len(join_vars) > 1 else 0,  # :meth:`key_order`'s base
+            lambda: (keys(), np.arange(n_rows, dtype=np.int32), distinct),
+        )
 
 
 def build_encoded_match_list(
@@ -1241,13 +1258,12 @@ def top_k_cut(
 ) -> list[Answer]:
     """The top-k distinct answers among *rows*, a plan's whole result.
 
-    The only decode point of the block pipeline.  The rows are sorted by
-    score (a join's output is in no score order), each *projected* binding
-    keeps its first — maximum — row (Definition 8; the codec is injective,
-    so id-tuple equality is binding equality), the cut takes the first k
-    distinct bindings and the rest of the k-th score's tie run, and only
-    those are decoded to strings for the shared canonical cut
-    (:func:`~repro.operators.topk.finalize_canonical`).
+    The only decode point of the block pipeline: it decodes the first k
+    distinct bindings and the rest of the k-th score's tie run for the
+    shared canonical cut (:func:`~repro.operators.topk.finalize_canonical`).
+    A projection of every variable needs no dedup (the rows are distinct
+    bindings): the cut is every row scoring at least the k-th score, one
+    ``np.partition`` and no sort.
     """
     if k < 1:
         raise ExecutionError(f"k must be >= 1, got {k}")
@@ -1256,21 +1272,26 @@ def top_k_cut(
         for name in sorted(rows.var_names if projection is None else projection)
         if name in rows.var_names
     )
-    order = np.argsort(-rows.scores, kind="stable")
-    columns = [rows.columns[rows.var_names.index(name)][order] for name in names]
-    packed = pack_columns(columns, codec.n_ids, n_rows=len(order))
-    if packed is None:
-        packed, _ = joint_group_ids(columns, tuple(c[:0] for c in columns))
-    keep = first_occurrence_keep(packed)
-    scores = rows.scores[order[keep]]
-    if len(keep) > k:
-        # Every distinct binding scoring the k-th score goes to the cut.
-        keep = keep[: int(np.searchsorted(-scores, -scores[k - 1], side="right"))]
-        scores = scores[: len(keep)]
+    columns = [rows.columns[rows.var_names.index(name)] for name in names]
+    scores, keep = rows.scores, slice(None)
+    if len(set(names)) < len(rows.var_names):  # a name may repeat
+        # Each projected binding keeps its first — maximum — row by score
+        # (Definition 8; the codec is injective: equal ids, equal terms).
+        order = np.argsort(-scores, kind="stable")
+        ordered = [column[order] for column in columns]
+        packed = pack_columns(ordered, codec.n_ids, n_rows=len(order))
+        if packed is None:
+            packed, _ = joint_group_ids(ordered, tuple(c[:0] for c in ordered))
+        keep = order[first_occurrence_keep(packed)]
+        if len(keep) > k:
+            kept = scores[keep]
+            keep = keep[: int(np.searchsorted(-kept, -kept[k - 1], side="right"))]
+    elif len(scores) > k:
+        keep = np.flatnonzero(scores >= np.partition(scores, -k)[-k])
     decode = codec.decode
     decoded = [[decode(i) for i in column[keep].tolist()] for column in columns]
     results = [
         Answer(tuple(zip(names, (values[row] for values in decoded))), score)
-        for row, score in enumerate(scores.tolist())
+        for row, score in enumerate(scores[keep].tolist())
     ]
     return finalize_canonical(results, k)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import operator as _operator
 from collections import defaultdict
 from typing import Callable

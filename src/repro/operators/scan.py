@@ -8,8 +8,6 @@ plans read from the database engine.
 
 from __future__ import annotations
 
-import math
-
 from repro.errors import ExecutionError
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.index import MatchList

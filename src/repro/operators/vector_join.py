@@ -15,8 +15,9 @@ The join probes in key order — sorted into sorted:
 
 * the left side's rows in the order of their join keys (packed into one
   int64 per row): a stored list's kept
-  :meth:`~repro.operators.block.EncodedMatchList.key_order`, or one sort
-  of a previous join's output;
+  :meth:`~repro.operators.block.EncodedMatchList.key_order`, or a
+  previous join's output's — the probe keys it came out in when the two
+  joins share their key, else one sort;
 * the right side's keys, in their own kept order, are searched in that
   run: one ``np.searchsorted`` and an equality test when no left key
   repeats, else the ``left``/``right`` pair and a vectorised range
@@ -70,7 +71,7 @@ def join_lists(
         needles = right.key_order(join_vars, n_ids)
         assert needles is not None  # same columns, same base as *stored*
         stored_keys, stored_order, distinct = stored
-        probe_keys, probe_order, _ = needles
+        probe_keys, probe_order, probe_distinct = needles
     else:
         # Exact slow path: joint group ids over both row sets.
         stored_ids, probe_ids = joint_group_ids(
@@ -86,20 +87,20 @@ def join_lists(
         # No left key repeats: a needle matches the one row at its
         # insertion point or nothing.
         slots = np.searchsorted(stored_keys, probe_keys)
-        hits = np.nonzero(
+        probed = np.nonzero(
             stored_keys[np.minimum(slots, len(stored_keys) - 1)] == probe_keys
         )[0]
-        total = matched = len(hits)
-        probe_rows = probe_order[hits]
-        stored_rows = stored_order[slots[hits]]
+        total = matched = len(probed)
+        probe_rows = probe_order[probed]
+        stored_rows = stored_order[slots[probed]]
     else:
         lo = np.searchsorted(stored_keys, probe_keys, side="left")
         hi = np.searchsorted(stored_keys, probe_keys, side="right")
         counts = hi - lo
         total = int(counts.sum())
         matched = int(np.count_nonzero(counts))
-        needle_slots, positions = expand_matches(lo, counts)
-        probe_rows = probe_order[needle_slots]
+        probed, positions = expand_matches(lo, counts)
+        probe_rows = probe_order[probed]
         stored_rows = stored_order[positions]
     context.joins_matched += matched
     context.factory.objects_created += total
@@ -108,6 +109,13 @@ def join_lists(
         for name in var_names[len(left.var_names):]
     )
     # The scores are final, hence ``max_score=1.0``.
-    return EncodedMatchList(
+    joined = EncodedMatchList(
         var_names, columns, left.scores[stored_rows] + right.scores[probe_rows], 1.0
     )
+    if stored is not None:
+        # Needles probed in key order leave the output in key order: a
+        # next join on the same key sorts nothing (nor gathers, if none).
+        joined.seed_key_order(
+            join_vars, n_ids, lambda: probe_keys[probed], distinct and probe_distinct
+        )
+    return joined

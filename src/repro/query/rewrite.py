@@ -151,9 +151,7 @@ def top_weighted_relaxation(
 
     This is the only relaxation PLANGEN needs to test per pattern
     (§3.2.1: normalisation makes each relaxation's top score equal its
-    weight, so the top-weighted rule dominates).
+    weight, so the top-weighted rule dominates), read off the front of
+    *rules*' memoised bucket.
     """
-    candidates = rules.for_pattern(pattern)
-    if not candidates:
-        return None
-    return max(candidates, key=lambda r: (r.weight, r.range.key()))
+    return rules.top_for_pattern(pattern)

@@ -9,6 +9,7 @@ by the domain pattern's key so lookup is independent of variable naming.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Iterable, Iterator
 
 from repro.errors import RelaxationError
@@ -122,6 +123,16 @@ class RuleSet:
         """Rules applicable to *pattern*, best weight first, retargeted to
         *pattern*'s variable names (memoised per pattern until the next
         :meth:`add`; the returned list is the caller's own)."""
+        return list(self._retargeted(pattern))
+
+    def top_for_pattern(self, pattern: TriplePattern) -> RelaxationRule | None:
+        """The highest-weight rule of :meth:`for_pattern`; of tied weights
+        the last, i.e. ``max`` by :meth:`add`'s range-key order."""
+        rules = self._retargeted(pattern)
+        ties = list(takewhile(lambda rule: rule.weight == rules[0].weight, rules))
+        return ties[-1] if ties else None
+
+    def _retargeted(self, pattern: TriplePattern) -> tuple[RelaxationRule, ...]:
         renamed = self._renamed
         rules = renamed.get(pattern)
         if rules is None:
@@ -131,7 +142,7 @@ class RuleSet:
                 rule.rename_to(pattern)
                 for rule in self._by_key.get(pattern.key(), ())
             )
-        return list(rules)
+        return rules
 
     def has_rules_for(self, pattern: TriplePattern) -> bool:
         return bool(self._by_key.get(pattern.key()))

@@ -228,28 +228,6 @@ class WorkloadRunner:
             "update_seconds": 0.0,
         }
 
-    @classmethod
-    def from_scenario(
-        cls, name: str, seed: int | None = None, **kwargs
-    ) -> "WorkloadRunner":
-        """A runner serving the named scenario pack.
-
-        Builds the pack (``seed=None`` = its frozen default seed), serves
-        ``pack.workload``, and defaults the engine ``k`` to the pack's
-        ``k`` so edge-of-k packs (``adversarial-edge-k`` ships ``k=25``)
-        exercise the regime they were generated for.  The pack itself is
-        kept on the runner as :attr:`scenario` so callers can reach its
-        update stream (``runner.apply_updates(list(pack.updates))``).
-        """
-        from repro.datasets.scenarios import build_scenario
-
-        pack = build_scenario(name, seed=seed)
-        if "config" not in kwargs:
-            kwargs["config"] = EngineConfig(k=pack.k)
-        runner = cls(pack.workload, **kwargs)
-        runner.scenario = pack
-        return runner
-
     # ------------------------------------------------------------------
     # Shared substrate
     # ------------------------------------------------------------------

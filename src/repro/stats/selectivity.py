@@ -132,12 +132,10 @@ class JoinCardinalityEstimator:
 
     def _count_bindings(self, patterns: Sequence[TriplePattern]) -> int:
         """Distinct full-variable bindings of *patterns* (Definition 4: an
-        answer is a mapping, so duplicates collapse).
-
-        A match list's rows are distinct bindings of its pattern, and
-        every join below maps distinct rows to distinct rows, so the
-        count is the final row count — nothing is deduplicated.
-        """
+        answer is a mapping, so duplicates collapse): the row count of
+        their join, as a list's rows are distinct bindings
+        (:class:`~repro.operators.block.EncodedMatchList`) and every join
+        below maps distinct rows to distinct rows."""
         # One codec and one graph version for the whole count: the ids of
         # two lists compare only under the same side table.
         codec, version = self._lists.pin(self._graph)
@@ -165,30 +163,30 @@ class JoinCardinalityEstimator:
                 )
             )
             columns = dict(zip(other.var_names, other.columns))
-            shared = [name for name in columns if name in bound]
+            # Sorted, so the key order is the one the block join keeps.
+            shared = tuple(sorted(name for name in columns if name in bound))
+            own = [bound[name] for name in shared]
             # Zero shared variables pack to one constant key: every row
             # matches every row, the cartesian product.
-            own_keys, other_keys = self._join_keys(
-                [bound[name] for name in shared],
-                [columns[name] for name in shared],
-                n_ids,
-                n_rows,
-                len(other),
-            )
+            own_keys = pack_columns(own, n_ids, n_rows=n_rows)
+            held = None if own_keys is None else other.key_order(shared, n_ids)
+            if held is None:  # too many key columns to pack into int64
+                own_keys, other_keys = joint_group_ids(
+                    own, [columns[name] for name in shared]
+                )
+                order = np.argsort(other_keys, kind="stable")
+                sorted_keys = other_keys[order]
+            else:
+                sorted_keys, order, _ = held
             if len(shared) == len(columns):
                 # The list binds nothing new (every star join): a semi-join.
-                # One sorted copy and a probe, where np.isin would sort
-                # the concatenation; *other* is not empty, or the smallest
-                # list, joined first, would have left no row.
-                sorted_keys = np.sort(other_keys)
+                # *other* is not empty, or the smallest list, joined
+                # first, would have left no row.
                 slots = np.searchsorted(sorted_keys, own_keys)
-                slots[slots == len(sorted_keys)] = 0
-                keep = sorted_keys[slots] == own_keys
+                keep = sorted_keys[np.minimum(slots, len(sorted_keys) - 1)] == own_keys
                 bound = {name: column[keep] for name, column in bound.items()}
                 n_rows = int(np.count_nonzero(keep))
                 continue
-            order = np.argsort(other_keys, kind="stable")
-            sorted_keys = other_keys[order]
             lo = np.searchsorted(sorted_keys, own_keys, side="left")
             counts = np.searchsorted(sorted_keys, own_keys, side="right") - lo
             own_rows, positions = expand_matches(lo, counts)
@@ -199,23 +197,6 @@ class JoinCardinalityEstimator:
                 if name not in bound:
                     bound[name] = column[other_rows]
         return n_rows
-
-    @staticmethod
-    def _join_keys(
-        own: Sequence[np.ndarray],
-        other: Sequence[np.ndarray],
-        n_ids: int,
-        n_own: int,
-        n_other: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One comparable int64 key per row of two row sets, over the same
-        (possibly zero) key columns."""
-        own_keys = pack_columns(own, n_ids, n_rows=n_own)
-        if own_keys is None:  # too many key columns to pack into int64
-            return joint_group_ids(own, other)
-        other_keys = pack_columns(other, n_ids, n_rows=n_other)
-        assert other_keys is not None  # same column count, same base
-        return own_keys, other_keys
 
     # ------------------------------------------------------------------
     # Independence-assumption estimation

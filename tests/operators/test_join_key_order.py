@@ -255,7 +255,8 @@ class TestStoredKeyOrder:
             block, "stable_argsort", spying(block.stable_argsort)
         ):
             run()
-        assert "top_k_cut" in callers  # the patch sees the query's cut
+        # The queries project every variable: the cut sorts nothing.
+        assert "top_k_cut" not in callers
         return callers.count("sorted_key_order")
 
     def test_built_once_and_dropped_with_the_version(
@@ -278,6 +279,30 @@ class TestStoredKeyOrder:
         # New version, new lists: the old orders went with the old lists.
         assert self._leaf_argsorts(run) == 2
         assert engine.query_exact(query, k=1).answers[0].bindings == (("s", "newbie"),)
+
+    def test_a_join_output_is_never_re_sorted(self, live, music_rules, three_pattern_query):
+        """Both joins of a three-pattern star key on ``?s``: the second
+        reads the first's output in the key order it came out in."""
+        engine = SpecQPEngine(live, music_rules, executor="block")
+        reference = SpecQPEngine(live, music_rules, executor="tuple")
+        original = EncodedMatchList.key_order
+        read_from_joins: list[bool] = []
+
+        def recording(self, join_vars, n_ids):
+            read_from_joins.append(self.inputs is None)
+            return original(self, join_vars, n_ids)
+
+        def run():
+            with mock.patch.object(EncodedMatchList, "key_order", recording):
+                assert (
+                    engine.query_exact(three_pattern_query, k=10).answers
+                    == reference.query_exact(three_pattern_query, k=10).answers
+                )
+
+        assert self._leaf_argsorts(run) == 3  # one per stored list, none for the output
+        assert read_from_joins.count(True) == 1  # ... which the second join read
+        assert self._leaf_argsorts(run) == 0
+        assert read_from_joins.count(True) == 2
 
     def test_wide_key_is_repacked_when_the_id_domain_grows(self):
         """A two-column key is packed base ``n_ids``; a side-table term

@@ -111,3 +111,27 @@ class TestTopWeighted:
 
     def test_none_without_rules(self, query):
         assert top_weighted_relaxation(query, tp("singer"), RuleSet()) is None
+
+    def test_weight_tie_goes_to_the_greatest_range_key(self):
+        rs = RuleSet()
+        for name in ("b", "c", "a"):
+            rs.add(RelaxationRule(tp("singer"), tp(name), 0.5))
+        q = TriplePatternQuery((tp("singer"),))
+        assert top_weighted_relaxation(q, tp("singer"), rs).range == tp("c")
+        # The memo is dropped by the next add.
+        rs.add(RelaxationRule(tp("singer"), tp("d"), 0.5))
+        assert top_weighted_relaxation(q, tp("singer"), rs).range == tp("d")
+        rs.add(RelaxationRule(tp("singer"), tp("a"), 0.9))
+        assert top_weighted_relaxation(q, tp("singer"), rs).range == tp("a")
+
+    def test_tie_between_a_variable_and_a_constant_range_term(self):
+        """Two tied ranges that differ variable-against-constant in one
+        position: the variable sorts after any term, as in the bucket."""
+        x, y = var("x"), var("y")
+        domain = TriplePattern(x, "type", y)
+        kind = RelaxationRule(domain, TriplePattern(x, "kind", y), 0.5)
+        thing = RelaxationRule(domain, TriplePattern(x, y, "thing"), 0.5)
+        rs = RuleSet([kind, thing])
+        q = TriplePatternQuery((domain,))
+        assert top_weighted_relaxation(q, domain, rs) == thing
+        assert rs.for_pattern(domain) == [kind, thing]
