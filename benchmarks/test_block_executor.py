@@ -1,12 +1,12 @@
-"""Benchmark: the served block pipeline against the tuple reference.
+"""Benchmark: the served block pipeline against the oracle.
 
 On the medium columnar profile under diverse warm serving traffic —
 distinct patterns churning bounded list caches — a
 :class:`~repro.service.WorkloadRunner` serves a batch through the block
-pipeline and a tuple :class:`~repro.core.engine.SpecQPEngine` answers the
-same queries; the block-over-tuple speed-up is printed, and what is
-asserted is that the answers are the same.  (The end-to-end benchmark
-in ``bench/`` is where throughput is measured.)
+pipeline, its report is printed, and what is asserted is that it answers
+what the oracle answers for each query's plan
+(:meth:`NaiveEngine.evaluate <repro.baselines.naive.NaiveEngine.evaluate>`).
+(The end-to-end benchmark in ``bench/`` is where throughput is measured.)
 
 Byte-identity is additionally pinned across every backend the block
 engine covers — columnar, live overlays pre/post compaction — at full
@@ -19,10 +19,10 @@ Set ``SPEC_QP_BENCH_PROFILE=smoke`` (the CI smoke job does) to run at
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
+from repro.baselines.naive import NaiveEngine
 from repro.core.engine import SpecQPEngine
 from repro.datasets import generate_scaled_graph
 from repro.datasets.workload import Workload
@@ -31,14 +31,14 @@ from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.pattern import TriplePattern, Variable
 from repro.query.query import TriplePatternQuery
 from repro.relax.rules import RuleSet
-from repro.service import MatchListCache, WorkloadRunner
+from repro.service import WorkloadRunner
 
 PROFILE = os.environ.get("SPEC_QP_BENCH_PROFILE", "medium")
 
 #: Small on purpose: served traffic has more distinct patterns than any
 #: bounded cache holds, so match lists are (re)built on the hot path —
 #: exactly where encoded columns beat object decoding.  It bounds the
-#: runner's encoded list store and the tuple engine's string lists.
+#: runner's encoded list store.
 CACHE_CAPACITY = 8
 BATCH = 120 if PROFILE != "smoke" else 40
 K = 10
@@ -80,22 +80,22 @@ def bench_workload():
     )
 
 
-def test_block_executor_speedup_over_tuple(benchmark, bench_workload):
+def oracle_rows(engine, queries):
+    """The oracle's answers to *engine*'s plan of each query."""
+    oracle = NaiveEngine(engine.graph, engine.rules)
+    return [
+        [(a.bindings, a.score) for a in oracle.evaluate(engine.plan(q, K).plan, K)]
+        for q in queries
+    ]
+
+
+def test_block_executor_serves_the_oracle_answers(benchmark, bench_workload):
     batch = bench_workload.stretched(BATCH)
-    graph = bench_workload.graph
-    tuple_engine = SpecQPEngine(
-        graph,
-        bench_workload.rules,
-        match_list_cache=MatchListCache(CACHE_CAPACITY),
-        executor="tuple",
-    )
-    try:
-        tuple_engine.catalog.precompute(queries=batch)  # untimed, as the runner's warm-up
-        started = time.perf_counter()
-        expected = [tuple_engine.query(query, K).answers for query in batch]
-        tuple_seconds = time.perf_counter() - started
-    finally:
-        graph.detach_match_list_cache()
+    queries = bench_workload.queries
+    engine = SpecQPEngine(bench_workload.graph, bench_workload.rules)
+    # The batch repeats the queries under new names.
+    by_shape = dict(zip((q.patterns for q in queries), oracle_rows(engine, queries)))
+    expected = [by_shape[query.patterns] for query in batch]
 
     def run():
         runner = WorkloadRunner(
@@ -107,22 +107,20 @@ def test_block_executor_speedup_over_tuple(benchmark, bench_workload):
 
     print()
     print(block_report.render())
-    speedup = block_report.queries_per_second * tuple_seconds / len(batch)
-    print(f"\nblock-over-tuple warm speed-up: {speedup:.2f}x ({PROFILE} profile)")
 
     # The served pipeline must not change what the engine answers.
     assert [o.n_answers for o in block_report.outcomes] == [
-        len(answers) for answers in expected
+        len(rows) for rows in expected
     ]
     assert [o.top_score for o in block_report.outcomes] == [
-        answers[0].score if answers else 0.0 for answers in expected
+        rows[0][1] if rows else 0.0 for rows in expected
     ]
     assert {o.executor for o in block_report.outcomes} == {"block"}
     assert block_report.n_queries == BATCH
 
 
 def test_block_answers_byte_identical_across_backends(bench_workload):
-    """Full-resolution equivalence: every backend family, both executors."""
+    """Full-resolution equivalence: every backend family, against the oracle."""
     store = bench_workload.graph.store
     queries = bench_workload.queries[:3] + bench_workload.queries[-2:]
 
@@ -148,19 +146,9 @@ def test_block_answers_byte_identical_across_backends(bench_workload):
         backends[f"live-{stage}"] = live
 
     for name, graph in backends.items():
-        rows = {}
-        tuple_engine = SpecQPEngine(graph, bench_workload.rules, executor="tuple")
-        block_engine = SpecQPEngine(
-            graph,
-            bench_workload.rules,
-            catalog=tuple_engine.catalog,  # planning shared; execution differs
-            executor="block",
-        )
-        for executor, engine in (("tuple", tuple_engine), ("block", block_engine)):
-            if executor == "block":
-                assert engine.resolve_executor(queries[0]).executor == "block", name
-            rows[executor] = [
-                [(a.bindings, a.score) for a in engine.query(q, k=K).answers]
-                for q in queries
-            ]
-        assert rows["block"] == rows["tuple"], name
+        engine = SpecQPEngine(graph, bench_workload.rules)
+        rows = [
+            [(a.bindings, a.score) for a in engine.query(q, k=K).answers]
+            for q in queries
+        ]
+        assert rows == oracle_rows(engine, queries), name

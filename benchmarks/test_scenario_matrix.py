@@ -1,12 +1,13 @@
-"""Benchmark: scenario packs served against the tuple reference, identical answers.
+"""Benchmark: scenario packs served against the oracle, identical answers.
 
 The scenario packs are the coverage substrate: skewed hot-key traffic,
 update-heavy mixes and adversarial shapes (boundary-tie runs, k >
 result-count, empty match lists) that the single diverse benchmark
 workload never produces.  This benchmark serves a representative pack
 selection warm through the runner's block pipeline and pins
-byte-identical answers to the tuple reference at full ``(bindings,
-score)`` granularity — including through each pack's update stream — so
+byte-identical answers to the oracle's evaluation of each query's plan
+(:meth:`NaiveEngine.evaluate <repro.baselines.naive.NaiveEngine.evaluate>`)
+at full ``(bindings, score)`` granularity — including through each pack's update stream — so
 the equivalence claim is made exactly where tie resolution and edge-of-k
 handling are load-bearing.
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.naive import NaiveEngine
 from repro.core.engine import SpecQPEngine
 from repro.datasets import build_scenario
 from repro.datasets.workload import Workload
@@ -27,7 +29,7 @@ from repro.kg.columnar import ColumnarGraph
 from repro.service import WorkloadRunner
 
 #: One base pack, the hot-key pack, and every adversarial pack — the
-#: shapes where a divergence from the tuple reference would first show.
+#: shapes where a divergence from the oracle would first show.
 PACKS = (
     "commerce-base",
     "commerce-hot",
@@ -56,16 +58,17 @@ def test_scenario_pack_equivalence_across_executors(name):
     runner = WorkloadRunner(workload, result_cache_capacity=0)
 
     def served_and_reference():
-        reference = SpecQPEngine(
-            runner.graph, workload.rules, runner.config, executor="tuple"
-        )
+        planner = SpecQPEngine(runner.graph, workload.rules, runner.config)
+        oracle = NaiveEngine(runner.graph, workload.rules)
+        cap = runner.config.max_relaxations_per_pattern
         served, expected = [], []
         for q in batch:
             served.append(
                 [(a.bindings, a.score) for a in runner.execute_query(q, k=pack.k)]
             )
+            plan = planner.plan(q, pack.k).plan
             expected.append(
-                [(a.bindings, a.score) for a in reference.query(q, k=pack.k).answers]
+                [(a.bindings, a.score) for a in oracle.evaluate(plan, pack.k, cap)]
             )
         return served, expected
 

@@ -11,9 +11,8 @@ and fails (exit 1) listing every problem found:
   statement in it must execute against ``src/`` — so renaming or
   removing a public symbol breaks the build, not the reader;
 * the ``convert`` command lines documented in ``docs/storage.md`` must
-  actually round-trip: a tiny graph is driven through tsv → kg2 → tsv,
-  and a v1 ``.npz`` file through the one-way import npz → kg2 → tsv, via
-  the real CLI entry point, and each final TSV must equal the first byte
+  actually round-trip: a tiny graph is driven through tsv → kg2 → tsv via
+  the real CLI entry point, and the final TSV must equal the first byte
   for byte.
 
 Run via ``make docs`` or CI.
@@ -90,20 +89,16 @@ def broken_snippets(doc: Path, root: Path) -> tuple[list[str], int]:
 def convert_roundtrip_problems() -> list[str]:
     """Drive the documented ``convert`` CLI through the packed format.
 
-    ``docs/storage.md`` shows tsv ⇄ kg2 and npz → kg2 command lines; run
-    them on a tiny graph so those lines cannot rot: the TSV that comes
-    back out of tsv → kg2 → tsv, and out of a v1 file imported through
-    npz → kg2 → tsv, must be byte-identical to the one that went in
+    ``docs/storage.md`` shows tsv ⇄ kg2 command lines; run them on a
+    tiny graph so those lines cannot rot: the TSV that comes back out of
+    tsv → kg2 → tsv must be byte-identical to the one that went in
     (every backend exports the same canonical order).
     """
     import tempfile
 
     try:
-        import numpy as np
-
         from repro.experiments.cli import main as cli_main
         from repro.kg import KnowledgeGraph, storage
-        from repro.kg.columnar import ColumnarStore
     except Exception as error:  # noqa: BLE001 - report, don't crash
         return [f"convert roundtrip: cannot import the CLI: {error}"]
     graph = KnowledgeGraph(name="docs-roundtrip")
@@ -117,25 +112,9 @@ def convert_roundtrip_problems() -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         first = Path(tmp) / "a.tsv"
         storage.save_tsv(graph, first)
-        # A v1 file laid out as the retired v1 writer did.
-        store = ColumnarStore.from_triples(graph.triples())
-        with open(Path(tmp) / "v1.npz", "wb") as handle:
-            np.savez(
-                handle,
-                format=np.array(storage.SNAPSHOT_FORMAT),
-                version=np.array(storage.SNAPSHOT_VERSION),
-                name=np.array(graph.name),
-                terms=store.terms,
-                subjects=store.subjects,
-                predicates=store.predicates,
-                objects=store.objects,
-                scores=store.scores,
-            )
         hops = [
             (first, Path(tmp) / "b.kg2"),
             (Path(tmp) / "b.kg2", Path(tmp) / "c.tsv"),
-            (Path(tmp) / "v1.npz", Path(tmp) / "d.kg2"),
-            (Path(tmp) / "d.kg2", Path(tmp) / "e.tsv"),
         ]
         for source, target in hops:
             try:
@@ -152,12 +131,8 @@ def convert_roundtrip_problems() -> list[str]:
                     f"convert roundtrip: {source.name} -> {target.name} "
                     f"exited {code}"
                 ]
-        for name in ("c.tsv", "e.tsv"):
-            if (Path(tmp) / name).read_bytes() != first.read_bytes():
-                return [
-                    f"convert roundtrip: {name} did not round-trip "
-                    "byte-identically"
-                ]
+        if (Path(tmp) / "c.tsv").read_bytes() != first.read_bytes():
+            return ["convert roundtrip: c.tsv did not round-trip byte-identically"]
     return []
 
 

@@ -792,8 +792,7 @@ class ScenarioPack:
             problems += self.workload.validate(require_nonempty=True)
         if "ties" in self.traits:
             pattern = TriplePattern(VAR_S, "adv:tied", "adv:tie-bucket")
-            matches = self.workload.graph.match_list(pattern)
-            scores = [t.score for t in matches.triples]
+            scores = [t.score for t in self.workload.graph.match(pattern)]
             if scores.count(TIE_SCORE) <= self.k:
                 problems.append(
                     f"{self.name}: tie run does not straddle k={self.k}"

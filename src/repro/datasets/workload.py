@@ -116,10 +116,7 @@ class Workload:
                         f"relaxations (< {min_relaxations_per_pattern})"
                     )
             if require_nonempty:
-                if any(
-                    self.graph.match_list(pattern).is_empty
-                    for pattern in query.patterns
-                ):
+                if not all(self.graph.count(pattern) for pattern in query.patterns):
                     problems.append(
                         f"{query.name}: some pattern has an empty match list"
                     )

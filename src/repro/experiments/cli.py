@@ -8,7 +8,6 @@ Examples::
     spec-qp workload --min-queries 200
     spec-qp workload --scenario adversarial-ties
     spec-qp convert --input graph.tsv --output graph.kg2
-    spec-qp convert --input old.npz --output graph.kg2
     spec-qp update --input graph.kg2 --updates edits.tsv --output graph2.kg2
     spec-qp update --scenario social-update-heavy
 """
@@ -112,42 +111,33 @@ def run_experiment(
     raise ExperimentError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
 
 
-def _storage_format(path: str, writing: bool = False) -> str:
-    """``'snapshot-v1'``, ``'snapshot-v2'`` or ``'tsv'`` from a file name,
-    or raise — also when *writing* a v1 ``.npz``, which is import-only."""
+def _storage_format(path: str) -> str:
+    """``'snapshot-v2'`` or ``'tsv'`` from a file name, or raise."""
     lowered = path.lower()
-    if lowered.endswith(".npz"):
-        if writing:
-            raise ExperimentError(
-                f"cannot write {path!r}: v1 .npz snapshots are import-only; "
-                "write .kg2 (or .tsv)"
-            )
-        return "snapshot-v1"
     if lowered.endswith(".kg2"):
         return "snapshot-v2"
     if lowered.endswith((".tsv", ".tsv.gz")):
         return "tsv"
     raise ExperimentError(
         f"cannot infer storage format of {path!r}: "
-        "use .tsv / .tsv.gz (scored TSV), .kg2 (packed snapshot, "
-        "mmap-attachable) or, as convert input only, .npz (v1 snapshot)"
+        "use .tsv / .tsv.gz (scored TSV) or .kg2 (packed snapshot, "
+        "mmap-attachable)"
     )
 
 
 def _save_graph(graph, path: str) -> int:
     from repro.kg import storage
 
-    if _storage_format(path, writing=True) == "snapshot-v2":
+    if _storage_format(path) == "snapshot-v2":
         return storage.save_snapshot_v2(graph, path)
     return storage.save_tsv(graph, path)
 
 
 def run_convert(args: "argparse.Namespace") -> int:
-    """The ``convert`` subcommand: TSV ⇄ packed snapshot, and the v1 import.
+    """The ``convert`` subcommand: TSV ⇄ packed snapshot.
 
     Formats are inferred from the file suffixes: ``.tsv``/``.tsv.gz``
-    (scored TSV), ``.kg2`` (packed snapshot — mmap-attachable in O(ms))
-    and, as input only, ``.npz`` (v1 snapshot, imported one way).  TSV
+    (scored TSV) and ``.kg2`` (packed snapshot — mmap-attachable in O(ms)).  TSV
     input streams straight into the columnar backend (interned once,
     never an object-per-triple dict), so converting a large graph to a
     snapshot is a one-time cost that every later load skips.
@@ -159,10 +149,10 @@ def run_convert(args: "argparse.Namespace") -> int:
     if not args.input or not args.output:
         raise ExperimentError("convert requires --input and --output")
     in_format = _storage_format(args.input)
-    out_format = _storage_format(args.output, writing=True)
+    out_format = _storage_format(args.output)
     started = time.perf_counter()
     try:
-        graph = _load_graph(args.input, args.graph_name, import_v1=True)
+        graph = _load_graph(args.input, args.graph_name)
         count = _save_graph(graph, args.output)
     except (KnowledgeGraphError, OSError) as error:
         raise ExperimentError(f"convert failed: {error}") from None
@@ -174,9 +164,9 @@ def run_convert(args: "argparse.Namespace") -> int:
     return 0
 
 
-def _load_graph(path: str, name: str | None, import_v1: bool = False):
-    """Load a TSV or packed-snapshot graph — or, for ``convert`` only, a
-    v1 ``.npz`` import — straight into the columnar backend."""
+def _load_graph(path: str, name: str | None):
+    """Load a TSV or packed-snapshot graph straight into the columnar
+    backend."""
     from pathlib import Path
 
     from repro.kg import storage
@@ -185,13 +175,6 @@ def _load_graph(path: str, name: str | None, import_v1: bool = False):
     fmt = _storage_format(path)
     if fmt == "snapshot-v2":
         return storage.load_snapshot_v2(path, name=name)
-    if fmt == "snapshot-v1":
-        if import_v1:
-            return storage._load_snapshot_v1(path, name)
-        raise ExperimentError(
-            f"{path!r} is a v1 .npz snapshot: import it with "
-            "`convert --input ... --output graph.kg2` first"
-        )
     return ColumnarGraph.from_triples(
         storage.iter_tsv(path), name=name or Path(path).stem
     )
@@ -226,7 +209,7 @@ def run_update(args: "argparse.Namespace") -> int:
         raise ExperimentError(
             "update requires --input, --updates and --output (or --scenario)"
         )
-    out_format = _storage_format(args.output, writing=True) if args.output else None
+    out_format = _storage_format(args.output) if args.output else None
     started = time.perf_counter()
     try:
         if pack is not None:
@@ -351,7 +334,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     convert.add_argument(
         "--input", default=None, metavar="PATH",
         help="source graph: .tsv / .tsv.gz (scored TSV) or .kg2 (packed "
-        "snapshot); convert also imports .npz (v1 snapshot)",
+        "snapshot)",
     )
     convert.add_argument(
         "--output", default=None, metavar="PATH",

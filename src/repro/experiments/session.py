@@ -126,12 +126,9 @@ class ExperimentSession:
     def _evaluate(self, query: TriplePatternQuery, k: int) -> QueryRecord:
         engine = self.engine
 
-        spec_outcome = self.protocol.measure(
-            lambda: engine.query(query, k),
-            lambda result: result.total_seconds,
-        )
-        trinit_outcome = self.protocol.measure(
-            lambda: engine.query_trinit(query, k),
+        # Spec-QP and TriniT take turns, so drift reaches both alike.
+        spec_outcome, trinit_outcome = self.protocol.measure_alternating(
+            (lambda: engine.query(query, k), lambda: engine.query_trinit(query, k)),
             lambda result: result.total_seconds,
         )
         spec: QueryResult = spec_outcome.result  # type: ignore[assignment]

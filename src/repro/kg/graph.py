@@ -151,12 +151,14 @@ class KnowledgeGraph:
     # Pattern matching
     # ------------------------------------------------------------------
     def match(self, pattern: TriplePattern) -> Iterator[Triple]:
-        """All triples matching *pattern*: its match list's triples."""
-        return iter(self.match_list(pattern).triples)
+        """All triples matching *pattern*, in Definition-5 order."""
+        return iter(self._list_triples(pattern)[0])
 
     def count(self, pattern: TriplePattern) -> int:
-        """Number of matches of *pattern* (``m_i`` in the paper)."""
-        return len(self.match_list(pattern))
+        """Number of matches of *pattern* (``m_i`` in the paper): its
+        :meth:`list_rows`, none decoded."""
+        _, lengths, (adds,), _ = self.list_rows((pattern,))
+        return int(lengths[0]) + len(adds)
 
     def match_list(self, pattern: TriplePattern) -> MatchList:
         """The score-sorted, score-normalised match list of *pattern*.
@@ -187,9 +189,19 @@ class KnowledgeGraph:
         return cached
 
     def _build_match_list(self, pattern: TriplePattern) -> MatchList:
-        """Decode *pattern*'s :meth:`list_rows`, splice in its adds, and
-        normalise by the first raw score with :func:`_gather_rows`' float
-        operations (:mod:`repro.operators.block`)."""
+        """Normalise *pattern*'s :meth:`_list_triples` by the first raw
+        score with :func:`_gather_rows`' float operations
+        (:mod:`repro.operators.block`)."""
+        triples, raw = self._list_triples(pattern)
+        if not triples:
+            return MatchList(pattern.key(), (), 0.0, ())
+        max_score = float(raw[0])
+        normalized = raw / max_score if max_score > 0 else np.zeros(len(raw))
+        return MatchList(pattern.key(), tuple(triples), max_score, tuple(normalized.tolist()))
+
+    def _list_triples(self, pattern: TriplePattern) -> tuple[list[Triple], np.ndarray]:
+        """*pattern*'s :meth:`list_rows` decoded, its adds spliced in, and
+        their raw scores: the one decode every list reader goes through."""
         store = self.column_store()
         rows, _, (adds,), (slots,) = self.list_rows((pattern,))
         triples = self._decode(store, rows)
@@ -199,11 +211,7 @@ class KnowledgeGraph:
             for at, (spo, score) in reversed(list(zip(slots.tolist(), adds))):
                 triples.insert(at, Triple(*spo, score))
             raw = np.insert(raw, slots, [score for _, score in adds])
-        if not triples:
-            return MatchList(pattern.key(), (), 0.0, ())
-        max_score = float(raw[0])
-        normalized = raw / max_score if max_score > 0 else np.zeros(len(raw))
-        return MatchList(pattern.key(), tuple(triples), max_score, tuple(normalized.tolist()))
+        return triples, raw
 
     def _decode(self, store: "ColumnarStore", rows: np.ndarray) -> list[Triple]:
         """*rows* of *store* as triples, each row decoded once while the graph

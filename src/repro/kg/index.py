@@ -89,29 +89,11 @@ class MatchList:
     max_score: float
     normalized_scores: tuple[float, ...]
 
-    @classmethod
-    def from_triples(
-        cls,
-        pattern_key: tuple[str | None, str | None, str | None],
-        triples: Iterable[Triple],
-    ) -> "MatchList":
-        ordered = sorted(triples, key=lambda t: (-t.score, t.spo))
-        max_score = ordered[0].score if ordered else 0.0
-        if max_score > 0:
-            normalized = tuple(t.score / max_score for t in ordered)
-        else:
-            normalized = tuple(0.0 for _ in ordered)
-        return cls(pattern_key, tuple(ordered), max_score, normalized)
-
     def __len__(self) -> int:
         return len(self.triples)
 
     def __bool__(self) -> bool:
         return bool(self.triples)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.triples
 
     def normalized(self, rank: int) -> float:
         """Normalised score at 0-based *rank* (rank 0 is the best match)."""

@@ -7,9 +7,7 @@ Three formats:
 * **Packed snapshot** (``.kg2``) — the dictionary-encoded columns of
   :class:`~repro.kg.columnar.ColumnarStore` as raw sections plus a JSON
   manifest, attached by ``mmap`` in O(ms) because nothing is reparsed,
-  re-interned or copied.  Format spec: ``docs/storage.md``.  The older
-  ``.npz`` snapshot (v1) is read only by the one-way import in the
-  ``convert`` CLI subcommand.
+  re-interned or copied.  Format spec: ``docs/storage.md``.
 * **N-triples-ish** — ``<s> <p> <o> .`` lines without scores, for
   interoperability with standard RDF tooling; scores default to 1.0 on
   load and are dropped on save.
@@ -44,11 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kg.columnar import ColumnarGraph, ColumnarStore
     from repro.kg.delta import GraphUpdate
 
-#: Magic string identifying a snapshot (either version) as ours.
+#: Magic string of a snapshot's manifest, identifying it as ours.
 SNAPSHOT_FORMAT = "spec-qp/kg-snapshot"
-
-#: The ``.npz`` container version the v1 import understands.
-SNAPSHOT_VERSION = 1
 
 #: Format version of the v2 packed snapshot (``.kg2``).
 SNAPSHOT_V2_VERSION = 2
@@ -69,8 +64,8 @@ _V2_ALIGN = 64
 _V2_SECTIONS = ("terms", "term_rank", "subjects", "predicates", "objects", "scores")
 
 _V2_HINT = (
-    "expected a v2 packed snapshot (magic %r); v1 .npz snapshots import "
-    "with `spec-qp convert` — see docs/storage.md" % SNAPSHOT_V2_MAGIC
+    "expected a v2 packed snapshot (magic %r) — see docs/storage.md"
+    % SNAPSHOT_V2_MAGIC
 )
 
 
@@ -207,7 +202,7 @@ def iter_update_tsv(path: str | Path) -> "Iterator[GraphUpdate]":
 
 
 # ----------------------------------------------------------------------
-# Binary snapshots: the v1 (.npz) import and v2 packed snapshots (.kg2)
+# Binary snapshots: v2 packed snapshots (.kg2)
 # ----------------------------------------------------------------------
 def _columnar_store_of(graph: KnowledgeGraph) -> "ColumnarStore":
     """The graph's columnar store, interning on the fly if needed.
@@ -280,48 +275,6 @@ class _AtomicBinaryWriter:
                 pass
 
 
-def _load_snapshot_v1(path: str | Path, name: str | None = None) -> "ColumnarGraph":
-    """Read a v1 ``.npz`` snapshot — header plus dictionary-encoded columns,
-    see ``docs/storage.md`` — as a validated read-only
-    :class:`~repro.kg.columnar.ColumnarGraph`: the one-way import behind
-    ``convert``.  Anything else raises :class:`KnowledgeGraphError`.
-    """
-    import zipfile
-
-    import numpy as np
-
-    from repro.kg.columnar import ColumnarGraph, ColumnarStore
-
-    path = Path(path)
-    columns = ("terms", "subjects", "predicates", "objects", "scores")
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            magic = str(data["format"][()])
-            version = int(data["version"][()])
-            stored_name = str(data["name"][()])
-            arrays = [data[key] for key in columns]
-    except KeyError as missing:
-        raise KnowledgeGraphError(
-            f"{path}: not a knowledge-graph snapshot (missing member {missing}; "
-            "a v1 .npz snapshot carries format/version/name/terms/columns)"
-        ) from None
-    except (zipfile.BadZipFile, ValueError, OSError) as error:
-        raise KnowledgeGraphError(
-            f"{path}: cannot read snapshot: {error} (v1 snapshots are .npz "
-            "containers — see docs/storage.md)"
-        ) from None
-    if (magic, version) != (SNAPSHOT_FORMAT, SNAPSHOT_VERSION):
-        raise KnowledgeGraphError(
-            f"{path}: bad snapshot magic or version {magic!r} v{version} "
-            f"(the import reads {SNAPSHOT_FORMAT!r} v{SNAPSHOT_VERSION})"
-        )
-    try:
-        store = ColumnarStore.from_arrays(*arrays, validate=True)
-    except KnowledgeGraphError as error:
-        raise KnowledgeGraphError(f"{path}: corrupt snapshot: {error}") from None
-    return ColumnarGraph(store, name=name or stored_name or path.stem)
-
-
 def _v2_error(path: str | Path, why: str) -> KnowledgeGraphError:
     return KnowledgeGraphError(f"{path}: {why} ({_V2_HINT})")
 
@@ -336,8 +289,8 @@ def save_snapshot_v2(graph: KnowledgeGraph, path: str | Path) -> int:
 
     The manifest footer keeps section offsets independent of the
     manifest's own size; sections are raw C-contiguous array bytes that
-    :func:`numpy.memmap` can attach with zero copies.  Two sections go
-    beyond the v1 members: ``term_rank`` persists the lexicographic term
+    :func:`numpy.memmap` can attach with zero copies.  Beside the
+    dictionary and the columns, ``term_rank`` persists the lexicographic term
     ranks (so attaching never argsorts the dictionary), and the four row
     columns are stored in canonical Definition-5 score order — every
     match list is then a gather over *forward-contiguous* file regions,
@@ -414,11 +367,7 @@ def read_snapshot_v2_manifest(path: str | Path) -> dict:
             head = handle.read(len(SNAPSHOT_V2_MAGIC))
             if head != SNAPSHOT_V2_MAGIC:
                 if head[:2] == b"PK":
-                    raise _v2_error(
-                        path,
-                        "this is a zip container — likely a v1 .npz snapshot; "
-                        "import it with `spec-qp convert`",
-                    )
+                    raise _v2_error(path, "this is a zip container")
                 raise _v2_error(path, f"bad magic {head!r}")
             handle.seek(0, os.SEEK_END)
             size = handle.tell()

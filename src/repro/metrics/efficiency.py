@@ -10,8 +10,9 @@ deterministic across runs, so any run's result is representative).
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from repro.errors import ExperimentError
 
@@ -53,11 +54,36 @@ class TimingProtocol:
     ) -> TimedOutcome:
         """Execute *run* ``n_runs`` times; average the last ``n_keep``
         values of ``seconds_of(result)``."""
-        results: list[R] = [run() for _ in range(self.n_runs)]
-        timings = tuple(seconds_of(result) for result in results)
-        kept = timings[-self.n_keep:]
-        return TimedOutcome(
-            result=results[-1],
-            mean_seconds=sum(kept) / len(kept),
-            all_seconds=timings,
-        )
+        return self.measure_alternating((run,), seconds_of)[0]
+
+    def measure_alternating(
+        self,
+        runs: Sequence[Callable[[], R]],
+        seconds_of: Callable[[R], float],
+    ) -> tuple[TimedOutcome, ...]:
+        """:meth:`measure` each of *runs*, taking turns run by run, so
+        that drift in the machine's speed reaches every one alike.  The
+        garbage collector is paused meanwhile, as :mod:`timeit` pauses
+        it: one full collection costs more than a whole run."""
+        results: list[list[R]] = [[] for _ in runs]
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(self.n_runs):
+                for run, done in zip(runs, results):
+                    done.append(run())
+        finally:
+            if collecting:
+                gc.enable()
+        outcomes = []
+        for done in results:
+            timings = tuple(seconds_of(result) for result in done)
+            kept = timings[-self.n_keep:]
+            outcomes.append(
+                TimedOutcome(
+                    result=done[-1],
+                    mean_seconds=sum(kept) / len(kept),
+                    all_seconds=timings,
+                )
+            )
+        return tuple(outcomes)

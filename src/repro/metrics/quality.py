@@ -104,10 +104,8 @@ def _answer_satisfies(
     bound = pattern.substitute(answer.as_dict())
     if bound.variables:
         # The answer does not bind every variable of the pattern (possible
-        # under projection); fall back to a match-list probe.
-        return any(
-            bound.matches(triple) for triple in graph.match_list(bound).triples
-        )
+        # under projection); fall back to counting its matches.
+        return graph.count(bound) > 0
     return bound.terms in graph  # type: ignore[comparison-overlap]
 
 

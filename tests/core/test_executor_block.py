@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.naive import NaiveEngine
 from repro.baselines.trinit import TriniTEngine
 from repro.core.engine import SpecQPEngine
 from repro.core.plan import QueryPlan
@@ -24,6 +25,15 @@ def tp(type_name: str, v: str = "s") -> TriplePattern:
 
 def rows(result):
     return [(a.bindings, a.score) for a in result.answers]
+
+
+def served_and_oracle(engine, run, query, k):
+    """*engine*'s *run* of *query* (``"query"``, ``"query_trinit"`` or
+    ``"query_exact"``) and the oracle's answers to the plan it ran."""
+    result = getattr(engine, run)(query, k=k)
+    oracle = NaiveEngine(engine.graph, engine.rules)
+    expected = [(a.bindings, a.score) for a in oracle.evaluate(result.plan, k)]
+    return rows(result), expected
 
 
 class TestExecutorSelection:
@@ -67,10 +77,8 @@ class TestExecutorSelection:
     ):
         engine = SpecQPEngine(music_graph, music_rules, executor="block")
         assert engine.resolve_executor(self.QUERY).executor == "block"
-        reference = SpecQPEngine(music_graph, music_rules, executor="tuple")
-        assert rows(engine.query(singer_lyricist_query, k=10)) == rows(
-            reference.query(singer_lyricist_query, k=10)
-        )
+        served, expected = served_and_oracle(engine, "query", singer_lyricist_query, 10)
+        assert served == expected
         assert len(engine.executor.encoded_store) > 0  # served from columns
 
     def test_live_overlay_supported(self, music_graph, music_rules):
@@ -102,24 +110,18 @@ class TestBlockEngineEquivalence:
         self, music_graph, music_rules, singer_lyricist_query, k
     ):
         frozen = ColumnarGraph.from_graph(music_graph)
-        tuple_engine = SpecQPEngine(frozen, music_rules, executor="tuple")
         block_engine = SpecQPEngine(frozen, music_rules, executor="block")
-        assert rows(tuple_engine.query(singer_lyricist_query, k=k)) == rows(
-            block_engine.query(singer_lyricist_query, k=k)
-        )
+        served, expected = served_and_oracle(block_engine, "query", singer_lyricist_query, k)
+        assert served == expected
 
     def test_trinit_and_exact_identical(
         self, music_graph, music_rules, three_pattern_query
     ):
         frozen = ColumnarGraph.from_graph(music_graph)
-        tuple_engine = SpecQPEngine(frozen, music_rules, executor="tuple")
         block_engine = SpecQPEngine(frozen, music_rules, executor="block")
-        assert rows(tuple_engine.query_trinit(three_pattern_query, k=10)) == rows(
-            block_engine.query_trinit(three_pattern_query, k=10)
-        )
-        assert rows(tuple_engine.query_exact(three_pattern_query, k=10)) == rows(
-            block_engine.query_exact(three_pattern_query, k=10)
-        )
+        for run in ("query_trinit", "query_exact"):
+            served, expected = served_and_oracle(block_engine, run, three_pattern_query, 10)
+            assert served == expected, run
 
     def test_empty_match_list_edge(self, music_rules):
         """Regression: a pattern with zero matches in the block path."""
@@ -127,12 +129,8 @@ class TestBlockEngineEquivalence:
         kg.add("a", "rdf:type", "singer", score=3.0)
         frozen = ColumnarGraph.from_graph(kg)
         query = TriplePatternQuery((tp("singer"), tp("ghost")), name="empty-side")
-        tuple_engine = SpecQPEngine(frozen, music_rules, executor="tuple")
         block_engine = SpecQPEngine(frozen, music_rules, executor="block")
-        assert rows(block_engine.query_exact(query, k=5)) == rows(
-            tuple_engine.query_exact(query, k=5)
-        )
-        assert rows(block_engine.query_exact(query, k=5)) == []
+        assert served_and_oracle(block_engine, "query_exact", query, 5) == ([], [])
 
     def test_repeated_variable_after_cache_pollution(self, music_rules):
         """Regression: an open pattern caches the unfiltered list under
@@ -146,7 +144,6 @@ class TestBlockEngineEquivalence:
             kg.add(s, p, o, score=score)
         live = LiveGraph(ColumnarGraph.from_graph(kg))
         live.apply_updates([GraphUpdate.add("c", "p", "d", 1.0)])
-        tuple_engine = SpecQPEngine(live, music_rules, executor="tuple")
         block_engine = SpecQPEngine(live, music_rules, executor="block")
         open_query = TriplePatternQuery(
             (TriplePattern(var("x"), "p", var("y")),)
@@ -154,10 +151,8 @@ class TestBlockEngineEquivalence:
         diagonal_query = TriplePatternQuery(
             (TriplePattern(var("x"), "p", var("x")),)
         )
-        for engine in (tuple_engine, block_engine):
-            engine.query_exact(open_query, k=10)  # pollute the key cache
-        expected = rows(tuple_engine.query_exact(diagonal_query, k=10))
-        actual = rows(block_engine.query_exact(diagonal_query, k=10))
+        block_engine.query_exact(open_query, k=10)  # pollute the key cache
+        actual, expected = served_and_oracle(block_engine, "query_exact", diagonal_query, 10)
         assert actual == expected
         assert [binding for binding, _ in actual] == [
             (("x", "b"),), (("x", "a"),)
@@ -167,10 +162,8 @@ class TestBlockEngineEquivalence:
         """Regression: k far beyond the answer count in the block path."""
         frozen = ColumnarGraph.from_graph(music_graph)
         query = TriplePatternQuery((tp("singer"),), name="small")
-        tuple_engine = SpecQPEngine(frozen, music_rules, executor="tuple")
         block_engine = SpecQPEngine(frozen, music_rules, executor="block")
-        expected = rows(tuple_engine.query_exact(query, k=500))
-        actual = rows(block_engine.query_exact(query, k=500))
+        actual, expected = served_and_oracle(block_engine, "query_exact", query, 500)
         assert actual == expected
         assert len(actual) == 4
 

@@ -167,43 +167,17 @@ class TestConvert:
         assert code == 0
         assert storage.load_snapshot_v2(snapshot).name == "renamed"
 
-    def test_v1_snapshot_imports_one_way(self, tsv_path, tmp_path, capsys):
-        import numpy as np
-
-        from repro.kg import storage
-        from repro.kg.columnar import ColumnarStore
-
-        store = ColumnarStore.from_triples(storage.iter_tsv(tsv_path))
-        v1 = tmp_path / "old.npz"
-        with open(v1, "wb") as handle:
-            np.savez(
-                handle,
-                format=np.array(storage.SNAPSHOT_FORMAT),
-                version=np.array(storage.SNAPSHOT_VERSION),
-                name=np.array("old"),
-                terms=store.terms,
-                subjects=store.subjects,
-                predicates=store.predicates,
-                objects=store.objects,
-                scores=store.scores,
-            )
-        packed, back = tmp_path / "new.kg2", tmp_path / "back.tsv"
-        assert main(["convert", "--input", str(v1), "--output", str(packed)]) == 0
-        assert "(snapshot-v1) -> " in capsys.readouterr().out
-        assert storage.load_snapshot_v2(packed).name == "old"
-        assert main(["convert", "--input", str(packed), "--output", str(back)]) == 0
-        assert back.read_bytes() == tsv_path.read_bytes()
-        # One way only: nothing writes v1, and only convert reads it.
-        assert main(["convert", "--input", str(packed), "--output", str(v1)]) == 2
-        assert "import-only" in capsys.readouterr().err
-        updates = tmp_path / "edits.tsv"
-        updates.write_text("+\tx\tp\ty\t1\n")
-        code = main(
-            ["update", "--input", str(v1), "--updates", str(updates),
-             "--output", str(tmp_path / "u.kg2")]
-        )
-        assert code == 2
-        assert "import it with `convert" in capsys.readouterr().err
+    def test_npz_is_not_a_storage_format(self, tsv_path, tmp_path, capsys):
+        """The one snapshot format is ``.kg2``: a ``.npz`` path is refused
+        by its suffix, as input and as output."""
+        old = tmp_path / "old.npz"
+        old.write_bytes(b"PK\x03\x04")
+        for argv in (
+            ["convert", "--input", str(old), "--output", str(tmp_path / "g.kg2")],
+            ["convert", "--input", str(tsv_path), "--output", str(old)],
+        ):
+            assert main(argv) == 2
+            assert "cannot infer storage format" in capsys.readouterr().err
 
     def test_missing_arguments_fail(self, capsys):
         assert main(["convert"]) == 2

@@ -3,14 +3,15 @@
 The acceptance bar for the vectorized engine: for every backend the
 block path runs on — in-memory columns, columns attached from a
 ``.kg2``, and live overlays over each, before and after compaction —
-``executor="block"``
-returns byte-identical ``(bindings, score)`` sequences to
-``executor="tuple"``, on a real generated workload with mined rules.
+the block pipeline returns byte-identical ``(bindings, score)``
+sequences to the oracle's evaluation of the same plan
+(:meth:`NaiveEngine.evaluate <repro.baselines.naive.NaiveEngine.evaluate>`),
+on a real generated workload with mined rules.
 
 The scenario-matrix section below makes the same claim on generated
 coverage traffic: the adversarial packs (boundary-tie runs straddling
 k, k > result-count, empty match lists, unselective joins) run in the
-default suite across tuple/block/auto × object/columnar, and
+default suite across block/auto × object/columnar, and
 the full every-pack sweep — including each pack's update stream — runs
 under the ``slow_scenario`` marker (``make scenarios``).
 """
@@ -21,6 +22,7 @@ import functools
 
 import pytest
 
+from repro.baselines.naive import NaiveEngine
 from repro.core.engine import SpecQPEngine
 from repro.datasets.scenarios import build_scenario, scenario_names
 from repro.datasets.workload import Workload
@@ -33,8 +35,18 @@ from repro.service import WorkloadRunner
 BASE_KINDS = ("columnar", "kg2")
 
 
-def answer_rows(result):
-    return [(answer.bindings, answer.score) for answer in result.answers]
+def answer_rows(answers):
+    return [(answer.bindings, answer.score) for answer in answers]
+
+
+def served_and_expected(engine, query, k):
+    """*engine*'s answers to *query* and the oracle's to the same plan."""
+    result = engine.query(query, k=k)
+    oracle = NaiveEngine(engine.graph, engine.rules)
+    expected = oracle.evaluate(
+        result.plan, k, engine.config.max_relaxations_per_pattern
+    )
+    return answer_rows(result.answers), answer_rows(expected)
 
 
 @pytest.fixture(scope="module")
@@ -72,37 +84,29 @@ def _updates(graph):
 
 
 @pytest.mark.parametrize("base_kind", BASE_KINDS)
-def test_block_equals_tuple_on_static_backends(
+def test_block_equals_oracle_on_static_backends(
     tiny_xkg_workload, store_graph, kg2_path, base_kind
 ):
     graph = _base(base_kind, store_graph, kg2_path)
-    tuple_engine = SpecQPEngine(graph, tiny_xkg_workload.rules, executor="tuple")
-    block_engine = SpecQPEngine(graph, tiny_xkg_workload.rules, executor="block")
-    query = tiny_xkg_workload.queries[0]
-    assert block_engine.resolve_executor(query).executor == "block"
+    block_engine = SpecQPEngine(graph, tiny_xkg_workload.rules)
     for query in tiny_xkg_workload.queries:
         for k in (3, 10):
-            expected = answer_rows(tuple_engine.query(query, k=k))
-            actual = answer_rows(block_engine.query(query, k=k))
+            actual, expected = served_and_expected(block_engine, query, k)
             assert actual == expected, (query.name, k, base_kind)
 
 
 @pytest.mark.parametrize("base_kind", BASE_KINDS)
 @pytest.mark.parametrize("stage", ["pre-compaction", "post-compaction"])
-def test_block_equals_tuple_on_live_overlays(
+def test_block_equals_oracle_on_live_overlays(
     tiny_xkg_workload, store_graph, kg2_path, base_kind, stage
 ):
     live = LiveGraph(_base(base_kind, store_graph, kg2_path))
     live.apply_updates(_updates(store_graph))
     if stage == "post-compaction":
         live.compact()
-    tuple_engine = SpecQPEngine(live, tiny_xkg_workload.rules, executor="tuple")
-    block_engine = SpecQPEngine(live, tiny_xkg_workload.rules, executor="block")
-    query = tiny_xkg_workload.queries[0]
-    assert block_engine.resolve_executor(query).executor == "block"
+    block_engine = SpecQPEngine(live, tiny_xkg_workload.rules)
     for query in tiny_xkg_workload.queries[:6]:
-        expected = answer_rows(tuple_engine.query(query, k=10))
-        actual = answer_rows(block_engine.query(query, k=10))
+        actual, expected = served_and_expected(block_engine, query, 10)
         assert actual == expected, (query.name, base_kind, stage)
 
 
@@ -114,7 +118,7 @@ ADVERSARIAL_PACKS = (
     "adversarial-edge-k",
     "adversarial-unselective",
 )
-EXECUTORS = ("tuple", "block", "auto")
+EXECUTORS = ("block", "auto")
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,12 +135,16 @@ def _scenario_backends(pack):
     }
 
 
-def _scenario_rows(pack, graph, executor, queries=None):
+def _scenario_rows(pack, graph, executor):
+    """*executor*'s answers to every query of *pack* over *graph*, each
+    checked against the oracle's evaluation of its plan."""
     engine = SpecQPEngine(graph, pack.workload.rules, executor=executor)
-    return [
-        answer_rows(engine.query(query, k=pack.k))
-        for query in (queries or pack.workload.queries)
-    ]
+    rows = []
+    for query in pack.workload.queries:
+        actual, expected = served_and_expected(engine, query, pack.k)
+        assert actual == expected, (pack.name, query.name, executor)
+        rows.append(actual)
+    return rows
 
 
 @pytest.mark.parametrize("name", ADVERSARIAL_PACKS)
@@ -146,7 +154,7 @@ def test_adversarial_packs_identical_across_executors_and_backends(name):
     must agree byte-identically everywhere."""
     pack = _scenario_pack(name)
     backends = _scenario_backends(pack)
-    reference = _scenario_rows(pack, backends["columnar"], "tuple")
+    reference = _scenario_rows(pack, backends["columnar"], "block")
     for backend_name, graph in backends.items():
         for executor in EXECUTORS:
             rows = _scenario_rows(pack, graph, executor)
@@ -161,7 +169,7 @@ def test_every_pack_identical_across_executors_and_backends(name):
     — the same matrix again on a live overlay pre and post compaction."""
     pack = _scenario_pack(name)
     backends = _scenario_backends(pack)
-    reference = _scenario_rows(pack, backends["columnar"], "tuple")
+    reference = _scenario_rows(pack, backends["columnar"], "block")
     for backend_name, graph in backends.items():
         for executor in EXECUTORS:
             rows = _scenario_rows(pack, graph, executor)
@@ -174,11 +182,18 @@ def test_every_pack_identical_across_executors_and_backends(name):
         live.apply_updates(pack.updates)
         if stage == "post-compaction":
             live.compact()
-        expected = _scenario_rows(pack, live, "tuple")
+        expected = _scenario_rows(pack, live, "block")
         assert expected != reference, f"{name}: update stream changed no answer"
-        for executor in ("block", "auto"):
-            rows = _scenario_rows(pack, live, executor)
-            assert rows == expected, (name, stage, executor)
+        assert _scenario_rows(pack, live, "auto") == expected, (name, stage)
+
+
+def oracle_answers(runner, workload, queries, k=10):
+    """The oracle's answers to PLANGEN's plan of each query over the
+    runner's graph at its current version."""
+    planner = SpecQPEngine(runner.graph, workload.rules, runner.config)
+    oracle = NaiveEngine(runner.graph, workload.rules)
+    cap = runner.config.max_relaxations_per_pattern
+    return [oracle.evaluate(planner.plan(query, k).plan, k, cap) for query in queries]
 
 
 class TestWorkloadRunnerExecutor:
@@ -196,10 +211,7 @@ class TestWorkloadRunnerExecutor:
         queries = workload.stretched(30)
         runner = WorkloadRunner(workload)
         block_report = runner.run(queries, k=10)
-        reference = SpecQPEngine(
-            runner.graph, workload.rules, runner.config, executor="tuple"
-        )
-        expected = [reference.query(query, 10).answers for query in queries]
+        expected = oracle_answers(runner, workload, queries)
         assert {o.executor for o in block_report.outcomes} <= {"block", "cached"}
         assert [o.n_answers for o in block_report.outcomes] == [
             len(answers) for answers in expected
@@ -221,10 +233,7 @@ class TestWorkloadRunnerExecutor:
         runner = WorkloadRunner(workload)
         runner.apply_updates(_updates(store_graph))
         block_report = runner.run(queries, k=10)
-        reference = SpecQPEngine(
-            runner.graph, workload.rules, runner.config, executor="tuple"
-        )
-        expected = [reference.query(query, 10).answers for query in queries]
+        expected = oracle_answers(runner, workload, queries)
         assert [o.top_score for o in block_report.outcomes] == [
             answers[0].score if answers else 0.0 for answers in expected
         ]
@@ -232,4 +241,5 @@ class TestWorkloadRunnerExecutor:
             len(answers) for answers in expected
         ]
         for query, answers in zip(queries, expected):
-            assert runner.execute_query(query, 10) == answers, query.name
+            served = runner.execute_query(query, 10)
+            assert answer_rows(served) == answer_rows(answers), query.name

@@ -1,14 +1,19 @@
 """A state machine over the served write path.
 
-Reads, update batches — some failing midway —, compactions and rule adds
-interleave in any order over a :class:`~repro.service.WorkloadRunner`
-serving a tiny XKG ``.kg2`` snapshot.  The writer gate, the versioned graph, the touched-key journal,
+Reads, update batches — some failing midway —, compactions, rule adds
+and re-exports interleave in any order over a
+:class:`~repro.service.WorkloadRunner` serving a tiny XKG ``.kg2``
+snapshot.  The writer gate, the versioned graph, the touched-key journal,
 the versioned rule set and the caches that read them form a small
 data-aware transition system (in the sense of DB-nets); its invariants
 are checked after every step:
 
 * every read equals a fresh engine over
   ``ColumnarStore.from_triples(graph.triples())`` at that version;
+* the live graph saved as a ``.kg2`` and attached back by ``mmap`` is
+  served, by a runner of its own, as the oracle
+  (:meth:`~repro.baselines.naive.NaiveEngine.evaluate`) answers at that
+  version;
 * the graph version rises with every write and never falls;
 * every list the encoded store holds decodes — terms and score bytes —
   equal to a fresh build at the current version, so a list patched or
@@ -32,9 +37,11 @@ are checked after every step:
 
 from __future__ import annotations
 
+import itertools
 import random
 from contextlib import contextmanager
 from operator import is_not
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -48,6 +55,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+from repro.baselines.naive import NaiveEngine
 from repro.core.config import EngineConfig
 from repro.core.engine import SpecQPEngine
 from repro.core.estimator import QueryDistribution
@@ -106,9 +114,12 @@ def decision_values(decision) -> tuple:
 
 
 class WritePathMachine(RuleBasedStateMachine):
-    #: Set by the test: the workload and the path of its ``.kg2`` snapshot.
+    #: Set by the test: the workload, the path of its ``.kg2`` snapshot
+    #: and a directory for re-exports.
     workload: Workload
     snapshot: str
+    exports: Path
+    _export_names = itertools.count()
 
     def __init__(self) -> None:
         super().__init__()
@@ -267,6 +278,24 @@ class WritePathMachine(RuleBasedStateMachine):
         self.rules.add(RelaxationRule(domain, ranges[pick % len(ranges)], weight))
         assert self.rules.version > before
 
+    @rule(index=st.integers(min_value=0, max_value=63))
+    def reexport_and_reattach(self, index: int) -> None:
+        """Save the live graph as a ``.kg2`` and attach the copy by
+        ``mmap``: a runner over the copy answers what the oracle answers
+        at the graph's version, for PLANGEN's plan of the query."""
+        path = self.exports / f"export-{next(self._export_names)}.kg2"
+        assert save_snapshot_v2(self.graph, path) == self.graph.size
+        copy = load_snapshot_v2(path, mmap=True)
+        runner = WorkloadRunner(
+            Workload("copy", copy, self.rules, self.workload.queries),
+            config=self.runner.config,
+        )
+        query = self.workload.queries[index % len(self.workload.queries)]
+        plan = self.fresh()[1].plan(query, K).plan
+        expected = NaiveEngine(self.graph, self.rules).evaluate(plan, K)
+        served = runner.execute_query(query, K)
+        assert answer_values(served) == answer_values(expected), query.name
+
     @precondition(lambda self: getattr(self.graph, "delta_size", 0) > 0)
     @rule()
     def compact(self) -> None:
@@ -350,6 +379,7 @@ def test_write_path_state_machine(tiny_xkg_workload, tmp_path_factory):
     save_snapshot_v2(tiny_xkg_workload.graph, path)
     WritePathMachine.workload = tiny_xkg_workload
     WritePathMachine.snapshot = str(path)
+    WritePathMachine.exports = path.parent
     run_state_machine_as_test(
         WritePathMachine,
         settings=settings(max_examples=20, stateful_step_count=20, deadline=None),

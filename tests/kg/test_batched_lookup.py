@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.naive import NaiveEngine
 from repro.kg import ColumnarGraph, ColumnarStore, LiveGraph, Triple
 from repro.kg.columnar import ID_DTYPE, stable_argsort
-from repro.kg.index import MatchList
 from repro.kg.pattern import TriplePattern, Variable
 
 #: Few terms and fewer scores: long runs of rows tying on score and key.
@@ -174,10 +174,8 @@ def test_overlay_runs_are_the_brute_force_list(triples, steps, pattern_list):
         merged = [(t.spo, t.score) for t in store.decode_rows(run)]
         for offset, (slot, add) in enumerate(zip([] if slots is None else slots.tolist(), adds)):
             merged.insert(slot + offset, add)
-        reference = MatchList.from_triples(
-            pattern.key(), [t for t in live.triples() if pattern.matches(t)]
-        )
-        assert merged == [(t.spo, t.score) for t in reference.triples], pattern
+        reference = NaiveEngine(live, None).matches(pattern)
+        assert merged == [(t.spo, t.score) for t in reference], pattern
 
 
 # ----------------------------------------------------------------------

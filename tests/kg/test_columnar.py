@@ -3,15 +3,31 @@
 import numpy as np
 import pytest
 
+from repro.baselines.naive import NaiveEngine
 from repro.errors import KnowledgeGraphError
 from repro.kg import ColumnarGraph, ColumnarStore, KnowledgeGraph, Triple
 from repro.kg.index import MatchList
 from repro.kg.pattern import TriplePattern, Variable
 
-from merge_reference import brute_force_list
-
 VAR_S = Variable("s")
 VAR_O = Variable("o")
+
+
+def assert_oracle_list(match_list, graph, pattern):
+    """*match_list* is the oracle's Definition-5 list of *pattern* over
+    *graph*: the same triples in order, maximum and normalised scores."""
+    oracle = NaiveEngine(graph, None)
+    matches = oracle.matches(pattern)
+    assert match_list.pattern_key == pattern.key()
+    assert match_list.triples == tuple(matches)
+    assert match_list.max_score == (matches[0].score if matches else 0.0)
+    assert list(match_list.normalized_scores) == [
+        score for _, score in oracle.rows([(pattern, 1.0)])
+    ]
+
+
+def oracle_matches_by_spo(graph, pattern):
+    return sorted(NaiveEngine(graph, None).matches(pattern), key=lambda t: t.spo)
 
 
 @pytest.fixture
@@ -131,20 +147,12 @@ class TestColumnarGraphInterface:
     def test_match_lists_identical_to_object_backend(
         self, object_graph, columnar_graph, pattern
     ):
-        expected = brute_force_list(object_graph, pattern)
-        assert object_graph.match_list(pattern) == expected
-        actual = columnar_graph.match_list(pattern)
-        assert actual.pattern_key == expected.pattern_key
-        assert actual.triples == expected.triples
-        assert actual.max_score == expected.max_score
-        assert actual.normalized_scores == expected.normalized_scores
-        assert [t.score for t in actual.triples] == [
-            t.score for t in expected.triples
-        ]
+        for graph in (object_graph, columnar_graph):
+            assert_oracle_list(graph.match_list(pattern), object_graph, pattern)
 
     @pytest.mark.parametrize("pattern", PATTERNS, ids=str)
     def test_match_and_count_identical(self, object_graph, columnar_graph, pattern):
-        expected = sorted(brute_force_list(object_graph, pattern).triples, key=lambda t: t.spo)
+        expected = oracle_matches_by_spo(object_graph, pattern)
         for graph in (object_graph, columnar_graph):
             assert sorted(graph.match(pattern), key=lambda t: t.spo) == expected
             assert graph.count(pattern) == len(expected)
@@ -210,15 +218,11 @@ class TestServingStoresMatchTheObjectBackend:
     def test_match_lists_identical_to_object_backend(
         self, object_graph, served_graph, pattern
     ):
-        expected = brute_force_list(object_graph, pattern)
-        actual = served_graph.match_list(pattern)
-        assert actual.triples == expected.triples
-        assert actual.max_score == expected.max_score
-        assert actual.normalized_scores == expected.normalized_scores
+        assert_oracle_list(served_graph.match_list(pattern), object_graph, pattern)
 
     @pytest.mark.parametrize("pattern", PATTERNS, ids=str)
     def test_match_and_count_identical(self, object_graph, served_graph, pattern):
-        expected = sorted(brute_force_list(object_graph, pattern).triples, key=lambda t: t.spo)
+        expected = oracle_matches_by_spo(object_graph, pattern)
         assert sorted(served_graph.match(pattern), key=lambda t: t.spo) == expected
         assert served_graph.count(pattern) == len(expected)
 

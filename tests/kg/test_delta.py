@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.naive import NaiveEngine
 from repro.errors import KnowledgeGraphError
 from repro.kg.columnar import ID_DTYPE, ColumnarGraph, ColumnarStore
 from repro.kg.delta import GraphUpdate, LiveGraph
@@ -207,10 +208,12 @@ class TestLiveGraphSemantics:
 
 class TestLiveMatchLists:
     def rebuilt(self, live: LiveGraph, pattern: TriplePattern) -> MatchList:
-        """The Definition-5 list of the live triples, by brute force."""
-        return MatchList.from_triples(
-            pattern.key(), [t for t in live.triples() if pattern.matches(t)]
-        )
+        """The oracle's Definition-5 list of the live triples, as a match list."""
+        oracle = NaiveEngine(live, None)
+        triples = tuple(oracle.matches(pattern))
+        scores = tuple(score for _, score in oracle.rows([(pattern, 1.0)]))
+        top = triples[0].score if triples else 0.0
+        return MatchList(pattern.key(), triples, top, scores)
 
     @pytest.mark.parametrize(
         "pattern",

@@ -135,7 +135,7 @@ class TestMatchList:
 
     def test_empty_match_list(self, small_graph):
         ml = small_graph.match_list(TriplePattern(var("s"), "type", "none"))
-        assert ml.is_empty
+        assert not ml
         assert ml.max_score == 0.0
 
     def test_match_list_reflects_mutation(self, small_graph):

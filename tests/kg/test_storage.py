@@ -95,120 +95,6 @@ class TestNTriples:
             storage.load_ntriples(path)
 
 
-def write_v1_snapshot(graph, path):
-    """A v1 ``.npz`` snapshot, as the removed v1 writer laid it out."""
-    import numpy as np
-
-    from repro.kg.columnar import ColumnarStore
-
-    store = ColumnarStore.from_triples(graph.triples())
-    with open(path, "wb") as handle:
-        np.savez_compressed(
-            handle,
-            format=np.array(storage.SNAPSHOT_FORMAT),
-            version=np.array(storage.SNAPSHOT_VERSION, dtype=np.int64),
-            name=np.array(graph.name),
-            terms=store.terms,
-            subjects=store.subjects,
-            predicates=store.predicates,
-            objects=store.objects,
-            scores=store.scores,
-        )
-
-
-class TestSnapshots:
-    """The v1 ``.npz`` reader behind the one-way ``convert`` import."""
-
-    def test_round_trip_is_columnar(self, graph, tmp_path):
-        path = tmp_path / "kg.npz"
-        write_v1_snapshot(graph, path)
-        loaded = storage._load_snapshot_v1(path)
-        from repro.kg import ColumnarGraph
-
-        assert isinstance(loaded, ColumnarGraph)
-        assert set(loaded.triples()) == set(graph.triples())
-        assert loaded.score_of("a", "type", "t1") == 10.0
-
-    def test_name_stored_and_overridable(self, graph, tmp_path):
-        path = tmp_path / "kg.npz"
-        graph.name = "the-graph"
-        write_v1_snapshot(graph, path)
-        assert storage._load_snapshot_v1(path).name == "the-graph"
-        assert storage._load_snapshot_v1(path, name="other").name == "other"
-
-    def test_not_a_zip_raises(self, tmp_path):
-        path = tmp_path / "kg.npz"
-        path.write_bytes(b"definitely not a zip archive")
-        with pytest.raises(KnowledgeGraphError, match="cannot read snapshot"):
-            storage._load_snapshot_v1(path)
-
-    def test_npz_without_header_raises(self, tmp_path):
-        import numpy as np
-
-        path = tmp_path / "kg.npz"
-        with open(path, "wb") as handle:
-            np.savez(handle, unrelated=np.array([1, 2, 3]))
-        with pytest.raises(KnowledgeGraphError, match="not a knowledge-graph snapshot"):
-            storage._load_snapshot_v1(path)
-
-    def test_wrong_magic_raises(self, tmp_path):
-        import numpy as np
-
-        path = tmp_path / "kg.npz"
-        with open(path, "wb") as handle:
-            np.savez(
-                handle,
-                format=np.array("someone-elses-format"),
-                version=np.array(1),
-                name=np.array("kg"),
-                terms=np.empty(0, dtype="<U1"),
-                subjects=np.empty(0, dtype=np.int32),
-                predicates=np.empty(0, dtype=np.int32),
-                objects=np.empty(0, dtype=np.int32),
-                scores=np.empty(0),
-            )
-        with pytest.raises(KnowledgeGraphError, match="bad snapshot magic"):
-            storage._load_snapshot_v1(path)
-
-    def test_future_version_raises(self, graph, tmp_path):
-        import numpy as np
-
-        path = tmp_path / "kg.npz"
-        write_v1_snapshot(graph, path)
-        with np.load(path, allow_pickle=False) as data:
-            arrays = dict(data.items())
-        arrays["version"] = np.array(storage.SNAPSHOT_VERSION + 1)
-        with open(path, "wb") as handle:
-            np.savez(handle, **arrays)
-        with pytest.raises(KnowledgeGraphError, match="version"):
-            storage._load_snapshot_v1(path)
-
-    def test_corrupt_columns_raise(self, graph, tmp_path):
-        import numpy as np
-
-        path = tmp_path / "kg.npz"
-        write_v1_snapshot(graph, path)
-        with np.load(path, allow_pickle=False) as data:
-            arrays = dict(data.items())
-        arrays["scores"] = np.full_like(arrays["scores"], np.nan)
-        with open(path, "wb") as handle:
-            np.savez(handle, **arrays)
-        with pytest.raises(KnowledgeGraphError, match="corrupt snapshot"):
-            storage._load_snapshot_v1(path)
-
-    def test_tsv_and_snapshot_agree(self, graph, tmp_path):
-        tsv_path = tmp_path / "kg.tsv"
-        npz_path = tmp_path / "kg.npz"
-        storage.save_tsv(graph, tsv_path)
-        write_v1_snapshot(graph, npz_path)
-        from_tsv = storage.load_tsv(tsv_path)
-        from_npz = storage._load_snapshot_v1(npz_path)
-        assert set(from_tsv.triples()) == set(from_npz.triples())
-        round_trip = tmp_path / "round.tsv"
-        storage.save_tsv(from_npz, round_trip)
-        assert round_trip.read_bytes() == tsv_path.read_bytes()
-
-
 class TestFromTuples:
     def test_mixed_arity(self):
         kg = storage.from_tuples([("a", "p", "b"), ("c", "p", "d", 3.0)])
@@ -284,16 +170,6 @@ class TestSnapshotV2:
         loaded = storage.load_snapshot_v2(path)
         assert set(loaded.triples()) == set(graph.triples())
         assert loaded.score_of("a", "type", "t1") == 10.0
-
-    def test_byte_identical_to_npz_backend(self, graph, tmp_path):
-        """Same TSV export from the v1 import and the v2 snapshot."""
-        write_v1_snapshot(graph, tmp_path / "kg.npz")
-        storage.save_snapshot_v2(graph, tmp_path / "kg.kg2")
-        from_npz = storage._load_snapshot_v1(tmp_path / "kg.npz")
-        from_kg2 = storage.load_snapshot_v2(tmp_path / "kg.kg2")
-        storage.save_tsv(from_npz, tmp_path / "v1.tsv")
-        storage.save_tsv(from_kg2, tmp_path / "v2.tsv")
-        assert (tmp_path / "v1.tsv").read_bytes() == (tmp_path / "v2.tsv").read_bytes()
 
     def test_columns_are_memory_mapped(self, graph, tmp_path):
         import numpy as np
@@ -385,10 +261,13 @@ class TestSnapshotV2Errors:
         with pytest.raises(KnowledgeGraphError, match=r"kg\.kg2.*bad magic"):
             storage.load_snapshot_v2(path)
 
-    def test_v1_npz_given_to_v2_reader_hints_at_convert(self, graph, tmp_path):
+    def test_zip_container_is_refused_by_path(self, tmp_path):
+        import zipfile
+
         path = tmp_path / "kg.npz"
-        write_v1_snapshot(graph, path)
-        with pytest.raises(KnowledgeGraphError, match="zip container.*spec-qp convert"):
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("terms.npy", b"not ours")
+        with pytest.raises(KnowledgeGraphError, match=r"kg\.npz.*zip container"):
             storage.load_snapshot_v2(path)
 
     def test_garbage_manifest_tail(self, graph, tmp_path):

@@ -33,6 +33,25 @@ class TestTimingProtocol:
         outcome = TimingProtocol(1, 1).measure(lambda: 7.0, float)
         assert outcome.mean_seconds == 7.0
 
+    def test_alternating_runs_take_turns(self):
+        calls = []
+
+        def run(name):
+            def call():
+                calls.append(name)
+                return float(len(calls))
+
+            return call
+
+        spec, trinit = TimingProtocol(3, 2).measure_alternating(
+            (run("S"), run("T")), float
+        )
+        assert calls == ["S", "T"] * 3
+        assert spec.all_seconds == (1.0, 3.0, 5.0)
+        assert trinit.all_seconds == (2.0, 4.0, 6.0)
+        assert (spec.mean_seconds, trinit.mean_seconds) == (4.0, 5.0)
+        assert (spec.result, trinit.result) == (5.0, 6.0)
+
     @pytest.mark.parametrize("n_runs,n_keep", [(0, 1), (3, 0), (3, 4)])
     def test_invalid_settings(self, n_runs, n_keep):
         with pytest.raises(ExperimentError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.naive import NaiveEngine
 from repro.core.plan import QueryPlan
 from repro.errors import ExecutionError
 from repro.kg.columnar import ColumnarGraph, ColumnarStore
@@ -23,12 +24,16 @@ from repro.operators.block import (
     top_k_cut,
 )
 from repro.operators.memory import ExecutionContext
-from repro.operators.scan import SortedScan
-from repro.operators.topk import TopK
 from repro.query.query import TriplePatternQuery
 from repro.relax.rules import RuleSet
 
-from merge_reference import brute_force_list, encoded_string_list
+
+def oracle_cut(graph, pattern, k, projection=None):
+    """The oracle's top-k of the one-pattern query *pattern* projected
+    on the names *projection* (every variable: ``None``)."""
+    chosen = None if projection is None else [var(name) for name in projection]
+    query = TriplePatternQuery((pattern,), projection=chosen)
+    return NaiveEngine(graph, RuleSet()).query(query, k).answers
 
 
 def tp(type_name: str, v: str = "s") -> TriplePattern:
@@ -193,28 +198,18 @@ class TestFirstOccurrenceKeep:
 
 
 class TestEncodedMatchList:
-    def test_sliced_list_matches_string_list(self, columnar):
-        pattern = tp("t")
+    @pytest.mark.parametrize(
+        "pattern", [tp("t"), TriplePattern(var("s"), "knows", var("o"))], ids=str
+    )
+    def test_sliced_list_is_the_oracle_list(self, columnar, pattern):
         encoded = build_encoded_match_list(columnar, pattern, TermCodec(columnar.store))
-        string_list = brute_force_list(columnar, pattern)
-        assert len(encoded) == len(string_list)
-        assert encoded.var_names == ("s",)
+        assert encoded.var_names == pattern.variable_names
         terms = columnar.store.term_list()
-        decoded = [terms[i] for i in encoded.columns[0].tolist()]
-        expected = [t.subject for t in string_list.triples]
-        assert decoded == expected
-        assert encoded.scores.tolist() == list(string_list.normalized_scores)
-        assert encoded.max_score == string_list.max_score
-
-    def test_string_list_reference_agrees_with_sliced_list(self, columnar):
-        pattern = TriplePattern(var("s"), "knows", var("o"))
-        codec = TermCodec(columnar.store)
-        sliced = build_encoded_match_list(columnar, pattern, TermCodec(columnar.store))
-        from_list = encoded_string_list(columnar, pattern, codec)
-        assert sliced.var_names == from_list.var_names
-        for a, b in zip(sliced.columns, from_list.columns):
-            assert a.tolist() == b.tolist()
-        assert sliced.scores.tolist() == from_list.scores.tolist()
+        decoded = [tuple(terms[i] for i in ids) for ids in zip(*encoded.columns)]
+        oracle = NaiveEngine(columnar, None)
+        rows = oracle.rows([(pattern, 1.0)])
+        assert list(zip(decoded, encoded.scores.tolist())) == rows
+        assert encoded.max_score == oracle.matches(pattern)[0].score
 
     def test_empty_pattern(self, columnar):
         encoded = build_encoded_match_list(columnar, tp("missing"), TermCodec(columnar.store))
@@ -325,8 +320,8 @@ class TestLeafLists:
         pattern = tp("t")
         context = ExecutionContext()
         rows = evaluate(columnar, pattern, context)
-        reference = SortedScan(columnar, pattern, 0, ExecutionContext())
-        assert rows.scores.tolist() == [item.score for item in reference]
+        reference = NaiveEngine(columnar, None).rows([(pattern, 1.0)])
+        assert rows.scores.tolist() == [score for _, score in reference]
         assert context.tuples_pulled == context.answer_objects_created == 5
 
     def test_empty_list_evaluates_to_no_rows(self, columnar):
@@ -380,9 +375,9 @@ class TestTopKCut:
 
     @pytest.mark.parametrize("projection", [None, ("s",), ("o",)], ids=["all", "s", "o"])
     @pytest.mark.parametrize("k", range(1, 7))
-    def test_shuffled_rows_cut_like_the_tuple_topk(self, k, projection):
+    def test_shuffled_rows_cut_like_the_oracle(self, k, projection):
         """Rows in no score order, with tie runs at every depth, cut to
-        the tuple :class:`TopK`'s answers over the sorted scan."""
+        the oracle's answers."""
         kg = KnowledgeGraph()
         for s in range(4):
             for o in range(3):
@@ -398,11 +393,9 @@ class TestTopKCut:
             rows.scores[order],
             rows.max_score,
         )
-        expected = TopK(
-            SortedScan(frozen, pattern, 0, ExecutionContext()), k, projection
-        ).run()
+        expected = oracle_cut(frozen, pattern, k, projection)
         actual = top_k_cut(shuffled, k, codec, projection)
-        assert actual == expected
+        assert actual == list(expected)
         assert [a.score for a in actual] == [a.score for a in expected]
 
     def test_unsorted_rows_keep_each_maximum_and_drain_the_tie_run(self, columnar):

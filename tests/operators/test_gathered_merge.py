@@ -1,7 +1,8 @@
 """A merged relaxation list gathered straight from the id columns equals
-the Definition-8 merge of its per-input lists byte for byte — ids, order
-and scores — on every backend, and a merge miss reads no per-input entry
-of the store."""
+the oracle's Definition-8 merge of its inputs
+(:meth:`NaiveEngine.rows <repro.baselines.naive.NaiveEngine.rows>`) —
+terms, order and score bits — on every backend, and a merge miss reads
+no per-input entry of the store."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.naive import NaiveEngine
 from repro.core.engine import SpecQPEngine
 from repro.core.plan import QueryPlan, relaxation_inputs
 from repro.kg.columnar import ColumnarGraph
@@ -22,8 +24,6 @@ from repro.kg.pattern import TriplePattern, var
 from repro.kg.storage import load_snapshot_v2, save_snapshot_v2
 from repro.operators.block import EncodedListStore, build_merged_match_list
 from repro.relax.rules import RelaxationRule, RuleSet
-
-from merge_reference import definition8_merge
 
 ENTITIES = ("a", "b", "c", "d")
 PREDICATES = ("p", "q")
@@ -69,7 +69,7 @@ def backend(kind: str, triples, updates=()):
 
 def merged_and_reference(graph, inputs):
     """The gathered merge — through a store whose per-pattern lookups
-    are counted — and the Definition-8 reference under the same codec."""
+    are counted — decoded, and the oracle's merge of *inputs*."""
     store = EncodedListStore()
     lookups = []
     get_or_build = store.get_or_build
@@ -87,18 +87,15 @@ def merged_and_reference(graph, inputs):
     stats = store.stats()
     assert lookups == []
     assert (stats["hits"], stats["misses"], stats["merged_misses"]) == (0, 0, 1)
-    return merged, definition8_merge(graph, inputs, codec)
-
-
-def assert_equals_reference(merged, reference):
-    var_names, rows = reference
-    assert merged.var_names == var_names
+    assert merged.var_names == inputs[0][0].variable_names
     assert all(column.dtype == np.int64 for column in merged.columns)
     assert merged.scores.dtype == np.float64
-    assert list(zip(*(column.tolist() for column in merged.columns))) == [
-        ids for ids, _ in rows
+    terms = [[codec.decode(i) for i in column.tolist()] for column in merged.columns]
+    rows = [
+        (tuple(column[row] for column in terms), score)
+        for row, score in enumerate(merged.scores.tolist())
     ]
-    assert merged.scores.tolist() == [score for _, score in rows]
+    return merged, rows, NaiveEngine(graph, None).rows(inputs)
 
 
 def patterns_over(names: tuple[str, ...]):
@@ -178,7 +175,8 @@ def cases(draw):
 def test_gathered_merge_is_the_definition8_merge(case, kind):
     triples, updates, inputs = case
     graph = backend(kind, triples, updates)
-    assert_equals_reference(*merged_and_reference(graph, inputs))
+    _, rows, reference = merged_and_reference(graph, inputs)
+    assert rows == reference
 
 
 def x_y(subject, predicate, obj) -> TriplePattern:
@@ -218,8 +216,8 @@ INPUT_SETS = {
 def test_named_shapes(kind, name, zero):
     triples = [(s, p, o, 0.0 if zero else score) for s, p, o, score in TRIPLES]
     graph = backend(kind, triples, UPDATES)
-    merged, reference = merged_and_reference(graph, INPUT_SETS[name])
-    assert_equals_reference(merged, reference)
+    merged, rows, reference = merged_and_reference(graph, INPUT_SETS[name])
+    assert rows == reference
     if name == "empty-inputs":
         assert len(merged) == 0
     if zero and not kind.startswith("live"):
@@ -239,8 +237,8 @@ def test_relaxation_cap_limits_the_inputs():
     for cap in (0, 1, None):
         inputs = relaxation_inputs(domain, rules, cap)
         assert len(inputs) == (3 if cap is None else 1 + cap)
-        merged, reference = merged_and_reference(graph, inputs)
-        assert_equals_reference(merged, reference)
+        merged, rows, reference = merged_and_reference(graph, inputs)
+        assert rows == reference
         lengths.append(len(merged))
     assert lengths[0] < lengths[1] < lengths[2]
 

@@ -16,6 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.naive import NaiveEngine
 from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.graph import KnowledgeGraph
@@ -30,9 +31,9 @@ from repro.operators.block import (
     top_k_cut,
 )
 from repro.operators.memory import ExecutionContext
-from repro.operators.scan import SortedScan
-from repro.operators.topk import TopK
 from repro.operators.vector_join import join_lists
+from repro.query.query import TriplePatternQuery
+from repro.relax.rules import RuleSet
 
 EDGE = TriplePattern(var("s"), "p", var("o"))
 
@@ -78,7 +79,7 @@ def padded(rows: EncodedMatchList) -> EncodedMatchList:
 class TestFastCut:
     @settings(max_examples=300, deadline=None)
     @given(case=cut_cases())
-    def test_equals_the_dedup_cut_and_the_tuple_topk(self, case):
+    def test_equals_the_dedup_cut_and_the_oracle(self, case):
         triples, k, projection, seed = case
         kg = KnowledgeGraph()
         for s, o, score in triples:
@@ -96,9 +97,10 @@ class TestFastCut:
             1.0,
         )
         actual = top_k_cut(shuffled, k, codec, projection)
-        scan = SortedScan(frozen, EDGE, 0, ExecutionContext())
-        expected = TopK(scan, k, projection).run()
-        assert actual == expected
+        chosen = None if projection is None else [var(name) for name in projection]
+        query = TriplePatternQuery((EDGE,), projection=chosen)
+        expected = NaiveEngine(frozen, RuleSet()).query(query, k).answers
+        assert actual == list(expected)
         assert [a.score for a in actual] == [a.score for a in expected]
         dedup = top_k_cut(padded(shuffled), k, codec, projection or ("s", "o"))
         assert actual == dedup

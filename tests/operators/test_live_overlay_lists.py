@@ -1,7 +1,8 @@
-"""The column-sliced encoded list of a live overlay is, byte for byte,
-``encoded_string_list(live, pattern, codec)`` — the brute-force
-Definition-5 list of the live triples, encoded: ids, order, normalised
-scores, ``max_score`` — and is built without a string list."""
+"""The column-sliced encoded list of a live overlay is, decoded, the
+oracle's Definition-5 list of the live triples
+(:meth:`NaiveEngine.rows <repro.baselines.naive.NaiveEngine.rows>`):
+terms, order, normalised score bits and ``max_score`` — and is built
+without a string list."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.naive import NaiveEngine
 from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.graph import KnowledgeGraph
@@ -21,8 +23,6 @@ from repro.operators.block import (
     TermCodec,
     build_encoded_match_list,
 )
-
-from merge_reference import brute_force_list, encoded_string_list
 
 S_P_O = TriplePattern(var("s"), "p", var("o"))
 S_P_X = TriplePattern(var("s"), "p", "x")
@@ -62,9 +62,19 @@ def live_over(kind: str = "columnar", tmp_path=None) -> LiveGraph:
 BASES = ("columnar", "kg2", "compacted")
 
 
-def assert_sliced_is_encoded_string_list(live: LiveGraph, pattern, monkeypatch=None):
+def decoded(encoded, codec) -> list[tuple[tuple[str, ...], float]]:
+    """*encoded*'s rows as the oracle's ``(binding, score)`` rows."""
+    terms = [[codec.decode(i) for i in column.tolist()] for column in encoded.columns]
+    return [
+        (tuple(column[row] for column in terms), score)
+        for row, score in enumerate(encoded.scores.tolist())
+    ]
+
+
+def assert_sliced_is_oracle_list(live: LiveGraph, pattern, monkeypatch=None):
     codec = TermCodec(live.base.store)
-    reference = encoded_string_list(live, pattern, codec)
+    oracle = NaiveEngine(live, None)
+    matches = oracle.matches(pattern)
     if monkeypatch is not None:
         # The sliced build may not fall back on a string list.
         monkeypatch.setattr(
@@ -74,14 +84,11 @@ def assert_sliced_is_encoded_string_list(live: LiveGraph, pattern, monkeypatch=N
         )
         live.invalidate_caches()
     sliced = build_encoded_match_list(live, pattern, codec)
-    assert sliced.var_names == reference.var_names
-    assert len(sliced.columns) == len(reference.columns)
-    for column, expected in zip(sliced.columns, reference.columns):
-        assert column.dtype == expected.dtype == np.int64
-        assert column.tobytes() == expected.tobytes()
+    assert sliced.var_names == pattern.variable_names
+    assert all(column.dtype == np.int64 for column in sliced.columns)
     assert sliced.scores.dtype == np.float64
-    assert sliced.scores.tobytes() == reference.scores.tobytes()
-    assert sliced.max_score == reference.max_score
+    assert decoded(sliced, codec) == oracle.rows([(pattern, 1.0)])
+    assert sliced.max_score == (matches[0].score if matches else 0.0)
     return sliced, codec
 
 
@@ -90,8 +97,8 @@ class TestColumnSlicedOverlay:
     def test_clean_overlay_is_the_base_slice(self, kind, tmp_path, monkeypatch):
         live = live_over(kind, tmp_path)
         for pattern in PATTERNS:
-            assert_sliced_is_encoded_string_list(live, pattern)
-        assert_sliced_is_encoded_string_list(live, S_P_O, monkeypatch)
+            assert_sliced_is_oracle_list(live, pattern)
+        assert_sliced_is_oracle_list(live, S_P_O, monkeypatch)
 
     def test_add_tying_base_rows_on_both_sides(self, kind, tmp_path, monkeypatch):
         # (c, p, x) ties b and d at 5.0 and sorts between them; a..
@@ -106,8 +113,8 @@ class TestColumnSlicedOverlay:
             ]
         )
         for pattern in PATTERNS:
-            assert_sliced_is_encoded_string_list(live, pattern)
-        sliced, codec = assert_sliced_is_encoded_string_list(live, S_P_X, monkeypatch)
+            assert_sliced_is_oracle_list(live, pattern)
+        sliced, codec = assert_sliced_is_oracle_list(live, S_P_X, monkeypatch)
         assert [codec.decode(i) for i in sliced.columns[0].tolist()] == [
             "a", "b", "c", "d", "z", "e",
         ]
@@ -123,8 +130,8 @@ class TestColumnSlicedOverlay:
         )
         assert live.base.store.term_id("fresh-subject") is None
         for pattern in PATTERNS:
-            assert_sliced_is_encoded_string_list(live, pattern)
-        sliced, codec = assert_sliced_is_encoded_string_list(live, ALL, monkeypatch)
+            assert_sliced_is_oracle_list(live, pattern)
+        sliced, codec = assert_sliced_is_oracle_list(live, ALL, monkeypatch)
         side = [i for i in sliced.columns[0].tolist() if i >= codec.n_base]
         assert {codec.decode(i) for i in side} == {"fresh-subject"}
 
@@ -139,8 +146,8 @@ class TestColumnSlicedOverlay:
             ]
         )
         for pattern in PATTERNS:
-            assert_sliced_is_encoded_string_list(live, pattern)
-        sliced, codec = assert_sliced_is_encoded_string_list(live, S_P_X, monkeypatch)
+            assert_sliced_is_oracle_list(live, pattern)
+        sliced, codec = assert_sliced_is_oracle_list(live, S_P_X, monkeypatch)
         assert [codec.decode(i) for i in sliced.columns[0].tolist()] == ["e", "b"]
         assert sliced.max_score == 4.0
 
@@ -148,8 +155,8 @@ class TestColumnSlicedOverlay:
         live = live_over(kind, tmp_path)
         live.apply_updates([GraphUpdate.add("e", "p", "x", 40.0)])
         for pattern in PATTERNS:
-            assert_sliced_is_encoded_string_list(live, pattern)
-        sliced, _ = assert_sliced_is_encoded_string_list(live, S_P_O, monkeypatch)
+            assert_sliced_is_oracle_list(live, pattern)
+        sliced, _ = assert_sliced_is_oracle_list(live, S_P_O, monkeypatch)
         assert sliced.max_score == 40.0
         assert sliced.scores.tolist()[:2] == [1.0, 5.0 / 40.0]
 
@@ -161,16 +168,16 @@ class TestColumnSlicedOverlay:
         everything_tombstoned = TriplePattern(var("s"), "q", var("o"))
         never_matched = TriplePattern(var("s"), "no-such-predicate", var("o"))
         for pattern in (everything_tombstoned, never_matched):
-            sliced, _ = assert_sliced_is_encoded_string_list(live, pattern)
+            sliced, _ = assert_sliced_is_oracle_list(live, pattern)
             assert len(sliced) == 0 and sliced.max_score == 0.0
-        assert_sliced_is_encoded_string_list(live, never_matched, monkeypatch)
+        assert_sliced_is_oracle_list(live, never_matched, monkeypatch)
 
     def test_repeated_variable_delta_rows(self, kind, tmp_path, monkeypatch):
         live = live_over(kind, tmp_path)
         live.apply_updates(
             [GraphUpdate.add("m", "p", "m", 3.0), GraphUpdate.add("m", "p", "n", 9.0)]
         )
-        sliced, codec = assert_sliced_is_encoded_string_list(live, DIAGONAL, monkeypatch)
+        sliced, codec = assert_sliced_is_oracle_list(live, DIAGONAL, monkeypatch)
         assert [codec.decode(i) for i in sliced.columns[0].tolist()] == ["c", "m"]
 
     def test_after_compaction(self, kind, tmp_path, monkeypatch):
@@ -181,8 +188,8 @@ class TestColumnSlicedOverlay:
         live.compact()
         live.apply_updates([GraphUpdate.add("fresher", "p", "x", 5.0)])
         for pattern in PATTERNS:
-            assert_sliced_is_encoded_string_list(live, pattern)
-        assert_sliced_is_encoded_string_list(live, S_P_X, monkeypatch)
+            assert_sliced_is_oracle_list(live, pattern)
+        assert_sliced_is_oracle_list(live, S_P_X, monkeypatch)
 
 
 def test_store_serves_the_sliced_list_over_any_base():
@@ -191,8 +198,9 @@ def test_store_serves_the_sliced_list_over_any_base():
     store = EncodedListStore()
     served = store.get_or_build(live, S_P_X)
     assert live.index_stats()["match_lists"] == 0  # nothing decoded on the way
-    reference = encoded_string_list(live, S_P_X, store.codec(live))
-    assert served.columns[0].tolist() == reference.columns[0].tolist()
+    assert decoded(served, store.codec(live)) == NaiveEngine(live, None).rows(
+        [(S_P_X, 1.0)]
+    )
 
     # An object base is frozen into columns, so it is sliced the same way.
     over_objects = LiveGraph(KnowledgeGraph(base_triples()))
@@ -230,5 +238,10 @@ terms = st.one_of(st.sampled_from(TERMS + ("new", "p", "q")), st.sampled_from("u
 def test_sliced_overlay_matches_the_brute_force_list(seed, batch, pattern):
     live = LiveGraph(ColumnarGraph.from_triples(Triple(*k, s) for k, s in seed.items()))
     live.apply_updates(batch)
-    assert_sliced_is_encoded_string_list(live, pattern)
-    assert live.match_list(pattern) == brute_force_list(live, pattern)
+    assert_sliced_is_oracle_list(live, pattern)
+    oracle = NaiveEngine(live, None)
+    match_list = live.match_list(pattern)
+    assert match_list.triples == tuple(oracle.matches(pattern))
+    assert list(match_list.normalized_scores) == [
+        score for _, score in oracle.rows([(pattern, 1.0)])
+    ]

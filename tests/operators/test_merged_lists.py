@@ -1,7 +1,8 @@
 """Pre-merged relaxation lists: the stored merge a relaxed pattern is
-evaluated over holds the Definition-8 merge of the per-input lists and
-the tuple Incremental Merge's rows, on every backend and across the graph's and the rule set's
-lifecycle."""
+evaluated over holds the oracle's Definition-8 merge of the per-input
+lists (:meth:`NaiveEngine.rows <repro.baselines.naive.NaiveEngine.rows>`),
+and a query over it the oracle's answers, on every backend and across
+the graph's and the rule set's lifecycle."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.baselines.naive import NaiveEngine
 from repro.core.config import EngineConfig
 from repro.core.engine import SpecQPEngine
 from repro.core.plan import QueryPlan, relaxation_inputs
@@ -23,8 +25,6 @@ from repro.operators.block import EncodedListStore, build_merged_match_list
 from repro.operators.memory import ExecutionContext
 from repro.query.query import TriplePatternQuery
 from repro.relax.rules import RelaxationRule, RuleSet
-
-from merge_reference import definition8_merge
 
 BACKENDS = ("columnar", "mmap", "live")
 
@@ -53,13 +53,6 @@ def relaxed_patterns(workload) -> list[TriplePattern]:
     return sorted(
         (p for p in seen if workload.rules.has_rules_for(p)), key=str
     )
-
-
-def tuple_stream(graph, rules, pattern):
-    """The tuple Incremental Merge's output, canonically ordered."""
-    plan = QueryPlan.trinit(TriplePatternQuery((pattern,)))
-    tree = plan.build_operator_tree(graph, rules, ExecutionContext())
-    return sorted(((a.identity(), a.score) for a in tree), key=lambda r: (-r[1], r[0]))
 
 
 def block_stream(graph, rules, pattern, store):
@@ -93,34 +86,37 @@ def block_stream(graph, rules, pattern, store):
     return decoded, (context.tuples_pulled, context.answer_objects_created)
 
 
-def reference_stream(graph, rules, pattern, store):
-    """The Definition-8 merge of the pattern's inputs, decoded like
+def reference_stream(graph, rules, pattern):
+    """The oracle's merge of the pattern's inputs, shaped like
     :func:`block_stream`'s rows."""
-    codec = store.codec(graph)
-    var_names, merged = definition8_merge(
-        graph, relaxation_inputs(pattern, rules, None), codec
-    )
+    var_names = pattern.variable_names
     names = sorted(var_names)
     return [
-        (
-            tuple((n, codec.decode(ids[var_names.index(n)])) for n in names),
-            score,
+        (tuple((n, binding[var_names.index(n)]) for n in names), score)
+        for binding, score in NaiveEngine(graph, rules).rows(
+            relaxation_inputs(pattern, rules, None)
         )
-        for ids, score in merged
     ]
+
+
+def oracle_trinit(graph, rules, query, k, config=None):
+    """The oracle's answers to the TriniT plan of *query*."""
+    cap = (config or EngineConfig()).max_relaxations_per_pattern
+    return NaiveEngine(graph, rules).evaluate(QueryPlan.trinit(query), k, cap)
+
+
+def answer_rows(answers):
+    return [(a.bindings, a.score) for a in answers]
 
 
 def assert_streams_agree(graph, workload, store):
     checked = 0
     for pattern in relaxed_patterns(workload):
-        reference = reference_stream(graph, workload.rules, pattern, store)
+        reference = reference_stream(graph, workload.rules, pattern)
         for _ in range(2):  # a miss, then a hit
             rows, counters = block_stream(graph, workload.rules, pattern, store)
             assert rows == reference  # same rows, same order, bitwise scores
             assert counters == (len(reference), len(reference))
-        assert sorted(rows, key=lambda r: (-r[1], r[0])) == tuple_stream(
-            graph, workload.rules, pattern
-        )
         checked += 1
     assert checked
 
@@ -129,7 +125,7 @@ def update_batch(workload) -> list[GraphUpdate]:
     """Adds, a re-score and a removal inside relaxed match lists."""
     pattern = relaxed_patterns(workload)[0]
     ranges = [rule.range for rule in workload.rules.for_pattern(pattern)]
-    victims = workload.graph.match_list(ranges[0]).triples
+    victims = list(workload.graph.match(ranges[0]))
     batch = [
         GraphUpdate.add("fresh-entity", "rdf:type", pattern.object, 1e6),
         GraphUpdate.add("fresh-entity", "rdf:type", ranges[-1].object, 5.0),
@@ -165,8 +161,8 @@ class TestStreamEquivalence:
     def test_engine_answers_and_counters(
         self, backend, max_relaxations, tiny_xkg_workload, tmp_path
     ):
-        """Whole queries: a merge miss and a hit return the tuple
-        pipeline's answers and count the same work."""
+        """Whole queries: a merge miss and a hit return the oracle's
+        answers and count the same work."""
         workload = tiny_xkg_workload
         config = EngineConfig(k=5, max_relaxations_per_pattern=max_relaxations)
 
@@ -174,16 +170,13 @@ class TestStreamEquivalence:
             block = block or SpecQPEngine(
                 graph, workload.rules, config, executor="block"
             )
-            oracle = SpecQPEngine(graph, workload.rules, config, executor="tuple")
             for query in workload.queries:
                 plan = QueryPlan.trinit(query)
-                expected = oracle.executor.execute(plan, 5, executor="tuple").answers
+                expected = oracle_trinit(graph, workload.rules, query, 5, config)
                 block.executor.encoded_store.clear()  # the first run misses
                 results = [block.executor.execute(plan, 5) for _ in range(2)]
                 for result in results:
-                    assert [(a.bindings, a.score) for a in result.answers] == [
-                        (a.bindings, a.score) for a in expected
-                    ]
+                    assert answer_rows(result.answers) == answer_rows(expected)
                 miss, hit = results
                 assert miss.tuples_pulled == hit.tuples_pulled
                 assert miss.answer_objects_created == hit.answer_objects_created
@@ -250,8 +243,9 @@ class TestMergedListLifecycle:
         assert store.stats()["merged_size"] == 1
         assert store.get_or_merge(live, tp("lyricist"), variant, pytest.fail) is lyricist
         served = engine.query_trinit(query, k=3).answers
-        oracle = SpecQPEngine(live, music_rules, executor="tuple")
-        assert served == oracle.query_trinit(query, k=3).answers
+        assert answer_rows(served) == answer_rows(
+            oracle_trinit(live, music_rules, query, 3)
+        )
         assert store.stats()["merged_size"] == 2
         store.release(live)
         assert store.stats()["merged_size"] == store.stats()["size"] == 0
@@ -259,43 +253,35 @@ class TestMergedListLifecycle:
     def test_rule_added_after_caching_invalidates(self, columnar, music_graph):
         rules = RuleSet([RelaxationRule(tp("singer"), tp("vocalist"), 0.8)])
         engine = SpecQPEngine(columnar, rules, executor="block")
-        oracle = SpecQPEngine(music_graph, rules, executor="tuple")
         query = TriplePatternQuery((tp("singer"),))
-        stale = engine.query_trinit(query, k=10).answers
-        assert stale == oracle.query_trinit(query, k=10).answers
+
+        def served_and_expected():
+            served = answer_rows(engine.query_trinit(query, k=10).answers)
+            assert served == answer_rows(oracle_trinit(music_graph, rules, query, 10))
+            return served
+
+        stale = served_and_expected()
         rules.add(RelaxationRule(tp("singer"), tp("guitarist"), 0.9))
-        fresh = engine.query_trinit(query, k=10).answers
-        assert fresh == oracle.query_trinit(query, k=10).answers
+        fresh = served_and_expected()
         assert fresh != stale  # dylan joins through the new rule
         assert engine.executor.encoded_store.stats()["merged_misses"] == 2
         # Re-weighting an existing rule is a new version too.
         rules.add(RelaxationRule(tp("singer"), tp("guitarist"), 0.1))
-        assert (
-            engine.query_trinit(query, k=10).answers
-            == oracle.query_trinit(query, k=10).answers
-            != fresh
-        )
+        assert served_and_expected() != fresh
 
     def test_relaxation_cap_is_part_of_the_key(self, columnar, music_rules):
         store = EncodedListStore(32)
         query = TriplePatternQuery((tp("singer"),))
         answers = {}
         for cap in (None, 1):
+            config = EngineConfig(max_relaxations_per_pattern=cap)
             engine = SpecQPEngine(
-                columnar,
-                music_rules,
-                EngineConfig(max_relaxations_per_pattern=cap),
-                executor="block",
-                encoded_store=store,
+                columnar, music_rules, config, executor="block", encoded_store=store
             )
-            oracle = SpecQPEngine(
-                columnar,
-                music_rules,
-                EngineConfig(max_relaxations_per_pattern=cap),
-                executor="tuple",
+            answers[cap] = answer_rows(engine.query_trinit(query, k=10).answers)
+            assert answers[cap] == answer_rows(
+                oracle_trinit(columnar, music_rules, query, 10, config)
             )
-            answers[cap] = engine.query_trinit(query, k=10).answers
-            assert answers[cap] == oracle.query_trinit(query, k=10).answers
         assert answers[None] != answers[1]
         assert store.stats()["merged_size"] == 2
 
@@ -306,12 +292,11 @@ class TestMergedListLifecycle:
         engine = SpecQPEngine(
             graph, workload.rules, executor="block", encoded_store=store
         )
-        oracle = SpecQPEngine(workload.graph, workload.rules, executor="tuple")
+        oracle = NaiveEngine(workload.graph, workload.rules)
         held_merged = 0
         for query in workload.queries * 2:
-            assert (
-                engine.query_trinit(query, k=5).answers
-                == oracle.query_trinit(query, k=5).answers
+            assert answer_rows(engine.query_trinit(query, k=5).answers) == answer_rows(
+                oracle.evaluate(QueryPlan.trinit(query), 5)
             )
             stats = store.stats()
             assert len(store) == stats["size"] <= 16

@@ -2,8 +2,8 @@
 adds filed by pattern key, built once per delta state — follows every
 single mutation: each read in between, through ``list_rows``,
 ``match_list``, ``build_encoded_match_list`` and
-``build_merged_match_list``, equals the brute-force Definition-5 list
-(``brute_force_list``, encoded by ``encoded_string_list``), with no
+``build_merged_match_list``, equals the oracle's Definition-5 list or
+Definition-8 merge (:class:`~repro.baselines.naive.NaiveEngine`), with no
 version-tagged list cache in between."""
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.naive import NaiveEngine
 from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import LiveGraph
 from repro.kg.pattern import TriplePattern, var
@@ -21,8 +22,6 @@ from repro.operators.block import (
     build_encoded_match_list,
     build_merged_match_list,
 )
-
-from merge_reference import brute_force_list, definition8_merge, encoded_string_list
 
 TERMS = ("a", "b", "c", "x")
 S_P_O = TriplePattern(var("s"), "p", var("o"))
@@ -70,30 +69,38 @@ def spliced(store, rows, adds, slots) -> list[tuple[tuple[str, str, str], float]
     return merged
 
 
+def decoded(encoded, codec) -> list[tuple[tuple[str, ...], float]]:
+    """*encoded*'s rows as the oracle's ``(binding, score)`` rows."""
+    terms = [[codec.decode(i) for i in column.tolist()] for column in encoded.columns]
+    return [
+        (tuple(column[row] for column in terms), score)
+        for row, score in enumerate(encoded.scores.tolist())
+    ]
+
+
 def assert_reads_follow(live: LiveGraph) -> None:
     store = live.base.store
     codec = TermCodec(store)
+    oracle = NaiveEngine(live, None)
     rows, lengths, all_adds, all_slots = live.list_rows(PATTERNS)
     assert len(lengths) == len(all_adds) == len(all_slots) == len(PATTERNS)
     assert lengths.sum() == len(rows)
     runs = np.split(rows, np.cumsum(lengths)[:-1])
     for pattern, run, adds, slots in zip(PATTERNS, runs, all_adds, all_slots):
-        reference_list = brute_force_list(live, pattern)
-        assert live.match_list(pattern) == reference_list, pattern
-        expected = [(t.spo, t.score) for t in reference_list.triples]
+        matches = oracle.matches(pattern)
+        reference = oracle.rows([(pattern, 1.0)])
+        match_list = live.match_list(pattern)
+        assert match_list.triples == tuple(matches), pattern
+        assert list(match_list.normalized_scores) == [s for _, s in reference]
+        expected = [(t.spo, t.score) for t in matches]
         assert spliced(store, run, adds, slots) == expected, pattern
         sliced = build_encoded_match_list(live, pattern, codec)
-        reference = encoded_string_list(live, pattern, codec)
-        for column, expected_column in zip(sliced.columns, reference.columns):
-            assert column.tobytes() == expected_column.tobytes(), pattern
-        assert sliced.scores.tobytes() == reference.scores.tobytes(), pattern
-        assert sliced.max_score == reference.max_score
+        assert decoded(sliced, codec) == reference, pattern
+        assert sliced.max_score == match_list.max_score == (matches[0].score if matches else 0.0)
     for inputs in MERGES:
         merged = build_merged_match_list(live, inputs, codec)
-        var_names, rows = definition8_merge(live, inputs, codec, encoded_string_list)
-        assert merged.var_names == var_names
-        assert list(zip(*(c.tolist() for c in merged.columns))) == [ids for ids, _ in rows]
-        assert merged.scores.tolist() == [score for _, score in rows]
+        assert merged.var_names == inputs[0][0].variable_names
+        assert decoded(merged, codec) == oracle.rows(inputs)
 
 
 @settings(max_examples=120, deadline=None)

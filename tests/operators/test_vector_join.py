@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.naive import NaiveEngine
 from repro.errors import ExecutionError
 from repro.kg.columnar import ColumnarGraph
 from repro.kg.graph import KnowledgeGraph
@@ -16,12 +17,10 @@ from repro.operators.block import (
     build_merged_match_list,
     top_k_cut,
 )
-from repro.operators.incremental_merge import IncrementalMerge, WeightedInput
 from repro.operators.memory import ExecutionContext
-from repro.operators.rank_join import RankJoin
-from repro.operators.scan import SortedScan
-from repro.operators.topk import TopK
 from repro.operators.vector_join import join_lists
+from repro.query.query import TriplePatternQuery
+from repro.relax.rules import RuleSet
 
 
 def tp(type_name: str, v: str = "s") -> TriplePattern:
@@ -37,12 +36,14 @@ def encoded(columnar, pattern) -> EncodedMatchList:
     return build_encoded_match_list(columnar, pattern, TermCodec(columnar.store))
 
 
-def tuple_answers(columnar, patterns, k, projection=None):
-    context = ExecutionContext()
-    tree = SortedScan(columnar, patterns[0], 0, context)
-    for index, pattern in enumerate(patterns[1:], start=1):
-        tree = RankJoin(tree, SortedScan(columnar, pattern, index, context), context)
-    return TopK(tree, k, projection).run()
+def oracle_answers(columnar, patterns, k):
+    """The oracle's answers to *patterns* joined in order, unrelaxed."""
+    query = TriplePatternQuery(patterns)
+    return NaiveEngine(columnar, RuleSet()).query(query, k).answers
+
+
+def answer_rows(answers):
+    return [(a.bindings, a.score) for a in answers]
 
 
 def block_answers(columnar, patterns, k, projection=None):
@@ -66,26 +67,20 @@ class TestJoinLists:
         ],
         ids="-".join,
     )
-    def test_matches_tuple_join(self, columnar, types, k):
+    def test_matches_oracle_join(self, columnar, types, k):
         patterns = tuple(tp(name) for name in types)
-        expected = tuple_answers(columnar, patterns, k)
-        actual = block_answers(columnar, patterns, k)
-        assert actual == expected
-        assert [a.score for a in actual] == [a.score for a in expected]
+        actual = answer_rows(block_answers(columnar, patterns, k))
+        assert actual == answer_rows(oracle_answers(columnar, patterns, k))
 
     def test_three_way_join(self, columnar):
         patterns = (tp("singer"), tp("lyricist"), tp("guitarist"))
-        expected = tuple_answers(columnar, patterns, 10)
-        actual = block_answers(columnar, patterns, 10)
-        assert actual == expected
-        assert [a.score for a in actual] == [a.score for a in expected]
+        actual = answer_rows(block_answers(columnar, patterns, 10))
+        assert actual == answer_rows(oracle_answers(columnar, patterns, 10))
 
     def test_variable_disjoint_cartesian_product(self, columnar):
         patterns = (tp("singer", "a"), tp("writer", "b"))
-        expected = tuple_answers(columnar, patterns, 100)
-        actual = block_answers(columnar, patterns, 100)
-        assert actual == expected
-        assert [a.score for a in actual] == [a.score for a in expected]
+        actual = answer_rows(block_answers(columnar, patterns, 100))
+        assert actual == answer_rows(oracle_answers(columnar, patterns, 100))
         assert len(actual) == 4 * 3
 
     def test_empty_side_yields_nothing(self, columnar):
@@ -139,9 +134,9 @@ class TestUnpackableKeyFallback:
 
     def test_join_fallback_matches_packed_path(self, edge_graph):
         """Two shared variables + an unpackable id domain: the join must
-        take the joint-group-id probe and still match the tuple engine."""
+        take the joint-group-id probe and still match the oracle."""
         knows, likes = self._patterns()
-        expected = tuple_answers(edge_graph, (knows, likes), 100)
+        expected = answer_rows(oracle_answers(edge_graph, (knows, likes), 100))
 
         codec = TermCodec(edge_graph.store)
         rows = join_lists(
@@ -150,70 +145,32 @@ class TestUnpackableKeyFallback:
             ExecutionContext(),
             _UnpackableCodec(edge_graph.store).n_ids,
         )
-        actual = top_k_cut(rows, 100, codec)
-        assert actual == expected
-        assert [a.score for a in actual] == [a.score for a in expected]
+        assert answer_rows(top_k_cut(rows, 100, codec)) == expected
 
     def test_merge_fallback_dedups_exactly(self, edge_graph):
         knows, likes = self._patterns()
         codec = _UnpackableCodec(edge_graph.store)
-        merged = build_merged_match_list(edge_graph, [(knows, 1.0), (likes, 0.5)], codec)
-        reference = IncrementalMerge(
-            [
-                WeightedInput(
-                    SortedScan(edge_graph, knows, 0, ExecutionContext(), 1.0), 1.0
-                ),
-                WeightedInput(
-                    SortedScan(edge_graph, likes, 0, ExecutionContext(), 0.5), 0.5
-                ),
-            ],
-            ExecutionContext(),
-        )
-        expected = sorted(
-            ((item.identity(), item.score) for item in reference),
-            key=lambda r: (-r[1], r[0]),
-        )
-        actual = sorted(decoded_rows(merged, edge_graph), key=lambda r: (-r[1], r[0]))
-        assert actual == expected
+        inputs = [(knows, 1.0), (likes, 0.5)]
+        merged = build_merged_match_list(edge_graph, inputs, codec)
+        expected = NaiveEngine(edge_graph, None).rows(inputs)
+        assert decoded_rows(merged, edge_graph) == expected
 
 
-def decoded_rows(rows: EncodedMatchList, graph) -> list[tuple[tuple, float]]:
-    """``(identity, score)`` per row of *rows*, terms decoded by name."""
+def decoded_rows(rows: EncodedMatchList, graph) -> list[tuple[tuple[str, ...], float]]:
+    """``(binding, score)`` per row of *rows*, the oracle's row shape."""
     terms = graph.store.term_list()
     return [
-        (
-            tuple(
-                sorted(
-                    (name, terms[int(column[row])])
-                    for name, column in zip(rows.var_names, rows.columns)
-                )
-            ),
-            float(rows.scores[row]),
-        )
+        (tuple(terms[int(column[row])] for column in rows.columns), float(rows.scores[row]))
         for row in range(len(rows))
     ]
 
 
 class TestMergedMatchList:
-    def test_matches_tuple_merge(self, columnar):
+    def test_matches_oracle_merge(self, columnar):
         specs = [(tp("singer"), 1.0), (tp("vocalist"), 0.8), (tp("musician"), 0.5)]
         merged = build_merged_match_list(columnar, specs, TermCodec(columnar.store))
-        reference = IncrementalMerge(
-            [
-                WeightedInput(
-                    SortedScan(columnar, pattern, 0, ExecutionContext(), weight),
-                    weight,
-                )
-                for pattern, weight in specs
-            ],
-            ExecutionContext(),
-        )
-        expected = [(item.identity(), item.score) for item in reference]
         actual = decoded_rows(merged, columnar)
-        assert sorted(actual, key=lambda r: (-r[1], r[0])) == sorted(
-            expected, key=lambda r: (-r[1], r[0])
-        )
-        assert len(actual) == len(expected)
+        assert actual == NaiveEngine(columnar, None).rows(specs)
         assert [score for _, score in actual] == sorted(merged.scores, reverse=True)
 
     def test_dedup_keeps_maximum_score(self, columnar):

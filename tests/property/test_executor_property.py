@@ -1,17 +1,18 @@
-"""Property: the block and tuple executors are indistinguishable.
+"""Property: the block executor answers what the oracle answers.
 
-For random graphs and random (star-joined) queries, ``executor="block"``
-must return exactly the ``(bindings, score)`` sequence of
-``executor="tuple"`` — over the columnar backend, over a plain object
-graph mutated in place between reads, and with relaxation rules in
-play.  This is the
-invariant the vectorized engine rests on: blocks are an execution
-granularity, never a semantics change.
+For random graphs and random (star-joined) queries, the block pipeline
+must return exactly the ``(bindings, score)`` sequence of the oracle's
+evaluation of the same plan
+(:meth:`NaiveEngine.evaluate <repro.baselines.naive.NaiveEngine.evaluate>`)
+— over the columnar backend, over a plain object graph mutated in place
+between reads, and with relaxation rules in play.  This is the invariant
+the vectorized engine rests on: blocks are an execution granularity,
+never a semantics change.
 
 Scores are drawn as small integers deliberately: ties are then common,
-so the canonical tie resolution of the shared top-k sink (the piece that
-makes executor equivalence well-defined at all) is exercised on almost
-every example.
+so the canonical tie resolution at the top-k cut (the piece that makes
+the answer sequence well-defined at all) is exercised on almost every
+example.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.naive import NaiveEngine
 from repro.core.engine import SpecQPEngine
 from repro.datasets.scenarios import build_scenario
 from repro.kg.columnar import ColumnarGraph
@@ -90,26 +92,29 @@ def build_rules(specs) -> RuleSet:
     return rules
 
 
-def answer_rows(result):
-    return [(answer.bindings, answer.score) for answer in result.answers]
+def answer_rows(answers):
+    return [(answer.bindings, answer.score) for answer in answers]
+
+
+def assert_oracle_answers(engine, query, k, runs=("query", "query_trinit")):
+    """Each of *engine*'s *runs* of *query* answers what the oracle
+    answers for the plan it ran."""
+    oracle = NaiveEngine(engine.graph, engine.rules)
+    for run in runs:
+        result = getattr(engine, run)(query, k=k)
+        expected = oracle.evaluate(result.plan, k)
+        assert answer_rows(result.answers) == answer_rows(expected), run
+    return answer_rows(result.answers)
 
 
 @settings(max_examples=30, deadline=None)
 @given(rows=triples, specs=pattern_specs, k=st.integers(min_value=1, max_value=6))
-def test_block_executor_identical_to_tuple(rows, specs, k):
+def test_block_executor_identical_to_oracle(rows, specs, k):
     graph = build_graph(rows)
-    rules = build_rules(specs)
-    query = build_query(specs)
-    tuple_engine = SpecQPEngine(graph, rules, executor="tuple")
-    block_engine = SpecQPEngine(graph, rules, executor="block")
-    assert block_engine.resolve_executor(query).executor == "block"
-    expected = answer_rows(tuple_engine.query(query, k=k))
-    assert answer_rows(block_engine.query(query, k=k)) == expected
-    # The TriniT baseline plan (all patterns relaxed) takes the
-    # incremental-merge path on every pattern.
-    assert answer_rows(block_engine.query_trinit(query, k=k)) == answer_rows(
-        tuple_engine.query_trinit(query, k=k)
-    )
+    block_engine = SpecQPEngine(graph, build_rules(specs))
+    # The TriniT baseline plan (all patterns relaxed) takes the merged
+    # relaxation list on every pattern.
+    assert_oracle_answers(block_engine, build_query(specs), k)
 
 
 @settings(max_examples=30, deadline=None)
@@ -119,27 +124,19 @@ def test_block_executor_identical_to_tuple(rows, specs, k):
     specs=pattern_specs,
     k=st.integers(min_value=1, max_value=6),
 )
-def test_block_executor_identical_to_tuple_on_a_mutated_object_graph(
+def test_block_executor_identical_to_oracle_on_a_mutated_object_graph(
     rows, writes, specs, k
 ):
     """The object graph interns its triples on the first encoded read
     and again after every write: adds, re-scores and removes between
-    reads never let the block answers drift from the tuple answers."""
+    reads never let the block answers drift from the oracle's."""
     graph = KnowledgeGraph(name="prop-objects")
     graph.add_triples(Triple(s, p, o, float(score)) for s, p, o, score in rows)
-    rules = build_rules(specs)
     query = build_query(specs)
-    tuple_engine = SpecQPEngine(graph, rules, executor="tuple")
-    block_engine = SpecQPEngine(graph, rules, executor="block")
-    assert block_engine.resolve_executor(query).executor == "block"
+    block_engine = SpecQPEngine(graph, build_rules(specs))
 
     def assert_same_answers():
-        assert answer_rows(block_engine.query(query, k=k)) == answer_rows(
-            tuple_engine.query(query, k=k)
-        )
-        assert answer_rows(block_engine.query_trinit(query, k=k)) == answer_rows(
-            tuple_engine.query_trinit(query, k=k)
-        )
+        assert_oracle_answers(block_engine, query, k)
         codec = block_engine.executor.encoded_store.codec(graph)
         assert codec.store is graph.column_store()
 
@@ -165,17 +162,12 @@ def test_block_executor_empty_and_overlarge_k_edges(rows, k):
             TriplePattern(subject, "absent-predicate", Variable("z")),
         )
     )
-    tuple_engine = SpecQPEngine(graph, rules, executor="tuple")
-    block_engine = SpecQPEngine(graph, rules, executor="block")
-    assert answer_rows(block_engine.query_exact(query, k=k)) == answer_rows(
-        tuple_engine.query_exact(query, k=k)
-    ) == []
+    block_engine = SpecQPEngine(graph, rules)
+    assert assert_oracle_answers(block_engine, query, k, ("query_exact",)) == []
     open_query = TriplePatternQuery(
         (TriplePattern(subject, PREDICATES[0], Variable("o")),)
     )
-    assert answer_rows(block_engine.query_exact(open_query, k=k)) == answer_rows(
-        tuple_engine.query_exact(open_query, k=k)
-    )
+    assert_oracle_answers(block_engine, open_query, k, ("query_exact",))
 
 
 # ----------------------------------------------------------------------
@@ -195,14 +187,9 @@ def _scenario_columnar(name):
 
 @pytest.mark.parametrize("name", SCENARIO_MATRIX)
 @pytest.mark.parametrize("executor", ("block", "auto"))
-def test_scenario_pack_identical_to_tuple(name, executor):
+def test_scenario_pack_identical_to_oracle(name, executor):
     pack, graph = _scenario_columnar(name)
-    rules = pack.workload.rules
-    tuple_engine = SpecQPEngine(graph, rules, executor="tuple")
-    other = SpecQPEngine(
-        graph, rules, catalog=tuple_engine.catalog, executor=executor
-    )
+    engine = SpecQPEngine(graph, pack.workload.rules, executor=executor)
     for query in pack.workload.queries:
-        expected = answer_rows(tuple_engine.query(query, k=pack.k))
-        assert answer_rows(other.query(query, k=pack.k)) == expected, query.name
+        assert_oracle_answers(engine, query, pack.k, ("query",))
 

@@ -3,9 +3,9 @@
 The whole-answer cache's oracle: for any interleaving of query batches
 and ``apply_updates`` batches, a :class:`~repro.service.WorkloadRunner`
 with the result cache enabled returns byte-identical answers (bindings
-*and* scores) to one with the cache disabled, and both to the tuple
-reference over the same graph — across the object and columnar
-backends.  Repeats inside a phase are asked twice on the cached side
+*and* scores) to one with the cache disabled, and both to the oracle's
+evaluation of PLANGEN's plan over the same graph — across the object and
+columnar backends.  Repeats inside a phase are asked twice on the cached side
 specifically so the second ask is served from the cache.
 
 Scores are small integers, as in ``test_mutation_property``, so ties
@@ -17,6 +17,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.naive import NaiveEngine
 from repro.core.engine import SpecQPEngine
 from repro.datasets.workload import Workload
 from repro.kg.columnar import ColumnarGraph
@@ -138,8 +139,8 @@ def test_result_cached_runner_is_answer_invisible(rows, ops, specs, k):
             if batch is not None:
                 cached.apply_updates(batch)
                 plain.apply_updates(batch)
-            reference = SpecQPEngine(plain.graph, rules, executor="tuple")
-            expected = answer_rows(reference.query(query, k=k).answers)
+            plan = SpecQPEngine(plain.graph, rules).plan(query, k).plan
+            expected = answer_rows(NaiveEngine(plain.graph, rules).evaluate(plan, k))
             uncached = answer_rows(plain.execute_query(query, k=k))
             first = answer_rows(cached.execute_query(query, k=k))
             repeat = answer_rows(cached.execute_query(query, k=k))

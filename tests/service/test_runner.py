@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.naive import NaiveEngine
 from repro.core.engine import SpecQPEngine
 from repro.errors import DatasetError, ExperimentError
 from repro.service import WorkloadRunner
@@ -24,14 +25,26 @@ def outcome_signature(report):
     ]
 
 
-def tuple_signature(engine, queries, k):
-    """:func:`outcome_signature` of the tuple reference's answers."""
+def oracle_answers(graph, rules, config, query, k):
+    """PLANGEN's plan of *query* over *graph* and the oracle's answers to it."""
+    plan = SpecQPEngine(graph, rules, config).plan(query, k).plan
+    oracle = NaiveEngine(graph, rules)
+    return plan, oracle.evaluate(plan, k, config.max_relaxations_per_pattern)
+
+
+def oracle_signature(runner, rules, queries, k):
+    """:func:`outcome_signature` of the oracle's answers over the
+    runner's graph."""
     signature = []
     for query in queries:
-        result = engine.query(query, k)
-        top = result.answers[0].score if result.answers else 0.0
-        signature.append((len(result.answers), result.plan.n_relaxed, round(top, 9)))
+        plan, answers = oracle_answers(runner.graph, rules, runner.config, query, k)
+        top = answers[0].score if answers else 0.0
+        signature.append((len(answers), plan.n_relaxed, round(top, 9)))
     return signature
+
+
+def answer_rows(answers):
+    return [(a.bindings, a.score) for a in answers]
 
 
 def test_rejects_bad_arguments(tiny_xkg_workload):
@@ -135,7 +148,7 @@ def test_reader_threads_share_the_runner_while_a_writer_applies_batches(
     thread applies update batches that move the answers: every read
     completes, a ``run`` batch is served at one graph version with its
     rows in submission order, and afterwards every answer equals the
-    tuple reference over the final graph."""
+    oracle's over the final graph."""
     import sys
     import threading
 
@@ -197,11 +210,11 @@ def test_reader_threads_share_the_runner_while_a_writer_applies_batches(
     assert errors == [], errors
     assert all(len(versions) == 1 for versions in batches_seen), batches_seen
     final = ColumnarGraph(ColumnarStore.from_triples(runner.graph.triples()))
-    reference = SpecQPEngine(final, workload.rules, runner.config, executor="tuple")
     after = [runner.execute_query(query, 5) for query in queries]
     assert after != before, "the update batches never moved an answer"
     for query, served in zip(queries, after):
-        assert served == reference.query(query, 5).answers, query.name
+        _, expected = oracle_answers(final, workload.rules, runner.config, query, 5)
+        assert answer_rows(served) == answer_rows(expected), query.name
 
 
 def test_runner_never_attaches_a_match_list_cache(tiny_xkg_workload, music_graph, music_rules):
@@ -250,14 +263,14 @@ def test_warm_answers_match_a_fresh_engine_per_query(tiny_xkg_workload):
     query of a warm batch with repeats, and every answer
     :meth:`~WorkloadRunner.execute_query` serves, equals a fresh
     :meth:`SpecQPEngine.query` — the per-query path that builds its
-    catalog and lists from scratch — on the tuple reference pipeline."""
+    catalog and lists from scratch — and the oracle's answers to its plan."""
     workload = tiny_xkg_workload
-    fresh = {
-        query.name: SpecQPEngine(
-            workload.graph, workload.rules, executor="tuple"
-        ).query(query, 5)
-        for query in workload.queries
-    }
+    oracle = NaiveEngine(workload.graph, workload.rules)
+    fresh = {}
+    for query in workload.queries:
+        result = SpecQPEngine(workload.graph, workload.rules).query(query, 5)
+        assert answer_rows(result.answers) == answer_rows(oracle.evaluate(result.plan, 5))
+        fresh[query.name] = result
     runner = WorkloadRunner(workload)
     report = runner.run(workload.stretched(3 * len(workload.queries)), k=5)
     # stretched() cycles the query set, so row i is query i % n again.
@@ -278,7 +291,7 @@ def test_warm_answers_match_a_fresh_engine_per_query(tiny_xkg_workload):
 def test_rules_added_in_place_are_served(tiny_xkg_workload, result_cache_capacity):
     """A rule added to the served ``RuleSet`` moves the answers: cached
     plans and answers planned under the old rules are never replayed, and
-    every answer equals the tuple reference under the new rules."""
+    every answer equals the oracle's under the new rules."""
     from repro.datasets.workload import Workload
     from repro.kg.columnar import ColumnarGraph
     from repro.relax.rules import RelaxationRule, RuleSet
@@ -293,10 +306,9 @@ def test_rules_added_in_place_are_served(tiny_xkg_workload, result_cache_capacit
     before = [runner.execute_query(query, 5) for query in queries]
     for rule in list(rules):
         rules.add(RelaxationRule(rule.domain, rule.range, 1.0))
-    fresh = SpecQPEngine(graph, rules, runner.config, executor="tuple")
     moved = 0
     for query, old in zip(queries, before):
-        expected = [(a.bindings, a.score) for a in fresh.query(query, 5).answers]
+        expected = answer_rows(oracle_answers(graph, rules, runner.config, query, 5)[1])
         served = runner.execute_query(query, 5)
         assert [(a.bindings, a.score) for a in served] == expected, query.name
         moved += [(a.bindings, a.score) for a in old] != expected
@@ -590,7 +602,7 @@ def test_apply_updates_waits_for_inflight_batches(music_graph, music_rules):
 def test_auto_serves_blocks_from_merged_lists_where_it_can(tiny_xkg_workload):
     """The runner serves blocks — resident lists or not — and a repeated
     batch is served from pre-merged relaxation lists; on the object graph
-    it is block too.  Answers never differ from the tuple reference."""
+    it is block too.  Answers never differ from the oracle's."""
     from repro.datasets.workload import Workload
     from repro.kg.columnar import ColumnarGraph
 
@@ -601,11 +613,7 @@ def test_auto_serves_blocks_from_merged_lists_where_it_can(tiny_xkg_workload):
         tiny_xkg_workload.queries,
     )
     runner = WorkloadRunner(columnar, result_cache_capacity=0)
-    reference = tuple_signature(
-        SpecQPEngine(runner.graph, columnar.rules, runner.config, executor="tuple"),
-        columnar.queries,
-        5,
-    )
+    reference = oracle_signature(runner, columnar.rules, columnar.queries, 5)
     first, second = runner.run(k=5), runner.run(k=5)
     for report in (first, second):
         assert {o.executor for o in report.outcomes} == {"block"}
@@ -627,8 +635,7 @@ def test_auto_serves_blocks_from_merged_lists_where_it_can(tiny_xkg_workload):
 
 def test_rows_name_the_pipeline_that_served_them(tiny_xkg_workload):
     """A report row names the pipeline that ran — ``"block"`` on columns
-    and on the object graph alike — and its answers are the tuple
-    reference's."""
+    and on the object graph alike — and its answers are the oracle's."""
     from repro.datasets.workload import Workload
     from repro.kg.columnar import ColumnarGraph
 
@@ -644,9 +651,6 @@ def test_rows_name_the_pipeline_that_served_them(tiny_xkg_workload):
     object_runner = WorkloadRunner(tiny_xkg_workload, result_cache_capacity=0)
     object_report = object_runner.run(k=5)
     assert {o.executor for o in object_report.outcomes} == {"block"}
-    reference = SpecQPEngine(
-        object_runner.graph, tiny_xkg_workload.rules, object_runner.config, executor="tuple"
-    )
-    assert outcome_signature(object_report) == tuple_signature(
-        reference, tiny_xkg_workload.queries, 5
+    assert outcome_signature(object_report) == oracle_signature(
+        object_runner, tiny_xkg_workload.rules, tiny_xkg_workload.queries, 5
     )
