@@ -28,9 +28,7 @@ def _evaluate(workload, config, k=10, n_queries=12):
         # Statistics stay warm, but every expected score is computed, and
         # the decision too (a fresh planner's memo is empty): the
         # histograms' resolution is what this ablation times.
-        planner = SpecQPPlanner(
-            engine.estimator, workload.rules, config.relax_all_when_insufficient
-        )
+        planner = SpecQPPlanner(engine.estimator, workload.rules)
         memoised_expected_score.cache_clear()
         started = time.perf_counter()
         planner.plan(query, k)

@@ -7,7 +7,7 @@ exposes, with the paper's settings as defaults so a bare
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import ExperimentError
 
@@ -32,13 +32,6 @@ class EngineConfig:
     max_relaxations_per_pattern:
         Cap on how many relaxation lists an Incremental Merge consumes
         (``None`` = all mined rules, the paper's behaviour).
-    relax_all_when_insufficient:
-        Extension beyond the paper (default off).  Algorithm 1 tests one
-        relaxation at a time; when a query's top-k can only be reached by
-        relaxing *several* patterns simultaneously (every single-relaxed
-        query is empty), PLANGEN prunes everything and under-delivers.
-        With this flag, whenever the original query cannot fill the top-k
-        (``E_Q(k) == 0``) every relaxable pattern is kept instead.
     """
 
     k: int = 10
@@ -47,7 +40,6 @@ class EngineConfig:
     n_buckets: int = 4
     selectivity_mode: str = "exact"
     max_relaxations_per_pattern: int | None = None
-    relax_all_when_insufficient: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -79,12 +71,4 @@ class EngineConfig:
 
     def with_k(self, k: int) -> "EngineConfig":
         """A copy with a different *k* (the common sweep axis)."""
-        return EngineConfig(
-            k=k,
-            mass_fraction=self.mass_fraction,
-            histogram_kind=self.histogram_kind,
-            n_buckets=self.n_buckets,
-            selectivity_mode=self.selectivity_mode,
-            max_relaxations_per_pattern=self.max_relaxations_per_pattern,
-            relax_all_when_insufficient=self.relax_all_when_insufficient,
-        )
+        return replace(self, k=k)

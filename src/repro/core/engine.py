@@ -145,11 +145,7 @@ class SpecQPEngine:
             encoded_store=encoded_store,
         )
         self.estimator = ExpectedScoreEstimator(self.catalog)
-        self.planner = SpecQPPlanner(
-            self.estimator,
-            rules,
-            relax_all_when_insufficient=self.config.relax_all_when_insufficient,
-        )
+        self.planner = SpecQPPlanner(self.estimator, rules)
         self._executor_mode: ExecutorMode = executor
         self.executor = PlanExecutor(
             graph,

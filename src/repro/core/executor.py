@@ -28,8 +28,8 @@ For the block path the executor reads encoded match lists (and the term
 codec) from an :class:`~repro.operators.block.EncodedListStore` — a
 private one by default, or a shared one injected by the service layer so
 every query of a batch encodes each pattern at most once.  After
-a write the store patches the lists it touched to equal a fresh build
-(or drops those it cannot), so stale ids can never leak across mutations
+a write the store patches the lists it touched to hold a fresh build's
+rows (or drops those it cannot), so stale ids can never leak across mutations
 or compactions; a graph that changes *mid-query* makes the affected
 query raise :class:`~repro.errors.ExecutionError` instead of silently
 decoding wrong terms.

@@ -69,26 +69,12 @@ class PlannerDecision:
 
 
 class SpecQPPlanner:
-    """Algorithm 1 (PLANGEN) over an expected-score estimator.
+    """Algorithm 1 (PLANGEN) over an expected-score estimator.  Threads
+    may share a planner."""
 
-    ``relax_all_when_insufficient`` enables an extension beyond the paper:
-    Algorithm 1 tests one relaxation at a time, so when the true top-k is
-    only reachable through *simultaneous* relaxations of several patterns
-    (every single-relaxed query is empty), it prunes everything.  The
-    extension keeps every relaxable pattern whenever the original query
-    cannot fill the top-k at all (``E_Q(k) == 0``).  Threads may share a
-    planner.
-    """
-
-    def __init__(
-        self,
-        estimator: ExpectedScoreEstimator,
-        rules: RuleSet,
-        relax_all_when_insufficient: bool = False,
-    ) -> None:
+    def __init__(self, estimator: ExpectedScoreEstimator, rules: RuleSet) -> None:
         self._estimator = estimator
         self._rules = rules
-        self._relax_all_when_insufficient = relax_all_when_insufficient
         #: key -> (decision, list keys read, histograms read); oldest plan first.
         self._memo: dict[tuple, tuple[PlannerDecision, tuple, tuple]] = {}
         self._lock = threading.Lock()
@@ -152,9 +138,6 @@ class SpecQPPlanner:
         read = [*query.patterns, *(rule.range for rule in tested if rule)]
         reads = {pattern.list_key(): catalog.histogram(pattern) for pattern in read}
         expected_kth = self._estimator.expected_kth(query, k)
-        force_relax_all = (
-            self._relax_all_when_insufficient and expected_kth <= 0.0
-        )
 
         decisions: list[PatternDecision] = []
         for index, (pattern, rule) in enumerate(zip(query.patterns, tested)):
@@ -165,7 +148,7 @@ class SpecQPPlanner:
                 )
                 # Against an E_Q(k) of 0, E_Q'(1) > 0 exactly when Q' has an
                 # answer: its count is 0 already when a slot is degenerate.
-                relax = force_relax_all or (
+                relax = (
                     relaxed.count >= 1
                     if expected_kth == 0.0
                     else relaxed.expected_top() > expected_kth

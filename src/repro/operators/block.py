@@ -30,8 +30,6 @@ two executors return byte-identical answer sequences.
 
 from __future__ import annotations
 
-import bisect
-import math
 import threading
 import weakref
 from collections import OrderedDict, defaultdict
@@ -321,10 +319,11 @@ class EncodedMatchList:
 
     ``columns[i]`` holds the int64 ids bound to ``var_names[i]`` (the
     pattern's distinct variables in S-P-O position order); ``scores``
-    are the *normalized* scores, non-increasing.  Rows are in exactly
-    the order the string :class:`~repro.kg.index.MatchList` holds
-    them (raw score descending, ties by ``spo``): the stream a
-    :class:`~repro.operators.scan.SortedScan` emits, minus the objects.
+    are the *normalized* scores, non-increasing.  A fresh build holds
+    its rows in the order the string :class:`~repro.kg.index.MatchList`
+    holds them (raw score descending, ties by ``spo``); a list a write
+    patched keeps score order only, rows of equal score in any order,
+    which decides no answer (the cut keeps the whole boundary tie run).
     A join's output (:func:`~repro.operators.vector_join.join_lists`) is
     one too, its rows in no score order and its scores final.
 
@@ -492,8 +491,7 @@ def build_merged_match_list(
     scores = np.repeat([weight for _, weight in inputs], lengths) * normalized
     # Stable sort: equal scores keep input order — irrelevant for the
     # surviving (binding, score) multiset, which dedup-keep-first fixes
-    # whatever the order among equal keys, but deterministic, and the
-    # order a patch places a row by.
+    # whatever the order among equal keys, but deterministic.
     order = np.argsort(-scores, kind="stable")
     if len(scores):
         # Every input is encoded, so the id domain is final.
@@ -518,9 +516,9 @@ def build_merged_match_list(
 #: A fully bound triple key.
 Spo = tuple[str, str, str]
 
-#: A binding's row: score, input, raw score in that input, that input's
-#: triple, and the binding (values of the list's variables).
-_Row = tuple[float, int, float, Spo, tuple[str, ...]]
+#: A binding's row: score, input and binding (values of the list's
+#: variables).
+_Row = tuple[float, int, tuple[str, ...]]
 
 
 def _triple(pattern: "TriplePattern", var_names: tuple[str, ...], binding) -> Spo:
@@ -627,25 +625,13 @@ def _top(
         if raw is not None:
             score = _score(held.inputs[j][1], held.maxima[j], raw)
             if best is None or score > best[0]:
-                best = (score, j, raw, spo, binding)
+                best = (score, j, binding)
     return best
 
 
 def _held(held: EncodedMatchList, row: int) -> tuple[float, int]:
     """The score and input of *held*'s row *row*."""
     return float(held.scores[row]), 0 if held.sources is None else int(held.sources[row])
-
-
-def _sole_raw(held: EncodedMatchList, j: int, raw: float, score: float) -> bool:
-    """Whether *raw* is the only raw score input *j* maps to *score*: then
-    every row of *held* from that input scoring *score* has raw score
-    *raw* (normalising and weighting are monotone, so the raw scores that
-    map to one score are an interval of floats)."""
-    weight, maximum = held.inputs[j][1], held.maxima[j]
-    return all(
-        _score(weight, maximum, neighbour) != score
-        for neighbour in (math.nextafter(raw, -math.inf), math.nextafter(raw, math.inf))
-    )
 
 
 #: :func:`_best`'s answer for a binding whose held row stands.
@@ -697,14 +683,13 @@ def patch_match_lists(
     by each input's held maximum and weighted; a binding keeps its best
     score, on a tie its first input (Definition 8).  Where a binding's
     held row came from a written input that now ranks below it, its
-    triples under the other inputs are read in a second batch.  Rows
-    that changed are taken out and put back where a fresh build orders
-    them; where several raw scores map to the score of the rows a row
-    lands among, their raw scores are read in a third batch.  An input
-    whose maximum the write may have moved has it read with the first
-    batch.  A list is refused when an input's maximum moved or is not
-    positive.  A list the write leaves as it was is returned as the same
-    object.
+    triples under the other inputs are read in a second batch.  A row
+    whose score or input changed is taken out and put back at the end of
+    its score run: a patched list keeps score order, not a fresh build's
+    order among equal scores, which decides no answer.  An input whose
+    maximum the write may have moved has it read with the first batch.
+    A list is refused when an input's maximum moved or is not positive.
+    A list the write leaves as it was is returned as the same object.
     """
     store = codec.store
     entries = [(key, held, _plan(held, codec, hits[key])) for key, held in lists.items()]
@@ -729,10 +714,7 @@ def patch_match_lists(
             if isinstance(row, list):
                 candidates = sorted([*plan.touched[binding].items(), *row])
                 rows[binding] = _top(held, candidates, binding, raws)
-        changes.append(_changes(held, codec, plan, rows, raws, tops))
-    ties = [spo for change in changes if type(change) is tuple for spo in change[3]]
-    if ties:
-        raws.update(_read(graph, store, ties)[0])
+        changes.append(_changes(held, plan, rows, raws, tops))
 
     def patched() -> "Iterator[tuple[object, EncodedMatchList | None]]":
         # Lazily, letting each held list go as soon as its patch is made.
@@ -740,7 +722,7 @@ def patch_match_lists(
             key, held, plan = entries[at]
             entries[at] = None
             if type(change) is tuple:
-                change = _spliced(held, codec, plan.rows, *change[:3], raws)
+                change = _spliced(held, codec, plan.rows, *change)
             yield key, change
 
     return patched()
@@ -748,7 +730,6 @@ def patch_match_lists(
 
 def _changes(
     held: EncodedMatchList,
-    codec: TermCodec,
     plan: _Plan,
     best_rows: dict,
     raws: dict[Spo, float | None],
@@ -756,10 +737,8 @@ def _changes(
 ):
     """What a patch changes in *held*: ``None`` when it must be rebuilt
     instead (an input's maximum moved or is not positive), *held* when
-    nothing, else the rows it removes (ascending), the rows it adds (in
-    rebuild order), per added row ``(lo, hi)`` — the held rows of its
-    input and score whose raw scores place it (``lo == hi``: its place is
-    ``lo``) — and the triples of those rows, to be read."""
+    nothing, else the rows it removes (ascending) and the rows it adds
+    (score descending)."""
     inputs = held.inputs
     for by_input in plan.touched.values():
         for j, spo in by_input.items():
@@ -775,58 +754,16 @@ def _changes(
             continue
         row = plan.rows.get(binding)
         if row is not None:
-            if (
-                best is not None
-                and best[:2] == _held(held, row)
-                and _sole_raw(held, best[1], best[2], best[0])
-            ):
-                continue  # the held row stands: same score, input and raw score
+            if best is not None and best[:2] == _held(held, row):
+                continue  # the held row stands: same score and input
             removed.append(row)
         if best is not None:
             added.append(best)
     if not removed and not added:
         return held
-    # A fresh build orders rows by score descending, then input, then the
-    # input's own order: raw score descending, ties by ``spo``.  Each new
-    # row is placed among the held rows — removed ones included, since
-    # they keep that order.
-    added.sort(key=lambda r: (-r[0], r[1], -r[2], r[3]))
+    added.sort(key=lambda r: -r[0])
     removed.sort()
-    n = len(held)
-    ascending = held.scores[::-1]
-    runs, reads = [], []
-    for score, j, raw, spo, _ in added:
-        lo = n - int(ascending.searchsorted(score, "right"))
-        hi = n - int(ascending.searchsorted(score, "left"))
-        if lo < hi and held.sources is not None:
-            run = held.sources[lo:hi]
-            lo, hi = lo + int(run.searchsorted(j, "left")), lo + int(run.searchsorted(j, "right"))
-        if lo < hi and _sole_raw(held, j, raw, score):
-            pattern = inputs[j][0]
-            while lo < hi:  # every raw score is *raw*: bisect by spo
-                middle = (lo + hi) // 2
-                if _row_triple(held, codec, pattern, middle) < spo:
-                    lo = middle + 1
-                else:
-                    hi = middle
-        elif lo < hi:
-            # Several raw scores map to this score: the kept rows' are read
-            # (a kept row's raw score did not change).
-            pattern = inputs[j][0]
-            reads += (
-                _row_triple(held, codec, pattern, row)
-                for row in range(lo, hi)
-                if row not in removed
-            )
-        runs.append((lo, hi))
-    return removed, added, runs, reads
-
-
-def _row_triple(held: EncodedMatchList, codec: TermCodec, pattern, row: int) -> Spo:
-    """*pattern*'s triple for the binding of *held*'s row *row*."""
-    return _triple(
-        pattern, held.var_names, tuple(codec.decode(int(c[row])) for c in held.columns)
-    )
+    return removed, added
 
 
 def _spliced(
@@ -835,25 +772,15 @@ def _spliced(
     rows: dict,
     removed: list[int],
     added: list[_Row],
-    runs: list[tuple[int, int]],
-    raws: dict[Spo, float | None],
 ) -> EncodedMatchList:
     """*held* with the *removed* rows taken out and the *added* rows put
-    in, each in its run (see :func:`_changes`), the raw scores of the
-    rows there read into *raws*."""
-    slots = []
-    for (score, j, raw, spo, _), (lo, hi) in zip(added, runs):
-        if lo < hi:  # go before the first kept row that ranks after
-            pattern = held.inputs[j][0]
-            kept = [row for row in range(lo, hi) if row not in removed]
-            ranks = [(-raws[t], t) for t in (_row_triple(held, codec, pattern, r) for r in kept)]
-            before = sum(rank < (-raw, spo) for rank in ranks)
-            lo = kept[before] if before < len(kept) else hi
-        slots.append(lo - bisect.bisect_left(removed, lo))
-    # The new list: kept rows in order, each added row before kept row
-    # ``slots[u]`` and after the added rows before it.
+    in, each after every kept row that scores at least as much."""
     n = len(held)
-    at = np.array(slots, dtype=np.int64) + np.arange(len(slots))
+    # The new list: kept rows in order, each added row after the held rows
+    # scoring at least as much (less the removed ones among them) and
+    # after the added rows before it.
+    ends = n - held.scores[::-1].searchsorted([r[0] for r in added], "left")
+    at = ends - np.searchsorted(removed, ends) + np.arange(len(added))
     take = np.empty(n - len(removed) + len(added), dtype=np.intp)
     kept_at = np.ones(len(take), dtype=bool)
     kept_at[at] = False
@@ -869,16 +796,16 @@ def _spliced(
 
     patched = held._successor(
         tuple(
-            splice(column, [codec.encode(r[4][c]) for r in added])
+            splice(column, [codec.encode(r[2][c]) for r in added])
             for c, column in enumerate(held.columns)
         ),
         splice(held.scores, [r[0] for r in added]),
         None if held.sources is None else splice(held.sources, [r[1] for r in added]),
     )
-    moves = len(removed) == len(added) and all(r[4] in rows for r in added)
+    moves = len(removed) == len(added) and all(r[2] in rows for r in added)
     _carry_key_orders(
         held, patched, codec, keep, kept_at, at,
-        [rows[r[4]] for r in added] if moves else None,
+        [rows[r[2]] for r in added] if moves else None,
     )
     return patched
 
@@ -947,12 +874,14 @@ class EncodedListStore:
     :attr:`EncodedMatchList.reads` a write touched
     (:meth:`~repro.kg.graph.KnowledgeGraph.touched_since`, found in
     O(touched) through an index by pattern key): :func:`patch_match_lists`
-    rewrites the rows of the bindings the write touched, so the list —
-    and each key order it caches, renumbered or sorted afresh — equals a
-    fresh build at the new version.  It drops a touched list instead, to be rebuilt on
-    its next read, when an input's maximum moved or is not positive (every
-    normalised score would change), when the list's inputs are unknown,
-    or when a write raced the patch's reads.  A compaction swaps in a codec
+    rewrites the rows of the bindings the write touched, so the list
+    holds a fresh build's rows at the new version in score order (rows
+    of equal score in any order), and each key order it caches,
+    renumbered or sorted afresh, sorts its own columns.  It drops a
+    touched list instead, to be rebuilt on its next read, when an input's
+    maximum moved or is not positive (every normalised score would
+    change), when the list's inputs are unknown, or when a write raced
+    the patch's reads.  A compaction swaps in a codec
     over the new store: store ids carry over and the touched lists' side
     ids are encoded again before they are patched.  The rest stay as they
     are, key orders included; no answer from the journal costs a full

@@ -16,8 +16,9 @@ they name the answer bindings), same *set* of projection variables, same
 folded into an opaque *plan signature* by the runner).  Query names and
 pattern order never split the cache; a different ``k``, rule set or
 planner config always does.  The runner serves one pipeline (block), so
-the signature carries no executor; the block engine's byte-identity
-with the tuple reference is what makes a cached answer the paper's.
+the signature carries no executor; a cached answer is the paper's
+because the block engine answers as the oracle
+(:meth:`~repro.baselines.naive.NaiveEngine.evaluate`) does.
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ owns that sharing:
 Queries of a batch run inline on the calling thread; callers that serve
 from several threads of their own share the runner's substrate behind
 its reader-writer gate.  The per-query path that builds everything
-afresh is :meth:`repro.core.engine.SpecQPEngine.query`; the tuple
-pipeline it defaults to is the reference the runner's answers are
-checked against.
+afresh is :meth:`repro.core.engine.SpecQPEngine.query`, on the same
+block pipeline; the runner's answers are checked against the oracle,
+:meth:`repro.baselines.naive.NaiveEngine.evaluate` of the same plan.
 """
 
 from __future__ import annotations

@@ -1,11 +1,9 @@
-"""Tests for the relax-all-when-insufficient planner extension and the
-``executor="auto"`` resolution.
+"""Tests for PLANGEN's known miss and the ``executor="auto"`` resolution.
 
 Algorithm 1 tests one relaxation at a time: when the true top-k needs
 *simultaneous* relaxations of several patterns (every single-relaxed
 query is empty), the paper-faithful planner prunes all relaxations and
-misses the answers.  The extension keeps every relaxable pattern whenever
-the original query cannot fill the top-k.
+misses the answers.
 
 The resolution tests pin what ``"auto"`` means since the tuple-vs-block
 cost rule was retired: block on every backend (``block-available``) —
@@ -16,7 +14,6 @@ forced choice, like auto's pick, answers what the oracle answers.
 import pytest
 
 from repro.baselines.naive import NaiveEngine
-from repro.core.config import EngineConfig
 from repro.core.engine import SpecQPEngine
 from repro.kg.columnar import ColumnarGraph
 from repro.kg.graph import KnowledgeGraph
@@ -63,57 +60,12 @@ def multi_relaxation_case():
 class TestPaperFaithfulBehaviour:
     def test_default_planner_prunes_everything(self, multi_relaxation_case):
         kg, rules, query = multi_relaxation_case
-        engine = SpecQPEngine(kg, rules)  # extension off by default
+        engine = SpecQPEngine(kg, rules)
         decision = engine.plan(query, k=1)
         # Each single-relaxed query is empty -> E_Q'(1)=0 -> nothing relaxed.
         assert decision.plan.singletons == ()
         result = engine.query(query, k=1)
         assert result.answers == ()  # the known miss
-
-
-class TestExtension:
-    def test_extension_recovers_the_answer(self, multi_relaxation_case):
-        kg, rules, query = multi_relaxation_case
-        engine = SpecQPEngine(
-            kg, rules, EngineConfig(relax_all_when_insufficient=True)
-        )
-        decision = engine.plan(query, k=1)
-        assert set(decision.plan.singletons) == {0, 1}
-        result = engine.query(query, k=1)
-        assert len(result.answers) == 1
-        assert result.answers[0].as_dict()["s"] == "winner"
-        assert result.answers[0].score == pytest.approx(0.9 + 0.9)
-
-    def test_extension_inactive_when_query_sufficient(self):
-        """With enough exact answers, the flag must not change plans."""
-        kg = KnowledgeGraph()
-        for i in range(20):
-            score = 100.0 - i
-            kg.add(f"e{i}", "rdf:type", "a", score=score)
-            kg.add(f"e{i}", "rdf:type", "b", score=score)
-        kg.add("r", "rdf:type", "a_relax", score=1.0)
-        kg.add("r", "rdf:type", "b", score=1.0)
-        rules = RuleSet([RelaxationRule(tp("a"), tp("a_relax"), 0.1)])
-        query = TriplePatternQuery((tp("a"), tp("b")))
-        plain = SpecQPEngine(kg, rules).plan(query, k=5)
-        extended = SpecQPEngine(
-            kg, rules, EngineConfig(relax_all_when_insufficient=True)
-        ).plan(query, k=5)
-        assert plain.plan.singletons == extended.plan.singletons == ()
-
-    def test_extension_respects_unrelaxable_patterns(self, multi_relaxation_case):
-        kg, rules, query = multi_relaxation_case
-        rules_only_a = RuleSet([RelaxationRule(tp("a"), tp("a_relax"), 0.9)])
-        engine = SpecQPEngine(
-            kg, rules_only_a, EngineConfig(relax_all_when_insufficient=True)
-        )
-        decision = engine.plan(query, k=1)
-        # Pattern b has no rules: it can never become a singleton.
-        assert decision.plan.singletons == (0,)
-
-    def test_config_propagates_through_with_k(self):
-        config = EngineConfig(relax_all_when_insufficient=True)
-        assert config.with_k(20).relax_all_when_insufficient is True
 
 
 def long_list_graph(rows_per_type: int = 512):

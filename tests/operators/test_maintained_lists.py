@@ -1,12 +1,14 @@
-"""A write patches the encoded and merged lists it touches, byte for byte.
+"""A write patches the encoded and merged lists it touches.
 
 ``EncodedListStore`` brings a held list to a new graph version by
 rewriting only the rows of the bindings the write touched
 (``patch_match_lists``).  Every case here checks each held list against
-a fresh build under the same codec at the new version — columns, scores,
-source inputs, row order, ``max_score`` and every key order
-the list caches — and that the list was patched, not dropped, except
-where an input's maximum moved.
+a fresh build under the same codec at the new version with
+:func:`held_lists.assert_held_list` — the same rows (score bits, binding
+ids, source input) in non-increasing score order, ``max_score``, and
+every key order the list caches sorted from its own columns — and that
+the list was patched, not dropped, except where an input's maximum
+moved.  Rows of equal score may stand in any order.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ import random
 import numpy as np
 import pytest
 
+from held_lists import assert_held_list
+
+from repro.baselines.naive import NaiveEngine
+from repro.core.engine import SpecQPEngine
 from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.pattern import TriplePattern, var
@@ -25,8 +31,9 @@ from repro.operators.block import (
     EncodedListStore,
     build_encoded_match_list,
     build_merged_match_list,
-    sorted_key_order,
 )
+from repro.query.query import TriplePatternQuery
+from repro.relax.rules import RuleSet
 
 P = TriplePattern(var("s"), "p", "x")
 R = TriplePattern(var("s"), "r", "x")
@@ -61,27 +68,14 @@ def hold(store: EncodedListStore, live: LiveGraph) -> dict:
 
 
 def assert_fresh(store: EncodedListStore, live: LiveGraph) -> None:
-    """Every held list equals a fresh build under the store's codec."""
+    """Every held list holds a fresh build's rows under the store's codec."""
     codec = store.codec(live)
     for key, held in list(store._lists.items()):
         if isinstance(key, tuple):
             fresh = build_merged_match_list(live, MERGED, codec)
         else:
             fresh = build_encoded_match_list(live, key, codec)
-        assert held.var_names == fresh.var_names, key
-        for mine, theirs in zip(held.columns, fresh.columns):
-            assert mine.tobytes() == theirs.tobytes(), key
-        assert held.scores.tobytes() == fresh.scores.tobytes(), key
-        assert (held.sources is None) == (fresh.sources is None), key
-        if held.sources is not None:
-            assert held.sources.tobytes() == fresh.sources.tobytes(), key
-        assert held.max_score == fresh.max_score, key
-        for join_vars, (base, order) in held._key_orders.items():
-            columns = tuple(fresh.columns[fresh.var_names.index(n)] for n in join_vars)
-            expected = sorted_key_order(columns, base or codec.n_ids, len(fresh))
-            assert order[0].tobytes() == expected[0].tobytes(), (key, join_vars)
-            assert order[1].tobytes() == expected[1].astype(np.int32).tobytes()
-            assert order[2] == expected[2]
+        assert_held_list(held, fresh, codec, key=key)
 
 
 def write(live: LiveGraph, store: EncodedListStore, *updates: GraphUpdate) -> dict:
@@ -168,13 +162,13 @@ def test_a_moved_maximum_drops_the_list(served):
 
 def test_rows_land_inside_runs_of_equal_scores(served):
     live, store, _ = served
-    # 4.0 ties b and c in P (by spo: b < bb < c); 0.8 ties them in the
-    # merge too, and R's 6.0 rows tie P's 5.0 row at 1.0 / 0.5.
+    # 4.0 ties b and c in P; 0.8 ties them in the merge too, and R's 6.0
+    # rows tie P's 5.0 row at 1.0 / 0.5.
     counts = write(
         live, store,
         GraphUpdate.add("bb", "p", "x", 4.0),
         GraphUpdate.add("a0", "r", "x", 6.0),
-        GraphUpdate.add("zz", "r", "x", 3.0),  # ties a and h in R: a < h < zz
+        GraphUpdate.add("zz", "r", "x", 3.0),  # ties a and h in R
         GraphUpdate.add("e", "p", "x", 2.5),  # ties d in P
     )
     assert counts["patched"] == 2 and counts["dropped"] == 0
@@ -183,10 +177,10 @@ def test_rows_land_inside_runs_of_equal_scores(served):
     assert len(ties) >= 3 and (merged.sources[ties] != merged.sources[ties + 1]).any()
 
 
-def test_raw_scores_that_share_a_normalised_score_keep_raw_order():
-    """Two raw scores can divide to one normalised score; rows of one
-    input scoring alike are then ordered by raw score, not by spo, so a
-    patch reads the raw scores of the rows it lands among."""
+def test_a_raw_score_that_keeps_its_normalised_score_keeps_the_list():
+    """Two raw scores can divide to one normalised score: a write that
+    moves a triple between them changes no row's score or input, so
+    every list stays the same object."""
     low = 6.736025107499303
     high = math.nextafter(low, math.inf)
     assert low / 10.0 == high / 10.0
@@ -195,13 +189,34 @@ def test_raw_scores_that_share_a_normalised_score_keep_raw_order():
     )
     store = EncodedListStore()
     hold(store, live)
-    # c's raw score rises but its normalised score stays: it moves before b.
-    assert write(live, store, GraphUpdate.add("c", "p", "x", high))["patched"] == 2
-    # z lands between c and b, though by spo it sorts after both.
-    assert write(live, store, GraphUpdate.add("z", "p", "x", high))["patched"] == 2
-    leaf = store._lists[P]
+    held = dict(store._lists)
+    assert write(live, store, GraphUpdate.add("c", "p", "x", high))["patched"] == 0
+    assert all(store._lists[key] is held[key] for key in held)
+
+
+def test_a_tie_run_a_patch_leaves_out_of_binding_order_is_cut_canonically():
+    """A patch puts a re-scored row at the end of its score run, so a
+    served list can hold a tie run that straddles k out of binding
+    order; the block cut must still answer as the oracle does."""
+    live = make_live(
+        [("m", "p", "x", 10.0), ("b", "p", "x", 5.0), ("c", "p", "x", 5.0), ("a", "p", "x", 2.0)]
+    )
+    rules = RuleSet()
+    engine = SpecQPEngine(live, rules)
+    query = TriplePatternQuery((P,), name="ties")
+    engine.query(query, 2)  # the list is held from here on
+    live.apply_updates([GraphUpdate.add("a", "p", "x", 5.0)])
+    for k in (2, 3):
+        plan = engine.plan(query, k).plan
+        served = engine.executor.execute(plan, k, executor="block").answers
+        expected = NaiveEngine(live, rules).evaluate(plan, k)
+        assert [(a.bindings, a.score) for a in served] == [
+            (a.bindings, a.score) for a in expected
+        ], k
+    # Patched, not rebuilt: a fresh build holds m, a, b, c.
+    store = engine.executor.encoded_store
     codec = store.codec(live)
-    assert [codec.decode(int(i)) for i in leaf.columns[0]] == ["m", "c", "z", "b", "d"]
+    assert [codec.decode(i) for i in store._lists[P].columns[0].tolist()] == ["m", "b", "c", "a"]
 
 
 def test_a_key_order_with_repeated_keys_is_sorted_again_when_rows_cross():

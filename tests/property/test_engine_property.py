@@ -10,7 +10,6 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import EngineConfig
 from repro.core.engine import SpecQPEngine
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, Variable
@@ -47,10 +46,7 @@ def engines_and_queries(draw):
     patterns = tuple(tp(t) for t in TYPES[:size])
     query = TriplePatternQuery(patterns, projection=(VAR_S,))
     k = draw(st.integers(min_value=1, max_value=12))
-    relax_all = draw(st.booleans())
-    engine = SpecQPEngine(
-        kg, rules, EngineConfig(relax_all_when_insufficient=relax_all)
-    )
+    engine = SpecQPEngine(kg, rules)
     return engine, query, k
 
 
