@@ -19,7 +19,7 @@ Public surface:
 * :class:`~repro.kg.delta.LiveGraph` / :class:`~repro.kg.delta.GraphUpdate`
   — the delta-overlay write path over the immutable backends (adds +
   tombstones, versioned invalidation, LSM-style compaction).
-* :mod:`~repro.kg.storage` — scored-TSV / N-triples text formats, the
+* :mod:`~repro.kg.storage` — the scored-TSV text format, the
   mutation TSV (``iter_update_tsv``) and the packed ``.kg2`` snapshot
   format (``save_snapshot_v2`` / ``load_snapshot_v2``).
 """

@@ -1,6 +1,6 @@
 """(De)serialisation of scored knowledge graphs.
 
-Three formats:
+Two formats:
 
 * **Scored TSV** — ``subject<TAB>predicate<TAB>object<TAB>score`` per line,
   the native text format of this repo (lossless, trivially diffable).
@@ -8,16 +8,13 @@ Three formats:
   :class:`~repro.kg.columnar.ColumnarStore` as raw sections plus a JSON
   manifest, attached by ``mmap`` in O(ms) because nothing is reparsed,
   re-interned or copied.  Format spec: ``docs/storage.md``.
-* **N-triples-ish** — ``<s> <p> <o> .`` lines without scores, for
-  interoperability with standard RDF tooling; scores default to 1.0 on
-  load and are dropped on save.
 
 Plus the **mutation TSV** (:func:`iter_update_tsv`) — ``+``/``-``
 prefixed lines describing adds, overwrites and removes, the feed of the
 live-update overlay (:mod:`repro.kg.delta`) and the ``update`` CLI
 subcommand.
 
-The snapshot helpers import NumPy lazily, so the text formats remain
+The snapshot helpers import NumPy lazily, so the TSV formats remain
 dependency-free.
 """
 
@@ -32,7 +29,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator, TextIO
 
 from repro.errors import KnowledgeGraphError
 from repro.kg.graph import KnowledgeGraph
@@ -544,78 +541,3 @@ def load_snapshot_v2(
     stored_name = str(manifest.get("name", "")) or path.stem
     graph = ColumnarGraph(store, name=name or stored_name)
     return graph.thaw() if mutable else graph
-
-
-# ----------------------------------------------------------------------
-# N-triples-ish
-# ----------------------------------------------------------------------
-def _angle(term: str) -> str:
-    return f"<{term}>"
-
-
-def _unangle(token: str, where: str) -> str:
-    if len(token) >= 2 and token[0] == "<" and token[-1] == ">":
-        return token[1:-1]
-    raise KnowledgeGraphError(f"{where}: expected <term>, got {token!r}")
-
-
-def save_ntriples(graph: KnowledgeGraph, path: str | Path) -> int:
-    """Write *graph* without scores in a simple N-triples-like syntax."""
-    count = 0
-    with _open_text(path, "w") as handle:
-        for triple in sorted(graph.triples(), key=lambda t: t.spo):
-            handle.write(
-                f"{_angle(triple.subject)} {_angle(triple.predicate)} "
-                f"{_angle(triple.object)} .\n"
-            )
-            count += 1
-    return count
-
-
-def iter_ntriples(path: str | Path) -> Iterator[Triple]:
-    """Yield triples from an N-triples-ish file (scores default to 1.0)."""
-    with _open_text(path, "r") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not line.endswith("."):
-                raise KnowledgeGraphError(f"{path}:{line_no}: missing trailing '.'")
-            tokens = line[:-1].split()
-            if len(tokens) != 3:
-                raise KnowledgeGraphError(
-                    f"{path}:{line_no}: expected 3 terms, got {len(tokens)}"
-                )
-            where = f"{path}:{line_no}"
-            yield Triple(
-                _unangle(tokens[0], where),
-                _unangle(tokens[1], where),
-                _unangle(tokens[2], where),
-                1.0,
-            )
-
-
-def load_ntriples(path: str | Path, name: str | None = None) -> KnowledgeGraph:
-    """Load an N-triples-ish file into a fresh :class:`KnowledgeGraph`."""
-    graph = KnowledgeGraph(name=name or Path(path).stem)
-    graph.add_triples(iter_ntriples(path))
-    return graph
-
-
-# ----------------------------------------------------------------------
-# Convenience
-# ----------------------------------------------------------------------
-def from_tuples(
-    rows: Iterable[tuple[str, str, str] | tuple[str, str, str, float]],
-    name: str = "kg",
-) -> KnowledgeGraph:
-    """Build a graph from plain tuples, a convenience for tests/examples."""
-    graph = KnowledgeGraph(name=name)
-    for row in rows:
-        if len(row) == 3:
-            graph.add(*row)  # type: ignore[misc]
-        elif len(row) == 4:
-            graph.add(row[0], row[1], row[2], score=float(row[3]))
-        else:
-            raise KnowledgeGraphError(f"expected 3- or 4-tuple, got {row!r}")
-    return graph

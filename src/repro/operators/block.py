@@ -47,11 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kg.columnar import ColumnarStore
     from repro.kg.pattern import TriplePattern
 
-#: A row set's join keys in key order: the packed keys ascending, the row
-#: each came from (equal keys in row order), and whether no key repeats.
-KeyOrder = tuple[np.ndarray, np.ndarray, bool]
-
-
 class TermCodec:
     """Injective term ↔ int64 id mapping over a store dictionary.
 
@@ -168,10 +163,12 @@ def joint_group_ids(
 
 def sorted_key_order(
     columns: Sequence[np.ndarray], n_ids: int, n_rows: int
-) -> KeyOrder | None:
-    """The :data:`KeyOrder` of the rows keyed by the parallel id *columns*
-    (one :func:`~repro.kg.columnar.stable_argsort` of
-    :func:`pack_columns`), or ``None`` when the keys cannot be packed."""
+) -> tuple[np.ndarray, np.ndarray, bool] | None:
+    """The rows keyed by the parallel id *columns* in key order: the
+    packed keys ascending, the row each came from (equal keys in row
+    order) and whether no key repeats — one
+    :func:`~repro.kg.columnar.stable_argsort` of :func:`pack_columns` —
+    or ``None`` when the keys cannot be packed."""
     packed = pack_columns(columns, n_ids, n_rows=n_rows)
     if packed is None:
         return None
@@ -194,6 +191,23 @@ def expand_matches(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.n
     return probe_rows, np.repeat(lo, counts) + offsets
 
 
+def addressable(span: int, n_rows: int) -> bool:
+    """Whether a table with one entry per key of a *span*-wide domain is
+    cheap next to *n_rows* rows: at most 64 entries a row.
+
+    The one rule by which the block pipeline addresses keys directly
+    instead of sorting them — :func:`first_occurrence_keep`, the table
+    join of :func:`~repro.operators.vector_join.join_lists` and the
+    semi-join of the exact join counts — so a domain too wide to hold
+    in memory (an id space of 2**40) is always sorted.  Measured on 2
+    hardware threads over domains of 8 413 to 400 000 ids, the join
+    and the semi-join beat a sort of their rows up to 128 entries a
+    row, and the first-occurrence table beats ``np.unique`` from 16 to
+    64 entries a row depending on the row count.
+    """
+    return span <= 64 * n_rows
+
+
 def first_occurrence_keep(packed: np.ndarray) -> np.ndarray:
     """Indices of the first occurrence of every distinct value, ascending.
 
@@ -202,17 +216,17 @@ def first_occurrence_keep(packed: np.ndarray) -> np.ndarray:
     indices preserve the global score order.
 
     When the key domain is small against the row count (single-variable
-    lists: the keys are term ids) nothing is sorted: a scatter-min
-    writes each key's first index into a table over the domain, and a
-    row is kept iff it is the one its key points back to.  Domains too
-    large to address fall back to ``np.unique``.
+    lists: the keys are term ids, :func:`addressable`) nothing is sorted:
+    a scatter-min writes each key's first index into a table over the
+    domain, and a row is kept iff it is the one its key points back to.
+    Domains too large to address fall back to ``np.unique``.
     """
     n = len(packed)
     if n == 0:
         return np.empty(0, dtype=np.int64)
     low = int(packed.min())
     span = int(packed.max()) - low + 1
-    if span > 16 * n:
+    if not addressable(span, n):
         _, first = np.unique(packed, return_index=True)
         return np.sort(first)
     slots = packed - low
@@ -333,9 +347,7 @@ class EncodedMatchList:
 
     The arrays are read-only from construction: the executor hands a
     stored list to joins and the sink as it is, so none can corrupt the
-    list every later query reads.  The list also carries its **join-key
-    orders** (:meth:`key_order`), built on first use — views of the list
-    that live and die with it in the :class:`EncodedListStore`.
+    list every later query reads.
 
     What a write needs to patch the list (:func:`patch_match_lists`):
     ``inputs``, the ``(pattern, weight)`` pairs it was built from (its own
@@ -348,7 +360,7 @@ class EncodedMatchList:
 
     __slots__ = (
         "var_names", "columns", "scores", "max_score", "inputs", "maxima", "sources",
-        "_read_keys", "_key_orders",
+        "_read_keys",
     )
 
     def __init__(
@@ -372,8 +384,6 @@ class EncodedMatchList:
         self.maxima = maxima
         self.sources = sources
         self._read_keys: frozenset | None = None
-        #: ``join_vars -> (base, KeyOrder | None | its builder)``.
-        self._key_orders: dict[tuple[str, ...], tuple[int, object]] = {}
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -398,47 +408,6 @@ class EncodedMatchList:
             keys = (None,) if self.inputs is None else (p.key() for p, _ in self.inputs)
             self._read_keys = frozenset(keys)
         return self._read_keys
-
-    def key_order(self, join_vars: tuple[str, ...], n_ids: int) -> KeyOrder | None:
-        """The list's rows in the order of their *join_vars* key, packed
-        base *n_ids* (``None`` when that overflows).
-
-        Built once per list and key — one ``argsort`` — and shared by
-        every join that scans the whole list afterwards; the permutation
-        is kept as int32, all arrays read-only.  Racing first builds
-        compute the same arrays and either assignment may stand.
-        """
-        # One column packs to itself whatever the id domain; a wider key
-        # is only good for the base it was packed with (side-table ids
-        # can grow the domain between two queries of one graph version).
-        base = n_ids if len(join_vars) > 1 else 0
-        held = self._key_orders.get(join_vars)
-        if held is None or held[0] != base:
-            built = sorted_key_order(
-                tuple(self.columns[self.var_names.index(name)] for name in join_vars),
-                n_ids,
-                len(self),
-            )
-        elif callable(held[1]):
-            built = held[1]()
-        else:
-            return held[1]
-        if built is not None:
-            built = (built[0], built[1].astype(np.int32, copy=False), built[2])
-            built[0].flags.writeable = built[1].flags.writeable = False
-        self._key_orders[join_vars] = (base, built)
-        return built
-
-    def seed_key_order(
-        self, join_vars: tuple[str, ...], n_ids: int, keys: Callable, distinct: bool
-    ) -> None:
-        """The key order of rows in *join_vars* key order already: the
-        identity, and ``keys()`` (packed base *n_ids*) on first use."""
-        n_rows = len(self)  # not ``self``: a cycle would wait for the GC
-        self._key_orders[join_vars] = (
-            n_ids if len(join_vars) > 1 else 0,  # :meth:`key_order`'s base
-            lambda: (keys(), np.arange(n_rows, dtype=np.int32), distinct),
-        )
 
 
 def build_encoded_match_list(
@@ -722,7 +691,7 @@ def patch_match_lists(
             key, held, plan = entries[at]
             entries[at] = None
             if type(change) is tuple:
-                change = _spliced(held, codec, plan.rows, *change)
+                change = _spliced(held, codec, *change)
             yield key, change
 
     return patched()
@@ -769,7 +738,6 @@ def _changes(
 def _spliced(
     held: EncodedMatchList,
     codec: TermCodec,
-    rows: dict,
     removed: list[int],
     added: list[_Row],
 ) -> EncodedMatchList:
@@ -794,7 +762,7 @@ def _spliced(
         spliced[at] = values
         return spliced
 
-    patched = held._successor(
+    return held._successor(
         tuple(
             splice(column, [codec.encode(r[2][c]) for r in added])
             for c, column in enumerate(held.columns)
@@ -802,52 +770,12 @@ def _spliced(
         splice(held.scores, [r[0] for r in added]),
         None if held.sources is None else splice(held.sources, [r[1] for r in added]),
     )
-    moves = len(removed) == len(added) and all(r[2] in rows for r in added)
-    _carry_key_orders(
-        held, patched, codec, keep, kept_at, at,
-        [rows[r[2]] for r in added] if moves else None,
-    )
-    return patched
-
-
-def _carry_key_orders(
-    held: EncodedMatchList,
-    patched: EncodedMatchList,
-    codec: TermCodec,
-    keep: np.ndarray,
-    kept_at: np.ndarray,
-    at: np.ndarray,
-    moved_from: list[int] | None,
-) -> None:
-    """Hand *patched* the key orders *held* cached.  *held*'s rows where
-    *keep* is set are *patched*'s where *kept_at* is; the rest of
-    *patched*'s rows, *at*, are new, or, when *moved_from* is given, the
-    rows of those bindings moved from there.  Moving keeps the keys, so a
-    key order only has its rows renumbered, unless that leaves two rows
-    of one key out of row order; any other is sorted afresh (one radix
-    argsort, cheaper than splicing it)."""
-    renumber = None
-    for join_vars, (base, built) in held._key_orders.items():
-        if moved_from is not None and built is not None:
-            if renumber is None:
-                renumber = np.empty(len(held), dtype=np.int32)
-                renumber[keep] = np.flatnonzero(kept_at)
-                renumber[moved_from] = at
-            keys, order, distinct = built
-            order = renumber[order]
-            if distinct or not (
-                (keys[1:] == keys[:-1]) & (order[1:] < order[:-1])
-            ).any():
-                order.flags.writeable = False
-                patched._key_orders[join_vars] = (base, (keys, order, distinct))
-                continue
-        patched.key_order(join_vars, codec.n_ids)
 
 
 def _recoded(held: EncodedMatchList, old: TermCodec, new: TermCodec) -> EncodedMatchList:
     """*held* under codec *new* of a compacted store: store ids carry
     over, side ids are decoded and encoded again (*held* itself when it
-    holds none; key orders, which sort ids, are not carried)."""
+    holds none)."""
     side = [column >= old.n_base for column in held.columns]
     if not any(mask.any() for mask in side):
         return held
@@ -876,16 +804,14 @@ class EncodedListStore:
     O(touched) through an index by pattern key): :func:`patch_match_lists`
     rewrites the rows of the bindings the write touched, so the list
     holds a fresh build's rows at the new version in score order (rows
-    of equal score in any order), and each key order it caches,
-    renumbered or sorted afresh, sorts its own columns.  It drops a
+    of equal score in any order).  It drops a
     touched list instead, to be rebuilt on its next read, when an input's
     maximum moved or is not positive (every normalised score would
     change), when the list's inputs are unknown, or when a write raced
     the patch's reads.  A compaction swaps in a codec
     over the new store: store ids carry over and the touched lists' side
     ids are encoded again before they are patched.  The rest stay as they
-    are, key orders included; no answer from the journal costs a full
-    purge.
+    are; no answer from the journal costs a full purge.
 
     Like :class:`~repro.service.MatchListCache`, a store serves exactly
     **one graph**: the single codec/version slot cannot express two

@@ -11,30 +11,43 @@ its threshold passes the k-th result.  Over whole stored lists that
 stop never fired on any measured read, so this join computes the whole
 result instead (see ``docs/architecture.md``).
 
-The join probes in key order — sorted into sorted:
+The join finds partners one of two ways, neither with per-row Python or
+string hashing:
 
-* the left side's rows in the order of their join keys (packed into one
-  int64 per row): a stored list's kept
-  :meth:`~repro.operators.block.EncodedMatchList.key_order`, or a
-  previous join's output's — the probe keys it came out in when the two
-  joins share their key, else one sort;
-* the right side's keys, in their own kept order, are searched in that
-  run: one ``np.searchsorted`` and an equality test when no left key
-  repeats, else the ``left``/``right`` pair and a vectorised range
-  expansion — no per-row Python, no string hashing.
+* **by address** — the key is one variable, one side binds nothing else
+  (so its keys are distinct: a list's rows are distinct bindings) and
+  the codec's id domain is small against the rows
+  (:func:`~repro.operators.block.addressable`): that side's row numbers
+  are scattered into a table with one entry per id, and the other
+  side's keys gather their partner from it.  Every benchmark star join
+  on ``?s`` takes this path;
+* **by sorting** — any other key (several variables, ids too sparse to
+  address, keys repeating on both sides): the keys are packed into one
+  int64 per row, the left side's put in key order
+  (:func:`~repro.operators.block.sorted_key_order`) and the right side's
+  searched in that run: one ``np.searchsorted`` and an equality test
+  when no left key repeats, else the ``left``/``right`` pair and a
+  vectorised range expansion.
 
 Scores are ``left + right`` elementwise, the tuple pipeline's left-deep
 addition, so the two executors return byte-identical answers after the
-shared canonical top-k cut.  When the inputs share no variable the join
-is a cartesian product (zero key columns pack to a constant key),
-mirroring the tuple operator.
+shared canonical top-k cut, whatever order the rows come out in.  When
+the inputs share no variable the join is a cartesian product (zero key
+columns pack to a constant key), mirroring the tuple operator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.operators.block import EncodedMatchList, expand_matches, joint_group_ids
+from repro.operators.block import (
+    EncodedMatchList,
+    addressable,
+    expand_matches,
+    joint_group_ids,
+    pack_columns,
+    sorted_key_order,
+)
 from repro.operators.memory import ExecutionContext
 
 
@@ -47,11 +60,11 @@ def join_lists(
     """Every matching pair of *left* and *right* rows, in no score order.
 
     The result binds *left*'s variables, then *right*'s others.  *n_ids*
-    is the packing base of a multi-variable key: the codec's id domain,
-    final once every list is built.  The counters advance as HRJN's do
-    when it drains both sides: every row of either side is a probe
-    attempt, every *right* row that finds a partner a match, and every
-    output row an answer object.
+    is the codec's id domain, final once every list is built: the size
+    of an addressed table and the packing base of a multi-variable key.
+    The counters advance as HRJN's do when it drains both sides: every
+    row of either side is a probe attempt, every *right* row that finds
+    a partner a match, and every output row an answer object.
     """
     left_names = set(left.var_names)
     join_vars = tuple(sorted(left_names & set(right.var_names)))
@@ -66,56 +79,79 @@ def join_lists(
             np.empty(0, dtype=np.float64),
             1.0,
         )
-    stored = left.key_order(join_vars, n_ids)
+    if (
+        len(join_vars) == 1
+        and join_vars in (left.var_names, right.var_names)
+        and addressable(n_ids, len(left) + len(right))
+    ):
+        left_key, right_key = (
+            side.columns[side.var_names.index(join_vars[0])] for side in (left, right)
+        )
+        if left.var_names == join_vars:
+            right_rows, left_rows = _address(left_key, right_key, n_ids)
+            matched = len(right_rows)
+        else:
+            left_rows, right_rows = _address(right_key, left_key, n_ids)
+            matched = np.count_nonzero(np.bincount(right_rows))
+    else:
+        left_rows, right_rows, matched = _sorted_pairs(left, right, join_vars, n_ids)
+    context.joins_matched += int(matched)
+    context.factory.objects_created += len(left_rows)
+    columns = tuple(column[left_rows] for column in left.columns) + tuple(
+        right.columns[right.var_names.index(name)][right_rows]
+        for name in var_names[len(left.var_names):]
+    )
+    # The scores are final, hence ``max_score=1.0``.
+    return EncodedMatchList(
+        var_names, columns, left.scores[left_rows] + right.scores[right_rows], 1.0
+    )
+
+
+def _address(
+    distinct: np.ndarray, probe: np.ndarray, n_ids: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(probe row, distinct row)`` pairs of equal ids, in probe row
+    order: the *distinct* ids' row numbers scattered into a table over
+    the *n_ids* ids, then gathered for the *probe* ids."""
+    table = np.full(n_ids, -1, dtype=np.intp)
+    table[distinct] = np.arange(len(distinct))
+    partner = table[probe]
+    probe_rows = np.flatnonzero(partner >= 0)
+    return probe_rows, partner[probe_rows]
+
+
+def _sorted_pairs(
+    left: EncodedMatchList,
+    right: EncodedMatchList,
+    join_vars: tuple[str, ...],
+    n_ids: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The ``(left row, right row)`` pairs that agree on *join_vars*, and
+    how many right rows have a partner: each right key searched, in row
+    order, in the left keys' sorted run."""
+    left_keys, right_keys = (
+        tuple(side.columns[side.var_names.index(name)] for name in join_vars)
+        for side in (left, right)
+    )
+    stored = sorted_key_order(left_keys, n_ids, len(left))
     if stored is not None:
-        needles = right.key_order(join_vars, n_ids)
-        assert needles is not None  # same columns, same base as *stored*
         stored_keys, stored_order, distinct = stored
-        probe_keys, probe_order, probe_distinct = needles
+        probe_keys = pack_columns(right_keys, n_ids, n_rows=len(right))
     else:
         # Exact slow path: joint group ids over both row sets.
-        stored_ids, probe_ids = joint_group_ids(
-            tuple(left.columns[left.var_names.index(name)] for name in join_vars),
-            tuple(right.columns[right.var_names.index(name)] for name in join_vars),
-        )
+        stored_ids, probe_keys = joint_group_ids(left_keys, right_keys)
         stored_order = np.argsort(stored_ids, kind="stable")
         stored_keys = stored_ids[stored_order]
-        probe_order = np.argsort(probe_ids, kind="stable")
-        probe_keys = probe_ids[probe_order]
         distinct = False
     if distinct:
         # No left key repeats: a needle matches the one row at its
         # insertion point or nothing.
         slots = np.searchsorted(stored_keys, probe_keys)
-        probed = np.nonzero(
+        probed = np.flatnonzero(
             stored_keys[np.minimum(slots, len(stored_keys) - 1)] == probe_keys
-        )[0]
-        total = matched = len(probed)
-        probe_rows = probe_order[probed]
-        stored_rows = stored_order[slots[probed]]
-    else:
-        lo = np.searchsorted(stored_keys, probe_keys, side="left")
-        hi = np.searchsorted(stored_keys, probe_keys, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        matched = int(np.count_nonzero(counts))
-        probed, positions = expand_matches(lo, counts)
-        probe_rows = probe_order[probed]
-        stored_rows = stored_order[positions]
-    context.joins_matched += matched
-    context.factory.objects_created += total
-    columns = tuple(column[stored_rows] for column in left.columns) + tuple(
-        right.columns[right.var_names.index(name)][probe_rows]
-        for name in var_names[len(left.var_names):]
-    )
-    # The scores are final, hence ``max_score=1.0``.
-    joined = EncodedMatchList(
-        var_names, columns, left.scores[stored_rows] + right.scores[probe_rows], 1.0
-    )
-    if stored is not None:
-        # Needles probed in key order leave the output in key order: a
-        # next join on the same key sorts nothing (nor gathers, if none).
-        joined.seed_key_order(
-            join_vars, n_ids, lambda: probe_keys[probed], distinct and probe_distinct
         )
-    return joined
+        return stored_order[slots[probed]], probed, len(probed)
+    lo = np.searchsorted(stored_keys, probe_keys, side="left")
+    counts = np.searchsorted(stored_keys, probe_keys, side="right") - lo
+    probed, positions = expand_matches(lo, counts)
+    return stored_order[positions], probed, int(np.count_nonzero(counts))

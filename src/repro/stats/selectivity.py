@@ -32,9 +32,11 @@ from repro.kg.pattern import TriplePattern
 from repro.operators.block import (
     EncodedListStore,
     EncodedMatchList,
+    addressable,
     expand_matches,
     joint_group_ids,
     pack_columns,
+    sorted_key_order,
 )
 from repro.query.query import TriplePatternQuery
 
@@ -163,13 +165,25 @@ class JoinCardinalityEstimator:
                 )
             )
             columns = dict(zip(other.var_names, other.columns))
-            # Sorted, so the key order is the one the block join keeps.
             shared = tuple(sorted(name for name in columns if name in bound))
             own = [bound[name] for name in shared]
+            if len(shared) == len(columns) == 1 and addressable(
+                n_ids, n_rows + len(other)
+            ):
+                # The list binds only the shared variable (every star
+                # join): a semi-join through a membership table.
+                member = np.zeros(n_ids, dtype=bool)
+                member[other.columns[0]] = True
+                keep = member[own[0]]
+                bound = {name: column[keep] for name, column in bound.items()}
+                n_rows = int(np.count_nonzero(keep))
+                continue
             # Zero shared variables pack to one constant key: every row
             # matches every row, the cartesian product.
             own_keys = pack_columns(own, n_ids, n_rows=n_rows)
-            held = None if own_keys is None else other.key_order(shared, n_ids)
+            held = None if own_keys is None else sorted_key_order(
+                [columns[name] for name in shared], n_ids, len(other)
+            )
             if held is None:  # too many key columns to pack into int64
                 own_keys, other_keys = joint_group_ids(
                     own, [columns[name] for name in shared]
@@ -179,9 +193,9 @@ class JoinCardinalityEstimator:
             else:
                 sorted_keys, order, _ = held
             if len(shared) == len(columns):
-                # The list binds nothing new (every star join): a semi-join.
-                # *other* is not empty, or the smallest list, joined
-                # first, would have left no row.
+                # The list binds nothing new: a semi-join.  *other* is not
+                # empty, or the smallest list, joined first, would have
+                # left no row.
                 slots = np.searchsorted(sorted_keys, own_keys)
                 keep = sorted_keys[np.minimum(slots, len(sorted_keys) - 1)] == own_keys
                 bound = {name: column[keep] for name, column in bound.items()}

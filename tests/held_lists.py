@@ -4,8 +4,7 @@ A held list keeps its rows in non-increasing score order; rows of equal
 score may stand in any order (a patch puts a changed row at the end of
 its score run, where a fresh build orders the run as Definition 5
 does).  So a held list is exact when it holds a fresh build's rows —
-score bits, binding and source input — in score order, and every key
-order it caches is the one its own columns sort to.
+score bits, binding and source input — in score order.
 
 Test modules in different directories share no package, so the check
 lives here, beside ``conftest.py``, whose directory pytest puts on the
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.operators.block import EncodedMatchList, TermCodec, sorted_key_order
+from repro.operators.block import EncodedMatchList, TermCodec
 
 
 def sorted_rows(encoded: EncodedMatchList, codec: TermCodec | None = None) -> list[tuple]:
@@ -41,8 +40,7 @@ def assert_held_list(
     key: object = None,
 ) -> None:
     """*held*, kept under *codec*, holds the rows of *fresh*, a fresh
-    build, in non-increasing score order, and caches only key orders
-    equal to ``sorted_key_order`` of its own columns.  Ids are compared
+    build, in non-increasing score order.  Ids are compared
     when *fresh* was built under *codec*; given *fresh_codec*, *fresh*'s
     own, bindings are compared as terms."""
     assert held.var_names == fresh.var_names, key
@@ -53,11 +51,3 @@ def assert_held_list(
     else:
         assert sorted_rows(held, codec) == sorted_rows(fresh, fresh_codec), key
     assert not (np.diff(held.scores) > 0).any(), key
-    for join_vars, (base, order) in list(held._key_orders.items()):
-        columns = tuple(held.columns[held.var_names.index(n)] for n in join_vars)
-        expected = sorted_key_order(columns, base or codec.n_ids, len(held))
-        assert (order is None) == (expected is None), (key, join_vars)
-        if order is not None:
-            assert order[0].tobytes() == expected[0].tobytes(), (key, join_vars)
-            assert order[1].tobytes() == expected[1].astype(np.int32).tobytes()
-            assert order[2] == expected[2], (key, join_vars)

@@ -18,8 +18,7 @@ are checked after every step:
 * every list the encoded store holds has a fresh build's rows — score
   bits, bindings (as terms: the fresh store has its own ids) and source
   inputs — in non-increasing score order, so a list patched or carried
-  across a write or a compaction is never stale, and every key order it
-  caches equals ``sorted_key_order`` of its own columns
+  across a write or a compaction is never stale
   (:func:`held_lists.assert_held_list`);
 * every decision in the runner planner's decision memo that a request
   would replay now — keyed under the current rule set, every histogram
@@ -352,9 +351,6 @@ class WritePathMachine(RuleBasedStateMachine):
     def stored_arrays_stay_read_only(self) -> None:
         for held in list(self.runner.encoded_store._lists.values()):
             arrays = [*held.columns, held.scores]
-            for _, order in list(held._key_orders.values()):
-                if order is not None:
-                    arrays += order[:2]
             assert not any(array.flags.writeable for array in arrays)
 
 

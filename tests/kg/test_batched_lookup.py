@@ -8,7 +8,7 @@ one key at a time computes: the single-key sorted access below (a slice
 of the shape's permutation index, filtered on the object when the key is
 fully bound) plus the repeated-variable mask, and over a live graph the
 brute-force Definition-5 list of the live triples.  ``stable_argsort``, which
-now builds every permutation index and key order, must be
+now builds every permutation index and join-key sort, must be
 ``np.argsort(kind="stable")`` bit for bit.
 """
 

@@ -13,13 +13,11 @@ from repro.kg.graph import KnowledgeGraph
 
 @pytest.fixture
 def graph():
-    return storage.from_tuples(
-        [
-            ("a", "type", "t1", 10.0),
-            ("b", "type", "t1", 5.0),
-            ("c", "likes", "a", 2.5),
-        ]
-    )
+    kg = KnowledgeGraph()
+    kg.add("a", "type", "t1", score=10.0)
+    kg.add("b", "type", "t1", score=5.0)
+    kg.add("c", "likes", "a", score=2.5)
+    return kg
 
 
 class TestTSVRoundTrip:
@@ -66,44 +64,6 @@ class TestTSVRoundTrip:
         path.write_text(f"a\tp\tb\t1\nc\tp\td\t{raw}\n")
         with pytest.raises(KnowledgeGraphError, match=r":2: non-finite score"):
             storage.load_tsv(path)
-
-
-class TestNTriples:
-    def test_round_trip_drops_scores(self, graph, tmp_path):
-        path = tmp_path / "kg.nt"
-        storage.save_ntriples(graph, path)
-        loaded = storage.load_ntriples(path)
-        assert loaded.size == 3
-        assert loaded.score_of("a", "type", "t1") == 1.0
-
-    def test_missing_dot_raises(self, tmp_path):
-        path = tmp_path / "kg.nt"
-        path.write_text("<a> <p> <b>\n")
-        with pytest.raises(KnowledgeGraphError):
-            storage.load_ntriples(path)
-
-    def test_unangled_term_raises(self, tmp_path):
-        path = tmp_path / "kg.nt"
-        path.write_text("a <p> <b> .\n")
-        with pytest.raises(KnowledgeGraphError):
-            storage.load_ntriples(path)
-
-    def test_wrong_arity_raises(self, tmp_path):
-        path = tmp_path / "kg.nt"
-        path.write_text("<a> <p> .\n")
-        with pytest.raises(KnowledgeGraphError):
-            storage.load_ntriples(path)
-
-
-class TestFromTuples:
-    def test_mixed_arity(self):
-        kg = storage.from_tuples([("a", "p", "b"), ("c", "p", "d", 3.0)])
-        assert kg.score_of("a", "p", "b") == 1.0
-        assert kg.score_of("c", "p", "d") == 3.0
-
-    def test_bad_arity_raises(self):
-        with pytest.raises(KnowledgeGraphError):
-            storage.from_tuples([("a", "p")])  # type: ignore[list-item]
 
 
 class TestSnapshotSaveValidation:

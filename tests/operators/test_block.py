@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from repro.operators.block import (
     EncodedListStore,
     EncodedMatchList,
     TermCodec,
+    addressable,
     build_encoded_match_list,
     first_occurrence_keep,
     joint_group_ids,
@@ -177,7 +180,7 @@ class TestFirstOccurrenceKeep:
         # Term ids (scatter-min table), packed pairs and int64 extremes
         # (np.unique), and domains straddling the switch between them.
         low=st.sampled_from([0, -5, 8_413, 2**40, -(2**62)]),
-        width=st.sampled_from([1, 2, 50, 3_000, 3_300, 10**6, 2**61]),
+        width=st.sampled_from([1, 2, 50, 12_000, 13_200, 10**6, 2**61]),
         seed=st.integers(0, 2**16),
     )
     def test_equals_the_unique_reference_on_any_key_domain(self, n, low, width, seed):
@@ -185,6 +188,18 @@ class TestFirstOccurrenceKeep:
         packed = low + rng.integers(0, width, size=n, dtype=np.int64)
         keep = first_occurrence_keep(packed)
         np.testing.assert_array_equal(keep, self.reference(packed))
+
+    @pytest.mark.parametrize("n", [2, 7, 300])
+    def test_a_table_addresses_at_most_64_entries_a_row(self, n):
+        """The one rule of direct addressing: a domain of 64 entries a row
+        is a table, one more entry and the keys are sorted."""
+        assert addressable(64 * n, n) and not addressable(64 * n + 1, n)
+        for span, sorted_ in ((64 * n, False), (64 * n + 1, True)):
+            packed = np.array([span - 1] + [0] * (n - 1), dtype=np.int64)
+            with mock.patch.object(np, "unique", wraps=np.unique) as spy:
+                keep = first_occurrence_keep(packed)
+            assert spy.called == sorted_
+            assert keep.tolist() == [0, 1]
 
     @pytest.mark.parametrize("n", [1, 7, 5_000])
     def test_all_equal_and_all_distinct_keys(self, n):

@@ -4,8 +4,8 @@
 is exact, for the maintained-lists cases, the write-path state machine
 and the runner.  A check that cannot fail proves nothing, so each case
 here hands it a list that differs from a fresh build in one way: a tie
-run out of binding order (allowed), a missing or re-scored row, rows out
-of score order, and a key order cached from other rows.
+run out of binding order (allowed), a missing or re-scored row, and rows
+out of score order.
 """
 
 from __future__ import annotations
@@ -52,11 +52,9 @@ def reordered(fresh: EncodedMatchList, rows, scores=None) -> EncodedMatchList:
     )
 
 
-def test_a_tie_run_in_any_order_with_its_own_key_order_passes(fresh):
+def test_a_tie_run_in_any_order_passes(fresh):
     fresh, codec = fresh
-    held = reordered(fresh, [0, 2, 1, 3, 4])
-    held.key_order(("s",), codec.n_ids)
-    assert_held_list(held, fresh, codec)
+    assert_held_list(reordered(fresh, [0, 2, 1, 3, 4]), fresh, codec)
 
 
 def test_a_missing_or_rescored_row_fails(fresh):
@@ -74,11 +72,3 @@ def test_rows_out_of_score_order_fail(fresh):
     with pytest.raises(AssertionError):
         assert_held_list(reordered(fresh, [1, 0, 2, 3, 4]), fresh, codec)
 
-
-def test_a_key_order_cached_from_other_rows_fails(fresh):
-    fresh, codec = fresh
-    held = reordered(fresh, [0, 2, 1, 3, 4])
-    fresh.key_order(("s",), codec.n_ids)
-    held._key_orders[("s",)] = fresh._key_orders[("s",)]
-    with pytest.raises(AssertionError):
-        assert_held_list(held, fresh, codec)

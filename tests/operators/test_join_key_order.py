@@ -1,17 +1,19 @@
-"""Differential and lifecycle tests for the key-ordered whole-list join.
+"""Differential tests for both ways the whole-list join finds partners.
 
-The block join probes in join-key order, takes a stored list's order
-from the list itself and answers distinct-key probes with one search.
-None of that may show in the answers: the suite folds generated lists
-through :func:`join_lists` — stored lists and join outputs as the left
-side — against the oracle (:class:`NaiveEngine`), and checks the match
-pairs and counter moves of every single join against a nested loop.
+The block join addresses a table over the id domain when the key is one
+variable and one side binds nothing else, and otherwise searches the
+left side's keys in key order.  Neither may show in the answers: the
+suite folds generated lists through :func:`join_lists` — stored lists
+and join outputs as either side — against the oracle
+(:class:`NaiveEngine`), and checks the match pairs and counter moves of
+every single join against a nested loop.  Every shape runs under a
+:class:`TermCodec`, whose small id domain is addressed, and under an
+:class:`UnpackableCodec`, whose domain is too wide to address or to pack
+two columns in, so it is sorted.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
 from unittest import mock
 
 import numpy as np
@@ -23,10 +25,9 @@ from repro.baselines.naive import NaiveEngine
 from repro.core.engine import SpecQPEngine
 from repro.core.plan import QueryPlan
 from repro.kg.columnar import ColumnarGraph
-from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
-from repro.operators import block
+from repro.operators import vector_join
 from repro.operators.block import (
     EncodedMatchList,
     TermCodec,
@@ -44,7 +45,7 @@ ALL = 10**6  # a k no generated join reaches: every answer is drained
 #: object pool o*).  The third pattern joins the first two's output, so a
 #: join-output side meets a stored list.
 SHAPES = {
-    # ?a alone is the key and no list repeats it: the one-search probe.
+    # ?a alone is the key and no list repeats it.
     "distinct_key": (
         TriplePattern(var("a"), "p0", "o0"),
         TriplePattern(var("a"), "p1", "o0"),
@@ -62,6 +63,21 @@ SHAPES = {
         TriplePattern(var("a"), "p1", var("b")),
         TriplePattern(var("a"), "p2", var("b")),
     ),
+    # ?a is the key; a list binding only ?a meets one that repeats it,
+    # first as the left side, then as the right, where a right row can
+    # match several left rows: more output rows than matched right rows.
+    "key_meets_repeated": (
+        TriplePattern(var("a"), "p0", "o0"),
+        TriplePattern(var("a"), "p1", var("b")),
+        TriplePattern(var("a"), "p2", "o0"),
+    ),
+    # The same the other way round: a repeated key meets a list binding
+    # only ?a, whose output then meets another repeated key.
+    "repeated_meets_key": (
+        TriplePattern(var("a"), "p0", var("b")),
+        TriplePattern(var("a"), "p1", "o0"),
+        TriplePattern(var("a"), "p2", var("c")),
+    ),
     # No shared variable between the first two: a ranked cartesian product.
     "cartesian": (
         TriplePattern(var("a"), "p0", var("b")),
@@ -72,7 +88,8 @@ SHAPES = {
 
 
 class UnpackableCodec(TermCodec):
-    """An id domain too large to pack two columns into one int64."""
+    """An id domain too large to address or to pack two columns into one
+    int64."""
 
     @property
     def n_ids(self) -> int:
@@ -98,7 +115,7 @@ def join_cases(draw):
             unique_by=lambda row: row[:3],
         )
     )
-    unpackable = shape in ("two_variable_key", "cartesian") and draw(st.booleans())
+    unpackable = draw(st.booleans())
     return shape, n_patterns, triples, unpackable
 
 
@@ -204,8 +221,10 @@ class TestJoinDifferential:
         patterns = SHAPES[shape][:n_patterns]
         codec = (UnpackableCodec if unpackable else TermCodec)(graph.store)
         lists = [build_encoded_match_list(graph, p, TermCodec(graph.store)) for p in patterns]
-        length = 6 if shape == "distinct_key" else 12
-        assert [len(encoded) for encoded in lists] == [length] * n_patterns
+        # Six subjects, and two objects for an object variable.
+        assert [len(encoded) for encoded in lists] == [
+            6 * len(p.variable_names) for p in patterns
+        ]
 
         context = ExecutionContext()
         rows = lists[0]
@@ -215,146 +234,70 @@ class TestJoinDifferential:
         assert answer_rows(actual) == answer_rows(oracle_answers(graph, patterns))
 
 
-class TestStoredKeyOrder:
-    @pytest.fixture
-    def live(self, music_graph) -> LiveGraph:
-        return LiveGraph(ColumnarGraph.from_graph(music_graph))
+def key_sorts(run) -> int:
+    """How many key sorts the joins *run* makes take."""
+    with mock.patch.object(
+        vector_join, "sorted_key_order", wraps=vector_join.sorted_key_order
+    ) as spy:
+        run()
+    return spy.call_count
 
-    @staticmethod
-    def _leaf_argsorts(run) -> int:
-        """Key sorts (``stable_argsort``) *run* makes to put rows in key order."""
-        callers: list[str] = []
 
-        def spying(sort):
-            def counting(*args, **kwargs):
-                callers.append(sys._getframe(1).f_code.co_name)
-                return sort(*args, **kwargs)
+def single(name: str, ids, scores) -> EncodedMatchList:
+    """A list binding *name* alone to *ids*."""
+    return EncodedMatchList(
+        (name,), (np.array(ids, dtype=np.int64),), np.array(scores, dtype=np.float64), 1.0
+    )
 
-            return counting
 
-        with mock.patch.object(np, "argsort", spying(np.argsort)), mock.patch.object(
-            block, "stable_argsort", spying(block.stable_argsort)
-        ):
-            run()
-        # The queries project every variable: the cut sorts nothing.
-        assert "top_k_cut" not in callers
-        return callers.count("sorted_key_order")
+class TestWhichPathAJoinTakes:
+    @pytest.mark.parametrize("query", ["singer_lyricist_query", "three_pattern_query"])
+    def test_a_star_query_sorts_no_key(self, music_graph, music_rules, query, request):
+        """Every join of a star on ``?s`` meets lists binding only ``?s``
+        over a small id domain: both the exact and the relaxed plan
+        address every partner, and answer what the oracle answers."""
+        query = request.getfixturevalue(query)
+        engine = SpecQPEngine(music_graph, music_rules)
+        oracle = NaiveEngine(music_graph, music_rules)
+        for plan in (QueryPlan.exact(query), engine.plan(query, 10).plan):
+            served: list = []
 
-    def test_built_once_and_dropped_with_the_version(
-        self, live, music_rules, singer_lyricist_query
-    ):
-        engine = SpecQPEngine(live, music_rules, executor="block")
-        oracle = NaiveEngine(live, music_rules)
-        query = singer_lyricist_query
+            def run(plan=plan, served=served):
+                served.extend(engine.executor.execute(plan, 10, executor="block").answers)
 
-        def run():
-            assert answer_rows(engine.query_exact(query, k=10).answers) == answer_rows(
-                oracle.evaluate(QueryPlan.exact(query), 10)
-            )
+            assert key_sorts(run) == 0
+            assert answer_rows(served) == answer_rows(oracle.evaluate(plan, 10))
 
-        assert self._leaf_argsorts(run) == 2  # one per joined list
-        assert self._leaf_argsorts(run) == 0  # both orders are held
-        live.apply_updates([GraphUpdate.add("newbie", "rdf:type", "singer", 200.0)])
-        live.apply_updates([GraphUpdate.add("newbie", "rdf:type", "lyricist", 200.0)])
-        # New version, new lists: the old orders went with the old lists.
-        assert self._leaf_argsorts(run) == 2
-        assert engine.query_exact(query, k=1).answers[0].bindings == (("s", "newbie"),)
-
-    def test_a_join_output_is_never_re_sorted(self, live, music_rules, three_pattern_query):
-        """Both joins of a three-pattern star key on ``?s``: the second
-        reads the first's output in the key order it came out in."""
-        engine = SpecQPEngine(live, music_rules, executor="block")
-        oracle = NaiveEngine(live, music_rules)
-        original = EncodedMatchList.key_order
-        read_from_joins: list[bool] = []
-
-        def recording(self, join_vars, n_ids):
-            read_from_joins.append(self.inputs is None)
-            return original(self, join_vars, n_ids)
-
-        def run():
-            with mock.patch.object(EncodedMatchList, "key_order", recording):
-                served = engine.query_exact(three_pattern_query, k=10).answers
-                assert answer_rows(served) == answer_rows(
-                    oracle.evaluate(QueryPlan.exact(three_pattern_query), 10)
-                )
-
-        assert self._leaf_argsorts(run) == 3  # one per stored list, none for the output
-        assert read_from_joins.count(True) == 1  # ... which the second join read
-        assert self._leaf_argsorts(run) == 0
-        assert read_from_joins.count(True) == 2
-
-    def test_wide_key_is_repacked_when_the_id_domain_grows(self):
-        """A two-column key is packed base ``n_ids``; a side-table term
-        interned between two queries must not leave a stale order."""
-        encoded = EncodedMatchList(
-            ("a", "b"),
-            (np.array([2, 0, 1, 0]), np.array([0, 1, 1, 0])),
-            np.array([1.0, 0.9, 0.8, 0.7]),
-            1.0,
+    @pytest.mark.parametrize("slack, sorts", [(0, 0), (1, 1)], ids=["addressed", "sorted"])
+    def test_a_domain_wider_than_64_ids_a_row_is_sorted(self, slack, sorts):
+        left = single("a", [4, 0, 2], [0.9, 0.5, 0.1])
+        right = EncodedMatchList(
+            ("a", "b"), (np.array([2, 2, 3, 4]), np.array([7, 8, 9, 7])), np.ones(4), 1.0
         )
-        for n_ids in (3, 7):
-            keys, order, distinct = encoded.key_order(("a", "b"), n_ids)
-            assert keys.tolist() == [0, 1, n_ids + 1, 2 * n_ids]
-            assert order.tolist() == [3, 1, 2, 0] and distinct
-        narrow = encoded.key_order(("a",), 3)
-        assert narrow is encoded.key_order(("a",), 7)
-        assert narrow[0].tolist() == [0, 0, 1, 2] and not narrow[2]
-        assert narrow[1].tolist() == [1, 3, 2, 0]  # equal keys in row order
-        assert encoded.key_order(("a", "b"), 2**40) is None
+        n_ids = 64 * (len(left) + len(right)) + slack
+        context = ExecutionContext()
+        joined: list = []
+        assert key_sorts(
+            lambda: joined.append(audited_join(left, right, context, n_ids))
+        ) == sorts
+        assert sorted(zip(*map(np.ndarray.tolist, joined[0].columns))) == [
+            (2, 7), (2, 8), (4, 7)
+        ]
 
-    def test_first_build_survives_racing_threads(self):
-        rng = np.random.default_rng(7)
-        n = 50_000
-        encoded = EncodedMatchList(
-            ("s", "o"),
-            (rng.integers(0, 5_000, n), rng.integers(0, 50, n)),
-            np.sort(rng.random(n))[::-1].copy(),
-            1.0,
+    def test_joins_matched_counts_right_rows_with_a_partner(self):
+        """A right row binding only the key may meet several left rows:
+        it is one match however many output rows it makes."""
+        left = EncodedMatchList(
+            ("a", "b"), (np.array([1, 1, 1, 2]), np.array([5, 6, 7, 5])), np.ones(4), 1.0
         )
-        expected = {
-            ("s",): np.argsort(encoded.columns[0], kind="stable"),
-            ("s", "o"): np.argsort(
-                encoded.columns[0] * 5_000 + encoded.columns[1], kind="stable"
-            ),
-        }
-        n_threads = 8
-        barrier = threading.Barrier(n_threads)
-        results: list = [None] * n_threads
-        errors: list[BaseException] = []
-
-        def worker(slot: int) -> None:
-            try:
-                barrier.wait(timeout=30)
-                results[slot] = [
-                    (join_vars, encoded.key_order(join_vars, 5_000))
-                    for join_vars in (("s",), ("s", "o")) * 3
-                ]
-            except BaseException as error:  # surfaced in the main thread
-                errors.append(error)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=worker, args=(slot,)) for slot in range(n_threads)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-                assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert not errors
-        for result in results:
-            for join_vars, (keys, order, distinct) in result:
-                assert order.dtype == np.int32 and not order.flags.writeable
-                assert not keys.flags.writeable and not distinct
-                assert np.array_equal(order, expected[join_vars])
-                assert (keys[:-1] <= keys[1:]).all()
-        # After the race one order per key stands and is handed to everyone.
-        assert encoded.key_order(("s",), 5_000) is encoded.key_order(("s",), 5_000)
+        right = single("a", [3, 1], [1.0, 0.5])
+        context = ExecutionContext()
+        joined = join_lists(left, right, context, 8)
+        assert sorted(joined.columns[1].tolist()) == [5, 6, 7]
+        assert joined.columns[0].tolist() == [1, 1, 1]
+        assert context.joins_matched == 1
+        assert context.factory.objects_created == 3
+        assert context.joins_attempted == 6
 
 
 class TestStoredListsAreReadOnly:
@@ -374,10 +317,6 @@ class TestStoredListsAreReadOnly:
         joined = join_lists(singer, lyricist, ExecutionContext(), store.n_terms)
         assert len(joined)
         for array in (singer.columns[0], singer.scores):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
-        keys, order, _ = singer.key_order(("s",), store.n_terms)
-        for array in (keys, order):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         assert np.array_equal(singer.columns[0], before[0])

@@ -1,13 +1,10 @@
 """What the block read path takes from its lists instead of recomputing.
 
-Two facts let a read skip work.  Every stored, merged, live, compacted
-and joined :class:`EncodedMatchList` holds distinct full bindings, so a
-cut that projects every variable deduplicates nothing and sorts nothing
-(:func:`top_k_cut` finds the k-th score with ``np.partition``).  And a
-join probes its needles in key order, so its output comes out sorted on
-the join key: :func:`join_lists` hands the output that key order instead
-of letting the next join sort it again.  Each fact is checked here
-against the computation it replaces.
+Every stored, merged, live, compacted and joined
+:class:`EncodedMatchList` holds distinct full bindings, so a cut that
+projects every variable deduplicates nothing and sorts nothing
+(:func:`top_k_cut` finds the k-th score with ``np.partition``).  That
+fact is checked here against the computation it replaces.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from repro.operators.block import (
     TermCodec,
     build_encoded_match_list,
     build_merged_match_list,
-    sorted_key_order,
     top_k_cut,
 )
 from repro.operators.memory import ExecutionContext
@@ -221,94 +217,3 @@ class TestDistinctBindings:
             check()
         live.compact()
         check()
-
-
-# ----------------------------------------------------------------------
-# A join output's key order
-# ----------------------------------------------------------------------
-
-#: ``(left variables, right variables)`` by key shape.
-KEYS = {
-    "one": (("a", "b"), ("c", "a")),
-    "two": (("a", "b"), ("b", "c", "a")),
-    "none": (("a",), ("c",)),
-}
-
-
-@st.composite
-def encoded_lists(draw, names: tuple[str, ...]) -> EncodedMatchList:
-    """Distinct bindings of *names* over ids 0..3, in no score order."""
-    rows = draw(
-        st.lists(st.tuples(*(st.integers(0, 3) for _ in names)), max_size=14, unique=True)
-    )
-    scores = draw(
-        st.lists(st.sampled_from((0.25, 0.5, 1.0)), min_size=len(rows), max_size=len(rows))
-    )
-    return EncodedMatchList(
-        names,
-        tuple(np.array([row[i] for row in rows], dtype=np.int64) for i in range(len(names))),
-        np.array(scores, dtype=np.float64),
-        1.0,
-    )
-
-
-@st.composite
-def join_cases(draw):
-    shape = draw(st.sampled_from(sorted(KEYS)))
-    left_names, right_names = KEYS[shape]
-    return draw(encoded_lists(left_names)), draw(encoded_lists(right_names))
-
-
-def fresh_key_order(encoded: EncodedMatchList, join_vars, n_ids):
-    columns = tuple(encoded.columns[encoded.var_names.index(name)] for name in join_vars)
-    return sorted_key_order(columns, n_ids, len(encoded))
-
-
-class TestJoinOutputKeyOrder:
-    @settings(max_examples=200, deadline=None)
-    @given(case=join_cases(), growth=st.integers(1, 9))
-    def test_equals_a_fresh_sort_of_the_output(self, case, growth):
-        left, right = case
-        n_ids = 4
-        join_vars = tuple(sorted(set(left.var_names) & set(right.var_names)))
-        joined = join_lists(left, right, ExecutionContext(), n_ids)
-        for base in (n_ids, n_ids + growth):  # the id domain grows
-            keys, order, distinct = joined.key_order(join_vars, base)
-            expected = fresh_key_order(joined, join_vars, base)
-            assert keys.tobytes() == expected[0].tobytes()
-            assert order.dtype == np.int32
-            assert order.tobytes() == expected[1].astype(np.int32).tobytes()
-            assert not distinct or expected[2]  # distinct only if no key repeats
-            if left.key_order(join_vars, base)[2] and right.key_order(join_vars, base)[2]:
-                assert distinct == expected[2]
-            assert not keys.flags.writeable and not order.flags.writeable
-
-    @settings(max_examples=100, deadline=None)
-    @given(case=join_cases(), third=st.data())
-    def test_a_second_join_reads_it_like_a_sorted_one(self, case, third):
-        """Joining the output again on its key gives the bytes a join of
-        an unseeded copy (sorted afresh) gives."""
-        left, right = case
-        join_vars = tuple(sorted(set(left.var_names) & set(right.var_names)))
-        other = third.draw(encoded_lists(join_vars + ("d",)))
-        joined = join_lists(left, right, ExecutionContext(), 4)
-        unseeded = EncodedMatchList(joined.var_names, joined.columns, joined.scores, 1.0)
-        seeded_result = join_lists(joined, other, ExecutionContext(), 4)
-        sorted_result = join_lists(unseeded, other, ExecutionContext(), 4)
-        assert seeded_result.var_names == sorted_result.var_names
-        for mine, theirs in zip(seeded_result.columns, sorted_result.columns):
-            assert mine.tobytes() == theirs.tobytes()
-        assert seeded_result.scores.tobytes() == sorted_result.scores.tobytes()
-
-    def test_multi_column_key_is_resorted_when_the_id_domain_grows(self):
-        left = EncodedMatchList(
-            ("a", "b"), (np.array([2, 0, 1]), np.array([1, 3, 0])), np.ones(3), 1.0
-        )
-        right = EncodedMatchList(
-            ("b", "a"), (np.array([0, 3, 1]), np.array([1, 0, 2])), np.ones(3), 1.0
-        )
-        joined = join_lists(left, right, ExecutionContext(), 4)
-        assert joined.key_order(("a", "b"), 4)[0].tolist() == [3, 4, 9]
-        # Base 10 packs (0, 3), (1, 0), (2, 1) to 3, 10, 21.
-        keys, order, distinct = joined.key_order(("a", "b"), 10)
-        assert keys.tolist() == [3, 10, 21] and order.tolist() == [0, 1, 2] and distinct

@@ -5,9 +5,8 @@ rewriting only the rows of the bindings the write touched
 (``patch_match_lists``).  Every case here checks each held list against
 a fresh build under the same codec at the new version with
 :func:`held_lists.assert_held_list` — the same rows (score bits, binding
-ids, source input) in non-increasing score order, ``max_score``, and
-every key order the list caches sorted from its own columns — and that
-the list was patched, not dropped, except where an input's maximum
+ids, source input) in non-increasing score order and ``max_score`` —
+and that the list was patched, not dropped, except where an input's maximum
 moved.  Rows of equal score may stand in any order.
 """
 
@@ -55,15 +54,12 @@ def make_live(rows=BASE) -> LiveGraph:
 
 
 def hold(store: EncodedListStore, live: LiveGraph) -> dict:
-    """Build the three lists and the key orders joins would cache."""
-    codec = store.codec(live)
-    leaf = store.get_or_build(live, P)
-    merged = store.get_or_merge(
+    """Build the three lists."""
+    store.get_or_build(live, P)
+    store.get_or_merge(
         live, P, "v", lambda: build_merged_match_list(live, MERGED, store.codec(live))
     )
-    edge = store.get_or_build(live, EDGE)
-    for held, join_vars in ((leaf, ("s",)), (merged, ("s",)), (edge, ("s", "o")), (edge, ("o",))):
-        held.key_order(join_vars, codec.n_ids)
+    store.get_or_build(live, EDGE)
     return {"leaf": P, "merged": (P, "v"), "edge": EDGE}
 
 
@@ -217,20 +213,6 @@ def test_a_tie_run_a_patch_leaves_out_of_binding_order_is_cut_canonically():
     store = engine.executor.encoded_store
     codec = store.codec(live)
     assert [codec.decode(i) for i in store._lists[P].columns[0].tolist()] == ["m", "b", "c", "a"]
-
-
-def test_a_key_order_with_repeated_keys_is_sorted_again_when_rows_cross():
-    """A re-score only moves a row, so a key order keeps its keys; but
-    where keys repeat, a row that moved past another of its key must
-    not keep its old place among them."""
-    live = make_live(
-        [("a", "knows", "z", 3.0), ("b", "knows", "z", 2.0), ("c", "knows", "z", 1.0)]
-    )
-    store = EncodedListStore()
-    edge = store.get_or_build(live, EDGE)
-    assert not edge.key_order(("o",), store.codec(live).n_ids)[2]  # o repeats
-    assert write(live, store, GraphUpdate.add("c", "knows", "z", 2.5))["patched"] == 1
-    assert write(live, store, GraphUpdate.add("c", "knows", "z", 2.4))["patched"] == 1
 
 
 def test_a_compaction_re_encodes_side_ids_and_patches(served):

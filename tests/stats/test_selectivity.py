@@ -2,6 +2,7 @@
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +18,7 @@ from repro.kg.storage import load_snapshot_v2, save_snapshot_v2
 from repro.kg.triple import Triple
 from repro.operators.block import EncodedListStore
 from repro.query.query import TriplePatternQuery
+from repro.stats import selectivity
 from repro.stats.catalog import StatisticsCatalog
 from repro.stats.selectivity import JoinCardinalityEstimator
 
@@ -158,15 +160,33 @@ update_batches = st.lists(
 )
 # Star, chain, cartesian, repeated-variable (?x p ?x), fully-bound and
 # empty patterns all come out of three variable names over this universe.
-pattern_terms = st.one_of(
-    st.sampled_from(PATTERN_TERMS), st.sampled_from(("x", "y", "z")).map(var)
-)
+variable_terms = st.sampled_from(("x", "y", "z")).map(var)
+pattern_terms = st.one_of(st.sampled_from(PATTERN_TERMS), variable_terms)
 #: Slots, not a query: two slots may hold the same pattern, as
 #: ``query_distribution`` has it when a relaxation collides with a slot.
 pattern_slots = st.lists(
     st.builds(TriplePattern, pattern_terms, pattern_terms, pattern_terms),
     min_size=1,
     max_size=3,
+)
+#: ``(seed, slots)``: the slots above over any seed, or slots over seed
+#: predicates and entities over a seed of 8 or more triples, whose lists
+#: mostly hold rows, so they meet in joins and semi-joins.
+count_cases = st.one_of(
+    st.tuples(seed_triples, pattern_slots),
+    st.tuples(
+        st.dictionaries(spo_keys, st.sampled_from((1.0, 2.0, 3.0)), min_size=8, max_size=24),
+        st.lists(
+            st.builds(
+                TriplePattern,
+                st.one_of(variable_terms, st.sampled_from(ENTITIES)),
+                st.sampled_from(PREDICATES),
+                st.one_of(variable_terms, st.sampled_from(ENTITIES)),
+            ),
+            min_size=2,
+            max_size=3,
+        ),
+    ),
 )
 
 
@@ -189,15 +209,9 @@ def exact_count(graph, patterns) -> int:
     return JoinCardinalityEstimator(graph, "exact")._exact_cardinality(tuple(patterns))
 
 
-@settings(
-    max_examples=120,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(seed=seed_triples, updates=update_batches, patterns=pattern_slots)
-def test_vectorised_count_is_the_brute_force_count_on_every_backend(
-    seed, updates, patterns
-):
+def assert_counts_are_brute_force(seed, patterns, updates) -> None:
+    """The exact count of *patterns* is the brute-force count over every
+    backend, before and after *updates* and a compaction."""
     reference = KnowledgeGraph(Triple(*spo, score) for spo, score in seed.items())
     expected = brute_force_count(reference, patterns)
     columnar = ColumnarGraph.from_graph(reference)
@@ -220,6 +234,32 @@ def test_vectorised_count_is_the_brute_force_count_on_every_backend(
         estimator.clear()
         assert estimator._exact_cardinality(tuple(patterns)) == expected_live
         del live, mapped  # unmap before the directory goes
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=count_cases, updates=update_batches)
+def test_vectorised_count_is_the_brute_force_count_on_every_backend(case, updates):
+    """Under a dense id domain: a list binding only the shared variable
+    is semi-joined through a membership table."""
+    with mock.patch.object(selectivity, "addressable", lambda span, n_rows: True):
+        assert_counts_are_brute_force(*case, updates)
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=count_cases, updates=update_batches)
+def test_sorted_count_is_the_brute_force_count_on_every_backend(case, updates):
+    """Under an id domain forced too sparse to address: every semi-join
+    searches the list's sorted keys."""
+    with mock.patch.object(selectivity, "addressable", lambda span, n_rows: False):
+        assert_counts_are_brute_force(*case, updates)
 
 
 class TestVectorisedCountCorners:
@@ -259,6 +299,16 @@ class TestVectorisedCountCorners:
         assert brute_force_count(kg, triangle) == 3  # a-b-c, rotated
         assert exact_count(kg, triangle) == 3
         assert exact_count(ColumnarGraph.from_graph(kg), triangle) == 3
+
+    def test_a_star_count_sorts_nothing(self, graph):
+        """Lists binding only the shared variable are semi-joined
+        through a membership table over the ids, not a key sort."""
+        with mock.patch.object(
+            selectivity, "sorted_key_order", wraps=selectivity.sorted_key_order
+        ) as spy:
+            assert exact_count(graph, (tp("t1"), tp("t2"), tp("t3"))) == 1
+            assert exact_count(graph, (tp("t1"), tp("t2"))) == 2
+        assert not spy.called
 
     def test_more_key_columns_than_int64_packs(self, monkeypatch):
         # Force the unpackable-key fallback (joint group ids) on a join
