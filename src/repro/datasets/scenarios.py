@@ -17,9 +17,10 @@ export pipeline:
 * **augmentation** — passes that multiply the base traffic: Zipf-skewed
   hot-key repeats, an update stream (removes + score bumps + fresh adds
   aimed at the queried constants), and adversarial shapes — boundary-tie
-  score runs, unselective open joins, ``k`` > result-count and empty
-  match lists — exactly the query shapes a single distribution never
-  produces and optimizer decisions flip on;
+  score runs (also across relaxation inputs and join partners),
+  unselective open joins, ``k`` > result-count and empty match lists —
+  exactly the query shapes a single distribution never produces and
+  optimizer decisions flip on;
 * **deterministic export** — each named :class:`ScenarioPack` is
   bit-reproducible from its seed and exposes a content-checksummed
   :meth:`~ScenarioPack.manifest`, so golden tests fail loudly on any
@@ -54,7 +55,7 @@ from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, Variable
 from repro.query.query import TriplePatternQuery
 from repro.relax.mining import mine_object_relaxations
-from repro.relax.rules import RuleSet
+from repro.relax.rules import RelaxationRule, RuleSet
 
 VAR_S = Variable("s")
 VAR_O = Variable("o")
@@ -67,7 +68,17 @@ TIE_SCORE = 64.0
 INTENTS = ("point", "star", "chain", "relax")
 
 #: Adversarial traits a pack can carry.
-ADVERSARIAL_TRAITS = ("ties", "unselective", "over-k", "empty-match")
+ADVERSARIAL_TRAITS = (
+    "ties", "unselective", "over-k", "empty-match", "relaxed-ties"
+)
+
+#: The relaxed-ties pack's patterns: the original, its relaxation and
+#: the join partner (:func:`_augment_relaxed_ties`).
+RELAXED_TIE_ORIGINAL = TriplePattern(VAR_S, "adv:rtied", "adv:rtie-original")
+RELAXED_TIE_RELAXED = TriplePattern(VAR_S, "adv:rtied", "adv:rtie-relaxed")
+RELAXED_TIE_PARTNER = TriplePattern(VAR_S, "adv:rtpartner", VAR_O)
+#: The further ks, besides the pack's own, its relaxed tie runs straddle.
+RELAXED_TIE_KS = (3, 7)
 
 
 # ----------------------------------------------------------------------
@@ -605,6 +616,52 @@ def _augment_boundary_ties(
     ]
 
 
+def _augment_relaxed_ties(
+    graph: KnowledgeGraph,
+    rules: RuleSet,
+    schema: DomainSchema,
+    k: int,
+) -> list[TriplePatternQuery]:
+    """Tie runs out of binding order, across relaxation inputs and join
+    partners.
+
+    The original pattern has two rows scoring :data:`TIE_SCORE` twice and
+    two ``z`` rows scoring :data:`TIE_SCORE`; a rule of weight 0.5
+    relaxes it to ``k + 6`` ``a`` rows scoring :data:`TIE_SCORE`.  The
+    merged list then holds one run at 0.5 in which the original's last
+    rows (``z``) come before the relaxed input's (``a``), though ``a``
+    sorts first.  Every subject has two partner rows, scoring
+    :data:`TIE_SCORE` for the top rows and twice that for the others, so
+    every joined row scores 1.5 and the join's order follows its inputs,
+    not the bindings.  Each query projects all its variables.
+    """
+    for i in range(2):
+        graph.add(f"{schema.name}-rtie-top{i:02d}", "adv:rtied", "adv:rtie-original",
+                  score=TIE_SCORE * 2)
+    for i in range(2):
+        graph.add(f"{schema.name}-rtie-z{i:02d}", "adv:rtied", "adv:rtie-original",
+                  score=TIE_SCORE)
+    for i in range(k + 6):
+        graph.add(f"{schema.name}-rtie-a{i:02d}", "adv:rtied", "adv:rtie-relaxed",
+                  score=TIE_SCORE)
+    for triple in list(graph.match(RELAXED_TIE_ORIGINAL)) + list(
+        graph.match(RELAXED_TIE_RELAXED)
+    ):
+        score = TIE_SCORE if triple.score > TIE_SCORE else TIE_SCORE * 2
+        for partner in ("adv:rtp-0", "adv:rtp-1"):
+            graph.add(triple.subject, "adv:rtpartner", partner, score=score)
+    rules.add(RelaxationRule(RELAXED_TIE_ORIGINAL, RELAXED_TIE_RELAXED, 0.5))
+    return [
+        TriplePatternQuery(
+            (RELAXED_TIE_ORIGINAL,), name=f"{schema.name}-adv-rties-scan"
+        ),
+        TriplePatternQuery(
+            (RELAXED_TIE_ORIGINAL, RELAXED_TIE_PARTNER),
+            name=f"{schema.name}-adv-rties-join",
+        ),
+    ]
+
+
 def _augment_unselective(
     schema: DomainSchema,
 ) -> list[TriplePatternQuery]:
@@ -797,6 +854,19 @@ class ScenarioPack:
                 problems.append(
                     f"{self.name}: tie run does not straddle k={self.k}"
                 )
+        if "relaxed-ties" in self.traits:
+            graph = self.workload.graph
+            above = sum(
+                t.score > TIE_SCORE for t in graph.match(RELAXED_TIE_ORIGINAL)
+            )
+            merged = graph.count(RELAXED_TIE_ORIGINAL) + graph.count(
+                RELAXED_TIE_RELAXED
+            )
+            for k in (self.k, *RELAXED_TIE_KS):
+                if not above < k < merged:
+                    problems.append(
+                        f"{self.name}: relaxed tie runs do not straddle k={k}"
+                    )
         if "over-k" in self.traits:
             pattern = TriplePattern(VAR_S, "adv:rare", "adv:rare-bucket")
             if self.workload.graph.count(pattern) >= self.k:
@@ -814,7 +884,7 @@ class ScenarioPack:
 
 
 #: The shipped packs: one base pack per domain, a hot-key pack, an
-#: update-heavy pack, a relaxation-heavy pack, and three adversarial
+#: update-heavy pack, a relaxation-heavy pack, and four adversarial
 #: packs covering the shapes the equivalence suites must survive.
 SCENARIOS: dict[str, ScenarioSpec] = {
     spec.name: spec
@@ -887,6 +957,15 @@ SCENARIOS: dict[str, ScenarioSpec] = {
             n_updates=60,
             adversarial=("over-k", "empty-match"),
         ),
+        ScenarioSpec(
+            "adversarial-relaxed-ties", "media",
+            "tie runs out of binding order: a relaxed input's rows tie with "
+            "the original's last rows and every join partner ties, cut at "
+            "several k",
+            seed=1109,
+            intents={"point": 2, "star": 2},
+            adversarial=("relaxed-ties",),
+        ),
     )
 }
 
@@ -935,6 +1014,8 @@ def build_scenario(name: str, seed: int | None = None) -> ScenarioPack:
         queries += _augment_unselective(schema)
     if "over-k" in traits or "empty-match" in traits:
         queries += _augment_edge_k(graph, schema, adjacency)
+    if "relaxed-ties" in traits:
+        queries += _augment_relaxed_ties(graph, rules, schema, spec.k)
     if spec.hot_rounds:
         queries = _augment_hot_keys(rng, queries, spec.hot_rounds)
     updates: tuple[GraphUpdate, ...] = ()

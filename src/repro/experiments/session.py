@@ -119,9 +119,6 @@ class ExperimentSession:
         """Records for every workload query at *k* (computing as needed)."""
         return [self.record(query, k) for query in self.workload.queries]
 
-    def all_records(self) -> list[QueryRecord]:
-        return [record for k in self.ks for record in self.records(k)]
-
     # ------------------------------------------------------------------
     def _evaluate(self, query: TriplePatternQuery, k: int) -> QueryRecord:
         engine = self.engine

@@ -46,10 +46,6 @@ class Triple:
         """The identity of the triple: its three terms."""
         return (self.subject, self.predicate, self.object)
 
-    def with_score(self, score: float) -> "Triple":
-        """Return a copy of this triple carrying *score*."""
-        return Triple(self.subject, self.predicate, self.object, score)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Triple):
             return NotImplemented

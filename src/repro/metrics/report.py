@@ -44,10 +44,3 @@ def fmt_seconds(value: float) -> str:
     if value < 1.0:
         return f"{value * 1000:.1f}ms"
     return f"{value:.2f}s"
-
-
-def fmt_ratio(numerator: float, denominator: float) -> str:
-    """``numerator/denominator`` as e.g. '3.2x'; '-' when undefined."""
-    if denominator <= 0:
-        return "-"
-    return f"{numerator / denominator:.2f}x"

@@ -37,13 +37,6 @@ class Answer:
     def as_dict(self) -> dict[str, str]:
         return dict(self.bindings)
 
-    def project(self, variable_names: tuple[str, ...]) -> "Answer":
-        """Keep only *variable_names* in the bindings."""
-        kept = tuple(
-            (name, value) for name, value in self.bindings if name in variable_names
-        )
-        return Answer(kept, self.score)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Answer):
             return NotImplemented

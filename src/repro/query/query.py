@@ -84,38 +84,6 @@ class TriplePatternQuery:
             raise QueryError(f"pattern {pattern} not in query") from None
 
     # ------------------------------------------------------------------
-    def is_connected(self) -> bool:
-        """True iff the patterns form one connected join graph.
-
-        Two patterns are adjacent when they share a variable.  Single
-        pattern queries are trivially connected.  Fully-constant patterns
-        are treated as connected to everything (they act as boolean
-        filters).
-        """
-        if len(self.patterns) <= 1:
-            return True
-        remaining = set(range(len(self.patterns)))
-        frontier = {remaining.pop()}
-        while frontier:
-            current = frontier.pop()
-            for other in list(remaining):
-                if (
-                    not self.patterns[other].variables
-                    or not self.patterns[current].variables
-                    or self.patterns[current].shares_variable_with(self.patterns[other])
-                ):
-                    remaining.discard(other)
-                    frontier.add(other)
-        return not remaining
-
-    def join_variables(self) -> dict[str, list[int]]:
-        """Map each variable name to the indexes of patterns using it."""
-        usage: dict[str, list[int]] = {}
-        for i, pattern in enumerate(self.patterns):
-            for v in pattern.variable_names:
-                usage.setdefault(v, []).append(i)
-        return usage
-
     # ------------------------------------------------------------------
     def replace(self, old: TriplePattern, new: TriplePattern) -> "TriplePatternQuery":
         """Return a copy with *old* swapped for *new* (Definition 8's

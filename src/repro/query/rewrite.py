@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
-from repro.errors import RelaxationError
 from repro.kg.pattern import TriplePattern
 from repro.query.query import TriplePatternQuery
 from repro.relax.rules import RelaxationRule, RuleSet
@@ -71,34 +69,6 @@ class RelaxedQuery:
         return (
             f"RelaxedQuery(weight={self.weight:.3f}, "
             f"relaxed={list(self.relaxed_pattern_indexes)})"
-        )
-
-
-def apply_rule(query: TriplePatternQuery, rule: RelaxationRule) -> TriplePatternQuery:
-    """Apply one rule (Definition 8's ``(Q \\ q) ∪ q'``).
-
-    Raises :class:`RelaxationError` if the rule's domain is not in *query*.
-    """
-    if rule.domain not in query.patterns:
-        raise RelaxationError(f"rule domain {rule.domain} not in query")
-    return query.replace(rule.domain, rule.range)
-
-
-def relax_single(
-    query: TriplePatternQuery, pattern: TriplePattern, rules: RuleSet
-) -> Iterator[RelaxedQuery]:
-    """All single-step relaxations of *pattern* within *query*."""
-    if pattern not in query.patterns:
-        raise RelaxationError(f"pattern {pattern} not in query")
-    idx = query.index_of(pattern)
-    applied_base: list[RelaxationRule | None] = [None] * len(query)
-    for rule in rules.for_pattern(pattern):
-        applied = list(applied_base)
-        applied[idx] = rule
-        yield RelaxedQuery(
-            original=query,
-            weight=rule.weight,
-            applied=tuple(applied),
         )
 
 

@@ -94,67 +94,3 @@ def mine_object_relaxations(
                 )
             )
     return rules
-
-
-def mine_predicate_relaxations(
-    graph: KnowledgeGraph,
-    min_weight: float = 0.05,
-    max_rules_per_predicate: int = 10,
-    subject_var: str = "s",
-    object_var: str = "o",
-) -> RuleSet:
-    """Mine predicate-to-predicate relaxations from subject-pair overlap.
-
-    Two predicates are interchangeable to the degree that they connect the
-    same (subject, object) pairs' subjects: weight is the containment of
-    subject sets.  Emits ``(⟨?s p ?o⟩, ⟨?s p' ?o⟩, w)``.
-    """
-    sets: dict[str, set[str]] = defaultdict(set)
-    for triple in graph.triples():
-        sets[triple.predicate].add(triple.subject)
-    s_var, o_var = Variable(subject_var), Variable(object_var)
-    rules = RuleSet()
-    for predicate in sorted(sets):
-        instances = sets[predicate]
-        scored: list[tuple[float, str]] = []
-        for other in sorted(sets):
-            if other == predicate:
-                continue
-            weight = containment_weight(instances, sets[other])
-            if min_weight <= weight < 1.0:
-                scored.append((weight, other))
-        scored.sort(key=lambda pair: (-pair[0], pair[1]))
-        for weight, other in scored[:max_rules_per_predicate]:
-            rules.add(
-                RelaxationRule(
-                    domain=TriplePattern(s_var, predicate, o_var),
-                    range=TriplePattern(s_var, other, o_var),
-                    weight=weight,
-                )
-            )
-    return rules
-
-
-def rules_from_taxonomy(
-    taxonomy: dict[str, list[tuple[str, float]]],
-    predicate: str = "rdf:type",
-    subject_var: str = "s",
-) -> RuleSet:
-    """Build a rule set from an explicit taxonomy mapping.
-
-    ``taxonomy`` maps each type to ``[(relaxed_type, weight), ...]`` —
-    the shape of Table 1 in the paper.  Useful for datasets generated with
-    a known ground-truth taxonomy.
-    """
-    variable = Variable(subject_var)
-    rules = RuleSet()
-    for type_name, alternatives in taxonomy.items():
-        for relaxed_type, weight in alternatives:
-            rules.add(
-                RelaxationRule(
-                    domain=TriplePattern(variable, predicate, type_name),
-                    range=TriplePattern(variable, predicate, relaxed_type),
-                    weight=weight,
-                )
-            )
-    return rules

@@ -50,11 +50,6 @@ def expected_score_at_rank(distribution: Distribution, rank: int, n: int) -> flo
     return expected_order_statistic(distribution, n - rank + 1, n)
 
 
-def expected_top_score(distribution: Distribution, n: int) -> float:
-    """Expected maximum score among ``n`` answers (rank 1)."""
-    return expected_score_at_rank(distribution, 1, n)
-
-
 def expected_kth_score(distribution: Distribution, k: int, n: int) -> float:
     """Expected k-th best score among ``n`` answers — ``E_Q(k)`` in §3.2.1."""
     return expected_score_at_rank(distribution, k, n)

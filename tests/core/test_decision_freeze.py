@@ -31,7 +31,7 @@ def replayed():
 
 def test_fixture_covers_every_workload(replayed):
     assert sorted(replayed) == sorted(GOLDEN)
-    assert len(GOLDEN) >= 12  # tiny XKG, tiny Twitter, ten scenario packs
+    assert len(GOLDEN) >= 13  # tiny XKG, tiny Twitter, eleven scenario packs
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -12,11 +12,9 @@ from repro.errors import ExecutionError
 from repro.experiments.session import ExperimentSession
 from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import GraphUpdate, LiveGraph
-from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
 from repro.operators.block import EncodedListStore
 from repro.query.query import TriplePatternQuery
-from repro.relax.rules import RuleSet
 
 
 def tp(type_name: str, v: str = "s") -> TriplePattern:
@@ -102,70 +100,6 @@ class TestExecutorSelection:
         store.get_or_build = build_then_write
         with pytest.raises(ExecutionError, match="graph changed"):
             engine.executor.execute(plan, 3)
-
-
-class TestBlockEngineEquivalence:
-    @pytest.mark.parametrize("k", [1, 3, 10, 100])
-    def test_query_identical(
-        self, music_graph, music_rules, singer_lyricist_query, k
-    ):
-        frozen = ColumnarGraph.from_graph(music_graph)
-        block_engine = SpecQPEngine(frozen, music_rules, executor="block")
-        served, expected = served_and_oracle(block_engine, "query", singer_lyricist_query, k)
-        assert served == expected
-
-    def test_trinit_and_exact_identical(
-        self, music_graph, music_rules, three_pattern_query
-    ):
-        frozen = ColumnarGraph.from_graph(music_graph)
-        block_engine = SpecQPEngine(frozen, music_rules, executor="block")
-        for run in ("query_trinit", "query_exact"):
-            served, expected = served_and_oracle(block_engine, run, three_pattern_query, 10)
-            assert served == expected, run
-
-    def test_empty_match_list_edge(self, music_rules):
-        """Regression: a pattern with zero matches in the block path."""
-        kg = KnowledgeGraph()
-        kg.add("a", "rdf:type", "singer", score=3.0)
-        frozen = ColumnarGraph.from_graph(kg)
-        query = TriplePatternQuery((tp("singer"), tp("ghost")), name="empty-side")
-        block_engine = SpecQPEngine(frozen, music_rules, executor="block")
-        assert served_and_oracle(block_engine, "query_exact", query, 5) == ([], [])
-
-    def test_repeated_variable_after_cache_pollution(self, music_rules):
-        """Regression: an open pattern caches the unfiltered list under
-        the shared index key; a repeated-variable query over the live
-        overlay must still drop off-diagonal rows in the block path."""
-        kg = KnowledgeGraph()
-        for s, p, o, score in [
-            ("a", "p", "a", 4.0), ("a", "p", "b", 3.0),
-            ("b", "p", "b", 5.0), ("b", "p", "c", 2.0),
-        ]:
-            kg.add(s, p, o, score=score)
-        live = LiveGraph(ColumnarGraph.from_graph(kg))
-        live.apply_updates([GraphUpdate.add("c", "p", "d", 1.0)])
-        block_engine = SpecQPEngine(live, music_rules, executor="block")
-        open_query = TriplePatternQuery(
-            (TriplePattern(var("x"), "p", var("y")),)
-        )
-        diagonal_query = TriplePatternQuery(
-            (TriplePattern(var("x"), "p", var("x")),)
-        )
-        block_engine.query_exact(open_query, k=10)  # pollute the key cache
-        actual, expected = served_and_oracle(block_engine, "query_exact", diagonal_query, 10)
-        assert actual == expected
-        assert [binding for binding, _ in actual] == [
-            (("x", "b"),), (("x", "a"),)
-        ]
-
-    def test_k_larger_than_result_count_edge(self, music_graph, music_rules):
-        """Regression: k far beyond the answer count in the block path."""
-        frozen = ColumnarGraph.from_graph(music_graph)
-        query = TriplePatternQuery((tp("singer"),), name="small")
-        block_engine = SpecQPEngine(frozen, music_rules, executor="block")
-        actual, expected = served_and_oracle(block_engine, "query_exact", query, 500)
-        assert actual == expected
-        assert len(actual) == 4
 
 
 class TestEncodedCacheLifecycle:

@@ -67,7 +67,3 @@ class TestSession:
                     a.bindings for a in record.trinit_answers
                 ]:
                     assert record.error.mean == pytest.approx(0.0, abs=1e-9)
-
-    def test_all_records_covers_all_ks(self, session):
-        records = session.all_records()
-        assert {r.k for r in records} == {3, 5}

@@ -7,7 +7,6 @@ statistics → planning → operator execution → metrics — and assert the
 
 import pytest
 
-from repro.baselines.naive import NaiveEngine
 from repro.core.config import EngineConfig
 from repro.core.engine import SpecQPEngine
 from repro.experiments.session import ExperimentSession
@@ -91,19 +90,6 @@ class TestTwitterEndToEnd:
             trinit = twitter_engine.query_trinit(query, k=5)
             precisions.append(precision_at_k(spec.answers, trinit.answers))
         assert sum(precisions) / len(precisions) >= 0.6
-
-
-class TestNaiveAgreementOnGeneratedData:
-    def test_trinit_equals_naive_on_xkg_query(self, tiny_xkg_workload):
-        w = tiny_xkg_workload
-        engine = SpecQPEngine(w.graph, w.rules)
-        naive = NaiveEngine(w.graph, w.rules)
-        query = min(w.queries, key=len)  # smallest relaxation space
-        t = engine.query_trinit(query, k=5)
-        n = naive.query(query, k=5)
-        assert [round(a.score, 9) for a in t.answers] == [
-            round(a.score, 9) for a in n.answers
-        ]
 
 
 class TestKSweepShape:

@@ -1,48 +1,30 @@
-"""Mutation-equivalence suite: live overlays serve exactly what a rebuild would.
+"""Mutation-equivalence suite: live overlays hold exactly what a rebuild would.
 
 The live-update subsystem's headline contract: after applying randomized
 update batches (adds, removes, score overwrites) to a :class:`LiveGraph`,
-answers and scores — and the match lists under them — are byte-identical
-to a graph freshly rebuilt from the final triple set, across the
-object/columnar/``.kg2``-attached backends, both before and after :meth:`LiveGraph.compact`.
+the match lists are byte-identical to a graph freshly rebuilt from the
+final triple set, across the object/columnar/``.kg2``-attached backends,
+both before and after :meth:`LiveGraph.compact`.  The answers served over
+them are checked by the oracle matrix (``test_oracle_matrix.py``).
 """
 
 from __future__ import annotations
 
 import random
-import tempfile
-from pathlib import Path
 
 import pytest
 
-from repro.core.engine import SpecQPEngine
+from oracle_matrix import BACKENDS, replayed
 from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, Variable
-from repro.kg.storage import load_snapshot_v2, save_snapshot_v2
-from repro.kg.triple import Triple
-from repro.query.query import TriplePatternQuery
-from repro.relax.rules import RelaxationRule, RuleSet
 
 VAR_S = Variable("s")
 
 
-def attached_kg2(kg: KnowledgeGraph) -> ColumnarGraph:
-    """*kg* saved as a ``.kg2`` and attached back over memory-mapped
-    columns (the mapping outlives the unlinked file)."""
-    with tempfile.TemporaryDirectory() as root:
-        path = Path(root) / "base.kg2"
-        save_snapshot_v2(kg, path)
-        return load_snapshot_v2(path, mmap=True)
-
-
 #: The base backends the overlay must hold exactness on.
-BASE_FACTORIES = [
-    pytest.param(lambda kg: KnowledgeGraph(kg.triples(), name="obj"), id="object"),
-    pytest.param(lambda kg: ColumnarGraph.from_graph(kg), id="columnar"),
-    pytest.param(attached_kg2, id="kg2"),
-]
+BASE_FACTORIES = [pytest.param(BACKENDS[name], id=name) for name in BACKENDS]
 
 
 def seed_graph(rng: random.Random, n: int = 350) -> KnowledgeGraph:
@@ -80,56 +62,6 @@ def random_batch(rng: random.Random, graph: KnowledgeGraph, size: int):
     return batch
 
 
-def replay(kg: KnowledgeGraph, batches) -> KnowledgeGraph:
-    """The oracle: the final triple set, built from scratch."""
-    scores = {t.spo: t.score for t in kg.triples()}
-    for batch in batches:
-        for update in batch:
-            if update.op == "+":
-                scores[update.spo] = update.score
-            else:
-                scores.pop(update.spo, None)
-    return KnowledgeGraph(
-        (Triple(s, p, o, score) for (s, p, o), score in scores.items()),
-        name="oracle",
-    )
-
-
-def query_set() -> tuple[RuleSet, list[TriplePatternQuery]]:
-    rules = RuleSet()
-    rules.add(
-        RelaxationRule(
-            TriplePattern(VAR_S, "p0", "o1"), TriplePattern(VAR_S, "p0", "o2"), 0.7
-        )
-    )
-    rules.add(
-        RelaxationRule(
-            TriplePattern(VAR_S, "p1", "o3"), TriplePattern(VAR_S, "p1", "o4"), 0.8
-        )
-    )
-    queries = [
-        TriplePatternQuery(
-            (TriplePattern(VAR_S, "p0", "o1"), TriplePattern(VAR_S, "p1", Variable("o"))),
-            name="join",
-        ),
-        TriplePatternQuery(
-            (
-                TriplePattern(VAR_S, "p0", "o1"),
-                TriplePattern(VAR_S, "p1", "o3"),
-                TriplePattern(VAR_S, "p2", Variable("o2")),
-            ),
-            name="three",
-        ),
-        TriplePatternQuery((TriplePattern(VAR_S, "p3", Variable("o")),), name="single"),
-    ]
-    return rules, queries
-
-
-def answer_rows(engine: SpecQPEngine, query: TriplePatternQuery, k: int):
-    result = engine.query(query, k=k)
-    return [(answer.bindings, answer.score) for answer in result.answers]
-
-
 PATTERNS = [
     TriplePattern(VAR_S, f"p{i}", Variable("o")) for i in range(4)
 ] + [
@@ -145,7 +77,7 @@ def test_match_lists_identical_to_rebuild(make_base, seed):
     rng = random.Random(seed)
     kg = seed_graph(rng)
     batches = [random_batch(rng, kg, 40), random_batch(rng, kg, 40)]
-    oracle = replay(kg, batches)
+    oracle = replayed(kg, [update for batch in batches for update in batch])
 
     live = LiveGraph(make_base(kg))
     for batch in batches:
@@ -168,34 +100,6 @@ def test_match_lists_identical_to_rebuild(make_base, seed):
     check("compacted")
 
 
-@pytest.mark.parametrize("make_base", BASE_FACTORIES)
-def test_answers_identical_to_rebuild(make_base):
-    rng = random.Random(29)
-    kg = seed_graph(rng)
-    batches = [random_batch(rng, kg, 50)]
-    oracle = replay(kg, batches)
-    rules, queries = query_set()
-
-    live = LiveGraph(make_base(kg))
-    live.apply_updates(batches[0])
-
-    expected_engine = SpecQPEngine(oracle, rules)
-    live_engine = SpecQPEngine(live, rules)
-    for query in queries:
-        for k in (3, 10):
-            assert answer_rows(live_engine, query, k) == answer_rows(
-                expected_engine, query, k
-            ), (query.name, k)
-
-    live.compact()
-    post_engine = SpecQPEngine(live, rules)
-    reference = SpecQPEngine(oracle, rules)
-    for query in queries:
-        assert answer_rows(post_engine, query, 5) == answer_rows(
-            reference, query, 5
-        ), (query.name, "post-compact")
-
-
 def test_incremental_batches_stay_exact_through_compactions():
     """Many small batches with a tight auto-compact threshold: the overlay
     must stay exact across repeated base swaps."""
@@ -210,7 +114,7 @@ def test_incremental_batches_stay_exact_through_compactions():
     assert live.compactions >= 2
     assert seen_versions == sorted(set(seen_versions))
 
-    oracle = replay(kg, batches)
+    oracle = replayed(kg, [update for batch in batches for update in batch])
     for pattern in PATTERNS:
         actual = live.match_list(pattern)
         expected = oracle.match_list(pattern)

@@ -6,9 +6,15 @@ import sys
 
 import pytest
 
+from repro.datasets.workload import Workload
 from repro.errors import KnowledgeGraphError
 from repro.kg import storage
+from repro.kg.delta import GraphUpdate
 from repro.kg.graph import KnowledgeGraph
+from repro.kg.pattern import TriplePattern, var
+from repro.query.query import TriplePatternQuery
+from repro.relax.rules import RuleSet
+from repro.service import WorkloadRunner
 
 
 @pytest.fixture
@@ -130,6 +136,22 @@ class TestSnapshotV2:
         loaded = storage.load_snapshot_v2(path)
         assert set(loaded.triples()) == set(graph.triples())
         assert loaded.score_of("a", "type", "t1") == 10.0
+
+    def test_snapshot_file_untouched_by_updates(self, graph, tmp_path):
+        """A runner's updates over an attached graph land in a
+        copy-on-write overlay, never in the file."""
+        path = tmp_path / "kg.kg2"
+        storage.save_snapshot_v2(graph, path)
+        before = path.read_bytes()
+        query = TriplePatternQuery((TriplePattern(var("s"), "type", "t1"),), name="t1")
+        runner = WorkloadRunner(
+            Workload("mmap", storage.load_snapshot_v2(path), RuleSet(), [query])
+        )
+        runner.apply_updates(
+            [GraphUpdate.add("d", "type", "t1", 20.0), GraphUpdate.remove("a", "type", "t1")]
+        )
+        assert runner.run([query], k=5).outcomes[0].n_answers == 2
+        assert path.read_bytes() == before
 
     def test_columns_are_memory_mapped(self, graph, tmp_path):
         import numpy as np

@@ -62,16 +62,3 @@ class TestIdentity:
     def test_usable_in_sets(self):
         triples = {Triple("a", "p", "b", 1), Triple("a", "p", "b", 2)}
         assert len(triples) == 1
-
-
-class TestWithScore:
-    def test_with_score_returns_new_triple(self):
-        t = Triple("a", "p", "b", 1.0)
-        t2 = t.with_score(5.0)
-        assert t2.score == 5.0
-        assert t.score == 1.0
-        assert t2 == t  # identity unchanged
-
-    def test_with_score_validates(self):
-        with pytest.raises(KnowledgeGraphError):
-            Triple("a", "p", "b").with_score(-1.0)

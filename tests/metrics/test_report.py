@@ -1,6 +1,6 @@
 """Unit tests for plain-text table rendering."""
 
-from repro.metrics.report import fmt_ratio, fmt_seconds, render_table
+from repro.metrics.report import fmt_seconds, render_table
 
 
 class TestRenderTable:
@@ -31,9 +31,3 @@ class TestFormatters:
 
     def test_fmt_seconds_seconds(self):
         assert fmt_seconds(2.345) == "2.35s"
-
-    def test_fmt_ratio(self):
-        assert fmt_ratio(3.0, 1.5) == "2.00x"
-
-    def test_fmt_ratio_undefined(self):
-        assert fmt_ratio(1.0, 0.0) == "-"

@@ -17,10 +17,6 @@ class TestAnswer:
         assert a == b
         assert hash(a) == hash(b)
 
-    def test_project(self):
-        a = Answer.from_mapping({"s": "x", "o": "y"}, 1.0)
-        assert a.project(("s",)).bindings == (("s", "x"),)
-
     def test_as_dict(self):
         a = Answer.from_mapping({"s": "x"}, 1.0)
         assert a.as_dict() == {"s": "x"}

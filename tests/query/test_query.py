@@ -55,27 +55,6 @@ class TestStructure:
         with pytest.raises(QueryError):
             q.index_of(tp("zz"))
 
-    def test_connected_star_query(self):
-        q = TriplePatternQuery((tp("a"), tp("b"), tp("c")))
-        assert q.is_connected()
-
-    def test_disconnected_query(self):
-        q = TriplePatternQuery((tp("a", "s"), tp("b", "t")))
-        assert not q.is_connected()
-
-    def test_chain_connected(self):
-        p1 = TriplePattern(var("x"), "p", var("y"))
-        p2 = TriplePattern(var("y"), "p", var("z"))
-        q = TriplePatternQuery((p1, p2))
-        assert q.is_connected()
-
-    def test_single_pattern_connected(self):
-        assert TriplePatternQuery((tp("a"),)).is_connected()
-
-    def test_join_variables(self):
-        q = TriplePatternQuery((tp("a"), tp("b")))
-        assert q.join_variables() == {"s": [0, 1]}
-
 
 class TestRewriting:
     def test_replace_preserves_position(self):

@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.errors import RelaxationError
 from repro.kg.pattern import TriplePattern, var
 from repro.query.query import TriplePatternQuery
 from repro.query.rewrite import (
-    apply_rule,
     enumerate_space,
-    relax_single,
     space_size,
     top_weighted_relaxation,
 )
@@ -37,35 +34,6 @@ def query():
     return TriplePatternQuery(
         (tp("singer"), tp("lyricist"), tp("guitarist"), tp("pianist"))
     )
-
-
-class TestApplyRule:
-    def test_substitutes_domain(self, query, rules):
-        rule = rules.for_pattern(tp("singer"))[0]
-        relaxed = apply_rule(query, rule)
-        assert tp("vocalist") in relaxed.patterns
-        assert tp("singer") not in relaxed.patterns
-
-    def test_rule_not_applicable_raises(self, query):
-        rule = RelaxationRule(tp("drummer"), tp("musician"), 0.5)
-        with pytest.raises(RelaxationError):
-            apply_rule(query, rule)
-
-
-class TestRelaxSingle:
-    def test_yields_one_variant_per_rule(self, query, rules):
-        variants = list(relax_single(query, tp("singer"), rules))
-        assert len(variants) == 3
-        assert {v.weight for v in variants} == {0.8, 0.6, 0.3}
-
-    def test_variant_slot_patterns(self, query, rules):
-        variant = next(iter(relax_single(query, tp("singer"), rules)))
-        assert variant.slot_patterns[0] != tp("singer")
-        assert variant.slot_patterns[1:] == query.patterns[1:]
-
-    def test_missing_pattern_raises(self, query, rules):
-        with pytest.raises(RelaxationError):
-            list(relax_single(query, tp("zz"), rules))
 
 
 class TestEnumerateSpace:

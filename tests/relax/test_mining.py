@@ -8,8 +8,6 @@ from repro.kg.pattern import TriplePattern, var
 from repro.relax.mining import (
     containment_weight,
     mine_object_relaxations,
-    mine_predicate_relaxations,
-    rules_from_taxonomy,
 )
 
 
@@ -81,28 +79,3 @@ class TestObjectMining:
     def test_bad_min_weight_raises(self, typed_graph):
         with pytest.raises(RelaxationError):
             mine_object_relaxations(typed_graph, "rdf:type", min_weight=1.0)
-
-
-class TestPredicateMining:
-    def test_overlapping_predicates(self):
-        kg = KnowledgeGraph()
-        for e in ("a", "b", "c"):
-            kg.add(e, "sings", f"song_{e}")
-        for e in ("a", "b"):
-            kg.add(e, "performs", f"song_{e}")
-        rules = mine_predicate_relaxations(kg, min_weight=0.1)
-        sings = TriplePattern(var("s"), "sings", var("o"))
-        by_target = {r.range.predicate: r.weight for r in rules.for_pattern(sings)}
-        assert by_target["performs"] == pytest.approx(2 / 3)
-
-
-class TestTaxonomyRules:
-    def test_table1_shape(self):
-        taxonomy = {
-            "singer": [("vocalist", 0.8), ("jazz_singer", 0.6), ("artist", 0.3)],
-            "lyricist": [("writer", 0.7)],
-        }
-        rules = rules_from_taxonomy(taxonomy)
-        singer = TriplePattern(var("s"), "rdf:type", "singer")
-        assert len(rules.for_pattern(singer)) == 3
-        assert rules.for_pattern(singer)[0].weight == 0.8

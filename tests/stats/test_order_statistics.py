@@ -7,7 +7,6 @@ from repro.stats.order_statistics import (
     expected_kth_score,
     expected_order_statistic,
     expected_score_at_rank,
-    expected_top_score,
 )
 from repro.stats.piecewise import Bucket, PiecewiseConstantDensity
 
@@ -51,8 +50,8 @@ class TestRankHelpers:
         with pytest.raises(EstimationError):
             expected_score_at_rank(uniform01(), 0, 5)
 
-    def test_top_and_kth_aliases(self):
-        assert expected_top_score(uniform01(), 9) == pytest.approx(0.9)
+    def test_kth_alias(self):
+        assert expected_kth_score(uniform01(), 1, 9) == pytest.approx(0.9)
         assert expected_kth_score(uniform01(), 2, 9) == pytest.approx(0.8)
 
     def test_monotone_in_rank(self):
@@ -60,5 +59,5 @@ class TestRankHelpers:
         assert values == sorted(values, reverse=True)
 
     def test_monotone_in_sample_size(self):
-        tops = [expected_top_score(uniform01(), n) for n in (1, 5, 50, 500)]
+        tops = [expected_kth_score(uniform01(), 1, n) for n in (1, 5, 50, 500)]
         assert tops == sorted(tops)
