@@ -32,13 +32,14 @@ from repro.operators.base import Operator
 from repro.operators.block import (
     EncodedMatchList,
     TermCodec,
+    addressable,
     build_merged_match_list,
 )
 from repro.operators.incremental_merge import IncrementalMerge, WeightedInput
 from repro.operators.memory import ExecutionContext
 from repro.operators.rank_join import RankJoin
 from repro.operators.scan import SortedScan
-from repro.operators.vector_join import join_lists
+from repro.operators.vector_join import fold_star, join_lists
 from repro.query.query import TriplePatternQuery
 from repro.relax.rules import RuleSet
 
@@ -164,6 +165,11 @@ class QueryPlan:
         scores accumulate through the identical left-deep additions — but
         each operand is a stored list and each step one
         :func:`~repro.operators.vector_join.join_lists` of whole lists.
+        A star whose lists all bind the same one variable, over an id
+        domain :func:`~repro.operators.block.addressable` against all
+        their rows, is folded in that order through one id table instead
+        (:func:`~repro.operators.vector_join.fold_star`): the same rows,
+        score bits and counter moves, with no intermediate list.
 
         *encoded_lists* serves a join-group pattern's (cached) encoded
         match list.  *merged_lists* ``(pattern, merge)`` serves a relaxed
@@ -193,6 +199,15 @@ class QueryPlan:
         context.factory.objects_created += pulled
         # Every list is built, so the codec's id domain is final.
         n_ids = max(codec.n_ids, 1)
+        # A star whose lists all bind one variable alone: the left-deep
+        # order is the operands' order, and one table holds the fold.
+        if (
+            len(lists) > 1
+            and len(lists[0].var_names) == 1
+            and all(operand.var_names == lists[0].var_names for operand in lists)
+            and addressable(n_ids, pulled)
+        ):
+            return fold_star(lists, context, n_ids)
         return self._join_left_deep(
             lists, lambda left, right: join_lists(left, right, context, n_ids)
         )

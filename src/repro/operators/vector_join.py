@@ -1,11 +1,14 @@
-"""The block executor's join: two whole lists of id columns, vectorised.
+"""The block executor's joins: whole lists of id columns, vectorised.
 
 :func:`join_lists` joins every row of one list with every row of another
 that binds the shared variables to the same ids — the full join, in one
 call.  The block executor folds a plan's lists left-deep through it in
 the order the tuple pipeline's rank joins take
 (:meth:`~repro.core.plan.QueryPlan.evaluate_block`) and cuts the final
-rows once (:func:`~repro.operators.block.top_k_cut`).  The tuple
+rows once (:func:`~repro.operators.block.top_k_cut`) — unless the plan
+is a star whose lists all bind one variable alone over an addressable
+id domain, which :func:`fold_star` joins through one table in one pass
+(every benchmark query is such a star on ``?s``).  The tuple
 :class:`~repro.operators.rank_join.RankJoin` is HRJN, which stops once
 its threshold passes the k-th result.  Over whole stored lists that
 stop never fired on any measured read, so this join computes the whole
@@ -19,8 +22,7 @@ string hashing:
   the codec's id domain is small against the rows
   (:func:`~repro.operators.block.addressable`): that side's row numbers
   are scattered into a table with one entry per id, and the other
-  side's keys gather their partner from it.  Every benchmark star join
-  on ``?s`` takes this path;
+  side's keys gather their partner from it;
 * **by sorting** — any other key (several variables, ids too sparse to
   address, keys repeating on both sides): the keys are packed into one
   int64 per row, the left side's put in key order
@@ -105,6 +107,41 @@ def join_lists(
     return EncodedMatchList(
         var_names, columns, left.scores[left_rows] + right.scores[right_rows], 1.0
     )
+
+
+def fold_star(
+    lists: list[EncodedMatchList], context: ExecutionContext, n_ids: int
+) -> EncodedMatchList:
+    """The left-deep :func:`join_lists` fold of *lists*, which all bind
+    one variable alone, through one table over the *n_ids* ids.
+
+    The table holds each id's running score and how many lists have
+    matched it so far.  Each later list gathers that depth for its ids,
+    keeps the rows one step deep, adds their scores and bumps their
+    depth: the same sums ``((s1 + s2) + s3)``, rows in the last list's
+    row order and counter moves per step as the pairwise fold gives, with
+    no intermediate list.
+    """
+    first, *rest = lists
+    depth = np.zeros(n_ids, dtype=np.min_scalar_type(len(lists)))
+    running = np.zeros(n_ids, dtype=np.float64)
+    ids, scores = first.columns[0], first.scores
+    depth[ids] = 1
+    running[ids] = scores
+    for step, operand in enumerate(rest, start=1):
+        context.joins_attempted += len(ids) + len(operand)
+        if not len(ids) or not len(operand):
+            ids, scores = ids[:0], scores[:0]
+            continue
+        rows = np.flatnonzero(depth[operand.columns[0]] == step)
+        ids = operand.columns[0][rows]
+        scores = running[ids] + operand.scores[rows]
+        if step < len(rest):
+            running[ids] = scores
+            depth[ids] = step + 1
+        context.joins_matched += len(rows)
+        context.factory.objects_created += len(rows)
+    return EncodedMatchList(first.var_names, (ids,), scores, 1.0)
 
 
 def _address(

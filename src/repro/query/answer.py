@@ -119,15 +119,6 @@ class PartialAnswer:
     score: float
     patterns_covered: frozenset[int]
 
-    def key_on(self, variable_names: tuple[str, ...]) -> tuple[str, ...]:
-        """The join key: this answer's values for *variable_names*."""
-        try:
-            return tuple(self.bindings[name] for name in variable_names)
-        except KeyError as exc:
-            raise ExecutionError(
-                f"partial answer missing join variable {exc.args[0]!r}"
-            ) from None
-
     def identity(self) -> tuple[tuple[str, str], ...]:
         """Binding identity used for duplicate elimination."""
         return tuple(sorted(self.bindings.items()))

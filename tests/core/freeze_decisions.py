@@ -29,7 +29,9 @@ any commit::
     PYTHONPATH=src python tests/core/freeze_decisions.py --write
 
 Regenerate only when an estimator change is *meant* to move decisions,
-and say so in the commit.
+and say so in the commit.  ``--write`` keeps every frozen value whose
+fresh twin repeats the decision and lies inside the replay's tolerance,
+so a rewrite changes only what moved.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ from repro.query.rewrite import top_weighted_relaxation
 GOLDEN_PATH = Path(__file__).parent / "golden_decisions.json"
 
 KS = (3, 5, 10)
+
+#: The relative tolerances ``test_decision_freeze.py`` replays with: on
+#: every value, and on the values of the ``thin_bucket`` queries.
+REL_TOL = 1e-8
+THIN_REL_TOL = 1e-7
 
 #: The ``tiny_xkg_workload`` / ``tiny_twitter_workload`` fixtures of
 #: ``tests/conftest.py`` (what the golden tables are frozen on).
@@ -113,6 +120,38 @@ def freeze(workload: Workload) -> dict[str, dict[str, object]]:
     return frozen
 
 
+def _within(fresh: float, frozen: float, rel: float) -> bool:
+    """Whether *fresh* replays *frozen* to *rel* (``pytest.approx``'s
+    test with no absolute slack)."""
+    return fresh == frozen or abs(fresh - frozen) <= rel * abs(frozen)
+
+
+def keep_frozen(
+    fresh: dict[str, dict[str, object]], frozen: dict[str, dict[str, object]]
+) -> dict[str, dict[str, object]]:
+    """*fresh* with each value that replays its *frozen* twin — same
+    ``thin_bucket``, same decision, inside the tolerance — set back to
+    the frozen one."""
+    for query_name, record in fresh.items():
+        old = frozen.get(query_name)
+        if old is None or old["thin_bucket"] != record["thin_bucket"]:
+            continue
+        rel = THIN_REL_TOL if record["thin_bucket"] else REL_TOL
+        for k, plan in record["plans"].items():
+            was = old["plans"].get(k)
+            if was is None or was["relaxed_indexes"] != plan["relaxed_indexes"]:
+                continue
+            if _within(plan["expected_kth_original"], was["expected_kth_original"], rel):
+                plan["expected_kth_original"] = was["expected_kth_original"]
+            plan["expected_relaxed_top"] = [
+                before if _within(now, before, rel) else now
+                for now, before in zip(
+                    plan["expected_relaxed_top"], was["expected_relaxed_top"], strict=True
+                )
+            ]
+    return fresh
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -124,6 +163,11 @@ def main(argv: list[str] | None = None) -> int:
     for name, queries in frozen.items():
         print(f"{name:<26s} queries={len(queries):<4d} plans={len(queries) * len(KS)}")
     if args.write:
+        golden = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+        frozen = {
+            name: keep_frozen(queries, golden.get(name, {}))
+            for name, queries in frozen.items()
+        }
         GOLDEN_PATH.write_text(json.dumps(frozen, indent=1, sort_keys=True) + "\n")
         print(f"wrote {GOLDEN_PATH}")
     return 0

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.naive import NaiveEngine
+from repro.core import plan as plan_module
 from repro.core.engine import SpecQPEngine
 from repro.core.plan import QueryPlan
 from repro.kg.columnar import ColumnarGraph
@@ -266,6 +267,24 @@ class TestWhichPathAJoinTakes:
                 served.extend(engine.executor.execute(plan, 10, executor="block").answers)
 
             assert key_sorts(run) == 0
+            assert answer_rows(served) == answer_rows(oracle.evaluate(plan, 10))
+
+    @pytest.mark.parametrize("query", ["singer_lyricist_query", "three_pattern_query"])
+    def test_a_star_plan_makes_no_pairwise_join(
+        self, music_graph, music_rules, query, request
+    ):
+        """A star whose lists all bind ``?s`` alone folds through one id
+        table: neither the exact nor PLANGEN's relaxed plan calls
+        :func:`join_lists`, and both answer what the oracle answers."""
+        query = request.getfixturevalue(query)
+        engine = SpecQPEngine(music_graph, music_rules)
+        oracle = NaiveEngine(music_graph, music_rules)
+        relaxed = engine.plan(query, 10).plan
+        assert relaxed.singletons
+        for plan in (QueryPlan.exact(query), relaxed):
+            with mock.patch.object(plan_module, "join_lists", wraps=join_lists) as spy:
+                served = engine.executor.execute(plan, 10, executor="block").answers
+            assert spy.call_count == 0
             assert answer_rows(served) == answer_rows(oracle.evaluate(plan, 10))
 
     @pytest.mark.parametrize("slack, sorts", [(0, 0), (1, 1)], ids=["addressed", "sorted"])

@@ -55,15 +55,6 @@ class TestAnswerFactory:
 
 
 class TestPartialAnswer:
-    def test_key_on(self):
-        pa = PartialAnswer({"s": "x", "o": "y"}, 1.0, frozenset({0}))
-        assert pa.key_on(("o", "s")) == ("y", "x")
-
-    def test_key_on_missing_raises(self):
-        pa = PartialAnswer({"s": "x"}, 1.0, frozenset({0}))
-        with pytest.raises(ExecutionError):
-            pa.key_on(("missing",))
-
     def test_identity_sorted(self):
         pa = PartialAnswer({"z": "1", "a": "2"}, 1.0, frozenset({0}))
         assert pa.identity() == (("a", "2"), ("z", "1"))
