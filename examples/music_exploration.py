@@ -14,7 +14,7 @@ Run:  python examples/music_exploration.py
 
 from repro import EngineConfig, SpecQPEngine
 from repro.datasets import XKGConfig, generate_xkg
-from repro.relax.space import summarize
+from repro.query.rewrite import space_size
 
 
 def main() -> None:
@@ -32,7 +32,7 @@ def main() -> None:
 
     # 4. Run every query; show the plan and the quality of its answers.
     for query in workload.queries[:6]:
-        space = summarize(query, workload.rules)
+        variants = space_size(query, workload.rules)
         decision = engine.plan(query)
         spec = engine.query(query)
         trinit = engine.query_trinit(query)
@@ -42,7 +42,7 @@ def main() -> None:
         precision = len(overlap) / max(len(trinit.answers), 1)
 
         print(f"\n{query.name}: {len(query)} patterns, "
-              f"{space.total_variants} relaxation variants")
+              f"{variants} relaxation variants")
         print(f"  plan {decision.plan.describe()} "
               f"(E_Q(k)={decision.expected_kth_original:.3f})")
         for pattern_decision in decision.per_pattern:

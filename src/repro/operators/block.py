@@ -196,31 +196,30 @@ def addressable(span: int, n_rows: int) -> bool:
     cheap next to *n_rows* rows: at most 64 entries a row.
 
     The one rule by which the block pipeline addresses keys directly
-    instead of sorting them — :func:`first_occurrence_keep`, the table
+    instead of sorting them — :func:`best_rows`, the table
     join of :func:`~repro.operators.vector_join.join_lists`, the star
     fold of :func:`~repro.operators.vector_join.fold_star` and the
     semi-join of the exact join counts — so a domain too wide to hold
     in memory (an id space of 2**40) is always sorted.  Measured on 2
     hardware threads over domains of 8 413 to 400 000 ids, the join
     and the semi-join beat a sort of their rows up to 128 entries a
-    row, and the first-occurrence table beats ``np.unique`` from 16 to
-    64 entries a row depending on the row count.
+    row, and a first-occurrence table beat ``np.unique`` from 16 to 64
+    entries a row depending on the row count.
     """
     return span <= 64 * n_rows
 
 
-def first_occurrence_keep(packed: np.ndarray) -> np.ndarray:
-    """Indices of the first occurrence of every distinct value, ascending.
-
-    Dedup-max over a score-descending array: keeping each key's first
-    occurrence keeps its maximum score (Definition 8), and ascending
-    indices preserve the global score order.
+def best_rows(packed: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Indices of each key's best row, ascending: the row of the highest
+    score among the rows sharing its *packed* key, on a tie the lowest
+    index (the first input of a merge, Definition 8).
 
     When the key domain is small against the row count (single-variable
     lists: the keys are term ids, :func:`addressable`) nothing is sorted:
-    a scatter-min writes each key's first index into a table over the
-    domain, and a row is kept iff it is the one its key points back to.
-    Domains too large to address fall back to ``np.unique``.
+    a scatter-max writes each key's best score into a table over the
+    domain, and a scatter-min over the rows scoring it each key's first
+    such row.  A domain too wide to address sorts once by score, keeps
+    each key's first row with ``np.unique`` and sorts the kept indices.
     """
     n = len(packed)
     if n == 0:
@@ -228,13 +227,17 @@ def first_occurrence_keep(packed: np.ndarray) -> np.ndarray:
     low = int(packed.min())
     span = int(packed.max()) - low + 1
     if not addressable(span, n):
-        _, first = np.unique(packed, return_index=True)
-        return np.sort(first)
+        order = np.argsort(-scores, kind="stable")
+        _, first = np.unique(packed[order], return_index=True)
+        return np.sort(order[first])
     slots = packed - low
-    index = np.arange(n)
+    best = np.full(span, -np.inf)
+    np.maximum.at(best, slots, scores)
+    ties = np.flatnonzero(scores == best[slots])
+    slots = slots[ties]
     first = np.full(span, n)
-    np.minimum.at(first, slots, index)
-    return np.nonzero(first[slots] == index)[0]
+    np.minimum.at(first, slots, ties)
+    return ties[first[slots] == ties]
 
 
 def _gather_rows(
@@ -334,16 +337,18 @@ class EncodedMatchList:
 
     ``columns[i]`` holds the int64 ids bound to ``var_names[i]`` (the
     pattern's distinct variables in S-P-O position order); ``scores``
-    are the *normalized* scores, non-increasing.  A fresh build holds
-    its rows in the order the string :class:`~repro.kg.index.MatchList`
-    holds them (raw score descending, ties by ``spo``); a list a write
-    patched keeps score order only, rows of equal score in any order,
-    which decides no answer (the cut keeps the whole boundary tie run).
-    A join's output (:func:`~repro.operators.vector_join.join_lists`) is
-    one too, its rows in no score order and its scores final.
+    are the *normalized* scores.  A list of one input is non-increasing:
+    a fresh build holds its rows in the order the string
+    :class:`~repro.kg.index.MatchList` holds them (raw score descending,
+    ties by ``spo``); a list a write patched keeps score order only, rows
+    of equal score in any order, which decides no answer (the cut keeps
+    the whole boundary tie run).  A merged list of several inputs
+    (:func:`build_merged_match_list`) and a join's output
+    (:func:`~repro.operators.vector_join.join_lists`) hold their rows in
+    no score order, their scores final; no reader of either asks for one.
 
     Rows are distinct bindings (distinct triples bind a pattern
-    distinctly, a merge keeps a binding's first row, a join maps distinct
+    distinctly, a merge keeps a binding's best row, a join maps distinct
     pairs to distinct rows): the cut and join counts deduplicate nothing.
 
     The arrays are read-only from construction: the executor hands a
@@ -431,19 +436,20 @@ def build_merged_match_list(
     inputs: "Sequence[tuple[TriplePattern, float]]",
     codec: TermCodec,
 ) -> EncodedMatchList:
-    """A relaxed pattern's pre-merged relaxation list: the deduplicated,
-    score-descending union of its weighted inputs' lists (Definition 8).
+    """A relaxed pattern's pre-merged relaxation list: the deduplicated
+    union of its weighted inputs' lists (Definition 8).
 
     *inputs* are ``(pattern, weight)`` pairs — the relaxed pattern itself
     (weight 1.0), then each applicable rule's range pattern — binding the
     same variables, though a rule may move one to another position.  No
     per-input list is built: all inputs' rows come from :func:`_store_rows`
     in one batch and are gathered and normalized in one pass.  Scores become
-    ``weight * normalized``, one stable ``argsort`` orders them,
-    :func:`first_occurrence_keep` keeps each binding's first — maximum —
-    score, and the columns are gathered once through the composed
-    permutation.  The scores are final, hence ``max_score=1.0``; equal
-    scores keep input order, and ``sources`` records each row's input.
+    ``weight * normalized``, :func:`best_rows` keeps each binding's best
+    row — on a tie the first input's — and the columns are gathered once
+    through the kept indices.  Nothing is sorted: the list holds its rows
+    in input order, each input's in its own list order (so a list of one
+    input keeps Definition-5 order).  The scores are final, hence
+    ``max_score=1.0``, and ``sources`` records each row's input.
     """
     patterns = [pattern for pattern, _ in inputs]
     var_names = patterns[0].variable_names
@@ -459,23 +465,18 @@ def build_merged_match_list(
         codec.store, var_names, patterns, *gathered, codec
     )
     scores = np.repeat([weight for _, weight in inputs], lengths) * normalized
-    # Stable sort: equal scores keep input order — irrelevant for the
-    # surviving (binding, score) multiset, which dedup-keep-first fixes
-    # whatever the order among equal keys, but deterministic.
-    order = np.argsort(-scores, kind="stable")
-    if len(scores):
-        # Every input is encoded, so the id domain is final.
-        packed = pack_columns(columns, codec.n_ids, n_rows=len(scores))
-        if packed is None:
-            packed, _ = joint_group_ids(columns, tuple(c[:0] for c in columns))
-        order = order[first_occurrence_keep(packed[order])]
+    # Every input is encoded, so the id domain is final.
+    packed = pack_columns(columns, codec.n_ids, n_rows=len(scores))
+    if packed is None:
+        packed, _ = joint_group_ids(columns, tuple(c[:0] for c in columns))
+    keep = best_rows(packed, scores)
     sources = None
     if len(inputs) > 1:
         sources = np.repeat(
             np.arange(len(inputs), dtype=np.min_scalar_type(len(inputs) - 1)), lengths
-        )[order]
+        )[keep]
     return EncodedMatchList(
-        var_names, tuple(column[order] for column in columns), scores[order], 1.0,
+        var_names, tuple(column[keep] for column in columns), scores[keep], 1.0,
         tuple(inputs), tuple(maxima.tolist()), sources,
     )
 
@@ -655,8 +656,9 @@ def patch_match_lists(
     held row came from a written input that now ranks below it, its
     triples under the other inputs are read in a second batch.  A row
     whose score or input changed is taken out and put back at the end of
-    its score run: a patched list keeps score order, not a fresh build's
-    order among equal scores, which decides no answer.  An input whose
+    its score run: a patched list of one input keeps score order, not a
+    fresh build's order among equal scores, which decides no answer, and
+    a merged list of several inputs holds no score order.  An input whose
     maximum the write may have moved has it read with the first batch.
     A list is refused when an input's maximum moved or is not positive.
     A list the write leaves as it was is returned as the same object.
@@ -743,7 +745,10 @@ def _spliced(
     added: list[_Row],
 ) -> EncodedMatchList:
     """*held* with the *removed* rows taken out and the *added* rows put
-    in, each after every kept row that scores at least as much."""
+    in, each after every kept row that scores at least as much.  A merged
+    list of several inputs holds no score order, so there the place means
+    nothing, but it is still sound: ``searchsorted`` is monotone in its
+    key on any array, so the added rows get distinct, ascending slots."""
     n = len(held)
     # The new list: kept rows in order, each added row after the held rows
     # scoring at least as much (less the removed ones among them) and
@@ -804,8 +809,9 @@ class EncodedListStore:
     (:meth:`~repro.kg.graph.KnowledgeGraph.touched_since`, found in
     O(touched) through an index by pattern key): :func:`patch_match_lists`
     rewrites the rows of the bindings the write touched, so the list
-    holds a fresh build's rows at the new version in score order (rows
-    of equal score in any order).  It drops a
+    holds a fresh build's rows at the new version (a list of one input in
+    score order, rows of equal score in any order; a merged list of
+    several inputs in any order).  It drops a
     touched list instead, to be rebuilt on its next read, when an input's
     maximum moved or is not positive (every normalised score would
     change), when the list's inputs are unknown, or when a write raced
@@ -1118,8 +1124,9 @@ def top_k_cut(
     distinct bindings and the rest of the k-th score's tie run for the
     shared canonical cut (:func:`~repro.operators.topk.finalize_canonical`).
     A projection of every variable needs no dedup (the rows are distinct
-    bindings): the cut is every row scoring at least the k-th score, one
-    ``np.partition`` and no sort.
+    bindings); a partial one keeps each projected binding's best row
+    (:func:`best_rows`).  Either way the cut is every row scoring at
+    least the k-th score, one ``np.partition`` and no sort.
     """
     if k < 1:
         raise ExecutionError(f"k must be >= 1, got {k}")
@@ -1131,17 +1138,15 @@ def top_k_cut(
     columns = [rows.columns[rows.var_names.index(name)] for name in names]
     scores, keep = rows.scores, slice(None)
     if len(set(names)) < len(rows.var_names):  # a name may repeat
-        # Each projected binding keeps its first — maximum — row by score
-        # (Definition 8; the codec is injective: equal ids, equal terms).
-        order = np.argsort(-scores, kind="stable")
-        ordered = [column[order] for column in columns]
-        packed = pack_columns(ordered, codec.n_ids, n_rows=len(order))
+        # Each projected binding keeps its best row (Definition 8; the
+        # codec is injective: equal ids, equal terms).
+        packed = pack_columns(columns, codec.n_ids, n_rows=len(scores))
         if packed is None:
-            packed, _ = joint_group_ids(ordered, tuple(c[:0] for c in ordered))
-        keep = order[first_occurrence_keep(packed)]
+            packed, _ = joint_group_ids(columns, tuple(c[:0] for c in columns))
+        keep = best_rows(packed, scores)
         if len(keep) > k:
             kept = scores[keep]
-            keep = keep[: int(np.searchsorted(-kept, -kept[k - 1], side="right"))]
+            keep = keep[kept >= np.partition(kept, -k)[-k]]
     elif len(scores) > k:
         keep = np.flatnonzero(scores >= np.partition(scores, -k)[-k])
     decode = codec.decode

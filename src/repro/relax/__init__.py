@@ -6,7 +6,6 @@
   overlap between type/term predicates (the style of rules TriniT mines).
 * :mod:`~repro.relax.cooccurrence` — the Twitter scheme:
   ``w = #tweets(T1 ∧ T2) / #tweets(T1)``.
-* :mod:`~repro.relax.space` — statistics over a query's relaxation space.
 """
 
 from repro.relax.rules import RelaxationRule, RuleSet

@@ -20,8 +20,8 @@ from repro.operators.block import (
     EncodedMatchList,
     TermCodec,
     addressable,
+    best_rows,
     build_encoded_match_list,
-    first_occurrence_keep,
     joint_group_ids,
     pack_columns,
     top_k_cut,
@@ -161,55 +161,77 @@ class TestJointGroupIds:
         assert gb[2] not in (ga[0], ga[1])  # (1, 9) matches nothing
 
 
-class TestFirstOccurrenceKeep:
-    @staticmethod
-    def reference(packed: np.ndarray) -> np.ndarray:
-        _, first = np.unique(packed, return_index=True)
-        return np.sort(first)
+def brute_best_rows(packed: np.ndarray, scores: np.ndarray) -> list[int]:
+    """Each key's best row by a dict: the highest score, on a tie the
+    lowest index."""
+    best: dict[int, int] = {}
+    for row, (key, score) in enumerate(zip(packed.tolist(), scores.tolist())):
+        if key not in best or score > scores[best[key]]:
+            best[key] = row
+    return sorted(best.values())
 
-    def test_keeps_first_in_order(self):
-        packed = np.array([7, 3, 7, 3, 9], dtype=np.int64)
-        assert first_occurrence_keep(packed).tolist() == [0, 1, 4]
 
-    def test_empty(self):
-        assert first_occurrence_keep(np.empty(0, dtype=np.int64)).tolist() == []
+#: Merge inputs: each a list of distinct keys with scores from a few
+#: values, so keys repeat across inputs and tie across them.
+merge_inputs = st.lists(
+    st.lists(
+        st.tuples(st.integers(0, 11), st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+        max_size=12,
+        unique_by=lambda row: row[0],
+    ),
+    max_size=4,
+)
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        n=st.integers(1, 200),
-        # Term ids (scatter-min table), packed pairs and int64 extremes
-        # (np.unique), and domains straddling the switch between them.
-        low=st.sampled_from([0, -5, 8_413, 2**40, -(2**62)]),
-        width=st.sampled_from([1, 2, 50, 12_000, 13_200, 10**6, 2**61]),
-        seed=st.integers(0, 2**16),
-    )
-    def test_equals_the_unique_reference_on_any_key_domain(self, n, low, width, seed):
-        rng = np.random.default_rng(seed)
-        packed = low + rng.integers(0, width, size=n, dtype=np.int64)
-        keep = first_occurrence_keep(packed)
-        np.testing.assert_array_equal(keep, self.reference(packed))
+
+class TestBestRows:
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=merge_inputs, low=st.sampled_from([0, -5, 8_413, 2**40, -(2**62)]))
+    def test_table_fallback_and_brute_force_agree(self, inputs, low):
+        rows = [row for rows in inputs for row in rows]
+        packed = np.array([low + key for key, _ in rows], dtype=np.int64)
+        scores = np.array([score for _, score in rows], dtype=np.float64)
+        table = best_rows(packed, scores)  # keys within 12 ids: a table
+        with mock.patch("repro.operators.block.addressable", return_value=False):
+            with mock.patch.object(np, "unique", wraps=np.unique) as spy:
+                fallback = best_rows(packed, scores)
+        assert spy.called == bool(len(rows))
+        assert table.tolist() == fallback.tolist() == brute_best_rows(packed, scores)
+
+    def test_a_tie_keeps_the_first_input_and_a_higher_score_wins(self):
+        # Key 7 ties across inputs (row 0 wins), key 3 scores higher in
+        # the second input (row 4 wins), key 9 stands alone.
+        packed = np.array([7, 3, 9, 7, 3], dtype=np.int64)
+        scores = np.array([0.5, 0.25, 1.0, 0.5, 0.75])
+        assert best_rows(packed, scores).tolist() == [0, 2, 4]
+
+    def test_empty_and_single_key(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert best_rows(empty, np.empty(0)).tolist() == []
+        assert best_rows(np.array([5], dtype=np.int64), np.array([0.3])).tolist() == [0]
 
     @pytest.mark.parametrize("n", [2, 7, 300])
     def test_a_table_addresses_at_most_64_entries_a_row(self, n):
         """The one rule of direct addressing: a domain of 64 entries a row
         is a table, one more entry and the keys are sorted."""
         assert addressable(64 * n, n) and not addressable(64 * n + 1, n)
+        scores = np.linspace(0.0, 1.0, n)
         for span, sorted_ in ((64 * n, False), (64 * n + 1, True)):
             packed = np.array([span - 1] + [0] * (n - 1), dtype=np.int64)
             with mock.patch.object(np, "unique", wraps=np.unique) as spy:
-                keep = first_occurrence_keep(packed)
+                keep = best_rows(packed, scores)
             assert spy.called == sorted_
-            assert keep.tolist() == [0, 1]
+            assert keep.tolist() == [0, n - 1]
 
     @pytest.mark.parametrize("n", [1, 7, 5_000])
     def test_all_equal_and_all_distinct_keys(self, n):
+        scores = np.ones(n)
         same = np.full(n, 42, dtype=np.int64)
-        assert first_occurrence_keep(same).tolist() == [0]
+        assert best_rows(same, scores).tolist() == [0]
         for distinct in (
             np.arange(n, dtype=np.int64)[::-1].copy(),  # dense: table
             np.arange(n, dtype=np.int64) * 10**9,  # sparse: np.unique
         ):
-            assert first_occurrence_keep(distinct).tolist() == list(range(n))
+            assert best_rows(distinct, scores).tolist() == list(range(n))
 
 
 class TestEncodedMatchList:
@@ -413,6 +435,18 @@ class TestTopKCut:
         assert actual == list(expected)
         assert [a.score for a in actual] == [a.score for a in expected]
 
+    @pytest.mark.parametrize("projection", [None, ("o",)], ids=["all", "o"])
+    def test_a_cut_over_a_small_id_domain_sorts_nothing(self, columnar, projection):
+        """Each projected binding's best row comes from a table and the
+        cut from ``np.partition``: no ``argsort`` on the read path."""
+        pattern = TriplePattern(var("s"), "rdf:type", var("o"))
+        rows = self._rows(columnar, pattern)
+        codec = TermCodec(columnar.store)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+            answers = top_k_cut(rows, 2, codec, projection)
+        assert spy.call_count == 0
+        assert answers == list(oracle_cut(columnar, pattern, 2, projection))
+
     def test_unsorted_rows_keep_each_maximum_and_drain_the_tie_run(self, columnar):
         """A join's output is in no score order: a projected binding's
         lower row may come first, and the k-th score's tie run may reach
@@ -437,3 +471,5 @@ class TestTopKCut:
         )
         answers = top_k_cut(rows, 2, codec, projection=("s",))
         assert [(a.as_dict()["s"], a.score) for a in answers] == [("e0", 0.9), ("e1", 0.5)]
+        with mock.patch("repro.operators.block.addressable", return_value=False):
+            assert top_k_cut(rows, 2, codec, projection=("s",)) == answers

@@ -1,8 +1,9 @@
 """A merged relaxation list gathered straight from the id columns equals
 the oracle's Definition-8 merge of its inputs
 (:meth:`NaiveEngine.rows <repro.baselines.naive.NaiveEngine.rows>`) —
-terms, order and score bits — on every backend, and a merge miss reads
-no per-input entry of the store."""
+terms and score bits, as a multiset: a merged list holds input order,
+the oracle score order — on every backend, and a merge miss reads no
+per-input entry of the store."""
 
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from held_lists import merge_rows
 
 from repro.baselines.naive import NaiveEngine
 from repro.core.engine import SpecQPEngine
@@ -69,7 +72,9 @@ def backend(kind: str, triples, updates=()):
 
 def merged_and_reference(graph, inputs):
     """The gathered merge — through a store whose per-pattern lookups
-    are counted — decoded, and the oracle's merge of *inputs*."""
+    are counted — decoded, and the oracle's merge of *inputs*, both as
+    :func:`merge_rows`: row for row for one input, as multisets for
+    several."""
     store = EncodedListStore()
     lookups = []
     get_or_build = store.get_or_build
@@ -95,7 +100,8 @@ def merged_and_reference(graph, inputs):
         (tuple(column[row] for column in terms), score)
         for row, score in enumerate(merged.scores.tolist())
     ]
-    return merged, rows, NaiveEngine(graph, None).rows(inputs)
+    reference = NaiveEngine(graph, None).rows(inputs)
+    return merged, merge_rows(rows, len(inputs)), merge_rows(reference, len(inputs))
 
 
 def patterns_over(names: tuple[str, ...]):

@@ -252,21 +252,32 @@ def single(name: str, ids, scores) -> EncodedMatchList:
 
 
 class TestWhichPathAJoinTakes:
-    @pytest.mark.parametrize("query", ["singer_lyricist_query", "three_pattern_query"])
-    def test_a_star_query_sorts_no_key(self, music_graph, music_rules, query, request):
-        """Every join of a star on ``?s`` meets lists binding only ``?s``
-        over a small id domain: both the exact and the relaxed plan
-        address every partner, and answer what the oracle answers."""
-        query = request.getfixturevalue(query)
+    @pytest.mark.parametrize("projection", [None, ("t",)], ids=["all", "projected"])
+    def test_a_chain_query_sorts_no_key(self, music_graph, music_rules, projection):
+        """A chain's join meets a list binding only ``?s`` over a small id
+        domain: both the exact and the relaxed plan reach
+        :func:`join_lists`, address every partner, and answer what the
+        oracle answers."""
+        query = TriplePatternQuery(
+            (
+                TriplePattern(var("s"), "rdf:type", "singer"),
+                TriplePattern(var("s"), "rdf:type", var("t")),
+            ),
+            projection=None if projection is None else [var(name) for name in projection],
+        )
         engine = SpecQPEngine(music_graph, music_rules)
         oracle = NaiveEngine(music_graph, music_rules)
-        for plan in (QueryPlan.exact(query), engine.plan(query, 10).plan):
+        relaxed = engine.plan(query, 10).plan
+        assert relaxed.singletons
+        for plan in (QueryPlan.exact(query), relaxed):
             served: list = []
 
             def run(plan=plan, served=served):
                 served.extend(engine.executor.execute(plan, 10, executor="block").answers)
 
-            assert key_sorts(run) == 0
+            with mock.patch.object(plan_module, "join_lists", wraps=join_lists) as spy:
+                assert key_sorts(run) == 0
+            assert spy.call_count == 1
             assert answer_rows(served) == answer_rows(oracle.evaluate(plan, 10))
 
     @pytest.mark.parametrize("query", ["singer_lyricist_query", "three_pattern_query"])

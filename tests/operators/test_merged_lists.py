@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+
+from held_lists import merge_rows
 
 from repro.baselines.naive import NaiveEngine
 from repro.core.config import EngineConfig
@@ -19,9 +22,10 @@ from repro.core.plan import QueryPlan, relaxation_inputs
 from repro.errors import ExecutionError
 from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import GraphUpdate, LiveGraph
+from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
 from repro.kg.storage import load_snapshot_v2, save_snapshot_v2
-from repro.operators.block import EncodedListStore, build_merged_match_list
+from repro.operators.block import EncodedListStore, TermCodec, build_merged_match_list
 from repro.operators.memory import ExecutionContext
 from repro.query.query import TriplePatternQuery
 from repro.relax.rules import RelaxationRule, RuleSet
@@ -113,9 +117,11 @@ def assert_streams_agree(graph, workload, store):
     checked = 0
     for pattern in relaxed_patterns(workload):
         reference = reference_stream(graph, workload.rules, pattern)
+        n_inputs = len(relaxation_inputs(pattern, workload.rules, None))
         for _ in range(2):  # a miss, then a hit
             rows, counters = block_stream(graph, workload.rules, pattern, store)
-            assert rows == reference  # same rows, same order, bitwise scores
+            # Same rows, bitwise scores; a merged list holds input order.
+            assert merge_rows(rows, n_inputs) == merge_rows(reference, n_inputs)
             assert counters == (len(reference), len(reference))
         checked += 1
     assert checked
@@ -193,6 +199,51 @@ class TestStreamEquivalence:
         check(live, block)
         live.compact()
         check(live, block)
+
+
+class TestInputOrder:
+    def test_a_merge_holds_input_order_where_a_later_input_outscores(self):
+        """A merged list sorts nothing: each input's kept rows in its own
+        list order, input after input, though the second input outscores
+        rows of the first.  A binding keeps its best row, on a tie the
+        first input's."""
+        graph = KnowledgeGraph()
+        for s, score in (("a", 10.0), ("b", 5.0), ("f", 4.0), ("c", 1.0)):
+            graph.add(s, "rdf:type", "singer", score=score)
+        for s, score in (("d", 10.0), ("b", 9.0), ("f", 5.0), ("e", 2.0)):
+            graph.add(s, "rdf:type", "vocalist", score=score)
+        columnar = ColumnarGraph.from_graph(graph)
+        codec = TermCodec(columnar.store)
+        merged = build_merged_match_list(
+            columnar, [(tp("singer"), 1.0), (tp("vocalist"), 0.8)], codec
+        )
+        singer, vocalist = (lambda raw: 1.0 * (raw / 10.0)), (lambda raw: 0.8 * (raw / 10.0))
+        assert singer(4.0) == vocalist(5.0)  # f ties across the inputs
+        rows = list(
+            zip(
+                [codec.decode(i) for i in merged.columns[0].tolist()],
+                merged.scores.tolist(),
+                merged.sources.tolist(),
+            )
+        )
+        assert rows == [
+            ("a", singer(10.0), 0), ("f", singer(4.0), 0), ("c", singer(1.0), 0),
+            ("d", vocalist(10.0), 1), ("b", vocalist(9.0), 1), ("e", vocalist(2.0), 1),
+        ]
+
+    def test_a_domain_too_wide_to_address_merges_the_same(self, music_graph, music_rules):
+        """The sorting fallback of the dedup keeps the very rows, in the
+        very order, that the table keeps."""
+        columnar = ColumnarGraph.from_graph(music_graph)
+        codec = TermCodec(columnar.store)
+        for kind in ("singer", "lyricist", "guitarist"):
+            inputs = relaxation_inputs(tp(kind), music_rules, None)
+            table = build_merged_match_list(columnar, inputs, codec)
+            with mock.patch("repro.operators.block.addressable", return_value=False):
+                fallback = build_merged_match_list(columnar, inputs, codec)
+            assert [a.tobytes() for a in (*table.columns, table.scores, table.sources)] == [
+                a.tobytes() for a in (*fallback.columns, fallback.scores, fallback.sources)
+            ], kind
 
 
 class TestMergedListLifecycle:
