@@ -16,10 +16,10 @@ Two interchangeable execution strategies produce byte-identical answers;
 ``"block"``
     The vectorized pipeline that serves (:mod:`repro.operators.block`):
     each operand's stored list of dictionary-encoded id columns, folded
-    left-deep in the tuple pipeline's join order by one whole-list join
-    a step (:func:`~repro.operators.vector_join.join_lists`) — a star of
-    lists binding one variable alone through one id table
-    (:func:`~repro.operators.vector_join.fold_star`) — then cut
+    left-deep in the tuple pipeline's join order
+    (:func:`~repro.operators.vector_join.fold_lists`: a star of lists
+    binding one variable alone through one id table, any other tree one
+    whole-list join a step) — then cut
     once to top-k (:func:`~repro.operators.block.top_k_cut`), which
     decodes to strings only the winning rows.  It slices every graph's
     :meth:`~repro.kg.graph.KnowledgeGraph.column_store` — a columnar

@@ -12,7 +12,7 @@ relaxations are kept).  Execution:
 
 The block executor evaluates the same partition in the same join order
 over whole encoded lists (:meth:`QueryPlan.evaluate_block`): one
-pre-merged list per singleton, one vectorized join per step, then one
+pre-merged list per singleton, one vectorized fold of the lists, then one
 top-k cut over the full result.
 
 The TriniT baseline plan is the special case where *every* pattern is a
@@ -29,17 +29,12 @@ from repro.errors import PlanError
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern
 from repro.operators.base import Operator
-from repro.operators.block import (
-    EncodedMatchList,
-    TermCodec,
-    addressable,
-    build_merged_match_list,
-)
+from repro.operators.block import EncodedMatchList, TermCodec, build_merged_match_list
 from repro.operators.incremental_merge import IncrementalMerge, WeightedInput
 from repro.operators.memory import ExecutionContext
 from repro.operators.rank_join import RankJoin
 from repro.operators.scan import SortedScan
-from repro.operators.vector_join import fold_star, join_lists
+from repro.operators.vector_join import fold_lists
 from repro.query.query import TriplePatternQuery
 from repro.relax.rules import RuleSet
 
@@ -163,13 +158,9 @@ class QueryPlan:
         partition and the same join order (join-group patterns first, then
         singletons, variable-connected operands preferred) — so answer
         scores accumulate through the identical left-deep additions — but
-        each operand is a stored list and each step one
-        :func:`~repro.operators.vector_join.join_lists` of whole lists.
-        A star whose lists all bind the same one variable, over an id
-        domain :func:`~repro.operators.block.addressable` against all
-        their rows, is folded in that order through one id table instead
-        (:func:`~repro.operators.vector_join.fold_star`): the same rows,
-        score bits and counter moves, with no intermediate list.
+        each operand is a stored list, folded by
+        :func:`~repro.operators.vector_join.fold_lists`: a star through
+        one id table, any other tree one whole-list join a step.
 
         *encoded_lists* serves a join-group pattern's (cached) encoded
         match list.  *merged_lists* ``(pattern, merge)`` serves a relaxed
@@ -198,26 +189,15 @@ class QueryPlan:
         context.tuples_pulled += pulled
         context.factory.objects_created += pulled
         # Every list is built, so the codec's id domain is final.
-        n_ids = max(codec.n_ids, 1)
-        # A star whose lists all bind one variable alone: the left-deep
-        # order is the operands' order, and one table holds the fold.
-        if (
-            len(lists) > 1
-            and len(lists[0].var_names) == 1
-            and all(operand.var_names == lists[0].var_names for operand in lists)
-            and addressable(n_ids, pulled)
-        ):
-            return fold_star(lists, context, n_ids)
-        return self._join_left_deep(
-            lists, lambda left, right: join_lists(left, right, context, n_ids)
-        )
+        return fold_lists(lists, context, max(codec.n_ids, 1))
 
     def _join_left_deep(self, operands: list, join: Callable):
-        """Fold *operands* (either pipeline's: one per pattern, the join
-        group's in index order, then the singletons') into one left-deep
-        tree of ``join(tree, operand)``: starting from the first, always
-        the first remaining operand sharing a variable with the tree so
-        far, else the first remaining."""
+        """Fold *operands* (one operator per pattern, the join group's in
+        index order, then the singletons') into one left-deep tree of
+        ``join(tree, operand)``: starting from the first, always the first
+        remaining operand sharing a variable with the tree so far, else
+        the first remaining — the order
+        :func:`~repro.operators.vector_join.fold_lists` joins lists in."""
         if not operands:
             raise PlanError("plan has no operands")
         indexes = sorted(self.join_group) + list(self.singletons)

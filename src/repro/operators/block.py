@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.kg.columnar import stable_argsort
 from repro.kg.index import pattern_keys
 from repro.operators.topk import finalize_canonical
 from repro.query.answer import Answer
@@ -161,50 +160,20 @@ def joint_group_ids(
     return inverse[:n_a], inverse[n_a:]
 
 
-def sorted_key_order(
-    columns: Sequence[np.ndarray], n_ids: int, n_rows: int
-) -> tuple[np.ndarray, np.ndarray, bool] | None:
-    """The rows keyed by the parallel id *columns* in key order: the
-    packed keys ascending, the row each came from (equal keys in row
-    order) and whether no key repeats — one
-    :func:`~repro.kg.columnar.stable_argsort` of :func:`pack_columns` —
-    or ``None`` when the keys cannot be packed."""
-    packed = pack_columns(columns, n_ids, n_rows=n_rows)
-    if packed is None:
-        return None
-    order = stable_argsort(packed)
-    keys = packed[order]
-    return keys, order, bool((keys[1:] != keys[:-1]).all())
-
-
-def expand_matches(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The row pairs of a probe into a sorted key run.
-
-    Probe row ``i`` matches the run's positions ``lo[i] .. lo[i] +
-    counts[i]``.  Returns, one entry per match, the probe row's index and
-    the matched position in the run.
-    """
-    probe_rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    offsets = np.arange(len(probe_rows), dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return probe_rows, np.repeat(lo, counts) + offsets
-
-
 def addressable(span: int, n_rows: int) -> bool:
     """Whether a table with one entry per key of a *span*-wide domain is
     cheap next to *n_rows* rows: at most 64 entries a row.
 
     The one rule by which the block pipeline addresses keys directly
     instead of sorting them — :func:`best_rows`, the table
-    join of :func:`~repro.operators.vector_join.join_lists`, the star
-    fold of :func:`~repro.operators.vector_join.fold_star` and the
-    semi-join of the exact join counts — so a domain too wide to hold
-    in memory (an id space of 2**40) is always sorted.  Measured on 2
-    hardware threads over domains of 8 413 to 400 000 ids, the join
-    and the semi-join beat a sort of their rows up to 128 entries a
-    row, and a first-occurrence table beat ``np.unique`` from 16 to 64
-    entries a row depending on the row count.
+    join of :func:`~repro.operators.vector_join.join_lists` and the star
+    fold of :func:`~repro.operators.vector_join.fold_star`, which the
+    executor and the exact join counts share — so a domain too wide to
+    hold in memory (an id space of 2**40) is always sorted.  Measured on
+    2 hardware threads over domains of 8 413 to 400 000 ids, the table
+    join beat a sort of its rows up to 128 entries a row, and a
+    first-occurrence table beat ``np.unique`` from 16 to 64 entries a
+    row depending on the row count.
     """
     return span <= 64 * n_rows
 
@@ -365,8 +334,7 @@ class EncodedMatchList:
     """
 
     __slots__ = (
-        "var_names", "columns", "scores", "max_score", "inputs", "maxima", "sources",
-        "_read_keys",
+        "var_names", "columns", "scores", "inputs", "maxima", "sources", "_read_keys",
     )
 
     def __init__(
@@ -374,7 +342,6 @@ class EncodedMatchList:
         var_names: tuple[str, ...],
         columns: tuple[np.ndarray, ...],
         scores: np.ndarray,
-        max_score: float,
         inputs: "tuple[tuple[TriplePattern, float], ...] | None" = None,
         maxima: tuple[float, ...] | None = None,
         sources: np.ndarray | None = None,
@@ -385,7 +352,6 @@ class EncodedMatchList:
         self.var_names = var_names
         self.columns = columns
         self.scores = scores
-        self.max_score = max_score
         self.inputs = inputs
         self.maxima = maxima
         self.sources = sources
@@ -397,8 +363,7 @@ class EncodedMatchList:
     def _successor(self, columns, scores, sources) -> "EncodedMatchList":
         """A list of the same inputs (a patch of this one)."""
         successor = EncodedMatchList(
-            self.var_names, columns, scores, self.max_score, self.inputs, self.maxima,
-            sources,
+            self.var_names, columns, scores, self.inputs, self.maxima, sources
         )
         successor._read_keys = self._read_keys
         return successor
@@ -427,7 +392,7 @@ def build_encoded_match_list(
         codec.store, var_names, (pattern,), *gathered, codec
     )
     return EncodedMatchList(
-        var_names, columns, scores, float(maxima[0]), ((pattern, 1.0),), (float(maxima[0]),)
+        var_names, columns, scores, ((pattern, 1.0),), (float(maxima[0]),)
     )
 
 
@@ -448,8 +413,8 @@ def build_merged_match_list(
     row — on a tie the first input's — and the columns are gathered once
     through the kept indices.  Nothing is sorted: the list holds its rows
     in input order, each input's in its own list order (so a list of one
-    input keeps Definition-5 order).  The scores are final, hence
-    ``max_score=1.0``, and ``sources`` records each row's input.
+    input keeps Definition-5 order).  The scores are final, and
+    ``sources`` records each row's input.
     """
     patterns = [pattern for pattern, _ in inputs]
     var_names = patterns[0].variable_names
@@ -476,7 +441,7 @@ def build_merged_match_list(
             np.arange(len(inputs), dtype=np.min_scalar_type(len(inputs) - 1)), lengths
         )[keep]
     return EncodedMatchList(
-        var_names, tuple(column[keep] for column in columns), scores[keep], 1.0,
+        var_names, tuple(column[keep] for column in columns), scores[keep],
         tuple(inputs), tuple(maxima.tolist()), sources,
     )
 

@@ -2,17 +2,19 @@
 
 :func:`join_lists` joins every row of one list with every row of another
 that binds the shared variables to the same ids — the full join, in one
-call.  The block executor folds a plan's lists left-deep through it in
-the order the tuple pipeline's rank joins take
-(:meth:`~repro.core.plan.QueryPlan.evaluate_block`) and cuts the final
-rows once (:func:`~repro.operators.block.top_k_cut`) — unless the plan
-is a star whose lists all bind one variable alone over an addressable
-id domain, which :func:`fold_star` joins through one table in one pass
-(every benchmark query is such a star on ``?s``).  The tuple
-:class:`~repro.operators.rank_join.RankJoin` is HRJN, which stops once
-its threshold passes the k-th result.  Over whole stored lists that
-stop never fired on any measured read, so this join computes the whole
-result instead (see ``docs/architecture.md``).
+call.  :func:`fold_lists` is the one fold of several lists, and both the
+block executor (:meth:`~repro.core.plan.QueryPlan.evaluate_block`) and
+PLANGEN's exact join counts
+(:class:`~repro.stats.selectivity.JoinCardinalityEstimator`) read it: a
+star whose lists all bind one variable alone over an addressable id
+domain is joined through one table in one pass (:func:`fold_star`;
+every benchmark query is such a star on ``?s``), any other tree
+left-deep through :func:`join_lists`.  The executor cuts the final rows
+once (:func:`~repro.operators.block.top_k_cut`); a count is their
+number.  The tuple :class:`~repro.operators.rank_join.RankJoin` is HRJN,
+which stops once its threshold passes the k-th result.  Over whole
+stored lists that stop never fired on any measured read, so this join
+computes the whole result instead (see ``docs/architecture.md``).
 
 The join finds partners one of two ways, neither with per-row Python or
 string hashing:
@@ -25,8 +27,7 @@ string hashing:
   side's keys gather their partner from it;
 * **by sorting** — any other key (several variables, ids too sparse to
   address, keys repeating on both sides): the keys are packed into one
-  int64 per row, the left side's put in key order
-  (:func:`~repro.operators.block.sorted_key_order`) and the right side's
+  int64 per row, the left side's put in key order and the right side's
   searched in that run: one ``np.searchsorted`` and an equality test
   when no left key repeats, else the ``left``/``right`` pair and a
   vectorised range expansion.
@@ -42,15 +43,45 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kg.columnar import stable_argsort
 from repro.operators.block import (
     EncodedMatchList,
     addressable,
-    expand_matches,
     joint_group_ids,
     pack_columns,
-    sorted_key_order,
 )
 from repro.operators.memory import ExecutionContext
+
+
+def fold_lists(
+    lists: list[EncodedMatchList], context: ExecutionContext, n_ids: int
+) -> EncodedMatchList:
+    """The join of *lists*, folded left-deep in their order.
+
+    Each step joins the tree with the first remaining list sharing a
+    variable with it, else the first remaining.  A star of two or more
+    lists all binding the same one variable, over an id domain
+    :func:`~repro.operators.block.addressable` against all their rows,
+    folds through one id table (:func:`fold_star`): the same rows, score
+    bits and counter moves, with no intermediate list.  *n_ids* is the
+    codec's id domain, final once every list is built.
+    """
+    first, *pending = lists
+    if (
+        pending
+        and len(first.var_names) == 1
+        and all(operand.var_names == first.var_names for operand in pending)
+        and addressable(n_ids, sum(map(len, lists)))
+    ):
+        return fold_star(lists, context, n_ids)
+    tree = first
+    while pending:
+        names = set(tree.var_names)
+        pick = next(
+            (at for at, side in enumerate(pending) if names & set(side.var_names)), 0
+        )
+        tree = join_lists(tree, pending.pop(pick), context, n_ids)
+    return tree
 
 
 def join_lists(
@@ -79,7 +110,6 @@ def join_lists(
             var_names,
             tuple(np.empty(0, dtype=np.int64) for _ in var_names),
             np.empty(0, dtype=np.float64),
-            1.0,
         )
     if (
         len(join_vars) == 1
@@ -103,9 +133,8 @@ def join_lists(
         right.columns[right.var_names.index(name)][right_rows]
         for name in var_names[len(left.var_names):]
     )
-    # The scores are final, hence ``max_score=1.0``.
     return EncodedMatchList(
-        var_names, columns, left.scores[left_rows] + right.scores[right_rows], 1.0
+        var_names, columns, left.scores[left_rows] + right.scores[right_rows]
     )
 
 
@@ -120,11 +149,14 @@ def fold_star(
     keeps the rows one step deep, adds their scores and bumps their
     depth: the same sums ``((s1 + s2) + s3)``, rows in the last list's
     row order and counter moves per step as the pairwise fold gives, with
-    no intermediate list.
+    no intermediate list.  Only ids of depth ``step`` are read from the
+    score table, and each was written at that depth, so it starts
+    uninitialised.  ``.nonzero()[0]`` is ``np.flatnonzero`` without its
+    ``ravel`` call, about 1 µs a step.
     """
     first, *rest = lists
     depth = np.zeros(n_ids, dtype=np.min_scalar_type(len(lists)))
-    running = np.zeros(n_ids, dtype=np.float64)
+    running = np.empty(n_ids, dtype=np.float64)
     ids, scores = first.columns[0], first.scores
     depth[ids] = 1
     running[ids] = scores
@@ -133,7 +165,7 @@ def fold_star(
         if not len(ids) or not len(operand):
             ids, scores = ids[:0], scores[:0]
             continue
-        rows = np.flatnonzero(depth[operand.columns[0]] == step)
+        rows = (depth[operand.columns[0]] == step).nonzero()[0]
         ids = operand.columns[0][rows]
         scores = running[ids] + operand.scores[rows]
         if step < len(rest):
@@ -141,7 +173,7 @@ def fold_star(
             depth[ids] = step + 1
         context.joins_matched += len(rows)
         context.factory.objects_created += len(rows)
-    return EncodedMatchList(first.var_names, (ids,), scores, 1.0)
+    return EncodedMatchList(first.var_names, (ids,), scores)
 
 
 def _address(
@@ -153,7 +185,7 @@ def _address(
     table = np.full(n_ids, -1, dtype=np.intp)
     table[distinct] = np.arange(len(distinct))
     partner = table[probe]
-    probe_rows = np.flatnonzero(partner >= 0)
+    probe_rows = (partner >= 0).nonzero()[0]
     return probe_rows, partner[probe_rows]
 
 
@@ -170,17 +202,15 @@ def _sorted_pairs(
         tuple(side.columns[side.var_names.index(name)] for name in join_vars)
         for side in (left, right)
     )
-    stored = sorted_key_order(left_keys, n_ids, len(left))
-    if stored is not None:
-        stored_keys, stored_order, distinct = stored
-        probe_keys = pack_columns(right_keys, n_ids, n_rows=len(right))
-    else:
+    stored_keys = pack_columns(left_keys, n_ids, n_rows=len(left))
+    if stored_keys is None:
         # Exact slow path: joint group ids over both row sets.
-        stored_ids, probe_keys = joint_group_ids(left_keys, right_keys)
-        stored_order = np.argsort(stored_ids, kind="stable")
-        stored_keys = stored_ids[stored_order]
-        distinct = False
-    if distinct:
+        stored_keys, probe_keys = joint_group_ids(left_keys, right_keys)
+    else:
+        probe_keys = pack_columns(right_keys, n_ids, n_rows=len(right))
+    stored_order = stable_argsort(stored_keys)
+    stored_keys = stored_keys[stored_order]
+    if (stored_keys[1:] != stored_keys[:-1]).all():
         # No left key repeats: a needle matches the one row at its
         # insertion point or nothing.
         slots = np.searchsorted(stored_keys, probe_keys)
@@ -190,5 +220,8 @@ def _sorted_pairs(
         return stored_order[slots[probed]], probed, len(probed)
     lo = np.searchsorted(stored_keys, probe_keys, side="left")
     counts = np.searchsorted(stored_keys, probe_keys, side="right") - lo
-    probed, positions = expand_matches(lo, counts)
+    # Right row i meets the run's positions lo[i] .. lo[i] + counts[i].
+    probed = np.repeat(np.arange(len(counts)), counts)
+    positions = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    positions += np.arange(len(probed))
     return stored_order[positions], probed, int(np.count_nonzero(counts))

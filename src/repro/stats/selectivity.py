@@ -5,9 +5,10 @@ combined query, ``m12 = m · m' · φ12``, and footnote 3 states the paper
 uses *exact* join selectivity values (precomputed offline, as a
 traditional optimizer would precompute statistics).  We provide both:
 
-* **exact** — cached distinct-binding counts, joined over the patterns'
-  dictionary-encoded id columns
-  (:class:`~repro.operators.block.EncodedMatchList`; offline
+* **exact** — cached distinct-binding counts: the row count of the
+  patterns' join, folded over their dictionary-encoded id columns by the
+  block executor's own fold
+  (:func:`~repro.operators.vector_join.fold_lists`; offline
   precomputation — the planner only reads the cache at plan time), and
 * **independence** — the classic textbook estimate
   ``φ ≈ 1 / max(V(A, left), V(A, right))`` per shared variable,
@@ -29,15 +30,9 @@ from repro.errors import StatisticsError
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.index import PatternKey
 from repro.kg.pattern import TriplePattern
-from repro.operators.block import (
-    EncodedListStore,
-    EncodedMatchList,
-    addressable,
-    expand_matches,
-    joint_group_ids,
-    pack_columns,
-    sorted_key_order,
-)
+from repro.operators.block import EncodedListStore, EncodedMatchList
+from repro.operators.memory import ExecutionContext
+from repro.operators.vector_join import fold_lists
 from repro.query.query import TriplePatternQuery
 
 SelectivityMode = Literal["exact", "independence"]
@@ -136,8 +131,10 @@ class JoinCardinalityEstimator:
         """Distinct full-variable bindings of *patterns* (Definition 4: an
         answer is a mapping, so duplicates collapse): the row count of
         their join, as a list's rows are distinct bindings
-        (:class:`~repro.operators.block.EncodedMatchList`) and every join
-        below maps distinct rows to distinct rows."""
+        (:class:`~repro.operators.block.EncodedMatchList`) and a join maps
+        distinct rows to distinct rows.  The lists fold smallest first,
+        connected patterns preferred
+        (:func:`~repro.operators.vector_join.fold_lists`)."""
         # One codec and one graph version for the whole count: the ids of
         # two lists compare only under the same side table.
         codec, version = self._lists.pin(self._graph)
@@ -145,72 +142,9 @@ class JoinCardinalityEstimator:
             self._lists.get_or_build(self._graph, pattern, codec, version)
             for pattern in dict.fromkeys(patterns)
         ]
+        lists.sort(key=len)
         # Every list is built, so the id domain is final.
-        n_ids = codec.n_ids
-        # Start from the smallest match list for speed, then join the rest
-        # greedily preferring connected patterns.
-        remaining = sorted(lists, key=len)
-        first = remaining.pop(0)
-        bound = dict(zip(first.var_names, first.columns))
-        n_rows = len(first)
-        while remaining and n_rows:
-            other = remaining.pop(
-                next(
-                    (
-                        position
-                        for position, candidate in enumerate(remaining)
-                        if not bound.keys().isdisjoint(candidate.var_names)
-                    ),
-                    0,
-                )
-            )
-            columns = dict(zip(other.var_names, other.columns))
-            shared = tuple(sorted(name for name in columns if name in bound))
-            own = [bound[name] for name in shared]
-            if len(shared) == len(columns) == 1 and addressable(
-                n_ids, n_rows + len(other)
-            ):
-                # The list binds only the shared variable (every star
-                # join): a semi-join through a membership table.
-                member = np.zeros(n_ids, dtype=bool)
-                member[other.columns[0]] = True
-                keep = member[own[0]]
-                bound = {name: column[keep] for name, column in bound.items()}
-                n_rows = int(np.count_nonzero(keep))
-                continue
-            # Zero shared variables pack to one constant key: every row
-            # matches every row, the cartesian product.
-            own_keys = pack_columns(own, n_ids, n_rows=n_rows)
-            held = None if own_keys is None else sorted_key_order(
-                [columns[name] for name in shared], n_ids, len(other)
-            )
-            if held is None:  # too many key columns to pack into int64
-                own_keys, other_keys = joint_group_ids(
-                    own, [columns[name] for name in shared]
-                )
-                order = np.argsort(other_keys, kind="stable")
-                sorted_keys = other_keys[order]
-            else:
-                sorted_keys, order, _ = held
-            if len(shared) == len(columns):
-                # The list binds nothing new: a semi-join.  *other* is not
-                # empty, or the smallest list, joined first, would have
-                # left no row.
-                slots = np.searchsorted(sorted_keys, own_keys)
-                keep = sorted_keys[np.minimum(slots, len(sorted_keys) - 1)] == own_keys
-                bound = {name: column[keep] for name, column in bound.items()}
-                n_rows = int(np.count_nonzero(keep))
-                continue
-            lo = np.searchsorted(sorted_keys, own_keys, side="left")
-            counts = np.searchsorted(sorted_keys, own_keys, side="right") - lo
-            own_rows, positions = expand_matches(lo, counts)
-            other_rows = order[positions]
-            n_rows = len(own_rows)
-            bound = {name: column[own_rows] for name, column in bound.items()}
-            for name, column in columns.items():
-                if name not in bound:
-                    bound[name] = column[other_rows]
-        return n_rows
+        return len(fold_lists(lists, ExecutionContext(), max(codec.n_ids, 1)))
 
     # ------------------------------------------------------------------
     # Independence-assumption estimation

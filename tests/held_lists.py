@@ -60,7 +60,7 @@ def assert_held_list(
     compared when *fresh* was built under *codec*; given *fresh_codec*,
     *fresh*'s own, bindings are compared as terms."""
     assert held.var_names == fresh.var_names, key
-    assert held.max_score == fresh.max_score, key
+    assert held.maxima[0] == fresh.maxima[0], key
     assert (held.sources is None) == (fresh.sources is None), key
     if fresh_codec is None:
         assert sorted_rows(held) == sorted_rows(fresh), key

@@ -246,12 +246,12 @@ class TestEncodedMatchList:
         oracle = NaiveEngine(columnar, None)
         rows = oracle.rows([(pattern, 1.0)])
         assert list(zip(decoded, encoded.scores.tolist())) == rows
-        assert encoded.max_score == oracle.matches(pattern)[0].score
+        assert encoded.maxima[0] == oracle.matches(pattern)[0].score
 
     def test_empty_pattern(self, columnar):
         encoded = build_encoded_match_list(columnar, tp("missing"), TermCodec(columnar.store))
         assert len(encoded) == 0
-        assert encoded.max_score == 0.0
+        assert encoded.maxima[0] == 0.0
 
     def test_repeated_variable_keeps_diagonal(self):
         kg = KnowledgeGraph()
@@ -428,7 +428,6 @@ class TestTopKCut:
             rows.var_names,
             tuple(column[order] for column in rows.columns),
             rows.scores[order],
-            rows.max_score,
         )
         expected = oracle_cut(frozen, pattern, k, projection)
         actual = top_k_cut(shuffled, k, codec, projection)
@@ -467,7 +466,6 @@ class TestTopKCut:
                 for at in (0, 1)
             ),
             np.array([row[2] for row in rows]),
-            1.0,
         )
         answers = top_k_cut(rows, 2, codec, projection=("s",))
         assert [(a.as_dict()["s"], a.score) for a in answers] == [("e0", 0.9), ("e1", 0.5)]

@@ -46,7 +46,6 @@ def reordered(fresh: EncodedMatchList, rows, scores=None) -> EncodedMatchList:
         fresh.var_names,
         tuple(column[rows] for column in fresh.columns),
         fresh.scores[rows] if scores is None else np.asarray(scores, dtype=np.float64),
-        fresh.max_score,
         fresh.inputs,
         fresh.maxima,
     )

@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.naive import NaiveEngine
-from repro.core import plan as plan_module
 from repro.core.engine import SpecQPEngine
 from repro.core.plan import QueryPlan
 from repro.kg.columnar import ColumnarGraph
@@ -238,7 +237,7 @@ class TestJoinDifferential:
 def key_sorts(run) -> int:
     """How many key sorts the joins *run* makes take."""
     with mock.patch.object(
-        vector_join, "sorted_key_order", wraps=vector_join.sorted_key_order
+        vector_join, "_sorted_pairs", wraps=vector_join._sorted_pairs
     ) as spy:
         run()
     return spy.call_count
@@ -247,7 +246,7 @@ def key_sorts(run) -> int:
 def single(name: str, ids, scores) -> EncodedMatchList:
     """A list binding *name* alone to *ids*."""
     return EncodedMatchList(
-        (name,), (np.array(ids, dtype=np.int64),), np.array(scores, dtype=np.float64), 1.0
+        (name,), (np.array(ids, dtype=np.int64),), np.array(scores, dtype=np.float64)
     )
 
 
@@ -275,7 +274,7 @@ class TestWhichPathAJoinTakes:
             def run(plan=plan, served=served):
                 served.extend(engine.executor.execute(plan, 10, executor="block").answers)
 
-            with mock.patch.object(plan_module, "join_lists", wraps=join_lists) as spy:
+            with mock.patch.object(vector_join, "join_lists", wraps=join_lists) as spy:
                 assert key_sorts(run) == 0
             assert spy.call_count == 1
             assert answer_rows(served) == answer_rows(oracle.evaluate(plan, 10))
@@ -293,7 +292,7 @@ class TestWhichPathAJoinTakes:
         relaxed = engine.plan(query, 10).plan
         assert relaxed.singletons
         for plan in (QueryPlan.exact(query), relaxed):
-            with mock.patch.object(plan_module, "join_lists", wraps=join_lists) as spy:
+            with mock.patch.object(vector_join, "join_lists", wraps=join_lists) as spy:
                 served = engine.executor.execute(plan, 10, executor="block").answers
             assert spy.call_count == 0
             assert answer_rows(served) == answer_rows(oracle.evaluate(plan, 10))
@@ -302,7 +301,7 @@ class TestWhichPathAJoinTakes:
     def test_a_domain_wider_than_64_ids_a_row_is_sorted(self, slack, sorts):
         left = single("a", [4, 0, 2], [0.9, 0.5, 0.1])
         right = EncodedMatchList(
-            ("a", "b"), (np.array([2, 2, 3, 4]), np.array([7, 8, 9, 7])), np.ones(4), 1.0
+            ("a", "b"), (np.array([2, 2, 3, 4]), np.array([7, 8, 9, 7])), np.ones(4)
         )
         n_ids = 64 * (len(left) + len(right)) + slack
         context = ExecutionContext()
@@ -318,7 +317,7 @@ class TestWhichPathAJoinTakes:
         """A right row binding only the key may meet several left rows:
         it is one match however many output rows it makes."""
         left = EncodedMatchList(
-            ("a", "b"), (np.array([1, 1, 1, 2]), np.array([5, 6, 7, 5])), np.ones(4), 1.0
+            ("a", "b"), (np.array([1, 1, 1, 2]), np.array([5, 6, 7, 5])), np.ones(4)
         )
         right = single("a", [3, 1], [1.0, 0.5])
         context = ExecutionContext()

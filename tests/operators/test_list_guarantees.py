@@ -68,7 +68,6 @@ def padded(rows: EncodedMatchList) -> EncodedMatchList:
         rows.var_names + ("pad",),
         rows.columns + (np.zeros(len(rows), dtype=np.int64),),
         rows.scores,
-        rows.max_score,
     )
 
 
@@ -90,7 +89,6 @@ class TestFastCut:
             rows.var_names,
             tuple(column[order] for column in rows.columns),
             rows.scores[order],
-            1.0,
         )
         actual = top_k_cut(shuffled, k, codec, projection)
         chosen = None if projection is None else [var(name) for name in projection]
@@ -118,7 +116,6 @@ class TestFastCut:
             rows.var_names,
             tuple(column[reverse] for column in rows.columns),
             rows.scores[reverse],
-            1.0,
         )
         for candidate in (rows, reversed_rows):
             answers = top_k_cut(candidate, 3, codec)

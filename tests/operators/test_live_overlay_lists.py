@@ -1,7 +1,7 @@
 """The column-sliced encoded list of a live overlay is, decoded, the
 oracle's Definition-5 list of the live triples
 (:meth:`NaiveEngine.rows <repro.baselines.naive.NaiveEngine.rows>`):
-terms, order, normalised score bits and ``max_score`` — and is built
+terms, order, normalised score bits and raw maximum (``maxima``) — and is built
 without a string list."""
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def assert_sliced_is_oracle_list(live: LiveGraph, pattern, monkeypatch=None):
     assert all(column.dtype == np.int64 for column in sliced.columns)
     assert sliced.scores.dtype == np.float64
     assert decoded(sliced, codec) == oracle.rows([(pattern, 1.0)])
-    assert sliced.max_score == (matches[0].score if matches else 0.0)
+    assert sliced.maxima[0] == (matches[0].score if matches else 0.0)
     return sliced, codec
 
 
@@ -149,7 +149,7 @@ class TestColumnSlicedOverlay:
             assert_sliced_is_oracle_list(live, pattern)
         sliced, codec = assert_sliced_is_oracle_list(live, S_P_X, monkeypatch)
         assert [codec.decode(i) for i in sliced.columns[0].tolist()] == ["e", "b"]
-        assert sliced.max_score == 4.0
+        assert sliced.maxima[0] == 4.0
 
     def test_rescored_row_becomes_the_maximum(self, kind, tmp_path, monkeypatch):
         live = live_over(kind, tmp_path)
@@ -157,7 +157,7 @@ class TestColumnSlicedOverlay:
         for pattern in PATTERNS:
             assert_sliced_is_oracle_list(live, pattern)
         sliced, _ = assert_sliced_is_oracle_list(live, S_P_O, monkeypatch)
-        assert sliced.max_score == 40.0
+        assert sliced.maxima[0] == 40.0
         assert sliced.scores.tolist()[:2] == [1.0, 5.0 / 40.0]
 
     def test_empty_lists(self, kind, tmp_path, monkeypatch):
@@ -169,7 +169,7 @@ class TestColumnSlicedOverlay:
         never_matched = TriplePattern(var("s"), "no-such-predicate", var("o"))
         for pattern in (everything_tombstoned, never_matched):
             sliced, _ = assert_sliced_is_oracle_list(live, pattern)
-            assert len(sliced) == 0 and sliced.max_score == 0.0
+            assert len(sliced) == 0 and sliced.maxima[0] == 0.0
         assert_sliced_is_oracle_list(live, never_matched, monkeypatch)
 
     def test_repeated_variable_delta_rows(self, kind, tmp_path, monkeypatch):

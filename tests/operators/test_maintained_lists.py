@@ -5,7 +5,7 @@ rewriting only the rows of the bindings the write touched
 (``patch_match_lists``).  Every case here checks each held list against
 a fresh build under the same codec at the new version with
 :func:`held_lists.assert_held_list` — the same rows (score bits, binding
-ids, source input) and ``max_score``, a list of one input in
+ids, source input) and first input maximum, a list of one input in
 non-increasing score order — and that the list was patched, not
 dropped, except where an input's maximum moved.  Rows of equal score
 may stand in any order, and a merged list's rows in any order.

@@ -99,7 +99,8 @@ def assert_reads_follow(live: LiveGraph) -> None:
         assert spliced(store, run, adds, slots) == expected, pattern
         sliced = build_encoded_match_list(live, pattern, codec)
         assert decoded(sliced, codec) == reference, pattern
-        assert sliced.max_score == match_list.max_score == (matches[0].score if matches else 0.0)
+        assert sliced.maxima[0] == match_list.max_score
+        assert match_list.max_score == (matches[0].score if matches else 0.0)
     for inputs in MERGES:
         merged = build_merged_match_list(live, inputs, codec)
         assert merged.var_names == inputs[0][0].variable_names

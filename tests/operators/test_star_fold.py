@@ -4,9 +4,10 @@
 one table over the id domain; the pairwise fold joins the same lists
 left-deep through :func:`join_lists`.  They must agree on everything a
 reader of the result sees: the columns, the score bits, the row order
-and all four counters.  :meth:`QueryPlan.evaluate_block` takes the fold
-only for such a star over a domain addressable against all its rows,
-and the pairwise fold for every other plan.
+and all four counters.  :func:`fold_lists`, which
+:meth:`QueryPlan.evaluate_block` calls, takes the star fold only for
+such a star over a domain addressable against all its rows, and the
+pairwise fold for every other plan.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.naive import NaiveEngine
-from repro.core import plan as plan_module
 from repro.core.engine import SpecQPEngine
 from repro.core.plan import QueryPlan
 from repro.kg.columnar import ColumnarGraph
 from repro.kg.delta import GraphUpdate, LiveGraph
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
+from repro.operators import vector_join
 from repro.operators.block import EncodedMatchList, TermCodec, build_encoded_match_list
 from repro.operators.memory import ExecutionContext
 from repro.operators.vector_join import fold_star, join_lists
@@ -40,7 +41,6 @@ def single(ids, scores) -> EncodedMatchList:
         ("s",),
         (np.array(ids, dtype=np.int64),),
         np.array(scores, dtype=np.float64),
-        1.0,
     )
 
 
@@ -184,8 +184,8 @@ def evaluate(plan, graph, codec):
     the calls it made to the fold and the pairwise join."""
     context = ExecutionContext()
     with mock.patch.object(
-        plan_module, "fold_star", wraps=fold_star
-    ) as fold, mock.patch.object(plan_module, "join_lists", wraps=join_lists) as join:
+        vector_join, "fold_star", wraps=fold_star
+    ) as fold, mock.patch.object(vector_join, "join_lists", wraps=join_lists) as join:
         rows = plan.evaluate_block(
             graph,
             RuleSet(),
@@ -255,7 +255,7 @@ class TestWhichFoldAPlanTakes:
         engine = SpecQPEngine(live, music_rules)
         oracle = NaiveEngine(rebuilt, music_rules)
         for plan in (QueryPlan.exact(query), QueryPlan.trinit(query)):
-            with mock.patch.object(plan_module, "join_lists", wraps=join_lists) as join:
+            with mock.patch.object(vector_join, "join_lists", wraps=join_lists) as join:
                 served = engine.executor.execute(plan, 10, executor="block").answers
             assert join.call_count == 0
             assert ("s", "newcomer") in {pair for a in served for pair in a.bindings}

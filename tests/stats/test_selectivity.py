@@ -16,9 +16,9 @@ from repro.kg.graph import KnowledgeGraph
 from repro.kg.pattern import TriplePattern, var
 from repro.kg.storage import load_snapshot_v2, save_snapshot_v2
 from repro.kg.triple import Triple
+from repro.operators import vector_join
 from repro.operators.block import EncodedListStore
 from repro.query.query import TriplePatternQuery
-from repro.stats import selectivity
 from repro.stats.catalog import StatisticsCatalog
 from repro.stats.selectivity import JoinCardinalityEstimator
 
@@ -171,7 +171,7 @@ pattern_slots = st.lists(
 )
 #: ``(seed, slots)``: the slots above over any seed, or slots over seed
 #: predicates and entities over a seed of 8 or more triples, whose lists
-#: mostly hold rows, so they meet in joins and semi-joins.
+#: mostly hold rows, so they meet in joins, stars among them.
 count_cases = st.one_of(
     st.tuples(seed_triples, pattern_slots),
     st.tuples(
@@ -236,32 +236,6 @@ def assert_counts_are_brute_force(seed, patterns, updates) -> None:
         del live, mapped  # unmap before the directory goes
 
 
-@settings(
-    max_examples=120,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(case=count_cases, updates=update_batches)
-def test_vectorised_count_is_the_brute_force_count_on_every_backend(case, updates):
-    """Under a dense id domain: a list binding only the shared variable
-    is semi-joined through a membership table."""
-    with mock.patch.object(selectivity, "addressable", lambda span, n_rows: True):
-        assert_counts_are_brute_force(*case, updates)
-
-
-@settings(
-    max_examples=120,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(case=count_cases, updates=update_batches)
-def test_sorted_count_is_the_brute_force_count_on_every_backend(case, updates):
-    """Under an id domain forced too sparse to address: every semi-join
-    searches the list's sorted keys."""
-    with mock.patch.object(selectivity, "addressable", lambda span, n_rows: False):
-        assert_counts_are_brute_force(*case, updates)
-
-
 class TestVectorisedCountCorners:
     def test_fully_bound_patterns_filter(self, graph):
         present = TriplePattern("a", "rdf:type", "t1")
@@ -301,10 +275,10 @@ class TestVectorisedCountCorners:
         assert exact_count(ColumnarGraph.from_graph(kg), triangle) == 3
 
     def test_a_star_count_sorts_nothing(self, graph):
-        """Lists binding only the shared variable are semi-joined
-        through a membership table over the ids, not a key sort."""
+        """Lists binding only the shared variable are folded through one
+        table over the ids, not a key sort."""
         with mock.patch.object(
-            selectivity, "sorted_key_order", wraps=selectivity.sorted_key_order
+            vector_join, "_sorted_pairs", wraps=vector_join._sorted_pairs
         ) as spy:
             assert exact_count(graph, (tp("t1"), tp("t2"), tp("t3"))) == 1
             assert exact_count(graph, (tp("t1"), tp("t2"))) == 2
@@ -313,8 +287,6 @@ class TestVectorisedCountCorners:
     def test_more_key_columns_than_int64_packs(self, monkeypatch):
         # Force the unpackable-key fallback (joint group ids) on a join
         # over two shared variables.
-        from repro.stats import selectivity
-
         kg = KnowledgeGraph()
         for s, o in (("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")):
             kg.add(s, "p", o)
@@ -327,7 +299,7 @@ class TestVectorisedCountCorners:
         )
         expected = brute_force_count(kg, patterns)
         monkeypatch.setattr(
-            selectivity, "pack_columns", lambda columns, n_ids, n_rows=None: None
+            vector_join, "pack_columns", lambda columns, n_ids, n_rows=None: None
         )
         assert exact_count(kg, patterns) == expected
 
@@ -366,6 +338,32 @@ class TestVectorisedCountCorners:
             frozenset((tp("t1"),)),
             frozenset((tp("t3"),)),
         }
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=count_cases, updates=update_batches)
+def test_vectorised_count_is_the_brute_force_count_on_every_backend(case, updates):
+    """Under a dense id domain: a star folds through one id table, and a
+    list binding only the shared variable is joined through a table."""
+    with mock.patch.object(vector_join, "addressable", lambda span, n_rows: True):
+        assert_counts_are_brute_force(*case, updates)
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=count_cases, updates=update_batches)
+def test_sorted_count_is_the_brute_force_count_on_every_backend(case, updates):
+    """Under an id domain forced too sparse to address: every join
+    searches the left side's sorted keys."""
+    with mock.patch.object(vector_join, "addressable", lambda span, n_rows: False):
+        assert_counts_are_brute_force(*case, updates)
 
 
 class TestDistinctValues:
